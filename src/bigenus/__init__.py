@@ -1,8 +1,8 @@
 """Genus bounds and embeddings of random bipartite graphs.
 
 The pipeline: generate a random bipartite graph, orient it by fair
-coins, enumerate short closed trails in the orientation and its
-reverse, match them arc-disjointly, remove blossoms, and assemble the
+coins, enumerate short closed trails in the orientation, mirror them
+for its reverse, match them arc-disjointly, remove blossoms, and assemble the
 surviving trails into a rotation system whose traced faces give an
 upper genus bound. Euler-style counting gives the matching lower
 bound, and a small-graph oracle checks both on instances where the

@@ -11,6 +11,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,13 +207,6 @@ class Digraph:
         self.arc_list: tuple[tuple[int, int], ...] = tuple(norm)
         self.arc_set = frozenset(norm)
         self.source = source
-        out_m: dict[int, int] = {}
-        in_m: dict[int, int] = {}
-        for (t, h) in norm:
-            out_m[t] = out_m.get(t, 0) | (1 << h)
-            in_m[h] = in_m.get(h, 0) | (1 << t)
-        self._out_mask = out_m
-        self._in_mask = in_m
 
     @property
     def n_vertices(self) -> int:
@@ -222,14 +216,26 @@ class Digraph:
     def n_arcs(self) -> int:
         return len(self.arc_list)
 
+    @functools.cached_property
+    def _masks(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Out- and in-neighbour bitmasks per vertex, built on first use:
+        a mask spans the vertex labels, so eager masks of many vertices
+        with large neighbour labels cost far more than the arc list."""
+        out_m: dict[int, int] = {}
+        in_m: dict[int, int] = {}
+        for (t, h) in self.arc_list:
+            out_m[t] = out_m.get(t, 0) | (1 << h)
+            in_m[h] = in_m.get(h, 0) | (1 << t)
+        return out_m, in_m
+
     def out_mask(self, v: int) -> int:
-        return self._out_mask.get(v, 0)
+        return self._masks[0].get(v, 0)
 
     def in_mask(self, v: int) -> int:
-        return self._in_mask.get(v, 0)
+        return self._masks[1].get(v, 0)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self._out_mask.get(v, 0)))
+        return tuple(iter_bits(self.out_mask(v)))
 
     def is_orientation(self) -> bool:
         return all((h, t) not in self.arc_set for (t, h) in self.arc_list)

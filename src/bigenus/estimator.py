@@ -1,11 +1,12 @@
 """Genus estimation: Euler-style lower bounds, the embedding pipeline
 upper bound, closed-form predictors, and small-part reductions.
 
-The pipeline orients the graph, enumerates closed (2i+2)-trails in both
-arc directions, extracts two disjoint matchings, removes blossoms, and
-assembles a rotation system; its traced genus is the upper bound. Lower
-bounds come from Euler's formula with girth and short-trail corrections.
-Predictors translate the three density regimes into expected genus.
+The pipeline orients the graph, enumerates closed (2i+2)-trails once
+and mirrors them for the reversed arc direction, extracts two disjoint
+matchings, removes blossoms, and assembles a rotation system; its
+traced genus is the upper bound. Lower bounds come from Euler's
+formula with girth and short-trail corrections. Predictors translate
+the three density regimes into expected genus.
 """
 
 from __future__ import annotations
@@ -400,14 +401,17 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
 
     d = orient_randomly(g, cfg.seed)
     h_fwd = build_trail_hypergraph(d, i, cfg.cap)
-    h_rev = build_trail_hypergraph(d.reverse(), i, cfg.cap)
-    if h_fwd.truncated or h_rev.truncated:
+    if h_fwd.truncated:
         return GenusEstimate(n1, n2, p_eff, i, cfg.seed, n_edges, lower, None,
                              prediction, res.label(), None, None, None, None,
                              None, True)
 
     m = find_matching(h_fwd, cfg.strategy, derive_int_seed(cfg.seed, STREAM_MATCH),
                       cfg.bite_fraction)
+    # The reversed digraph's family is the reverse of this one; derive it
+    # and drop the forward rows before the second matching.
+    h_rev = h_fwd.mirror()
+    del h_fwd
     mm = find_disjoint_mirror_matching(h_rev, m.matching, cfg.strategy,
                                        derive_int_seed(cfg.seed, STREAM_MIRROR),
                                        cfg.bite_fraction)

@@ -140,7 +140,9 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 def _hill_climb(eng: _Engine, restarts: int, rng: random.Random,
-                deadline: float | None) -> tuple[int, dict[int, tuple[int, ...]]]:
+                deadline: float | None, lb: int) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """Best genus over `restarts` climbs, stopping at the first restart
+    that reaches the component's lower bound lb, which none can beat."""
     best_g = None
     best_snap: dict[int, tuple[int, ...]] = {}
     movable = [v for v in eng.verts if len(eng.out_arcs[v]) >= 3]
@@ -173,6 +175,8 @@ def _hill_climb(eng: _Engine, restarts: int, rng: random.Random,
         if best_g is None or g_r < best_g:
             best_g = g_r
             best_snap = eng.snapshot()
+            if best_g <= lb:
+                break
     return best_g, best_snap
 
 
@@ -243,7 +247,7 @@ def minimum_genus_rotation(g, budget: SearchBudget | None = None,
         best = None
         snap = None
         if shortcut:
-            best, snap = _hill_climb(eng, budget.restarts, rng, deadline)
+            best, snap = _hill_climb(eng, budget.restarts, rng, deadline, lb)
         if best is None or best > lb:
             best, snap = _scan(eng, lb, deadline, best, snap)
         eng.restore(snap)
@@ -261,7 +265,8 @@ def exact_genus(g, budget: SearchBudget | None = None, shortcut: bool = True) ->
 def heuristic_genus_upper(g, budget: SearchBudget | None = None, seed: int = 0) -> int:
     """Best genus found by seeded hill climbing (adjacent transpositions
     in one vertex's cyclic order, restarts from shuffled starts). An
-    upper bound on the exact genus, with no optimality claim."""
+    upper bound on the exact genus, with no optimality claim. A
+    component stops restarting once it meets its Euler lower bound."""
     budget = budget or SearchBudget()
     deadline = None
     if budget.max_seconds is not None:
@@ -273,7 +278,8 @@ def heuristic_genus_upper(g, budget: SearchBudget | None = None, seed: int = 0) 
         if sum(g.degree(v) for v in verts) == 0:
             continue
         eng = _Engine(g, verts)
-        best, _snap = _hill_climb(eng, budget.restarts, rng, deadline)
+        lb = _component_lower_bound(g, verts)
+        best, _snap = _hill_climb(eng, budget.restarts, rng, deadline, lb)
         total += best
     return total
 

@@ -6,18 +6,31 @@ set is the arc set of D. A large matching in H is a family of
 arc-disjoint trails that the blossom module turns into prescribed faces
 of an embedding.
 
-Trails are kept in canonical form: the cyclic arc sequence rotated to
-start at its lexicographically least arc. A trail and its reverse are
-distinct objects; the reverse lives in the reversed digraph.
+The pipeline uses H only through its incidence structure, so a family
+of trails is held as rows: one int32 numpy array with a row per trail
+and 2i+2 columns of arc ids, where arc id k stands for d.arc_list[k].
+Each row is in canonical rotation (it starts at its least arc id) and
+the rows are sorted lexicographically, which is the order of the arc
+tuples themselves because arc ids follow the sorted arc list.
+
+ClosedTrail is the boundary type: it is built for matched trails, for
+the text format, and on demand by the lazy views of a family. A trail
+and its reverse are distinct; the reverses are the family of the
+reversed digraph, derived from the rows by TrailSet.mirror.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
-from .bigraph import BipartiteGraph, Digraph, Graph, iter_bits, two_coloring
+import numpy as np
+
+from .bigraph import BipartiteGraph, Digraph, Graph, two_coloring
 from .errors import GuardError, ValidationError
 
 Arc = tuple[int, int]
@@ -26,6 +39,11 @@ CODEGREE_EXACT_LIMIT = 2000
 CODEGREE_SAMPLE_PAIRS = 100_000
 
 _DFS_WORK_LIMIT = 20_000_000
+
+# Rows re-rotated per numpy call; bounds the int64 index temporaries.
+_ROTATE_CHUNK = 1 << 16
+# Candidates screened per numpy call in the matching sweep.
+_SWEEP_CHUNK = 1024
 
 
 def _canonical_rotation(arcs: Sequence[Arc]) -> tuple[Arc, ...]:
@@ -72,20 +90,76 @@ class ClosedTrail:
         return f"ClosedTrail({inner})"
 
 
-@dataclass(frozen=True)
-class TrailSet:
-    """Enumeration result. truncated is set when the cap stopped the
-    enumeration early; the listed trails are then a deterministic
-    prefix, never a silent subset."""
+def _canonical_sorted(rows: np.ndarray) -> np.ndarray:
+    """Rotate every row to start at its least arc id (in place), then
+    return the rows in lexicographic order."""
+    w = rows.shape[1]
+    shift = np.arange(w)
+    for s in range(0, len(rows), _ROTATE_CHUNK):
+        block = rows[s:s + _ROTATE_CHUNK]
+        k = block.argmin(axis=1)
+        if k.any():
+            block[...] = np.take_along_axis(block, (k[:, None] + shift) % w, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
 
-    trails: tuple[ClosedTrail, ...]
-    truncated: bool = False
+
+class TrailSet:
+    """A family of closed trails over the sorted arc list `arcs`, held
+    as canonical sorted rows of arc ids (see the module docstring).
+
+    truncated is set when the cap stopped the enumeration early; the
+    rows are then a deterministic prefix, never a silent subset.
+    `trails` is a lazy view of the rows as ClosedTrail objects.
+    """
+
+    def __init__(self, arcs: tuple[Arc, ...], rows: np.ndarray, truncated: bool = False):
+        self.arcs = arcs
+        self.rows = rows
+        self.truncated = truncated
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.trails)
 
-    def __len__(self) -> int:
-        return len(self.trails)
+    def trail(self, k: int) -> ClosedTrail:
+        return ClosedTrail(tuple(self.arcs[a] for a in self.rows[k].tolist()))
+
+    @functools.cached_property
+    def trails(self) -> tuple[ClosedTrail, ...]:
+        return tuple(map(self.trail, range(len(self))))
+
+    def index(self, trail: ClosedTrail) -> int | None:
+        """Row of `trail` in this family, or None when it is absent."""
+        arcs = self.arcs
+        row = []
+        for a in trail.arcs:
+            k = bisect_left(arcs, a)
+            if k == len(arcs) or arcs[k] != a:
+                return None
+            row.append(k)
+        rows = self.rows
+        if len(row) != rows.shape[1]:
+            return None
+        j = bisect_left(range(len(rows)), row, key=lambda r: rows[r].tolist())
+        return j if j < len(rows) and rows[j].tolist() == row else None
+
+    def mirror(self) -> "TrailSet":
+        """The family of the reversed digraph, without enumerating it:
+        each row reversed, its arc ids mapped to the ranks of the
+        reversed arcs, then re-canonicalised and re-sorted. Reversal is
+        a bijection between the closed trails of D and of its reverse,
+        so an untruncated family mirrors to exactly what enumerating
+        the reversed digraph gives. A truncated family stays truncated
+        (its mirror is the reverse of the prefix)."""
+        ends = np.array(self.arcs, dtype=np.int64).reshape(-1, 2)
+        order = np.lexsort((ends[:, 0], ends[:, 1]))
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        rev_arcs = tuple((h, t) for t, h in ends[order].tolist())
+        rows = _canonical_sorted(rank[self.rows[:, ::-1]])
+        return type(self)(rev_arcs, rows, self.truncated)
 
 
 def enumerate_closed_trails(d: Digraph, i: int, cap: int | None = None) -> TrailSet:
@@ -104,12 +178,10 @@ def enumerate_closed_trails(d: Digraph, i: int, cap: int | None = None) -> Trail
         raise ValidationError("cap must be nonnegative")
     coloring = two_coloring(_underlying(d)) if i == 1 else None
     if coloring is not None and d.is_orientation():
-        raw, truncated = _enumerate_quads_bipartite(d, coloring, cap)
+        rows, truncated = _enumerate_quads_bipartite(d, coloring, cap)
     else:
-        raw, truncated = _enumerate_trails_dfs(d, 2 * i + 2, cap)
-    trails = tuple(sorted((ClosedTrail.from_arcs(a) for a in raw),
-                          key=lambda t: t.arcs))
-    return TrailSet(trails, truncated)
+        rows, truncated = _enumerate_trails_dfs(d, 2 * i + 2, cap)
+    return TrailSet(d.arc_list, _canonical_sorted(rows), truncated)
 
 
 def _underlying(d: Digraph):
@@ -119,64 +191,104 @@ def _underlying(d: Digraph):
     return Graph(d.n, set(d.underlying_edges()))
 
 
+def _bit_positions(mask: int, nbytes: int) -> np.ndarray:
+    bits = np.unpackbits(np.frombuffer(mask.to_bytes(nbytes, "little"), np.uint8),
+                         bitorder="little")
+    return np.flatnonzero(bits)
+
+
 def _enumerate_quads_bipartite(d: Digraph, coloring, cap: int | None):
+    """Rows (x->y, y->x', x'->y', y'->x) for y < y' in the smaller
+    color class, in the order pair, then x', then x. The bitmasks are
+    built here for the smaller class only, from the arc list."""
     side0, side1 = coloring
     small = side0 if len(side0) <= len(side1) else side1
-    out = {v: d.out_mask(v) for v in small}
-    inn = {v: d.in_mask(v) for v in small}
-    found: list[tuple[Arc, ...]] = []
-    truncated = False
+    out = dict.fromkeys(small, 0)
+    inn = dict.fromkeys(small, 0)
+    for (t, h) in d.arc_list:
+        if t in out:
+            out[t] |= 1 << h
+        else:
+            inn[h] |= 1 << t
+    pairs = []
+    total = 0
     for ai, y in enumerate(small):
+        out_y, in_y = out[y], inn[y]
         for y2 in small[ai + 1:]:
-            fwd = out[y] & inn[y2]    # x' with y -> x' -> y2
-            bwd = out[y2] & inn[y]    # x with y2 -> x -> y
-            if not fwd or not bwd:
+            fwd = out_y & inn[y2]    # x' with y -> x' -> y2
+            if not fwd:
                 continue
-            for xp in iter_bits(fwd):
-                for x in iter_bits(bwd):
-                    if cap is not None and len(found) >= cap:
-                        truncated = True
-                        return found, truncated
-                    found.append(((x, y), (y, xp), (xp, y2), (y2, x)))
-    return found, truncated
+            bwd = out[y2] & in_y     # x with y2 -> x -> y
+            if not bwd:
+                continue
+            pairs.append((y, y2, fwd, bwd))
+            total += fwd.bit_count() * bwd.bit_count()
+    truncated = cap is not None and total > cap
+    count = cap if truncated else total
+    rows = np.empty((count, 4), dtype=np.int32)
+    n = d.n
+    nbytes = (n + 7) // 8
+    keys = np.array([t * n + h for (t, h) in d.arc_list], dtype=np.int64)
+    pos = 0
+    for (y, y2, fwd, bwd) in pairs:
+        if pos >= count:
+            break
+        xp = _bit_positions(fwd, nbytes)
+        x = _bit_positions(bwd, nbytes)
+        m = len(xp) * len(x)
+        dest = rows[pos:pos + m] if pos + m <= count else np.empty((m, 4), np.int32)
+        block = dest.reshape(len(xp), len(x), 4)
+        block[:, :, 0] = np.searchsorted(keys, x * n + y)
+        block[:, :, 1] = np.searchsorted(keys, y * n + xp)[:, None]
+        block[:, :, 2] = np.searchsorted(keys, xp * n + y2)[:, None]
+        block[:, :, 3] = np.searchsorted(keys, y2 * n + x)
+        if pos + m > count:
+            rows[pos:] = dest[:count - pos]
+        pos += m
+    return rows, truncated
 
 
 def _enumerate_trails_dfs(d: Digraph, length: int, cap: int | None):
-    out_sorted = {v: d.out_neighbors(v) for v in range(d.n)}
-    found: list[tuple[Arc, ...]] = []
-    truncated = False
+    """Rows of the closed trails of `length` arcs, each found once from
+    its least arc. Only arcs above the anchor may follow it, which
+    makes the anchor the unique minimum and yields each rotation class
+    once; rows come out canonical and in lexicographic order."""
     arcs = d.arc_list
-    for a0 in arcs:
-        start, first = a0
-        # Only arcs above the anchor may appear, which makes the anchor
-        # the unique minimum and yields each rotation class once.
-        path = [a0]
-        used = {a0}
+    heads = [h for (_t, h) in arcs]
+    out_ids: dict[int, list[int]] = {}
+    for k, (t, _h) in enumerate(arcs):
+        out_ids.setdefault(t, []).append(k)
+    found = array("i")
+    used = bytearray(len(arcs))
+    path: list[int] = []
+    truncated = False
 
-        def rec(v: int) -> bool:
-            nonlocal truncated
-            if len(path) == length:
-                if v == start:
-                    if cap is not None and len(found) >= cap:
-                        truncated = True
-                        return True
-                    found.append(tuple(path))
-                return False
-            for w in out_sorted.get(v, ()):
-                a = (v, w)
-                if a <= a0 or a in used:
-                    continue
-                used.add(a)
-                path.append(a)
-                if rec(w):
+    def rec(v: int, start: int, a0: int) -> bool:
+        nonlocal truncated
+        if len(path) == length:
+            if v == start:
+                if cap is not None and len(found) >= cap * length:
+                    truncated = True
                     return True
-                path.pop()
-                used.remove(a)
+                found.extend(path)
             return False
+        for a in out_ids.get(v, ()):
+            if a <= a0 or used[a]:
+                continue
+            used[a] = 1
+            path.append(a)
+            if rec(heads[a], start, a0):
+                return True
+            path.pop()
+            used[a] = 0
+        return False
 
-        if rec(first):
-            return found, truncated
-    return found, truncated
+    for a0, (start, first) in enumerate(arcs):
+        path[:] = [a0]
+        if rec(first, start, a0):
+            break
+    rows = np.array(found, dtype=np.int32).reshape(-1, length)
+    return rows, truncated
 
 
 def rho(d: Digraph, b: int, a: int, i: int) -> int:
@@ -209,24 +321,15 @@ def theoretical_delta(n1: int, n2: int, p: float, i: int) -> float:
     return (n1 ** i) * (n2 ** i) * (p / 2.0) ** (2 * i + 1)
 
 
-class TrailHypergraph:
+class TrailHypergraph(TrailSet):
     """(2i+2)-uniform hypergraph on the arcs of D whose hyperedges are
-    the closed trails of length 2i+2."""
+    the closed trails of length 2i+2: hyperedge k is row k. incidence
+    and degree are lazy views keyed by arc, built only when asked for."""
 
-    def __init__(self, digraph: Digraph, i: int, trails: TrailSet):
-        self.digraph = digraph
-        self.i = i
-        self.d = 2 * i + 2
-        self.arcs: tuple[Arc, ...] = digraph.arc_list
-        self.trails: tuple[ClosedTrail, ...] = trails.trails
-        self.truncated = trails.truncated
-        incidence: dict[Arc, list[int]] = {a: [] for a in self.arcs}
-        for idx, t in enumerate(self.trails):
-            for a in t.arcs:
-                incidence[a].append(idx)
-        self.incidence = {a: tuple(ix) for a, ix in incidence.items()}
-        self.degree = {a: len(ix) for a, ix in self.incidence.items()}
-        self._incidence_sets: dict[Arc, frozenset[int]] | None = None
+    def __init__(self, arcs: tuple[Arc, ...], rows: np.ndarray, truncated: bool = False):
+        super().__init__(arcs, rows, truncated)
+        self.d = rows.shape[1]
+        self.i = (self.d - 2) // 2
 
     @property
     def n_arcs(self) -> int:
@@ -234,16 +337,35 @@ class TrailHypergraph:
 
     @property
     def n_hyperedges(self) -> int:
-        return len(self.trails)
+        return len(self.rows)
+
+    def degree_array(self) -> np.ndarray:
+        """Hyperedge count per arc id."""
+        return np.bincount(self.rows.ravel(), minlength=len(self.arcs))
+
+    @functools.cached_property
+    def degree(self) -> dict[Arc, int]:
+        return dict(zip(self.arcs, self.degree_array().tolist()))
+
+    @functools.cached_property
+    def incidence(self) -> dict[Arc, tuple[int, ...]]:
+        by_id: list[list[int]] = [[] for _ in self.arcs]
+        for idx, row in enumerate(self.rows.tolist()):
+            for a in row:
+                by_id[a].append(idx)
+        return {a: tuple(ix) for a, ix in zip(self.arcs, by_id)}
+
+    @functools.cached_property
+    def _incidence_sets(self) -> dict[Arc, frozenset[int]]:
+        return {a: frozenset(ix) for a, ix in self.incidence.items()}
 
     def incidence_set(self, a: Arc) -> frozenset[int]:
-        if self._incidence_sets is None:
-            self._incidence_sets = {x: frozenset(ix) for x, ix in self.incidence.items()}
         return self._incidence_sets[a]
 
 
 def build_trail_hypergraph(d: Digraph, i: int, cap: int | None = None) -> TrailHypergraph:
-    return TrailHypergraph(d, i, enumerate_closed_trails(d, i, cap))
+    ts = enumerate_closed_trails(d, i, cap)
+    return TrailHypergraph(ts.arcs, ts.rows, ts.truncated)
 
 
 @dataclass(frozen=True)
@@ -278,20 +400,19 @@ def check_matching_conditions(h: TrailHypergraph, delta: float, Delta: float,
         raise ValidationError(f"delta must lie in (0,1), got {delta}")
     lo, hi = (1.0 - delta) * Delta, (1.0 + delta) * Delta
     n = h.n_arcs
-    degrees = h.degree
-    in_band = sum(1 for a in h.arcs if lo <= degrees[a] <= hi)
+    degrees = h.degree_array()
+    in_band = int(np.count_nonzero((lo <= degrees) & (degrees <= hi)))
     frac = in_band / n if n else 1.0
 
     if n <= CODEGREE_EXACT_LIMIT:
         method = "exact"
-        pair_count: dict[tuple[Arc, Arc], int] = {}
-        for t in h.trails:
-            arcs = t.arcs
-            for j in range(len(arcs)):
-                for k in range(j + 1, len(arcs)):
-                    key = (arcs[j], arcs[k]) if arcs[j] < arcs[k] else (arcs[k], arcs[j])
-                    pair_count[key] = pair_count.get(key, 0) + 1
-        max_codeg = max(pair_count.values(), default=0)
+        # One key per (trail, unordered arc pair); a trail holds an arc
+        # at most once, so a key's multiplicity is the pair's codegree.
+        rows = h.rows.astype(np.int64)
+        keys = np.concatenate([
+            np.minimum(rows[:, j], rows[:, k]) * n + np.maximum(rows[:, j], rows[:, k])
+            for j in range(h.d) for k in range(j + 1, h.d)])
+        max_codeg = int(np.unique(keys, return_counts=True)[1].max()) if len(keys) else 0
         pairs_checked = n * (n - 1) // 2
     else:
         method = "sampled"
@@ -311,8 +432,7 @@ def check_matching_conditions(h: TrailHypergraph, delta: float, Delta: float,
             if c > max_codeg:
                 max_codeg = c
 
-    over_arcs = {a for a in h.arcs if degrees[a] > hi}
-    overfull = sum(1 for t in h.trails if any(a in over_arcs for a in t.arcs))
+    overfull = int(np.count_nonzero((degrees > hi)[h.rows].any(axis=1)))
     return ConditionReport(
         delta=delta,
         Delta=Delta,
@@ -365,54 +485,70 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
     dropped, the rest enter the matching; a final greedy sweep makes the
     result maximal. Both are deterministic given the seed and report
     achieved coverage; neither claims an a priori size guarantee.
+
+    The greedy order is the Rödl-nibble / Pippenger–Spencer random
+    greedy process the theory rests on. Candidates are row indices in
+    increasing order, minus the rows of excluded trails, shuffled by
+    random.Random(seed); used arcs are marked in a bytearray.
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     excluded_set = frozenset(exclude)
     rng = random.Random(seed)
-    candidates = [idx for idx, t in enumerate(h.trails) if t not in excluded_set]
-    used: set[Arc] = set()
+    keep = np.ones(len(h), dtype=bool)
+    for t in excluded_set:
+        k = h.index(t)
+        if k is not None:
+            keep[k] = False
+    candidates = array("i", np.flatnonzero(keep).astype(np.int32).tobytes())
+    w = h.d
+    rows = h.rows
+    flat = memoryview(np.ascontiguousarray(rows, dtype=np.int32).ravel())
+    used = bytearray(h.n_arcs)
+    used_np = np.frombuffer(used, dtype=np.uint8)
+    is_used = used.__getitem__
     chosen: list[int] = []
 
-    def try_take(idx: int) -> None:
-        arcs = h.trails[idx].arcs
-        if any(a in used for a in arcs):
-            return
-        used.update(arcs)
-        chosen.append(idx)
+    def sweep(order) -> None:
+        """Take, in order, each row whose arcs are all unused. Rows that
+        are blocked when their chunk starts stay blocked, so one numpy
+        test per chunk drops them without changing the result."""
+        order = np.asarray(order, dtype=np.int32)
+        for s in range(0, len(order), _SWEEP_CHUNK):
+            chunk = order[s:s + _SWEEP_CHUNK]
+            for idx in chunk[~used_np[rows[chunk]].any(axis=1)].tolist():
+                row = flat[idx * w:(idx + 1) * w]
+                if any(map(is_used, row)):
+                    continue
+                for a in row:
+                    used[a] = 1
+                chosen.append(idx)
 
     if strategy == "greedy":
         rng.shuffle(candidates)
-        for idx in candidates:
-            try_take(idx)
+        sweep(candidates)
     else:
-        alive = candidates
+        alive = np.frombuffer(candidates, dtype=np.int32)
+        draw = rng.random
         stagnant = 0
-        while alive and stagnant < 3:
-            active_arcs = set()
-            for idx in alive:
-                active_arcs.update(h.trails[idx].arcs)
-            mean_deg = h.d * len(alive) / max(1, len(active_arcs))
+        while len(alive) and stagnant < 3:
+            active_arcs = np.count_nonzero(np.bincount(rows[alive].ravel(),
+                                                       minlength=h.n_arcs))
+            mean_deg = w * len(alive) / max(1, active_arcs)
             p_sel = min(1.0, bite_fraction / max(1.0, mean_deg))
-            bite = [idx for idx in alive if rng.random() < p_sel]
-            claims: dict[Arc, int] = {}
-            for idx in bite:
-                for a in h.trails[idx].arcs:
-                    claims[a] = claims.get(a, 0) + 1
+            bite = [idx for idx in alive.tolist() if draw() < p_sel]
+            claims = np.bincount(rows[bite].ravel(), minlength=h.n_arcs)
             before = len(chosen)
-            for idx in bite:
-                arcs = h.trails[idx].arcs
-                if all(claims[a] == 1 for a in arcs):
-                    try_take(idx)
+            sole = (claims[rows[bite]] == 1).all(axis=1)
+            sweep(np.asarray(bite, dtype=np.int32)[sole])
             stagnant = stagnant + 1 if len(chosen) == before else 0
-            alive = [idx for idx in alive
-                     if not any(a in used for a in h.trails[idx].arcs)]
-        rng.shuffle(alive)
-        for idx in alive:
-            try_take(idx)
+            alive = alive[~used_np[rows[alive]].any(axis=1)]
+        rest = alive.tolist()
+        rng.shuffle(rest)
+        sweep(rest)
 
     chosen.sort()
-    matching = tuple(h.trails[idx] for idx in chosen)
+    matching = tuple(h.trail(idx) for idx in chosen)
     coverage = h.d * len(matching) / h.n_arcs if h.n_arcs else 0.0
     return MatchingReport(matching, coverage, strategy, seed, h.n_arcs, h.d,
                           excluded=len(excluded_set))
@@ -423,7 +559,8 @@ def find_disjoint_mirror_matching(h_rev: TrailHypergraph, m: Sequence[ClosedTrai
                                   bite_fraction: float = 0.25) -> MatchingReport:
     """Matching in the reversed-digraph hypergraph avoiding the reverses
     of the given matching, so no prescribed face appears twice with
-    opposite senses."""
+    opposite senses. h_rev is typically h.mirror() of the hypergraph m
+    was matched in."""
     mirror = [t.reverse() for t in m]
     return find_matching(h_rev, strategy=strategy, seed=seed,
                          bite_fraction=bite_fraction, exclude=mirror)

@@ -129,6 +129,23 @@ def pipeline_family(n1: int, n2: int, p: float, seed: int, i: int = 1,
     return g, list(m) + list(m2)
 
 
+def reference_greedy(trails, seed: int, exclude=()):
+    """Random greedy matching over ClosedTrail objects with a set of used
+    arcs: the indices of the trails not in `exclude`, in increasing
+    order, shuffled by random.Random(seed), each trail taken when all
+    its arcs are still unused. Returns the taken trails in index order."""
+    excluded = set(exclude)
+    order = [k for k, t in enumerate(trails) if t not in excluded]
+    random.Random(seed).shuffle(order)
+    used = set()
+    taken = []
+    for k in order:
+        if used.isdisjoint(trails[k].arcs):
+            used.update(trails[k].arcs)
+            taken.append(k)
+    return tuple(trails[k] for k in sorted(taken))
+
+
 def arc_degree_model(n1: int, n2: int, p: float, lo: float, hi: float):
     """(P(lo <= D <= hi), E[D]) for the closed-4-trail degree D of one
     arc of a randomly oriented G(n1, n2, p), from first principles.

@@ -1,6 +1,7 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 from bigenus.bigraph import (Digraph, GenParams, complete_bipartite_graph,
@@ -14,7 +15,7 @@ from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
                             theoretical_delta, trails_from_text,
                             trails_to_text)
 
-from conftest import brute_short_trail_total, rand_bipartite
+from conftest import brute_short_trail_total, rand_bipartite, reference_greedy
 
 
 def test_closed_trail_validation():
@@ -66,10 +67,63 @@ def test_fast_path_matches_dfs():
                                            seed=rng.randint(0, 999)))
         d = orient_randomly(g, rng.randint(0, 999))
         fast = enumerate_closed_trails(d, 1).trails
-        slow_raw, _ = _enumerate_trails_dfs(d, 4, None)
-        slow = [ClosedTrail.from_arcs(a) for a in slow_raw]
+        slow_rows, _ = _enumerate_trails_dfs(d, 4, None)
+        slow = [ClosedTrail.from_arcs([d.arc_list[a] for a in row])
+                for row in slow_rows.tolist()]
         assert fast == tuple(sorted(slow, key=lambda t: t.arcs))
         assert len(set(slow)) == len(slow)
+
+
+def _identity_digraphs(seed: int):
+    """Random orientations of small bipartite graphs, plus random
+    digraphs with anti-parallel arcs, which take the DFS path at i = 1."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(12):
+        a, b = rng.randint(3, 8), rng.randint(3, 8)
+        g = gen_random_bipartite(GenParams(max(a, b), min(a, b),
+                                           rng.uniform(0.3, 0.8),
+                                           seed=rng.randint(0, 999)))
+        out.append(orient_randomly(g, rng.randint(0, 999)))
+    for _ in range(4):
+        n = rng.randint(4, 6)
+        arcs = {(u, v) for u in range(n) for v in range(n)
+                if u != v and rng.random() < 0.45}
+        out.append(Digraph(n, arcs | {(0, 1), (1, 0)}))
+    return out
+
+
+def test_mirror_equals_reversed_enumeration():
+    dfs_i1_trails = 0
+    for d in _identity_digraphs(31):
+        for i in (1, 2):
+            fwd = enumerate_closed_trails(d, i)
+            if i == 1 and not d.is_orientation():
+                dfs_i1_trails += len(fwd)
+            mirrored = fwd.mirror()
+            direct = enumerate_closed_trails(d.reverse(), i)
+            assert mirrored.arcs == direct.arcs
+            assert mirrored.rows.dtype == direct.rows.dtype
+            assert np.array_equal(mirrored.rows, direct.rows)
+            assert mirrored.trails == tuple(sorted((t.reverse() for t in fwd.trails),
+                                                   key=lambda t: t.arcs))
+            assert mirrored.mirror().trails == fwd.trails
+    assert dfs_i1_trails > 0
+
+
+def test_array_greedy_matches_set_reference():
+    rng = random.Random(19)
+    for d in _identity_digraphs(19):
+        for i in (1, 2):
+            h = build_trail_hypergraph(d, i)
+            seed = rng.randint(0, 999)
+            m = find_matching(h, "greedy", seed)
+            assert m.matching == reference_greedy(h.trails, seed)
+            h_rev = h.mirror()
+            mm = find_disjoint_mirror_matching(h_rev, m.matching, "greedy", seed + 1)
+            reverses = {t.reverse() for t in m.matching}
+            assert mm.matching == reference_greedy(h_rev.trails, seed + 1, reverses)
+            assert mm.excluded == len(m.matching)
 
 
 def test_enumerate_general_digraph():
