@@ -31,8 +31,8 @@ from .oracle import (PincerResult, SearchBudget, exact_genus,
                      rotation_system_count)
 from .trails import (ClosedTrail, TrailHypergraph, build_trail_hypergraph,
                      check_matching_conditions, count_short_closed_trails,
-                     enumerate_closed_trails, find_disjoint_mirror_matching,
-                     find_matching, rho, theoretical_delta)
+                     find_disjoint_mirror_matching, find_matching,
+                     theoretical_delta)
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "rotation_system_count",
     "ClosedTrail", "TrailHypergraph", "build_trail_hypergraph",
     "check_matching_conditions", "count_short_closed_trails",
-    "enumerate_closed_trails", "find_disjoint_mirror_matching",
-    "find_matching", "rho", "theoretical_delta",
+    "find_disjoint_mirror_matching", "find_matching", "theoretical_delta",
     "__version__",
 ]

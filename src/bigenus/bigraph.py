@@ -11,8 +11,6 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, TextIO
@@ -26,7 +24,6 @@ STREAM_EDGES = 0
 STREAM_ORIENT = 1
 STREAM_MATCH = 2
 STREAM_MIRROR = 3
-STREAM_CODEGREE = 4
 
 # Subset-indexed operations refuse beyond this part size (2^n2 blowup).
 MAX_SMALL_PART = 20
@@ -46,87 +43,18 @@ def derive_int_seed(seed: int, stream: int) -> int:
 
 @dataclass(frozen=True)
 class GenParams:
-    """Parameters of the random bipartite model G(n1, n2, p).
-
-    i is the trail half-length parameter carried along for pipeline
-    runs; hyperedges and prescribed faces have length 2i+2.
-    """
+    """Parameters of the random bipartite model G(n1, n2, p)."""
 
     n1: int
     n2: int
     p: float
     seed: int = 0
-    i: int = 1
 
     def __post_init__(self) -> None:
         if not (self.n1 >= self.n2 >= 1):
             raise ValidationError(f"need n1 >= n2 >= 1, got n1={self.n1} n2={self.n2}")
         if not (0.0 <= self.p <= 1.0):
             raise ValidationError(f"p must lie in [0,1], got {self.p}")
-        if self.i < 1:
-            raise ValidationError(f"i must be >= 1, got {self.i}")
-
-
-class BipartiteGraph:
-    """Simple bipartite graph on X = 0..n1-1 and Y = n1..n1+n2-1."""
-
-    def __init__(self, n1: int, n2: int, edges: Iterable[tuple[int, int]]):
-        if n1 < 0 or n2 < 0:
-            raise ValidationError("part sizes must be nonnegative")
-        self.n1 = n1
-        self.n2 = n2
-        seen = set()
-        norm = []
-        for (a, b) in edges:
-            x, y = (a, b) if a < b else (b, a)
-            if not (0 <= x < n1 and n1 <= y < n1 + n2):
-                raise ValidationError(f"edge ({a},{b}) does not join X to Y")
-            if (x, y) in seen:
-                raise ValidationError(f"duplicate edge ({x},{y})")
-            seen.add((x, y))
-            norm.append((x, y))
-        norm.sort()
-        self.edge_list: tuple[tuple[int, int], ...] = tuple(norm)
-        self.edge_set = frozenset(norm)
-        adj: dict[int, list[int]] = {v: [] for v in range(n1 + n2)}
-        for (x, y) in norm:
-            adj[x].append(y)
-            adj[y].append(x)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n1 + self.n2
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edge_list)
-
-    def x_vertices(self) -> range:
-        return range(self.n1)
-
-    def y_vertices(self) -> range:
-        return range(self.n1, self.n1 + self.n2)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BipartiteGraph)
-            and self.n1 == other.n1
-            and self.n2 == other.n2
-            and self.edge_set == other.edge_set
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n1, self.n2, self.edge_set))
-
-    def __repr__(self) -> str:
-        return f"BipartiteGraph(n1={self.n1}, n2={self.n2}, edges={self.n_edges})"
 
 
 class Graph:
@@ -139,15 +67,12 @@ class Graph:
         seen = set()
         norm = []
         for (a, b) in edges:
-            if a == b:
-                raise ValidationError(f"loop at vertex {a}")
             u, v = (a, b) if a < b else (b, a)
-            if not (0 <= u and v < n):
-                raise ValidationError(f"edge ({a},{b}) out of range")
             if (u, v) in seen:
                 raise ValidationError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
             norm.append((u, v))
+        self._check_edges(norm)
         norm.sort()
         self.edge_list: tuple[tuple[int, int], ...] = tuple(norm)
         self.edge_set = frozenset(norm)
@@ -156,6 +81,14 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    def _check_edges(self, edges: list[tuple[int, int]]) -> None:
+        """Reject loops and labels outside 0..n-1; edges come as (u, v), u <= v."""
+        for (u, v) in edges:
+            if u == v:
+                raise ValidationError(f"loop at vertex {u}")
+            if not (0 <= u and v < self.n):
+                raise ValidationError(f"edge ({u},{v}) out of range")
 
     @property
     def n_vertices(self) -> int:
@@ -171,18 +104,46 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
+    def _key(self) -> tuple:
+        return self.n, self.edge_set
+
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edge_set == other.edge_set
-        )
+        return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edge_set))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.n_edges})"
+
+
+class BipartiteGraph(Graph):
+    """Simple bipartite graph on X = 0..n1-1 and Y = n1..n1+n2-1."""
+
+    def __init__(self, n1: int, n2: int, edges: Iterable[tuple[int, int]]):
+        if n1 < 0 or n2 < 0:
+            raise ValidationError("part sizes must be nonnegative")
+        self.n1 = n1
+        self.n2 = n2
+        super().__init__(n1 + n2, edges)
+
+    def _check_edges(self, edges: list[tuple[int, int]]) -> None:
+        n1, n = self.n1, self.n
+        for (x, y) in edges:
+            if not (0 <= x < n1 <= y < n):
+                raise ValidationError(f"edge ({x},{y}) does not join X to Y")
+
+    def x_vertices(self) -> range:
+        return range(self.n1)
+
+    def y_vertices(self) -> range:
+        return range(self.n1, self.n)
+
+    def _key(self) -> tuple:
+        return self.n1, self.n2, self.edge_set
+
+    def __repr__(self) -> str:
+        return f"BipartiteGraph(n1={self.n1}, n2={self.n2}, edges={self.n_edges})"
 
 
 class Digraph:
@@ -215,27 +176,6 @@ class Digraph:
     @property
     def n_arcs(self) -> int:
         return len(self.arc_list)
-
-    @functools.cached_property
-    def _masks(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Out- and in-neighbour bitmasks per vertex, built on first use:
-        a mask spans the vertex labels, so eager masks of many vertices
-        with large neighbour labels cost far more than the arc list."""
-        out_m: dict[int, int] = {}
-        in_m: dict[int, int] = {}
-        for (t, h) in self.arc_list:
-            out_m[t] = out_m.get(t, 0) | (1 << h)
-            in_m[h] = in_m.get(h, 0) | (1 << t)
-        return out_m, in_m
-
-    def out_mask(self, v: int) -> int:
-        return self._masks[0].get(v, 0)
-
-    def in_mask(self, v: int) -> int:
-        return self._masks[1].get(v, 0)
-
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.out_mask(v)))
 
     def is_orientation(self) -> bool:
         return all((h, t) not in self.arc_set for (t, h) in self.arc_list)
@@ -434,24 +374,7 @@ def path_graph(n: int) -> Graph:
 
 
 def is_bipartite(g) -> bool:
-    """BFS 2-coloring check; BipartiteGraph inputs short-circuit to True."""
-    if isinstance(g, BipartiteGraph):
-        return True
-    color: dict[int, int] = {}
-    for s in range(g.n_vertices):
-        if s in color:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    return two_coloring(g) is not None
 
 
 def two_coloring(g) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -476,10 +399,3 @@ def two_coloring(g) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     side1 = tuple(v for v in range(g.n_vertices) if color[v] == 1)
     return side0, side1
 
-
-def expected_edges(n1: int, n2: int, p: float) -> float:
-    return n1 * n2 * p
-
-
-def edge_count_sigma(n1: int, n2: int, p: float) -> float:
-    return math.sqrt(n1 * n2 * p * (1.0 - p))

@@ -13,7 +13,7 @@ cycles obstruct extension to a full cyclic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 from .embedding import RotationSystem, trace_faces
 from .errors import InternalConsistencyError, ValidationError
@@ -253,14 +253,3 @@ def assemble_rotation(g, family: Sequence[ClosedTrail]) -> RotationSystem:
             )
     return rot
 
-
-def blossom_report_to_text(report: BlossomReport, fh: TextIO) -> None:
-    fh.write(f"family_size={len(report.family)}\n")
-    fh.write(f"blossoms={len(report.blossoms)}\n")
-    for b in report.blossoms:
-        tips = ",".join(str(t) for t in b.tips)
-        members = ";".join(f"{ti}:{pj}" for (ti, pj) in b.passages)
-        fh.write(
-            f"center={b.center} length={b.length} simple={b.simple} "
-            f"tips={tips} passages={members}\n"
-        )

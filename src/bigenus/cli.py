@@ -23,8 +23,8 @@ from .estimator import (CSV_COLUMNS, PipelineConfig, estimate_genus,
                         prediction_for, regime_classify)
 from .oracle import (SearchBudget, exact_genus, genus_formula_reference,
                      heuristic_genus_upper, minimum_genus_rotation, pincer_genus)
-from .trails import (build_trail_hypergraph, enumerate_closed_trails,
-                     find_matching, matching_report_to_text, trails_to_text)
+from .trails import (build_trail_hypergraph, find_matching,
+                     matching_report_to_text, trails_to_text)
 
 SCHEMA_LINE = "# bigenus experiment csv schema v1"
 EXPERIMENT_COLUMNS = CSV_COLUMNS + ("timestamp",)
@@ -123,10 +123,10 @@ def cmd_orient(args) -> int:
 
 def cmd_trails(args) -> int:
     d = _digraph_from_args(args)
-    ts = enumerate_closed_trails(d, args.i, args.cap)
+    h = build_trail_hypergraph(d, args.i, args.cap)
     with _open_out(args.out) as fh:
-        trails_to_text(ts.trails, fh)
-    print(f"trails={len(ts)} truncated={int(ts.truncated)}", file=sys.stderr)
+        trails_to_text(h.trails, fh)
+    print(f"trails={len(h)} truncated={int(h.truncated)}", file=sys.stderr)
     return 0
 
 
@@ -145,8 +145,7 @@ def cmd_match(args) -> int:
 
 def cmd_estimate(args) -> int:
     g, p = _graph_from_args(args)
-    cfg = PipelineConfig(strategy=args.strategy, seed=args.seed, cap=args.cap,
-                         eps=args.eps, p=p)
+    cfg = PipelineConfig(strategy=args.strategy, seed=args.seed, cap=args.cap, p=p)
     est = estimate_genus(g, args.i, cfg)
     est.to_text(sys.stdout)
     with _open_out(args.out) as fh:
@@ -156,6 +155,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.witness and args.method != "exact":
+        raise ValidationError("--witness needs --method exact")
     if args.complete is not None:
         from .bigraph import complete_graph
 
@@ -205,10 +206,10 @@ def cmd_predict(args) -> int:
 
 
 def _experiment_cell(cell) -> list[str]:
-    n1, n2, p, i, seed, strategy, eps, cap = cell
+    n1, n2, p, i, seed, strategy, cap = cell
     try:
         g = gen_random_bipartite(GenParams(n1, n2, p, seed=seed))
-        cfg = PipelineConfig(strategy=strategy, seed=seed, cap=cap, eps=eps, p=p)
+        cfg = PipelineConfig(strategy=strategy, seed=seed, cap=cap, p=p)
         est = estimate_genus(g, i, cfg)
         row = est.csv_row()
     except (GuardError, ValidationError) as exc:
@@ -219,20 +220,29 @@ def _experiment_cell(cell) -> list[str]:
     return row
 
 
-def _existing_keys(path: str) -> set[tuple[str, ...]]:
-    keys: set[tuple[str, ...]] = set()
+def _resume(path: str) -> tuple[set[tuple[str, ...]], bool]:
+    """Keys (n1, n2, p, i, seed) of the complete rows already in the CSV
+    at `path`, and whether it still needs its header lines.
+
+    A last line without its newline is a row torn by an interrupted
+    write: it is cut from the file, so its cell is computed again and
+    the next row starts on a line of its own. A row counts as done
+    only when it has every one of the EXPERIMENT_COLUMNS fields.
+    """
     try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("n1,"):
-                    continue
-                parts = line.split(",")
-                if len(parts) >= 5:
-                    keys.add(tuple(parts[:5]))
+        with open(path, "rb+") as fh:
+            data = fh.read()
+            if not data.endswith(b"\n"):
+                data = data[:data.rfind(b"\n") + 1]
+                fh.truncate(len(data))
     except FileNotFoundError:
-        pass
-    return keys
+        return set(), True
+    keys = set()
+    for line in data.decode().splitlines():
+        parts = line.split(",")
+        if len(parts) == len(EXPERIMENT_COLUMNS) and not line.startswith(("#", "n1,")):
+            keys.add(tuple(parts[:5]))
+    return keys, not data
 
 
 def _int_list(text: str) -> list[int]:
@@ -242,7 +252,7 @@ def _int_list(text: str) -> list[int]:
 def cmd_experiment(args) -> int:
     cfg = parse_config(args.config)
     unknown = set(cfg) - {"n1", "n2", "p", "i", "trials", "seed", "strategy",
-                          "eps", "cap", "out", "workers"}
+                          "cap", "out", "workers"}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     for key in ("n1", "n2", "p", "out"):
@@ -255,7 +265,6 @@ def cmd_experiment(args) -> int:
     trials = int(cfg.get("trials", "1"))
     base_seed = int(cfg.get("seed", "0"))
     strategy = cfg.get("strategy", "greedy")
-    eps = float(cfg.get("eps", "0.15"))
     cap = int(cfg["cap"]) if "cap" in cfg else None
     out = args.out or cfg["out"]
     workers = int(cfg.get("workers", "1"))
@@ -271,30 +280,26 @@ def cmd_experiment(args) -> int:
                 p = parse_p(tok, n1)
                 for i in i_vals:
                     for t in range(trials):
-                        cells.append((n1, n2, p, i, base_seed + t,
-                                      strategy, eps, cap))
+                        cells.append((n1, n2, p, i, base_seed + t, strategy, cap))
 
-    done = _existing_keys(out)
+    done, header_needed = _resume(out)
     todo = [c for c in cells
             if (str(c[0]), str(c[1]), f"{c[2]:.10g}", str(c[3]), str(c[4])) not in done]
     print(f"cells={len(cells)} todo={len(todo)}", file=sys.stderr)
 
-    try:
-        with open(out) as fh:
-            header_needed = not fh.readline()
-    except FileNotFoundError:
-        header_needed = True
     with open(out, "a") as fh:
         if header_needed:
             fh.write(SCHEMA_LINE + "\n")
             fh.write(",".join(EXPERIMENT_COLUMNS) + "\n")
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for row in pool.map(_experiment_cell, todo):
-                    fh.write(",".join(row) + "\n")
-        else:
-            for cell in todo:
-                fh.write(",".join(_experiment_cell(cell)) + "\n")
+        with contextlib.ExitStack() as stack:
+            if workers > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                rows = pool.map(_experiment_cell, todo)
+            else:
+                rows = map(_experiment_cell, todo)
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+                fh.flush()
     print(f"wrote {len(todo)} rows to {out}", file=sys.stderr)
     return 0
 
@@ -345,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sub)
     sub.add_argument("--cap", type=int, default=None)
     sub.add_argument("--strategy", choices=("greedy", "nibble"), default="greedy")
-    sub.add_argument("--eps", type=float, default=0.15)
     sub.set_defaults(func=cmd_estimate)
 
     sub = subs.add_parser("oracle", help="exact or heuristic genus of a small graph")
@@ -359,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-systems", type=int, default=10_000_000)
     sub.add_argument("--restarts", type=int, default=64)
     sub.add_argument("--witness", default=None,
-                     help="write a minimum-genus rotation system here")
+                     help="write a minimum-genus rotation system here "
+                          "(--method exact only)")
     sub.set_defaults(func=cmd_oracle)
 
     sub = subs.add_parser("predict", help="regime tag and predicted genus")

@@ -10,7 +10,7 @@ computed per connected component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, TextIO
 
 from .errors import InternalConsistencyError, ValidationError
@@ -186,45 +186,9 @@ def face_length_histogram(fs: FaceSet) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-@dataclass(frozen=True)
-class NearKgonReport:
-    """Outcome of the near-k-gon test k*f_k >= 2(1-eps)|E|."""
-
-    ok: bool
-    k: int
-    eps: float
-    f_k: int
-    lhs: float
-    rhs: float
-    histogram: dict[int, int] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_near_kgon(g, rot: RotationSystem, k: int, eps: float) -> NearKgonReport:
-    """Whether faces of length k carry at least a (1-eps) fraction of
-    the arc mass of the embedding."""
-    if k < 3:
-        raise ValidationError(f"k must be >= 3, got {k}")
-    from .bigraph import BipartiteGraph
-
-    if isinstance(g, BipartiteGraph) and k % 2 != 0:
-        raise ValidationError("bipartite hosts have even faces; k must be even")
-    if not (0.0 < eps < 1.0):
-        raise ValidationError(f"eps must lie in (0,1), got {eps}")
-    fs = trace_faces(g, rot)
-    hist = face_length_histogram(fs)
-    f_k = hist.get(k, 0)
-    lhs = k * f_k
-    rhs = 2.0 * (1.0 - eps) * g.n_edges
-    return NearKgonReport(lhs >= rhs, k, eps, f_k, float(lhs), rhs, hist)
-
-
 # ---------------------------------------------------------------------------
-# Text formats. Rotations: one line per vertex, "v: a-b a-c ..." with each
-# incident edge written as its sorted endpoint pair. Faces: one face per
-# line as the arc sequence "u>v v>w ...".
+# Text format of rotations: one line per vertex, "v: a-b a-c ..." with
+# each incident edge written as its sorted endpoint pair.
 
 
 def _edge_token(v: int, u: int) -> str:
@@ -237,43 +201,3 @@ def rotation_to_text(rot: RotationSystem, fh: TextIO) -> None:
         tokens = " ".join(_edge_token(v, u) for u in rot.at(v))
         fh.write(f"{v}: {tokens}\n".rstrip() + "\n")
 
-
-def rotation_from_text(fh: TextIO) -> RotationSystem:
-    order: dict[int, tuple[int, ...]] = {}
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, rest = line.partition(":")
-        v = int(head)
-        nbrs = []
-        for tok in rest.split():
-            a_s, _, b_s = tok.partition("-")
-            a, b = int(a_s), int(b_s)
-            if v == a:
-                nbrs.append(b)
-            elif v == b:
-                nbrs.append(a)
-            else:
-                raise ValidationError(f"edge {tok} is not incident with vertex {v}")
-        order[v] = tuple(nbrs)
-    return RotationSystem(order)
-
-
-def faces_to_text(fs: FaceSet, fh: TextIO) -> None:
-    for face in fs.faces:
-        fh.write(" ".join(f"{t}>{h}" for (t, h) in face) + "\n")
-
-
-def faces_from_text(fh: TextIO, n_edges: int) -> FaceSet:
-    faces = []
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        arcs = []
-        for tok in line.split():
-            t_s, _, h_s = tok.partition(">")
-            arcs.append((int(t_s), int(h_s)))
-        faces.append(tuple(arcs))
-    return FaceSet(tuple(faces), n_edges=n_edges)

@@ -49,8 +49,7 @@ class RegimeResult(NamedTuple):
 _MAX_WINDOW_I = 64
 
 
-def regime_classify(n1: int, n2: int, p: float,
-                    band: float = CRITICAL_BAND) -> RegimeResult:
+def regime_classify(n1: int, n2: int, p: float) -> RegimeResult:
     """Density regime of G(n1, n2, p).
 
     Heavily unbalanced graphs with a small part (n2 <= 20 and
@@ -58,12 +57,11 @@ def regime_classify(n1: int, n2: int, p: float,
     small-part-a/b/c. Otherwise p >= band * n2^(-2/3) is dense-4gon,
     and below that the exponent q = -ln p / ln(n1 n2) selects the
     balanced window (i-1)/(2i-1) < q < i/(2i+1). Within a factor
-    `band` of any boundary the tag is critical-window; near the window
-    accumulation point q = 1/2 likewise; clearly beyond it the graph is
-    a.a.s. planar and tagged small-part-c.
+    band = CRITICAL_BAND of any boundary the tag is critical-window;
+    near the window accumulation point q = 1/2 likewise; clearly beyond
+    it the graph is a.a.s. planar and tagged small-part-c.
     """
-    if band < 1.0:
-        raise ValidationError(f"band must be >= 1, got {band}")
+    band = CRITICAL_BAND
     big, small = max(n1, n2), min(n1, n2)
     if small < 1 or p <= 0.0:
         return RegimeResult("small-part-c", None)
@@ -285,15 +283,11 @@ class PipelineConfig:
     strategy: str = "greedy"
     seed: int = 0
     cap: int | None = None
-    bite_fraction: float = 0.25
-    eps: float = 0.15
     p: float | None = None
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"strategy must be one of {STRATEGIES}")
-        if not (0.0 < self.eps < 1.0):
-            raise ValidationError(f"eps must lie in (0,1), got {self.eps}")
         if self.cap is not None and self.cap < 0:
             raise ValidationError("cap must be nonnegative")
         if self.p is not None and not (0.0 <= self.p <= 1.0):
@@ -406,15 +400,13 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
                              prediction, res.label(), None, None, None, None,
                              None, True)
 
-    m = find_matching(h_fwd, cfg.strategy, derive_int_seed(cfg.seed, STREAM_MATCH),
-                      cfg.bite_fraction)
+    m = find_matching(h_fwd, cfg.strategy, derive_int_seed(cfg.seed, STREAM_MATCH))
     # The reversed digraph's family is the reverse of this one; derive it
     # and drop the forward rows before the second matching.
     h_rev = h_fwd.mirror()
     del h_fwd
     mm = find_disjoint_mirror_matching(h_rev, m.matching, cfg.strategy,
-                                       derive_int_seed(cfg.seed, STREAM_MIRROR),
-                                       cfg.bite_fraction)
+                                       derive_int_seed(cfg.seed, STREAM_MIRROR))
     family = list(m.matching) + list(mm.matching)
     surviving, removed = make_blossom_free(g, family)
     rot = assemble_rotation(g, surviving)

@@ -16,7 +16,7 @@ tuples themselves because arc ids follow the sorted arc list.
 ClosedTrail is the boundary type: it is built for matched trails, for
 the text format, and on demand by the lazy views of a family. A trail
 and its reverse are distinct; the reverses are the family of the
-reversed digraph, derived from the rows by TrailSet.mirror.
+reversed digraph, derived from the rows by TrailHypergraph.mirror.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ _DFS_WORK_LIMIT = 20_000_000
 _ROTATE_CHUNK = 1 << 16
 # Candidates screened per numpy call in the matching sweep.
 _SWEEP_CHUNK = 1024
+# Nibble bite: a round draws each live hyperedge with probability
+# BITE_FRACTION / (mean degree), about BITE_FRACTION draws per arc.
+BITE_FRACTION = 0.25
 
 
 def _canonical_rotation(arcs: Sequence[Arc]) -> tuple[Arc, ...]:
@@ -78,9 +81,6 @@ class ClosedTrail:
     def __len__(self) -> int:
         return len(self.arcs)
 
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(t for (t, _h) in self.arcs)
-
     def reverse(self) -> "ClosedTrail":
         rev = tuple((h, t) for (t, h) in reversed(self.arcs))
         return ClosedTrail.from_arcs(rev)
@@ -101,87 +101,6 @@ def _canonical_sorted(rows: np.ndarray) -> np.ndarray:
         if k.any():
             block[...] = np.take_along_axis(block, (k[:, None] + shift) % w, axis=1)
     return rows[np.lexsort(rows.T[::-1])]
-
-
-class TrailSet:
-    """A family of closed trails over the sorted arc list `arcs`, held
-    as canonical sorted rows of arc ids (see the module docstring).
-
-    truncated is set when the cap stopped the enumeration early; the
-    rows are then a deterministic prefix, never a silent subset.
-    `trails` is a lazy view of the rows as ClosedTrail objects.
-    """
-
-    def __init__(self, arcs: tuple[Arc, ...], rows: np.ndarray, truncated: bool = False):
-        self.arcs = arcs
-        self.rows = rows
-        self.truncated = truncated
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.trails)
-
-    def trail(self, k: int) -> ClosedTrail:
-        return ClosedTrail(tuple(self.arcs[a] for a in self.rows[k].tolist()))
-
-    @functools.cached_property
-    def trails(self) -> tuple[ClosedTrail, ...]:
-        return tuple(map(self.trail, range(len(self))))
-
-    def index(self, trail: ClosedTrail) -> int | None:
-        """Row of `trail` in this family, or None when it is absent."""
-        arcs = self.arcs
-        row = []
-        for a in trail.arcs:
-            k = bisect_left(arcs, a)
-            if k == len(arcs) or arcs[k] != a:
-                return None
-            row.append(k)
-        rows = self.rows
-        if len(row) != rows.shape[1]:
-            return None
-        j = bisect_left(range(len(rows)), row, key=lambda r: rows[r].tolist())
-        return j if j < len(rows) and rows[j].tolist() == row else None
-
-    def mirror(self) -> "TrailSet":
-        """The family of the reversed digraph, without enumerating it:
-        each row reversed, its arc ids mapped to the ranks of the
-        reversed arcs, then re-canonicalised and re-sorted. Reversal is
-        a bijection between the closed trails of D and of its reverse,
-        so an untruncated family mirrors to exactly what enumerating
-        the reversed digraph gives. A truncated family stays truncated
-        (its mirror is the reverse of the prefix)."""
-        ends = np.array(self.arcs, dtype=np.int64).reshape(-1, 2)
-        order = np.lexsort((ends[:, 0], ends[:, 1]))
-        rank = np.empty(len(order), dtype=np.int32)
-        rank[order] = np.arange(len(order), dtype=np.int32)
-        rev_arcs = tuple((h, t) for t, h in ends[order].tolist())
-        rows = _canonical_sorted(rank[self.rows[:, ::-1]])
-        return type(self)(rev_arcs, rows, self.truncated)
-
-
-def enumerate_closed_trails(d: Digraph, i: int, cap: int | None = None) -> TrailSet:
-    """All canonical closed trails of length 2i+2 in D.
-
-    When d is an orientation of a bipartite graph and i = 1 this runs
-    the fast path: a 4-trail then has four distinct vertices, so for
-    each unordered pair {y, y'} of the smaller color class the trails
-    through both are products of two bitmask intersections. Otherwise a
-    DFS anchored at each minimum arc enumerates trails directly
-    (vertices may repeat, arcs may not).
-    """
-    if i < 1:
-        raise ValidationError(f"i must be >= 1, got {i}")
-    if cap is not None and cap < 0:
-        raise ValidationError("cap must be nonnegative")
-    coloring = two_coloring(_underlying(d)) if i == 1 else None
-    if coloring is not None and d.is_orientation():
-        rows, truncated = _enumerate_quads_bipartite(d, coloring, cap)
-    else:
-        rows, truncated = _enumerate_trails_dfs(d, 2 * i + 2, cap)
-    return TrailSet(d.arc_list, _canonical_sorted(rows), truncated)
 
 
 def _underlying(d: Digraph):
@@ -291,45 +210,30 @@ def _enumerate_trails_dfs(d: Digraph, length: int, cap: int | None):
     return rows, truncated
 
 
-def rho(d: Digraph, b: int, a: int, i: int) -> int:
-    """Number of directed paths (all vertices distinct) of length 2i+1
-    from b to a."""
-    length = 2 * i + 1
-    out_sorted = {v: d.out_neighbors(v) for v in range(d.n)}
-
-    def rec(v: int, depth: int, visited: set[int]) -> int:
-        if depth == length:
-            return 1 if v == a else 0
-        if v == a:
-            return 0
-        total = 0
-        for w in out_sorted.get(v, ()):
-            if w in visited:
-                continue
-            visited.add(w)
-            total += rec(w, depth + 1, visited)
-            visited.remove(w)
-        return total
-
-    if b == a:
-        return 0
-    return rec(b, 0, {b})
-
-
 def theoretical_delta(n1: int, n2: int, p: float, i: int) -> float:
     """The degree scale n1^i n2^i (p/2)^(2i+1) of the trail hypergraph."""
     return (n1 ** i) * (n2 ** i) * (p / 2.0) ** (2 * i + 1)
 
 
-class TrailHypergraph(TrailSet):
-    """(2i+2)-uniform hypergraph on the arcs of D whose hyperedges are
-    the closed trails of length 2i+2: hyperedge k is row k. incidence
-    and degree are lazy views keyed by arc, built only when asked for."""
+class TrailHypergraph:
+    """(2i+2)-uniform hypergraph on the sorted arc list `arcs` of D whose
+    hyperedges are the closed trails of length 2i+2: hyperedge k is row
+    k of the canonical sorted rows of arc ids (see the module docstring).
+
+    truncated is set when the cap stopped the enumeration early; the
+    rows are then a deterministic prefix, never a silent subset.
+    `trails`, `incidence` and `degree` are lazy views keyed by trail
+    or arc, built only when asked for.
+    """
 
     def __init__(self, arcs: tuple[Arc, ...], rows: np.ndarray, truncated: bool = False):
-        super().__init__(arcs, rows, truncated)
+        self.arcs = arcs
+        self.rows = rows
+        self.truncated = truncated
         self.d = rows.shape[1]
-        self.i = (self.d - 2) // 2
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
     @property
     def n_arcs(self) -> int:
@@ -338,6 +242,44 @@ class TrailHypergraph(TrailSet):
     @property
     def n_hyperedges(self) -> int:
         return len(self.rows)
+
+    def trail(self, k: int) -> ClosedTrail:
+        return ClosedTrail(tuple(self.arcs[a] for a in self.rows[k].tolist()))
+
+    @functools.cached_property
+    def trails(self) -> tuple[ClosedTrail, ...]:
+        return tuple(map(self.trail, range(len(self))))
+
+    def index(self, trail: ClosedTrail) -> int | None:
+        """Row of `trail` in this family, or None when it is absent."""
+        arcs = self.arcs
+        row = []
+        for a in trail.arcs:
+            k = bisect_left(arcs, a)
+            if k == len(arcs) or arcs[k] != a:
+                return None
+            row.append(k)
+        rows = self.rows
+        if len(row) != rows.shape[1]:
+            return None
+        j = bisect_left(range(len(rows)), row, key=lambda r: rows[r].tolist())
+        return j if j < len(rows) and rows[j].tolist() == row else None
+
+    def mirror(self) -> "TrailHypergraph":
+        """The family of the reversed digraph, without enumerating it:
+        each row reversed, its arc ids mapped to the ranks of the
+        reversed arcs, then re-canonicalised and re-sorted. Reversal is
+        a bijection between the closed trails of D and of its reverse,
+        so an untruncated family mirrors to exactly what enumerating
+        the reversed digraph gives. A truncated family stays truncated
+        (its mirror is the reverse of the prefix)."""
+        ends = np.array(self.arcs, dtype=np.int64).reshape(-1, 2)
+        order = np.lexsort((ends[:, 0], ends[:, 1]))
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        rev_arcs = tuple((h, t) for t, h in ends[order].tolist())
+        rows = _canonical_sorted(rank[self.rows[:, ::-1]])
+        return TrailHypergraph(rev_arcs, rows, self.truncated)
 
     def degree_array(self) -> np.ndarray:
         """Hyperedge count per arc id."""
@@ -364,8 +306,25 @@ class TrailHypergraph(TrailSet):
 
 
 def build_trail_hypergraph(d: Digraph, i: int, cap: int | None = None) -> TrailHypergraph:
-    ts = enumerate_closed_trails(d, i, cap)
-    return TrailHypergraph(ts.arcs, ts.rows, ts.truncated)
+    """The canonical closed trails of length 2i+2 in D.
+
+    When d is an orientation of a bipartite graph and i = 1 this runs
+    the fast path: a 4-trail then has four distinct vertices, so for
+    each unordered pair {y, y'} of the smaller color class the trails
+    through both are products of two bitmask intersections. Otherwise a
+    DFS anchored at each minimum arc enumerates trails directly
+    (vertices may repeat, arcs may not).
+    """
+    if i < 1:
+        raise ValidationError(f"i must be >= 1, got {i}")
+    if cap is not None and cap < 0:
+        raise ValidationError("cap must be nonnegative")
+    coloring = two_coloring(_underlying(d)) if i == 1 else None
+    if coloring is not None and d.is_orientation():
+        rows, truncated = _enumerate_quads_bipartite(d, coloring, cap)
+    else:
+        rows, truncated = _enumerate_trails_dfs(d, 2 * i + 2, cap)
+    return TrailHypergraph(d.arc_list, _canonical_sorted(rows), truncated)
 
 
 @dataclass(frozen=True)
@@ -392,8 +351,8 @@ class ConditionReport:
     cond3_ok: bool
 
 
-def check_matching_conditions(h: TrailHypergraph, delta: float, Delta: float,
-                              sample_seed: int = 0) -> ConditionReport:
+def check_matching_conditions(h: TrailHypergraph, delta: float,
+                              Delta: float) -> ConditionReport:
     if Delta <= 0:
         raise ValidationError(f"Delta must be positive, got {Delta}")
     if not (0.0 < delta < 1.0):
@@ -416,7 +375,7 @@ def check_matching_conditions(h: TrailHypergraph, delta: float, Delta: float,
         pairs_checked = n * (n - 1) // 2
     else:
         method = "sampled"
-        rng = random.Random(sample_seed)
+        rng = random.Random(0)
         pairs_checked = CODEGREE_SAMPLE_PAIRS
         max_codeg = 0
         arcs = h.arcs
@@ -463,7 +422,6 @@ class MatchingReport:
     n_arcs: int
     d: int
     excluded: int = 0
-    conditions: ConditionReport | None = None
 
     @property
     def size(self) -> int:
@@ -474,7 +432,6 @@ STRATEGIES = ("greedy", "nibble")
 
 
 def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
-                  bite_fraction: float = 0.25,
                   exclude: Iterable[ClosedTrail] = ()) -> MatchingReport:
     """Arc-disjoint hyperedge set by one of two randomized strategies.
 
@@ -535,7 +492,7 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
             active_arcs = np.count_nonzero(np.bincount(rows[alive].ravel(),
                                                        minlength=h.n_arcs))
             mean_deg = w * len(alive) / max(1, active_arcs)
-            p_sel = min(1.0, bite_fraction / max(1.0, mean_deg))
+            p_sel = min(1.0, BITE_FRACTION / max(1.0, mean_deg))
             bite = [idx for idx in alive.tolist() if draw() < p_sel]
             claims = np.bincount(rows[bite].ravel(), minlength=h.n_arcs)
             before = len(chosen)
@@ -555,15 +512,14 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
 
 
 def find_disjoint_mirror_matching(h_rev: TrailHypergraph, m: Sequence[ClosedTrail],
-                                  strategy: str = "greedy", seed: int = 0,
-                                  bite_fraction: float = 0.25) -> MatchingReport:
+                                  strategy: str = "greedy", seed: int = 0
+                                  ) -> MatchingReport:
     """Matching in the reversed-digraph hypergraph avoiding the reverses
     of the given matching, so no prescribed face appears twice with
     opposite senses. h_rev is typically h.mirror() of the hypergraph m
     was matched in."""
     mirror = [t.reverse() for t in m]
-    return find_matching(h_rev, strategy=strategy, seed=seed,
-                         bite_fraction=bite_fraction, exclude=mirror)
+    return find_matching(h_rev, strategy=strategy, seed=seed, exclude=mirror)
 
 
 def matching_report_to_text(report: MatchingReport, fh: TextIO) -> None:
@@ -574,33 +530,11 @@ def matching_report_to_text(report: MatchingReport, fh: TextIO) -> None:
     fh.write(f"d={report.d}\n")
     fh.write(f"coverage={report.coverage:.6f}\n")
     fh.write(f"excluded={report.excluded}\n")
-    c = report.conditions
-    if c is not None:
-        fh.write(f"delta={c.delta}\n")
-        fh.write(f"Delta={c.Delta:.6f}\n")
-        fh.write(f"degree_fraction_in_band={c.degree_fraction_in_band:.6f}\n")
-        fh.write(f"max_codegree={c.max_codegree}\n")
-        fh.write(f"codegree_method={c.codegree_method}\n")
-        fh.write(f"overfull_hyperedges={c.overfull_hyperedges}\n")
 
 
 def trails_to_text(trails: Iterable[ClosedTrail], fh: TextIO) -> None:
     for t in trails:
         fh.write(" ".join(f"{a}>{b}" for (a, b) in t.arcs) + "\n")
-
-
-def trails_from_text(fh: TextIO) -> list[ClosedTrail]:
-    out = []
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        arcs = []
-        for tok in line.split():
-            a_s, _, b_s = tok.partition(">")
-            arcs.append((int(a_s), int(b_s)))
-        out.append(ClosedTrail.from_arcs(arcs))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ import random
 
 from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
                              gen_random_bipartite, orient_randomly)
-from bigenus.embedding import (RotationSystem, connected_components,
+from bigenus.embedding import (FaceSet, RotationSystem, connected_components,
                                genus_of_embedding, trace_faces)
-from bigenus.trails import (build_trail_hypergraph, find_disjoint_mirror_matching,
-                            find_matching)
+from bigenus.errors import ValidationError
+from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
+                            find_disjoint_mirror_matching, find_matching)
 
 
 def rand_graph(rng: random.Random, max_edges: int = 12) -> Graph:
@@ -179,3 +180,84 @@ def arc_degree_model(n1: int, n2: int, p: float, lo: float, hi: float):
         for b in range(n2):
             prob += w_a * math.exp(log_pmf(n2 - 1, b)) * in_band(a * b)
     return prob, (n1 - 1) * (n2 - 1) * q ** 3
+
+
+def rho(d: Digraph, b: int, a: int, i: int) -> int:
+    """Number of directed paths (all vertices distinct) of length 2i+1
+    from b to a, with out-neighbours read off d.arc_list."""
+    length = 2 * i + 1
+    out: dict[int, list[int]] = {}
+    for (t, h) in d.arc_list:
+        out.setdefault(t, []).append(h)
+
+    def rec(v: int, depth: int, visited: set[int]) -> int:
+        if depth == length:
+            return 1 if v == a else 0
+        if v == a:
+            return 0
+        total = 0
+        for w in out.get(v, ()):
+            if w in visited:
+                continue
+            visited.add(w)
+            total += rec(w, depth + 1, visited)
+            visited.remove(w)
+        return total
+
+    if b == a:
+        return 0
+    return rec(b, 0, {b})
+
+
+# Readers and writers for the text formats of the package. The CLI only
+# writes rotations and trails; these parse them back (and write and read
+# traced faces) for round-trip tests.
+
+
+def rotation_from_text(fh) -> RotationSystem:
+    """Inverse of bigenus.embedding.rotation_to_text."""
+    order: dict[int, tuple[int, ...]] = {}
+    for line in fh:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, _, rest = line.partition(":")
+        v = int(head)
+        nbrs = []
+        for tok in rest.split():
+            a_s, _, b_s = tok.partition("-")
+            a, b = int(a_s), int(b_s)
+            if v == a:
+                nbrs.append(b)
+            elif v == b:
+                nbrs.append(a)
+            else:
+                raise ValidationError(f"edge {tok} is not incident with vertex {v}")
+        order[v] = tuple(nbrs)
+    return RotationSystem(order)
+
+
+def _arc_lines(fh, sep: str) -> list[list[tuple[int, int]]]:
+    """Non-comment lines of `u{sep}v` tokens as lists of arcs."""
+    out = []
+    for line in fh:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        out.append([tuple(int(x) for x in tok.split(sep)) for tok in line.split()])
+    return out
+
+
+def faces_to_text(fs: FaceSet, fh) -> None:
+    """One face per line as the arc sequence "u>v v>w ..."."""
+    for face in fs.faces:
+        fh.write(" ".join(f"{t}>{h}" for (t, h) in face) + "\n")
+
+
+def faces_from_text(fh, n_edges: int) -> FaceSet:
+    return FaceSet(tuple(tuple(arcs) for arcs in _arc_lines(fh, ">")), n_edges=n_edges)
+
+
+def trails_from_text(fh) -> list[ClosedTrail]:
+    """Inverse of bigenus.trails.trails_to_text."""
+    return [ClosedTrail.from_arcs(arcs) for arcs in _arc_lines(fh, ">")]

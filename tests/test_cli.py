@@ -108,6 +108,13 @@ def test_oracle_witness(tmp_path, capsys):
     assert main(["oracle", "--in", str(g), "--witness", str(w)]) == 0
     assert "genus=1" in capsys.readouterr().out
     assert len(w.read_text().splitlines()) == 6
+    # only the exact search finds a minimum-genus rotation to write
+    w.unlink()
+    for method in ("heuristic", "pincer"):
+        assert main(["oracle", "--in", str(g), "--method", method,
+                     "--witness", str(w)]) == 2
+        assert "--witness needs --method exact" in capsys.readouterr().err
+    assert not w.exists()
 
 
 def _write_config(path, out, extra=""):
@@ -157,5 +164,27 @@ def test_experiment_config_validation(tmp_path):
     cfg = tmp_path / "e.cfg"
     cfg.write_text("n1 = 5\nn2 = 3\np = 0.5\nout = x.csv\nbogus = 1\n")
     assert main(["experiment", "--config", str(cfg)]) == 2
+    cfg.write_text("n1 = 5\nn2 = 3\np = 0.5\nout = x.csv\neps = 0.15\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
     cfg.write_text("n1 = 5\nn2 = 3\n")
     assert main(["experiment", "--config", str(cfg)]) == 2
+
+
+def test_experiment_recomputes_torn_tail(tmp_path, capsys):
+    cfg = tmp_path / "e.cfg"
+    out = tmp_path / "e.csv"
+    _write_config(cfg, out)
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    full = out.read_text()
+    last = full.splitlines()[-1]
+    # an interrupted write leaves the last row cut short, without newline
+    out.write_text(full[:full.rindex(last)] + last[:len(last) // 2])
+    capsys.readouterr()
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert "todo=1" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert out.read_text().endswith("\n")
+    assert len(lines) == len(full.splitlines())
+    assert all(len(line.split(",")) == 13 for line in lines[1:])
+    strip = lambda rows: sorted(row.rsplit(",", 1)[0] for row in rows[2:])
+    assert strip(lines) == strip(full.splitlines())

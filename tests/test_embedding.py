@@ -6,13 +6,12 @@ import pytest
 from bigenus.bigraph import (Graph, complete_bipartite_graph, complete_graph,
                              cycle_graph, path_graph)
 from bigenus.embedding import (RotationSystem, connected_components,
-                               face_length_histogram, faces_from_text,
-                               faces_to_text, genus_of_embedding,
-                               rotation_from_text, rotation_to_text,
-                               sorted_rotation, trace_faces)
+                               face_length_histogram, genus_of_embedding,
+                               rotation_to_text, sorted_rotation, trace_faces)
 from bigenus.errors import ValidationError
 
-from conftest import component_euler_stats, rand_graph, random_rotation
+from conftest import (component_euler_stats, faces_from_text, faces_to_text,
+                      rand_graph, random_rotation, rotation_from_text)
 
 
 def test_sorted_rotation_face_counts():

@@ -185,8 +185,6 @@ def test_pipeline_config_validation():
     with pytest.raises(ValidationError):
         PipelineConfig(strategy="anneal")
     with pytest.raises(ValidationError):
-        PipelineConfig(eps=0.0)
-    with pytest.raises(ValidationError):
         PipelineConfig(cap=-1)
     with pytest.raises(ValidationError):
         PipelineConfig(p=1.5)

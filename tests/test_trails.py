@@ -10,12 +10,11 @@ from bigenus.errors import GuardError, ValidationError
 from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
                             check_matching_conditions,
                             count_short_closed_trails,
-                            enumerate_closed_trails,
-                            find_disjoint_mirror_matching, find_matching, rho,
-                            theoretical_delta, trails_from_text,
-                            trails_to_text)
+                            find_disjoint_mirror_matching, find_matching,
+                            theoretical_delta, trails_to_text)
 
-from conftest import brute_short_trail_total, rand_bipartite, reference_greedy
+from conftest import (brute_short_trail_total, rand_bipartite, reference_greedy,
+                      rho, trails_from_text)
 
 
 def test_closed_trail_validation():
@@ -38,7 +37,7 @@ def test_closed_trail_canonical():
 
 def test_enumerate_k33():
     d = orient_randomly(complete_bipartite_graph(3, 3), 0)
-    ts = enumerate_closed_trails(d, 1)
+    ts = build_trail_hypergraph(d, 1)
     assert len(ts.trails) == 3
     assert not ts.truncated
     for t in ts.trails:
@@ -49,9 +48,9 @@ def test_enumerate_k33():
 
 def test_enumerate_cap():
     d = orient_randomly(complete_bipartite_graph(3, 3), 0)
-    capped = enumerate_closed_trails(d, 1, cap=2)
+    capped = build_trail_hypergraph(d, 1, cap=2)
     assert len(capped.trails) == 2 and capped.truncated
-    exact = enumerate_closed_trails(d, 1, cap=3)
+    exact = build_trail_hypergraph(d, 1, cap=3)
     assert len(exact.trails) == 3 and not exact.truncated
 
 
@@ -66,7 +65,7 @@ def test_fast_path_matches_dfs():
                                            rng.uniform(0.3, 0.8),
                                            seed=rng.randint(0, 999)))
         d = orient_randomly(g, rng.randint(0, 999))
-        fast = enumerate_closed_trails(d, 1).trails
+        fast = build_trail_hypergraph(d, 1).trails
         slow_rows, _ = _enumerate_trails_dfs(d, 4, None)
         slow = [ClosedTrail.from_arcs([d.arc_list[a] for a in row])
                 for row in slow_rows.tolist()]
@@ -97,11 +96,11 @@ def test_mirror_equals_reversed_enumeration():
     dfs_i1_trails = 0
     for d in _identity_digraphs(31):
         for i in (1, 2):
-            fwd = enumerate_closed_trails(d, i)
+            fwd = build_trail_hypergraph(d, i)
             if i == 1 and not d.is_orientation():
                 dfs_i1_trails += len(fwd)
             mirrored = fwd.mirror()
-            direct = enumerate_closed_trails(d.reverse(), i)
+            direct = build_trail_hypergraph(d.reverse(), i)
             assert mirrored.arcs == direct.arcs
             assert mirrored.rows.dtype == direct.rows.dtype
             assert np.array_equal(mirrored.rows, direct.rows)
@@ -129,7 +128,7 @@ def test_array_greedy_matches_set_reference():
 def test_enumerate_general_digraph():
     # anti-parallel arcs allow vertex-repeating closed 4-trails
     d = Digraph(4, [(0, 2), (2, 0), (0, 3), (3, 0)])
-    ts = enumerate_closed_trails(d, 1)
+    ts = build_trail_hypergraph(d, 1)
     assert len(ts.trails) == 1
     assert sorted(ts.trails[0].arcs) == [(0, 2), (0, 3), (2, 0), (3, 0)]
 
@@ -139,12 +138,12 @@ def test_rho_closure_identity():
     # so summing rho(head, tail) over all arcs counts 2i+2 per trail
     for seed in (0, 1, 5):
         d = orient_randomly(complete_bipartite_graph(3, 3), seed)
-        n_trails = len(enumerate_closed_trails(d, 1).trails)
+        n_trails = len(build_trail_hypergraph(d, 1).trails)
         total = sum(rho(d, v, u, 1) for (u, v) in d.arc_list)
         assert total == 4 * n_trails
     g = gen_random_bipartite(GenParams(7, 7, 0.6, seed=2))
     d = orient_randomly(g, 2)
-    n_trails = len(enumerate_closed_trails(d, 2).trails)
+    n_trails = len(build_trail_hypergraph(d, 2).trails)
     assert sum(rho(d, v, u, 2) for (u, v) in d.arc_list) == 6 * n_trails
 
 
@@ -159,9 +158,9 @@ def test_hypergraph_degree_sum():
     h = build_trail_hypergraph(d, 1)
     assert h.d == 4
     assert sum(h.degree.values()) == 4 * h.n_hyperedges
-    for t in h.trails:
+    for k, t in enumerate(h.trails):
         for a in t.arcs:
-            assert t in [h.trails[k] for k in h.incidence[a]] or True
+            assert k in h.incidence[a]
     # incidence really indexes the trails containing each arc
     for a, idxs in h.incidence.items():
         for k in idxs:
@@ -267,7 +266,7 @@ def test_count_short_guard():
 
 def test_trails_text_round_trip():
     d = orient_randomly(complete_bipartite_graph(3, 3), 0)
-    trails = enumerate_closed_trails(d, 1).trails
+    trails = build_trail_hypergraph(d, 1).trails
     buf = io.StringIO()
     trails_to_text(trails, buf)
     buf.seek(0)
