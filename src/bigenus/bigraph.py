@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -28,7 +28,9 @@ STREAM_MIRROR = 3
 # Subset-indexed operations refuse beyond this part size (2^n2 blowup).
 MAX_SMALL_PART = 20
 
-_GEN_CHUNK = 1 << 20
+# Uniforms drawn per numpy call by gen_random_bipartite (512 KiB of
+# doubles); bounds its temporaries without changing its output.
+_GEN_CHUNK = 1 << 16
 
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
@@ -58,7 +60,12 @@ class GenParams:
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 (not necessarily bipartite)."""
+    """Simple undirected graph on vertices 0..n-1 (not necessarily bipartite).
+
+    Adjacency is a list indexed by vertex; every isolated vertex holds
+    the one shared empty tuple, so a graph costs O(edges) Python objects
+    however many isolated vertices it has.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -76,11 +83,13 @@ class Graph:
         norm.sort()
         self.edge_list: tuple[tuple[int, int], ...] = tuple(norm)
         self.edge_set = frozenset(norm)
-        adj: dict[int, list[int]] = {v: [] for v in range(n)}
+        nbrs: dict[int, list[int]] = {}
         for (u, v) in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+        self._adj: list[tuple[int, ...]] = [()] * n
+        for v, ns in nbrs.items():
+            self._adj[v] = tuple(sorted(ns))
 
     def _check_edges(self, edges: list[tuple[int, int]]) -> None:
         """Reject loops and labels outside 0..n-1; edges come as (u, v), u <= v."""
@@ -99,10 +108,12 @@ class Graph:
         return len(self.edge_list)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if v < 0:
+            raise IndexError(f"vertex {v} out of range")
         return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def _key(self) -> tuple:
         return self.n, self.edge_set
@@ -212,22 +223,20 @@ def gen_random_bipartite(params: GenParams) -> BipartiteGraph:
     """Each of the n1*n2 possible edges appears independently with
     probability p, driven by the (seed, edge-stream) Philox generator.
 
-    The uniform stream is consumed in row-major (x, then y) order in
-    fixed-size chunks, so the output depends only on params.
+    Cell x*n2 + y' (edge x -- n1+y') takes the uniform at that position
+    of the stream. Philox hands out one double per uniform whatever the
+    draw size, so drawing in chunks of _GEN_CHUNK bounds memory without
+    changing the output: it depends only on params.
     """
     n1, n2, p = params.n1, params.n2, params.p
     gen = rng_stream(params.seed, STREAM_EDGES)
     total = n1 * n2
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    while offset < total:
-        k = min(_GEN_CHUNK, total - offset)
-        u = gen.random(k)
-        for flat in np.nonzero(u < p)[0]:
-            cell = offset + int(flat)
-            edges.append((cell // n2, n1 + cell % n2))
-        offset += k
-    return BipartiteGraph(n1, n2, edges)
+    cells = []
+    for offset in range(0, total, _GEN_CHUNK):
+        u = gen.random(min(_GEN_CHUNK, total - offset))
+        cells.append(np.flatnonzero(u < p) + offset)
+    x, y = np.divmod(np.concatenate(cells), n2)
+    return BipartiteGraph(n1, n2, zip(x.tolist(), (y + n1).tolist()))
 
 
 def standard_class_sizes(n1: int, n2: int, p: float) -> list[int]:
@@ -377,10 +386,11 @@ def is_bipartite(g) -> bool:
     return two_coloring(g) is not None
 
 
-def two_coloring(g) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """A proper 2-coloring (side0, side1) of the vertex set, or None."""
+def two_coloring(g) -> tuple[Sequence[int], Sequence[int]] | None:
+    """A proper 2-coloring (side0, side1) of the vertex set, or None.
+    A BipartiteGraph answers with its X and Y ranges."""
     if isinstance(g, BipartiteGraph):
-        return tuple(g.x_vertices()), tuple(g.y_vertices())
+        return g.x_vertices(), g.y_vertices()
     color: dict[int, int] = {}
     for s in range(g.n_vertices):
         if s in color:

@@ -210,8 +210,9 @@ def assemble_rotation(g, family: Sequence[ClosedTrail]) -> RotationSystem:
     At each vertex the passage constraints form disjoint successor
     chains; chains are concatenated in ascending order of their least
     neighbor label and unconstrained neighbors ride along as singleton
-    chains. The face trace of the result is checked against the family
-    before returning.
+    chains. A vertex no trail passes through is all singletons, so it
+    keeps g.neighbors(v) itself. The face trace of the result is checked
+    against the family before returning.
     """
     family = tuple(family)
     report = find_blossoms(g, family)  # also validates arc-disjointness
@@ -224,8 +225,11 @@ def assemble_rotation(g, family: Sequence[ClosedTrail]) -> RotationSystem:
     order: dict[int, tuple[int, ...]] = {}
     for v in range(g.n_vertices):
         nbrs = g.neighbors(v)
+        if v not in by_center:
+            order[v] = nbrs
+            continue
         succ: dict[int, int] = {}
-        for a in by_center.get(v, ()):
+        for a in by_center[v]:
             if a.in_tip in succ or a.out_tip in set(succ.values()):
                 raise InternalConsistencyError("conflict survived validation")
             succ[a.in_tip] = a.out_tip

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from .bigraph import (GenParams, gen_random_bipartite, orient_randomly,
@@ -126,7 +127,7 @@ def cmd_trails(args) -> int:
     h = build_trail_hypergraph(d, args.i, args.cap)
     with _open_out(args.out) as fh:
         trails_to_text(h.trails, fh)
-    print(f"trails={len(h)} truncated={int(h.truncated)}", file=sys.stderr)
+    print(f"trails={h.n_hyperedges} truncated={int(h.truncated)}", file=sys.stderr)
     return 0
 
 
@@ -205,17 +206,23 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _cell_key(cell) -> tuple[str, ...]:
+    """(n1, n2, p, i, seed) as they are written to the CSV."""
+    params, i, _strategy, _cap = cell
+    return (str(params.n1), str(params.n2), f"{params.p:.10g}", str(i),
+            str(params.seed))
+
+
 def _experiment_cell(cell) -> list[str]:
-    n1, n2, p, i, seed, strategy, cap = cell
+    params, i, strategy, cap = cell
     try:
-        g = gen_random_bipartite(GenParams(n1, n2, p, seed=seed))
-        cfg = PipelineConfig(strategy=strategy, seed=seed, cap=cap, p=p)
+        g = gen_random_bipartite(params)
+        cfg = PipelineConfig(strategy=strategy, seed=params.seed, cap=cap, p=params.p)
         est = estimate_genus(g, i, cfg)
         row = est.csv_row()
     except (GuardError, ValidationError) as exc:
-        print(f"cell ({n1},{n2},{p:.10g},{i},{seed}) failed: {exc}", file=sys.stderr)
-        row = [str(n1), str(n2), f"{p:.10g}", str(i), str(seed),
-               "", "", "", "", "", "", "error"]
+        print(f"cell ({','.join(_cell_key(cell))}) failed: {exc}", file=sys.stderr)
+        row = list(_cell_key(cell)) + ["", "", "", "", "", "", "error"]
     row.append(datetime.now(timezone.utc).isoformat(timespec="seconds"))
     return row
 
@@ -273,18 +280,24 @@ def cmd_experiment(args) -> int:
     if not (n1s and n2s and p_tokens and i_vals):
         raise ValidationError("empty experiment grid")
 
+    # Every model cell is validated before the CSV is opened, so a bad
+    # grid is refused whole instead of leaving error rows behind.
     cells = []
     for n1 in n1s:
         for n2 in n2s:
             for tok in p_tokens:
-                p = parse_p(tok, n1)
+                try:
+                    params = GenParams(n1, n2, parse_p(tok, n1))
+                except ValidationError as exc:
+                    raise ValidationError(
+                        f"grid cell n1={n1} n2={n2} p={tok}: {exc}") from None
                 for i in i_vals:
                     for t in range(trials):
-                        cells.append((n1, n2, p, i, base_seed + t, strategy, cap))
+                        cells.append((replace(params, seed=base_seed + t), i,
+                                      strategy, cap))
 
     done, header_needed = _resume(out)
-    todo = [c for c in cells
-            if (str(c[0]), str(c[1]), f"{c[2]:.10g}", str(c[3]), str(c[4])) not in done]
+    todo = [c for c in cells if _cell_key(c) not in done]
     print(f"cells={len(cells)} todo={len(todo)}", file=sys.stderr)
 
     with open(out, "a") as fh:

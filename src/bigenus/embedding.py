@@ -22,12 +22,16 @@ class RotationSystem:
     """Cyclic edge order per vertex, stored as the tuple of neighbor
     endpoints in cyclic succession. Two systems are equal when every
     vertex has the same cyclic tuple (the stored tuple is positional,
-    not normalized, so construction should be deterministic)."""
+    not normalized, so construction should be deterministic).
+
+    A dict whose values are all tuples is kept as it is, not copied;
+    the caller must not change it afterwards."""
 
     def __init__(self, order: Mapping[int, Iterable[int]]):
-        self.order: dict[int, tuple[int, ...]] = {
-            v: tuple(ns) for v, ns in order.items()
-        }
+        if type(order) is dict and all(type(ns) is tuple for ns in order.values()):
+            self.order: dict[int, tuple[int, ...]] = order
+        else:
+            self.order = {v: tuple(ns) for v, ns in order.items()}
 
     def vertices(self) -> Iterable[int]:
         return self.order.keys()
@@ -37,18 +41,24 @@ class RotationSystem:
 
     def validate_for(self, g) -> None:
         """Check the system covers exactly the vertices of g and each
-        pi_v is a permutation of the neighbors of v."""
-        for v in range(g.n_vertices):
-            if v not in self.order:
+        pi_v is a permutation of the neighbors of v. A cycle equal to
+        g.neighbors(v), as at every isolated vertex, passes at once."""
+        order = self.order
+        vertices = range(g.n_vertices)
+        for v in vertices:
+            cyc = order.get(v)
+            if cyc is None:
                 raise ValidationError(f"no rotation given for vertex {v}")
-            cyc = self.order[v]
+            nbrs = g.neighbors(v)
+            if cyc == nbrs:
+                continue
             if len(cyc) != len(set(cyc)):
                 raise ValidationError(f"rotation at {v} repeats an edge")
-            if set(cyc) != set(g.neighbors(v)):
+            if set(cyc) != set(nbrs):
                 raise ValidationError(f"rotation at {v} does not match its neighbors")
-        extra = set(self.order) - set(range(g.n_vertices))
-        if extra:
-            raise ValidationError(f"rotation given for unknown vertices {sorted(extra)}")
+        if len(order) != len(vertices):
+            extra = sorted(v for v in order if v not in vertices)
+            raise ValidationError(f"rotation given for unknown vertices {extra}")
 
     def successor(self, v: int, u: int) -> int:
         """The neighbor after u in the cyclic order at v."""
@@ -96,8 +106,7 @@ def trace_faces(g, rot: RotationSystem) -> FaceSet:
     """Orbit decomposition of the arc set under the face-successor map."""
     rot.validate_for(g)
     succ: dict[Arc, int] = {}
-    for v in range(g.n_vertices):
-        cyc = rot.at(v)
+    for v, cyc in rot.order.items():
         d = len(cyc)
         for k, u in enumerate(cyc):
             succ[(v, u)] = cyc[(k + 1) % d]
@@ -123,10 +132,13 @@ def trace_faces(g, rot: RotationSystem) -> FaceSet:
     return fs
 
 
-def connected_components(g) -> list[tuple[int, ...]]:
+def connected_components(g, starts: Iterable[int] | None = None
+                         ) -> list[tuple[int, ...]]:
+    """The components of g that contain a vertex of `starts` (default:
+    every vertex), each sorted, in the order their first start comes."""
     seen: set[int] = set()
     comps = []
-    for s in range(g.n_vertices):
+    for s in range(g.n_vertices) if starts is None else starts:
         if s in seen:
             continue
         stack = [s]
@@ -155,11 +167,11 @@ def genus_of_embedding(g, rot: RotationSystem) -> int:
 
 
 def genus_from_faces(g, fs: FaceSet) -> int:
-    comp_of: dict[int, int] = {}
-    comps = connected_components(g)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
+    """Euler's formula per component. Components are walked from the
+    edge endpoints only: an isolated vertex contributes 0 and is never
+    visited."""
+    comps = connected_components(g, (u for (u, _v) in g.edge_list))
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     e_c = [0] * len(comps)
     for (u, v) in g.edge_list:
         e_c[comp_of[u]] += 1
@@ -168,8 +180,6 @@ def genus_from_faces(g, fs: FaceSet) -> int:
         f_c[comp_of[face[0][0]]] += 1
     total = 0
     for ci, comp in enumerate(comps):
-        if e_c[ci] == 0:
-            continue
         val = 2 - len(comp) + e_c[ci] - f_c[ci]
         if val < 0 or val % 2 != 0:
             raise InternalConsistencyError(

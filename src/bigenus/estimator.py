@@ -181,10 +181,14 @@ def small_p_asymptote_check(n1: int, n2: int, p: float) -> AsymptoteCheck:
 
 def _core_component_vertex_sets(g) -> list[list[int]]:
     """Connected components of the 2-core (all degree-<=1 vertices
-    iteratively removed), as sorted vertex lists."""
-    deg = {v: g.degree(v) for v in range(g.n_vertices)}
-    alive = {v for v, dv in deg.items() if dv > 0}
-    queue = [v for v in alive if deg[v] <= 1]
+    iteratively removed), as sorted vertex lists. Degrees are counted
+    over edge endpoints, so isolated vertices are never alive."""
+    deg: dict[int, int] = {}
+    for (u, v) in g.edge_list:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    alive = set(deg)
+    queue = [v for v, dv in deg.items() if dv <= 1]
     while queue:
         v = queue.pop()
         if v not in alive or deg[v] > 1:

@@ -39,6 +39,10 @@ CODEGREE_EXACT_LIMIT = 2000
 CODEGREE_SAMPLE_PAIRS = 100_000
 
 _DFS_WORK_LIMIT = 20_000_000
+# The i = 1 fast path refuses to hold more trails than this. An estimate
+# peaks near 60 bytes per trail (403 MB at 6.5M trails on G(240, 240,
+# 0.5)), so the limit stands for about 2 GB.
+MAX_TRAILS = 32_000_000
 
 # Rows re-rotated per numpy call; bounds the int64 index temporaries.
 _ROTATE_CHUNK = 1 << 16
@@ -119,7 +123,9 @@ def _bit_positions(mask: int, nbytes: int) -> np.ndarray:
 def _enumerate_quads_bipartite(d: Digraph, coloring, cap: int | None):
     """Rows (x->y, y->x', x'->y', y'->x) for y < y' in the smaller
     color class, in the order pair, then x', then x. The bitmasks are
-    built here for the smaller class only, from the arc list."""
+    built here for the smaller class only, from the arc list. The rows
+    are counted exactly first, and more than MAX_TRAILS of them are
+    refused with GuardError before anything is allocated."""
     side0, side1 = coloring
     small = side0 if len(side0) <= len(side1) else side1
     out = dict.fromkeys(small, 0)
@@ -144,6 +150,9 @@ def _enumerate_quads_bipartite(d: Digraph, coloring, cap: int | None):
             total += fwd.bit_count() * bwd.bit_count()
     truncated = cap is not None and total > cap
     count = cap if truncated else total
+    if count > MAX_TRAILS:
+        raise GuardError(f"{count} closed 4-trails exceed the limit of {MAX_TRAILS} "
+                         f"(about 60 bytes each); pass a cap")
     rows = np.empty((count, 4), dtype=np.int32)
     n = d.n
     nbytes = (n + 7) // 8
@@ -232,9 +241,6 @@ class TrailHypergraph:
         self.truncated = truncated
         self.d = rows.shape[1]
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     @property
     def n_arcs(self) -> int:
         return len(self.arcs)
@@ -248,7 +254,7 @@ class TrailHypergraph:
 
     @functools.cached_property
     def trails(self) -> tuple[ClosedTrail, ...]:
-        return tuple(map(self.trail, range(len(self))))
+        return tuple(map(self.trail, range(self.n_hyperedges)))
 
     def index(self, trail: ClosedTrail) -> int | None:
         """Row of `trail` in this family, or None when it is absent."""
@@ -452,7 +458,7 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
         raise ValidationError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     excluded_set = frozenset(exclude)
     rng = random.Random(seed)
-    keep = np.ones(len(h), dtype=bool)
+    keep = np.ones(h.n_hyperedges, dtype=bool)
     for t in excluded_set:
         k = h.index(t)
         if k is not None:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from bigenus import bigraph
 from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
                              complete_bipartite_graph, complete_graph,
                              cycle_graph, degree_class_partition,
@@ -156,3 +157,26 @@ def test_bipartite_graph_is_a_graph():
     assert BipartiteGraph(1, 3, [(0, 2)]) != BipartiteGraph(2, 2, [(0, 2)])
     with pytest.raises(ValidationError):
         BipartiteGraph(2, 2, [(0, 1), (1, 0)])
+
+
+def test_generation_does_not_depend_on_chunk_size(monkeypatch):
+    params = GenParams(300, 7, 0.1, seed=5)
+    g = gen_random_bipartite(params)
+    for chunk in (1, 97, 1 << 20):
+        monkeypatch.setattr(bigraph, "_GEN_CHUNK", chunk)
+        assert gen_random_bipartite(params).edge_list == g.edge_list
+
+
+def test_neighbors_out_of_range_raises():
+    g = BipartiteGraph(4, 2, [(0, 4), (1, 5)])
+    assert g.neighbors(2) == () and g.degree(3) == 0
+    for v in (-1, -6, 6):
+        with pytest.raises(IndexError):
+            g.neighbors(v)
+        with pytest.raises(IndexError):
+            g.degree(v)
+
+
+def test_bipartite_coloring_is_the_part_ranges():
+    g = BipartiteGraph(100_000, 3, [(0, 100_000)])
+    assert two_coloring(g) == (range(100_000), range(100_000, 100_003))

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from bigenus import trails
 from bigenus.cli import main, parse_config, parse_p
 from bigenus.errors import ValidationError
 
@@ -148,16 +151,44 @@ def test_experiment_and_resume(tmp_path, capsys):
     assert strip(out2.read_text().splitlines()) == strip(first)
 
 
-def test_experiment_error_rows(tmp_path, capsys):
+def test_experiment_error_rows(tmp_path, capsys, monkeypatch):
+    # G(40, 3, 0.5) seed 0 has 24 closed 4-trails, G(6, 3, 0.5) none
+    monkeypatch.setattr(trails, "MAX_TRAILS", 10)
     cfg = tmp_path / "e.cfg"
     out = tmp_path / "e.csv"
-    cfg.write_text(f"n1 = 6,0\nn2 = 3\np = 0.5\nout = {out}\n")
+    cfg.write_text(f"n1 = 6,40\nn2 = 3\np = 0.5\nout = {out}\n")
     assert main(["experiment", "--config", str(cfg)]) == 0
-    capsys.readouterr()
+    assert "cell (40,3,0.5,1,0) failed" in capsys.readouterr().err
     rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
     by_n1 = {r[0]: r for r in rows}
-    assert by_n1["0"][-2] == "error"
+    assert by_n1["40"][-2] == "error"
     assert by_n1["6"][-2] != "error"
+
+
+def test_experiment_refuses_invalid_grid_cell(tmp_path, capsys):
+    cfg = tmp_path / "e.cfg"
+    out = tmp_path / "e.csv"
+    for grid, cell in (("n1 = 20,40\nn2 = 20,40\np = 0.5\n", "n1=20 n2=40 p=0.5"),
+                       ("n1 = 6,0\nn2 = 3\np = 0.5\n", "n1=0 n2=3 p=0.5")):
+        cfg.write_text(f"{grid}out = {out}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert f"grid cell {cell}: need n1 >= n2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_readme_experiment_grid_runs(tmp_path, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("### Experiment config", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert "out = results.csv" in block
+    cfg = tmp_path / "e.cfg"
+    out = tmp_path / "results.csv"
+    cfg.write_text(block)
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
+    assert len(rows) == 2 * 2 * 2 * 2   # n1 x n2 x p x trials
+    assert all(len(r) == 13 and r[-2] != "error" for r in rows)
 
 
 def test_experiment_config_validation(tmp_path):

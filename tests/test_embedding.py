@@ -101,3 +101,19 @@ def test_faces_text_round_trip():
     fs2 = faces_from_text(buf, fs.n_edges)
     assert fs2.faces == fs.faces
     assert fs2.n_faces == fs.n_faces
+
+
+def test_rotation_validation_with_isolated_vertices():
+    g = Graph(6, [(0, 1), (1, 2)])   # 3, 4 and 5 are isolated
+    good = {v: g.neighbors(v) for v in range(6)}
+    RotationSystem(good).validate_for(g)
+    missing = dict(good)
+    del missing[4]
+    with pytest.raises(ValidationError, match="no rotation given for vertex 4"):
+        RotationSystem(missing).validate_for(g)
+    with pytest.raises(ValidationError, match=r"unknown vertices \[6, 9\]"):
+        RotationSystem({**good, 9: (), 6: ()}).validate_for(g)
+    with pytest.raises(ValidationError, match="rotation at 5 does not match"):
+        RotationSystem({**good, 5: (0,)}).validate_for(g)
+    with pytest.raises(ValidationError, match="rotation at 1 repeats"):
+        RotationSystem({**good, 1: (0, 0)}).validate_for(g)

@@ -7,8 +7,8 @@ import pytest
 from bigenus.bigraph import (BipartiteGraph, GenParams, Graph,
                              complete_bipartite_graph, complete_graph,
                              gen_random_bipartite, path_graph)
-from bigenus.errors import GuardError, ValidationError
-from bigenus.oracle import SearchBudget
+from bigenus.errors import BudgetExceededError, GuardError, ValidationError
+from bigenus.oracle import SearchBudget, exact_genus
 from bigenus.estimator import (PipelineConfig, estimate_genus,
                                euler_lower_bound, nonorientable_bounds,
                                predicted_genus, prediction_for, psi,
@@ -168,6 +168,42 @@ def test_estimate_memory_guard():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+def test_small_part_estimate_memory():
+    """Traced peak of generation plus one estimate in the small-part
+    regime, where about 95% of the X-vertices are isolated. A dict or
+    tuple entry per vertex in every stage peaked at about 8 MiB; stages
+    that cost O(edges) peak at about 4 MiB."""
+    n1 = 20_000
+    p = n1 ** -0.4
+    tracemalloc.start()
+    try:
+        g = gen_random_bipartite(GenParams(n1, 5, p, seed=0))
+        est = estimate_genus(g, 1, PipelineConfig(seed=0, p=p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.lower <= est.upper
+    assert peak < 5 * 2 ** 20
+
+
+def test_pipeline_upper_bounds_exact_genus():
+    """The embedding genus is an upper bound of the exact genus on the
+    oracle-sized models; samples past the default oracle budget are
+    refused, not guessed."""
+    solved = 0
+    for (n1, n2, p) in ((5, 5, 0.6), (6, 5, 0.55)):
+        for seed in range(6):
+            g = gen_random_bipartite(GenParams(n1, n2, p, seed=seed))
+            est = estimate_genus(g, 1, PipelineConfig(seed=seed, p=p))
+            try:
+                genus = exact_genus(g)
+            except BudgetExceededError:
+                continue
+            solved += 1
+            assert est.lower <= genus <= est.upper
+    assert solved >= 10
 
 
 def test_estimate_bounds_ordered():

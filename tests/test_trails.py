@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from bigenus import trails
 from bigenus.bigraph import (Digraph, GenParams, complete_bipartite_graph,
                              gen_random_bipartite, orient_randomly)
+from bigenus.cli import main
 from bigenus.errors import GuardError, ValidationError
 from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
                             check_matching_conditions,
@@ -98,7 +100,7 @@ def test_mirror_equals_reversed_enumeration():
         for i in (1, 2):
             fwd = build_trail_hypergraph(d, i)
             if i == 1 and not d.is_orientation():
-                dfs_i1_trails += len(fwd)
+                dfs_i1_trails += fwd.n_hyperedges
             mirrored = fwd.mirror()
             direct = build_trail_hypergraph(d.reverse(), i)
             assert mirrored.arcs == direct.arcs
@@ -271,3 +273,22 @@ def test_trails_text_round_trip():
     trails_to_text(trails, buf)
     buf.seek(0)
     assert tuple(trails_from_text(buf)) == trails
+
+
+def test_trail_limit_refuses_before_allocating(monkeypatch, capsys):
+    d = orient_randomly(gen_random_bipartite(GenParams(40, 3, 0.5, seed=0)), 0)
+    n = build_trail_hypergraph(d, 1).n_hyperedges
+    assert n == 24
+    monkeypatch.setattr(trails, "MAX_TRAILS", n - 1)
+    allocations = []
+    np_empty = np.empty
+    monkeypatch.setattr(np, "empty",
+                        lambda *a, **k: allocations.append(a) or np_empty(*a, **k))
+    with pytest.raises(GuardError, match="exceed the limit of 23"):
+        build_trail_hypergraph(d, 1)
+    assert allocations == []
+    # a cap within the limit is served, and its rows are allocated
+    assert build_trail_hypergraph(d, 1, cap=n - 1).truncated
+    assert allocations
+    assert main(["estimate", "--n1", "40", "--n2", "3", "--p", "0.5"]) == 2
+    assert "exceed the limit" in capsys.readouterr().err
