@@ -8,16 +8,20 @@ the edge to u. Collect one auxiliary arc u -> w per passage and the
 arc-disjointness makes this a partial injection on the neighbors of v;
 a directed cycle in it is a blossom centered at v, and exactly those
 cycles obstruct extension to a full cyclic order.
+
+Detection and assembly read the same per-center passage map and the
+same chain walk: the chains give the cyclic order, and the passages no
+chain covers are the blossoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .embedding import RotationSystem, trace_faces
+from .embedding import RotationSystem
 from .errors import InternalConsistencyError, ValidationError
-from .trails import Arc, ClosedTrail
+from .trails import ClosedTrail
 
 
 @dataclass(frozen=True)
@@ -38,54 +42,6 @@ class TipDigraph:
 
     center: int
     arcs: tuple[TipArc, ...]
-
-    def successor_map(self) -> dict[int, TipArc]:
-        m: dict[int, TipArc] = {}
-        for a in self.arcs:
-            if a.in_tip in m:
-                raise ValidationError(
-                    f"two passages enter vertex {self.center} from {a.in_tip}"
-                )
-            m[a.in_tip] = a
-        outs = [a.out_tip for a in self.arcs]
-        if len(set(outs)) != len(outs):
-            raise ValidationError(
-                f"two passages leave vertex {self.center} toward the same tip"
-            )
-        return m
-
-    def cycles(self) -> list[tuple[TipArc, ...]]:
-        """Directed cycles, each listed once starting at its least in_tip.
-
-        In-degree and out-degree are at most 1, so the cycles are
-        disjoint and this is exhaustive, not just a cycle basis.
-        """
-        succ = self.successor_map()
-        # Repeatedly peel keys nobody maps to; what remains lies on cycles.
-        on_cycle = set(succ)
-        changed = True
-        while changed:
-            changed = False
-            values_alive = {succ[u].out_tip for u in on_cycle}
-            for u in list(on_cycle):
-                if u not in values_alive:
-                    on_cycle.discard(u)
-                    changed = True
-        out: list[tuple[TipArc, ...]] = []
-        seen: set[int] = set()
-        for start in sorted(on_cycle):
-            if start in seen:
-                continue
-            cyc = []
-            u = start
-            while True:
-                seen.add(u)
-                cyc.append(succ[u])
-                u = succ[u].out_tip
-                if u == start:
-                    break
-            out.append(tuple(cyc))
-        return out
 
 
 @dataclass(frozen=True)
@@ -114,32 +70,65 @@ class BlossomReport:
         return not self.blossoms
 
 
-def _validate_family(g, family: Sequence[ClosedTrail]) -> None:
-    seen: set[Arc] = set()
-    for t in family:
-        for (u, v) in t.arcs:
-            e = (u, v) if u < v else (v, u)
-            if e not in g.edge_set:
-                raise ValidationError(f"trail arc {u}->{v} is not an edge of the graph")
-            if (u, v) in seen:
-                raise ValidationError(f"arc {u}->{v} used by two trails")
-            seen.add((u, v))
+def _passages(g, family: Sequence[ClosedTrail]) -> dict[int, dict[int, TipArc]]:
+    """The passages of the family at each center, keyed by in_tip.
 
-
-def _passages(family: Sequence[ClosedTrail]) -> dict[int, list[TipArc]]:
-    by_center: dict[int, list[TipArc]] = {}
+    Every arc must be an edge of g and appear at most once in the
+    family. The passage entering v from u is the only user of the arc
+    u -> v, so the keys are unique; the arc v -> w likewise makes the
+    out_tips unique, and each map is a partial injection.
+    """
+    edges = g.edge_set
+    by_center: dict[int, dict[int, TipArc]] = {}
     for ti, t in enumerate(family):
         arcs = t.arcs
-        for j, (_a, v) in enumerate(arcs):
-            b = arcs[(j + 1) % len(arcs)][1]
-            by_center.setdefault(v, []).append(TipArc(arcs[j][0], b, ti, j))
+        for j, (u, v) in enumerate(arcs):
+            if ((u, v) if u < v else (v, u)) not in edges:
+                raise ValidationError(f"trail arc {u}->{v} is not an edge of the graph")
+            at = by_center.setdefault(v, {})
+            if u in at:
+                raise ValidationError(f"arc {u}->{v} used by two trails")
+            at[u] = TipArc(u, arcs[(j + 1) % len(arcs)][1], ti, j)
     return by_center
+
+
+def _walk(at: dict[int, TipArc], tips: Iterable[int]
+          ) -> tuple[list[list[int]], list[tuple[TipArc, ...]]]:
+    """Chains and cycles of the passages `at` of one center.
+
+    A chain starts at every tip of `tips` no passage leads to, in
+    ascending order, and follows the passages to their end. The maps
+    are injective, so the in_tips no chain covers are exactly those on
+    auxiliary cycles; each cycle is listed once, starting at its least
+    in_tip, and the cycles come in ascending order of that tip.
+    """
+    targets = {a.out_tip for a in at.values()}
+    chains: list[list[int]] = []
+    covered: set[int] = set()
+    for u in sorted(tips):
+        if u in targets:
+            continue
+        chain = [u]
+        while chain[-1] in at:
+            chain.append(at[chain[-1]].out_tip)
+        chains.append(chain)
+        covered.update(chain)
+    cycles: list[tuple[TipArc, ...]] = []
+    for start in sorted(at):
+        if start in covered:
+            continue
+        cyc = [at[start]]
+        while cyc[-1].out_tip != start:
+            cyc.append(at[cyc[-1].out_tip])
+        covered.update(a.in_tip for a in cyc)
+        cycles.append(tuple(cyc))
+    return chains, cycles
 
 
 def tip_digraphs(g, family: Sequence[ClosedTrail]) -> dict[int, TipDigraph]:
     """All nonempty per-center auxiliary digraphs, keyed by center."""
-    _validate_family(g, family)
-    return {v: TipDigraph(v, tuple(arcs)) for v, arcs in _passages(family).items()}
+    return {v: TipDigraph(v, tuple(at.values()))
+            for v, at in _passages(g, family).items()}
 
 
 def find_blossoms(g, family: Sequence[ClosedTrail]) -> BlossomReport:
@@ -150,10 +139,11 @@ def find_blossoms(g, family: Sequence[ClosedTrail]) -> BlossomReport:
     are distinct arcs).
     """
     family = tuple(family)
-    digraphs = tip_digraphs(g, family)
+    by_center = _passages(g, family)
     blossoms: list[Blossom] = []
-    for v in sorted(digraphs):
-        for cyc in digraphs[v].cycles():
+    for v in sorted(by_center):
+        at = by_center[v]
+        for cyc in _walk(at, at)[1]:
             passages = tuple((a.trail_index, a.passage_idx) for a in cyc)
             tips = tuple(a.in_tip for a in cyc)
             if len(cyc) >= 3:
@@ -172,32 +162,26 @@ def make_blossom_free(g, family: Sequence[ClosedTrail]
                       ) -> tuple[tuple[ClosedTrail, ...], tuple[ClosedTrail, ...]]:
     """Remove trails until no auxiliary cycle survives.
 
-    Greedy hitting set: repeatedly drop the trail sitting on the most
-    still-unbroken cycles (ties to the later trail), then re-detect.
-    Removing a trail only deletes auxiliary arcs, so removal never
-    creates new cycles and the loop terminates quickly.
+    One detection, then a greedy hitting set: repeatedly drop the trail
+    sitting on the most still-unbroken cycles (ties to the later trail).
+    Removing a trail only deletes auxiliary arcs, so it never creates a
+    cycle and the survivors need no second detection. Returns the
+    survivors in family order and the dropped trails in family order.
     """
     family = tuple(family)
-    alive = list(range(len(family)))
+    cycles = [frozenset(ti for (ti, _pj) in b.passages)
+              for b in find_blossoms(g, family).blossoms]
     removed: set[int] = set()
-    while True:
-        current = [family[idx] for idx in alive]
-        report = find_blossoms(g, current)
-        if report.is_blossom_free:
-            break
-        cycles = [frozenset(alive[ti] for (ti, _pj) in b.passages)
-                  for b in report.blossoms]
-        unbroken = set(range(len(cycles)))
-        while unbroken:
-            count: dict[int, int] = {}
-            for ci in unbroken:
-                for idx in cycles[ci]:
-                    count[idx] = count.get(idx, 0) + 1
-            victim = max(count, key=lambda idx: (count[idx], idx))
-            removed.add(victim)
-            unbroken = {ci for ci in unbroken if victim not in cycles[ci]}
-        alive = [idx for idx in alive if idx not in removed]
-    surviving = tuple(family[idx] for idx in alive)
+    unbroken = set(range(len(cycles)))
+    while unbroken:
+        count: dict[int, int] = {}
+        for ci in unbroken:
+            for idx in cycles[ci]:
+                count[idx] = count.get(idx, 0) + 1
+        victim = max(count, key=lambda idx: (count[idx], idx))
+        removed.add(victim)
+        unbroken = {ci for ci in unbroken if victim not in cycles[ci]}
+    surviving = tuple(t for idx, t in enumerate(family) if idx not in removed)
     dropped = tuple(family[idx] for idx in sorted(removed))
     return surviving, dropped
 
@@ -206,54 +190,36 @@ def assemble_rotation(g, family: Sequence[ClosedTrail]) -> RotationSystem:
     """Rotation system of g realizing every trail of the family as a
     traced face.
 
-    Requires the family arc-disjoint and blossom-free (validated here).
-    At each vertex the passage constraints form disjoint successor
-    chains; chains are concatenated in ascending order of their least
-    neighbor label and unconstrained neighbors ride along as singleton
-    chains. A vertex no trail passes through is all singletons, so it
-    keeps g.neighbors(v) itself. The face trace of the result is checked
-    against the family before returning.
+    The family must be arc-disjoint and blossom-free; a family that is
+    not raises ValidationError. At each vertex the passages form
+    disjoint successor chains; chains are concatenated in ascending
+    order of their least neighbor label and unconstrained neighbors
+    ride along as singleton chains. A vertex no trail passes through is
+    all singletons, so it keeps g.neighbors(v) itself. By the orbit
+    rule a trail traces as a face exactly when, for each of its
+    passages u -> v -> w, w follows u in the order at v; that is
+    checked for every passage before returning.
     """
-    family = tuple(family)
-    report = find_blossoms(g, family)  # also validates arc-disjointness
-    if not report.is_blossom_free:
-        b = report.blossoms[0]
-        raise ValidationError(
-            f"family has a blossom at vertex {b.center} (length {b.length})"
-        )
-    by_center = _passages(family)
+    by_center = _passages(g, family)
     order: dict[int, tuple[int, ...]] = {}
     for v in range(g.n_vertices):
         nbrs = g.neighbors(v)
-        if v not in by_center:
+        at = by_center.get(v)
+        if at is None:
             order[v] = nbrs
             continue
-        succ: dict[int, int] = {}
-        for a in by_center[v]:
-            if a.in_tip in succ or a.out_tip in set(succ.values()):
-                raise InternalConsistencyError("conflict survived validation")
-            succ[a.in_tip] = a.out_tip
-        targets = set(succ.values())
-        chains: list[list[int]] = []
-        for u in sorted(nbrs):
-            if u in targets:
-                continue
-            chain = [u]
-            while chain[-1] in succ:
-                chain.append(succ[chain[-1]])
-                if chain[-1] == u:
-                    raise InternalConsistencyError("cycle survived validation")
-            chains.append(chain)
-        flat = [u for chain in sorted(chains, key=lambda c: min(c)) for u in chain]
+        chains, cycles = _walk(at, nbrs)
+        if cycles:
+            raise ValidationError(
+                f"family has a blossom at vertex {v} (length {len(cycles[0])})"
+            )
+        flat = tuple(u for chain in sorted(chains, key=min) for u in chain)
         if len(flat) != len(nbrs):
             raise InternalConsistencyError("chain cover missed a neighbor")
-        order[v] = tuple(flat)
-    rot = RotationSystem(order)
-    realized = trace_faces(g, rot).face_arcs()
-    for t in family:
-        if t.arcs not in realized:
+        after = dict(zip(flat, flat[1:] + flat[:1]))
+        if any(after.get(a.in_tip) != a.out_tip for a in at.values()):
             raise InternalConsistencyError(
-                "assembled rotation does not trace an input trail as a face"
+                f"assembled order at vertex {v} does not realize a passage"
             )
-    return rot
-
+        order[v] = flat
+    return RotationSystem(order)

@@ -280,8 +280,12 @@ def cmd_experiment(args) -> int:
     if not (n1s and n2s and p_tokens and i_vals):
         raise ValidationError("empty experiment grid")
 
-    # Every model cell is validated before the CSV is opened, so a bad
-    # grid is refused whole instead of leaving error rows behind.
+    # Every setting and model cell is validated before the CSV is opened,
+    # so a bad config is refused whole instead of leaving error rows
+    # behind that a resumed run would count as done.
+    if min(i_vals) < 1:
+        raise ValidationError(f"i must be >= 1, got {min(i_vals)}")
+    PipelineConfig(strategy=strategy, cap=cap)
     cells = []
     for n1 in n1s:
         for n2 in n2s:

@@ -375,8 +375,9 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
 
     upper is the genus of the assembled embedding and is omitted (None,
     with the truncated flag set) when the trail cap cut enumeration
-    short. lower is the better of the two Euler-style bounds. Guards
-    from trail counting propagate.
+    short. lower is the Euler bound, raised by the refined short-trail
+    bound when i >= 2 (at i = 1 the two coincide). Guards from trail
+    counting propagate.
     """
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")
@@ -394,7 +395,7 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
 
     minlen = 4 if is_bipartite(g) else 3
     lower = euler_lower_bound(g, minlen)
-    if bip:
+    if bip and i >= 2:  # at i = 1 the refined bound is the Euler bound above
         lower = max(lower, refined_lower_bound(g, i))
 
     d = orient_randomly(g, cfg.seed)

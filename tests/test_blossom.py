@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from bigenus import blossom
 from bigenus.bigraph import (BipartiteGraph, Digraph, complete_bipartite_graph,
                              cycle_graph)
 from bigenus.blossom import (assemble_rotation, find_blossoms,
                              make_blossom_free, tip_digraphs)
 from bigenus.embedding import sorted_rotation, trace_faces
-from bigenus.errors import ValidationError
+from bigenus.errors import InternalConsistencyError, ValidationError
 from bigenus.trails import ClosedTrail
 
 from conftest import pipeline_family
@@ -67,8 +68,34 @@ def test_self_reversal_passage_is_length1():
 def test_family_must_be_arc_disjoint():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    with pytest.raises(ValidationError):
-        find_blossoms(g, [t, t])
+    for fn in (find_blossoms, make_blossom_free, assemble_rotation):
+        with pytest.raises(ValidationError, match="used by two trails"):
+            fn(g, [t, t])
+
+
+def test_family_arcs_must_be_edges():
+    g = BipartiteGraph(2, 2, [(0, 2), (1, 2), (1, 3)])  # no edge 0-3
+    t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
+    for fn in (find_blossoms, make_blossom_free, assemble_rotation):
+        with pytest.raises(ValidationError, match="3->0 is not an edge"):
+            fn(g, [t])
+
+
+def test_assemble_checks_every_passage(monkeypatch):
+    # at vertex 0 of K_{3,3} the trail pins 3 after 4; the chains are
+    # [4, 3] and [5], and reversing them must be caught
+    g = complete_bipartite_graph(3, 3)
+    t = _quad((0, 3), (3, 1), (1, 4), (4, 0))
+    assert assemble_rotation(g, [t]).at(0) == (4, 3, 5)
+    walk = blossom._walk
+
+    def reversed_chains(at, tips):
+        chains, cycles = walk(at, tips)
+        return [chain[::-1] for chain in chains], cycles
+
+    monkeypatch.setattr(blossom, "_walk", reversed_chains)
+    with pytest.raises(InternalConsistencyError, match="does not realize a passage"):
+        assemble_rotation(g, [t])
 
 
 def test_tip_digraph_counts():

@@ -176,6 +176,17 @@ def test_experiment_refuses_invalid_grid_cell(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_experiment_refuses_invalid_settings(tmp_path, capsys):
+    cfg = tmp_path / "e.cfg"
+    out = tmp_path / "e.csv"
+    for setting, key in (("strategy = bogus", "strategy"), ("cap = -3", "cap"),
+                         ("i = 0,1", "i")):
+        cfg.write_text(f"n1 = 6\nn2 = 3\np = 0.5\n{setting}\nout = {out}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_readme_experiment_grid_runs(tmp_path, capsys):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     section = readme.split("### Experiment config", 1)[1]

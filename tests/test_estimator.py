@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -154,6 +156,32 @@ def test_estimate_large_instance():
     assert est.blossoms_removed == 126
     assert est.regime == "dense-4gon"
     assert est.lower <= est.upper
+
+
+def test_one_pass_per_estimate(monkeypatch):
+    """One estimate detects blossoms once and traces its faces once;
+    the refined lower bound runs only where it can beat the Euler
+    bound, at i >= 2. Every bigenus module that binds a spied name
+    gets the spy, so a call through any import path is counted."""
+    calls = Counter()
+    for name in ("find_blossoms", "trace_faces", "refined_lower_bound"):
+        for modname, mod in list(sys.modules.items()):
+            fn = getattr(mod, name, None) if modname.split(".")[0] == "bigenus" else None
+            if fn is None:
+                continue
+
+            def spy(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, spy)
+    g = gen_random_bipartite(GenParams(30, 30, 0.3, seed=0))
+    for i, refined in ((1, 0), (2, 1)):
+        calls.clear()
+        est = estimate_genus(g, i)
+        assert est.blossoms_removed > 0  # removal and assembly both had work
+        assert calls == Counter(find_blossoms=1, trace_faces=1,
+                                refined_lower_bound=refined)
 
 
 def test_estimate_memory_guard():
