@@ -324,18 +324,35 @@ def write_bipartite(g: BipartiteGraph, fh: TextIO) -> None:
         fh.write(f"{x} {y}\n")
 
 
+def _read_pairs(fh: TextIO, header: str) -> tuple[list[int], list[tuple[int, int]]]:
+    """The integers of the header line and the pairs of the lines below
+    it. `header` names the expected first line, e.g. 'bipartite n1 n2';
+    a line that does not parse is refused with its number."""
+    word, *names = header.split()
+
+    def ints(tokens: list[str], count: int, lineno: int, line: str, want: str) -> list[int]:
+        try:
+            if len(tokens) == count:
+                return [int(tok) for tok in tokens]
+        except ValueError:
+            pass
+        raise ValidationError(f"line {lineno}: expected {want}, got {line.strip()!r}")
+
+    first = fh.readline()
+    tokens = first.split()
+    if tokens[:1] != [word]:
+        raise ValidationError(f"line 1: expected header {header!r}, got {first.strip()!r}")
+    params = ints(tokens[1:], len(names), 1, first, f"header {header!r}")
+    pairs = []
+    for lineno, line in enumerate(fh, 2):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            pairs.append(tuple(ints(tokens, 2, lineno, line, "two integers")))
+    return params, pairs
+
+
 def read_bipartite(fh: TextIO) -> BipartiteGraph:
-    header = fh.readline().split()
-    if len(header) != 3 or header[0] != "bipartite":
-        raise ValidationError("expected header 'bipartite n1 n2'")
-    n1, n2 = int(header[1]), int(header[2])
-    edges = []
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        a, b = line.split()
-        edges.append((int(a), int(b)))
+    (n1, n2), edges = _read_pairs(fh, "bipartite n1 n2")
     return BipartiteGraph(n1, n2, edges)
 
 
@@ -346,17 +363,7 @@ def write_digraph(d: Digraph, fh: TextIO) -> None:
 
 
 def read_digraph(fh: TextIO) -> Digraph:
-    header = fh.readline().split()
-    if len(header) != 2 or header[0] != "digraph":
-        raise ValidationError("expected header 'digraph n'")
-    n = int(header[1])
-    arcs = []
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        a, b = line.split()
-        arcs.append((int(a), int(b)))
+    (n,), arcs = _read_pairs(fh, "digraph n")
     return Digraph(n, arcs)
 
 

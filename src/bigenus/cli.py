@@ -33,12 +33,14 @@ EXPERIMENT_COLUMNS = CSV_COLUMNS + ("timestamp",)
 
 def parse_p(token: str, n1: int) -> float:
     """Edge probability: a literal, or `nexp:E` meaning n1**E."""
-    if token.startswith("nexp:"):
-        if n1 < 1:
-            raise ValidationError("nexp: probability needs n1 >= 1")
-        p = float(n1) ** float(token[len("nexp:"):])
-    else:
-        p = float(token)
+    nexp = token.startswith("nexp:")
+    try:
+        value = float(token[len("nexp:"):] if nexp else token)
+    except ValueError:
+        raise ValidationError(f"p {token!r} is not a number or nexp:E") from None
+    if nexp and n1 < 1:
+        raise ValidationError("nexp: probability needs n1 >= 1")
+    p = float(n1) ** value if nexp else value
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p evaluates to {p}, outside [0,1]")
     return p
@@ -252,8 +254,22 @@ def _resume(path: str) -> tuple[set[tuple[str, ...]], bool]:
     return keys, not data
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _config_ints(cfg: dict[str, str], key: str, default: str) -> list[int]:
+    """The comma-separated integers of config key `key`."""
+    text = cfg.get(key, default)
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValidationError(f"{key} must be integers separated by commas, "
+                              f"got {text!r}") from None
+
+
+def _config_int(cfg: dict[str, str], key: str, default: str) -> int:
+    text = cfg.get(key, default)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"{key} must be an integer, got {text!r}") from None
 
 
 def cmd_experiment(args) -> int:
@@ -265,18 +281,20 @@ def cmd_experiment(args) -> int:
     for key in ("n1", "n2", "p", "out"):
         if key not in cfg:
             raise ValidationError(f"config is missing {key!r}")
-    n1s = _int_list(cfg["n1"])
-    n2s = _int_list(cfg["n2"])
+    n1s = _config_ints(cfg, "n1", "")
+    n2s = _config_ints(cfg, "n2", "")
     p_tokens = [tok.strip() for tok in cfg["p"].split(",") if tok.strip()]
-    i_vals = _int_list(cfg.get("i", "1"))
-    trials = int(cfg.get("trials", "1"))
-    base_seed = int(cfg.get("seed", "0"))
+    i_vals = _config_ints(cfg, "i", "1")
+    trials = _config_int(cfg, "trials", "1")
+    base_seed = _config_int(cfg, "seed", "0")
     strategy = cfg.get("strategy", "greedy")
-    cap = int(cfg["cap"]) if "cap" in cfg else None
+    cap = _config_int(cfg, "cap", "") if "cap" in cfg else None
     out = args.out or cfg["out"]
-    workers = int(cfg.get("workers", "1"))
+    workers = _config_int(cfg, "workers", "1")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
     if not (n1s and n2s and p_tokens and i_vals):
         raise ValidationError("empty experiment grid")
 

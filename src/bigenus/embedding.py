@@ -10,6 +10,8 @@ computed per connected component.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, TextIO
 
@@ -102,29 +104,71 @@ def sorted_rotation(g) -> RotationSystem:
     return RotationSystem({v: g.neighbors(v) for v in range(g.n_vertices)})
 
 
+def arc_index(g, verts: Iterable[int]) -> tuple[list[Arc], list[int], dict[int, int]]:
+    """(arcs, rev, first) for the arcs leaving `verts`, an increasing
+    union of components of g: arc k is arcs[k] in lexicographic (tail,
+    head) order, rev[k] is the id of its reverse, and v's out-arcs are
+    first[v], first[v] + 1, ... in neighbor order."""
+    arcs: list[Arc] = []
+    first: dict[int, int] = {}
+    for v in verts:
+        nbrs = g.neighbors(v)
+        if nbrs:
+            first[v] = len(arcs)
+            arcs.extend([(v, w) for w in nbrs])
+    # Tails come in increasing order, so the arcs entering w do too, and
+    # their reverses are w's out-arcs in neighbor order.
+    out_ids = {v: itertools.count(k0) for v, k0 in first.items()}
+    rev = [next(out_ids[w]) for (_v, w) in arcs]
+    return arcs, rev, first
+
+
+def face_starts(nxt: list[int], rev: list[int]) -> list[int]:
+    """The least arc id of every orbit of the face successor
+    a -> nxt[rev[a]], in increasing order. nxt[a] is the arc after a in
+    the rotation at its tail."""
+    seen = bytearray(len(rev))
+    starts = []
+    for a0, done in enumerate(seen):  # reads each flag after earlier walks set it
+        if done:
+            continue
+        starts.append(a0)
+        a = a0
+        while not seen[a]:
+            seen[a] = 1
+            a = nxt[rev[a]]
+        if a != a0:
+            raise InternalConsistencyError("face orbit did not close on its start arc")
+    return starts
+
+
+def euler_genus(n_c: int, e_c: int, f_c: int) -> int:
+    """(2 - n + e - f) / 2 for one connected component; anything but an
+    even nonnegative 2 - n + e - f means the trace is broken."""
+    val = 2 - n_c + e_c - f_c
+    if val < 0 or val % 2 != 0:
+        raise InternalConsistencyError(
+            f"2 - n + e - f = {val} is not an even nonnegative integer")
+    return val // 2
+
+
 def trace_faces(g, rot: RotationSystem) -> FaceSet:
     """Orbit decomposition of the arc set under the face-successor map."""
     rot.validate_for(g)
-    succ: dict[Arc, int] = {}
-    for v, cyc in rot.order.items():
-        d = len(cyc)
-        for k, u in enumerate(cyc):
-            succ[(v, u)] = cyc[(k + 1) % d]
-    arcs = sorted(succ.keys())
-    seen: set[Arc] = set()
+    arcs, rev, first = arc_index(g, sorted({v for edge in g.edge_list for v in edge}))
+    nxt = [0] * len(arcs)
+    for v, k0 in first.items():
+        nbrs = g.neighbors(v)
+        ids = [k0 + bisect_left(nbrs, u) for u in rot.at(v)]
+        for a, b in zip(ids, ids[1:] + ids[:1]):
+            nxt[a] = b
     faces: list[tuple[Arc, ...]] = []
-    for a0 in arcs:
-        if a0 in seen:
-            continue
-        face = []
-        a = a0
-        while a not in seen:
-            seen.add(a)
-            face.append(a)
-            u, v = a
-            a = (v, succ[(v, u)])
-        if a != a0:
-            raise InternalConsistencyError("face orbit did not close on its start arc")
+    for a0 in face_starts(nxt, rev):
+        face = [arcs[a0]]
+        a = nxt[rev[a0]]
+        while a != a0:
+            face.append(arcs[a])
+            a = nxt[rev[a]]
         faces.append(tuple(face))
     fs = FaceSet(tuple(faces), n_edges=len(arcs) // 2)
     if sum(fs.lengths) != len(arcs):
@@ -156,14 +200,9 @@ def connected_components(g, starts: Iterable[int] | None = None
 
 
 def genus_of_embedding(g, rot: RotationSystem) -> int:
-    """Sum over components of (2 - n_c + e_c - f_c) / 2.
-
-    Isolated vertices contribute 0. The per-component value must be a
-    nonnegative even integer before halving; anything else means the
-    trace is broken and raises InternalConsistencyError.
-    """
-    fs = trace_faces(g, rot)
-    return genus_from_faces(g, fs)
+    """Sum over components of (2 - n_c + e_c - f_c) / 2, each checked by
+    euler_genus; isolated vertices contribute 0."""
+    return genus_from_faces(g, trace_faces(g, rot))
 
 
 def genus_from_faces(g, fs: FaceSet) -> int:
@@ -178,15 +217,7 @@ def genus_from_faces(g, fs: FaceSet) -> int:
     f_c = [0] * len(comps)
     for face in fs.faces:
         f_c[comp_of[face[0][0]]] += 1
-    total = 0
-    for ci, comp in enumerate(comps):
-        val = 2 - len(comp) + e_c[ci] - f_c[ci]
-        if val < 0 or val % 2 != 0:
-            raise InternalConsistencyError(
-                f"component {ci}: 2 - n + e - f = {val} is not an even nonnegative integer"
-            )
-        total += val // 2
-    return total
+    return sum(euler_genus(len(comp), e_c[ci], f_c[ci]) for ci, comp in enumerate(comps))
 
 
 def face_length_histogram(fs: FaceSet) -> dict[int, int]:

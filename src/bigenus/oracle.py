@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bigraph import Graph, is_bipartite
-from .embedding import RotationSystem, connected_components
-from .errors import BudgetExceededError, InternalConsistencyError, ValidationError
+from .embedding import (RotationSystem, arc_index, connected_components, euler_genus,
+                        face_starts)
+from .errors import BudgetExceededError, ValidationError
 from .estimator import euler_lower_bound
 
 _COUNT_SATURATE = 10 ** 18
@@ -59,29 +60,19 @@ def rotation_system_count(g) -> int:
 class _Engine:
     """Arc-indexed face counter for one connected component.
 
-    Arcs get dense ids; rev pairs the two directions of an edge. A
-    rotation is a cyclic order of the out-arcs at each vertex, stored as
-    the successor array nxt. The face successor of arc a is
-    nxt[rev[a]], and faces are its orbits.
+    Arcs get the dense ids of embedding.arc_index; rev pairs the two
+    directions of an edge. A rotation is a cyclic order of the out-arcs
+    at each vertex, stored as the successor array nxt. The face
+    successor of arc a is nxt[rev[a]], and faces are its orbits.
     """
 
     def __init__(self, g, verts: list[int]):
-        vset = set(verts)
         self.verts = verts
-        arc_id: dict[tuple[int, int], int] = {}
-        arcs: list[tuple[int, int]] = []
-        for v in verts:
-            for w in g.neighbors(v):
-                if w in vset:
-                    arc_id[(v, w)] = len(arcs)
-                    arcs.append((v, w))
-        self.arcs = arcs
-        self.rev = [arc_id[(w, v)] for (v, w) in arcs]
-        self.out_arcs = {v: [arc_id[(v, w)] for w in g.neighbors(v) if w in vset]
-                         for v in verts}
+        self.arcs, self.rev, first = arc_index(g, verts)
+        self.out_arcs = {v: range(first[v], first[v] + g.degree(v)) for v in verts}
         self.n_c = len(verts)
-        self.e_c = len(arcs) // 2
-        self.nxt = [0] * len(arcs)
+        self.e_c = len(self.arcs) // 2
+        self.nxt = [0] * len(self.arcs)
         self.seq: dict[int, tuple[int, ...]] = {}
         for v in verts:
             self.set_seq(v, tuple(self.out_arcs[v]))
@@ -93,26 +84,10 @@ class _Engine:
             nxt[a] = seq[(k + 1) % len(seq)]
 
     def faces(self) -> int:
-        nxt, rev = self.nxt, self.rev
-        seen = bytearray(len(rev))
-        f = 0
-        for a0 in range(len(rev)):
-            if seen[a0]:
-                continue
-            f += 1
-            a = a0
-            while not seen[a]:
-                seen[a] = 1
-                a = nxt[rev[a]]
-            if a != a0:
-                raise InternalConsistencyError("face orbit did not close")
-        return f
+        return len(face_starts(self.nxt, self.rev))
 
     def genus(self) -> int:
-        val = 2 - self.n_c + self.e_c - self.faces()
-        if val < 0 or val % 2:
-            raise InternalConsistencyError(f"bad Euler characteristic term {val}")
-        return val // 2
+        return euler_genus(self.n_c, self.e_c, self.faces())
 
     def snapshot(self) -> dict[int, tuple[int, ...]]:
         return dict(self.seq)

@@ -35,9 +35,6 @@ from .errors import GuardError, ValidationError
 
 Arc = tuple[int, int]
 
-CODEGREE_EXACT_LIMIT = 2000
-CODEGREE_SAMPLE_PAIRS = 100_000
-
 _DFS_WORK_LIMIT = 20_000_000
 # The i = 1 fast path refuses to hold more trails than this. An estimate
 # peaks near 60 bytes per trail (403 MB at 6.5M trails on G(240, 240,
@@ -303,13 +300,6 @@ class TrailHypergraph:
                 by_id[a].append(idx)
         return {a: tuple(ix) for a, ix in zip(self.arcs, by_id)}
 
-    @functools.cached_property
-    def _incidence_sets(self) -> dict[Arc, frozenset[int]]:
-        return {a: frozenset(ix) for a, ix in self.incidence.items()}
-
-    def incidence_set(self, a: Arc) -> frozenset[int]:
-        return self._incidence_sets[a]
-
 
 def build_trail_hypergraph(d: Digraph, i: int, cap: int | None = None) -> TrailHypergraph:
     """The canonical closed trails of length 2i+2 in D.
@@ -338,8 +328,8 @@ class ConditionReport:
     """Empirical check of the three matching hypotheses against the
     degree scale Delta: (1) degrees within (1 +- delta) Delta, (2) max
     codegree below delta*Delta, (3) few hyperedges touch an over-degree
-    arc. Codegree is exact for small hypergraphs and sampled above
-    CODEGREE_EXACT_LIMIT arcs, with the method recorded."""
+    arc. The codegree is exact: the largest number of hyperedges that
+    share one pair of arcs."""
 
     delta: float
     Delta: float
@@ -349,8 +339,6 @@ class ConditionReport:
     cond1_all: bool
     max_codegree: int
     codegree_threshold: float
-    codegree_method: str
-    codegree_pairs_checked: int
     cond2_ok: bool
     overfull_hyperedges: int
     overfull_threshold: float
@@ -369,33 +357,13 @@ def check_matching_conditions(h: TrailHypergraph, delta: float,
     in_band = int(np.count_nonzero((lo <= degrees) & (degrees <= hi)))
     frac = in_band / n if n else 1.0
 
-    if n <= CODEGREE_EXACT_LIMIT:
-        method = "exact"
-        # One key per (trail, unordered arc pair); a trail holds an arc
-        # at most once, so a key's multiplicity is the pair's codegree.
-        rows = h.rows.astype(np.int64)
-        keys = np.concatenate([
-            np.minimum(rows[:, j], rows[:, k]) * n + np.maximum(rows[:, j], rows[:, k])
-            for j in range(h.d) for k in range(j + 1, h.d)])
-        max_codeg = int(np.unique(keys, return_counts=True)[1].max()) if len(keys) else 0
-        pairs_checked = n * (n - 1) // 2
-    else:
-        method = "sampled"
-        rng = random.Random(0)
-        pairs_checked = CODEGREE_SAMPLE_PAIRS
-        max_codeg = 0
-        arcs = h.arcs
-        for _ in range(pairs_checked):
-            a = arcs[rng.randrange(n)]
-            b = arcs[rng.randrange(n)]
-            if a == b:
-                continue
-            sa, sb = h.incidence_set(a), h.incidence_set(b)
-            if len(sb) < len(sa):
-                sa, sb = sb, sa
-            c = len(sa & sb)
-            if c > max_codeg:
-                max_codeg = c
+    # One key per (trail, arc pair) from the rows sorted within; a trail
+    # holds an arc at most once, so a key's multiplicity is the pair's
+    # codegree.
+    rows = np.sort(h.rows, axis=1).astype(np.int64)
+    keys = np.concatenate([rows[:, j] * n + rows[:, k]
+                           for j in range(h.d) for k in range(j + 1, h.d)])
+    max_codeg = int(np.unique(keys, return_counts=True)[1].max()) if len(keys) else 0
 
     overfull = int(np.count_nonzero((degrees > hi)[h.rows].any(axis=1)))
     return ConditionReport(
@@ -407,8 +375,6 @@ def check_matching_conditions(h: TrailHypergraph, delta: float,
         cond1_all=(in_band == n),
         max_codegree=max_codeg,
         codegree_threshold=delta * Delta,
-        codegree_method=method,
-        codegree_pairs_checked=pairs_checked,
         cond2_ok=max_codeg < delta * Delta,
         overfull_hyperedges=overfull,
         overfull_threshold=delta * n * Delta,
@@ -554,8 +520,8 @@ def count_short_closed_trails(g: BipartiteGraph, i: int) -> int:
 
     In a simple bipartite graph every closed trail of length 4 or 6 is a
     cycle, so those lengths reduce to closed-form cycle counts over
-    common neighborhoods. Longer lengths (j >= 4) fall back to an
-    exhaustive walk search guarded by a work estimate.
+    common neighborhoods. Longer lengths (j >= 4) are counted by the
+    trail DFS of build_trail_hypergraph, guarded by a work estimate.
     """
     if not isinstance(g, BipartiteGraph):
         raise ValidationError("count_short_closed_trails expects a bipartite graph")
@@ -615,6 +581,10 @@ def _count_hex_cycles(g: BipartiteGraph) -> int:
 
 
 def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:
+    """Closed trails of `length` edges, from the directed closed trails
+    of the symmetric digraph of g (both arcs of every edge): a row that
+    uses no edge twice is one direction of an undirected closed trail,
+    and each such trail has exactly two."""
     avg = 2 * g.n_edges / max(1, g.n_vertices)
     work = g.n_vertices * max(1.0, avg) ** (length - 1)
     if work > _DFS_WORK_LIMIT:
@@ -622,33 +592,8 @@ def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:
             f"closed-trail count of length {length} too expensive here "
             f"(estimated {work:.2e} steps)"
         )
-    canon: set[tuple[int, ...]] = set()
-
-    def canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
-        best = None
-        L = len(seq)
-        for rot in range(L):
-            fwd = seq[rot:] + seq[:rot]
-            rev = tuple(reversed(fwd))
-            rev = rev[-1:] + rev[:-1]  # keep rotation alignment after flip
-            for cand in (fwd, rev):
-                if best is None or cand < best:
-                    best = cand
-        return best
-
-    for start in range(g.n_vertices):
-        stack: list[tuple[int, tuple[int, ...], frozenset]] = [(start, (start,), frozenset())]
-        while stack:
-            v, seq, used = stack.pop()
-            if len(seq) == length:
-                if start in g.neighbors(v):
-                    e = (v, start) if v < start else (start, v)
-                    if e not in used:
-                        canon.add(canonical(seq))
-                continue
-            for w in g.neighbors(v):
-                e = (v, w) if v < w else (w, v)
-                if e in used:
-                    continue
-                stack.append((w, seq + (w,), used | {e}))
-    return len(canon)
+    d = Digraph(g.n_vertices, g.edge_list + tuple((v, u) for (u, v) in g.edge_list))
+    rows, _ = _enumerate_trails_dfs(d, length, None)
+    ends = np.array(d.arc_list, dtype=np.int64).reshape(-1, 2)
+    edges = np.sort((ends.min(axis=1) * g.n_vertices + ends.max(axis=1))[rows], axis=1)
+    return int(np.count_nonzero((edges[:, 1:] != edges[:, :-1]).all(axis=1))) // 2

@@ -230,3 +230,26 @@ def test_experiment_recomputes_torn_tail(tmp_path, capsys):
     assert all(len(line.split(",")) == 13 for line in lines[1:])
     strip = lambda rows: sorted(row.rsplit(",", 1)[0] for row in rows[2:])
     assert strip(lines) == strip(full.splitlines())
+
+
+def test_malformed_input_exits_2(tmp_path, capsys):
+    csv = tmp_path / "row.csv"
+    assert main(["predict", "--n1", "10", "--n2", "5", "--p", "abc"]) == 2
+    assert "'abc'" in capsys.readouterr().err
+    g = tmp_path / "g.txt"
+    for text, where in (("bipartite 2 3\n0 2\n0 2 5\n", "line 3"),
+                        ("bipartite 2 x\n0 2\n", "line 1"),
+                        ("digraph 3\n# arcs\n0 1\n1 x\n", "line 4")):
+        g.write_text(text)
+        assert main(["estimate", "--in", str(g), "--out", str(csv)]) == 2
+        assert f"error: {where}: expected" in capsys.readouterr().err
+        assert not csv.exists()
+    cfg = tmp_path / "e.cfg"
+    for setting, message in (("trials = x", "trials must be an integer, got 'x'"),
+                             ("seed = 1.5", "seed must be an integer"),
+                             ("i = 1,y", "i must be integers"),
+                             ("workers = 0", "workers must be >= 1")):
+        cfg.write_text(f"n1 = 6\nn2 = 3\np = 0.5\nout = {csv}\n{setting}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not csv.exists()

@@ -1,5 +1,7 @@
 import io
+import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from bigenus.bigraph import (Digraph, GenParams, complete_bipartite_graph,
                              gen_random_bipartite, orient_randomly)
 from bigenus.cli import main
 from bigenus.errors import GuardError, ValidationError
+from bigenus.estimator import PipelineConfig, estimate_genus
 from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
                             check_matching_conditions,
                             count_short_closed_trails,
@@ -176,7 +179,7 @@ def test_condition_report_trivial_cases():
     rep = check_matching_conditions(h, 0.5, 1.0)
     assert rep.degree_fraction_in_band == 1.0
     assert rep.cond1_all
-    assert rep.codegree_method == "exact"
+    assert rep.max_codegree == 1
 
     path = Digraph(3, [(0, 1), (1, 2)])
     h0 = build_trail_hypergraph(path, 1)
@@ -189,6 +192,17 @@ def test_condition_report_trivial_cases():
         check_matching_conditions(h, 1.5, 1.0)
     with pytest.raises(ValidationError):
         check_matching_conditions(h, 0.5, 0.0)
+
+
+def test_codegree_is_exact_at_every_size():
+    # 3,157 arcs, against a brute count over the arc pairs of every trail
+    g = gen_random_bipartite(GenParams(80, 80, 0.5, seed=0))
+    h = build_trail_hypergraph(orient_randomly(g, 0), 1)
+    assert h.n_arcs > 2000
+    pairs = Counter(pair for row in h.rows.tolist()
+                    for pair in itertools.combinations(sorted(row), 2))
+    rep = check_matching_conditions(h, 0.2, theoretical_delta(80, 80, 0.5, 1))
+    assert rep.max_codegree == max(pairs.values()) == 15
 
 
 def test_matching_disjoint_property():
@@ -259,6 +273,32 @@ def test_count_short_matches_brute():
         g = rand_bipartite(rng, max_edges=16)
         for i in (1, 2, 3):
             assert count_short_closed_trails(g, i) == brute_short_trail_total(g, i)
+
+
+def test_count_short_long_trails_match_brute():
+    # lengths 8 and 10, counted by the trail DFS on the symmetric digraph
+    rng = random.Random(29)
+    nonzero = 0
+    for _ in range(100):
+        g = rand_bipartite(rng, max_edges=16)
+        for i in (4, 5):
+            count = count_short_closed_trails(g, i)
+            assert count == brute_short_trail_total(g, i)
+            nonzero += count > count_short_closed_trails(g, 3)
+    assert nonzero > 0
+
+
+def test_dfs_cap_is_a_prefix():
+    g = gen_random_bipartite(GenParams(20, 16, 0.35, seed=3))
+    d = orient_randomly(g, 3)
+    full = build_trail_hypergraph(d, 2)
+    assert full.n_hyperedges == 372 and not full.truncated
+    for cap in (0, 1, 5, 200, 371, 372, 373, 1000):
+        h = build_trail_hypergraph(d, 2, cap)
+        assert np.array_equal(h.rows, full.rows[:cap])
+        assert h.truncated == (cap < 372)
+    est = estimate_genus(g, 2, PipelineConfig(seed=3, cap=5))
+    assert est.upper is None and est.truncated
 
 
 def test_count_short_guard():
