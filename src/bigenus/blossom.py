@@ -16,10 +16,11 @@ chain covers are the blossoms.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .embedding import RotationSystem
+from .embedding import RotationSystem, arc_index
 from .errors import InternalConsistencyError, ValidationError
 from .trails import ClosedTrail
 
@@ -199,27 +200,41 @@ def assemble_rotation(g, family: Sequence[ClosedTrail]) -> RotationSystem:
     rule a trail traces as a face exactly when, for each of its
     passages u -> v -> w, w follows u in the order at v; that is
     checked for every passage before returning.
+
+    The order is written as dart successors over arc_index(g), for the
+    vertices with edges only. Each vertex's chain cover is checked to
+    be a permutation of its out-darts, so trace_faces can read the
+    array for g without validating it again.
     """
     by_center = _passages(g, family)
-    order: dict[int, tuple[int, ...]] = {}
-    for v in range(g.n_vertices):
+    arcs, rev, first = arc_index(g)
+    # Each vertex's darts in neighbor order; its last dart wraps below.
+    nxt = list(range(1, len(arcs) + 1))
+    head: dict[int, int] = {}
+    for v, k0 in first.items():
         nbrs = g.neighbors(v)
         at = by_center.get(v)
         if at is None:
-            order[v] = nbrs
+            nxt[k0 + len(nbrs) - 1] = k0
             continue
         chains, cycles = _walk(at, nbrs)
         if cycles:
             raise ValidationError(
                 f"family has a blossom at vertex {v} (length {len(cycles[0])})"
             )
-        flat = tuple(u for chain in sorted(chains, key=min) for u in chain)
+        flat = [u for chain in sorted(chains, key=min) for u in chain]
         if len(flat) != len(nbrs):
             raise InternalConsistencyError("chain cover missed a neighbor")
-        after = dict(zip(flat, flat[1:] + flat[:1]))
-        if any(after.get(a.in_tip) != a.out_tip for a in at.values()):
+        dart = {u: k0 + bisect_left(nbrs, u) for u in flat}
+        ids = list(dart.values())
+        if sorted(ids) != list(range(k0, k0 + len(nbrs))):
+            raise InternalConsistencyError(
+                f"chain cover at vertex {v} is not a permutation of its darts")
+        for a, b in zip(ids, ids[1:] + ids[:1]):
+            nxt[a] = b
+        if any(nxt[dart[a.in_tip]] != dart[a.out_tip] for a in at.values()):
             raise InternalConsistencyError(
                 f"assembled order at vertex {v} does not realize a passage"
             )
-        order[v] = flat
-    return RotationSystem(order)
+        head[v] = ids[0]
+    return RotationSystem.from_darts(g, (arcs, rev, first, nxt), head)

@@ -18,6 +18,10 @@ from typing import Iterable, Mapping, TextIO
 from .errors import InternalConsistencyError, ValidationError
 
 Arc = tuple[int, int]
+# A rotation as dart successors (arcs, rev, first, nxt): arcs, rev and
+# first as arc_index gives them, and nxt[a] the dart after a in the
+# rotation at its tail.
+Darts = tuple[list[Arc], list[int], dict[int, int], list[int]]
 
 
 class RotationSystem:
@@ -27,13 +31,66 @@ class RotationSystem:
     not normalized, so construction should be deterministic).
 
     A dict whose values are all tuples is kept as it is, not copied;
-    the caller must not change it afterwards."""
+    the caller must not change it afterwards.
+
+    A system made by from_darts is held as dart successors over the
+    arc_index numbering of the graph it was built for; its per-vertex
+    dict is built only when something reads `order`."""
 
     def __init__(self, order: Mapping[int, Iterable[int]]):
         if type(order) is dict and all(type(ns) is tuple for ns in order.values()):
-            self.order: dict[int, tuple[int, ...]] = order
+            self._order: dict[int, tuple[int, ...]] | None = order
         else:
-            self.order = {v: tuple(ns) for v, ns in order.items()}
+            self._order = {v: tuple(ns) for v, ns in order.items()}
+        self._graph = None
+        self._darts: Darts | None = None
+        self._head: dict[int, int] = {}
+
+    @classmethod
+    def from_darts(cls, g, darts: Darts, head: dict[int, int]) -> "RotationSystem":
+        """The rotation of g whose dart successors are nxt, with
+        darts = (arcs, rev, first, nxt) over arc_index(g). The tuple at
+        v starts at the dart head[v], or at v's first dart where head has
+        no entry. The caller guarantees that nxt permutes the out-darts
+        of every vertex cyclically."""
+        rot = cls.__new__(cls)
+        rot._order = None
+        rot._graph = g
+        rot._darts = darts
+        rot._head = head
+        return rot
+
+    @property
+    def order(self) -> dict[int, tuple[int, ...]]:
+        if self._order is None:
+            arcs, _rev, first, nxt = self._darts
+            g = self._graph
+            order: dict[int, tuple[int, ...]] = {}
+            for v in range(g.n_vertices):
+                a = self._head.get(v, first.get(v))
+                cyc = []
+                for _ in range(g.degree(v)):
+                    cyc.append(arcs[a][1])
+                    a = nxt[a]
+                order[v] = tuple(cyc)
+            self._order = order
+        return self._order
+
+    def darts_for(self, g) -> Darts:
+        """(arcs, rev, first, nxt) of this rotation over arc_index(g).
+        A system built for g answers from its own array; any other is
+        first checked by validate_for."""
+        if self._graph is g:
+            return self._darts
+        self.validate_for(g)
+        arcs, rev, first = arc_index(g)
+        nxt = [0] * len(arcs)
+        for v, k0 in first.items():
+            nbrs = g.neighbors(v)
+            ids = [k0 + bisect_left(nbrs, u) for u in self.at(v)]
+            for a, b in zip(ids, ids[1:] + ids[:1]):
+                nxt[a] = b
+        return arcs, rev, first, nxt
 
     def vertices(self) -> Iterable[int]:
         return self.order.keys()
@@ -75,7 +132,8 @@ class RotationSystem:
         return hash(tuple(sorted(self.order.items())))
 
     def __repr__(self) -> str:
-        return f"RotationSystem(vertices={len(self.order)})"
+        n = len(self._order) if self._order is not None else self._graph.n_vertices
+        return f"RotationSystem(vertices={n})"
 
 
 @dataclass(frozen=True)
@@ -104,11 +162,15 @@ def sorted_rotation(g) -> RotationSystem:
     return RotationSystem({v: g.neighbors(v) for v in range(g.n_vertices)})
 
 
-def arc_index(g, verts: Iterable[int]) -> tuple[list[Arc], list[int], dict[int, int]]:
+def arc_index(g, verts: Iterable[int] | None = None
+              ) -> tuple[list[Arc], list[int], dict[int, int]]:
     """(arcs, rev, first) for the arcs leaving `verts`, an increasing
-    union of components of g: arc k is arcs[k] in lexicographic (tail,
-    head) order, rev[k] is the id of its reverse, and v's out-arcs are
-    first[v], first[v] + 1, ... in neighbor order."""
+    union of components of g (default: every vertex with an edge): arc
+    k is arcs[k] in lexicographic (tail, head) order, rev[k] is the id
+    of its reverse, and v's out-arcs are first[v], first[v] + 1, ... in
+    neighbor order."""
+    if verts is None:
+        verts = sorted({v for edge in g.edge_list for v in edge})
     arcs: list[Arc] = []
     first: dict[int, int] = {}
     for v in verts:
@@ -154,14 +216,7 @@ def euler_genus(n_c: int, e_c: int, f_c: int) -> int:
 
 def trace_faces(g, rot: RotationSystem) -> FaceSet:
     """Orbit decomposition of the arc set under the face-successor map."""
-    rot.validate_for(g)
-    arcs, rev, first = arc_index(g, sorted({v for edge in g.edge_list for v in edge}))
-    nxt = [0] * len(arcs)
-    for v, k0 in first.items():
-        nbrs = g.neighbors(v)
-        ids = [k0 + bisect_left(nbrs, u) for u in rot.at(v)]
-        for a, b in zip(ids, ids[1:] + ids[:1]):
-            nxt[a] = b
+    arcs, rev, _first, nxt = rot.darts_for(g)
     faces: list[tuple[Arc, ...]] = []
     for a0 in face_starts(nxt, rev):
         face = [arcs[a0]]

@@ -22,6 +22,7 @@ reversed digraph, derived from the rows by TrailHypergraph.mirror.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from array import array
 from bisect import bisect_left
@@ -143,7 +144,7 @@ def _enumerate_quads_bipartite(d: Digraph, coloring, cap: int | None):
             bwd = out[y2] & in_y     # x with y2 -> x -> y
             if not bwd:
                 continue
-            pairs.append((y, y2, fwd, bwd))
+            pairs.append((y, y2))
             total += fwd.bit_count() * bwd.bit_count()
     truncated = cap is not None and total > cap
     count = cap if truncated else total
@@ -155,11 +156,13 @@ def _enumerate_quads_bipartite(d: Digraph, coloring, cap: int | None):
     nbytes = (n + 7) // 8
     keys = np.array([t * n + h for (t, h) in d.arc_list], dtype=np.int64)
     pos = 0
-    for (y, y2, fwd, bwd) in pairs:
+    # The masks are recomputed per pair: one AND costs less than keeping
+    # two big ints for every pair until this loop runs.
+    for (y, y2) in pairs:
         if pos >= count:
             break
-        xp = _bit_positions(fwd, nbytes)
-        x = _bit_positions(bwd, nbytes)
+        xp = _bit_positions(out[y] & inn[y2], nbytes)
+        x = _bit_positions(out[y2] & inn[y], nbytes)
         m = len(xp) * len(x)
         dest = rows[pos:pos + m] if pos + m <= count else np.empty((m, 4), np.int32)
         block = dest.reshape(len(xp), len(x), 4)
@@ -359,11 +362,22 @@ def check_matching_conditions(h: TrailHypergraph, delta: float,
 
     # One key per (trail, arc pair) from the rows sorted within; a trail
     # holds an arc at most once, so a key's multiplicity is the pair's
-    # codegree.
-    rows = np.sort(h.rows, axis=1).astype(np.int64)
-    keys = np.concatenate([rows[:, j] * n + rows[:, k]
-                           for j in range(h.d) for k in range(j + 1, h.d)])
-    max_codeg = int(np.unique(keys, return_counts=True)[1].max()) if len(keys) else 0
+    # codegree. The keys fill one array, column pair by column pair, and
+    # once it is sorted the codegree is its longest run of equal keys:
+    # some key occurs more than c times exactly when keys[i] == keys[i + c]
+    # for some i.
+    rows = np.sort(h.rows, axis=1)
+    m = len(rows)
+    keys = np.empty(m * h.d * (h.d - 1) // 2, dtype=np.int64)
+    for s, (j, k) in enumerate(itertools.combinations(range(h.d), 2)):
+        seg = keys[s * m:(s + 1) * m]
+        np.multiply(rows[:, j], n, out=seg, dtype=np.int64)
+        seg += rows[:, k]
+    del rows
+    keys.sort()
+    max_codeg = 1 if len(keys) else 0
+    while max_codeg < len(keys) and (keys[max_codeg:] == keys[:-max_codeg]).any():
+        max_codeg += 1
 
     overfull = int(np.count_nonzero((degrees > hi)[h.rows].any(axis=1)))
     return ConditionReport(

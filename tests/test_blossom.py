@@ -7,7 +7,7 @@ from bigenus.bigraph import (BipartiteGraph, Digraph, complete_bipartite_graph,
                              cycle_graph)
 from bigenus.blossom import (assemble_rotation, find_blossoms,
                              make_blossom_free, tip_digraphs)
-from bigenus.embedding import sorted_rotation, trace_faces
+from bigenus.embedding import RotationSystem, sorted_rotation, trace_faces
 from bigenus.errors import InternalConsistencyError, ValidationError
 from bigenus.trails import ClosedTrail
 
@@ -191,3 +191,18 @@ def test_assemble_realizes_k33_pipeline():
         faces = trace_faces(g, rot).face_arcs()
         for t in surv:
             assert t.arcs in faces
+
+
+def test_assembled_darts_match_their_dict():
+    # the dart-successor rotation against the same orders held as a
+    # plain dict, which trace_faces validates and converts
+    rng = random.Random(33)
+    for _ in range(12):
+        n1 = rng.randint(3, 14)
+        g, fam = pipeline_family(n1, rng.randint(2, n1), rng.uniform(0.3, 1.0),
+                                 rng.randint(0, 9999))
+        surv, _removed = make_blossom_free(g, fam)
+        rot = assemble_rotation(g, surv)
+        plain = RotationSystem(dict(rot.order))
+        assert rot.order == plain.order
+        assert trace_faces(g, rot) == trace_faces(g, plain)

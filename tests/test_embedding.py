@@ -5,10 +5,12 @@ import pytest
 
 from bigenus.bigraph import (Graph, complete_bipartite_graph, complete_graph,
                              cycle_graph, path_graph)
+from bigenus.blossom import assemble_rotation
 from bigenus.embedding import (RotationSystem, connected_components,
                                face_length_histogram, genus_of_embedding,
                                rotation_to_text, sorted_rotation, trace_faces)
 from bigenus.errors import ValidationError
+from bigenus.trails import ClosedTrail
 
 from conftest import (component_euler_stats, faces_from_text, faces_to_text,
                       rand_graph, random_rotation, rotation_from_text)
@@ -117,3 +119,27 @@ def test_rotation_validation_with_isolated_vertices():
         RotationSystem({**good, 5: (0,)}).validate_for(g)
     with pytest.raises(ValidationError, match="rotation at 1 repeats"):
         RotationSystem({**good, 1: (0, 0)}).validate_for(g)
+
+
+def test_dart_rotation_on_another_graph_is_validated(monkeypatch):
+    # a rotation assembled for one graph object reads its own darts only
+    # for that object; on any other graph it goes through validate_for
+    g = complete_bipartite_graph(3, 3)
+    t = ClosedTrail.from_arcs([(0, 3), (3, 1), (1, 4), (4, 0)])
+    rot = assemble_rotation(g, [t])
+    validated = []
+    check = RotationSystem.validate_for
+
+    def spy(self, host):
+        validated.append(host)
+        check(self, host)
+
+    monkeypatch.setattr(RotationSystem, "validate_for", spy)
+    faces = trace_faces(g, rot)
+    assert validated == []
+    twin = complete_bipartite_graph(3, 3)
+    assert trace_faces(twin, rot) == faces
+    assert validated == [twin]
+    smaller = Graph(6, [e for e in g.edge_list if e != (2, 5)])
+    with pytest.raises(ValidationError, match="rotation at 2 does not match"):
+        trace_faces(smaller, rot)
