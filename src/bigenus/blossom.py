@@ -16,6 +16,7 @@ chain covers are the blossoms.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -168,20 +169,38 @@ def make_blossom_free(g, family: Sequence[ClosedTrail]
     Removing a trail only deletes auxiliary arcs, so it never creates a
     cycle and the survivors need no second detection. Returns the
     survivors in family order and the dropped trails in family order.
+
+    Each trail keeps its cycles and a count of the unbroken ones; a
+    broken cycle decrements its trails' counts once, and a heap with
+    stale entries skipped yields the next victim, so the loop costs
+    O(c log c) in the total size c of the cycles.
     """
     family = tuple(family)
     cycles = [frozenset(ti for (ti, _pj) in b.passages)
               for b in find_blossoms(g, family).blossoms]
+    cycles_of: dict[int, list[int]] = {}
+    for ci, cyc in enumerate(cycles):
+        for idx in cyc:
+            cycles_of.setdefault(idx, []).append(ci)
+    count = {idx: len(cis) for idx, cis in cycles_of.items()}
+    heap = [(-c, -idx) for idx, c in count.items()]
+    heapq.heapify(heap)
+    broken = bytearray(len(cycles))
     removed: set[int] = set()
-    unbroken = set(range(len(cycles)))
-    while unbroken:
-        count: dict[int, int] = {}
-        for ci in unbroken:
-            for idx in cycles[ci]:
-                count[idx] = count.get(idx, 0) + 1
-        victim = max(count, key=lambda idx: (count[idx], idx))
+    while heap:
+        neg_count, neg_idx = heapq.heappop(heap)
+        victim = -neg_idx
+        if count[victim] != -neg_count:
+            continue  # stale: the count fell after this entry was pushed
         removed.add(victim)
-        unbroken = {ci for ci in unbroken if victim not in cycles[ci]}
+        for ci in cycles_of[victim]:
+            if broken[ci]:
+                continue
+            broken[ci] = 1
+            for t in cycles[ci]:
+                count[t] -= 1
+                if count[t]:
+                    heapq.heappush(heap, (-count[t], -t))
     surviving = tuple(t for idx, t in enumerate(family) if idx not in removed)
     dropped = tuple(family[idx] for idx in sorted(removed))
     return surviving, dropped

@@ -399,18 +399,17 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
         lower = max(lower, refined_lower_bound(g, i))
 
     d = orient_randomly(g, cfg.seed)
-    h_fwd = build_trail_hypergraph(d, i, cfg.cap)
-    if h_fwd.truncated:
+    h = build_trail_hypergraph(d, i, cfg.cap)
+    if h.truncated:
         return GenusEstimate(n1, n2, p_eff, i, cfg.seed, n_edges, lower, None,
                              prediction, res.label(), None, None, None, None,
                              None, True)
 
-    m = find_matching(h_fwd, cfg.strategy, derive_int_seed(cfg.seed, STREAM_MATCH))
-    # The reversed digraph's family is the reverse of this one; derive it
-    # and drop the forward rows before the second matching.
-    h_rev = h_fwd.mirror()
-    del h_fwd
-    mm = find_disjoint_mirror_matching(h_rev, m.matching, cfg.strategy,
+    m = find_matching(h, cfg.strategy, derive_int_seed(cfg.seed, STREAM_MATCH))
+    # The reversed digraph's family is the reverse of this one; rewrite
+    # the rows into it in place for the second matching.
+    h.mirror()
+    mm = find_disjoint_mirror_matching(h, m.matching, cfg.strategy,
                                        derive_int_seed(cfg.seed, STREAM_MIRROR))
     family = list(m.matching) + list(mm.matching)
     surviving, removed = make_blossom_free(g, family)

@@ -16,7 +16,8 @@ tuples themselves because arc ids follow the sorted arc list.
 ClosedTrail is the boundary type: it is built for matched trails, for
 the text format, and on demand by the lazy views of a family. A trail
 and its reverse are distinct; the reverses are the family of the
-reversed digraph, derived from the rows by TrailHypergraph.mirror.
+reversed digraph, which TrailHypergraph.mirror writes over the rows in
+place.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ Arc = tuple[int, int]
 
 _DFS_WORK_LIMIT = 20_000_000
 # The i = 1 fast path refuses to hold more trails than this. An estimate
-# peaks near 60 bytes per trail (403 MB at 6.5M trails on G(240, 240,
-# 0.5)), so the limit stands for about 2 GB.
+# peaks near 36 bytes per trail (236 MB at 6.5M trails on G(240, 240,
+# 0.5)), so the limit stands for about 1.2 GB.
 MAX_TRAILS = 32_000_000
 
-# Rows re-rotated per numpy call; bounds the int64 index temporaries.
+# Rows rotated, packed or mirrored per numpy call; bounds the int64
+# index temporaries.
 _ROTATE_CHUNK = 1 << 16
 # Candidates screened per numpy call in the matching sweep.
 _SWEEP_CHUNK = 1024
@@ -92,17 +94,46 @@ class ClosedTrail:
         return f"ClosedTrail({inner})"
 
 
-def _canonical_sorted(rows: np.ndarray) -> np.ndarray:
-    """Rotate every row to start at its least arc id (in place), then
-    return the rows in lexicographic order."""
-    w = rows.shape[1]
+def _canonical_sort(rows: np.ndarray) -> None:
+    """Rotate every row to start at its least arc id, then sort the rows
+    lexicographically, both in place.
+
+    When every arc id fits in b bits and b times the row width is at
+    most 64, a row packs into one uint64 key whose order is the row
+    order: the keys are sorted in place and unpacked back into the rows,
+    8 bytes per row beside them. Wider rows are gathered one column at a
+    time through a lexsort permutation, which with its own buffers takes
+    about 20 bytes per row. Neither path copies the family.
+    """
+    m, w = rows.shape
     shift = np.arange(w)
-    for s in range(0, len(rows), _ROTATE_CHUNK):
+    for s in range(0, m, _ROTATE_CHUNK):
         block = rows[s:s + _ROTATE_CHUNK]
         k = block.argmin(axis=1)
         if k.any():
             block[...] = np.take_along_axis(block, (k[:, None] + shift) % w, axis=1)
-    return rows[np.lexsort(rows.T[::-1])]
+    if m < 2:
+        return
+    b = int(rows.max()).bit_length()
+    if b * w > 64:
+        perm = np.lexsort(rows.T[::-1])
+        for j in range(w):
+            rows[:, j] = rows[perm, j]
+        return
+    bits, mask = np.uint64(b), np.uint64((1 << b) - 1)
+    key = np.zeros(m, dtype=np.uint64)
+    for s in range(0, m, _ROTATE_CHUNK):
+        seg = key[s:s + _ROTATE_CHUNK]
+        for col in rows[s:s + _ROTATE_CHUNK].view(np.uint32).T:
+            seg <<= bits
+            seg |= col
+    key.sort()
+    for s in range(0, m, _ROTATE_CHUNK):
+        seg = key[s:s + _ROTATE_CHUNK]
+        block = rows[s:s + _ROTATE_CHUNK]
+        for j in range(w - 1, -1, -1):
+            block[:, j] = seg & mask
+            seg >>= bits
 
 
 def _underlying(d: Digraph):
@@ -150,7 +181,7 @@ def _enumerate_quads_bipartite(d: Digraph, coloring, cap: int | None):
     count = cap if truncated else total
     if count > MAX_TRAILS:
         raise GuardError(f"{count} closed 4-trails exceed the limit of {MAX_TRAILS} "
-                         f"(about 60 bytes each); pass a cap")
+                         f"(about 36 bytes each); pass a cap")
     rows = np.empty((count, 4), dtype=np.int32)
     n = d.n
     nbytes = (n + 7) // 8
@@ -271,21 +302,30 @@ class TrailHypergraph:
         j = bisect_left(range(len(rows)), row, key=lambda r: rows[r].tolist())
         return j if j < len(rows) and rows[j].tolist() == row else None
 
-    def mirror(self) -> "TrailHypergraph":
-        """The family of the reversed digraph, without enumerating it:
-        each row reversed, its arc ids mapped to the ranks of the
-        reversed arcs, then re-canonicalised and re-sorted. Reversal is
-        a bijection between the closed trails of D and of its reverse,
-        so an untruncated family mirrors to exactly what enumerating
-        the reversed digraph gives. A truncated family stays truncated
-        (its mirror is the reverse of the prefix)."""
+    def mirror(self) -> None:
+        """Turn this family into the family of the reversed digraph, in
+        place and without enumerating it: each row reversed, its arc ids
+        mapped to the ranks of the reversed arcs, then re-canonicalised
+        and re-sorted. Reversal is a bijection between the closed trails
+        of D and of its reverse, so an untruncated family mirrors to
+        exactly what enumerating the reversed digraph gives. A truncated
+        family stays truncated (its mirror is the reverse of the prefix).
+
+        Returns None, like list.sort, and drops the cached views; the
+        rows array is rewritten in place, so a caller holding it sees
+        the mirrored rows."""
         ends = np.array(self.arcs, dtype=np.int64).reshape(-1, 2)
         order = np.lexsort((ends[:, 0], ends[:, 1]))
         rank = np.empty(len(order), dtype=np.int32)
         rank[order] = np.arange(len(order), dtype=np.int32)
-        rev_arcs = tuple((h, t) for t, h in ends[order].tolist())
-        rows = _canonical_sorted(rank[self.rows[:, ::-1]])
-        return TrailHypergraph(rev_arcs, rows, self.truncated)
+        self.arcs = tuple((h, t) for t, h in ends[order].tolist())
+        rows = self.rows
+        for s in range(0, len(rows), _ROTATE_CHUNK):
+            block = rows[s:s + _ROTATE_CHUNK]
+            block[...] = rank[block[:, ::-1]]
+        _canonical_sort(rows)
+        for view in ("trails", "degree", "incidence"):
+            self.__dict__.pop(view, None)
 
     def degree_array(self) -> np.ndarray:
         """Hyperedge count per arc id."""
@@ -321,9 +361,10 @@ def build_trail_hypergraph(d: Digraph, i: int, cap: int | None = None) -> TrailH
     coloring = two_coloring(_underlying(d)) if i == 1 else None
     if coloring is not None and d.is_orientation():
         rows, truncated = _enumerate_quads_bipartite(d, coloring, cap)
+        _canonical_sort(rows)
     else:
         rows, truncated = _enumerate_trails_dfs(d, 2 * i + 2, cap)
-    return TrailHypergraph(d.arc_list, _canonical_sorted(rows), truncated)
+    return TrailHypergraph(d.arc_list, rows, truncated)
 
 
 @dataclass(frozen=True)
@@ -443,7 +484,8 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
         k = h.index(t)
         if k is not None:
             keep[k] = False
-    candidates = array("i", np.flatnonzero(keep).astype(np.int32).tobytes())
+    candidates = array("i")
+    candidates.frombytes(np.arange(h.n_hyperedges, dtype=np.int32)[keep].view(np.uint8))
     w = h.d
     rows = h.rows
     flat = memoryview(np.ascontiguousarray(rows, dtype=np.int32).ravel())
@@ -502,8 +544,8 @@ def find_disjoint_mirror_matching(h_rev: TrailHypergraph, m: Sequence[ClosedTrai
                                   ) -> MatchingReport:
     """Matching in the reversed-digraph hypergraph avoiding the reverses
     of the given matching, so no prescribed face appears twice with
-    opposite senses. h_rev is typically h.mirror() of the hypergraph m
-    was matched in."""
+    opposite senses. h_rev is typically the hypergraph m was matched
+    in, after its mirror()."""
     mirror = [t.reverse() for t in m]
     return find_matching(h_rev, strategy=strategy, seed=seed, exclude=mirror)
 

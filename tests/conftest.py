@@ -11,6 +11,7 @@ import random
 
 from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
                              gen_random_bipartite, orient_randomly)
+from bigenus.blossom import find_blossoms
 from bigenus.embedding import (FaceSet, RotationSystem, connected_components,
                                genus_of_embedding, trace_faces)
 from bigenus.errors import ValidationError
@@ -128,6 +129,28 @@ def pipeline_family(n1: int, n2: int, p: float, seed: int, i: int = 1,
     m = find_matching(h, strategy, seed).matching
     m2 = find_disjoint_mirror_matching(h_rev, m, strategy, seed).matching
     return g, list(m) + list(m2)
+
+
+def reference_blossom_free(g, family):
+    """make_blossom_free by its definition: after each removal recount,
+    over the still-unbroken cycles, how many each trail sits on, and
+    drop the trail with the most (ties to the later trail)."""
+    family = tuple(family)
+    cycles = [frozenset(ti for (ti, _pj) in b.passages)
+              for b in find_blossoms(g, family).blossoms]
+    removed = set()
+    unbroken = set(range(len(cycles)))
+    while unbroken:
+        count = {}
+        for ci in unbroken:
+            for idx in cycles[ci]:
+                count[idx] = count.get(idx, 0) + 1
+        victim = max(count, key=lambda idx: (count[idx], idx))
+        removed.add(victim)
+        unbroken = {ci for ci in unbroken if victim not in cycles[ci]}
+    surviving = tuple(t for idx, t in enumerate(family) if idx not in removed)
+    dropped = tuple(family[idx] for idx in sorted(removed))
+    return surviving, dropped
 
 
 def reference_greedy(trails, seed: int, exclude=()):

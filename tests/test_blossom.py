@@ -11,7 +11,7 @@ from bigenus.embedding import RotationSystem, sorted_rotation, trace_faces
 from bigenus.errors import InternalConsistencyError, ValidationError
 from bigenus.trails import ClosedTrail
 
-from conftest import pipeline_family
+from conftest import pipeline_family, reference_blossom_free
 
 
 def _quad(*arcs):
@@ -158,6 +158,22 @@ def test_make_blossom_free_pipeline():
     assert find_blossoms(g, surv).is_blossom_free
     assert len(removed) / len(fam) < 0.12
     assert [t for t in fam if t in set(surv)] == list(surv)  # order kept
+
+
+def test_make_blossom_free_matches_reference():
+    # the heap-driven hitting set against the recount-every-round loop
+    rng = random.Random(41)
+    with_removals = 0
+    for i in (1, 2):
+        for strategy in ("greedy", "nibble"):
+            for _ in range(25):
+                n1 = rng.randint(5, 16)
+                g, fam = pipeline_family(n1, rng.randint(3, n1), rng.uniform(0.3, 1.0),
+                                         rng.randint(0, 9999), i, strategy)
+                got = make_blossom_free(g, fam)
+                assert got == reference_blossom_free(g, fam)
+                with_removals += len(got[1]) > 0
+    assert with_removals >= 60
 
 
 def test_assemble_single_trail_c4():

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,8 @@ from bigenus.bigraph import (Digraph, GenParams, complete_bipartite_graph,
 from bigenus.cli import main
 from bigenus.errors import GuardError, ValidationError
 from bigenus.estimator import PipelineConfig, estimate_genus
-from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
+from bigenus.trails import (ClosedTrail, _canonical_sort, _enumerate_trails_dfs,
+                            build_trail_hypergraph,
                             check_matching_conditions,
                             count_short_closed_trails,
                             find_disjoint_mirror_matching, find_matching,
@@ -61,8 +63,6 @@ def test_enumerate_cap():
 
 def test_fast_path_matches_dfs():
     # the pair-intersection shortcut for i=1 against the generic search
-    from bigenus.trails import _enumerate_trails_dfs
-
     rng = random.Random(8)
     for _ in range(30):
         a, b = rng.randint(3, 8), rng.randint(3, 8)
@@ -101,17 +101,26 @@ def test_mirror_equals_reversed_enumeration():
     dfs_i1_trails = 0
     for d in _identity_digraphs(31):
         for i in (1, 2):
-            fwd = build_trail_hypergraph(d, i)
+            h = build_trail_hypergraph(d, i)
             if i == 1 and not d.is_orientation():
-                dfs_i1_trails += fwd.n_hyperedges
-            mirrored = fwd.mirror()
+                dfs_i1_trails += h.n_hyperedges
+            fwd_arcs, fwd_rows, fwd_trails = h.arcs, h.rows.copy(), h.trails
+            fwd_degree, fwd_incidence = h.degree, h.incidence
+            assert h.mirror() is None
             direct = build_trail_hypergraph(d.reverse(), i)
-            assert mirrored.arcs == direct.arcs
-            assert mirrored.rows.dtype == direct.rows.dtype
-            assert np.array_equal(mirrored.rows, direct.rows)
-            assert mirrored.trails == tuple(sorted((t.reverse() for t in fwd.trails),
-                                                   key=lambda t: t.arcs))
-            assert mirrored.mirror().trails == fwd.trails
+            assert h.arcs == direct.arcs
+            assert h.rows.dtype == direct.rows.dtype
+            assert np.array_equal(h.rows, direct.rows)
+            # views read before mirroring are rebuilt, not stale
+            assert h.trails == tuple(sorted((t.reverse() for t in fwd_trails),
+                                            key=lambda t: t.arcs))
+            assert h.degree == direct.degree
+            assert h.incidence == direct.incidence
+            h.mirror()
+            assert h.arcs == fwd_arcs
+            assert np.array_equal(h.rows, fwd_rows)
+            assert h.trails == fwd_trails
+            assert (h.degree, h.incidence) == (fwd_degree, fwd_incidence)
     assert dfs_i1_trails > 0
 
 
@@ -123,11 +132,63 @@ def test_array_greedy_matches_set_reference():
             seed = rng.randint(0, 999)
             m = find_matching(h, "greedy", seed)
             assert m.matching == reference_greedy(h.trails, seed)
-            h_rev = h.mirror()
-            mm = find_disjoint_mirror_matching(h_rev, m.matching, "greedy", seed + 1)
+            h.mirror()
+            mm = find_disjoint_mirror_matching(h, m.matching, "greedy", seed + 1)
             reverses = {t.reverse() for t in m.matching}
-            assert mm.matching == reference_greedy(h_rev.trails, seed + 1, reverses)
+            assert mm.matching == reference_greedy(h.trails, seed + 1, reverses)
             assert mm.excluded == len(m.matching)
+
+
+def test_dfs_rows_are_canonically_sorted():
+    # build_trail_hypergraph sorts only the rows of the i = 1 fast path
+    rows_seen = 0
+    for d in _identity_digraphs(7):
+        for length in (4, 6):
+            full, _ = _enumerate_trails_dfs(d, length, None)
+            for cap in (None, len(full) // 2):
+                rows, _ = _enumerate_trails_dfs(d, length, cap)
+                again = rows.copy()
+                _canonical_sort(again)
+                assert np.array_equal(rows, again)
+                rows_seen += len(rows)
+    assert rows_seen > 0
+
+
+@pytest.mark.parametrize("w, top", [(4, 1 << 16), (4, 1 << 17), (6, 1 << 10),
+                                    (6, 1 << 11), (2, (1 << 31) - 1)])
+def test_canonical_sort_packed_and_gathered(monkeypatch, w, top):
+    # ids of at most 64 // w bits pack into one uint64 key per row; wider
+    # ones take the lexsort gather; a small chunk crosses chunk borders
+    monkeypatch.setattr(trails, "_ROTATE_CHUNK", 7)
+    rng = np.random.default_rng(w * top)
+    rows = np.array([rng.choice(top, w, replace=False) for _ in range(300)],
+                    dtype=np.int32)
+    rows[0] = np.arange(top - w, top)
+    rows = np.concatenate([rows, rows[::3]])
+
+    def canonical(r):
+        k = r.index(min(r))
+        return r[k:] + r[:k]
+
+    expect = sorted(canonical(r) for r in rows.tolist())
+    _canonical_sort(rows)
+    assert rows.tolist() == expect
+
+
+def test_trail_family_peak_memory():
+    # enumeration and mirror hold the rows plus at most one 8-byte sort
+    # key per row and chunk-sized temporaries, never a second family
+    d = orient_randomly(gen_random_bipartite(GenParams(120, 120, 0.5, seed=0)), 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        h = build_trail_hypergraph(d, 1)
+        h.mirror()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert h.n_hyperedges == 393_537
+    assert peak < 2 * h.rows.nbytes
 
 
 def test_enumerate_general_digraph():
