@@ -22,8 +22,8 @@ from .bigraph import (MAX_SMALL_PART, STREAM_MATCH, STREAM_MIRROR,
 from .blossom import assemble_rotation, make_blossom_free
 from .embedding import face_length_histogram, genus_from_faces, trace_faces
 from .errors import GuardError, InternalConsistencyError, ValidationError
-from .trails import STRATEGIES, build_trail_hypergraph, count_short_closed_trails, \
-    find_disjoint_mirror_matching, find_matching
+from .trails import STRATEGIES, MatchingReport, build_trail_hypergraph, \
+    count_short_closed_trails, find_disjoint_mirror_matching, find_matching
 
 if TYPE_CHECKING:
     from .oracle import SearchBudget
@@ -370,6 +370,25 @@ def prediction_for(res: RegimeResult, n1: int, n2: int, p: float, i_req: int) ->
     return 0.0  # small-part-c
 
 
+def _trail_matchings(g, i: int, cfg: PipelineConfig
+                     ) -> tuple[MatchingReport, MatchingReport] | None:
+    """Orient g, enumerate its closed (2i+2)-trails, and draw the
+    matching and the disjoint mirror matching; None when the cap
+    truncated the family. The digraph and the trail family, the largest
+    objects of an estimate, are unreachable once this returns."""
+    d = orient_randomly(g, cfg.seed)
+    h = build_trail_hypergraph(d, i, cfg.cap)
+    if h.truncated:
+        return None
+    m = find_matching(h, cfg.strategy, derive_int_seed(cfg.seed, STREAM_MATCH))
+    # The reversed digraph's family is the reverse of this one; rewrite
+    # the rows into it in place for the second matching.
+    h.mirror()
+    mm = find_disjoint_mirror_matching(h, m.matching, cfg.strategy,
+                                       derive_int_seed(cfg.seed, STREAM_MIRROR))
+    return m, mm
+
+
 def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEstimate:
     """Run the embedding pipeline on g and bracket its genus.
 
@@ -398,19 +417,12 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
     if bip and i >= 2:  # at i = 1 the refined bound is the Euler bound above
         lower = max(lower, refined_lower_bound(g, i))
 
-    d = orient_randomly(g, cfg.seed)
-    h = build_trail_hypergraph(d, i, cfg.cap)
-    if h.truncated:
+    matchings = _trail_matchings(g, i, cfg)
+    if matchings is None:
         return GenusEstimate(n1, n2, p_eff, i, cfg.seed, n_edges, lower, None,
                              prediction, res.label(), None, None, None, None,
                              None, True)
-
-    m = find_matching(h, cfg.strategy, derive_int_seed(cfg.seed, STREAM_MATCH))
-    # The reversed digraph's family is the reverse of this one; rewrite
-    # the rows into it in place for the second matching.
-    h.mirror()
-    mm = find_disjoint_mirror_matching(h, m.matching, cfg.strategy,
-                                       derive_int_seed(cfg.seed, STREAM_MIRROR))
+    m, mm = matchings
     family = list(m.matching) + list(mm.matching)
     surviving, removed = make_blossom_free(g, family)
     rot = assemble_rotation(g, surviving)

@@ -7,8 +7,10 @@ arc-disjoint trails that the blossom module turns into prescribed faces
 of an embedding.
 
 The pipeline uses H only through its incidence structure, so a family
-of trails is held as rows: one int32 numpy array with a row per trail
-and 2i+2 columns of arc ids, where arc id k stands for d.arc_list[k].
+of trails is held as rows: one numpy array with a row per trail and
+2i+2 columns of arc ids, where arc id k stands for d.arc_list[k]. The
+ids are uint16 when D has at most 65,536 arcs and int32 otherwise (see
+_row_dtype), so a row takes 2(2i+2) or 4(2i+2) bytes.
 Each row is in canonical rotation (it starts at its least arc id) and
 the rows are sorted lexicographically, which is the order of the arc
 tuples themselves because arc ids follow the sorted arc list.
@@ -39,13 +41,15 @@ Arc = tuple[int, int]
 
 _DFS_WORK_LIMIT = 20_000_000
 # The i = 1 fast path refuses to hold more trails than this. An estimate
-# peaks near 36 bytes per trail (236 MB at 6.5M trails on G(240, 240,
-# 0.5)), so the limit stands for about 1.2 GB.
+# peaks near 21 bytes per trail with 16-bit arc ids and 29 with 32-bit
+# ones (peak RSS over 6.5M trails on G(240, 240, 0.5)), so the limit
+# stands for about 0.7 GB, or 0.9 GB past 65,536 arcs.
 MAX_TRAILS = 32_000_000
 
-# Rows rotated, packed or mirrored per numpy call; bounds the int64
-# index temporaries.
-_ROTATE_CHUNK = 1 << 16
+# Rows rotated, packed, unpacked, mirrored or screened per numpy call.
+# The int64 index temporaries of a chunk take 8·w bytes per row, 256 KiB
+# at w = 4.
+_ROTATE_CHUNK = 1 << 13
 # Candidates screened per numpy call in the matching sweep.
 _SWEEP_CHUNK = 1024
 # Nibble bite: a round draws each live hyperedge with probability
@@ -94,16 +98,26 @@ class ClosedTrail:
         return f"ClosedTrail({inner})"
 
 
+def _row_dtype(n_arcs: int) -> np.dtype:
+    """The dtype of the rows of a family over n_arcs arcs: uint16 while
+    every arc id fits 16 bits, int32 beyond."""
+    return np.dtype(np.uint16 if n_arcs <= 1 << 16 else np.int32)
+
+
 def _canonical_sort(rows: np.ndarray) -> None:
-    """Rotate every row to start at its least arc id, then sort the rows
-    lexicographically, both in place.
+    """Rotate every row of the C-contiguous rows to start at its least
+    arc id, then sort the rows lexicographically, both in place.
 
     When every arc id fits in b bits and b times the row width is at
     most 64, a row packs into one uint64 key whose order is the row
-    order: the keys are sorted in place and unpacked back into the rows,
-    8 bytes per row beside them. Wider rows are gathered one column at a
-    time through a lexsort permutation, which with its own buffers takes
-    about 20 bytes per row. Neither path copies the family.
+    order. A row holds at least 8 bytes (w >= 4 ids of at least 2
+    bytes), so key j is kept in bytes [8j, 8j + 8) of the rows' own
+    buffer, which belong to rows 0..j only: keys are packed forward one
+    chunk at a time, each chunk read before its keys are written, sorted
+    in place, and unpacked backward, one copied chunk of keys at a time.
+    Wider rows are gathered one column at a time through a lexsort
+    permutation, which with its own buffers takes about 20 bytes per
+    row. Neither path copies the family.
     """
     m, w = rows.shape
     shift = np.arange(w)
@@ -111,7 +125,9 @@ def _canonical_sort(rows: np.ndarray) -> None:
         block = rows[s:s + _ROTATE_CHUNK]
         k = block.argmin(axis=1)
         if k.any():
-            block[...] = np.take_along_axis(block, (k[:, None] + shift) % w, axis=1)
+            k = k[:, None] + shift
+            k %= w
+            block[...] = np.take_along_axis(block, k, axis=1)
     if m < 2:
         return
     b = int(rows.max()).bit_length()
@@ -121,15 +137,18 @@ def _canonical_sort(rows: np.ndarray) -> None:
             rows[:, j] = rows[perm, j]
         return
     bits, mask = np.uint64(b), np.uint64((1 << b) - 1)
-    key = np.zeros(m, dtype=np.uint64)
+    ids = rows.view(f"u{rows.itemsize}")
+    key = np.frombuffer(rows, np.uint64, m)
     for s in range(0, m, _ROTATE_CHUNK):
-        seg = key[s:s + _ROTATE_CHUNK]
-        for col in rows[s:s + _ROTATE_CHUNK].view(np.uint32).T:
+        block = ids[s:s + _ROTATE_CHUNK]
+        seg = np.zeros(len(block), dtype=np.uint64)
+        for col in block.T:
             seg <<= bits
             seg |= col
+        key[s:s + len(block)] = seg
     key.sort()
-    for s in range(0, m, _ROTATE_CHUNK):
-        seg = key[s:s + _ROTATE_CHUNK]
+    for s in range((m - 1) // _ROTATE_CHUNK * _ROTATE_CHUNK, -1, -_ROTATE_CHUNK):
+        seg = key[s:s + _ROTATE_CHUNK].copy()
         block = rows[s:s + _ROTATE_CHUNK]
         for j in range(w - 1, -1, -1):
             block[:, j] = seg & mask
@@ -181,8 +200,9 @@ def _enumerate_quads_bipartite(d: Digraph, coloring, cap: int | None):
     count = cap if truncated else total
     if count > MAX_TRAILS:
         raise GuardError(f"{count} closed 4-trails exceed the limit of {MAX_TRAILS} "
-                         f"(about 36 bytes each); pass a cap")
-    rows = np.empty((count, 4), dtype=np.int32)
+                         f"(about 21 bytes each, 29 past 65,536 arcs); pass a cap")
+    dtype = _row_dtype(len(d.arc_list))
+    rows = np.empty((count, 4), dtype=dtype)
     n = d.n
     nbytes = (n + 7) // 8
     keys = np.array([t * n + h for (t, h) in d.arc_list], dtype=np.int64)
@@ -195,7 +215,7 @@ def _enumerate_quads_bipartite(d: Digraph, coloring, cap: int | None):
         xp = _bit_positions(out[y] & inn[y2], nbytes)
         x = _bit_positions(out[y2] & inn[y], nbytes)
         m = len(xp) * len(x)
-        dest = rows[pos:pos + m] if pos + m <= count else np.empty((m, 4), np.int32)
+        dest = rows[pos:pos + m] if pos + m <= count else np.empty((m, 4), dtype)
         block = dest.reshape(len(xp), len(x), 4)
         block[:, :, 0] = np.searchsorted(keys, x * n + y)
         block[:, :, 1] = np.searchsorted(keys, y * n + xp)[:, None]
@@ -217,7 +237,8 @@ def _enumerate_trails_dfs(d: Digraph, length: int, cap: int | None):
     out_ids: dict[int, list[int]] = {}
     for k, (t, _h) in enumerate(arcs):
         out_ids.setdefault(t, []).append(k)
-    found = array("i")
+    dtype = _row_dtype(len(arcs))
+    found = array(dtype.char)
     used = bytearray(len(arcs))
     path: list[int] = []
     truncated = False
@@ -246,7 +267,7 @@ def _enumerate_trails_dfs(d: Digraph, length: int, cap: int | None):
         path[:] = [a0]
         if rec(first, start, a0):
             break
-    rows = np.array(found, dtype=np.int32).reshape(-1, length)
+    rows = np.frombuffer(found, dtype).reshape(-1, length)
     return rows, truncated
 
 
@@ -316,10 +337,10 @@ class TrailHypergraph:
         the mirrored rows."""
         ends = np.array(self.arcs, dtype=np.int64).reshape(-1, 2)
         order = np.lexsort((ends[:, 0], ends[:, 1]))
-        rank = np.empty(len(order), dtype=np.int32)
-        rank[order] = np.arange(len(order), dtype=np.int32)
-        self.arcs = tuple((h, t) for t, h in ends[order].tolist())
         rows = self.rows
+        rank = np.empty(len(order), dtype=rows.dtype)
+        rank[order] = np.arange(len(order), dtype=rows.dtype)
+        self.arcs = tuple(zip(*ends[order, ::-1].T.tolist()))
         for s in range(0, len(rows), _ROTATE_CHUNK):
             block = rows[s:s + _ROTATE_CHUNK]
             block[...] = rank[block[:, ::-1]]
@@ -484,11 +505,17 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
         k = h.index(t)
         if k is not None:
             keep[k] = False
-    candidates = array("i")
-    candidates.frombytes(np.arange(h.n_hyperedges, dtype=np.int32)[keep].view(np.uint8))
+    candidates = array("i", [0]) * int(np.count_nonzero(keep))
+    fill = np.frombuffer(candidates, dtype=np.int32)
+    pos = 0
+    for s in range(0, len(keep), _ROTATE_CHUNK):
+        idx = np.flatnonzero(keep[s:s + _ROTATE_CHUNK])
+        fill[pos:pos + len(idx)] = idx + s
+        pos += len(idx)
+    del keep, fill
     w = h.d
     rows = h.rows
-    flat = memoryview(np.ascontiguousarray(rows, dtype=np.int32).ravel())
+    flat = memoryview(rows.ravel())
     used = bytearray(h.n_arcs)
     used_np = np.frombuffer(used, dtype=np.uint8)
     is_used = used.__getitem__

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from bigenus import trails
-from bigenus.bigraph import (Digraph, GenParams, complete_bipartite_graph,
-                             gen_random_bipartite, orient_randomly)
+from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams,
+                             complete_bipartite_graph, gen_random_bipartite,
+                             orient_randomly)
 from bigenus.cli import main
 from bigenus.errors import GuardError, ValidationError
 from bigenus.estimator import PipelineConfig, estimate_genus
@@ -154,15 +155,20 @@ def test_dfs_rows_are_canonically_sorted():
     assert rows_seen > 0
 
 
-@pytest.mark.parametrize("w, top", [(4, 1 << 16), (4, 1 << 17), (6, 1 << 10),
-                                    (6, 1 << 11), (2, (1 << 31) - 1)])
-def test_canonical_sort_packed_and_gathered(monkeypatch, w, top):
-    # ids of at most 64 // w bits pack into one uint64 key per row; wider
-    # ones take the lexsort gather; a small chunk crosses chunk borders
+@pytest.mark.parametrize("w, top, dtype", [
+    *(pytest.param(w, top, np.int32, id=f"{w}-{top}") for w, top in
+      [(4, 1 << 16), (4, 1 << 17), (6, 1 << 10), (6, 1 << 11), (2, (1 << 31) - 1)]),
+    *(pytest.param(w, top, np.uint16, id=f"{w}-{top}-uint16") for w, top in
+      [(4, 1 << 16), (6, 1 << 10), (6, 1 << 11)])])
+def test_canonical_sort_packed_and_gathered(monkeypatch, w, top, dtype):
+    # ids of at most 64 // w bits pack into one uint64 key per row, kept
+    # in the rows' own buffer (a 12-byte uint16 row at w = 6 holds its
+    # 8-byte key with overlap); wider ones take the lexsort gather; a
+    # small chunk crosses chunk borders
     monkeypatch.setattr(trails, "_ROTATE_CHUNK", 7)
     rng = np.random.default_rng(w * top)
     rows = np.array([rng.choice(top, w, replace=False) for _ in range(300)],
-                    dtype=np.int32)
+                    dtype=dtype)
     rows[0] = np.arange(top - w, top)
     rows = np.concatenate([rows, rows[::3]])
 
@@ -176,8 +182,8 @@ def test_canonical_sort_packed_and_gathered(monkeypatch, w, top):
 
 
 def test_trail_family_peak_memory():
-    # enumeration and mirror hold the rows plus at most one 8-byte sort
-    # key per row and chunk-sized temporaries, never a second family
+    # enumeration and mirror hold the uint16 rows, which carry their own
+    # sort keys, plus chunk-sized temporaries and the mirrored arc list
     d = orient_randomly(gen_random_bipartite(GenParams(120, 120, 0.5, seed=0)), 0)
     tracemalloc.start()
     try:
@@ -188,7 +194,43 @@ def test_trail_family_peak_memory():
     finally:
         tracemalloc.stop()
     assert h.n_hyperedges == 393_537
-    assert peak < 2 * h.rows.nbytes
+    assert h.rows.dtype == np.uint16
+    assert peak < 1.5 * h.rows.nbytes
+
+
+def _star_plus_k34(n_arcs: int):
+    """A digraph with n_arcs arcs, and its oriented K_{3,4} on x0..x2
+    and y0..y3 alone. Every other x has one arc into y0, which no closed
+    trail can use, so both have the same closed trails."""
+    n1 = n_arcs - 9
+    # K_{3,4} numbers y0..y3 as 3..6; this orientation has six closed
+    # 4-trails and four closed 6-trails
+    k34 = [tuple(v if v < 3 else v - 3 + n1 for v in arc)
+           for arc in orient_randomly(complete_bipartite_graph(3, 4), 0).arc_list]
+    star = [(x, n1) for x in range(3, n1)]
+    return Digraph(n1 + 4, k34 + star), Digraph(n1 + 4, k34)
+
+
+def test_row_dtype_follows_arc_count():
+    # arc ids are 16-bit up to 65,536 arcs and 32-bit past it; both
+    # enumerators, mirror and matching give the same trails either way
+    for n_arcs, dtype in ((1 << 16, np.uint16), ((1 << 16) + 1, np.int32)):
+        d, k34 = _star_plus_k34(n_arcs)
+        assert len(d.arc_list) == n_arcs
+        for i in (1, 2):
+            h, small = build_trail_hypergraph(d, i), build_trail_hypergraph(k34, i)
+            assert (h.rows.dtype, small.rows.dtype) == (dtype, np.uint16)
+            assert h.n_hyperedges > 0
+            for _ in range(2):
+                assert h.trails == small.trails
+                assert (find_matching(h, "greedy", 5).matching
+                        == find_matching(small, "greedy", 5).matching)
+                h.mirror()
+                small.mirror()
+    # d is now the int32 digraph; estimate on its underlying graph
+    g = BipartiteGraph(d.n - 4, 4, [(min(a), max(a)) for a in d.arc_list])
+    est = estimate_genus(g, 1)
+    assert est.lower <= est.upper
 
 
 def test_enumerate_general_digraph():
