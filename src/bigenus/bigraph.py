@@ -161,8 +161,7 @@ class Digraph:
     """Directed graph; when built by orient_randomly it is an orientation,
     meaning at most one of (u,v), (v,u) is present."""
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]],
-                 source: BipartiteGraph | None = None):
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         self.n = n
         seen = set()
         norm = []
@@ -178,7 +177,6 @@ class Digraph:
         norm.sort()
         self.arc_list: tuple[tuple[int, int], ...] = tuple(norm)
         self.arc_set = frozenset(norm)
-        self.source = source
 
     @property
     def n_vertices(self) -> int:
@@ -192,10 +190,7 @@ class Digraph:
         return all((h, t) not in self.arc_set for (t, h) in self.arc_list)
 
     def reverse(self) -> "Digraph":
-        return Digraph(self.n, [(h, t) for (t, h) in self.arc_list], source=self.source)
-
-    def underlying_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted((t, h) if t < h else (h, t) for (t, h) in self.arc_list))
+        return Digraph(self.n, [(h, t) for (t, h) in self.arc_list])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -295,8 +290,7 @@ def orient_randomly(g, seed: int) -> Digraph:
     arcs = []
     for k, (a, b) in enumerate(edges):
         arcs.append((a, b) if u[k] < 0.5 else (b, a))
-    src = g if isinstance(g, BipartiteGraph) else None
-    return Digraph(g.n_vertices, arcs, source=src)
+    return Digraph(g.n_vertices, arcs)
 
 
 def degree_class_partition(g: BipartiteGraph) -> dict[frozenset[int], list[int]]:

@@ -15,6 +15,13 @@ Each row is in canonical rotation (it starts at its least arc id) and
 the rows are sorted lexicographically, which is the order of the arc
 tuples themselves because arc ids follow the sorted arc list.
 
+One enumerator serves every length and every digraph (orientations,
+anti-parallel arcs, the symmetric digraphs of the short-trail counts):
+each trail is cut at its least arc into two halves of i+1 arcs, and the
+halves are joined on their end vertices (_trail_blocks). Its rows come
+out canonical and in order, so a capped family is the first `cap` rows
+in canonical order.
+
 ClosedTrail is the boundary type: it is built for matched trails, for
 the text format, and on demand by the lazy views of a family. A trail
 and its reverse are distinct; the reverses are the family of the
@@ -34,18 +41,26 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, Digraph, Graph, two_coloring
+from .bigraph import BipartiteGraph, Digraph
 from .errors import GuardError, ValidationError
 
 Arc = tuple[int, int]
 
-_DFS_WORK_LIMIT = 20_000_000
-# The i = 1 fast path refuses to hold more trails than this. An estimate
+_COUNT_WORK_LIMIT = 20_000_000
+# Trail enumeration refuses to hold more trails than this. An estimate
 # peaks near 21 bytes per trail with 16-bit arc ids and 29 with 32-bit
 # ones (peak RSS over 6.5M trails on G(240, 240, 0.5)), so the limit
 # stands for about 0.7 GB, or 0.9 GB past 65,536 arcs.
 MAX_TRAILS = 32_000_000
 
+# Half trails per chunk of start vertices, and candidate rows per join,
+# in the trail enumeration. On G(120, 120, 0.5) a chunk's temporaries
+# peak near 0.65 MiB traced.
+_TRAIL_CHUNK = 1 << 12
+# Rounds of dead-arc pruning before the join. Random orientations reach
+# the fixed point in 1-3 rounds; the bound keeps a long dead chain, which
+# loses two arcs a round, from costing quadratic time.
+_PRUNE_ROUNDS = 8
 # Rows rotated, packed, unpacked, mirrored or screened per numpy call.
 # The int64 index temporaries of a chunk take 8·w bytes per row, 256 KiB
 # at w = 4.
@@ -155,120 +170,88 @@ def _canonical_sort(rows: np.ndarray) -> None:
             seg >>= bits
 
 
-def _underlying(d: Digraph):
-    if d.source is not None:
-        return d.source
-    # Anti-parallel arc pairs collapse to one undirected edge.
-    return Graph(d.n, set(d.underlying_edges()))
+def _runs(sizes: np.ndarray, budget: int):
+    """Consecutive (start, stop) runs of indices whose sizes add up to at
+    most budget, or one index when it alone is larger."""
+    cum = np.concatenate(([0], np.cumsum(sizes)))
+    s = 0
+    while s < len(sizes):
+        e = max(s + 1, int(np.searchsorted(cum, cum[s] + budget, "right")) - 1)
+        yield s, e
+        s = e
 
 
-def _bit_positions(mask: int, nbytes: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(mask.to_bytes(nbytes, "little"), np.uint8),
-                         bitorder="little")
-    return np.flatnonzero(bits)
+def _extend(walks: np.ndarray, v: np.ndarray, off: np.ndarray, order=None):
+    """Each walk once per arc order[off[v] : off[v + 1]] at its vertex v,
+    in walk order, then arc order: (the repeated walks, the arcs)."""
+    cnt = off[v + 1] - off[v]
+    rep = np.repeat(np.arange(len(walks)), cnt)
+    arcs = off[v][rep] + np.arange(len(rep)) - (np.cumsum(cnt) - cnt)[rep]
+    return walks[rep], arcs if order is None else order[arcs]
 
 
-def _enumerate_quads_bipartite(d: Digraph, coloring, cap: int | None):
-    """Rows (x->y, y->x', x'->y', y'->x) for y < y' in the smaller
-    color class, in the order pair, then x', then x. The bitmasks are
-    built here for the smaller class only, from the arc list. The rows
-    are counted exactly first, and more than MAX_TRAILS of them are
-    refused with GuardError before anything is allocated."""
-    side0, side1 = coloring
-    small = side0 if len(side0) <= len(side1) else side1
-    out = dict.fromkeys(small, 0)
-    inn = dict.fromkeys(small, 0)
-    for (t, h) in d.arc_list:
-        if t in out:
-            out[t] |= 1 << h
-        else:
-            inn[h] |= 1 << t
-    pairs = []
-    total = 0
-    for ai, y in enumerate(small):
-        out_y, in_y = out[y], inn[y]
-        for y2 in small[ai + 1:]:
-            fwd = out_y & inn[y2]    # x' with y -> x' -> y2
-            if not fwd:
-                continue
-            bwd = out[y2] & in_y     # x with y2 -> x -> y
-            if not bwd:
-                continue
-            pairs.append((y, y2))
-            total += fwd.bit_count() * bwd.bit_count()
-    truncated = cap is not None and total > cap
-    count = cap if truncated else total
-    if count > MAX_TRAILS:
-        raise GuardError(f"{count} closed 4-trails exceed the limit of {MAX_TRAILS} "
-                         f"(about 21 bytes each, 29 past 65,536 arcs); pass a cap")
-    dtype = _row_dtype(len(d.arc_list))
-    rows = np.empty((count, 4), dtype=dtype)
-    n = d.n
-    nbytes = (n + 7) // 8
-    keys = np.array([t * n + h for (t, h) in d.arc_list], dtype=np.int64)
-    pos = 0
-    # The masks are recomputed per pair: one AND costs less than keeping
-    # two big ints for every pair until this loop runs.
-    for (y, y2) in pairs:
-        if pos >= count:
+def _trail_blocks(d: Digraph, length: int):
+    """Blocks of rows of arc ids of the closed trails of `length` arcs in
+    D; the blocks, in order, are the canonical rows in lexicographic order.
+
+    A trail is cut at its least arc a0 into a first half of length/2 arcs
+    that starts with a0 and a second half whose arcs all exceed a0, and
+    the halves are joined on their end vertices. Arcs whose tail has no
+    in-arc or whose head has no out-arc lie on no closed trail and are
+    dropped first, in up to _PRUNE_ROUNDS rounds. Start vertices (the
+    tails of a0) are taken in increasing order, in chunks of about
+    _TRAIL_CHUNK half trails: all the halves of a chunk's trails stay
+    within the arcs out of vertices from the chunk's first one on, since
+    a0 is the least arc. The join of a chunk runs about _TRAIL_CHUNK
+    candidates at a time. No array is sized by the vertex count, only by
+    the arc count.
+    """
+    half = length // 2
+    m = len(d.arc_list)
+    verts = np.array(sorted({v for arc in d.arc_list for v in arc}), dtype=np.int64)
+    nv = len(verts)
+    ids = np.arange(m, dtype=_row_dtype(m))
+    tail, head = np.searchsorted(verts, np.array(d.arc_list, dtype=np.int64).reshape(m, 2).T)
+    for _ in range(_PRUNE_ROUNDS):
+        has_in, has_out = np.zeros(nv, dtype=bool), np.zeros(nv, dtype=bool)
+        has_in[head], has_out[tail] = True, True
+        live = has_in[tail] & has_out[head]
+        if live.all():
             break
-        xp = _bit_positions(out[y] & inn[y2], nbytes)
-        x = _bit_positions(out[y2] & inn[y], nbytes)
-        m = len(xp) * len(x)
-        dest = rows[pos:pos + m] if pos + m <= count else np.empty((m, 4), dtype)
-        block = dest.reshape(len(xp), len(x), 4)
-        block[:, :, 0] = np.searchsorted(keys, x * n + y)
-        block[:, :, 1] = np.searchsorted(keys, y * n + xp)[:, None]
-        block[:, :, 2] = np.searchsorted(keys, xp * n + y2)[:, None]
-        block[:, :, 3] = np.searchsorted(keys, y2 * n + x)
-        if pos + m > count:
-            rows[pos:] = dest[:count - pos]
-        pos += m
-    return rows, truncated
-
-
-def _enumerate_trails_dfs(d: Digraph, length: int, cap: int | None):
-    """Rows of the closed trails of `length` arcs, each found once from
-    its least arc. Only arcs above the anchor may follow it, which
-    makes the anchor the unique minimum and yields each rotation class
-    once; rows come out canonical and in lexicographic order."""
-    arcs = d.arc_list
-    heads = [h for (_t, h) in arcs]
-    out_ids: dict[int, list[int]] = {}
-    for k, (t, _h) in enumerate(arcs):
-        out_ids.setdefault(t, []).append(k)
-    dtype = _row_dtype(len(arcs))
-    found = array(dtype.char)
-    used = bytearray(len(arcs))
-    path: list[int] = []
-    truncated = False
-
-    def rec(v: int, start: int, a0: int) -> bool:
-        nonlocal truncated
-        if len(path) == length:
-            if v == start:
-                if cap is not None and len(found) >= cap * length:
-                    truncated = True
-                    return True
-                found.extend(path)
-            return False
-        for a in out_ids.get(v, ()):
-            if a <= a0 or used[a]:
-                continue
-            used[a] = 1
-            path.append(a)
-            if rec(heads[a], start, a0):
-                return True
-            path.pop()
-            used[a] = 0
-        return False
-
-    for a0, (start, first) in enumerate(arcs):
-        path[:] = [a0]
-        if rec(first, start, a0):
-            break
-    rows = np.frombuffer(found, dtype).reshape(-1, length)
-    return rows, truncated
+        ids, tail, head = ids[live], tail[live], head[live]
+    out_off = np.searchsorted(tail, np.arange(nv + 1))
+    in_order = np.argsort(head, kind="stable")
+    in_off = np.searchsorted(head[in_order], np.arange(nv + 1))
+    # walks of `half` arcs out of (fwd) and into (bwd) each vertex
+    fwd = bwd = np.ones(nv)
+    for _ in range(half):
+        fwd, bwd = np.bincount(tail, fwd[head], nv), np.bincount(head, bwd[tail], nv)
+    for v0, v1 in _runs(fwd + bwd, _TRAIL_CHUNK):
+        a0 = out_off[v0]
+        first = np.arange(a0, out_off[v1])[:, None]
+        second = in_order[in_off[v0]:in_off[v1]]
+        second = second[second >= a0][:, None]
+        for _ in range(half - 1):
+            w, a = _extend(first, head[first[:, -1]], out_off)
+            first = np.column_stack((w, a))[(a > w[:, 0]) & (w != a[:, None]).all(axis=1)]
+            w, a = _extend(second, tail[second[:, 0]], in_off, in_order)
+            second = np.column_stack((a, w))[(a >= a0) & (w != a[:, None]).all(axis=1)]
+        # second halves grouped by (end, start), lexicographic within a group
+        second = second[np.lexsort((*second.T[::-1], head[second[:, -1]]))]
+        group = head[second[:, -1]] * nv + tail[second[:, 0]]
+        key = tail[first[:, 0]] * nv + head[first[:, -1]]
+        lo = np.searchsorted(group, key)
+        cnt = np.searchsorted(group, key, "right") - lo
+        first, second = ids[first], ids[second]
+        for s, e in _runs(cnt, _TRAIL_CHUNK):
+            c = cnt[s:e]
+            rep = np.repeat(np.arange(s, e), c)
+            f = first[rep]
+            g = second[lo[rep] + np.arange(len(rep)) - (np.cumsum(c) - c)[rep - s]]
+            ok = (g > f[:, :1]).all(axis=1)
+            for j in range(1, half):
+                ok &= (g != f[:, j:j + 1]).all(axis=1)
+            yield np.hstack((f, g))[ok]
 
 
 def theoretical_delta(n1: int, n2: int, p: float, i: int) -> float:
@@ -282,7 +265,8 @@ class TrailHypergraph:
     k of the canonical sorted rows of arc ids (see the module docstring).
 
     truncated is set when the cap stopped the enumeration early; the
-    rows are then a deterministic prefix, never a silent subset.
+    rows are then the first `cap` rows in canonical order, never a
+    silent subset.
     `trails`, `incidence` and `degree` are lazy views keyed by trail
     or arc, built only when asked for.
     """
@@ -366,26 +350,38 @@ class TrailHypergraph:
 
 
 def build_trail_hypergraph(d: Digraph, i: int, cap: int | None = None) -> TrailHypergraph:
-    """The canonical closed trails of length 2i+2 in D.
+    """The canonical closed trails of length 2i+2 in D, or with a cap the
+    first `cap` of them in canonical order (truncated is then set when
+    D has more).
 
-    When d is an orientation of a bipartite graph and i = 1 this runs
-    the fast path: a 4-trail then has four distinct vertices, so for
-    each unordered pair {y, y'} of the smaller color class the trails
-    through both are products of two bitmask intersections. Otherwise a
-    DFS anchored at each minimum arc enumerates trails directly
-    (vertices may repeat, arcs may not).
+    One pass over the half-trail join (see _trail_blocks) counts the
+    trails exactly, and more than MAX_TRAILS of them are refused with
+    GuardError before the rows are allocated; a second pass fills them.
     """
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")
     if cap is not None and cap < 0:
         raise ValidationError("cap must be nonnegative")
-    coloring = two_coloring(_underlying(d)) if i == 1 else None
-    if coloring is not None and d.is_orientation():
-        rows, truncated = _enumerate_quads_bipartite(d, coloring, cap)
-        _canonical_sort(rows)
-    else:
-        rows, truncated = _enumerate_trails_dfs(d, 2 * i + 2, cap)
-    return TrailHypergraph(d.arc_list, rows, truncated)
+    length = 2 * i + 2
+    stop = MAX_TRAILS if cap is None else min(cap, MAX_TRAILS)
+    total = 0
+    for block in _trail_blocks(d, length):
+        total += len(block)
+        if total > stop:
+            break
+    count = total if cap is None else min(total, cap)
+    if count > MAX_TRAILS:
+        raise GuardError(f"closed {length}-trails exceed the limit of {MAX_TRAILS}; "
+                         f"pass a cap")
+    rows = np.empty((count, length), dtype=_row_dtype(len(d.arc_list)))
+    pos = 0
+    for block in _trail_blocks(d, length):
+        take = min(len(block), count - pos)
+        rows[pos:pos + take] = block[:take]
+        pos += take
+        if pos == count:
+            break
+    return TrailHypergraph(d.arc_list, rows, total > count)
 
 
 @dataclass(frozen=True)
@@ -604,7 +600,8 @@ def count_short_closed_trails(g: BipartiteGraph, i: int) -> int:
     In a simple bipartite graph every closed trail of length 4 or 6 is a
     cycle, so those lengths reduce to closed-form cycle counts over
     common neighborhoods. Longer lengths (j >= 4) are counted by the
-    trail DFS of build_trail_hypergraph, guarded by a work estimate.
+    half-trail join of build_trail_hypergraph, guarded by a work
+    estimate.
     """
     if not isinstance(g, BipartiteGraph):
         raise ValidationError("count_short_closed_trails expects a bipartite graph")
@@ -670,13 +667,13 @@ def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:
     and each such trail has exactly two."""
     avg = 2 * g.n_edges / max(1, g.n_vertices)
     work = g.n_vertices * max(1.0, avg) ** (length - 1)
-    if work > _DFS_WORK_LIMIT:
+    if work > _COUNT_WORK_LIMIT:
         raise GuardError(
             f"closed-trail count of length {length} too expensive here "
             f"(estimated {work:.2e} steps)"
         )
     d = Digraph(g.n_vertices, g.edge_list + tuple((v, u) for (u, v) in g.edge_list))
-    rows, _ = _enumerate_trails_dfs(d, length, None)
+    rows = build_trail_hypergraph(d, length // 2 - 1).rows
     ends = np.array(d.arc_list, dtype=np.int64).reshape(-1, 2)
     edges = np.sort((ends.min(axis=1) * g.n_vertices + ends.max(axis=1))[rows], axis=1)
     return int(np.count_nonzero((edges[:, 1:] != edges[:, :-1]).all(axis=1))) // 2

@@ -9,6 +9,8 @@ import itertools
 import math
 import random
 
+import numpy as np
+
 from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
                              gen_random_bipartite, orient_randomly)
 from bigenus.blossom import find_blossoms
@@ -79,6 +81,38 @@ def brute_closed_trail_count(g, length: int) -> int:
     for start in range(g.n_vertices):
         walk(start, start, set(), [start])
     return len(seen)
+
+
+def reference_trail_rows(d: Digraph, length: int, cap: int | None = None):
+    """Rows of arc ids (into d.arc_list) of the closed trails of `length`
+    arcs in d, and whether the cap cut them short, by depth-first search.
+    Each trail is found once, from its least arc: only arcs above that
+    anchor may follow it, so the rows come out canonical and in
+    lexicographic order, and a cap keeps the first `cap` of them."""
+    arcs = d.arc_list
+    out_ids: dict[int, list[int]] = {}
+    for k, (t, _h) in enumerate(arcs):
+        out_ids.setdefault(t, []).append(k)
+    found = []
+    path: list[int] = []
+
+    def rec(v: int, start: int, a0: int) -> None:
+        if len(path) == length:
+            if v == start:
+                found.append(tuple(path))
+            return
+        for a in out_ids.get(v, ()):
+            if a > a0 and a not in path:
+                path.append(a)
+                rec(arcs[a][1], start, a0)
+                path.pop()
+
+    for a0, (start, first) in enumerate(arcs):
+        path[:] = [a0]
+        rec(first, start, a0)
+    rows = np.array(found, dtype=np.int64).reshape(-1, length)
+    truncated = cap is not None and len(rows) > cap
+    return (rows[:cap] if truncated else rows), truncated
 
 
 def brute_short_trail_total(g, i: int) -> int:

@@ -1,7 +1,7 @@
 """Pipeline outputs on a fixed grid, frozen in tests/data/golden_pipeline.json.
 
-The grid covers the i = 1 pair-intersection path (dense G(n, n, 0.5)),
-the i = 2 DFS path (sparse G(60, 50, 0.08)) and a small-part graph. A
+The grid covers i = 1 on dense G(n, n, 0.5), i = 2 on sparse
+G(60, 50, 0.08) and a small-part graph. A
 refactor of the pipeline must reproduce every record exactly; a change
 meant to move them regenerates the file and says why in CHANGES.md:
 

@@ -14,15 +14,14 @@ from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams,
 from bigenus.cli import main
 from bigenus.errors import GuardError, ValidationError
 from bigenus.estimator import PipelineConfig, estimate_genus
-from bigenus.trails import (ClosedTrail, _canonical_sort, _enumerate_trails_dfs,
-                            build_trail_hypergraph,
+from bigenus.trails import (ClosedTrail, _canonical_sort, build_trail_hypergraph,
                             check_matching_conditions,
                             count_short_closed_trails,
                             find_disjoint_mirror_matching, find_matching,
                             theoretical_delta, trails_to_text)
 
 from conftest import (brute_short_trail_total, rand_bipartite, reference_greedy,
-                      rho, trails_from_text)
+                      reference_trail_rows, rho, trails_from_text)
 
 
 def test_closed_trail_validation():
@@ -62,26 +61,10 @@ def test_enumerate_cap():
     assert len(exact.trails) == 3 and not exact.truncated
 
 
-def test_fast_path_matches_dfs():
-    # the pair-intersection shortcut for i=1 against the generic search
-    rng = random.Random(8)
-    for _ in range(30):
-        a, b = rng.randint(3, 8), rng.randint(3, 8)
-        g = gen_random_bipartite(GenParams(max(a, b), min(a, b),
-                                           rng.uniform(0.3, 0.8),
-                                           seed=rng.randint(0, 999)))
-        d = orient_randomly(g, rng.randint(0, 999))
-        fast = build_trail_hypergraph(d, 1).trails
-        slow_rows, _ = _enumerate_trails_dfs(d, 4, None)
-        slow = [ClosedTrail.from_arcs([d.arc_list[a] for a in row])
-                for row in slow_rows.tolist()]
-        assert fast == tuple(sorted(slow, key=lambda t: t.arcs))
-        assert len(set(slow)) == len(slow)
-
-
 def _identity_digraphs(seed: int):
     """Random orientations of small bipartite graphs, plus random
-    digraphs with anti-parallel arcs, which take the DFS path at i = 1."""
+    digraphs with anti-parallel arcs, whose closed 4-trails may repeat
+    a vertex."""
     rng = random.Random(seed)
     out = []
     for _ in range(12):
@@ -98,13 +81,49 @@ def _identity_digraphs(seed: int):
     return out
 
 
+def _symmetric_digraphs(seed: int):
+    """Both arcs of every edge of small random bipartite graphs, the
+    digraphs whose closed trails count undirected ones."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(6):
+        g = rand_bipartite(rng, max_edges=12)
+        out.append(Digraph(g.n_vertices, g.edge_list + tuple((v, u) for (u, v) in g.edge_list)))
+    return out
+
+
+def test_fast_path_matches_dfs():
+    # the half-trail join against the reference DFS at every length, on
+    # orientations and on anti-parallel and symmetric digraphs, with
+    # caps; the dead chains into and out of the 4-cycle of `chain` are
+    # longer than the pruning rounds, so the join meets dead arcs
+    chain = Digraph(80, [(0, 1), (1, 2), (2, 3), (3, 0), (39, 0), (0, 40)]
+                    + [(k, k + 1) for k in range(4, 39)] + [(k, k + 1) for k in range(40, 79)])
+    rows_seen = 0
+    for d in _identity_digraphs(8) + _symmetric_digraphs(8) + [chain]:
+        for i in (1, 2, 3):
+            full, _ = reference_trail_rows(d, 2 * i + 2)
+            slow = [ClosedTrail.from_arcs([d.arc_list[a] for a in row])
+                    for row in full.tolist()]
+            fast = build_trail_hypergraph(d, i).trails
+            assert fast == tuple(sorted(slow, key=lambda t: t.arcs))
+            assert len(set(slow)) == len(slow)
+            for cap in (None, 0, 1, len(full) // 2):
+                h = build_trail_hypergraph(d, i, cap)
+                rows, truncated = reference_trail_rows(d, 2 * i + 2, cap)
+                assert np.array_equal(h.rows, rows)
+                assert h.truncated == truncated
+            rows_seen += len(full)
+    assert rows_seen > 0
+
+
 def test_mirror_equals_reversed_enumeration():
-    dfs_i1_trails = 0
+    anti_parallel_i1_trails = 0
     for d in _identity_digraphs(31):
         for i in (1, 2):
             h = build_trail_hypergraph(d, i)
             if i == 1 and not d.is_orientation():
-                dfs_i1_trails += h.n_hyperedges
+                anti_parallel_i1_trails += h.n_hyperedges
             fwd_arcs, fwd_rows, fwd_trails = h.arcs, h.rows.copy(), h.trails
             fwd_degree, fwd_incidence = h.degree, h.incidence
             assert h.mirror() is None
@@ -122,7 +141,7 @@ def test_mirror_equals_reversed_enumeration():
             assert np.array_equal(h.rows, fwd_rows)
             assert h.trails == fwd_trails
             assert (h.degree, h.incidence) == (fwd_degree, fwd_incidence)
-    assert dfs_i1_trails > 0
+    assert anti_parallel_i1_trails > 0
 
 
 def test_array_greedy_matches_set_reference():
@@ -141,16 +160,21 @@ def test_array_greedy_matches_set_reference():
 
 
 def test_dfs_rows_are_canonically_sorted():
-    # build_trail_hypergraph sorts only the rows of the i = 1 fast path
+    # the reference DFS and build_trail_hypergraph both emit rows that
+    # their own canonical sort leaves unchanged, without sorting them
     rows_seen = 0
     for d in _identity_digraphs(7):
         for length in (4, 6):
-            full, _ = _enumerate_trails_dfs(d, length, None)
+            full, _ = reference_trail_rows(d, length)
             for cap in (None, len(full) // 2):
-                rows, _ = _enumerate_trails_dfs(d, length, cap)
+                rows, _ = reference_trail_rows(d, length, cap)
                 again = rows.copy()
                 _canonical_sort(again)
                 assert np.array_equal(rows, again)
+                h = build_trail_hypergraph(d, length // 2 - 1, cap)
+                again = h.rows.copy()
+                _canonical_sort(again)
+                assert np.array_equal(h.rows, again)
                 rows_seen += len(rows)
     assert rows_seen > 0
 
@@ -212,8 +236,9 @@ def _star_plus_k34(n_arcs: int):
 
 
 def test_row_dtype_follows_arc_count():
-    # arc ids are 16-bit up to 65,536 arcs and 32-bit past it; both
-    # enumerators, mirror and matching give the same trails either way
+    # arc ids are 16-bit up to 65,536 arcs and 32-bit past it; the
+    # enumeration at i = 1 and 2, mirror and matching give the same
+    # trails either way
     for n_arcs, dtype in ((1 << 16, np.uint16), ((1 << 16) + 1, np.int32)):
         d, k34 = _star_plus_k34(n_arcs)
         assert len(d.arc_list) == n_arcs
@@ -379,7 +404,7 @@ def test_count_short_matches_brute():
 
 
 def test_count_short_long_trails_match_brute():
-    # lengths 8 and 10, counted by the trail DFS on the symmetric digraph
+    # lengths 8 and 10, counted by the trail join on the symmetric digraph
     rng = random.Random(29)
     nonzero = 0
     for _ in range(100):
@@ -392,6 +417,8 @@ def test_count_short_long_trails_match_brute():
 
 
 def test_dfs_cap_is_a_prefix():
+    # a capped family is the first `cap` rows in canonical order, for
+    # every i, on orientations and on digraphs with anti-parallel arcs
     g = gen_random_bipartite(GenParams(20, 16, 0.35, seed=3))
     d = orient_randomly(g, 3)
     full = build_trail_hypergraph(d, 2)
@@ -400,6 +427,14 @@ def test_dfs_cap_is_a_prefix():
         h = build_trail_hypergraph(d, 2, cap)
         assert np.array_equal(h.rows, full.rows[:cap])
         assert h.truncated == (cap < 372)
+    anti = Digraph(d.n, d.arc_list + tuple((h, t) for (t, h) in d.arc_list[:10]))
+    for digraph, n in ((d, 57), (anti, 87)):
+        full = build_trail_hypergraph(digraph, 1)
+        assert full.n_hyperedges == n and not full.truncated
+        for cap in (0, 1, 5, n // 2, n - 1, n, n + 1):
+            h = build_trail_hypergraph(digraph, 1, cap)
+            assert np.array_equal(h.rows, full.rows[:cap])
+            assert h.truncated == (cap < n)
     est = estimate_genus(g, 2, PipelineConfig(seed=3, cap=5))
     assert est.upper is None and est.truncated
 
@@ -418,20 +453,27 @@ def test_trails_text_round_trip():
     assert tuple(trails_from_text(buf)) == trails
 
 
-def test_trail_limit_refuses_before_allocating(monkeypatch, capsys):
+@pytest.mark.parametrize("anti_parallel, i, n", [
+    pytest.param(False, 1, 24, id="orientation-i1"),
+    pytest.param(False, 2, 24, id="orientation-i2"),
+    pytest.param(True, 1, 56, id="anti-parallel-i1")])
+def test_trail_limit_refuses_before_allocating(monkeypatch, capsys, anti_parallel, i, n):
     d = orient_randomly(gen_random_bipartite(GenParams(40, 3, 0.5, seed=0)), 0)
-    n = build_trail_hypergraph(d, 1).n_hyperedges
-    assert n == 24
+    if anti_parallel:
+        d = Digraph(d.n, d.arc_list + tuple((h, t) for (t, h) in d.arc_list[:10]))
+    assert build_trail_hypergraph(d, i).n_hyperedges == n
     monkeypatch.setattr(trails, "MAX_TRAILS", n - 1)
     allocations = []
     np_empty = np.empty
     monkeypatch.setattr(np, "empty",
                         lambda *a, **k: allocations.append(a) or np_empty(*a, **k))
-    with pytest.raises(GuardError, match="exceed the limit of 23"):
-        build_trail_hypergraph(d, 1)
+    with pytest.raises(GuardError, match=f"closed {2 * i + 2}-trails exceed the limit of {n - 1}"):
+        build_trail_hypergraph(d, i)
     assert allocations == []
     # a cap within the limit is served, and its rows are allocated
-    assert build_trail_hypergraph(d, 1, cap=n - 1).truncated
+    assert build_trail_hypergraph(d, i, cap=n - 1).truncated
     assert allocations
-    assert main(["estimate", "--n1", "40", "--n2", "3", "--p", "0.5"]) == 2
-    assert "exceed the limit" in capsys.readouterr().err
+    if not anti_parallel:
+        assert main(["estimate", "--n1", "40", "--n2", "3", "--p", "0.5",
+                     "--i", str(i)]) == 2
+        assert "exceed the limit" in capsys.readouterr().err
