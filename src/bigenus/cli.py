@@ -24,7 +24,7 @@ from .estimator import (CSV_COLUMNS, PipelineConfig, estimate_genus,
                         prediction_for, regime_classify)
 from .oracle import (SearchBudget, exact_genus, genus_formula_reference,
                      heuristic_genus_upper, minimum_genus_rotation, pincer_genus)
-from .trails import (build_trail_hypergraph, find_matching,
+from .trails import (STRATEGIES, build_trail_hypergraph, find_matching,
                      matching_report_to_text, trails_to_text)
 
 SCHEMA_LINE = "# bigenus experiment csv schema v1"
@@ -378,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("match", help="arc-disjoint trail matching")
     _add_model_flags(sub)
     sub.add_argument("--cap", type=int, default=None)
-    sub.add_argument("--strategy", choices=("greedy", "nibble"), default="greedy")
+    sub.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     sub.set_defaults(func=cmd_match)
 
     sub = subs.add_parser("estimate", help="full pipeline: genus bounds and prediction")
     _add_model_flags(sub)
     sub.add_argument("--cap", type=int, default=None)
-    sub.add_argument("--strategy", choices=("greedy", "nibble"), default="greedy")
+    sub.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     sub.set_defaults(func=cmd_estimate)
 
     sub = subs.add_parser("oracle", help="exact or heuristic genus of a small graph")

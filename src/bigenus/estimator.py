@@ -20,7 +20,8 @@ from .bigraph import (MAX_SMALL_PART, STREAM_MATCH, STREAM_MIRROR,
                       BipartiteGraph, Graph, derive_int_seed, is_bipartite,
                       orient_randomly)
 from .blossom import assemble_rotation, make_blossom_free
-from .embedding import face_length_histogram, genus_from_faces, trace_faces
+from .embedding import (connected_components, face_length_histogram, genus_from_faces,
+                        trace_faces)
 from .errors import GuardError, InternalConsistencyError, ValidationError
 from .trails import STRATEGIES, MatchingReport, build_trail_hypergraph, \
     count_short_closed_trails, find_disjoint_mirror_matching, find_matching
@@ -179,10 +180,13 @@ def small_p_asymptote_check(n1: int, n2: int, p: float) -> AsymptoteCheck:
 # min_face_len). Forests therefore come out as 0 with no special case.
 
 
-def _core_component_vertex_sets(g) -> list[list[int]]:
-    """Connected components of the 2-core (all degree-<=1 vertices
-    iteratively removed), as sorted vertex lists. Degrees are counted
-    over edge endpoints, so isolated vertices are never alive."""
+def _core_components(g) -> list[tuple[list[int], int]]:
+    """(sorted vertices, edge count) of each component of the 2-core
+    (all degree-<=1 vertices iteratively removed). Degrees are counted
+    over edge endpoints, so isolated vertices are never alive. Pruning
+    a leaf never disconnects what is left, so a component of g holds at
+    most one core component, and a live vertex's degree left after
+    pruning is its core degree."""
     deg: dict[int, int] = {}
     for (u, v) in g.edge_list:
         deg[u] = deg.get(u, 0) + 1
@@ -199,33 +203,11 @@ def _core_component_vertex_sets(g) -> list[list[int]]:
                 deg[w] -= 1
                 if deg[w] <= 1:
                     queue.append(w)
-    out: list[list[int]] = []
-    seen: set[int] = set()
-    for s in sorted(alive):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        k = 0
-        while k < len(comp):
-            v = comp[k]
-            k += 1
-            for w in g.neighbors(v):
-                if w in alive and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        out.append(sorted(comp))
+    out = []
+    for comp in connected_components(g, sorted(alive)):
+        verts = [v for v in comp if v in alive]
+        out.append((verts, sum(deg[v] for v in verts) // 2))
     return out
-
-
-def _pruned_core_components(g) -> list[tuple[int, int]]:
-    """(n_c, e_c) per 2-core component."""
-    comps = []
-    for verts in _core_component_vertex_sets(g):
-        vset = set(verts)
-        e_c = sum(1 for v in verts for w in g.neighbors(v) if w in vset) // 2
-        comps.append((len(verts), e_c))
-    return comps
 
 
 def euler_lower_bound(g, min_face_len: int) -> int:
@@ -236,20 +218,19 @@ def euler_lower_bound(g, min_face_len: int) -> int:
         raise ValidationError(f"min_face_len must be >= 3, got {min_face_len}")
     coef = Fraction(1, 2) - Fraction(1, min_face_len)
     total = 0
-    for (n_c, e_c) in _pruned_core_components(g):
-        val = math.ceil(e_c * coef - Fraction(n_c - 2, 2))
+    for (verts, e_c) in _core_components(g):
+        val = math.ceil(e_c * coef - Fraction(len(verts) - 2, 2))
         total += max(0, val)
     return total
 
 
 def _induced_bipartite(g: BipartiteGraph, verts: list[int]) -> BipartiteGraph:
+    """The subgraph of g induced by the sorted vertex list verts."""
     xs = [v for v in verts if v < g.n1]
     ys = [v for v in verts if v >= g.n1]
-    xmap = {v: k for k, v in enumerate(xs)}
     ymap = {v: len(xs) + k for k, v in enumerate(ys)}
-    vset = set(verts)
-    edges = [(xmap[x], ymap[y]) for (x, y) in g.edge_list
-             if x in vset and y in vset]
+    edges = [(k, ymap[y]) for k, x in enumerate(xs) for y in g.neighbors(x)
+             if y in ymap]
     return BipartiteGraph(len(xs), len(ys), edges)
 
 
@@ -262,14 +243,11 @@ def refined_lower_bound(g: BipartiteGraph, i: int) -> int:
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")
     total = 0
-    for verts in _core_component_vertex_sets(g):
-        n_c = len(verts)
-        sub = _induced_bipartite(g, verts)
-        e_c = sub.n_edges
-        c = count_short_closed_trails(sub, i) if i >= 2 else 0
+    for (verts, e_c) in _core_components(g):
+        c = count_short_closed_trails(_induced_bipartite(g, verts), i) if i >= 2 else 0
         val = math.ceil(Fraction(i, 2 * i + 2) * e_c
                         - Fraction(i - 1, 2 * i + 2) * 2 * c
-                        - Fraction(n_c - 2, 2))
+                        - Fraction(len(verts) - 2, 2))
         total += max(0, val)
     return total
 
@@ -444,8 +422,8 @@ def nonorientable_bounds(g, est: GenusEstimate) -> tuple[int, int | None]:
     orientable upper bound plus one."""
     minlen = 4 if is_bipartite(g) else 3
     total = 0
-    for (n_c, e_c) in _pruned_core_components(g):
-        val = math.ceil(e_c * (Fraction(1) - Fraction(2, minlen)) - n_c + 2)
+    for (verts, e_c) in _core_components(g):
+        val = math.ceil(e_c * (Fraction(1) - Fraction(2, minlen)) - len(verts) + 2)
         total += max(0, val)
     upper = None if est.upper is None else 2 * est.upper + 1
     return total, upper
@@ -551,9 +529,9 @@ def small_part_exact_genus(r: ReducedGraph, budget: SearchBudget | None = None
     Complete Y-graph on the support and no kept X-vertex: the closed
     forms for K_m, with the m = 7 non-orientable exception of 3.
     Otherwise the orientable genus of r.simple_graph() is certified by
-    pincer_genus (Euler bound met by a hill climb) or, failing that,
-    found by exact_genus without the hill-climb shortcut. Both run
-    within `budget` (default: SMALL_PART_RESTARTS restarts,
+    pincer_genus (each component's Euler bound met by a hill climb) or,
+    failing that, found by exact_genus without the hill-climb shortcut.
+    Both run within `budget` (default: SMALL_PART_RESTARTS restarts,
     SMALL_PART_SECONDS seconds per stage, the default system count);
     when neither settles it, BudgetExceededError (a GuardError) is
     raised and no value is guessed.

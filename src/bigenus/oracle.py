@@ -1,13 +1,15 @@
 """Exact genus by exhaustive rotation-system search, plus a
 hill-climbing upper bound for graphs beyond exhaustion.
 
-Genus is additive over connected components, so each component is
-searched independently. Within a component, rotation systems are
-enumerated by a mixed-radix counter over per-vertex orderings with the
-first incident edge fixed (cyclic orders, not linear ones), and the
-scan stops early once the component's Euler lower bound is attained.
-The same bound lets a successful hill climb certify exactness without
-enumerating anything.
+Genus is additive over connected components, so one private driver,
+_search, walks the components for exact_genus, heuristic_genus_upper
+and pincer_genus alike. Each component gets its own Euler lower bound,
+then a hill climb, an exhaustive scan, or the climb followed by the
+scan when the climb misses the bound. The scan enumerates rotation
+systems by a mixed-radix counter over per-vertex orderings with the
+first incident edge fixed (cyclic orders, not linear ones) and stops
+early once the bound is attained; a climb that attains it certifies
+exactness without enumerating anything.
 """
 
 from __future__ import annotations
@@ -191,6 +193,39 @@ def _scan(eng: _Engine, lb: int, deadline: float | None,
     return best, best_snap
 
 
+def _search(g, budget: SearchBudget, seed: int, climb: bool, scan: bool
+            ) -> tuple[int, int, dict[int, tuple[int, ...]]]:
+    """The per-component search behind every public one. Each component
+    with an edge, on one Random(seed) stream, gets its Euler lower bound
+    lb (with its own minimum face length), a hill climb when `climb` is
+    set, and a scan when `scan` is set and the climb missed lb. Returns
+    the summed bounds, the summed genera found and the neighbour orders
+    realising them (sorted neighbours where nothing was searched)."""
+    deadline = None
+    if budget.max_seconds is not None:
+        deadline = time.monotonic() + budget.max_seconds
+    rng = random.Random(seed)
+    lower = total = 0
+    order: dict[int, tuple[int, ...]] = {v: tuple(sorted(g.neighbors(v)))
+                                         for v in range(g.n_vertices)}
+    for verts in connected_components(g):
+        if g.degree(verts[0]) == 0:
+            continue
+        eng = _Engine(g, verts)
+        lb = _component_lower_bound(g, verts)
+        best = None
+        snap = None
+        if climb:
+            best, snap = _hill_climb(eng, budget.restarts, rng, deadline, lb)
+        if scan and (best is None or best > lb):
+            best, snap = _scan(eng, lb, deadline, best, snap)
+        eng.restore(snap)
+        lower += lb
+        total += best
+        order.update(eng.neighbor_orders())
+    return lower, total, order
+
+
 def minimum_genus_rotation(g, budget: SearchBudget | None = None,
                            shortcut: bool = True) -> tuple[int, RotationSystem]:
     """Exact minimum genus together with a witness rotation system.
@@ -206,29 +241,8 @@ def minimum_genus_rotation(g, budget: SearchBudget | None = None,
         raise BudgetExceededError(
             f"{need} rotation systems exceed the budget of {budget.max_systems}"
         )
-    deadline = None
-    if budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
-    rng = random.Random(0)
-    total = 0
-    order: dict[int, tuple[int, ...]] = {v: tuple(sorted(g.neighbors(v)))
-                                         for v in range(g.n_vertices)}
-    for comp in connected_components(g):
-        verts = sorted(comp)
-        if sum(g.degree(v) for v in verts) == 0:
-            continue
-        eng = _Engine(g, verts)
-        lb = _component_lower_bound(g, verts)
-        best = None
-        snap = None
-        if shortcut:
-            best, snap = _hill_climb(eng, budget.restarts, rng, deadline, lb)
-        if best is None or best > lb:
-            best, snap = _scan(eng, lb, deadline, best, snap)
-        eng.restore(snap)
-        total += best
-        order.update(eng.neighbor_orders())
-    return total, RotationSystem(order)
+    _lower, genus, order = _search(g, budget, 0, climb=shortcut, scan=True)
+    return genus, RotationSystem(order)
 
 
 def exact_genus(g, budget: SearchBudget | None = None, shortcut: bool = True) -> int:
@@ -239,24 +253,11 @@ def exact_genus(g, budget: SearchBudget | None = None, shortcut: bool = True) ->
 
 def heuristic_genus_upper(g, budget: SearchBudget | None = None, seed: int = 0) -> int:
     """Best genus found by seeded hill climbing (adjacent transpositions
-    in one vertex's cyclic order, restarts from shuffled starts). An
-    upper bound on the exact genus, with no optimality claim. A
-    component stops restarting once it meets its Euler lower bound."""
-    budget = budget or SearchBudget()
-    deadline = None
-    if budget.max_seconds is not None:
-        deadline = time.monotonic() + budget.max_seconds
-    rng = random.Random(seed)
-    total = 0
-    for comp in connected_components(g):
-        verts = sorted(comp)
-        if sum(g.degree(v) for v in verts) == 0:
-            continue
-        eng = _Engine(g, verts)
-        lb = _component_lower_bound(g, verts)
-        best, _snap = _hill_climb(eng, budget.restarts, rng, deadline, lb)
-        total += best
-    return total
+    in one vertex's cyclic order, restarts from shuffled starts): the
+    upper bound of pincer_genus. An upper bound on the exact genus, with
+    no optimality claim. A component stops restarting once it meets its
+    Euler lower bound."""
+    return pincer_genus(g, budget, seed).upper
 
 
 class PincerResult(NamedTuple):
@@ -266,10 +267,12 @@ class PincerResult(NamedTuple):
 
 
 def pincer_genus(g, budget: SearchBudget | None = None, seed: int = 0) -> PincerResult:
-    """Euler lower bound and heuristic upper bound; exact iff they
-    meet. The route to ground truth when exhaustion is infeasible."""
-    lower = euler_lower_bound(g, 4 if is_bipartite(g) else 3)
-    upper = heuristic_genus_upper(g, budget, seed)
+    """Per-component Euler lower bounds and hill-climb upper bounds,
+    each summed over components; exact iff the sums meet, which is iff
+    every component's climb meets its own bound. The route to ground
+    truth when exhaustion is infeasible."""
+    lower, upper, _order = _search(g, budget or SearchBudget(), seed, climb=True,
+                                   scan=False)
     return PincerResult(lower, upper, lower == upper)
 
 

@@ -138,6 +138,47 @@ def brute_min_genus(g) -> int:
     return min(genus_of_embedding(g, rot) for rot in all_rotation_systems(g))
 
 
+def reference_core_components(g) -> list[list[int]]:
+    """Connected components of the 2-core (all degree-<=1 vertices
+    iteratively removed), as sorted vertex lists in the order of their
+    least vertex, by pruning and then a search that never leaves the
+    core. Degrees are counted over edge endpoints, so isolated vertices
+    are never alive."""
+    deg: dict[int, int] = {}
+    for (u, v) in g.edge_list:
+        deg[u] = deg.get(u, 0) + 1
+        deg[v] = deg.get(v, 0) + 1
+    alive = set(deg)
+    queue = [v for v, dv in deg.items() if dv <= 1]
+    while queue:
+        v = queue.pop()
+        if v not in alive or deg[v] > 1:
+            continue
+        alive.discard(v)
+        for w in g.neighbors(v):
+            if w in alive:
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    queue.append(w)
+    out: list[list[int]] = []
+    seen: set[int] = set()
+    for s in sorted(alive):
+        if s in seen:
+            continue
+        comp = [s]
+        seen.add(s)
+        k = 0
+        while k < len(comp):
+            v = comp[k]
+            k += 1
+            for w in g.neighbors(v):
+                if w in alive and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        out.append(sorted(comp))
+    return out
+
+
 def component_euler_stats(g, rot):
     """(vertices, edges, faces) per connected component with >= 1 edge."""
     fs = trace_faces(g, rot)

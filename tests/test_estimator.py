@@ -11,12 +11,14 @@ from bigenus.bigraph import (BipartiteGraph, GenParams, Graph,
                              gen_random_bipartite, path_graph)
 from bigenus.errors import BudgetExceededError, GuardError, ValidationError
 from bigenus.oracle import SearchBudget, exact_genus
-from bigenus.estimator import (PipelineConfig, estimate_genus,
-                               euler_lower_bound, nonorientable_bounds,
+from bigenus.estimator import (PipelineConfig, _core_components, _induced_bipartite,
+                               estimate_genus, euler_lower_bound, nonorientable_bounds,
                                predicted_genus, prediction_for, psi,
                                reduce_small_part, refined_lower_bound,
                                regime_classify, small_p_asymptote_check,
                                small_part_exact_genus)
+
+from conftest import rand_bipartite, rand_graph, reference_core_components
 
 
 def test_psi_closed_forms():
@@ -97,6 +99,38 @@ def test_euler_lower_bound_values():
     assert euler_lower_bound(two, 4) == 2
     with pytest.raises(ValidationError):
         euler_lower_bound(complete_graph(4), 2)
+
+
+def _check_core_components(g):
+    comps = _core_components(g)
+    assert [verts for verts, _e_c in comps] == reference_core_components(g)
+    for verts, e_c in comps:
+        vset = set(verts)
+        assert e_c == sum(1 for (u, v) in g.edge_list if u in vset and v in vset)
+        if isinstance(g, BipartiteGraph):
+            assert _induced_bipartite(g, verts).n_edges == e_c
+    return comps
+
+
+def test_core_components_match_reference():
+    rng = random.Random(45)
+    for _ in range(60):
+        _check_core_components(rand_bipartite(rng))
+        _check_core_components(rand_graph(rng, max_edges=16))
+    # forests and isolated vertices have no core
+    for g in (path_graph(7), Graph(5, []), Graph(6, [(0, v) for v in range(1, 5)]),
+              Graph(0, []), BipartiteGraph(3, 3, [(0, 3), (1, 3), (1, 4)])):
+        assert _check_core_components(g) == []
+    # two triangles joined by a path, plus a pendant edge: the path is core
+    tri = [(0, 1), (1, 2), (0, 2), (5, 6), (6, 7), (5, 7)]
+    dumbbell = Graph(9, tri + [(2, 3), (3, 4), (4, 5), (7, 8)])
+    assert _check_core_components(dumbbell) == [(list(range(8)), 9)]
+    # a disjoint union: K_{3,3}, a pendant tree, an isolated vertex, a C4
+    edges = list(complete_bipartite_graph(3, 3).edge_list) + [(0, 6), (6, 7)]
+    edges += [(9, 10), (10, 11), (11, 12), (9, 12)]
+    union = Graph(13, edges)
+    assert _check_core_components(union) == [([0, 1, 2, 3, 4, 5], 9),
+                                             ([9, 10, 11, 12], 4)]
 
 
 def test_refined_lower_bound():

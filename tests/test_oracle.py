@@ -92,6 +92,7 @@ def test_heuristic_upper_bounds():
         if rotation_system_count(g) > 5000:
             continue
         assert heuristic_genus_upper(g) >= exact_genus(g)
+        assert heuristic_genus_upper(g) == pincer_genus(g).upper
 
 
 def test_pincer():
@@ -101,6 +102,13 @@ def test_pincer():
     assert (res.lower, res.upper, res.exact) == (1, 1, True)
     res = pincer_genus(cycle_graph(4))
     assert (res.lower, res.upper, res.exact) == (0, 0, True)
+    # K_{4,4} + K_3: each component meets its own Euler bound, which a
+    # whole-graph face length of 3 would put below the genus
+    k44 = complete_bipartite_graph(4, 4)
+    g = Graph(11, list(k44.edge_list) + [(8, 9), (9, 10), (8, 10)])
+    res = pincer_genus(g)
+    assert (res.lower, res.upper, res.exact) == (1, 1, True)
+    assert res.upper == exact_genus(g)
     # K7 embeds on the torus but the climb need not find it
     res = pincer_genus(complete_graph(7))
     assert res.lower == 1
