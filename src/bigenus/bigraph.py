@@ -11,6 +11,8 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
@@ -71,18 +73,12 @@ class Graph:
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
         self.n = n
-        seen = set()
-        norm = []
-        for (a, b) in edges:
-            u, v = (a, b) if a < b else (b, a)
-            if (u, v) in seen:
-                raise ValidationError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            norm.append((u, v))
+        norm = sorted((a, b) if a < b else (b, a) for (a, b) in edges)
+        for k in range(1, len(norm)):
+            if norm[k] == norm[k - 1]:
+                raise ValidationError(f"duplicate edge ({norm[k][0]},{norm[k][1]})")
         self._check_edges(norm)
-        norm.sort()
         self.edge_list: tuple[tuple[int, int], ...] = tuple(norm)
-        self.edge_set = frozenset(norm)
         nbrs: dict[int, list[int]] = {}
         for (u, v) in norm:
             nbrs.setdefault(u, []).append(v)
@@ -90,6 +86,16 @@ class Graph:
         self._adj: list[tuple[int, ...]] = [()] * n
         for v, ns in nbrs.items():
             self._adj[v] = tuple(sorted(ns))
+
+    @functools.cached_property
+    def edge_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.edge_list)
+
+    def edge_array(self) -> np.ndarray:
+        """The edge list as an (edges, 2) int32 array, rows (u, v), u < v."""
+        m = len(self.edge_list)
+        return np.fromiter(itertools.chain.from_iterable(self.edge_list), dtype=np.int32,
+                           count=2 * m).reshape(m, 2)
 
     def _check_edges(self, edges: list[tuple[int, int]]) -> None:
         """Reject loops and labels outside 0..n-1; edges come as (u, v), u <= v."""
@@ -116,7 +122,7 @@ class Graph:
         return len(self.neighbors(v))
 
     def _key(self) -> tuple:
-        return self.n, self.edge_set
+        return self.n, self.edge_list
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self._key() == other._key()
@@ -151,7 +157,7 @@ class BipartiteGraph(Graph):
         return range(self.n1, self.n)
 
     def _key(self) -> tuple:
-        return self.n1, self.n2, self.edge_set
+        return self.n1, self.n2, self.edge_list
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(n1={self.n1}, n2={self.n2}, edges={self.n_edges})"
@@ -159,24 +165,41 @@ class BipartiteGraph(Graph):
 
 class Digraph:
     """Directed graph; when built by orient_randomly it is an orientation,
-    meaning at most one of (u,v), (v,u) is present."""
+    meaning at most one of (u,v), (v,u) is present.
+
+    The arcs are held as two int32 arrays, tail and head, in
+    lexicographic (tail, head) order: arc k is (tail[k], head[k]). The
+    tuple views arc_list and arc_set are built only when read."""
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
-        self.n = n
-        seen = set()
-        norm = []
-        for (t, h) in arcs:
+        norm = [(t, h) for (t, h) in arcs]
+        for (t, h) in norm:
             if t == h:
                 raise ValidationError(f"loop arc at {t}")
             if not (0 <= t < n and 0 <= h < n):
                 raise ValidationError(f"arc ({t},{h}) out of range")
-            if (t, h) in seen:
-                raise ValidationError(f"duplicate arc ({t},{h})")
-            seen.add((t, h))
-            norm.append((t, h))
         norm.sort()
-        self.arc_list: tuple[tuple[int, int], ...] = tuple(norm)
-        self.arc_set = frozenset(norm)
+        for k in range(1, len(norm)):
+            if norm[k] == norm[k - 1]:
+                raise ValidationError(f"duplicate arc ({norm[k][0]},{norm[k][1]})")
+        ends = np.array(norm, dtype=np.int32).reshape(-1, 2)
+        self.n, self.tail, self.head = n, ends[:, 0].copy(), ends[:, 1].copy()
+
+    @classmethod
+    def _from_sorted(cls, n: int, tail: np.ndarray, head: np.ndarray) -> "Digraph":
+        """The digraph on arcs (tail[k], head[k]), which the caller
+        guarantees are distinct, loop-free, in range and sorted."""
+        d = cls.__new__(cls)
+        d.n, d.tail, d.head = n, tail, head
+        return d
+
+    @functools.cached_property
+    def arc_list(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.tail.tolist(), self.head.tolist()))
+
+    @functools.cached_property
+    def arc_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.arc_list)
 
     @property
     def n_vertices(self) -> int:
@@ -184,23 +207,28 @@ class Digraph:
 
     @property
     def n_arcs(self) -> int:
-        return len(self.arc_list)
+        return len(self.tail)
 
     def is_orientation(self) -> bool:
-        return all((h, t) not in self.arc_set for (t, h) in self.arc_list)
+        key = self.tail.astype(np.int64) * self.n + self.head
+        back = self.head.astype(np.int64) * self.n + self.tail
+        pos = np.minimum(np.searchsorted(key, back), len(key) - 1)
+        return not len(key) or not (key[pos] == back).any()
 
     def reverse(self) -> "Digraph":
-        return Digraph(self.n, [(h, t) for (t, h) in self.arc_list])
+        order = np.lexsort((self.tail, self.head))
+        return Digraph._from_sorted(self.n, self.head[order], self.tail[order])
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self.arc_set == other.arc_set
+            and np.array_equal(self.tail, other.tail)
+            and np.array_equal(self.head, other.head)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arc_set))
+        return hash((self.n, self.tail.tobytes(), self.head.tobytes()))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.n_arcs})"
@@ -282,15 +310,16 @@ def orient_randomly(g, seed: int) -> Digraph:
     """One arc per edge, direction by a fair seeded coin per edge.
 
     Works for BipartiteGraph and Graph inputs alike; the coin stream is
-    indexed by the position of the edge in sorted order.
+    indexed by the position of the edge in sorted order, and edge (u, v)
+    with u < v becomes the arc u -> v when its coin is below 1/2.
     """
     gen = rng_stream(seed, STREAM_ORIENT)
-    edges = g.edge_list
-    u = gen.random(len(edges)) if edges else np.empty(0)
-    arcs = []
-    for k, (a, b) in enumerate(edges):
-        arcs.append((a, b) if u[k] < 0.5 else (b, a))
-    return Digraph(g.n_vertices, arcs)
+    ends = g.edge_array()
+    flip = gen.random(len(ends)) >= 0.5
+    tail = np.where(flip, ends[:, 1], ends[:, 0])
+    head = np.where(flip, ends[:, 0], ends[:, 1])
+    order = np.lexsort((head, tail))
+    return Digraph._from_sorted(g.n_vertices, tail[order], head[order])
 
 
 def degree_class_partition(g: BipartiteGraph) -> dict[frozenset[int], list[int]]:
@@ -352,7 +381,7 @@ def read_bipartite(fh: TextIO) -> BipartiteGraph:
 
 def write_digraph(d: Digraph, fh: TextIO) -> None:
     fh.write(f"digraph {d.n}\n")
-    for (t, h) in d.arc_list:
+    for t, h in zip(d.tail.tolist(), d.head.tolist()):
         fh.write(f"{t} {h}\n")
 
 

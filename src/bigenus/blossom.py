@@ -9,21 +9,30 @@ arc-disjointness makes this a partial injection on the neighbors of v;
 a directed cycle in it is a blossom centered at v, and exactly those
 cycles obstruct extension to a full cyclic order.
 
-Detection and assembly read the same per-center passage map and the
-same chain walk: the chains give the cyclic order, and the passages no
-chain covers are the blossoms.
+A family is held as a DartFamily: the dart ids of its trails over
+embedding.arc_index(g), one int32 array. In dart terms the passage
+u -> v -> w says that the dart v -> w follows the dart v -> u, so the
+passages of the whole family are one successor array over the darts
+(_passages). Its cycles are the blossoms, and its chains, concatenated
+at every vertex, write the rotation. Matched trails reach this module
+as rows of arc ids and never become ClosedTrails; a sequence of
+ClosedTrails, the boundary type of find_blossoms, tip_digraphs and
+public callers, is converted into a DartFamily once, by the same
+lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .embedding import RotationSystem, arc_index
+import numpy as np
+
+from .embedding import ArcIndex, RotationSystem, arc_index, cyclic_successors
 from .errors import InternalConsistencyError, ValidationError
-from .trails import ClosedTrail
+from .trails import ClosedTrail, MatchingReport
 
 
 @dataclass(frozen=True)
@@ -72,65 +81,180 @@ class BlossomReport:
         return not self.blossoms
 
 
-def _passages(g, family: Sequence[ClosedTrail]) -> dict[int, dict[int, TipArc]]:
-    """The passages of the family at each center, keyed by in_tip.
+class DartFamily:
+    """Arc-disjoint closed trails of g as dart ids over index =
+    arc_index(g): trail k is darts[offsets[k]:offsets[k + 1]], in trail
+    order. of_trails and of_matchings check that every arc is an edge of
+    g and that no arc is used twice."""
 
-    Every arc must be an edge of g and appear at most once in the
-    family. The passage entering v from u is the only user of the arc
-    u -> v, so the keys are unique; the arc v -> w likewise makes the
-    out_tips unique, and each map is a partial injection.
-    """
-    edges = g.edge_set
-    by_center: dict[int, dict[int, TipArc]] = {}
-    for ti, t in enumerate(family):
-        arcs = t.arcs
-        for j, (u, v) in enumerate(arcs):
-            if ((u, v) if u < v else (v, u)) not in edges:
+    def __init__(self, g, index: ArcIndex, darts: np.ndarray, offsets: np.ndarray):
+        self.graph = g
+        self.index = index
+        self.darts = darts
+        self.offsets = offsets
+
+    @classmethod
+    def of_trails(cls, g, family: Sequence[ClosedTrail]) -> "DartFamily":
+        family = tuple(family)
+        ends = np.array([a for t in family for a in t.arcs], dtype=np.int64).reshape(-1, 2)
+        lengths = np.array([len(t) for t in family], dtype=np.int64)
+        return cls._of_arcs(g, ends[:, 0], ends[:, 1], lengths)
+
+    @classmethod
+    def of_matchings(cls, g, *reports: MatchingReport) -> "DartFamily":
+        """The trails of the reports, in order, as one family of g."""
+        chosen = [r.chosen for r in reports]
+        return cls._of_arcs(
+            g, np.concatenate([c.tail[c.rows].ravel() for c in chosen]),
+            np.concatenate([c.head[c.rows].ravel() for c in chosen]),
+            np.concatenate([np.full(len(c.rows), c.rows.shape[1]) for c in chosen]))
+
+    @classmethod
+    def _of_arcs(cls, g, tails: np.ndarray, heads: np.ndarray,
+                 lengths: np.ndarray) -> "DartFamily":
+        """The family whose trails have the given lengths and, one after
+        another, the arcs (tails[j], heads[j]). The first arc that is
+        not an edge of g, or that an earlier trail position already
+        used, is refused."""
+        index = arc_index(g)
+        n, total = g.n_vertices, len(tails)
+        key = index.tail.astype(np.int64) * n + index.head
+        want = tails.astype(np.int64) * n + heads
+        darts = np.minimum(np.searchsorted(key, want), max(len(key) - 1, 0))
+        is_edge = ((0 <= tails) & (tails < n) & (0 <= heads) & (heads < n)
+                   & (key[darts] == want if len(key) else False))
+        # an arc that is no edge gets a dart id of its own, past the real ones
+        darts = np.where(is_edge, darts, len(key) + np.arange(total))
+        order = np.argsort(darts, kind="stable")
+        reused = np.zeros(total, dtype=bool)
+        reused[order[1:][darts[order[1:]] == darts[order[:-1]]]] = True
+        bad = ~is_edge | reused
+        if bad.any():
+            j = int(bad.argmax())
+            u, v = int(tails[j]), int(heads[j])
+            if not is_edge[j]:
                 raise ValidationError(f"trail arc {u}->{v} is not an edge of the graph")
-            at = by_center.setdefault(v, {})
-            if u in at:
-                raise ValidationError(f"arc {u}->{v} used by two trails")
-            at[u] = TipArc(u, arcs[(j + 1) % len(arcs)][1], ti, j)
-    return by_center
+            raise ValidationError(f"arc {u}->{v} used by two trails")
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        return cls(g, index, darts.astype(np.int32), offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def trails(self) -> tuple[ClosedTrail, ...]:
+        tail, head = self.index.tail[self.darts].tolist(), self.index.head[self.darts].tolist()
+        arcs = list(zip(tail, head))
+        bounds = self.offsets.tolist()
+        return tuple(ClosedTrail.from_arcs(arcs[s:e]) for s, e in zip(bounds, bounds[1:]))
+
+    def lengths(self) -> np.ndarray:
+        return self.offsets[1:] - self.offsets[:-1]
+
+    def subset(self, keep: np.ndarray) -> "DartFamily":
+        """The trails k with keep[k], in family order."""
+        lengths = self.lengths()
+        return DartFamily(self.graph, self.index, self.darts[np.repeat(keep, lengths)],
+                          np.concatenate(([0], np.cumsum(lengths[keep]))))
+
+    @functools.cached_property
+    def where(self) -> np.ndarray:
+        """where[a] is the family position of dart a, or -1 where no
+        trail uses it."""
+        where = np.full(len(self.index.tail), -1, dtype=np.int64)
+        where[self.darts] = np.arange(len(self.darts))
+        return where
+
+    def after(self) -> np.ndarray:
+        """after[j] is the position after j in its trail, wrapping to
+        the trail's start."""
+        after = np.arange(1, len(self.darts) + 1)
+        after[self.offsets[1:] - 1] = self.offsets[:-1]
+        return after
+
+    def entering(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(trail_index, passage_idx) of the passages keyed at the darts
+        x: the trail that enters along the reverse of each, and the
+        position of that arc inside the trail."""
+        j = self.where[self.index.rev[x]]
+        k = np.searchsorted(self.offsets, j, "right") - 1
+        return k, j - self.offsets[k]
 
 
-def _walk(at: dict[int, TipArc], tips: Iterable[int]
-          ) -> tuple[list[list[int]], list[tuple[TipArc, ...]]]:
-    """Chains and cycles of the passages `at` of one center.
+def _as_family(g, family) -> DartFamily:
+    """family as a DartFamily of g: itself when it is one built for g,
+    else converted from its arcs."""
+    if isinstance(family, DartFamily):
+        if family.graph is g:
+            return family
+        index = family.index
+        return DartFamily._of_arcs(g, index.tail[family.darts], index.head[family.darts],
+                                   family.lengths())
+    return DartFamily.of_trails(g, family)
 
-    A chain starts at every tip of `tips` no passage leads to, in
-    ascending order, and follows the passages to their end. The maps
-    are injective, so the in_tips no chain covers are exactly those on
-    auxiliary cycles; each cycle is listed once, starting at its least
-    in_tip, and the cycles come in ascending order of that tip.
+
+def _passages(fam: DartFamily) -> np.ndarray:
+    """The passage successor of the family: for the dart x = (v, u), the
+    dart (v, w) of the passage u -> v -> w that enters v along the
+    reverse of x, or -1 where no trail enters v from u."""
+    succ = np.full(len(fam.index.tail), -1, dtype=np.int32)
+    succ[fam.index.rev[fam.darts]] = fam.darts[fam.after()]
+    return succ
+
+
+def _walk(succ: np.ndarray, index: ArcIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chains and cycles of the passage successor, by pointer jumping.
+
+    Returns (lead, rank, cyclic). A dart no passage leads to starts a
+    chain; for a dart on a chain, lead is that start and rank its
+    distance from it. The successor is a partial injection within each
+    vertex's darts, so the darts on no chain are exactly those on its
+    cycles, marked by cyclic. Chains and cycles stay inside one vertex,
+    so log2 of the largest degree rounds of doubling reach every start.
     """
-    targets = {a.out_tip for a in at.values()}
-    chains: list[list[int]] = []
-    covered: set[int] = set()
-    for u in sorted(tips):
-        if u in targets:
+    darts = np.arange(len(succ))
+    pred = np.full(len(succ), -1, dtype=np.int64)
+    has = succ >= 0
+    pred[succ[has]] = darts[has]
+    up = np.where(pred >= 0, pred, darts)
+    rank = (pred >= 0).astype(np.int64)
+    degree = index.first[1:] - index.first[:-1]
+    for _ in range(int(degree.max(initial=0)).bit_length()):
+        rank += rank[up]
+        up = up[up]
+    return up, rank, pred[up] >= 0
+
+
+def _cycles(fam: DartFamily) -> list[np.ndarray]:
+    """Every cycle of the family's passage successor as its darts in
+    successor order, from its least dart, in increasing order of that
+    dart: the blossoms, by center and then by least in_tip."""
+    succ = _passages(fam)
+    cyclic = _walk(succ, fam.index)[2]
+    seen: set[int] = set()
+    cycles = []
+    for a in np.flatnonzero(cyclic).tolist():
+        if a in seen:
             continue
-        chain = [u]
-        while chain[-1] in at:
-            chain.append(at[chain[-1]].out_tip)
-        chains.append(chain)
-        covered.update(chain)
-    cycles: list[tuple[TipArc, ...]] = []
-    for start in sorted(at):
-        if start in covered:
-            continue
-        cyc = [at[start]]
-        while cyc[-1].out_tip != start:
-            cyc.append(at[cyc[-1].out_tip])
-        covered.update(a.in_tip for a in cyc)
-        cycles.append(tuple(cyc))
-    return chains, cycles
+        cyc = [a]
+        while (b := int(succ[cyc[-1]])) != a:
+            cyc.append(b)
+        seen.update(cyc)
+        cycles.append(np.array(cyc, dtype=np.int64))
+    return cycles
 
 
 def tip_digraphs(g, family: Sequence[ClosedTrail]) -> dict[int, TipDigraph]:
-    """All nonempty per-center auxiliary digraphs, keyed by center."""
-    return {v: TipDigraph(v, tuple(at.values()))
-            for v, at in _passages(g, family).items()}
+    """All nonempty per-center auxiliary digraphs, keyed by center in
+    order of first passage; each lists its passages in family order."""
+    fam = _as_family(g, family)
+    tail, head = fam.index.tail[fam.darts].tolist(), fam.index.head[fam.darts].tolist()
+    after = fam.after().tolist()
+    at: dict[int, list[TipArc]] = {}
+    for k, (s, e) in enumerate(zip(fam.offsets.tolist(), fam.offsets[1:].tolist())):
+        for j in range(s, e):
+            at.setdefault(head[j], []).append(TipArc(tail[j], head[after[j]], k, j - s))
+    return {v: TipDigraph(v, tuple(arcs)) for v, arcs in at.items()}
 
 
 def find_blossoms(g, family: Sequence[ClosedTrail]) -> BlossomReport:
@@ -141,43 +265,42 @@ def find_blossoms(g, family: Sequence[ClosedTrail]) -> BlossomReport:
     are distinct arcs).
     """
     family = tuple(family)
-    by_center = _passages(g, family)
+    fam = _as_family(g, family)
+    index = fam.index
     blossoms: list[Blossom] = []
-    for v in sorted(by_center):
-        at = by_center[v]
-        for cyc in _walk(at, at)[1]:
-            passages = tuple((a.trail_index, a.passage_idx) for a in cyc)
-            tips = tuple(a.in_tip for a in cyc)
-            if len(cyc) >= 3:
-                simple = True
-            elif len(cyc) == 2:
-                t1 = family[cyc[0].trail_index]
-                t2 = family[cyc[1].trail_index]
-                simple = t1 != t2.reverse()
-            else:
-                simple = False
-            blossoms.append(Blossom(v, passages, tips, simple))
+    for cyc in _cycles(fam):
+        passages = tuple(zip(*(a.tolist() for a in fam.entering(cyc))))
+        if len(cyc) >= 3:
+            simple = True
+        elif len(cyc) == 2:
+            simple = family[passages[0][0]] != family[passages[1][0]].reverse()
+        else:
+            simple = False
+        blossoms.append(Blossom(int(index.tail[cyc[0]]), passages,
+                                tuple(index.head[cyc].tolist()), simple))
     return BlossomReport(family, tuple(blossoms))
 
 
-def make_blossom_free(g, family: Sequence[ClosedTrail]
-                      ) -> tuple[tuple[ClosedTrail, ...], tuple[ClosedTrail, ...]]:
+def make_blossom_free(g, family: Sequence[ClosedTrail] | DartFamily):
     """Remove trails until no auxiliary cycle survives.
 
     One detection, then a greedy hitting set: repeatedly drop the trail
     sitting on the most still-unbroken cycles (ties to the later trail).
     Removing a trail only deletes auxiliary arcs, so it never creates a
     cycle and the survivors need no second detection. Returns the
-    survivors in family order and the dropped trails in family order.
+    survivors in family order and the dropped trails in family order:
+    two DartFamily objects for a DartFamily, two tuples of its trails
+    for a sequence of ClosedTrails.
 
     Each trail keeps its cycles and a count of the unbroken ones; a
     broken cycle decrements its trails' counts once, and a heap with
     stale entries skipped yields the next victim, so the loop costs
     O(c log c) in the total size c of the cycles.
     """
-    family = tuple(family)
-    cycles = [frozenset(ti for (ti, _pj) in b.passages)
-              for b in find_blossoms(g, family).blossoms]
+    if not isinstance(family, DartFamily):
+        family = tuple(family)
+    fam = _as_family(g, family)
+    cycles = [frozenset(fam.entering(cyc)[0].tolist()) for cyc in _cycles(fam)]
     cycles_of: dict[int, list[int]] = {}
     for ci, cyc in enumerate(cycles):
         for idx in cyc:
@@ -186,13 +309,13 @@ def make_blossom_free(g, family: Sequence[ClosedTrail]
     heap = [(-c, -idx) for idx, c in count.items()]
     heapq.heapify(heap)
     broken = bytearray(len(cycles))
-    removed: set[int] = set()
+    keep = np.ones(len(fam), dtype=bool)
     while heap:
         neg_count, neg_idx = heapq.heappop(heap)
         victim = -neg_idx
         if count[victim] != -neg_count:
             continue  # stale: the count fell after this entry was pushed
-        removed.add(victim)
+        keep[victim] = False
         for ci in cycles_of[victim]:
             if broken[ci]:
                 continue
@@ -201,59 +324,56 @@ def make_blossom_free(g, family: Sequence[ClosedTrail]
                 count[t] -= 1
                 if count[t]:
                     heapq.heappush(heap, (-count[t], -t))
-    surviving = tuple(t for idx, t in enumerate(family) if idx not in removed)
-    dropped = tuple(family[idx] for idx in sorted(removed))
-    return surviving, dropped
+    if isinstance(family, DartFamily):
+        return fam.subset(keep), fam.subset(~keep)
+    return (tuple(t for t, k in zip(family, keep.tolist()) if k),
+            tuple(t for t, k in zip(family, keep.tolist()) if not k))
 
 
-def assemble_rotation(g, family: Sequence[ClosedTrail]) -> RotationSystem:
+def assemble_rotation(g, family: Sequence[ClosedTrail] | DartFamily) -> RotationSystem:
     """Rotation system of g realizing every trail of the family as a
     traced face.
 
-    The family must be arc-disjoint and blossom-free; a family that is
-    not raises ValidationError. At each vertex the passages form
-    disjoint successor chains; chains are concatenated in ascending
-    order of their least neighbor label and unconstrained neighbors
-    ride along as singleton chains. A vertex no trail passes through is
-    all singletons, so it keeps g.neighbors(v) itself. By the orbit
-    rule a trail traces as a face exactly when, for each of its
-    passages u -> v -> w, w follows u in the order at v; that is
-    checked for every passage before returning.
+    The family, a DartFamily or a sequence of ClosedTrails, must be
+    arc-disjoint and blossom-free; a family that is not raises
+    ValidationError. At each vertex the passages form disjoint successor
+    chains; chains are concatenated in ascending order of their least
+    neighbor label and unconstrained neighbors ride along as singleton
+    chains. A vertex no trail passes through is all singletons, so it
+    keeps g.neighbors(v) itself. By the orbit rule a trail traces as a
+    face exactly when, for each of its passages u -> v -> w, w follows
+    u in the order at v; that is checked for every passage before
+    returning.
 
-    The order is written as dart successors over arc_index(g), for the
-    vertices with edges only. Each vertex's chain cover is checked to
-    be a permutation of its out-darts, so trace_faces can read the
-    array for g without validating it again.
+    The order is written as dart successors over arc_index(g). The
+    chain cover is checked to list every vertex's out-darts exactly
+    once, so trace_faces can read the arrays for g without validating
+    them again.
     """
-    by_center = _passages(g, family)
-    arcs, rev, first = arc_index(g)
-    # Each vertex's darts in neighbor order; its last dart wraps below.
-    nxt = list(range(1, len(arcs) + 1))
-    head: dict[int, int] = {}
-    for v, k0 in first.items():
-        nbrs = g.neighbors(v)
-        at = by_center.get(v)
-        if at is None:
-            nxt[k0 + len(nbrs) - 1] = k0
-            continue
-        chains, cycles = _walk(at, nbrs)
-        if cycles:
-            raise ValidationError(
-                f"family has a blossom at vertex {v} (length {len(cycles[0])})"
-            )
-        flat = [u for chain in sorted(chains, key=min) for u in chain]
-        if len(flat) != len(nbrs):
-            raise InternalConsistencyError("chain cover missed a neighbor")
-        dart = {u: k0 + bisect_left(nbrs, u) for u in flat}
-        ids = list(dart.values())
-        if sorted(ids) != list(range(k0, k0 + len(nbrs))):
-            raise InternalConsistencyError(
-                f"chain cover at vertex {v} is not a permutation of its darts")
-        for a, b in zip(ids, ids[1:] + ids[:1]):
-            nxt[a] = b
-        if any(nxt[dart[a.in_tip]] != dart[a.out_tip] for a in at.values()):
-            raise InternalConsistencyError(
-                f"assembled order at vertex {v} does not realize a passage"
-            )
-        head[v] = ids[0]
-    return RotationSystem.from_darts(g, (arcs, rev, first, nxt), head)
+    fam = _as_family(g, family)
+    index = fam.index
+    succ = _passages(fam)
+    lead, rank, cyclic = _walk(succ, index)
+    if cyclic.any():
+        a = int(cyclic.argmax())
+        length, b = 1, int(succ[a])
+        while b != a:
+            length, b = length + 1, int(succ[b])
+        raise ValidationError(
+            f"family has a blossom at vertex {int(index.tail[a])} (length {length})")
+    # each chain is keyed by its least dart, which lies in its vertex's block
+    least = np.full(len(succ), len(succ), dtype=np.int64)
+    np.minimum.at(least, lead, np.arange(len(succ)))
+    seq = np.lexsort((rank, least[lead])).astype(np.int32)
+    if not np.array_equal(index.tail[seq], index.tail):
+        v = int(index.tail[np.flatnonzero(index.tail[seq] != index.tail)[0]])
+        raise InternalConsistencyError(
+            f"chain cover at vertex {v} is not a permutation of its darts")
+    nxt = cyclic_successors(index, seq)
+    has = succ >= 0
+    if (nxt[has] != succ[has]).any():
+        v = int(index.tail[np.flatnonzero(has & (nxt != succ))[0]])
+        raise InternalConsistencyError(
+            f"assembled order at vertex {v} does not realize a passage"
+        )
+    return RotationSystem.from_darts(g, (index, nxt, seq))

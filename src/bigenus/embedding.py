@@ -10,18 +10,37 @@ computed per connected component.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+
+import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
 
 Arc = tuple[int, int]
-# A rotation as dart successors (arcs, rev, first, nxt): arcs, rev and
-# first as arc_index gives them, and nxt[a] the dart after a in the
-# rotation at its tail.
-Darts = tuple[list[Arc], list[int], dict[int, int], list[int]]
+
+
+class ArcIndex(NamedTuple):
+    """Dart numbering of a graph, as int32 arrays: dart k is the arc
+    (tail[k], head[k]), darts are in lexicographic (tail, head) order,
+    rev[k] is the dart of the reverse arc, and v's out-darts are
+    first[v], ..., first[v + 1] - 1, in neighbor order (first has one
+    entry per vertex of the graph plus one)."""
+
+    tail: np.ndarray
+    head: np.ndarray
+    rev: np.ndarray
+    first: np.ndarray
+
+
+# A rotation as dart successors (index, nxt, seq) over an ArcIndex:
+# nxt[a] is the dart after a in the rotation at its tail, and seq holds
+# each vertex's darts in rotation order from the one its cyclic tuple
+# starts at, vertex after vertex (seq[first[v]:first[v + 1]] for v).
+Darts = tuple[ArcIndex, np.ndarray, np.ndarray]
 
 
 class RotationSystem:
@@ -44,53 +63,41 @@ class RotationSystem:
             self._order = {v: tuple(ns) for v, ns in order.items()}
         self._graph = None
         self._darts: Darts | None = None
-        self._head: dict[int, int] = {}
 
     @classmethod
-    def from_darts(cls, g, darts: Darts, head: dict[int, int]) -> "RotationSystem":
-        """The rotation of g whose dart successors are nxt, with
-        darts = (arcs, rev, first, nxt) over arc_index(g). The tuple at
-        v starts at the dart head[v], or at v's first dart where head has
-        no entry. The caller guarantees that nxt permutes the out-darts
-        of every vertex cyclically."""
+    def from_darts(cls, g, darts: Darts) -> "RotationSystem":
+        """The rotation of g given by darts = (index, nxt, seq) over
+        index = arc_index(g). The caller guarantees that nxt permutes
+        the out-darts of every vertex cyclically and that seq lists them
+        in that cyclic order."""
         rot = cls.__new__(cls)
         rot._order = None
         rot._graph = g
         rot._darts = darts
-        rot._head = head
         return rot
 
     @property
     def order(self) -> dict[int, tuple[int, ...]]:
         if self._order is None:
-            arcs, _rev, first, nxt = self._darts
-            g = self._graph
-            order: dict[int, tuple[int, ...]] = {}
-            for v in range(g.n_vertices):
-                a = self._head.get(v, first.get(v))
-                cyc = []
-                for _ in range(g.degree(v)):
-                    cyc.append(arcs[a][1])
-                    a = nxt[a]
-                order[v] = tuple(cyc)
-            self._order = order
+            index, _nxt, seq = self._darts
+            heads = index.head[seq].tolist()
+            first = index.first.tolist()
+            self._order = {v: tuple(heads[first[v]:first[v + 1]])
+                           for v in range(self._graph.n_vertices)}
         return self._order
 
     def darts_for(self, g) -> Darts:
-        """(arcs, rev, first, nxt) of this rotation over arc_index(g).
-        A system built for g answers from its own array; any other is
+        """(index, nxt, seq) of this rotation over index = arc_index(g).
+        A system built for g answers from its own arrays; any other is
         first checked by validate_for."""
         if self._graph is g:
             return self._darts
         self.validate_for(g)
-        arcs, rev, first = arc_index(g)
-        nxt = [0] * len(arcs)
-        for v, k0 in first.items():
-            nbrs = g.neighbors(v)
-            ids = [k0 + bisect_left(nbrs, u) for u in self.at(v)]
-            for a, b in zip(ids, ids[1:] + ids[:1]):
-                nxt[a] = b
-        return arcs, rev, first, nxt
+        index = arc_index(g)
+        first = index.first.tolist()
+        seq = np.array([first[v] + bisect_left(g.neighbors(v), u)
+                        for v in range(g.n_vertices) for u in self.at(v)], dtype=np.int32)
+        return index, cyclic_successors(index, seq), seq
 
     def vertices(self) -> Iterable[int]:
         return self.order.keys()
@@ -136,25 +143,61 @@ class RotationSystem:
         return f"RotationSystem(vertices={n})"
 
 
-@dataclass(frozen=True)
 class FaceSet:
     """Traced faces of one embedding. Every face is a tuple of arcs in
     orbit order, stored starting at its lexicographically least arc so
-    equal embeddings compare equal."""
+    equal embeddings compare equal.
 
-    faces: tuple[tuple[Arc, ...], ...]
-    n_edges: int
+    trace_faces keeps the faces as one int32 array of dart ids in orbit
+    order, face after face, and builds the arc tuples of `faces` only
+    when they are read."""
+
+    def __init__(self, faces: Iterable[tuple[Arc, ...]], n_edges: int):
+        self.faces = tuple(faces)
+        self.n_edges = n_edges
+        self.lengths = tuple(len(f) for f in self.faces)
+        self._tails = [f[0][0] for f in self.faces]
+
+    @classmethod
+    def _from_orbits(cls, index: ArcIndex, orbit: np.ndarray, lengths: list[int],
+                     n_edges: int) -> "FaceSet":
+        """The faces whose darts over index are orbit, split into runs
+        of the given lengths."""
+        fs = cls.__new__(cls)
+        fs.n_edges = n_edges
+        fs.lengths = tuple(lengths)
+        starts = np.cumsum([0] + lengths[:-1], dtype=np.int64)
+        fs._tails = index.tail[orbit[starts]].tolist() if lengths else []
+        fs._orbits = (index, orbit)
+        return fs
+
+    @functools.cached_property
+    def faces(self) -> tuple[tuple[Arc, ...], ...]:
+        index, orbit = self._orbits
+        arcs = list(zip(index.tail[orbit].tolist(), index.head[orbit].tolist()))
+        ends = itertools.accumulate(self.lengths)
+        return tuple(tuple(arcs[e - n:e]) for e, n in zip(ends, self.lengths))
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return len(self.lengths)
 
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.faces)
+    def face_tails(self) -> list[int]:
+        """The tail of the first arc of every face, in face order."""
+        return self._tails
 
     def face_arcs(self) -> frozenset[tuple[Arc, ...]]:
         return frozenset(self.faces)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, FaceSet) and self.n_edges == other.n_edges
+                and self.faces == other.faces)
+
+    def __hash__(self) -> int:
+        return hash((self.faces, self.n_edges))
+
+    def __repr__(self) -> str:
+        return f"FaceSet(faces={self.n_faces}, n_edges={self.n_edges})"
 
 
 def sorted_rotation(g) -> RotationSystem:
@@ -162,30 +205,42 @@ def sorted_rotation(g) -> RotationSystem:
     return RotationSystem({v: g.neighbors(v) for v in range(g.n_vertices)})
 
 
-def arc_index(g, verts: Iterable[int] | None = None
-              ) -> tuple[list[Arc], list[int], dict[int, int]]:
-    """(arcs, rev, first) for the arcs leaving `verts`, an increasing
-    union of components of g (default: every vertex with an edge): arc
-    k is arcs[k] in lexicographic (tail, head) order, rev[k] is the id
-    of its reverse, and v's out-arcs are first[v], first[v] + 1, ... in
-    neighbor order."""
-    if verts is None:
-        verts = sorted({v for edge in g.edge_list for v in edge})
-    arcs: list[Arc] = []
-    first: dict[int, int] = {}
-    for v in verts:
-        nbrs = g.neighbors(v)
-        if nbrs:
-            first[v] = len(arcs)
-            arcs.extend([(v, w) for w in nbrs])
-    # Tails come in increasing order, so the arcs entering w do too, and
-    # their reverses are w's out-arcs in neighbor order.
-    out_ids = {v: itertools.count(k0) for v, k0 in first.items()}
-    rev = [next(out_ids[w]) for (_v, w) in arcs]
-    return arcs, rev, first
+def arc_index(g, verts: Iterable[int] | None = None) -> ArcIndex:
+    """The ArcIndex of the arcs leaving `verts`, a union of components
+    of g (default: every vertex with an edge). Both directions of every
+    edge with an end in `verts` are darts."""
+    ends = g.edge_array()
+    if verts is not None:
+        inside = np.zeros(g.n_vertices, dtype=bool)
+        inside[np.fromiter(verts, dtype=np.int64)] = True
+        ends = ends[inside[ends[:, 0]]]
+    m = len(ends)
+    tails = np.concatenate((ends[:, 0], ends[:, 1]))
+    heads = np.concatenate((ends[:, 1], ends[:, 0]))
+    order = np.lexsort((heads, tails))
+    # dart k is tails[order[k]]; its reverse sits m positions away
+    pos = np.empty(2 * m, dtype=np.int32)
+    pos[order] = np.arange(2 * m, dtype=np.int32)
+    tail = tails[order]
+    first = np.zeros(g.n_vertices + 1, dtype=np.int32)
+    np.add.at(first, tail + 1, 1)
+    np.cumsum(first, out=first)
+    return ArcIndex(tail, heads[order], pos[(order + m) % max(2 * m, 1)], first)
 
 
-def face_starts(nxt: list[int], rev: list[int]) -> list[int]:
+def cyclic_successors(index: ArcIndex, seq: np.ndarray) -> np.ndarray:
+    """nxt with nxt[seq[k]] = seq[k + 1] inside each vertex's block
+    first[v]:first[v + 1] of seq, and the last dart of a block followed
+    by its first: the rotation that seq lists vertex by vertex."""
+    nxt = np.empty(len(seq), dtype=np.int32)
+    nxt[seq[:-1]] = seq[1:]
+    tail = index.tail
+    last = np.flatnonzero(np.append(tail[1:] != tail[:-1], len(tail) > 0))
+    nxt[seq[last]] = seq[np.append(0, last + 1)[:-1]]
+    return nxt
+
+
+def face_starts(nxt: Sequence[int], rev: Sequence[int]) -> list[int]:
     """The least arc id of every orbit of the face successor
     a -> nxt[rev[a]], in increasing order. nxt[a] is the arc after a in
     the rotation at its tail."""
@@ -216,19 +271,23 @@ def euler_genus(n_c: int, e_c: int, f_c: int) -> int:
 
 def trace_faces(g, rot: RotationSystem) -> FaceSet:
     """Orbit decomposition of the arc set under the face-successor map."""
-    arcs, rev, _first, nxt = rot.darts_for(g)
-    faces: list[tuple[Arc, ...]] = []
+    index, nxt, _seq = rot.darts_for(g)
+    rev, nxt = memoryview(index.rev), memoryview(nxt)
+    orbit = array("i")
+    lengths = []
     for a0 in face_starts(nxt, rev):
-        face = [arcs[a0]]
-        a = nxt[rev[a0]]
-        while a != a0:
-            face.append(arcs[a])
+        start = len(orbit)
+        a = a0
+        while True:
+            orbit.append(a)
             a = nxt[rev[a]]
-        faces.append(tuple(face))
-    fs = FaceSet(tuple(faces), n_edges=len(arcs) // 2)
-    if sum(fs.lengths) != len(arcs):
+            if a == a0:
+                break
+        lengths.append(len(orbit) - start)
+    if len(orbit) != len(rev):
         raise InternalConsistencyError("face lengths do not cover every arc once")
-    return fs
+    return FaceSet._from_orbits(index, np.frombuffer(orbit, dtype=np.int32), lengths,
+                                len(rev) // 2)
 
 
 def connected_components(g, starts: Iterable[int] | None = None
@@ -270,8 +329,8 @@ def genus_from_faces(g, fs: FaceSet) -> int:
     for (u, v) in g.edge_list:
         e_c[comp_of[u]] += 1
     f_c = [0] * len(comps)
-    for face in fs.faces:
-        f_c[comp_of[face[0][0]]] += 1
+    for u in fs.face_tails():
+        f_c[comp_of[u]] += 1
     return sum(euler_genus(len(comp), e_c[ci], f_c[ci]) for ci, comp in enumerate(comps))
 
 

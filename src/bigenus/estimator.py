@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple, TextIO
 from .bigraph import (MAX_SMALL_PART, STREAM_MATCH, STREAM_MIRROR,
                       BipartiteGraph, Graph, derive_int_seed, is_bipartite,
                       orient_randomly)
-from .blossom import assemble_rotation, make_blossom_free
+from .blossom import DartFamily, assemble_rotation, make_blossom_free
 from .embedding import (connected_components, face_length_histogram, genus_from_faces,
                         trace_faces)
 from .errors import GuardError, InternalConsistencyError, ValidationError
@@ -352,8 +352,9 @@ def _trail_matchings(g, i: int, cfg: PipelineConfig
                      ) -> tuple[MatchingReport, MatchingReport] | None:
     """Orient g, enumerate its closed (2i+2)-trails, and draw the
     matching and the disjoint mirror matching; None when the cap
-    truncated the family. The digraph and the trail family, the largest
-    objects of an estimate, are unreachable once this returns."""
+    truncated the family. The trail family, the largest object of an
+    estimate, is unreachable once this returns; the reports keep only
+    their matched rows and the arc arrays those rows index."""
     d = orient_randomly(g, cfg.seed)
     h = build_trail_hypergraph(d, i, cfg.cap)
     if h.truncated:
@@ -362,7 +363,7 @@ def _trail_matchings(g, i: int, cfg: PipelineConfig
     # The reversed digraph's family is the reverse of this one; rewrite
     # the rows into it in place for the second matching.
     h.mirror()
-    mm = find_disjoint_mirror_matching(h, m.matching, cfg.strategy,
+    mm = find_disjoint_mirror_matching(h, m, cfg.strategy,
                                        derive_int_seed(cfg.seed, STREAM_MIRROR))
     return m, mm
 
@@ -401,7 +402,7 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
                              prediction, res.label(), None, None, None, None,
                              None, True)
     m, mm = matchings
-    family = list(m.matching) + list(mm.matching)
+    family = DartFamily.of_matchings(g, m, mm)
     surviving, removed = make_blossom_free(g, family)
     rot = assemble_rotation(g, surviving)
     fs = trace_faces(g, rot)

@@ -62,19 +62,20 @@ def rotation_system_count(g) -> int:
 class _Engine:
     """Arc-indexed face counter for one connected component.
 
-    Arcs get the dense ids of embedding.arc_index; rev pairs the two
-    directions of an edge. A rotation is a cyclic order of the out-arcs
+    Arcs get the dense ids of embedding.arc_index, read into lists once;
+    rev pairs the two directions of an edge. A rotation is a cyclic order of the out-arcs
     at each vertex, stored as the successor array nxt. The face
     successor of arc a is nxt[rev[a]], and faces are its orbits.
     """
 
     def __init__(self, g, verts: list[int]):
         self.verts = verts
-        self.arcs, self.rev, first = arc_index(g, verts)
-        self.out_arcs = {v: range(first[v], first[v] + g.degree(v)) for v in verts}
+        index = arc_index(g, verts)
+        self.heads, self.rev, first = index.head.tolist(), index.rev.tolist(), index.first
+        self.out_arcs = {v: range(first[v], first[v + 1]) for v in verts}
         self.n_c = len(verts)
-        self.e_c = len(self.arcs) // 2
-        self.nxt = [0] * len(self.arcs)
+        self.e_c = len(self.rev) // 2
+        self.nxt = [0] * len(self.rev)
         self.seq: dict[int, tuple[int, ...]] = {}
         for v in verts:
             self.set_seq(v, tuple(self.out_arcs[v]))
@@ -99,7 +100,7 @@ class _Engine:
             self.set_seq(v, seq)
 
     def neighbor_orders(self) -> dict[int, tuple[int, ...]]:
-        return {v: tuple(self.arcs[a][1] for a in seq) for v, seq in self.seq.items()}
+        return {v: tuple(self.heads[a] for a in seq) for v, seq in self.seq.items()}
 
 
 def _component_lower_bound(g, verts: list[int]) -> int:

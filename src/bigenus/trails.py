@@ -8,12 +8,13 @@ of an embedding.
 
 The pipeline uses H only through its incidence structure, so a family
 of trails is held as rows: one numpy array with a row per trail and
-2i+2 columns of arc ids, where arc id k stands for d.arc_list[k]. The
-ids are uint16 when D has at most 65,536 arcs and int32 otherwise (see
+2i+2 columns of arc ids, where arc id k stands for the arc
+(d.tail[k], d.head[k]) of D's sorted int32 arc arrays. The ids are
+uint16 when D has at most 65,536 arcs and int32 otherwise (see
 _row_dtype), so a row takes 2(2i+2) or 4(2i+2) bytes.
 Each row is in canonical rotation (it starts at its least arc id) and
 the rows are sorted lexicographically, which is the order of the arc
-tuples themselves because arc ids follow the sorted arc list.
+tuples themselves because arc ids follow the sorted arcs.
 
 One enumerator serves every length and every digraph (orientations,
 anti-parallel arcs, the symmetric digraphs of the short-trail counts):
@@ -22,11 +23,19 @@ halves are joined on their end vertices (_trail_blocks). Its rows come
 out canonical and in order, so a capped family is the first `cap` rows
 in canonical order.
 
-ClosedTrail is the boundary type: it is built for matched trails, for
-the text format, and on demand by the lazy views of a family. A trail
-and its reverse are distinct; the reverses are the family of the
-reversed digraph, which TrailHypergraph.mirror writes over the rows in
-place.
+A matching keeps its trails as rows too: a MatchingReport holds the
+matched rows over the family's arc arrays (TrailRows), and the mirror
+matching excludes their reverses by mapping the reversed rows to arc
+ids of the mirrored family and searching its sorted rows
+(TrailHypergraph.find). The blossom module turns the rows into dart ids
+without building a ClosedTrail.
+
+ClosedTrail is the boundary type: it is built for the text format, on
+demand by the lazy views of a family and of a MatchingReport, and it is
+what public callers may pass to exclude; such trails are converted to
+rows once and take the same path. A trail and its reverse are distinct;
+the reverses are the family of the reversed digraph, which
+TrailHypergraph.mirror writes over the rows in place.
 """
 
 from __future__ import annotations
@@ -35,9 +44,8 @@ import functools
 import itertools
 import random
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -48,9 +56,9 @@ Arc = tuple[int, int]
 
 _COUNT_WORK_LIMIT = 20_000_000
 # Trail enumeration refuses to hold more trails than this. An estimate
-# peaks near 21 bytes per trail with 16-bit arc ids and 29 with 32-bit
+# peaks near 19 bytes per trail with 16-bit arc ids and 26.5 with 32-bit
 # ones (peak RSS over 6.5M trails on G(240, 240, 0.5)), so the limit
-# stands for about 0.7 GB, or 0.9 GB past 65,536 arcs.
+# stands for about 0.6 GB, or 0.85 GB past 65,536 arcs.
 MAX_TRAILS = 32_000_000
 
 # Half trails per chunk of start vertices, and candidate rows per join,
@@ -111,6 +119,33 @@ class ClosedTrail:
     def __repr__(self) -> str:
         inner = " ".join(f"{t}>{h}" for (t, h) in self.arcs)
         return f"ClosedTrail({inner})"
+
+
+class TrailRows(NamedTuple):
+    """Closed trails of one length as rows of ids into an arc table:
+    trail k is the arcs (tail[a], head[a]) for a in rows[k], in trail
+    order."""
+
+    rows: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+
+    @classmethod
+    def of(cls, trails: Sequence[ClosedTrail]) -> "TrailRows":
+        """The trails, all of one length, over a table of their own arcs."""
+        w = len(trails[0]) if trails else 0
+        ends = np.array([a for t in trails for a in t.arcs], dtype=np.int64).reshape(-1, 2)
+        return cls(np.arange(len(ends)).reshape(-1, w) if w else np.zeros((0, 0), np.int64),
+                   ends[:, 0], ends[:, 1])
+
+    def reverse(self) -> "TrailRows":
+        """The reverse of every trail: its arcs flipped, in reverse order."""
+        return TrailRows(self.rows[:, ::-1], self.head, self.tail)
+
+    def trails(self) -> tuple[ClosedTrail, ...]:
+        tail, head = self.tail.tolist(), self.head.tolist()
+        return tuple(ClosedTrail.from_arcs([(tail[a], head[a]) for a in row])
+                     for row in self.rows.tolist())
 
 
 def _row_dtype(n_arcs: int) -> np.dtype:
@@ -207,11 +242,12 @@ def _trail_blocks(d: Digraph, length: int):
     the arc count.
     """
     half = length // 2
-    m = len(d.arc_list)
-    verts = np.array(sorted({v for arc in d.arc_list for v in arc}), dtype=np.int64)
+    m = d.n_arcs
+    ends = np.sort(np.concatenate((d.tail, d.head)))
+    verts = ends[np.concatenate(([True], ends[1:] != ends[:-1]))] if m else ends
     nv = len(verts)
     ids = np.arange(m, dtype=_row_dtype(m))
-    tail, head = np.searchsorted(verts, np.array(d.arc_list, dtype=np.int64).reshape(m, 2).T)
+    tail, head = np.searchsorted(verts, d.tail), np.searchsorted(verts, d.head)
     for _ in range(_PRUNE_ROUNDS):
         has_in, has_out = np.zeros(nv, dtype=bool), np.zeros(nv, dtype=bool)
         has_in[head], has_out[tail] = True, True
@@ -260,33 +296,41 @@ def theoretical_delta(n1: int, n2: int, p: float, i: int) -> float:
 
 
 class TrailHypergraph:
-    """(2i+2)-uniform hypergraph on the sorted arc list `arcs` of D whose
-    hyperedges are the closed trails of length 2i+2: hyperedge k is row
-    k of the canonical sorted rows of arc ids (see the module docstring).
+    """(2i+2)-uniform hypergraph on the arcs of D whose hyperedges are
+    the closed trails of length 2i+2: arc k is (tail[k], head[k]), in
+    sorted order, and hyperedge k is row k of the canonical sorted rows
+    of arc ids (see the module docstring).
 
     truncated is set when the cap stopped the enumeration early; the
     rows are then the first `cap` rows in canonical order, never a
     silent subset.
-    `trails`, `incidence` and `degree` are lazy views keyed by trail
-    or arc, built only when asked for.
+    `arcs`, `trails`, `incidence` and `degree` are lazy views keyed by
+    trail or arc, built only when asked for.
     """
 
-    def __init__(self, arcs: tuple[Arc, ...], rows: np.ndarray, truncated: bool = False):
-        self.arcs = arcs
+    def __init__(self, tail: np.ndarray, head: np.ndarray, rows: np.ndarray,
+                 truncated: bool = False):
+        self.tail = tail
+        self.head = head
         self.rows = rows
         self.truncated = truncated
         self.d = rows.shape[1]
 
     @property
     def n_arcs(self) -> int:
-        return len(self.arcs)
+        return len(self.tail)
 
     @property
     def n_hyperedges(self) -> int:
         return len(self.rows)
 
+    @functools.cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        return tuple(zip(self.tail.tolist(), self.head.tolist()))
+
     def trail(self, k: int) -> ClosedTrail:
-        return ClosedTrail(tuple(self.arcs[a] for a in self.rows[k].tolist()))
+        row = self.rows[k]
+        return ClosedTrail(tuple(zip(self.tail[row].tolist(), self.head[row].tolist())))
 
     @functools.cached_property
     def trails(self) -> tuple[ClosedTrail, ...]:
@@ -294,18 +338,45 @@ class TrailHypergraph:
 
     def index(self, trail: ClosedTrail) -> int | None:
         """Row of `trail` in this family, or None when it is absent."""
-        arcs = self.arcs
-        row = []
-        for a in trail.arcs:
-            k = bisect_left(arcs, a)
-            if k == len(arcs) or arcs[k] != a:
-                return None
-            row.append(k)
+        found = self.find(TrailRows.of([trail]))
+        return int(found[0]) if len(found) else None
+
+    def find(self, trails: TrailRows) -> np.ndarray:
+        """The rows of this family that hold one of `trails`, in
+        increasing order, one entry per trail found.
+
+        Each trail's arcs are looked up among this family's arcs by a
+        packed (tail, head) key; a trail with an arc not among them, or
+        of another length, is absent. The ids found are rotated to start
+        at their least, and a binary search run in lockstep over all the
+        queries finds them among the lexicographically sorted rows."""
         rows = self.rows
-        if len(row) != rows.shape[1]:
-            return None
-        j = bisect_left(range(len(rows)), row, key=lambda r: rows[r].tolist())
-        return j if j < len(rows) and rows[j].tolist() == row else None
+        if len(trails.rows) == 0 or trails.rows.shape[1] != self.d or not self.n_arcs:
+            return np.zeros(0, dtype=np.int64)
+        n = 1 + int(max(self.tail.max(), self.head.max(),
+                        trails.tail.max(initial=0), trails.head.max(initial=0)))
+        key = self.tail.astype(np.int64) * n + self.head
+        # an arc with a negative end gets key -1, which no arc of h has
+        want = np.where((trails.tail >= 0) & (trails.head >= 0),
+                        trails.tail.astype(np.int64) * n + trails.head, -1)[trails.rows]
+        ids = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        ids = ids[(key[ids] == want).all(axis=1)]
+        ids = np.take_along_axis(ids, (ids.argmin(axis=1)[:, None] + np.arange(self.d))
+                                 % self.d, axis=1)
+        lo = np.zeros(len(ids), dtype=np.int64)
+        hi = np.full(len(ids), len(rows), dtype=np.int64)
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            at = rows[np.minimum(mid, len(rows) - 1)]
+            diff = at != ids
+            col = diff.argmax(axis=1)[:, None]
+            less = diff.any(axis=1) & (np.take_along_axis(at, col, axis=1)
+                                       < np.take_along_axis(ids, col, axis=1))[:, 0]
+            active = lo < hi
+            lo, hi = np.where(active & less, mid + 1, lo), np.where(active & ~less, mid, hi)
+        hit = lo < len(rows)
+        hit[hit] = (rows[lo[hit]] == ids[hit]).all(axis=1)
+        return np.sort(lo[hit])
 
     def mirror(self) -> None:
         """Turn this family into the family of the reversed digraph, in
@@ -318,23 +389,23 @@ class TrailHypergraph:
 
         Returns None, like list.sort, and drops the cached views; the
         rows array is rewritten in place, so a caller holding it sees
-        the mirrored rows."""
-        ends = np.array(self.arcs, dtype=np.int64).reshape(-1, 2)
-        order = np.lexsort((ends[:, 0], ends[:, 1]))
+        the mirrored rows. The arc arrays are replaced, not rewritten, so
+        a caller holding the old ones keeps the forward arcs."""
+        order = np.lexsort((self.tail, self.head))
         rows = self.rows
         rank = np.empty(len(order), dtype=rows.dtype)
         rank[order] = np.arange(len(order), dtype=rows.dtype)
-        self.arcs = tuple(zip(*ends[order, ::-1].T.tolist()))
+        self.tail, self.head = self.head[order], self.tail[order]
         for s in range(0, len(rows), _ROTATE_CHUNK):
             block = rows[s:s + _ROTATE_CHUNK]
             block[...] = rank[block[:, ::-1]]
         _canonical_sort(rows)
-        for view in ("trails", "degree", "incidence"):
+        for view in ("arcs", "trails", "degree", "incidence"):
             self.__dict__.pop(view, None)
 
     def degree_array(self) -> np.ndarray:
         """Hyperedge count per arc id."""
-        return np.bincount(self.rows.ravel(), minlength=len(self.arcs))
+        return np.bincount(self.rows.ravel(), minlength=self.n_arcs)
 
     @functools.cached_property
     def degree(self) -> dict[Arc, int]:
@@ -342,7 +413,7 @@ class TrailHypergraph:
 
     @functools.cached_property
     def incidence(self) -> dict[Arc, tuple[int, ...]]:
-        by_id: list[list[int]] = [[] for _ in self.arcs]
+        by_id: list[list[int]] = [[] for _ in range(self.n_arcs)]
         for idx, row in enumerate(self.rows.tolist()):
             for a in row:
                 by_id[a].append(idx)
@@ -373,7 +444,7 @@ def build_trail_hypergraph(d: Digraph, i: int, cap: int | None = None) -> TrailH
     if count > MAX_TRAILS:
         raise GuardError(f"closed {length}-trails exceed the limit of {MAX_TRAILS}; "
                          f"pass a cap")
-    rows = np.empty((count, length), dtype=_row_dtype(len(d.arc_list)))
+    rows = np.empty((count, length), dtype=_row_dtype(d.n_arcs))
     pos = 0
     for block in _trail_blocks(d, length):
         take = min(len(block), count - pos)
@@ -381,7 +452,7 @@ def build_trail_hypergraph(d: Digraph, i: int, cap: int | None = None) -> TrailH
         pos += take
         if pos == count:
             break
-    return TrailHypergraph(d.arc_list, rows, total > count)
+    return TrailHypergraph(d.tail, d.head, rows, total > count)
 
 
 @dataclass(frozen=True)
@@ -454,12 +525,16 @@ def check_matching_conditions(h: TrailHypergraph, delta: float,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchingReport:
     """A pairwise arc-disjoint set of hyperedges plus bookkeeping.
-    Coverage is d*|M|/N, the fraction of arcs used by the matching."""
+    Coverage is d*|M|/N, the fraction of arcs used by the matching.
 
-    matching: tuple[ClosedTrail, ...]
+    `chosen` holds the matched rows of arc ids, in row order, over the
+    arc arrays of the family they were matched in; `matching` builds
+    their ClosedTrails only when read."""
+
+    chosen: TrailRows
     coverage: float
     strategy: str
     seed: int
@@ -467,16 +542,20 @@ class MatchingReport:
     d: int
     excluded: int = 0
 
+    @functools.cached_property
+    def matching(self) -> tuple[ClosedTrail, ...]:
+        return self.chosen.trails()
+
     @property
     def size(self) -> int:
-        return len(self.matching)
+        return len(self.chosen.rows)
 
 
 STRATEGIES = ("greedy", "nibble")
 
 
 def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
-                  exclude: Iterable[ClosedTrail] = ()) -> MatchingReport:
+                  exclude: Iterable[ClosedTrail] | TrailRows = ()) -> MatchingReport:
     """Arc-disjoint hyperedge set by one of two randomized strategies.
 
     greedy: repeatedly take a uniformly random surviving hyperedge and
@@ -489,18 +568,22 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
 
     The greedy order is the Rödl-nibble / Pippenger–Spencer random
     greedy process the theory rests on. Candidates are row indices in
-    increasing order, minus the rows of excluded trails, shuffled by
-    random.Random(seed); used arcs are marked in a bytearray.
+    increasing order, minus the rows of excluded trails (found by
+    TrailHypergraph.find; ClosedTrails are converted to rows first),
+    shuffled by random.Random(seed); used arcs are marked in a
+    bytearray.
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    excluded_set = frozenset(exclude)
+    if not isinstance(exclude, TrailRows):
+        distinct = frozenset(exclude)
+        exclude = TrailRows.of([t for t in distinct if len(t) == h.d])
+        n_excluded = len(distinct)
+    else:
+        n_excluded = len(exclude.rows)
     rng = random.Random(seed)
     keep = np.ones(h.n_hyperedges, dtype=bool)
-    for t in excluded_set:
-        k = h.index(t)
-        if k is not None:
-            keep[k] = False
+    keep[h.find(exclude)] = False
     candidates = array("i", [0]) * int(np.count_nonzero(keep))
     fill = np.frombuffer(candidates, dtype=np.int32)
     pos = 0
@@ -556,20 +639,24 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
         sweep(rest)
 
     chosen.sort()
-    matching = tuple(h.trail(idx) for idx in chosen)
-    coverage = h.d * len(matching) / h.n_arcs if h.n_arcs else 0.0
-    return MatchingReport(matching, coverage, strategy, seed, h.n_arcs, h.d,
-                          excluded=len(excluded_set))
+    coverage = h.d * len(chosen) / h.n_arcs if h.n_arcs else 0.0
+    return MatchingReport(TrailRows(rows[np.array(chosen, dtype=np.int64)], h.tail, h.head),
+                          coverage, strategy, seed, h.n_arcs, h.d, excluded=n_excluded)
 
 
-def find_disjoint_mirror_matching(h_rev: TrailHypergraph, m: Sequence[ClosedTrail],
+def find_disjoint_mirror_matching(h_rev: TrailHypergraph,
+                                  m: MatchingReport | Sequence[ClosedTrail],
                                   strategy: str = "greedy", seed: int = 0
                                   ) -> MatchingReport:
     """Matching in the reversed-digraph hypergraph avoiding the reverses
     of the given matching, so no prescribed face appears twice with
     opposite senses. h_rev is typically the hypergraph m was matched
-    in, after its mirror()."""
-    mirror = [t.reverse() for t in m]
+    in, after its mirror(). A MatchingReport is reversed as rows of arc
+    ids; ClosedTrails are reversed one by one."""
+    if isinstance(m, MatchingReport):
+        mirror: Iterable[ClosedTrail] | TrailRows = m.chosen.reverse()
+    else:
+        mirror = [t.reverse() for t in m]
     return find_matching(h_rev, strategy=strategy, seed=seed, exclude=mirror)
 
 
@@ -674,6 +761,6 @@ def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:
         )
     d = Digraph(g.n_vertices, g.edge_list + tuple((v, u) for (u, v) in g.edge_list))
     rows = build_trail_hypergraph(d, length // 2 - 1).rows
-    ends = np.array(d.arc_list, dtype=np.int64).reshape(-1, 2)
-    edges = np.sort((ends.min(axis=1) * g.n_vertices + ends.max(axis=1))[rows], axis=1)
+    lo, hi = np.minimum(d.tail, d.head).astype(np.int64), np.maximum(d.tail, d.head)
+    edges = np.sort((lo * g.n_vertices + hi)[rows], axis=1)
     return int(np.count_nonzero((edges[:, 1:] != edges[:, :-1]).all(axis=1))) // 2

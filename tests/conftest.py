@@ -8,12 +8,13 @@ products instead of incremental search) so agreement is meaningful.
 import itertools
 import math
 import random
+from bisect import bisect_left
 
 import numpy as np
 
-from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
-                             gen_random_bipartite, orient_randomly)
-from bigenus.blossom import find_blossoms
+from bigenus.bigraph import (STREAM_ORIENT, BipartiteGraph, Digraph, GenParams, Graph,
+                             gen_random_bipartite, orient_randomly, rng_stream)
+from bigenus.blossom import Blossom, TipArc
 from bigenus.embedding import (FaceSet, RotationSystem, connected_components,
                                genus_of_embedding, trace_faces)
 from bigenus.errors import ValidationError
@@ -206,13 +207,125 @@ def pipeline_family(n1: int, n2: int, p: float, seed: int, i: int = 1,
     return g, list(m) + list(m2)
 
 
+def reference_orientation(g, seed: int) -> list[tuple[int, int]]:
+    """The arcs of orient_randomly(g, seed), sorted, by a tuple loop:
+    the k-th edge (a, b) of g.edge_list is kept as a -> b when the k-th
+    coin of the orientation stream is below 1/2, else reversed."""
+    gen = rng_stream(seed, STREAM_ORIENT)
+    edges = g.edge_list
+    u = gen.random(len(edges)) if edges else np.empty(0)
+    return sorted((a, b) if u[k] < 0.5 else (b, a) for k, (a, b) in enumerate(edges))
+
+
+def reference_index(h, trail) -> int | None:
+    """Row of `trail` in the family h, or None, by bisecting the arc
+    tuples for each arc id and then the rows read as lists."""
+    arcs = h.arcs
+    row = []
+    for a in trail.arcs:
+        k = bisect_left(arcs, a)
+        if k == len(arcs) or arcs[k] != a:
+            return None
+        row.append(k)
+    rows = h.rows
+    if len(row) != rows.shape[1]:
+        return None
+    j = bisect_left(range(len(rows)), row, key=lambda r: rows[r].tolist())
+    return j if j < len(rows) and rows[j].tolist() == row else None
+
+
+def reference_passages(g, family) -> dict[int, dict[int, TipArc]]:
+    """The passages of a family of ClosedTrails at each center, keyed by
+    in_tip, in dicts. Every arc must be an edge of g and appear at most
+    once in the family: the passage entering v from u is the only user
+    of the arc u -> v, so each map is a partial injection."""
+    edges = g.edge_set
+    by_center: dict[int, dict[int, TipArc]] = {}
+    for ti, t in enumerate(family):
+        arcs = t.arcs
+        for j, (u, v) in enumerate(arcs):
+            if ((u, v) if u < v else (v, u)) not in edges:
+                raise ValidationError(f"trail arc {u}->{v} is not an edge of the graph")
+            at = by_center.setdefault(v, {})
+            if u in at:
+                raise ValidationError(f"arc {u}->{v} used by two trails")
+            at[u] = TipArc(u, arcs[(j + 1) % len(arcs)][1], ti, j)
+    return by_center
+
+
+def reference_walk(at: dict[int, TipArc], tips):
+    """Chains and cycles of the passages `at` of one center: a chain
+    starts at every tip of `tips` no passage leads to, in ascending
+    order, and the in_tips no chain covers lie on cycles, each listed
+    from its least in_tip, in ascending order of that tip."""
+    targets = {a.out_tip for a in at.values()}
+    chains: list[list[int]] = []
+    covered: set[int] = set()
+    for u in sorted(tips):
+        if u in targets:
+            continue
+        chain = [u]
+        while chain[-1] in at:
+            chain.append(at[chain[-1]].out_tip)
+        chains.append(chain)
+        covered.update(chain)
+    cycles: list[tuple[TipArc, ...]] = []
+    for start in sorted(at):
+        if start in covered:
+            continue
+        cyc = [at[start]]
+        while cyc[-1].out_tip != start:
+            cyc.append(at[cyc[-1].out_tip])
+        covered.update(a.in_tip for a in cyc)
+        cycles.append(tuple(cyc))
+    return chains, cycles
+
+
+def reference_blossoms(g, family) -> tuple[Blossom, ...]:
+    """find_blossoms by per-center passage dicts and chain walks."""
+    family = tuple(family)
+    by_center = reference_passages(g, family)
+    blossoms = []
+    for v in sorted(by_center):
+        at = by_center[v]
+        for cyc in reference_walk(at, at)[1]:
+            if len(cyc) == 2:
+                simple = family[cyc[0].trail_index] != family[cyc[1].trail_index].reverse()
+            else:
+                simple = len(cyc) >= 3
+            blossoms.append(Blossom(v, tuple((a.trail_index, a.passage_idx) for a in cyc),
+                                    tuple(a.in_tip for a in cyc), simple))
+    return tuple(blossoms)
+
+
+def reference_assemble(g, family) -> RotationSystem:
+    """assemble_rotation as a plain dict of neighbor orders: at each
+    vertex the chains of the passages, in ascending order of their least
+    neighbor, with unconstrained neighbors as singleton chains."""
+    by_center = reference_passages(g, family)
+    order = {}
+    for v in range(g.n_vertices):
+        nbrs = g.neighbors(v)
+        at = by_center.get(v)
+        if at is None:
+            order[v] = nbrs
+            continue
+        chains, cycles = reference_walk(at, nbrs)
+        if cycles:
+            raise ValidationError(
+                f"family has a blossom at vertex {v} (length {len(cycles[0])})")
+        order[v] = tuple(u for chain in sorted(chains, key=min) for u in chain)
+    return RotationSystem(order)
+
+
 def reference_blossom_free(g, family):
-    """make_blossom_free by its definition: after each removal recount,
-    over the still-unbroken cycles, how many each trail sits on, and
-    drop the trail with the most (ties to the later trail)."""
+    """make_blossom_free by its definition, over reference_blossoms:
+    after each removal recount, over the still-unbroken cycles, how
+    many each trail sits on, and drop the trail with the most (ties to
+    the later trail)."""
     family = tuple(family)
     cycles = [frozenset(ti for (ti, _pj) in b.passages)
-              for b in find_blossoms(g, family).blossoms]
+              for b in reference_blossoms(g, family)]
     removed = set()
     unbroken = set(range(len(cycles)))
     while unbroken:

@@ -8,6 +8,7 @@ surface in a traced benchmark run; these checks catch it here.
 import importlib
 import importlib.util
 import os
+from collections import Counter
 
 import bigenus
 
@@ -19,11 +20,44 @@ def test_all_names_resolve():
     assert missing == []
 
 
-def test_traced_functions_exist():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_functions_exist():
+    tracing = _load_tracing()
     assert tracing.TRACED
     for module, name in tracing.TRACED:
         fn = getattr(importlib.import_module(f"bigenus.{module}"), name, None)
         assert callable(fn), f"bigenus.{module}.{name}"
+
+
+def test_estimate_calls_every_traced_layer_once():
+    # perfbench's per-layer metrics are self times and counts of these
+    # spans, so a stage that an estimate skipped, or reached through an
+    # unwrapped internal path, would read 0 without failing anything.
+    # The tracer wraps every bigenus module attribute bound to a traced
+    # function; the estimate must call each stage once itself. The one
+    # nested call is find_matching inside find_disjoint_mirror_matching,
+    # so trails.match_yield counts both matchings.
+    tracing = _load_tracing()
+    g = bigenus.gen_random_bipartite(bigenus.GenParams(30, 30, 0.3, seed=0))
+    stages = ("bigraph.orient_randomly", "trails.build_trail_hypergraph",
+              "trails.find_matching", "trails.find_disjoint_mirror_matching",
+              "blossom.make_blossom_free", "blossom.assemble_rotation",
+              "embedding.trace_faces", "embedding.genus_from_faces")
+    tracer = tracing.Tracer()
+    with tracer.active("contract"):
+        est = bigenus.estimate_genus(g, 1)
+    assert est.blossoms_removed > 0
+    (root,) = [s for s in tracer.spans if s["name"] == "estimator.estimate_genus"]
+    direct = Counter(s["name"] for s in tracer.spans if s["parent"] == root["id"])
+    assert {name: direct[name] for name in stages} == dict.fromkeys(stages, 1)
+    (mirror,) = [s for s in tracer.spans
+                 if s["name"] == "trails.find_disjoint_mirror_matching"]
+    nested = [s["name"] for s in tracer.spans if s["parent"] == mirror["id"]]
+    assert nested == ["trails.find_matching"]
+    assert Counter(s["name"] for s in tracer.spans)["trails.find_matching"] == 2

@@ -1,6 +1,8 @@
 import io
 import math
+import random
 
+import numpy as np
 import pytest
 
 from bigenus import bigraph
@@ -13,6 +15,8 @@ from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
                              standard_graph, two_coloring, write_bipartite,
                              write_digraph)
 from bigenus.errors import GuardError, ValidationError
+
+from conftest import rand_graph, reference_orientation
 
 
 def test_params_validation():
@@ -180,3 +184,53 @@ def test_neighbors_out_of_range_raises():
 def test_bipartite_coloring_is_the_part_ranges():
     g = BipartiteGraph(100_000, 3, [(0, 100_000)])
     assert two_coloring(g) == (range(100_000), range(100_000, 100_003))
+
+
+def test_orientation_matches_tuple_reference():
+    # the array orientation against one coin per edge in a tuple loop,
+    # on bipartite and general graphs, the empty one included
+    rng = random.Random(5)
+    graphs = [BipartiteGraph(3, 2, []), complete_graph(6)]
+    graphs += [gen_random_bipartite(GenParams(rng.randint(2, 40), 2, rng.uniform(0.1, 0.9),
+                                              seed=rng.randint(0, 999)))
+               for _ in range(10)]
+    graphs += [rand_graph(rng) for _ in range(10)]
+    for g in graphs:
+        for seed in (0, 1, 77):
+            d = orient_randomly(g, seed)
+            assert d.arc_list == tuple(reference_orientation(g, seed))
+            assert d.tail.dtype == d.head.dtype == np.int32
+
+
+def test_array_storage_validation_and_views():
+    # arcs and edges kept in arrays keep the messages of the tuple checks
+    for arcs, message in (([(0, 1), (1, 1)], "loop arc at 1"),
+                          ([(0, 1), (0, 3)], r"arc \(0,3\) out of range"),
+                          ([(-1, 0)], r"arc \(-1,0\) out of range"),
+                          ([(1, 2), (0, 1), (1, 2)], r"duplicate arc \(1,2\)")):
+        with pytest.raises(ValidationError, match=message):
+            Digraph(3, arcs)
+    for edges, message in (([(0, 1), (2, 1), (1, 0)], r"duplicate edge \(0,1\)"),
+                           ([(2, 2)], "loop at vertex 2"),
+                           ([(0, 3)], r"edge \(0,3\) out of range")):
+        with pytest.raises(ValidationError, match=message):
+            Graph(3, edges)
+    with pytest.raises(ValidationError, match=r"duplicate edge \(0,2\)"):
+        BipartiteGraph(2, 1, [(0, 2), (2, 0)])
+    g = gen_random_bipartite(GenParams(9, 6, 0.5, seed=4))
+    assert "edge_set" not in vars(g)
+    assert g.edge_set == frozenset(g.edge_list)
+    d = orient_randomly(g, 4)
+    assert "arc_list" not in vars(d) and "arc_set" not in vars(d)
+    assert d.arc_list == tuple(sorted(d.arc_set)) and len(d.arc_list) == d.n_arcs
+    assert d.is_orientation() and not Digraph(3, [(0, 1), (1, 0)]).is_orientation()
+    r = d.reverse()
+    assert r.arc_list == tuple(sorted((h, t) for (t, h) in d.arc_list))
+    assert r.reverse() == d and r != d
+    same = Digraph(d.n, reversed(d.arc_list))
+    assert same == d and hash(same) == hash(d) and {d: 1}[same] == 1
+    assert Digraph(d.n + 1, d.arc_list) != d
+    buf = io.StringIO()
+    write_digraph(d, buf)
+    buf.seek(0)
+    assert read_digraph(buf) == d

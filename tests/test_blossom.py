@@ -1,17 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 
 from bigenus import blossom
-from bigenus.bigraph import (BipartiteGraph, Digraph, complete_bipartite_graph,
-                             cycle_graph)
-from bigenus.blossom import (assemble_rotation, find_blossoms,
+from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, complete_bipartite_graph,
+                             cycle_graph, gen_random_bipartite, orient_randomly)
+from bigenus.blossom import (DartFamily, assemble_rotation, find_blossoms,
                              make_blossom_free, tip_digraphs)
-from bigenus.embedding import RotationSystem, sorted_rotation, trace_faces
+from bigenus.embedding import (RotationSystem, genus_from_faces, sorted_rotation,
+                               trace_faces)
 from bigenus.errors import InternalConsistencyError, ValidationError
-from bigenus.trails import ClosedTrail
+from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
+                            find_disjoint_mirror_matching, find_matching)
 
-from conftest import pipeline_family, reference_blossom_free
+from conftest import (pipeline_family, reference_assemble, reference_blossom_free,
+                      reference_blossoms)
 
 
 def _quad(*arcs):
@@ -89,9 +93,9 @@ def test_assemble_checks_every_passage(monkeypatch):
     assert assemble_rotation(g, [t]).at(0) == (4, 3, 5)
     walk = blossom._walk
 
-    def reversed_chains(at, tips):
-        chains, cycles = walk(at, tips)
-        return [chain[::-1] for chain in chains], cycles
+    def reversed_chains(succ, index):
+        lead, rank, cyclic = walk(succ, index)
+        return lead, -rank, cyclic
 
     monkeypatch.setattr(blossom, "_walk", reversed_chains)
     with pytest.raises(InternalConsistencyError, match="does not realize a passage"):
@@ -222,3 +226,81 @@ def test_assembled_darts_match_their_dict():
         plain = RotationSystem(dict(rot.order))
         assert rot.order == plain.order
         assert trace_faces(g, rot) == trace_faces(g, plain)
+
+
+def _reference_families(seed: int):
+    """Pipeline families of random graphs at i = 1 and i = 2, with and
+    without blossoms."""
+    rng = random.Random(seed)
+    for i in (1, 2):
+        for _ in range(12):
+            n1 = rng.randint(5, 16)
+            yield pipeline_family(n1, rng.randint(3, n1), rng.uniform(0.3, 1.0),
+                                  rng.randint(0, 9999), i)
+
+
+def test_dart_path_matches_dict_reference():
+    # the dart-id family, passage successor and pointer-jumping walk
+    # against per-center passage dicts and chain walks: blossoms, the
+    # trails kept and dropped, the rotation, its faces and its genus
+    with_removals = 0
+    for g, fam in _reference_families(43):
+        darts = DartFamily.of_trails(g, fam)
+        assert find_blossoms(g, fam).blossoms == reference_blossoms(g, fam)
+        surv, dropped = make_blossom_free(g, darts)
+        ref_surv, ref_dropped = reference_blossom_free(g, fam)
+        assert (surv.trails, dropped.trails) == (ref_surv, ref_dropped)
+        assert make_blossom_free(g, fam) == (ref_surv, ref_dropped)
+        rot, ref_rot = assemble_rotation(g, surv), reference_assemble(g, ref_surv)
+        assert rot.order == ref_rot.order
+        assert assemble_rotation(g, ref_surv).order == ref_rot.order
+        fs, ref_fs = trace_faces(g, rot), trace_faces(g, ref_rot)
+        assert (fs.faces, fs.lengths) == (ref_fs.faces, ref_fs.lengths)
+        assert genus_from_faces(g, fs) == genus_from_faces(g, ref_fs)
+        with_removals += len(dropped) > 0
+    assert with_removals >= 5
+
+
+def test_matched_rows_convert_like_their_trails():
+    # the estimator's conversion of matched rows and the ClosedTrail
+    # conversion give the same darts
+    g = gen_random_bipartite(GenParams(30, 30, 0.3, seed=2))
+    for i in (1, 2):
+        h = build_trail_hypergraph(orient_randomly(g, 2), i)
+        m = find_matching(h, "greedy", 3)
+        h.mirror()
+        mm = find_disjoint_mirror_matching(h, m, "greedy", 4)
+        rows = DartFamily.of_matchings(g, m, mm)
+        trails = DartFamily.of_trails(g, m.matching + mm.matching)
+        assert np.array_equal(rows.darts, trails.darts)
+        assert np.array_equal(rows.offsets, trails.offsets)
+        assert rows.trails == m.matching + mm.matching
+        # a family built for g is converted again for an equal graph
+        twin = BipartiteGraph(g.n1, g.n2, g.edge_list)
+        surv, dropped = make_blossom_free(twin, rows)
+        assert surv.graph is twin and (surv.trails, dropped.trails) == tuple(
+            part.trails for part in make_blossom_free(g, rows))
+        assert assemble_rotation(twin, surv).order == assemble_rotation(g, surv).order
+
+
+def test_dart_path_raises_like_reference():
+    # a non-edge arc, an arc in two trails, and a blossom handed to
+    # assemble_rotation raise the same errors on both paths
+    k22 = complete_bipartite_graph(2, 2)
+    t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
+    no_edge = BipartiteGraph(2, 2, [(0, 2), (1, 2), (1, 3)])
+    cases = [
+        (no_edge, [t], [find_blossoms, make_blossom_free, assemble_rotation]),
+        (k22, [t, t], [find_blossoms, make_blossom_free, assemble_rotation]),
+        (k22, [t, t.reverse()], [assemble_rotation]),
+    ]
+    for g, fam, fns in cases:
+        with pytest.raises(ValidationError) as ref:
+            reference_assemble(g, fam)
+        for fn in fns:
+            with pytest.raises(ValidationError) as got:
+                fn(g, fam)
+            assert str(got.value) == str(ref.value)
+    # the refusal also holds for a family already held as darts
+    with pytest.raises(ValidationError, match=r"blossom at vertex 0 \(length 2\)"):
+        assemble_rotation(k22, DartFamily.of_trails(k22, [t, t.reverse()]))

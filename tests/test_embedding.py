@@ -1,12 +1,14 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
+from bigenus import blossom, embedding, oracle
 from bigenus.bigraph import (Graph, complete_bipartite_graph, complete_graph,
                              cycle_graph, path_graph)
 from bigenus.blossom import assemble_rotation
-from bigenus.embedding import (RotationSystem, connected_components,
+from bigenus.embedding import (FaceSet, RotationSystem, connected_components,
                                face_length_histogram, genus_of_embedding,
                                rotation_to_text, sorted_rotation, trace_faces)
 from bigenus.errors import ValidationError
@@ -143,3 +145,44 @@ def test_dart_rotation_on_another_graph_is_validated(monkeypatch):
     smaller = Graph(6, [e for e in g.edge_list if e != (2, 5)])
     with pytest.raises(ValidationError, match="rotation at 2 does not match"):
         trace_faces(smaller, rot)
+
+
+def test_every_dart_numbering_is_one_int32_arc_index(monkeypatch):
+    # the oracle's engine, RotationSystem.darts_for on a dict rotation
+    # and the dart family of assemble_rotation all number darts through
+    # embedding.arc_index and read its int32 arrays
+    built = []
+    real = embedding.arc_index
+
+    def spy(g, verts=None):
+        built.append(real(g, verts))
+        return built[-1]
+
+    for mod in (embedding, oracle, blossom):
+        monkeypatch.setattr(mod, "arc_index", spy)
+    g = complete_bipartite_graph(3, 3)
+    eng = oracle._Engine(g, list(range(6)))
+    assert (eng.heads, eng.rev) == (built[-1].head.tolist(), built[-1].rev.tolist())
+    assert [eng.out_arcs[v] for v in range(6)] == [range(3 * v, 3 * v + 3) for v in range(6)]
+    assert oracle.exact_genus(g) == 1
+    before = len(built)
+    fs = trace_faces(g, sorted_rotation(g))
+    t = ClosedTrail.from_arcs([(0, 3), (3, 1), (1, 4), (4, 0)])
+    rot = assemble_rotation(g, [t])
+    assert t.arcs in trace_faces(g, rot).face_arcs() and fs.n_faces == 3
+    assert len(built) == before + 2
+    index = built[-1]
+    assert all(a.dtype == np.int32 for index in built for a in index)
+    assert index.tail.tolist() == [v for v in range(6) for _ in range(3)]
+    assert index.head[index.rev].tolist() == index.tail.tolist()
+    assert index.first.tolist() == list(range(0, 19, 3))
+
+
+def test_traced_faces_build_arc_tuples_on_read():
+    g = complete_bipartite_graph(3, 3)
+    fs = trace_faces(g, sorted_rotation(g))
+    assert "faces" not in vars(fs)
+    assert (fs.n_faces, fs.lengths, fs.face_tails()) == (3, (6, 6, 6), [0, 0, 0])
+    assert genus_of_embedding(g, sorted_rotation(g)) == 1
+    assert fs.faces[0] == ((0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0))
+    assert fs == FaceSet(fs.faces, fs.n_edges) and "faces" in vars(fs)

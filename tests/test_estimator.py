@@ -193,12 +193,14 @@ def test_estimate_large_instance():
 
 
 def test_one_pass_per_estimate(monkeypatch):
-    """One estimate detects blossoms once and traces its faces once;
-    the refined lower bound runs only where it can beat the Euler
-    bound, at i >= 2. Every bigenus module that binds a spied name
-    gets the spy, so a call through any import path is counted."""
+    """One estimate detects blossoms once (blossom._cycles, the cycle
+    walk behind find_blossoms, which the dart-id pipeline never calls)
+    and traces its faces once; the refined lower bound runs only where
+    it can beat the Euler bound, at i >= 2. Every bigenus module that
+    binds a spied name gets the spy, so a call through any import path
+    is counted."""
     calls = Counter()
-    for name in ("find_blossoms", "trace_faces", "refined_lower_bound"):
+    for name in ("_cycles", "find_blossoms", "trace_faces", "refined_lower_bound"):
         for modname, mod in list(sys.modules.items()):
             fn = getattr(mod, name, None) if modname.split(".")[0] == "bigenus" else None
             if fn is None:
@@ -214,8 +216,7 @@ def test_one_pass_per_estimate(monkeypatch):
         calls.clear()
         est = estimate_genus(g, i)
         assert est.blossoms_removed > 0  # removal and assembly both had work
-        assert calls == Counter(find_blossoms=1, trace_faces=1,
-                                refined_lower_bound=refined)
+        assert calls == Counter(_cycles=1, trace_faces=1, refined_lower_bound=refined)
 
 
 def test_estimate_memory_guard():
@@ -248,6 +249,25 @@ def test_estimate_frees_the_trail_family():
         tracemalloc.stop()
     assert (est.lower, est.upper) == (1677, 2151)
     assert peak < 8 * 2 ** 20
+
+
+def test_sparse_estimate_traced_memory_budget():
+    """Traced peak of one estimate on a pre-built G(800, 800, 0.03),
+    the sparse shape whose blossom removal, assembly and tracing carry
+    the time. Holding every arc as a Python (u, v) tuple in the
+    digraph, the trail arcs, the matched trails, the passage dicts and
+    the faces, the peak was 9.8 MiB, at assemble_rotation; with integer
+    arcs from the orientation to the traced genus it is 2.9 MiB."""
+    g = gen_random_bipartite(GenParams(800, 800, 0.03, seed=0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        est = estimate_genus(g, 1, PipelineConfig(seed=0, p=0.03))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (est.lower, est.upper, est.blossoms_removed) == (4012, 6851, 338)
+    assert peak <= 5 * 2 ** 20
 
 
 def test_small_part_estimate_memory():

@@ -21,7 +21,7 @@ from bigenus.trails import (ClosedTrail, _canonical_sort, build_trail_hypergraph
                             theoretical_delta, trails_to_text)
 
 from conftest import (brute_short_trail_total, rand_bipartite, reference_greedy,
-                      reference_trail_rows, rho, trails_from_text)
+                      reference_index, reference_trail_rows, rho, trails_from_text)
 
 
 def test_closed_trail_validation():
@@ -477,3 +477,32 @@ def test_trail_limit_refuses_before_allocating(monkeypatch, capsys, anti_paralle
         assert main(["estimate", "--n1", "40", "--n2", "3", "--p", "0.5",
                      "--i", str(i)]) == 2
         assert "exceed the limit" in capsys.readouterr().err
+
+
+def test_row_search_matches_bisect_reference():
+    # the mirror exclusion's vectorised search against bisecting arc
+    # tuples and rows, at i = 1 and i = 2: the reverses of a matching,
+    # the trails themselves (absent once mirrored unless self-reverse),
+    # trails of the other length, and trails over arcs h does not hold
+    checked = 0
+    for d in _identity_digraphs(37):
+        for i in (1, 2):
+            h = build_trail_hypergraph(d, i)
+            other = build_trail_hypergraph(d, 3 - i).trails
+            m = find_matching(h, "greedy", 11)
+            h.mirror()
+            queries = [t.reverse() for t in m.matching] + list(m.matching) + list(other[:3])
+            w = 2 * i + 2
+            queries.append(ClosedTrail.from_arcs([(d.n + k, d.n + (k + 1) % w)
+                                                  for k in range(w)]))
+            expect = [reference_index(h, t) for t in queries]
+            assert [h.index(t) for t in queries] == expect
+            rows = [k for k in expect[:len(m.matching)] if k is not None]
+            assert len(rows) == m.size
+            assert h.find(m.chosen.reverse()).tolist() == sorted(rows)
+            mm = find_disjoint_mirror_matching(h, m, "greedy", 12)
+            assert mm.matching == find_disjoint_mirror_matching(h, m.matching, "greedy",
+                                                                12).matching
+            assert not set(rows) & set(h.find(mm.chosen).tolist())
+            checked += len(rows)
+    assert checked > 0
