@@ -257,15 +257,15 @@ def tip_digraphs(g, family: Sequence[ClosedTrail]) -> dict[int, TipDigraph]:
     return {v: TipDigraph(v, tuple(arcs)) for v, arcs in at.items()}
 
 
-def find_blossoms(g, family: Sequence[ClosedTrail]) -> BlossomReport:
+def find_blossoms(g, family: Sequence[ClosedTrail] | DartFamily) -> BlossomReport:
     """Every auxiliary cycle of every center, exhaustively.
 
     The result is empty iff the family is blossom-free. The family must
     be arc-disjoint over directed arcs (the two directions of one edge
     are distinct arcs).
     """
-    family = tuple(family)
     fam = _as_family(g, family)
+    family = fam.trails
     index = fam.index
     blossoms: list[Blossom] = []
     for cyc in _cycles(fam):

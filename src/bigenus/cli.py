@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -29,6 +30,8 @@ from .trails import (STRATEGIES, build_trail_hypergraph, find_matching,
 
 SCHEMA_LINE = "# bigenus experiment csv schema v1"
 EXPERIMENT_COLUMNS = CSV_COLUMNS + ("timestamp",)
+# The keys an experiment config may set; any other is refused.
+EXPERIMENT_KEYS = ("n1", "n2", "p", "i", "trials", "seed", "strategy", "out", "workers")
 
 
 def parse_p(token: str, n1: int) -> float:
@@ -126,18 +129,16 @@ def cmd_orient(args) -> int:
 
 def cmd_trails(args) -> int:
     d = _digraph_from_args(args)
-    h = build_trail_hypergraph(d, args.i, args.cap)
+    h = build_trail_hypergraph(d, args.i)
     with _open_out(args.out) as fh:
         trails_to_text(h.trails, fh)
-    print(f"trails={h.n_hyperedges} truncated={int(h.truncated)}", file=sys.stderr)
+    print(f"trails={h.n_hyperedges}", file=sys.stderr)
     return 0
 
 
 def cmd_match(args) -> int:
     d = _digraph_from_args(args)
-    h = build_trail_hypergraph(d, args.i, args.cap)
-    if h.truncated:
-        raise GuardError("trail cap truncated enumeration; raise --cap")
+    h = build_trail_hypergraph(d, args.i)
     report = find_matching(h, args.strategy, args.seed)
     matching_report_to_text(report, sys.stdout)
     if args.out:
@@ -148,7 +149,7 @@ def cmd_match(args) -> int:
 
 def cmd_estimate(args) -> int:
     g, p = _graph_from_args(args)
-    cfg = PipelineConfig(strategy=args.strategy, seed=args.seed, cap=args.cap, p=p)
+    cfg = PipelineConfig(strategy=args.strategy, seed=args.seed, p=p)
     est = estimate_genus(g, args.i, cfg)
     est.to_text(sys.stdout)
     with _open_out(args.out) as fh:
@@ -210,20 +211,24 @@ def cmd_predict(args) -> int:
 
 def _cell_key(cell) -> tuple[str, ...]:
     """(n1, n2, p, i, seed) as they are written to the CSV."""
-    params, i, _strategy, _cap = cell
+    params, i, _strategy = cell
     return (str(params.n1), str(params.n2), f"{params.p:.10g}", str(i),
             str(params.seed))
 
 
 def _experiment_cell(cell) -> list[str]:
-    params, i, strategy, cap = cell
+    """The CSV row of one cell; any exception becomes an `error` row."""
+    params, i, strategy = cell
     try:
         g = gen_random_bipartite(params)
-        cfg = PipelineConfig(strategy=strategy, seed=params.seed, cap=cap, p=params.p)
+        cfg = PipelineConfig(strategy=strategy, seed=params.seed, p=params.p)
         est = estimate_genus(g, i, cfg)
         row = est.csv_row()
-    except (GuardError, ValidationError) as exc:
-        print(f"cell ({','.join(_cell_key(cell))}) failed: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"cell ({','.join(_cell_key(cell))}) failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        if not isinstance(exc, (GuardError, ValidationError)):
+            traceback.print_exc()
         row = list(_cell_key(cell)) + ["", "", "", "", "", "", "error"]
     row.append(datetime.now(timezone.utc).isoformat(timespec="seconds"))
     return row
@@ -274,8 +279,7 @@ def _config_int(cfg: dict[str, str], key: str, default: str) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = parse_config(args.config)
-    unknown = set(cfg) - {"n1", "n2", "p", "i", "trials", "seed", "strategy",
-                          "cap", "out", "workers"}
+    unknown = set(cfg) - set(EXPERIMENT_KEYS)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     for key in ("n1", "n2", "p", "out"):
@@ -288,7 +292,6 @@ def cmd_experiment(args) -> int:
     trials = _config_int(cfg, "trials", "1")
     base_seed = _config_int(cfg, "seed", "0")
     strategy = cfg.get("strategy", "greedy")
-    cap = _config_int(cfg, "cap", "") if "cap" in cfg else None
     out = args.out or cfg["out"]
     workers = _config_int(cfg, "workers", "1")
     if trials < 1:
@@ -303,7 +306,7 @@ def cmd_experiment(args) -> int:
     # behind that a resumed run would count as done.
     if min(i_vals) < 1:
         raise ValidationError(f"i must be >= 1, got {min(i_vals)}")
-    PipelineConfig(strategy=strategy, cap=cap)
+    PipelineConfig(strategy=strategy)
     cells = []
     for n1 in n1s:
         for n2 in n2s:
@@ -315,8 +318,7 @@ def cmd_experiment(args) -> int:
                         f"grid cell n1={n1} n2={n2} p={tok}: {exc}") from None
                 for i in i_vals:
                     for t in range(trials):
-                        cells.append((replace(params, seed=base_seed + t), i,
-                                      strategy, cap))
+                        cells.append((replace(params, seed=base_seed + t), i, strategy))
 
     done, header_needed = _resume(out)
     todo = [c for c in cells if _cell_key(c) not in done]
@@ -372,18 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("trails", help="enumerate closed trails of length 2i+2")
     _add_model_flags(sub)
-    sub.add_argument("--cap", type=int, default=None)
     sub.set_defaults(func=cmd_trails)
 
     sub = subs.add_parser("match", help="arc-disjoint trail matching")
     _add_model_flags(sub)
-    sub.add_argument("--cap", type=int, default=None)
     sub.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     sub.set_defaults(func=cmd_match)
 
     sub = subs.add_parser("estimate", help="full pipeline: genus bounds and prediction")
     _add_model_flags(sub)
-    sub.add_argument("--cap", type=int, default=None)
     sub.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     sub.set_defaults(func=cmd_estimate)
 

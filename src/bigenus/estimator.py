@@ -264,14 +264,11 @@ class PipelineConfig:
 
     strategy: str = "greedy"
     seed: int = 0
-    cap: int | None = None
     p: float | None = None
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"strategy must be one of {STRATEGIES}")
-        if self.cap is not None and self.cap < 0:
-            raise ValidationError("cap must be nonnegative")
         if self.p is not None and not (0.0 <= self.p <= 1.0):
             raise ValidationError(f"p must lie in [0,1], got {self.p}")
 
@@ -285,25 +282,21 @@ class GenusEstimate:
     seed: int
     n_edges: int
     lower: int
-    upper: int | None
+    upper: int
     prediction: float
     regime: str
-    coverage: float | None
-    mirror_coverage: float | None
-    blossoms_removed: int | None
-    family_size: int | None
-    face_histogram: dict[int, int] | None
-    truncated: bool
+    coverage: float
+    mirror_coverage: float
+    blossoms_removed: int
+    family_size: int
+    face_histogram: dict[int, int]
 
     def csv_row(self) -> list[str]:
-        def opt(x, fmt="{}"):
-            return "" if x is None else fmt.format(x)
-
         return [
             str(self.n1), str(self.n2), f"{self.p:.10g}", str(self.i),
             str(self.seed), str(self.n_edges), str(self.lower),
-            opt(self.upper), f"{self.prediction:.6g}",
-            opt(self.coverage, "{:.4f}"), opt(self.blossoms_removed),
+            str(self.upper), f"{self.prediction:.6g}",
+            f"{self.coverage:.4f}", str(self.blossoms_removed),
             self.regime,
         ]
 
@@ -312,19 +305,13 @@ class GenusEstimate:
                  f"seed={self.seed}\n")
         fh.write(f"edges={self.n_edges}\n")
         fh.write(f"lower={self.lower}\n")
-        fh.write(f"upper={'' if self.upper is None else self.upper}\n")
+        fh.write(f"upper={self.upper}\n")
         fh.write(f"prediction={self.prediction:.6g}\n")
         fh.write(f"regime={self.regime}\n")
-        if self.coverage is not None:
-            fh.write(f"coverage={self.coverage:.4f}\n")
-        if self.mirror_coverage is not None:
-            fh.write(f"mirror_coverage={self.mirror_coverage:.4f}\n")
-        if self.blossoms_removed is not None:
-            fh.write(f"blossoms_removed={self.blossoms_removed}\n")
-        if self.family_size is not None:
-            fh.write(f"family_size={self.family_size}\n")
-        if self.truncated:
-            fh.write("truncated=1\n")
+        fh.write(f"coverage={self.coverage:.4f}\n")
+        fh.write(f"mirror_coverage={self.mirror_coverage:.4f}\n")
+        fh.write(f"blossoms_removed={self.blossoms_removed}\n")
+        fh.write(f"family_size={self.family_size}\n")
         if self.face_histogram:
             items = " ".join(f"{k}:{v}" for k, v in sorted(self.face_histogram.items()))
             fh.write(f"face_histogram={items}\n")
@@ -343,22 +330,24 @@ def prediction_for(res: RegimeResult, n1: int, n2: int, p: float, i_req: int) ->
     if tag == "small-part-a":
         return predicted_genus(n1, n2, p, i_req, "small-part")
     if tag == "small-part-b":
-        m = min(n1, n2)
-        return float(max(0, math.ceil(Fraction((m - 3) * (m - 4), 12)))) if m >= 3 else 0.0
+        return float(_complete_genus(min(n1, n2)))
     return 0.0  # small-part-c
 
 
+def _complete_genus(m: int) -> int:
+    """The genus of K_m, ceil((m-3)(m-4)/12), and 0 for m <= 3."""
+    return ((m - 3) * (m - 4) + 11) // 12 if m > 3 else 0
+
+
 def _trail_matchings(g, i: int, cfg: PipelineConfig
-                     ) -> tuple[MatchingReport, MatchingReport] | None:
+                     ) -> tuple[MatchingReport, MatchingReport]:
     """Orient g, enumerate its closed (2i+2)-trails, and draw the
-    matching and the disjoint mirror matching; None when the cap
-    truncated the family. The trail family, the largest object of an
-    estimate, is unreachable once this returns; the reports keep only
-    their matched rows and the arc arrays those rows index."""
+    matching and the disjoint mirror matching. The trail family, the
+    largest object of an estimate, is unreachable once this returns;
+    the reports keep only their matched rows and the arc arrays those
+    rows index."""
     d = orient_randomly(g, cfg.seed)
-    h = build_trail_hypergraph(d, i, cfg.cap)
-    if h.truncated:
-        return None
+    h = build_trail_hypergraph(d, i)
     m = find_matching(h, cfg.strategy, derive_int_seed(cfg.seed, STREAM_MATCH))
     # The reversed digraph's family is the reverse of this one; rewrite
     # the rows into it in place for the second matching.
@@ -371,11 +360,10 @@ def _trail_matchings(g, i: int, cfg: PipelineConfig
 def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEstimate:
     """Run the embedding pipeline on g and bracket its genus.
 
-    upper is the genus of the assembled embedding and is omitted (None,
-    with the truncated flag set) when the trail cap cut enumeration
-    short. lower is the Euler bound, raised by the refined short-trail
-    bound when i >= 2 (at i = 1 the two coincide). Guards from trail
-    counting propagate.
+    upper is the genus of the assembled embedding. lower is the Euler
+    bound, raised by the refined short-trail bound when i >= 2 (at
+    i = 1 the two coincide). Guards from trail counting propagate, so
+    a family past trails.MAX_TRAILS raises GuardError.
     """
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")
@@ -396,12 +384,7 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
     if bip and i >= 2:  # at i = 1 the refined bound is the Euler bound above
         lower = max(lower, refined_lower_bound(g, i))
 
-    matchings = _trail_matchings(g, i, cfg)
-    if matchings is None:
-        return GenusEstimate(n1, n2, p_eff, i, cfg.seed, n_edges, lower, None,
-                             prediction, res.label(), None, None, None, None,
-                             None, True)
-    m, mm = matchings
+    m, mm = _trail_matchings(g, i, cfg)
     family = DartFamily.of_matchings(g, m, mm)
     surviving, removed = make_blossom_free(g, family)
     rot = assemble_rotation(g, surviving)
@@ -414,10 +397,10 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
     return GenusEstimate(n1, n2, p_eff, i, cfg.seed, n_edges, lower, upper,
                          prediction, res.label(), m.coverage, mm.coverage,
                          len(removed), len(family),
-                         face_length_histogram(fs), False)
+                         face_length_histogram(fs))
 
 
-def nonorientable_bounds(g, est: GenusEstimate) -> tuple[int, int | None]:
+def nonorientable_bounds(g, est: GenusEstimate) -> tuple[int, int]:
     """(lower, upper) for the non-orientable genus: the Euler bound
     ceil(e(1 - 2/k) - n + 2) clamped per core component, and twice the
     orientable upper bound plus one."""
@@ -426,8 +409,7 @@ def nonorientable_bounds(g, est: GenusEstimate) -> tuple[int, int | None]:
     for (verts, e_c) in _core_components(g):
         val = math.ceil(e_c * (Fraction(1) - Fraction(2, minlen)) - len(verts) + 2)
         total += max(0, val)
-    upper = None if est.upper is None else 2 * est.upper + 1
-    return total, upper
+    return total, 2 * est.upper + 1
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +528,8 @@ def small_part_exact_genus(r: ReducedGraph, budget: SearchBudget | None = None
     if not r.kept_x and r.is_complete_on_support:
         if m <= 2:
             return 0, 0
-        orient = math.ceil(Fraction((m - 3) * (m - 4), 12))
         nonorient = 3 if m == 7 else math.ceil(Fraction((m - 3) * (m - 4), 6))
-        return int(orient), int(nonorient)
+        return _complete_genus(m), int(nonorient)
 
     # imported here because the oracle module imports this one
     from .oracle import SearchBudget, exact_genus, pincer_genus

@@ -25,7 +25,7 @@ from .bigraph import Graph, is_bipartite
 from .embedding import (RotationSystem, arc_index, connected_components, euler_genus,
                         face_starts)
 from .errors import BudgetExceededError, ValidationError
-from .estimator import euler_lower_bound
+from .estimator import _complete_genus, euler_lower_bound
 
 _COUNT_SATURATE = 10 ** 18
 _TIMEOUT_STRIDE = 2048
@@ -285,9 +285,7 @@ def genus_formula_reference(kind: str, *params: int) -> int:
         (n,) = params
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
-        if n <= 3:
-            return 0
-        return ((n - 3) * (n - 4) + 11) // 12
+        return _complete_genus(n)
     if kind == "complete_bipartite":
         m, n = params
         if m < 0 or n < 0:

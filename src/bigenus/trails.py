@@ -20,8 +20,9 @@ One enumerator serves every length and every digraph (orientations,
 anti-parallel arcs, the symmetric digraphs of the short-trail counts):
 each trail is cut at its least arc into two halves of i+1 arcs, and the
 halves are joined on their end vertices (_trail_blocks). Its rows come
-out canonical and in order, so a capped family is the first `cap` rows
-in canonical order.
+out canonical and in order. A family is always complete: the
+construction embeds from a matching of all the closed trails, so an
+enumeration past MAX_TRAILS is refused, never cut short.
 
 A matching keeps its trails as rows too: a MatchingReport holds the
 matched rows over the family's arc arrays (TrailRows), and the mirror
@@ -299,21 +300,16 @@ class TrailHypergraph:
     """(2i+2)-uniform hypergraph on the arcs of D whose hyperedges are
     the closed trails of length 2i+2: arc k is (tail[k], head[k]), in
     sorted order, and hyperedge k is row k of the canonical sorted rows
-    of arc ids (see the module docstring).
-
-    truncated is set when the cap stopped the enumeration early; the
-    rows are then the first `cap` rows in canonical order, never a
-    silent subset.
+    of arc ids (see the module docstring). The rows are every such
+    trail, never a prefix.
     `arcs`, `trails`, `incidence` and `degree` are lazy views keyed by
     trail or arc, built only when asked for.
     """
 
-    def __init__(self, tail: np.ndarray, head: np.ndarray, rows: np.ndarray,
-                 truncated: bool = False):
+    def __init__(self, tail: np.ndarray, head: np.ndarray, rows: np.ndarray):
         self.tail = tail
         self.head = head
         self.rows = rows
-        self.truncated = truncated
         self.d = rows.shape[1]
 
     @property
@@ -383,9 +379,8 @@ class TrailHypergraph:
         place and without enumerating it: each row reversed, its arc ids
         mapped to the ranks of the reversed arcs, then re-canonicalised
         and re-sorted. Reversal is a bijection between the closed trails
-        of D and of its reverse, so an untruncated family mirrors to
-        exactly what enumerating the reversed digraph gives. A truncated
-        family stays truncated (its mirror is the reverse of the prefix).
+        of D and of its reverse, so the family mirrors to exactly what
+        enumerating the reversed digraph gives.
 
         Returns None, like list.sort, and drops the cached views; the
         rows array is rewritten in place, so a caller holding it sees
@@ -420,39 +415,27 @@ class TrailHypergraph:
         return {a: tuple(ix) for a, ix in zip(self.arcs, by_id)}
 
 
-def build_trail_hypergraph(d: Digraph, i: int, cap: int | None = None) -> TrailHypergraph:
-    """The canonical closed trails of length 2i+2 in D, or with a cap the
-    first `cap` of them in canonical order (truncated is then set when
-    D has more).
+def build_trail_hypergraph(d: Digraph, i: int) -> TrailHypergraph:
+    """The canonical closed trails of length 2i+2 in D, all of them.
 
     One pass over the half-trail join (see _trail_blocks) counts the
-    trails exactly, and more than MAX_TRAILS of them are refused with
-    GuardError before the rows are allocated; a second pass fills them.
+    trails and refuses with GuardError as soon as the count passes
+    MAX_TRAILS, before the rows are allocated; a second pass fills them.
     """
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")
-    if cap is not None and cap < 0:
-        raise ValidationError("cap must be nonnegative")
     length = 2 * i + 2
-    stop = MAX_TRAILS if cap is None else min(cap, MAX_TRAILS)
-    total = 0
+    count = 0
     for block in _trail_blocks(d, length):
-        total += len(block)
-        if total > stop:
-            break
-    count = total if cap is None else min(total, cap)
-    if count > MAX_TRAILS:
-        raise GuardError(f"closed {length}-trails exceed the limit of {MAX_TRAILS}; "
-                         f"pass a cap")
+        count += len(block)
+        if count > MAX_TRAILS:
+            raise GuardError(f"closed {length}-trails exceed the limit of {MAX_TRAILS}")
     rows = np.empty((count, length), dtype=_row_dtype(d.n_arcs))
     pos = 0
     for block in _trail_blocks(d, length):
-        take = min(len(block), count - pos)
-        rows[pos:pos + take] = block[:take]
-        pos += take
-        if pos == count:
-            break
-    return TrailHypergraph(d.tail, d.head, rows, total > count)
+        rows[pos:pos + len(block)] = block
+        pos += len(block)
+    return TrailHypergraph(d.tail, d.head, rows)
 
 
 @dataclass(frozen=True)

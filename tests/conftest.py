@@ -84,12 +84,11 @@ def brute_closed_trail_count(g, length: int) -> int:
     return len(seen)
 
 
-def reference_trail_rows(d: Digraph, length: int, cap: int | None = None):
+def reference_trail_rows(d: Digraph, length: int) -> np.ndarray:
     """Rows of arc ids (into d.arc_list) of the closed trails of `length`
-    arcs in d, and whether the cap cut them short, by depth-first search.
-    Each trail is found once, from its least arc: only arcs above that
-    anchor may follow it, so the rows come out canonical and in
-    lexicographic order, and a cap keeps the first `cap` of them."""
+    arcs in d, by depth-first search. Each trail is found once, from its
+    least arc: only arcs above that anchor may follow it, so the rows
+    come out canonical and in lexicographic order."""
     arcs = d.arc_list
     out_ids: dict[int, list[int]] = {}
     for k, (t, _h) in enumerate(arcs):
@@ -111,9 +110,7 @@ def reference_trail_rows(d: Digraph, length: int, cap: int | None = None):
     for a0, (start, first) in enumerate(arcs):
         path[:] = [a0]
         rec(first, start, a0)
-    rows = np.array(found, dtype=np.int64).reshape(-1, length)
-    truncated = cap is not None and len(rows) > cap
-    return (rows[:cap] if truncated else rows), truncated
+    return np.array(found, dtype=np.int64).reshape(-1, length)
 
 
 def brute_short_trail_total(g, i: int) -> int:

@@ -283,6 +283,26 @@ def test_matched_rows_convert_like_their_trails():
         assert assemble_rotation(twin, surv).order == assemble_rotation(g, surv).order
 
 
+def test_find_blossoms_takes_a_dart_family():
+    # find_blossoms reads a DartFamily like make_blossom_free does: the
+    # survivors are blossom-free, and an unreduced family reports the
+    # blossoms of the same trails passed as ClosedTrails
+    g = gen_random_bipartite(GenParams(30, 30, 0.3, seed=0))
+    blossoms_seen = 0
+    for i in (1, 2):
+        h = build_trail_hypergraph(orient_randomly(g, 0), i)
+        m = find_matching(h, "greedy", 1)
+        h.mirror()
+        mm = find_disjoint_mirror_matching(h, m, "greedy", 2)
+        family = DartFamily.of_matchings(g, m, mm)
+        surviving, _ = make_blossom_free(g, family)
+        assert find_blossoms(g, surviving).is_blossom_free
+        report = find_blossoms(g, family)
+        assert report == find_blossoms(g, m.matching + mm.matching)
+        blossoms_seen += len(report.blossoms)
+    assert blossoms_seen > 0
+
+
 def test_dart_path_raises_like_reference():
     # a non-edge arc, an arc in two trails, and a blossom handed to
     # assemble_rotation raise the same errors on both paths

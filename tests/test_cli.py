@@ -2,8 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from bigenus import trails
-from bigenus.cli import main, parse_config, parse_p
+from bigenus import cli, trails
+from bigenus.cli import EXPERIMENT_KEYS, main, parse_config, parse_p
 from bigenus.errors import ValidationError
 
 
@@ -158,11 +158,39 @@ def test_experiment_error_rows(tmp_path, capsys, monkeypatch):
     out = tmp_path / "e.csv"
     cfg.write_text(f"n1 = 6,40\nn2 = 3\np = 0.5\nout = {out}\n")
     assert main(["experiment", "--config", str(cfg)]) == 0
-    assert "cell (40,3,0.5,1,0) failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # a refusal is one line; only a fault prints its traceback
+    assert "cell (40,3,0.5,1,0) failed: GuardError: closed 4-trails exceed" in err
+    assert "Traceback" not in err
     rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
     by_n1 = {r[0]: r for r in rows}
     assert by_n1["40"][-2] == "error"
     assert by_n1["6"][-2] != "error"
+
+
+def test_experiment_survives_a_failing_cell(tmp_path, capsys, monkeypatch):
+    # a fault in one cell, not only a refusal, becomes an error row
+    # naming the exception class; the other cells are still written
+    estimate = cli.estimate_genus
+
+    def faulty(g, i, cfg):
+        if g.n1 == 12 and cfg.seed == 3:
+            raise RuntimeError("injected")
+        return estimate(g, i, cfg)
+
+    monkeypatch.setattr(cli, "estimate_genus", faulty)
+    cfg = tmp_path / "e.cfg"
+    out = tmp_path / "e.csv"
+    _write_config(cfg, out, "workers = 1\n")
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    err = capsys.readouterr().err
+    assert "cell (12,4,0.5,1,3) failed: RuntimeError: injected" in err
+    assert err.count("Traceback") == 1
+    rows = {tuple(r[:5]): r for r in (l.split(",") for l in out.read_text().splitlines()[2:])}
+    assert len(rows) == 4 and all(len(r) == 13 for r in rows.values())
+    failed = ("12", "4", "0.5", "1", "3")
+    assert rows[failed][11] == "error"
+    assert all(r[11] != "error" for k, r in rows.items() if k != failed)
 
 
 def test_experiment_refuses_invalid_grid_cell(tmp_path, capsys):
@@ -179,12 +207,34 @@ def test_experiment_refuses_invalid_grid_cell(tmp_path, capsys):
 def test_experiment_refuses_invalid_settings(tmp_path, capsys):
     cfg = tmp_path / "e.cfg"
     out = tmp_path / "e.csv"
-    for setting, key in (("strategy = bogus", "strategy"), ("cap = -3", "cap"),
-                         ("i = 0,1", "i")):
+    for setting, key in (("strategy = bogus", "strategy"), ("i = 0,1", "i")):
         cfg.write_text(f"n1 = 6\nn2 = 3\np = 0.5\n{setting}\nout = {out}\n")
         assert main(["experiment", "--config", str(cfg)]) == 2
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_trail_cap_is_refused(tmp_path, capsys):
+    # a trail family is never capped: `cap` is an unknown sweep key, like
+    # `eps`, and `--cap` an option no subcommand takes
+    cfg = tmp_path / "e.cfg"
+    out = tmp_path / "e.csv"
+    _write_config(cfg, out, "cap = 5\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert "unknown config keys: ['cap']" in capsys.readouterr().err
+    assert not out.exists()
+    for command in ("trails", "match", "estimate"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n1", "6", "--n2", "3", "--p", "0.5", "--cap", "5"])
+        assert exc.value.code == 2
+        assert "--cap" in capsys.readouterr().err
+
+
+def test_readme_experiment_keys_are_the_accepted_keys():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("### Experiment config", 1)[1]
+    keys = section.split("The accepted keys are `", 1)[1].split("`", 1)[0]
+    assert keys.split() == list(EXPERIMENT_KEYS)
 
 
 def test_readme_experiment_grid_runs(tmp_path, capsys):

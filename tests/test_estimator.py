@@ -4,8 +4,10 @@ import sys
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from bigenus import trails
 from bigenus.bigraph import (BipartiteGraph, GenParams, Graph,
                              complete_bipartite_graph, complete_graph,
                              gen_random_bipartite, path_graph)
@@ -152,7 +154,6 @@ def test_estimate_k33():
     assert est.blossoms_removed == 1
     assert est.family_size == 2
     assert est.face_histogram == {4: 2, 10: 1}
-    assert not est.truncated
 
 
 def test_estimate_csv_row():
@@ -169,13 +170,29 @@ def test_estimate_empty_graph():
     assert est.n_edges == 0
 
 
-def test_estimate_truncation():
-    cfg = PipelineConfig(cap=1)
-    est = estimate_genus(complete_bipartite_graph(3, 3), 1, cfg)
-    assert est.truncated
-    assert est.upper is None
-    assert est.coverage is None
-    assert est.csv_row()[7] == ""
+def test_estimate_truncation(monkeypatch):
+    # an estimate is never cut short: it has an upper bound, or, past
+    # the trail limit, it raises before the trails module allocates
+    # anything (numpy's own generator allocates while orienting)
+    k33 = complete_bipartite_graph(3, 3)
+    with pytest.raises(TypeError):
+        PipelineConfig(cap=1)
+    allocations = []
+    np_empty = np.empty
+
+    def empty(*a, **k):
+        if sys._getframe(1).f_globals["__name__"] == trails.__name__:
+            allocations.append(a)
+        return np_empty(*a, **k)
+
+    monkeypatch.setattr(np, "empty", empty)
+    monkeypatch.setattr(trails, "MAX_TRAILS", 2)   # K_{3,3} seed 0 has 3
+    with pytest.raises(GuardError, match="closed 4-trails exceed the limit of 2"):
+        estimate_genus(k33, 1)
+    assert allocations == []
+    monkeypatch.setattr(trails, "MAX_TRAILS", 3)
+    assert estimate_genus(k33, 1).family_size == 2
+    assert allocations
 
 
 def test_estimate_large_instance():
@@ -315,15 +332,12 @@ def test_estimate_bounds_ordered():
         g = gen_random_bipartite(GenParams(max(a, b), min(a, b), 0.6,
                                            seed=rng.randint(0, 999)))
         est = estimate_genus(g, 1)
-        if est.upper is not None:
-            assert est.lower <= est.upper
+        assert est.lower <= est.upper
 
 
 def test_pipeline_config_validation():
     with pytest.raises(ValidationError):
         PipelineConfig(strategy="anneal")
-    with pytest.raises(ValidationError):
-        PipelineConfig(cap=-1)
     with pytest.raises(ValidationError):
         PipelineConfig(p=1.5)
 

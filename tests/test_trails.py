@@ -13,7 +13,7 @@ from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams,
                              orient_randomly)
 from bigenus.cli import main
 from bigenus.errors import GuardError, ValidationError
-from bigenus.estimator import PipelineConfig, estimate_genus
+from bigenus.estimator import estimate_genus
 from bigenus.trails import (ClosedTrail, _canonical_sort, build_trail_hypergraph,
                             check_matching_conditions,
                             count_short_closed_trails,
@@ -46,7 +46,6 @@ def test_enumerate_k33():
     d = orient_randomly(complete_bipartite_graph(3, 3), 0)
     ts = build_trail_hypergraph(d, 1)
     assert len(ts.trails) == 3
-    assert not ts.truncated
     for t in ts.trails:
         assert len(t.arcs) == 4
         assert all(a in d.arc_set for a in t.arcs)
@@ -54,11 +53,12 @@ def test_enumerate_k33():
 
 
 def test_enumerate_cap():
+    # there is no cap: a family is every closed trail or a refusal
     d = orient_randomly(complete_bipartite_graph(3, 3), 0)
-    capped = build_trail_hypergraph(d, 1, cap=2)
-    assert len(capped.trails) == 2 and capped.truncated
-    exact = build_trail_hypergraph(d, 1, cap=3)
-    assert len(exact.trails) == 3 and not exact.truncated
+    with pytest.raises(TypeError):
+        build_trail_hypergraph(d, 1, cap=2)
+    exact = build_trail_hypergraph(d, 1)
+    assert len(exact.trails) == 3
 
 
 def _identity_digraphs(seed: int):
@@ -94,25 +94,21 @@ def _symmetric_digraphs(seed: int):
 
 def test_fast_path_matches_dfs():
     # the half-trail join against the reference DFS at every length, on
-    # orientations and on anti-parallel and symmetric digraphs, with
-    # caps; the dead chains into and out of the 4-cycle of `chain` are
-    # longer than the pruning rounds, so the join meets dead arcs
+    # orientations and on anti-parallel and symmetric digraphs; the dead
+    # chains into and out of the 4-cycle of `chain` are longer than the
+    # pruning rounds, so the join meets dead arcs
     chain = Digraph(80, [(0, 1), (1, 2), (2, 3), (3, 0), (39, 0), (0, 40)]
                     + [(k, k + 1) for k in range(4, 39)] + [(k, k + 1) for k in range(40, 79)])
     rows_seen = 0
     for d in _identity_digraphs(8) + _symmetric_digraphs(8) + [chain]:
         for i in (1, 2, 3):
-            full, _ = reference_trail_rows(d, 2 * i + 2)
+            full = reference_trail_rows(d, 2 * i + 2)
             slow = [ClosedTrail.from_arcs([d.arc_list[a] for a in row])
                     for row in full.tolist()]
-            fast = build_trail_hypergraph(d, i).trails
-            assert fast == tuple(sorted(slow, key=lambda t: t.arcs))
+            h = build_trail_hypergraph(d, i)
+            assert h.trails == tuple(sorted(slow, key=lambda t: t.arcs))
             assert len(set(slow)) == len(slow)
-            for cap in (None, 0, 1, len(full) // 2):
-                h = build_trail_hypergraph(d, i, cap)
-                rows, truncated = reference_trail_rows(d, 2 * i + 2, cap)
-                assert np.array_equal(h.rows, rows)
-                assert h.truncated == truncated
+            assert np.array_equal(h.rows, full)
             rows_seen += len(full)
     assert rows_seen > 0
 
@@ -165,17 +161,15 @@ def test_dfs_rows_are_canonically_sorted():
     rows_seen = 0
     for d in _identity_digraphs(7):
         for length in (4, 6):
-            full, _ = reference_trail_rows(d, length)
-            for cap in (None, len(full) // 2):
-                rows, _ = reference_trail_rows(d, length, cap)
-                again = rows.copy()
-                _canonical_sort(again)
-                assert np.array_equal(rows, again)
-                h = build_trail_hypergraph(d, length // 2 - 1, cap)
-                again = h.rows.copy()
-                _canonical_sort(again)
-                assert np.array_equal(h.rows, again)
-                rows_seen += len(rows)
+            rows = reference_trail_rows(d, length)
+            again = rows.copy()
+            _canonical_sort(again)
+            assert np.array_equal(rows, again)
+            h = build_trail_hypergraph(d, length // 2 - 1)
+            again = h.rows.copy()
+            _canonical_sort(again)
+            assert np.array_equal(h.rows, again)
+            rows_seen += len(rows)
     assert rows_seen > 0
 
 
@@ -417,26 +411,16 @@ def test_count_short_long_trails_match_brute():
 
 
 def test_dfs_cap_is_a_prefix():
-    # a capped family is the first `cap` rows in canonical order, for
-    # every i, on orientations and on digraphs with anti-parallel arcs
+    # the whole family, for every i, on orientations and on digraphs
+    # with anti-parallel arcs; a family is never cut to a prefix
     g = gen_random_bipartite(GenParams(20, 16, 0.35, seed=3))
     d = orient_randomly(g, 3)
     full = build_trail_hypergraph(d, 2)
-    assert full.n_hyperedges == 372 and not full.truncated
-    for cap in (0, 1, 5, 200, 371, 372, 373, 1000):
-        h = build_trail_hypergraph(d, 2, cap)
-        assert np.array_equal(h.rows, full.rows[:cap])
-        assert h.truncated == (cap < 372)
+    assert full.n_hyperedges == 372
     anti = Digraph(d.n, d.arc_list + tuple((h, t) for (t, h) in d.arc_list[:10]))
     for digraph, n in ((d, 57), (anti, 87)):
         full = build_trail_hypergraph(digraph, 1)
-        assert full.n_hyperedges == n and not full.truncated
-        for cap in (0, 1, 5, n // 2, n - 1, n, n + 1):
-            h = build_trail_hypergraph(digraph, 1, cap)
-            assert np.array_equal(h.rows, full.rows[:cap])
-            assert h.truncated == (cap < n)
-    est = estimate_genus(g, 2, PipelineConfig(seed=3, cap=5))
-    assert est.upper is None and est.truncated
+        assert full.n_hyperedges == n
 
 
 def test_count_short_guard():
@@ -470,9 +454,11 @@ def test_trail_limit_refuses_before_allocating(monkeypatch, capsys, anti_paralle
     with pytest.raises(GuardError, match=f"closed {2 * i + 2}-trails exceed the limit of {n - 1}"):
         build_trail_hypergraph(d, i)
     assert allocations == []
-    # a cap within the limit is served, and its rows are allocated
-    assert build_trail_hypergraph(d, i, cap=n - 1).truncated
+    # at the limit the family is served, and its rows are allocated
+    monkeypatch.setattr(trails, "MAX_TRAILS", n)
+    assert build_trail_hypergraph(d, i).n_hyperedges == n
     assert allocations
+    monkeypatch.setattr(trails, "MAX_TRAILS", n - 1)
     if not anti_parallel:
         assert main(["estimate", "--n1", "40", "--n2", "3", "--p", "0.5",
                      "--i", str(i)]) == 2
