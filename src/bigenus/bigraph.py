@@ -6,7 +6,20 @@ is fixed globally and used by every other module.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 stream-id), so edge presence and edge orientation are independent and
-reproducible bit for bit.
+reproducible bit for bit. A stream is Philox4x64-10 (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011):
+- key: the two 64-bit words that numpy's SeedSequence([seed, stream])
+  generates, that is its 32-bit hash mix over the entropy (each integer
+  cut into 32-bit words, low word first) into a pool of 4 words;
+- counter: block k of the stream (0-based) is the 10-round bijection of
+  the counter (k + 1, 0, 0, 0), four 64-bit words in order;
+- uniforms: word w becomes (w >> 11) * 2^-53, and successive draws
+  continue the stream.
+This equals numpy's Generator(Philox(SeedSequence([seed, stream]))).random
+bit for bit. It is computed here over numpy uint64 arrays because
+importing numpy.random also imports secrets, hashlib and OpenSSL, about
+5.4 MB of resident memory in every process, for entropy a seeded stream
+never asks for.
 """
 
 from __future__ import annotations
@@ -30,19 +43,179 @@ STREAM_MIRROR = 3
 # Subset-indexed operations refuse beyond this part size (2^n2 blowup).
 MAX_SMALL_PART = 20
 
-# Uniforms drawn per numpy call by gen_random_bipartite (512 KiB of
-# doubles); bounds its temporaries without changing its output.
+# Uniforms drawn per call by gen_random_bipartite (512 KiB of doubles);
+# bounds its temporaries without changing its output.
 _GEN_CHUNK = 1 << 16
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+# SeedSequence's hash mix: pool constants (A), output constants (B).
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+# Philox4x64-10: round multipliers and key increments (Weyl constants).
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# Philox blocks computed per pass: 8 rows of this many uint64 words
+# (512 KiB) are all the kernel's temporaries.
+_KERNEL_BLOCKS = 8192
 
-def rng_stream(seed: int, stream: int) -> np.random.Generator:
-    """Philox generator for one (seed, stream) pair."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream])))
+
+def _u64(value: int) -> np.ndarray:
+    """A 0-d uint64 operand. Every kernel operand is uint64, so numpy
+    1.x value-based casting and NEP 50 alike keep uint64 wrap-around;
+    a 0-d array is also cheaper per ufunc call than a numpy scalar."""
+    return np.array(value & _MASK64, dtype=np.uint64)
+
+
+_LOW32, _SHIFT32, _SHIFT11 = _u64(_MASK32), _u64(32), _u64(11)
+_MUL = tuple((_u64(m), _u64(m & _MASK32), _u64(m >> 32)) for m in _PHILOX_MUL)
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Refuse anything but a nonnegative integer as a seed."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {seed!r}")
+
+
+def _seed_state(seed: int, stream: int, n: int) -> list[int]:
+    """The first n uint64 words of SeedSequence([seed, stream]).generate_state."""
+    check_seed(seed)
+    check_seed(stream, "stream")
+    entropy = []
+    for value in (int(seed), int(stream)):
+        entropy.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            entropy.append(value & _MASK32)
+    mult = _HASH_INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal mult
+        value ^= mult
+        mult = mult * _HASH_MULT_A & _MASK32
+        value = value * mult & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, words = _HASH_INIT_B, []
+    for k in range(2 * n):
+        value = pool[k % _POOL_WORDS] ^ mult
+        mult = mult * _HASH_MULT_B & _MASK32
+        value = value * mult & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[2 * k] | words[2 * k + 1] << 32 for k in range(n)]
+
+
+class PhiloxStream:
+    """The uniforms of one (seed, stream) pair: numpy's
+    Generator(Philox(SeedSequence([seed, stream]))).random, bit for bit
+    (see the module docstring)."""
+
+    def __init__(self, seed: int, stream: int):
+        k0, k1 = _seed_state(seed, stream, 2)
+        self._keys = [(_u64(k0 + r * _PHILOX_BUMP[0]), _u64(k1 + r * _PHILOX_BUMP[1]))
+                      for r in range(_PHILOX_ROUNDS)]
+        self._next_block = 0
+        self._spare = np.empty(0)  # the unread tail of the last block
+
+    def random(self, n: int) -> np.ndarray:
+        """The next n uniforms in [0, 1) as float64."""
+        out = np.empty(n)
+        head = min(n, len(self._spare))
+        out[:head], self._spare = self._spare[:head], self._spare[head:]
+        whole = (n - head) // 4
+        if whole:
+            self._fill(out[head:head + 4 * whole].reshape(whole, 4))
+        tail = n - head - 4 * whole
+        if tail:
+            block = np.empty((1, 4))
+            self._fill(block)
+            out[n - tail:], self._spare = block[0, :tail], block[0, tail:]
+        return out
+
+    def _fill(self, out: np.ndarray) -> None:
+        """Write the uniforms of the next len(out) blocks into the rows of out.
+
+        A round maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+        hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)). Each word is a uint64 row over
+        the blocks of one pass, each 128-bit product is assembled from
+        four 32 x 32-bit ones, and lo overwrites the factor's own row.
+        The counter (k + 1, 0, 0, 0) makes three words constant in round
+        0 and two in round 1, which those rounds take as integers."""
+        mul, and_, shr, add, xor = (np.multiply, np.bitwise_and, np.right_shift,
+                                    np.add, np.bitwise_xor)
+        width = min(len(out), _KERNEL_BLOCKS)
+        rows = np.empty((8, width), dtype=np.uint64)
+        # Round 1 multiplies M0 by round 0's constant c0 = k0.
+        hi_k0, lo_k0 = divmod(_PHILOX_MUL[0] * int(self._keys[0][0]), 1 << 64)
+        k1_hi_k0 = _u64(hi_k0 ^ int(self._keys[1][1]))
+
+        def mulhilo(x, j):
+            """Overwrite x with lo(M_j x); return hi(M_j x) in a scratch row."""
+            m, m_lo, m_hi = _MUL[j]
+            and_(x, _LOW32, xl)
+            shr(x, _SHIFT32, xh)
+            mul(x, m, x)
+            mul(xl, m_lo, p)
+            shr(p, _SHIFT32, p)
+            mul(xh, m_lo, q)
+            add(q, p, q)           # t = x_hi m_lo + (x_lo m_lo >> 32)
+            and_(q, _LOW32, p)
+            mul(xl, m_hi, xl)
+            add(p, xl, p)          # w = (t & mask32) + x_lo m_hi
+            shr(p, _SHIFT32, p)
+            shr(q, _SHIFT32, q)
+            mul(xh, m_hi, xh)
+            add(xh, q, xh)
+            return add(xh, p, xh)  # x_hi m_hi + (t >> 32) + (w >> 32)
+
+        for start in range(0, len(out), width):
+            b = min(width, len(out) - start)
+            r0, r1, r2, r3, xl, xh, p, q = (row[:b] for row in rows)
+            first = self._next_block + 1
+            r0[:] = np.arange(first, first + b, dtype=np.uint64)
+            self._next_block += b
+            # Round 0 on (r0, 0, 0, 0) gives (k0, 0, r2, r0).
+            xor(mulhilo(r0, 0), self._keys[0][1], r2)
+            # Round 1 on (k0, 0, r2, r0) gives (r1, r2, r0, r3).
+            xor(mulhilo(r2, 1), self._keys[1][0], r1)
+            xor(r0, k1_hi_k0, r0)
+            r3[:] = lo_k0
+            c0, c1, c2, c3 = r1, r2, r0, r3
+            for key0, key1 in self._keys[2:]:
+                xor(c3, mulhilo(c0, 0), c3)
+                xor(c3, key1, c3)
+                xor(c1, mulhilo(c2, 1), c1)
+                xor(c1, key0, c1)
+                c0, c1, c2, c3 = c1, c2, c3, c0
+            for j, row in enumerate((c0, c1, c2, c3)):
+                shr(row, _SHIFT11, p)
+                mul(p, 2.0 ** -53, out[start:start + b, j])
+
+
+def rng_stream(seed: int, stream: int) -> PhiloxStream:
+    """Philox stream for one (seed, stream) pair."""
+    return PhiloxStream(seed, stream)
 
 
 def derive_int_seed(seed: int, stream: int) -> int:
-    """A 64-bit integer derived from (seed, stream), for random.Random."""
-    return int(np.random.SeedSequence([seed, stream]).generate_state(1, np.uint64)[0])
+    """A 64-bit integer derived from (seed, stream), for random.Random:
+    the first key word of its Philox stream."""
+    return _seed_state(seed, stream, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -55,10 +228,17 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if not (self.n1 >= self.n2 >= 1):
             raise ValidationError(f"need n1 >= n2 >= 1, got n1={self.n1} n2={self.n2}")
         if not (0.0 <= self.p <= 1.0):
             raise ValidationError(f"p must lie in [0,1], got {self.p}")
+
+
+def _least(u: np.ndarray, v: np.ndarray, bad: np.ndarray) -> tuple[int | None, int | None]:
+    """The lexicographically least pair (u[k], v[k]) with bad[k], or (None, None)."""
+    pairs = sorted(zip(u[bad].tolist(), v[bad].tolist()))
+    return pairs[0] if pairs else (None, None)
 
 
 class Graph:
@@ -69,23 +249,37 @@ class Graph:
     however many isolated vertices it has.
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
         self.n = n
-        norm = sorted((a, b) if a < b else (b, a) for (a, b) in edges)
-        for k in range(1, len(norm)):
-            if norm[k] == norm[k - 1]:
-                raise ValidationError(f"duplicate edge ({norm[k][0]},{norm[k][1]})")
-        self._check_edges(norm)
-        self.edge_list: tuple[tuple[int, int], ...] = tuple(norm)
-        nbrs: dict[int, list[int]] = {}
-        for (u, v) in norm:
-            nbrs.setdefault(u, []).append(v)
-            nbrs.setdefault(v, []).append(u)
+        try:
+            ends = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                            dtype=np.int64)
+        except OverflowError:
+            raise ValidationError("edge label out of range") from None
+        if ends.size == 0:
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValidationError("edges must be pairs of vertices")
+        u, v = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+        self._check_edges(u, v)
+        # Edge (u, v), u < v, is the key u n + v; sorted keys are the
+        # edges in lexicographic order.
+        key = np.sort(u * n + v)
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if len(dup):
+            raise ValidationError("duplicate edge ({},{})".format(*divmod(int(key[dup[0]]), n)))
+        u, v = np.divmod(key, n)
+        self.edge_list: tuple[tuple[int, int], ...] = tuple(zip(u.tolist(), v.tolist()))
+        # Both ends of every edge by (vertex, neighbour) key: each
+        # vertex's neighbours are one sorted run.
+        ends, nbrs = np.divmod(np.sort(np.concatenate((key, v * n + u))), n)
+        nbrs = nbrs.tolist()
+        starts = np.flatnonzero(np.diff(ends, prepend=-1)).tolist() + [len(nbrs)]
         self._adj: list[tuple[int, ...]] = [()] * n
-        for v, ns in nbrs.items():
-            self._adj[v] = tuple(sorted(ns))
+        for k, vert in enumerate(ends[starts[:-1]].tolist()):
+            self._adj[vert] = tuple(nbrs[starts[k]:starts[k + 1]])
 
     @functools.cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -97,13 +291,13 @@ class Graph:
         return np.fromiter(itertools.chain.from_iterable(self.edge_list), dtype=np.int32,
                            count=2 * m).reshape(m, 2)
 
-    def _check_edges(self, edges: list[tuple[int, int]]) -> None:
-        """Reject loops and labels outside 0..n-1; edges come as (u, v), u <= v."""
-        for (u, v) in edges:
-            if u == v:
-                raise ValidationError(f"loop at vertex {u}")
-            if not (0 <= u and v < self.n):
-                raise ValidationError(f"edge ({u},{v}) out of range")
+    def _check_edges(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Reject loops and labels outside 0..n-1 among the edges
+        (u[k], v[k]), u <= v, naming the least bad one."""
+        x, y = _least(u, v, (u == v) | (u < 0) | (v >= self.n))
+        if x is not None:
+            raise ValidationError(f"loop at vertex {x}" if x == y
+                                  else f"edge ({x},{y}) out of range")
 
     @property
     def n_vertices(self) -> int:
@@ -144,11 +338,10 @@ class BipartiteGraph(Graph):
         self.n2 = n2
         super().__init__(n1 + n2, edges)
 
-    def _check_edges(self, edges: list[tuple[int, int]]) -> None:
-        n1, n = self.n1, self.n
-        for (x, y) in edges:
-            if not (0 <= x < n1 <= y < n):
-                raise ValidationError(f"edge ({x},{y}) does not join X to Y")
+    def _check_edges(self, u: np.ndarray, v: np.ndarray) -> None:
+        x, y = _least(u, v, (u < 0) | (u >= self.n1) | (v < self.n1) | (v >= self.n))
+        if x is not None:
+            raise ValidationError(f"edge ({x},{y}) does not join X to Y")
 
     def x_vertices(self) -> range:
         return range(self.n1)
@@ -259,7 +452,7 @@ def gen_random_bipartite(params: GenParams) -> BipartiteGraph:
         u = gen.random(min(_GEN_CHUNK, total - offset))
         cells.append(np.flatnonzero(u < p) + offset)
     x, y = np.divmod(np.concatenate(cells), n2)
-    return BipartiteGraph(n1, n2, zip(x.tolist(), (y + n1).tolist()))
+    return BipartiteGraph(n1, n2, np.column_stack((x, y + n1)))
 
 
 def standard_class_sizes(n1: int, n2: int, p: float) -> list[int]:

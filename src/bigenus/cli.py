@@ -17,9 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 
-from .bigraph import (GenParams, gen_random_bipartite, orient_randomly,
-                      read_bipartite, read_digraph, standard_graph,
-                      write_bipartite, write_digraph)
+from .bigraph import (GenParams, check_seed, gen_random_bipartite,
+                      orient_randomly, read_bipartite, read_digraph,
+                      standard_graph, write_bipartite, write_digraph)
 from .errors import GuardError, ValidationError
 from .estimator import (CSV_COLUMNS, PipelineConfig, estimate_genus,
                         prediction_for, regime_classify)
@@ -419,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_seed(getattr(args, "seed", 0))
         return args.func(args)
     except (GuardError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .bigraph import (MAX_SMALL_PART, STREAM_MATCH, STREAM_MIRROR,
-                      BipartiteGraph, Graph, derive_int_seed, is_bipartite,
-                      orient_randomly)
+                      BipartiteGraph, Graph, check_seed, derive_int_seed,
+                      is_bipartite, orient_randomly)
 from .blossom import DartFamily, assemble_rotation, make_blossom_free
 from .embedding import (connected_components, face_length_histogram, genus_from_faces,
                         trace_faces)
@@ -267,6 +267,7 @@ class PipelineConfig:
     p: float | None = None
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"strategy must be one of {STRATEGIES}")
         if self.p is not None and not (0.0 <= self.p <= 1.0):

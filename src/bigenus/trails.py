@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
@@ -166,9 +167,9 @@ def _canonical_sort(rows: np.ndarray) -> None:
     buffer, which belong to rows 0..j only: keys are packed forward one
     chunk at a time, each chunk read before its keys are written, sorted
     in place, and unpacked backward, one copied chunk of keys at a time.
-    Wider rows are gathered one column at a time through a lexsort
-    permutation, which with its own buffers takes about 20 bytes per
-    row. Neither path copies the family.
+    Wider rows are byte-swapped to big-endian ids, whose bytes compare
+    in numeric order, sorted in place as fixed-width byte strings and
+    swapped back. Neither path copies the family.
     """
     m, w = rows.shape
     shift = np.arange(w)
@@ -183,9 +184,12 @@ def _canonical_sort(rows: np.ndarray) -> None:
         return
     b = int(rows.max()).bit_length()
     if b * w > 64:
-        perm = np.lexsort(rows.T[::-1])
-        for j in range(w):
-            rows[:, j] = rows[perm, j]
+        swap = sys.byteorder == "little"
+        if swap:
+            rows.byteswap(inplace=True)
+        rows.view(np.dtype((np.void, w * rows.itemsize))).ravel().sort()
+        if swap:
+            rows.byteswap(inplace=True)
         return
     bits, mask = np.uint64(b), np.uint64((1 << b) - 1)
     ids = rows.view(f"u{rows.itemsize}")

@@ -1,6 +1,9 @@
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
                              standard_graph, two_coloring, write_bipartite,
                              write_digraph)
 from bigenus.errors import GuardError, ValidationError
+from bigenus.estimator import PipelineConfig
 
 from conftest import rand_graph, reference_orientation
 
@@ -148,6 +152,19 @@ def test_graph_rejects_duplicates():
         Digraph(2, [(0, 1), (0, 1)])
 
 
+def test_graph_matches_tuple_reference():
+    # the array constructor against sorting normalized tuples
+    rng = random.Random(5)
+    for n in (2, 7, 40, 300):
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)}
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for (u, v) in pairs]
+        g = Graph(n, np.array(edges) if n % 2 else edges)
+        assert g.edge_list == tuple(sorted(pairs))
+        assert [g.neighbors(v) for v in range(n)] == [
+            tuple(sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v}))
+            for v in range(n)]
+
+
 def test_bipartite_graph_is_a_graph():
     g = BipartiteGraph(2, 2, [(3, 0), (0, 2), (1, 3)])
     plain = Graph(4, g.edge_list)
@@ -234,3 +251,53 @@ def test_array_storage_validation_and_views():
     write_digraph(d, buf)
     buf.seek(0)
     assert read_digraph(buf) == d
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 3_000_007])
+def test_streams_equal_numpy_philox(seed):
+    # numpy.random is the reference here only; the package never imports it
+    from numpy.random import Generator, Philox, SeedSequence
+    for stream in range(4):
+        ref = Generator(Philox(SeedSequence([seed, stream])))
+        gen = bigraph.rng_stream(seed, stream)
+        # consecutive draws cross the 4-word block, the kernel pass and
+        # the _GEN_CHUNK borders
+        for n in (0, 1, 3, 4, 5, 65_536, 100_001):
+            assert np.array_equal(gen.random(n), ref.random(n)), (stream, n)
+        want = SeedSequence([seed, stream]).generate_state(1, np.uint64)[0]
+        assert bigraph.derive_int_seed(seed, stream) == int(want)
+
+
+def test_stream_passes_do_not_change_it(monkeypatch):
+    whole = bigraph.rng_stream(9, 1).random(1_001)
+    monkeypatch.setattr(bigraph, "_KERNEL_BLOCKS", 3)
+    gen = bigraph.rng_stream(9, 1)
+    assert np.array_equal(np.concatenate([gen.random(n) for n in (2, 13, 500, 486)]), whole)
+
+
+def test_negative_seeds_are_refused():
+    for call in (lambda: bigraph.rng_stream(-1, 0), lambda: bigraph.rng_stream(0, -1),
+                 lambda: bigraph.derive_int_seed(-1, 2), lambda: bigraph.rng_stream(1.0, 0),
+                 lambda: GenParams(5, 5, 0.5, seed=-3), lambda: PipelineConfig(seed=-1)):
+        with pytest.raises(ValidationError, match="must be a nonnegative integer"):
+            call()
+
+
+def test_no_path_imports_numpy_random():
+    # numpy.random pulls in secrets, hashlib and OpenSSL (about 5 MB per
+    # process); generation, both estimates and the oracle must not
+    code = """if True:
+        import sys
+        import bigenus as bg, bigenus.cli
+        g = bg.gen_random_bipartite(bg.GenParams(30, 30, 0.3, seed=1))
+        bg.estimate_genus(g, 1)
+        bg.estimate_genus(g, 2)
+        k33 = bg.complete_bipartite_graph(3, 3)
+        assert bg.exact_genus(k33) == 1 and bg.pincer_genus(k33).exact
+        print(sorted(m for m in ("numpy.random", "secrets", "hashlib") if m in sys.modules))
+        """
+    src = os.path.dirname(os.path.dirname(bigraph.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

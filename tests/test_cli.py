@@ -214,6 +214,23 @@ def test_experiment_refuses_invalid_settings(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    assert main(["generate", "--n1", "6", "--n2", "3", "--p", "0.5", "--out", str(g)]) == 0
+    for argv in (["generate", "--n1", "6", "--n2", "3", "--p", "0.5", "--seed", "-1"],
+                 ["estimate", "--in", str(g), "--i", "1", "--seed", "-1"],
+                 ["orient", "--in", str(g), "--seed", "-1"]):
+        assert main(argv) == 2
+        assert "error: seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    # a config is refused whole, before the CSV is opened
+    cfg = tmp_path / "e.cfg"
+    out = tmp_path / "e.csv"
+    cfg.write_text(f"n1 = 8,12\nn2 = 4\np = 0.5\ntrials = 2\nseed = -3\nout = {out}\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert "seed must be a nonnegative integer, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trail_cap_is_refused(tmp_path, capsys):
     # a trail family is never capped: `cap` is an unknown sweep key, like
     # `eps`, and `--cap` an option no subcommand takes

@@ -181,8 +181,8 @@ def test_dfs_rows_are_canonically_sorted():
 def test_canonical_sort_packed_and_gathered(monkeypatch, w, top, dtype):
     # ids of at most 64 // w bits pack into one uint64 key per row, kept
     # in the rows' own buffer (a 12-byte uint16 row at w = 6 holds its
-    # 8-byte key with overlap); wider ones take the lexsort gather; a
-    # small chunk crosses chunk borders
+    # 8-byte key with overlap); wider ones sort as byte strings; a small
+    # chunk crosses chunk borders
     monkeypatch.setattr(trails, "_ROTATE_CHUNK", 7)
     rng = np.random.default_rng(w * top)
     rows = np.array([rng.choice(top, w, replace=False) for _ in range(300)],
@@ -197,6 +197,21 @@ def test_canonical_sort_packed_and_gathered(monkeypatch, w, top, dtype):
     expect = sorted(canonical(r) for r in rows.tolist())
     _canonical_sort(rows)
     assert rows.tolist() == expect
+
+
+@pytest.mark.parametrize("dtype, top", [(np.uint16, 1 << 16), (np.int32, 1 << 20)])
+def test_wide_rows_sort_in_place_in_lexsort_order(dtype, top):
+    # rows over 64 bits sort as byte strings of big-endian ids, in the
+    # rows' own buffer; long tied prefixes and repeated rows included
+    rng = np.random.default_rng(top)
+    rows = rng.integers(1, top, size=(3000, 6)).astype(dtype)
+    rows[:, 1:4] = rng.integers(1, 4, size=(3000, 3))
+    rows[:, 0] = 0  # least id first, so no row is rotated
+    rows[1::5] = rows[::5][:len(rows[1::5])]
+    expect = rows[np.lexsort(rows.T[::-1])]
+    buffer = rows.ctypes.data
+    _canonical_sort(rows)
+    assert np.array_equal(rows, expect) and rows.ctypes.data == buffer
 
 
 def test_trail_family_peak_memory():
