@@ -25,7 +25,6 @@ never asks for.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
@@ -241,12 +240,53 @@ def _least(u: np.ndarray, v: np.ndarray, bad: np.ndarray) -> tuple[int | None, i
     return pairs[0] if pairs else (None, None)
 
 
+def csr_runs(first: np.ndarray, nbrs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The neighbour runs nbrs[first[r]:first[r + 1]] of the rows r, one
+    after another: O(their total length), whatever the size of nbrs."""
+    start = first[rows]
+    count = first[rows + 1] - start
+    return nbrs[np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
+
+
+def distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending. np.unique does the same but
+    imports numpy.ma, about 1.3 MB of resident memory, on first use."""
+    x = np.sort(x)
+    return x[np.append(True, x[1:] != x[:-1])] if len(x) else x
+
+
+def component_labels(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """label[j], the least of the vertices 0..k-1 joined to j by the
+    edges (a[i], b[i]).
+
+    Hooking and pointer jumping: each round hooks every root that an
+    edge joins to a smaller root onto the least such root, then jumps
+    pointers until every vertex points at a root. Labels only decrease,
+    so a root is the least vertex of its tree; an edge inside one tree
+    stays there and is dropped, and the rounds end when none is left."""
+    label = np.arange(k, dtype=np.int32)
+    while len(a):
+        la, lb = label[a], label[b]
+        cross = la != lb
+        a, b = a[cross], b[cross]
+        np.minimum.at(label, np.maximum(la, lb)[cross], np.minimum(la, lb)[cross])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    return label
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1 (not necessarily bipartite).
 
-    Adjacency is a list indexed by vertex; every isolated vertex holds
-    the one shared empty tuple, so a graph costs O(edges) Python objects
-    however many isolated vertices it has.
+    The edges are two int32 arrays u < v in lexicographic order: edge k
+    is (u[k], v[k]). Adjacency is CSR: the neighbours of vertex w are
+    nbrs[first[w]:first[w + 1]], ascending. The tuple views edge_list,
+    edge_set and neighbors(w) are built only when read, so a graph
+    holds 4(n + 1) bytes plus 16 per edge, and no Python object per
+    edge or vertex.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
@@ -254,42 +294,90 @@ class Graph:
             raise ValidationError("vertex count must be nonnegative")
         self.n = n
         try:
-            ends = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
-                            dtype=np.int64)
+            ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                              dtype=np.int64)
         except OverflowError:
             raise ValidationError("edge label out of range") from None
         if ends.size == 0:
             ends = ends.reshape(0, 2)
         if ends.ndim != 2 or ends.shape[1] != 2:
             raise ValidationError("edges must be pairs of vertices")
+        # Each temporary is dropped as soon as it is used: together they
+        # would set the peak of generating a graph.
         u, v = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+        del ends
         self._check_edges(u, v)
-        # Edge (u, v), u < v, is the key u n + v; sorted keys are the
-        # edges in lexicographic order.
+        # Edge (u, v), u < v, is the int64 key u n + v; sorted keys are
+        # the edges in lexicographic order.
         key = np.sort(u * n + v)
         dup = np.flatnonzero(key[1:] == key[:-1])
         if len(dup):
             raise ValidationError("duplicate edge ({},{})".format(*divmod(int(key[dup[0]]), n)))
+        # One int32 block holds u, v, nbrs and first. Four blocks made
+        # between the temporaries split the heap's free memory, and a
+        # later trail family then took fresh pages: dense-i1's peak RSS
+        # read 41.5-42.8 MB instead of 39.0-39.5 on most seeds.
+        m = len(key)
+        self.u, self.v, self.nbrs, self.first = np.split(
+            np.empty(4 * m + n + 1, dtype=np.int32), [m, 2 * m, 4 * m])
         u, v = np.divmod(key, n)
-        self.edge_list: tuple[tuple[int, int], ...] = tuple(zip(u.tolist(), v.tolist()))
+        self.u[:], self.v[:] = u, v
         # Both ends of every edge by (vertex, neighbour) key: each
         # vertex's neighbours are one sorted run.
-        ends, nbrs = np.divmod(np.sort(np.concatenate((key, v * n + u))), n)
-        nbrs = nbrs.tolist()
-        starts = np.flatnonzero(np.diff(ends, prepend=-1)).tolist() + [len(nbrs)]
-        self._adj: list[tuple[int, ...]] = [()] * n
-        for k, vert in enumerate(ends[starts[:-1]].tolist()):
-            self._adj[vert] = tuple(nbrs[starts[k]:starts[k + 1]])
+        key = np.sort(np.concatenate((key, v * n + u)))
+        del u, v
+        ends, nbrs = np.divmod(key, n)
+        del key
+        self.nbrs[:] = nbrs
+        self.first[0] = 0
+        self.first[1:] = np.bincount(ends, minlength=n)
+        np.cumsum(self.first, out=self.first)
+
+    @functools.cached_property
+    def edge_list(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.u.tolist(), self.v.tolist()))
 
     @functools.cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edge_list)
 
+    @functools.cached_property
+    def _adj(self) -> list[tuple[int, ...]]:
+        """neighbors(w) for every w; isolated vertices share one empty tuple."""
+        adj: list[tuple[int, ...]] = [()] * self.n
+        nbrs, first = self.nbrs.tolist(), self.first.tolist()
+        for w in self._linked().tolist():
+            adj[w] = tuple(nbrs[first[w]:first[w + 1]])
+        return adj
+
     def edge_array(self) -> np.ndarray:
-        """The edge list as an (edges, 2) int32 array, rows (u, v), u < v."""
-        m = len(self.edge_list)
-        return np.fromiter(itertools.chain.from_iterable(self.edge_list), dtype=np.int32,
-                           count=2 * m).reshape(m, 2)
+        """The edges as an (edges, 2) int32 array, rows (u, v), u < v."""
+        return np.column_stack((self.u, self.v))
+
+    def local_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(verts, a, b): the vertices that have an edge, ascending, and
+        every edge as (a[k], b[k]) with vertex verts[j] relabelled j.
+        Isolated vertices are left out, so this costs O(edges) however
+        many vertices the graph has; with none, the arrays returned are
+        the graph's own, to be read only."""
+        verts = self._linked()
+        if len(verts) == self.n:
+            return verts, self.u, self.v
+        return verts, np.searchsorted(verts, self.u), np.searchsorted(verts, self.v)
+
+    def local_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(verts, first, nbrs): the vertices of local_edges() and their
+        CSR adjacency with vertex verts[j] relabelled j."""
+        verts = self._linked()
+        if len(verts) == self.n:
+            return verts, self.first, self.nbrs
+        # the runs of the vertices with edges tile nbrs
+        first = np.append(self.first[verts], len(self.nbrs))
+        return verts, first, np.searchsorted(verts, self.nbrs)
+
+    def _linked(self) -> np.ndarray:
+        """The vertices that have an edge, ascending."""
+        return np.flatnonzero(self.first[1:] != self.first[:-1])
 
     def _check_edges(self, u: np.ndarray, v: np.ndarray) -> None:
         """Reject loops and labels outside 0..n-1 among the edges
@@ -305,24 +393,29 @@ class Graph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_list)
+        return len(self.u)
+
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range")
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if v < 0:
-            raise IndexError(f"vertex {v} out of range")
+        self._check_vertex(v)
         return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        self._check_vertex(v)
+        return int(self.first[v + 1] - self.first[v])
 
     def _key(self) -> tuple:
-        return self.n, self.edge_list
+        return (self.n,)
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._key() == other._key()
+        return (type(other) is type(self) and self._key() == other._key()
+                and np.array_equal(self.u, other.u) and np.array_equal(self.v, other.v))
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self._key(), self.u.tobytes(), self.v.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.n_edges})"
@@ -350,7 +443,7 @@ class BipartiteGraph(Graph):
         return range(self.n1, self.n)
 
     def _key(self) -> tuple:
-        return self.n1, self.n2, self.edge_list
+        return self.n1, self.n2
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(n1={self.n1}, n2={self.n2}, edges={self.n_edges})"
@@ -507,10 +600,9 @@ def orient_randomly(g, seed: int) -> Digraph:
     with u < v becomes the arc u -> v when its coin is below 1/2.
     """
     gen = rng_stream(seed, STREAM_ORIENT)
-    ends = g.edge_array()
-    flip = gen.random(len(ends)) >= 0.5
-    tail = np.where(flip, ends[:, 1], ends[:, 0])
-    head = np.where(flip, ends[:, 0], ends[:, 1])
+    flip = gen.random(g.n_edges) >= 0.5
+    tail = np.where(flip, g.v, g.u)
+    head = np.where(flip, g.u, g.v)
     order = np.lexsort((head, tail))
     return Digraph._from_sorted(g.n_vertices, tail[order], head[order])
 
@@ -536,7 +628,7 @@ def degree_class_partition(g: BipartiteGraph) -> dict[frozenset[int], list[int]]
 
 def write_bipartite(g: BipartiteGraph, fh: TextIO) -> None:
     fh.write(f"bipartite {g.n1} {g.n2}\n")
-    for (x, y) in g.edge_list:
+    for x, y in zip(g.u.tolist(), g.v.tolist()):
         fh.write(f"{x} {y}\n")
 
 
@@ -606,29 +698,36 @@ def path_graph(n: int) -> Graph:
 
 
 def is_bipartite(g) -> bool:
-    return two_coloring(g) is not None
+    return isinstance(g, BipartiteGraph) or _sides(g) is not None
+
+
+def _sides(g: Graph) -> tuple[np.ndarray, np.ndarray] | None:
+    """(verts, side): the vertices that have an edge, ascending, and the
+    side, 0 or 1, of each; None when g has an odd cycle. A frontier
+    search from the least vertex of every component at once puts each
+    vertex on the side of its distance's parity."""
+    verts, a, b = g.local_edges()
+    label = component_labels(len(verts), a, b)
+    _verts, first, nbrs = g.local_adjacency()
+    side = np.full(len(verts), -1, dtype=np.int8)
+    frontier, parity = np.flatnonzero(label == np.arange(len(verts))), 0
+    while len(frontier):
+        side[frontier] = parity
+        reached = csr_runs(first, nbrs, frontier)
+        frontier, parity = distinct(reached[side[reached] < 0]), 1 - parity
+    return None if (side[a] == side[b]).any() else (verts, side)
 
 
 def two_coloring(g) -> tuple[Sequence[int], Sequence[int]] | None:
     """A proper 2-coloring (side0, side1) of the vertex set, or None.
-    A BipartiteGraph answers with its X and Y ranges."""
+    A BipartiteGraph answers with its X and Y ranges; otherwise the
+    least vertex of every component, isolated ones included, is on
+    side 0."""
     if isinstance(g, BipartiteGraph):
         return g.x_vertices(), g.y_vertices()
-    color: dict[int, int] = {}
-    for s in range(g.n_vertices):
-        if s in color:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side0 = tuple(v for v in range(g.n_vertices) if color[v] == 0)
-    side1 = tuple(v for v in range(g.n_vertices) if color[v] == 1)
-    return side0, side1
-
+    sides = _sides(g)
+    if sides is None:
+        return None
+    color = np.zeros(g.n_vertices, dtype=np.int8)
+    color[sides[0]] = sides[1]
+    return tuple(np.flatnonzero(color == 0).tolist()), tuple(np.flatnonzero(color).tolist())

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
+from .bigraph import component_labels
 from .errors import InternalConsistencyError, ValidationError
 
 Arc = tuple[int, int]
@@ -156,7 +157,7 @@ class FaceSet:
         self.faces = tuple(faces)
         self.n_edges = n_edges
         self.lengths = tuple(len(f) for f in self.faces)
-        self._tails = [f[0][0] for f in self.faces]
+        self._tails = np.array([f[0][0] for f in self.faces], dtype=np.int64)
 
     @classmethod
     def _from_orbits(cls, index: ArcIndex, orbit: np.ndarray, lengths: list[int],
@@ -167,7 +168,7 @@ class FaceSet:
         fs.n_edges = n_edges
         fs.lengths = tuple(lengths)
         starts = np.cumsum([0] + lengths[:-1], dtype=np.int64)
-        fs._tails = index.tail[orbit[starts]].tolist() if lengths else []
+        fs._tails = index.tail[orbit[starts]] if lengths else np.empty(0, dtype=np.int32)
         fs._orbits = (index, orbit)
         return fs
 
@@ -184,7 +185,7 @@ class FaceSet:
 
     def face_tails(self) -> list[int]:
         """The tail of the first arc of every face, in face order."""
-        return self._tails
+        return self._tails.tolist()
 
     def face_arcs(self) -> frozenset[tuple[Arc, ...]]:
         return frozenset(self.faces)
@@ -209,14 +210,15 @@ def arc_index(g, verts: Iterable[int] | None = None) -> ArcIndex:
     """The ArcIndex of the arcs leaving `verts`, a union of components
     of g (default: every vertex with an edge). Both directions of every
     edge with an end in `verts` are darts."""
-    ends = g.edge_array()
+    u, v = g.u, g.v
     if verts is not None:
         inside = np.zeros(g.n_vertices, dtype=bool)
         inside[np.fromiter(verts, dtype=np.int64)] = True
-        ends = ends[inside[ends[:, 0]]]
-    m = len(ends)
-    tails = np.concatenate((ends[:, 0], ends[:, 1]))
-    heads = np.concatenate((ends[:, 1], ends[:, 0]))
+        keep = inside[u]
+        u, v = u[keep], v[keep]
+    m = len(u)
+    tails = np.concatenate((u, v))
+    heads = np.concatenate((v, u))
     order = np.lexsort((heads, tails))
     # dart k is tails[order[k]]; its reverse sits m positions away
     pos = np.empty(2 * m, dtype=np.int32)
@@ -293,24 +295,26 @@ def trace_faces(g, rot: RotationSystem) -> FaceSet:
 def connected_components(g, starts: Iterable[int] | None = None
                          ) -> list[tuple[int, ...]]:
     """The components of g that contain a vertex of `starts` (default:
-    every vertex), each sorted, in the order their first start comes."""
-    seen: set[int] = set()
-    comps = []
-    for s in range(g.n_vertices) if starts is None else starts:
-        if s in seen:
-            continue
-        stack = [s]
-        seen.add(s)
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    every vertex), each sorted, in the order their first start comes.
+    Only the vertices with an edge are labelled (component_labels); an
+    isolated vertex is a component of its own."""
+    n = g.n_vertices
+    verts, a, b = g.local_edges()
+    label = component_labels(len(verts), a, b)
+    least = np.arange(n)
+    least[verts] = verts[label]
+    if starts is not None:
+        starts = np.fromiter(starts, dtype=np.int64)
+        if len(starts) and not (0 <= starts.min() and starts.max() < n):
+            raise IndexError(f"start vertex out of range 0..{n - 1}")
+        least = least[starts]
+    # the first start of each component, by a stable sort on least
+    order = np.argsort(least, kind="stable")
+    roots = least[np.sort(order[np.diff(least[order], prepend=-1) != 0])]
+    order = np.argsort(label, kind="stable")
+    runs = np.split(verts[order], np.flatnonzero(np.diff(label[order])) + 1)
+    members = {run[0]: run for run in (tuple(r.tolist()) for r in runs) if run}
+    return [members.get(v, (v,)) for v in roots.tolist()]
 
 
 def genus_of_embedding(g, rot: RotationSystem) -> int:
@@ -320,18 +324,18 @@ def genus_of_embedding(g, rot: RotationSystem) -> int:
 
 
 def genus_from_faces(g, fs: FaceSet) -> int:
-    """Euler's formula per component. Components are walked from the
-    edge endpoints only: an isolated vertex contributes 0 and is never
-    visited."""
-    comps = connected_components(g, (u for (u, _v) in g.edge_list))
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    e_c = [0] * len(comps)
-    for (u, v) in g.edge_list:
-        e_c[comp_of[u]] += 1
-    f_c = [0] * len(comps)
-    for u in fs.face_tails():
-        f_c[comp_of[u]] += 1
-    return sum(euler_genus(len(comp), e_c[ci], f_c[ci]) for ci, comp in enumerate(comps))
+    """Euler's formula per component, with n_c, e_c and f_c counted
+    over the component labels of the vertices with an edge: an isolated
+    vertex contributes 0 and is never labelled."""
+    verts, a, b = g.local_edges()
+    k = len(verts)
+    label = component_labels(k, a, b)
+    n_c = np.bincount(label, minlength=k)
+    e_c = np.bincount(label[a], minlength=k)
+    f_c = np.bincount(label[np.searchsorted(verts, fs._tails)], minlength=k)
+    roots = np.flatnonzero(n_c)
+    return sum(euler_genus(*c) for c in zip(n_c[roots].tolist(), e_c[roots].tolist(),
+                                            f_c[roots].tolist()))
 
 
 def face_length_histogram(fs: FaceSet) -> dict[int, int]:

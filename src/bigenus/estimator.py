@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
+import numpy as np
+
 from .bigraph import (MAX_SMALL_PART, STREAM_MATCH, STREAM_MIRROR,
-                      BipartiteGraph, Graph, check_seed, derive_int_seed,
-                      is_bipartite, orient_randomly)
+                      BipartiteGraph, Graph, check_seed, component_labels, csr_runs,
+                      derive_int_seed, distinct, is_bipartite, orient_randomly)
 from .blossom import DartFamily, assemble_rotation, make_blossom_free
-from .embedding import (connected_components, face_length_histogram, genus_from_faces,
-                        trace_faces)
+from .embedding import face_length_histogram, genus_from_faces, trace_faces
 from .errors import GuardError, InternalConsistencyError, ValidationError
 from .trails import STRATEGIES, MatchingReport, build_trail_hypergraph, \
     count_short_closed_trails, find_disjoint_mirror_matching, find_matching
@@ -182,32 +183,35 @@ def small_p_asymptote_check(n1: int, n2: int, p: float) -> AsymptoteCheck:
 
 def _core_components(g) -> list[tuple[list[int], int]]:
     """(sorted vertices, edge count) of each component of the 2-core
-    (all degree-<=1 vertices iteratively removed). Degrees are counted
-    over edge endpoints, so isolated vertices are never alive. Pruning
-    a leaf never disconnects what is left, so a component of g holds at
-    most one core component, and a live vertex's degree left after
-    pruning is its core degree."""
-    deg: dict[int, int] = {}
-    for (u, v) in g.edge_list:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    alive = set(deg)
-    queue = [v for v, dv in deg.items() if dv <= 1]
-    while queue:
-        v = queue.pop()
-        if v not in alive or deg[v] > 1:
-            continue
-        alive.discard(v)
-        for w in g.neighbors(v):
-            if w in alive:
-                deg[w] -= 1
-                if deg[w] <= 1:
-                    queue.append(w)
-    out = []
-    for comp in connected_components(g, sorted(alive)):
-        verts = [v for v in comp if v in alive]
-        out.append((verts, sum(deg[v] for v in verts) // 2))
-    return out
+    (all degree-<=1 vertices iteratively removed), in order of least
+    vertex. Only vertices with an edge take part, so isolated vertices
+    are never alive. Leaves are peeled in rounds over the CSR
+    adjacency: a round reads only the neighbour runs of the vertices it
+    removes, so peeling costs O(edges) in all. Pruning a leaf never
+    disconnects what is left, so a component of g holds at most one
+    core component."""
+    verts, first, nbrs = g.local_adjacency()
+    deg = np.diff(first)
+    alive = np.ones(len(verts), dtype=bool)
+    leaves = np.flatnonzero(deg <= 1)
+    while len(leaves):
+        alive[leaves] = False
+        hit = csr_runs(first, nbrs, leaves)
+        hit = hit[alive[hit]]
+        np.subtract.at(deg, hit, 1)
+        leaves = distinct(hit[deg[hit] <= 1])
+    core = np.flatnonzero(alive)
+    if not len(core):
+        return []
+    _verts, a, b = g.local_edges()
+    inner = alive[a] & alive[b]
+    label = component_labels(len(verts), a[inner], b[inner])[core]
+    order = np.argsort(label, kind="stable")
+    core = core[order]
+    cut = np.flatnonzero(np.diff(label[order])) + 1
+    # a live vertex's degree left after pruning is its core degree
+    e_c = np.add.reduceat(deg[core], np.concatenate(([0], cut))) // 2
+    return [(run.tolist(), e) for run, e in zip(np.split(verts[core], cut), e_c.tolist())]
 
 
 def euler_lower_bound(g, min_face_len: int) -> int:
@@ -225,13 +229,15 @@ def euler_lower_bound(g, min_face_len: int) -> int:
 
 
 def _induced_bipartite(g: BipartiteGraph, verts: list[int]) -> BipartiteGraph:
-    """The subgraph of g induced by the sorted vertex list verts."""
-    xs = [v for v in verts if v < g.n1]
-    ys = [v for v in verts if v >= g.n1]
-    ymap = {v: len(xs) + k for k, v in enumerate(ys)}
-    edges = [(k, ymap[y]) for k, x in enumerate(xs) for y in g.neighbors(x)
-             if y in ymap]
-    return BipartiteGraph(len(xs), len(ys), edges)
+    """The subgraph of g induced by the sorted vertex list verts, with
+    vertex verts[k] relabelled k: X-vertices first, as in g."""
+    verts = np.asarray(verts, dtype=np.int64)
+    inside = np.zeros(g.n_vertices, dtype=bool)
+    inside[verts] = True
+    keep = inside[g.u] & inside[g.v]
+    u, v = np.searchsorted(verts, g.u[keep]), np.searchsorted(verts, g.v[keep])
+    n1 = int(np.searchsorted(verts, g.n1))
+    return BipartiteGraph(n1, len(verts) - n1, np.column_stack((u, v)))
 
 
 def refined_lower_bound(g: BipartiteGraph, i: int) -> int:

@@ -693,12 +693,10 @@ def count_short_closed_trails(g: BipartiteGraph, i: int) -> int:
 
 
 def _y_masks(g: BipartiteGraph) -> list[int]:
-    masks = []
-    for y in g.y_vertices():
-        m = 0
-        for x in g.neighbors(y):
-            m |= 1 << x
-        masks.append(m)
+    """The X-neighbourhood of every Y-vertex as a bitmask."""
+    masks = [0] * g.n2
+    for x, y in zip(g.u.tolist(), g.v.tolist()):
+        masks[y - g.n1] |= 1 << x
     return masks
 
 
@@ -746,7 +744,9 @@ def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:
             f"closed-trail count of length {length} too expensive here "
             f"(estimated {work:.2e} steps)"
         )
-    d = Digraph(g.n_vertices, g.edge_list + tuple((v, u) for (u, v) in g.edge_list))
+    # the CSR adjacency lists both arcs of every edge in (tail, head) order
+    tail = np.repeat(np.arange(g.n_vertices, dtype=np.int32), np.diff(g.first))
+    d = Digraph._from_sorted(g.n_vertices, tail, g.nbrs)
     rows = build_trail_hypergraph(d, length // 2 - 1).rows
     lo, hi = np.minimum(d.tail, d.head).astype(np.int64), np.maximum(d.tail, d.head)
     edges = np.sort((lo * g.n_vertices + hi)[rows], axis=1)

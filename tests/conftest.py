@@ -15,11 +15,14 @@ import numpy as np
 from bigenus.bigraph import (STREAM_ORIENT, BipartiteGraph, Digraph, GenParams, Graph,
                              gen_random_bipartite, orient_randomly, rng_stream)
 from bigenus.blossom import Blossom, TipArc
-from bigenus.embedding import (FaceSet, RotationSystem, connected_components,
-                               genus_of_embedding, trace_faces)
+from bigenus.embedding import FaceSet, RotationSystem, genus_of_embedding, trace_faces
 from bigenus.errors import ValidationError
 from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
                             find_disjoint_mirror_matching, find_matching)
+
+
+# The lazily built tuple views of a Graph, as keys of its __dict__.
+GRAPH_VIEWS = ("edge_list", "edge_set", "_adj")
 
 
 def rand_graph(rng: random.Random, max_edges: int = 12) -> Graph:
@@ -37,6 +40,114 @@ def rand_bipartite(rng: random.Random, max_edges: int = 20) -> BipartiteGraph:
     rng.shuffle(pool)
     m = rng.randint(0, min(max_edges, len(pool)))
     return BipartiteGraph(n1, n2, pool[:m])
+
+
+def random_simple_graph(rng: random.Random, n: int, m: int, pendant: int = 0,
+                        bipartite: bool = False):
+    """(n, edges): a random simple graph on n vertices with up to m
+    random edges and a pendant path of `pendant` new vertices hung from
+    one of them, its labels shuffled and each edge written in a random
+    order, so the input is neither sorted nor normalized. With
+    `bipartite`, the random edges join two halves of the vertices."""
+    pairs = set()
+    for _ in range(m):
+        if bipartite and n >= 2:
+            pairs.add((rng.randrange(n // 2), rng.randrange(n // 2, n)))
+        elif n >= 2:
+            a, b = rng.sample(range(n), 2)
+            pairs.add((min(a, b), max(a, b)))
+    if pendant and n:
+        path = [rng.randrange(n)] + list(range(n, n + pendant))
+        pairs.update(zip(path, path[1:]))
+        n += pendant
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = {(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in pairs}
+    return n, [(b, a) if rng.random() < 0.5 else (a, b) for (a, b) in sorted(pairs)]
+
+
+def graph_cases(seed: int):
+    """(n, edges) inputs: random graphs with and without long pendant
+    paths and isolated vertices, some of them bipartite, the empty graph
+    and graphs with no vertex."""
+    rng = random.Random(seed)
+    cases = [(0, []), (1, []), (7, []), (2, [(1, 0)]), (5, [(4, 0), (0, 1), (3, 4)])]
+    for _ in range(40):
+        n = rng.randint(2, 40)
+        cases.append(random_simple_graph(rng, n, rng.randint(0, 3 * n),
+                                         pendant=rng.choice((0, 0, 1, 5, 120)),
+                                         bipartite=rng.random() < 0.3))
+    return cases
+
+
+def reference_adjacency(n: int, edges) -> list[tuple[int, ...]]:
+    """The ascending neighbour tuple of every vertex of the graph on
+    0..n-1 with the given edges, each in either order, by one set per
+    vertex."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for (a, b) in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return [tuple(sorted(s)) for s in nbrs]
+
+
+def reference_components(adj, starts=None) -> list[tuple[int, ...]]:
+    """The components holding a vertex of `starts` (default: every
+    vertex), each sorted, in the order their first start comes, by a
+    depth-first search over the tuple adjacency adj."""
+    seen: set[int] = set()
+    comps = []
+    for s in range(len(adj)) if starts is None else starts:
+        if s in seen:
+            continue
+        stack = [s]
+        seen.add(s)
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def reference_two_coloring(adj):
+    """(side0, side1) by a depth-first search that puts the least
+    vertex of every component on side 0, or None at an odd cycle."""
+    color: dict[int, int] = {}
+    for s in range(len(adj)):
+        if s in color:
+            continue
+        color[s] = 0
+        queue = [s]
+        while queue:
+            v = queue.pop()
+            for w in adj[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    return (tuple(v for v in range(len(adj)) if color[v] == 0),
+            tuple(v for v in range(len(adj)) if color[v] == 1))
+
+
+def reference_genus(g, fs: FaceSet) -> int:
+    """genus_from_faces by component dicts over the tuple adjacency:
+    (2 - n + e - f) / 2 summed over the components with an edge."""
+    comps = reference_components(reference_adjacency(g.n_vertices, g.edge_list),
+                                 [u for (u, _v) in g.edge_list])
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    e_c = [0] * len(comps)
+    for (u, _v) in g.edge_list:
+        e_c[comp_of[u]] += 1
+    f_c = [0] * len(comps)
+    for face in fs.faces:
+        f_c[comp_of[face[0][0]]] += 1
+    return sum((2 - len(comp) + e_c[ci] - f_c[ci]) // 2 for ci, comp in enumerate(comps))
 
 
 def random_rotation(g, rng: random.Random) -> RotationSystem:
@@ -142,6 +253,7 @@ def reference_core_components(g) -> list[list[int]]:
     least vertex, by pruning and then a search that never leaves the
     core. Degrees are counted over edge endpoints, so isolated vertices
     are never alive."""
+    adj = reference_adjacency(g.n_vertices, g.edge_list)
     deg: dict[int, int] = {}
     for (u, v) in g.edge_list:
         deg[u] = deg.get(u, 0) + 1
@@ -153,7 +265,7 @@ def reference_core_components(g) -> list[list[int]]:
         if v not in alive or deg[v] > 1:
             continue
         alive.discard(v)
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if w in alive:
                 deg[w] -= 1
                 if deg[w] <= 1:
@@ -169,7 +281,7 @@ def reference_core_components(g) -> list[list[int]]:
         while k < len(comp):
             v = comp[k]
             k += 1
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if w in alive and w not in seen:
                     seen.add(w)
                     comp.append(w)
@@ -180,7 +292,7 @@ def reference_core_components(g) -> list[list[int]]:
 def component_euler_stats(g, rot):
     """(vertices, edges, faces) per connected component with >= 1 edge."""
     fs = trace_faces(g, rot)
-    comps = connected_components(g)
+    comps = reference_components(reference_adjacency(g.n_vertices, g.edge_list))
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     f_count = [0] * len(comps)
     e_count = [0] * len(comps)

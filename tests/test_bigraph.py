@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
 from bigenus.errors import GuardError, ValidationError
 from bigenus.estimator import PipelineConfig
 
-from conftest import rand_graph, reference_orientation
+from conftest import (GRAPH_VIEWS, graph_cases, rand_graph, reference_adjacency,
+                      reference_orientation, reference_two_coloring)
 
 
 def test_params_validation():
@@ -141,6 +143,11 @@ def test_bipartiteness_helpers():
     # the declared sides win for bipartite inputs
     left, right = two_coloring(complete_bipartite_graph(2, 2))
     assert set(left) == {0, 1} and set(right) == {2, 3}
+    # plain graphs: the frontier search against a tuple search
+    for n, edges in graph_cases(2):
+        ref = reference_two_coloring(reference_adjacency(n, edges))
+        assert two_coloring(Graph(n, edges)) == ref
+        assert is_bipartite(Graph(n, edges)) == (ref is not None)
 
 
 def test_graph_rejects_duplicates():
@@ -163,6 +170,50 @@ def test_graph_matches_tuple_reference():
         assert [g.neighbors(v) for v in range(n)] == [
             tuple(sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v}))
             for v in range(n)]
+    # the arrays, then the views built from them on read
+    for k, (n, edges) in enumerate(graph_cases(1)):
+        g = Graph(n, (list(edges), iter(edges), np.array(edges, dtype=np.int64))[k % 3])
+        norm = tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
+        adj = reference_adjacency(n, edges)
+        assert g.u.dtype == g.v.dtype == g.first.dtype == g.nbrs.dtype == np.int32
+        assert len(g.first) == n + 1 and g.n_edges == len(norm)
+        assert np.array_equal(g.edge_array(), np.array(norm, dtype=np.int32).reshape(-1, 2))
+        assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
+        assert not set(GRAPH_VIEWS) & set(vars(g))
+        assert g.edge_list == norm and g.edge_set == frozenset(norm)
+        assert [g.neighbors(v) for v in range(n)] == adj
+        assert g == Graph(n, norm) and hash(g) == hash(Graph(n, norm))
+
+
+def test_edge_keys_do_not_overflow():
+    # u n + v passes 2^31 here, so int32 keys would wrap
+    n1 = 100_000
+    edges = [(n1 - 1, n1 + 4), (0, n1), (n1 - 1, n1), (5, n1 + 4)]
+    g = BipartiteGraph(n1, 5, reversed(edges))
+    assert (n1 - 1) * g.n + n1 + 4 > 2 ** 31
+    assert g.edge_list == tuple(sorted(edges))
+    assert g.neighbors(n1 + 4) == (5, n1 - 1) and g.neighbors(n1 - 1) == (n1, n1 + 4)
+    with pytest.raises(ValidationError, match=rf"duplicate edge \({n1 - 1},{n1 + 4}\)"):
+        BipartiteGraph(n1, 5, edges + [(n1 + 4, n1 - 1)])
+    big = Graph(3 * 2 ** 16, [(2 ** 17, 3 * 2 ** 16 - 1), (2 ** 17 - 1, 2 ** 17)])
+    assert big.edge_list == ((2 ** 17 - 1, 2 ** 17), (2 ** 17, 3 * 2 ** 16 - 1))
+
+
+def test_generated_graph_memory():
+    """G(800, 800, 0.03) seed 0 has 19,241 edges. With a tuple per edge
+    and per vertex it held 3.4 MiB and its generation peaked at 5.8 MiB;
+    as int32 arrays it holds 0.30 MiB and peaks at 2.5 MiB."""
+    params = GenParams(800, 800, 0.03, seed=0)
+    gen_random_bipartite(params)
+    tracemalloc.start()
+    try:
+        g = gen_random_bipartite(params)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges == 19241
+    assert held <= 0.5 * 2 ** 20
+    assert peak <= 3.5 * 2 ** 20
 
 
 def test_bipartite_graph_is_a_graph():
@@ -228,12 +279,19 @@ def test_array_storage_validation_and_views():
         with pytest.raises(ValidationError, match=message):
             Digraph(3, arcs)
     for edges, message in (([(0, 1), (2, 1), (1, 0)], r"duplicate edge \(0,1\)"),
+                           ([(1, 2), (2, 1), (0, 2), (2, 0)], r"duplicate edge \(0,2\)"),
                            ([(2, 2)], "loop at vertex 2"),
-                           ([(0, 3)], r"edge \(0,3\) out of range")):
+                           ([(0, 1), (2, 2), (1, 1)], "loop at vertex 1"),
+                           ([(0, 3)], r"edge \(0,3\) out of range"),
+                           ([(1, 5), (4, 0)], r"edge \(0,4\) out of range"),
+                           ([(0, -1)], r"edge \(-1,0\) out of range")):
         with pytest.raises(ValidationError, match=message):
             Graph(3, edges)
     with pytest.raises(ValidationError, match=r"duplicate edge \(0,2\)"):
         BipartiteGraph(2, 1, [(0, 2), (2, 0)])
+    for edges in ([(1, 3), (0, 1), (2, 0)], np.array([[2, 1], [0, 1]])):
+        with pytest.raises(ValidationError, match=r"edge \(0,1\) does not join X to Y"):
+            BipartiteGraph(2, 2, edges)
     g = gen_random_bipartite(GenParams(9, 6, 0.5, seed=4))
     assert "edge_set" not in vars(g)
     assert g.edge_set == frozenset(g.edge_list)
@@ -285,16 +343,22 @@ def test_negative_seeds_are_refused():
 
 def test_no_path_imports_numpy_random():
     # numpy.random pulls in secrets, hashlib and OpenSSL (about 5 MB per
-    # process); generation, both estimates and the oracle must not
+    # process), and np.unique numpy.ma (about 1.3 MB); generation, the
+    # estimates on bipartite and plain graphs, the components and the
+    # oracle must not
     code = """if True:
         import sys
         import bigenus as bg, bigenus.cli
+        from bigenus.embedding import connected_components
         g = bg.gen_random_bipartite(bg.GenParams(30, 30, 0.3, seed=1))
         bg.estimate_genus(g, 1)
         bg.estimate_genus(g, 2)
+        bg.estimate_genus(bg.Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), 1)
+        assert len(connected_components(g)) >= 1
         k33 = bg.complete_bipartite_graph(3, 3)
         assert bg.exact_genus(k33) == 1 and bg.pincer_genus(k33).exact
-        print(sorted(m for m in ("numpy.random", "secrets", "hashlib") if m in sys.modules))
+        print(sorted(m for m in ("numpy.random", "secrets", "hashlib", "numpy.ma")
+                     if m in sys.modules))
         """
     src = os.path.dirname(os.path.dirname(bigraph.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

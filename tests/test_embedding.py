@@ -9,13 +9,14 @@ from bigenus.bigraph import (Graph, complete_bipartite_graph, complete_graph,
                              cycle_graph, path_graph)
 from bigenus.blossom import assemble_rotation
 from bigenus.embedding import (FaceSet, RotationSystem, connected_components,
-                               face_length_histogram, genus_of_embedding,
+                               face_length_histogram, genus_from_faces, genus_of_embedding,
                                rotation_to_text, sorted_rotation, trace_faces)
 from bigenus.errors import ValidationError
 from bigenus.trails import ClosedTrail
 
-from conftest import (component_euler_stats, faces_from_text, faces_to_text,
-                      rand_graph, random_rotation, rotation_from_text)
+from conftest import (component_euler_stats, faces_from_text, faces_to_text, graph_cases,
+                      rand_graph, random_rotation, reference_adjacency, reference_components,
+                      reference_genus, rotation_from_text)
 
 
 def test_sorted_rotation_face_counts():
@@ -71,6 +72,24 @@ def test_disconnected_genus_adds():
     g = Graph(11, edges)
     assert len(connected_components(g)) == 3
     assert genus_of_embedding(g, sorted_rotation(g)) == 1
+
+
+def test_components_and_genus_equal_bfs_reference():
+    # component labels against a search over tuple adjacency, with and
+    # without starts (repeated, unordered, an iterator)
+    rng = random.Random(4)
+    for n, edges in graph_cases(2):
+        g = Graph(n, edges)
+        adj = reference_adjacency(n, edges)
+        assert connected_components(g) == reference_components(adj)
+        starts = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))] if n else []
+        assert connected_components(g, starts) == reference_components(adj, starts)
+        assert connected_components(g, iter(starts)) == reference_components(adj, starts)
+        for rot in (sorted_rotation(g), random_rotation(g, rng)):
+            fs = trace_faces(g, rot)
+            assert genus_from_faces(g, fs) == reference_genus(g, fs)
+    with pytest.raises(IndexError):
+        connected_components(Graph(3, [(0, 1)]), [0, 3])
 
 
 def test_rotation_validation():

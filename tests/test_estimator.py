@@ -20,7 +20,8 @@ from bigenus.estimator import (PipelineConfig, _core_components, _induced_bipart
                                regime_classify, small_p_asymptote_check,
                                small_part_exact_genus)
 
-from conftest import rand_bipartite, rand_graph, reference_core_components
+from conftest import (GRAPH_VIEWS, graph_cases, rand_bipartite, rand_graph,
+                      reference_core_components)
 
 
 def test_psi_closed_forms():
@@ -119,6 +120,13 @@ def test_core_components_match_reference():
     for _ in range(60):
         _check_core_components(rand_bipartite(rng))
         _check_core_components(rand_graph(rng, max_edges=16))
+    for n, edges in graph_cases(5):
+        _check_core_components(Graph(n, edges))
+    # a triangle carrying a pendant path of 2,000 vertices: 1,000 peel rounds
+    path = [(k, k + 1) for k in range(3, 2003)]
+    g = Graph(2004, [(0, 1), (1, 2), (0, 2), (2, 3)] + path)
+    assert _check_core_components(g) == [([0, 1, 2], 3)]
+    assert _check_core_components(Graph(2004, path)) == []
     # forests and isolated vertices have no core
     for g in (path_graph(7), Graph(5, []), Graph(6, [(0, v) for v in range(1, 5)]),
               Graph(0, []), BipartiteGraph(3, 3, [(0, 3), (1, 3), (1, 4)])):
@@ -133,6 +141,38 @@ def test_core_components_match_reference():
     union = Graph(13, edges)
     assert _check_core_components(union) == [([0, 1, 2, 3, 4, 5], 9),
                                              ([9, 10, 11, 12], 4)]
+
+
+def test_induced_bipartite_equals_loop_reference():
+    rng = random.Random(6)
+    for _ in range(30):
+        n2 = rng.randint(1, 12)
+        g = gen_random_bipartite(GenParams(rng.randint(n2, 30), n2, rng.random(),
+                                           seed=rng.randint(0, 99)))
+        verts = sorted(rng.sample(range(g.n_vertices), rng.randint(0, g.n_vertices)))
+        xs = [v for v in verts if v < g.n1]
+        ys = [v for v in verts if v >= g.n1]
+        ymap = {v: len(xs) + k for k, v in enumerate(ys)}
+        edges = [(k, ymap[y]) for k, x in enumerate(xs) for y in g.neighbors(x) if y in ymap]
+        assert _induced_bipartite(g, verts) == BipartiteGraph(len(xs), len(ys), edges)
+
+
+def test_estimate_builds_no_tuple_view():
+    small_part = GenParams(100_000, 5, 100_000 ** -0.4, seed=0)
+    graphs = [gen_random_bipartite(GenParams(800, 800, 0.03, seed=0)),
+              gen_random_bipartite(small_part)]
+    # a plain graph, as the small-part reduction makes, plus a triangle
+    plain = reduce_small_part(gen_random_bipartite(small_part)).simple_graph()
+    n = plain.n
+    triangle = [[n, n + 1], [n + 1, n + 2], [n, n + 2]]
+    graphs += [plain, Graph(n + 3, np.concatenate((plain.edge_array(), triangle)))]
+    for g in graphs:
+        est = estimate_genus(g, 1, PipelineConfig(seed=0))
+        assert est.lower <= est.upper
+        assert not set(GRAPH_VIEWS) & set(vars(g)), g
+    k44 = complete_bipartite_graph(4, 4)
+    estimate_genus(k44, 2)
+    assert not set(GRAPH_VIEWS) & set(vars(k44))
 
 
 def test_refined_lower_bound():
