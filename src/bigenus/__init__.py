@@ -15,7 +15,7 @@ from .bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
                       read_bipartite, read_digraph, standard_graph,
                       write_bipartite, write_digraph)
 from .blossom import (Blossom, BlossomReport, assemble_rotation, find_blossoms,
-                      make_blossom_free, tip_digraphs)
+                      make_blossom_free)
 from .embedding import (FaceSet, RotationSystem, genus_of_embedding,
                         sorted_rotation, trace_faces)
 from .errors import (BudgetExceededError, GuardError,
@@ -43,7 +43,7 @@ __all__ = [
     "read_bipartite", "read_digraph", "standard_graph",
     "write_bipartite", "write_digraph",
     "Blossom", "BlossomReport", "assemble_rotation", "find_blossoms",
-    "make_blossom_free", "tip_digraphs",
+    "make_blossom_free",
     "FaceSet", "RotationSystem", "genus_of_embedding", "sorted_rotation",
     "trace_faces",
     "BudgetExceededError", "GuardError", "InternalConsistencyError",

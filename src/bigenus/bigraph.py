@@ -350,10 +350,6 @@ class Graph:
             adj[w] = tuple(nbrs[first[w]:first[w + 1]])
         return adj
 
-    def edge_array(self) -> np.ndarray:
-        """The edges as an (edges, 2) int32 array, rows (u, v), u < v."""
-        return np.column_stack((self.u, self.v))
-
     def local_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(verts, a, b): the vertices that have an edge, ascending, and
         every edge as (a[k], b[k]) with vertex verts[j] relabelled j.
@@ -615,9 +611,9 @@ def degree_class_partition(g: BipartiteGraph) -> dict[frozenset[int], list[int]]
     if g.n2 > MAX_SMALL_PART:
         raise GuardError(f"degree_class_partition needs n2 <= {MAX_SMALL_PART}, got {g.n2}")
     classes: dict[frozenset[int], list[int]] = {}
+    first, nbrs = g.first[:g.n1 + 1].tolist(), g.nbrs[:g.first[g.n1]].tolist()
     for x in g.x_vertices():
-        key = frozenset(g.neighbors(x))
-        classes.setdefault(key, []).append(x)
+        classes.setdefault(frozenset(nbrs[first[x]:first[x + 1]]), []).append(x)
     return classes
 
 

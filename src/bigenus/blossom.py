@@ -14,11 +14,10 @@ embedding.arc_index(g), one int32 array. In dart terms the passage
 u -> v -> w says that the dart v -> w follows the dart v -> u, so the
 passages of the whole family are one successor array over the darts
 (_passages). Its cycles are the blossoms, and its chains, concatenated
-at every vertex, write the rotation. Matched trails reach this module
-as rows of arc ids and never become ClosedTrails; a sequence of
-ClosedTrails, the boundary type of find_blossoms, tip_digraphs and
-public callers, is converted into a DartFamily once, by the same
-lookup.
+at every vertex, write the rotation. Every function here takes a
+DartFamily, which DartFamily.of_matchings builds from matched rows of
+arc ids; ClosedTrails are built only when DartFamily.trails is read,
+as BlossomReport.family is.
 """
 
 from __future__ import annotations
@@ -26,33 +25,12 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .embedding import ArcIndex, RotationSystem, arc_index, cyclic_successors
 from .errors import InternalConsistencyError, ValidationError
 from .trails import ClosedTrail, MatchingReport
-
-
-@dataclass(frozen=True)
-class TipArc:
-    """One passage of a trail through a center: enters from in_tip,
-    leaves toward out_tip. passage_idx is the position of the incoming
-    arc inside the trail."""
-
-    in_tip: int
-    out_tip: int
-    trail_index: int
-    passage_idx: int
-
-
-@dataclass(frozen=True)
-class TipDigraph:
-    """Auxiliary digraph at one center; nodes are neighbor labels."""
-
-    center: int
-    arcs: tuple[TipArc, ...]
 
 
 @dataclass(frozen=True)
@@ -84,21 +62,14 @@ class BlossomReport:
 class DartFamily:
     """Arc-disjoint closed trails of g as dart ids over index =
     arc_index(g): trail k is darts[offsets[k]:offsets[k + 1]], in trail
-    order. of_trails and of_matchings check that every arc is an edge of
-    g and that no arc is used twice."""
+    order. of_matchings checks that every arc is an edge of g and that
+    no arc is used twice."""
 
     def __init__(self, g, index: ArcIndex, darts: np.ndarray, offsets: np.ndarray):
         self.graph = g
         self.index = index
         self.darts = darts
         self.offsets = offsets
-
-    @classmethod
-    def of_trails(cls, g, family: Sequence[ClosedTrail]) -> "DartFamily":
-        family = tuple(family)
-        ends = np.array([a for t in family for a in t.arcs], dtype=np.int64).reshape(-1, 2)
-        lengths = np.array([len(t) for t in family], dtype=np.int64)
-        return cls._of_arcs(g, ends[:, 0], ends[:, 1], lengths)
 
     @classmethod
     def of_matchings(cls, g, *reports: MatchingReport) -> "DartFamily":
@@ -181,16 +152,14 @@ class DartFamily:
         return k, j - self.offsets[k]
 
 
-def _as_family(g, family) -> DartFamily:
-    """family as a DartFamily of g: itself when it is one built for g,
-    else converted from its arcs."""
-    if isinstance(family, DartFamily):
-        if family.graph is g:
-            return family
-        index = family.index
-        return DartFamily._of_arcs(g, index.tail[family.darts], index.head[family.darts],
-                                   family.lengths())
-    return DartFamily.of_trails(g, family)
+def _as_family(g, family: DartFamily) -> DartFamily:
+    """family itself when it was built for g, else its arcs converted to
+    a family of g, checked against g's edges again."""
+    if family.graph is g:
+        return family
+    index = family.index
+    return DartFamily._of_arcs(g, index.tail[family.darts], index.head[family.darts],
+                               family.lengths())
 
 
 def _passages(fam: DartFamily) -> np.ndarray:
@@ -244,25 +213,12 @@ def _cycles(fam: DartFamily) -> list[np.ndarray]:
     return cycles
 
 
-def tip_digraphs(g, family: Sequence[ClosedTrail]) -> dict[int, TipDigraph]:
-    """All nonempty per-center auxiliary digraphs, keyed by center in
-    order of first passage; each lists its passages in family order."""
-    fam = _as_family(g, family)
-    tail, head = fam.index.tail[fam.darts].tolist(), fam.index.head[fam.darts].tolist()
-    after = fam.after().tolist()
-    at: dict[int, list[TipArc]] = {}
-    for k, (s, e) in enumerate(zip(fam.offsets.tolist(), fam.offsets[1:].tolist())):
-        for j in range(s, e):
-            at.setdefault(head[j], []).append(TipArc(tail[j], head[after[j]], k, j - s))
-    return {v: TipDigraph(v, tuple(arcs)) for v, arcs in at.items()}
-
-
-def find_blossoms(g, family: Sequence[ClosedTrail] | DartFamily) -> BlossomReport:
+def find_blossoms(g, family: DartFamily) -> BlossomReport:
     """Every auxiliary cycle of every center, exhaustively.
 
-    The result is empty iff the family is blossom-free. The family must
-    be arc-disjoint over directed arcs (the two directions of one edge
-    are distinct arcs).
+    The result is empty iff the family is blossom-free. A family built
+    for another graph object is converted for g first, which refuses an
+    arc that is no edge of g or that two trail positions use.
     """
     fam = _as_family(g, family)
     family = fam.trails
@@ -281,24 +237,20 @@ def find_blossoms(g, family: Sequence[ClosedTrail] | DartFamily) -> BlossomRepor
     return BlossomReport(family, tuple(blossoms))
 
 
-def make_blossom_free(g, family: Sequence[ClosedTrail] | DartFamily):
+def make_blossom_free(g, family: DartFamily) -> tuple[DartFamily, DartFamily]:
     """Remove trails until no auxiliary cycle survives.
 
     One detection, then a greedy hitting set: repeatedly drop the trail
     sitting on the most still-unbroken cycles (ties to the later trail).
     Removing a trail only deletes auxiliary arcs, so it never creates a
     cycle and the survivors need no second detection. Returns the
-    survivors in family order and the dropped trails in family order:
-    two DartFamily objects for a DartFamily, two tuples of its trails
-    for a sequence of ClosedTrails.
+    survivors and the dropped trails, each a DartFamily in family order.
 
     Each trail keeps its cycles and a count of the unbroken ones; a
     broken cycle decrements its trails' counts once, and a heap with
     stale entries skipped yields the next victim, so the loop costs
     O(c log c) in the total size c of the cycles.
     """
-    if not isinstance(family, DartFamily):
-        family = tuple(family)
     fam = _as_family(g, family)
     cycles = [frozenset(fam.entering(cyc)[0].tolist()) for cyc in _cycles(fam)]
     cycles_of: dict[int, list[int]] = {}
@@ -324,18 +276,14 @@ def make_blossom_free(g, family: Sequence[ClosedTrail] | DartFamily):
                 count[t] -= 1
                 if count[t]:
                     heapq.heappush(heap, (-count[t], -t))
-    if isinstance(family, DartFamily):
-        return fam.subset(keep), fam.subset(~keep)
-    return (tuple(t for t, k in zip(family, keep.tolist()) if k),
-            tuple(t for t, k in zip(family, keep.tolist()) if not k))
+    return fam.subset(keep), fam.subset(~keep)
 
 
-def assemble_rotation(g, family: Sequence[ClosedTrail] | DartFamily) -> RotationSystem:
+def assemble_rotation(g, family: DartFamily) -> RotationSystem:
     """Rotation system of g realizing every trail of the family as a
     traced face.
 
-    The family, a DartFamily or a sequence of ClosedTrails, must be
-    arc-disjoint and blossom-free; a family that is not raises
+    The family must be blossom-free; one that is not raises
     ValidationError. At each vertex the passages form disjoint successor
     chains; chains are concatenated in ascending order of their least
     neighbor label and unconstrained neighbors ride along as singleton

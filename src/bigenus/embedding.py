@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .bigraph import component_labels
+from .bigraph import component_labels, csr_runs
 from .errors import InternalConsistencyError, ValidationError
 
 Arc = tuple[int, int]
@@ -209,25 +209,22 @@ def sorted_rotation(g) -> RotationSystem:
 def arc_index(g, verts: Iterable[int] | None = None) -> ArcIndex:
     """The ArcIndex of the arcs leaving `verts`, a union of components
     of g (default: every vertex with an edge). Both directions of every
-    edge with an end in `verts` are darts."""
-    u, v = g.u, g.v
+    edge with an end in `verts` are darts.
+
+    g's CSR adjacency already lists its darts in (tail, head) order, so
+    the index reads them off it; rev finds each reverse by one binary
+    search over the packed tail * n + head keys."""
+    n, first, head = g.n_vertices, g.first, g.nbrs
     if verts is not None:
-        inside = np.zeros(g.n_vertices, dtype=bool)
+        inside = np.zeros(n, dtype=bool)
         inside[np.fromiter(verts, dtype=np.int64)] = True
-        keep = inside[u]
-        u, v = u[keep], v[keep]
-    m = len(u)
-    tails = np.concatenate((u, v))
-    heads = np.concatenate((v, u))
-    order = np.lexsort((heads, tails))
-    # dart k is tails[order[k]]; its reverse sits m positions away
-    pos = np.empty(2 * m, dtype=np.int32)
-    pos[order] = np.arange(2 * m, dtype=np.int32)
-    tail = tails[order]
-    first = np.zeros(g.n_vertices + 1, dtype=np.int32)
-    np.add.at(first, tail + 1, 1)
-    np.cumsum(first, out=first)
-    return ArcIndex(tail, heads[order], pos[(order + m) % max(2 * m, 1)], first)
+        first = np.zeros(n + 1, dtype=np.int32)
+        first[1:] = np.cumsum(np.where(inside, np.diff(g.first), 0))
+        head = csr_runs(g.first, g.nbrs, np.flatnonzero(inside))
+    tail = np.repeat(np.arange(n, dtype=np.int32), np.diff(first))
+    key = tail.astype(np.int64) * n + head
+    rev = np.searchsorted(key, head.astype(np.int64) * n + tail).astype(np.int32)
+    return ArcIndex(tail, head, rev, first)
 
 
 def cyclic_successors(index: ArcIndex, seq: np.ndarray) -> np.ndarray:

@@ -481,19 +481,14 @@ def reduce_small_part(g: BipartiteGraph) -> ReducedGraph:
     """
     if g.n2 > MAX_SMALL_PART:
         raise GuardError(f"reduce_small_part needs n2 <= {MAX_SMALL_PART}, got {g.n2}")
-    deleted, collapsed, kept, kept_nbrs = [], [], [], []
+    first, ys = g.first, g.nbrs
+    degree = np.diff(first[:g.n1 + 1])
+    collapsed = np.flatnonzero(degree == 2)
+    kept = np.flatnonzero(degree >= 3).tolist()
     mult: dict[tuple[int, int], int] = {}
-    for x in g.x_vertices():
-        nbrs = g.neighbors(x)
-        if len(nbrs) <= 1:
-            deleted.append(x)
-        elif len(nbrs) == 2:
-            collapsed.append(x)
-            pair = (nbrs[0], nbrs[1])
-            mult[pair] = mult.get(pair, 0) + 1
-        else:
-            kept.append(x)
-            kept_nbrs.append(tuple(nbrs))
+    for pair in zip(ys[first[collapsed]].tolist(), ys[first[collapsed] + 1].tolist()):
+        mult[pair] = mult.get(pair, 0) + 1
+    kept_nbrs = [tuple(ys[first[x]:first[x + 1]].tolist()) for x in kept]
     support = set()
     for (y1, y2) in mult:
         support.add(y1)
@@ -506,8 +501,8 @@ def reduce_small_part(g: BipartiteGraph) -> ReducedGraph:
         multiplicity=mult,
         kept_x=tuple(kept),
         kept_neighbors=tuple(kept_nbrs),
-        deleted_x=tuple(deleted),
-        collapsed_x=tuple(collapsed),
+        deleted_x=tuple(np.flatnonzero(degree <= 1).tolist()),
+        collapsed_x=tuple(collapsed.tolist()),
         slack=g.n2 * (g.n2 - 1) // 2,
     )
 

@@ -31,12 +31,11 @@ ids of the mirrored family and searching its sorted rows
 (TrailHypergraph.find). The blossom module turns the rows into dart ids
 without building a ClosedTrail.
 
-ClosedTrail is the boundary type: it is built for the text format, on
-demand by the lazy views of a family and of a MatchingReport, and it is
-what public callers may pass to exclude; such trails are converted to
-rows once and take the same path. A trail and its reverse are distinct;
-the reverses are the family of the reversed digraph, which
-TrailHypergraph.mirror writes over the rows in place.
+Every stage takes rows; ClosedTrail, a tuple of arcs, is built only
+where trails leave the package: the text writers read it from
+TrailRows.trails() and MatchingReport.matching. A trail and its reverse
+are distinct; the reverses are the family of the reversed digraph,
+which TrailHypergraph.mirror writes over the rows in place.
 """
 
 from __future__ import annotations
@@ -131,14 +130,6 @@ class TrailRows(NamedTuple):
     rows: np.ndarray
     tail: np.ndarray
     head: np.ndarray
-
-    @classmethod
-    def of(cls, trails: Sequence[ClosedTrail]) -> "TrailRows":
-        """The trails, all of one length, over a table of their own arcs."""
-        w = len(trails[0]) if trails else 0
-        ends = np.array([a for t in trails for a in t.arcs], dtype=np.int64).reshape(-1, 2)
-        return cls(np.arange(len(ends)).reshape(-1, w) if w else np.zeros((0, 0), np.int64),
-                   ends[:, 0], ends[:, 1])
 
     def reverse(self) -> "TrailRows":
         """The reverse of every trail: its arcs flipped, in reverse order."""
@@ -306,8 +297,6 @@ class TrailHypergraph:
     sorted order, and hyperedge k is row k of the canonical sorted rows
     of arc ids (see the module docstring). The rows are every such
     trail, never a prefix.
-    `arcs`, `trails`, `incidence` and `degree` are lazy views keyed by
-    trail or arc, built only when asked for.
     """
 
     def __init__(self, tail: np.ndarray, head: np.ndarray, rows: np.ndarray):
@@ -323,23 +312,6 @@ class TrailHypergraph:
     @property
     def n_hyperedges(self) -> int:
         return len(self.rows)
-
-    @functools.cached_property
-    def arcs(self) -> tuple[Arc, ...]:
-        return tuple(zip(self.tail.tolist(), self.head.tolist()))
-
-    def trail(self, k: int) -> ClosedTrail:
-        row = self.rows[k]
-        return ClosedTrail(tuple(zip(self.tail[row].tolist(), self.head[row].tolist())))
-
-    @functools.cached_property
-    def trails(self) -> tuple[ClosedTrail, ...]:
-        return tuple(map(self.trail, range(self.n_hyperedges)))
-
-    def index(self, trail: ClosedTrail) -> int | None:
-        """Row of `trail` in this family, or None when it is absent."""
-        found = self.find(TrailRows.of([trail]))
-        return int(found[0]) if len(found) else None
 
     def find(self, trails: TrailRows) -> np.ndarray:
         """The rows of this family that hold one of `trails`, in
@@ -386,10 +358,10 @@ class TrailHypergraph:
         of D and of its reverse, so the family mirrors to exactly what
         enumerating the reversed digraph gives.
 
-        Returns None, like list.sort, and drops the cached views; the
-        rows array is rewritten in place, so a caller holding it sees
-        the mirrored rows. The arc arrays are replaced, not rewritten, so
-        a caller holding the old ones keeps the forward arcs."""
+        Returns None, like list.sort. The rows array is rewritten in
+        place, so a caller holding it sees the mirrored rows. The arc
+        arrays are replaced, not rewritten, so a caller holding the old
+        ones keeps the forward arcs."""
         order = np.lexsort((self.tail, self.head))
         rows = self.rows
         rank = np.empty(len(order), dtype=rows.dtype)
@@ -399,24 +371,10 @@ class TrailHypergraph:
             block = rows[s:s + _ROTATE_CHUNK]
             block[...] = rank[block[:, ::-1]]
         _canonical_sort(rows)
-        for view in ("arcs", "trails", "degree", "incidence"):
-            self.__dict__.pop(view, None)
 
     def degree_array(self) -> np.ndarray:
         """Hyperedge count per arc id."""
         return np.bincount(self.rows.ravel(), minlength=self.n_arcs)
-
-    @functools.cached_property
-    def degree(self) -> dict[Arc, int]:
-        return dict(zip(self.arcs, self.degree_array().tolist()))
-
-    @functools.cached_property
-    def incidence(self) -> dict[Arc, tuple[int, ...]]:
-        by_id: list[list[int]] = [[] for _ in range(self.n_arcs)]
-        for idx, row in enumerate(self.rows.tolist()):
-            for a in row:
-                by_id[a].append(idx)
-        return {a: tuple(ix) for a, ix in zip(self.arcs, by_id)}
 
 
 def build_trail_hypergraph(d: Digraph, i: int) -> TrailHypergraph:
@@ -542,7 +500,7 @@ STRATEGIES = ("greedy", "nibble")
 
 
 def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
-                  exclude: Iterable[ClosedTrail] | TrailRows = ()) -> MatchingReport:
+                  exclude: TrailRows | None = None) -> MatchingReport:
     """Arc-disjoint hyperedge set by one of two randomized strategies.
 
     greedy: repeatedly take a uniformly random surviving hyperedge and
@@ -555,22 +513,18 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
 
     The greedy order is the Rödl-nibble / Pippenger–Spencer random
     greedy process the theory rests on. Candidates are row indices in
-    increasing order, minus the rows of excluded trails (found by
-    TrailHypergraph.find; ClosedTrails are converted to rows first),
-    shuffled by random.Random(seed); used arcs are marked in a
-    bytearray.
+    increasing order, minus the rows of the trails in exclude (found by
+    TrailHypergraph.find), shuffled by random.Random(seed); used arcs
+    are marked in a bytearray. excluded counts the rows of exclude.
     """
     if strategy not in STRATEGIES:
         raise ValidationError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if not isinstance(exclude, TrailRows):
-        distinct = frozenset(exclude)
-        exclude = TrailRows.of([t for t in distinct if len(t) == h.d])
-        n_excluded = len(distinct)
-    else:
-        n_excluded = len(exclude.rows)
     rng = random.Random(seed)
     keep = np.ones(h.n_hyperedges, dtype=bool)
-    keep[h.find(exclude)] = False
+    n_excluded = 0
+    if exclude is not None:
+        keep[h.find(exclude)] = False
+        n_excluded = len(exclude.rows)
     candidates = array("i", [0]) * int(np.count_nonzero(keep))
     fill = np.frombuffer(candidates, dtype=np.int32)
     pos = 0
@@ -631,20 +585,14 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
                           coverage, strategy, seed, h.n_arcs, h.d, excluded=n_excluded)
 
 
-def find_disjoint_mirror_matching(h_rev: TrailHypergraph,
-                                  m: MatchingReport | Sequence[ClosedTrail],
+def find_disjoint_mirror_matching(h_rev: TrailHypergraph, m: MatchingReport,
                                   strategy: str = "greedy", seed: int = 0
                                   ) -> MatchingReport:
     """Matching in the reversed-digraph hypergraph avoiding the reverses
     of the given matching, so no prescribed face appears twice with
     opposite senses. h_rev is typically the hypergraph m was matched
-    in, after its mirror(). A MatchingReport is reversed as rows of arc
-    ids; ClosedTrails are reversed one by one."""
-    if isinstance(m, MatchingReport):
-        mirror: Iterable[ClosedTrail] | TrailRows = m.chosen.reverse()
-    else:
-        mirror = [t.reverse() for t in m]
-    return find_matching(h_rev, strategy=strategy, seed=seed, exclude=mirror)
+    in, after its mirror(); m's rows are reversed as rows of arc ids."""
+    return find_matching(h_rev, strategy=strategy, seed=seed, exclude=m.chosen.reverse())
 
 
 def matching_report_to_text(report: MatchingReport, fh: TextIO) -> None:

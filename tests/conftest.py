@@ -9,15 +9,16 @@ import itertools
 import math
 import random
 from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
 from bigenus.bigraph import (STREAM_ORIENT, BipartiteGraph, Digraph, GenParams, Graph,
                              gen_random_bipartite, orient_randomly, rng_stream)
-from bigenus.blossom import Blossom, TipArc
+from bigenus.blossom import Blossom, DartFamily
 from bigenus.embedding import FaceSet, RotationSystem, genus_of_embedding, trace_faces
 from bigenus.errors import ValidationError
-from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
+from bigenus.trails import (ClosedTrail, TrailRows, build_trail_hypergraph,
                             find_disjoint_mirror_matching, find_matching)
 
 
@@ -157,6 +158,23 @@ def random_rotation(g, rng: random.Random) -> RotationSystem:
         rng.shuffle(nbrs)
         order[v] = tuple(nbrs)
     return RotationSystem(order)
+
+
+def reference_arc_index(g, verts=None):
+    """(tail, head, rev, first) of embedding.arc_index(g, verts), by a
+    lexsort of both directions of every edge with an end in verts."""
+    u, v = g.u, g.v
+    if verts is not None:
+        keep = np.isin(u, list(verts))
+        u, v = u[keep], v[keep]
+    m = len(u)
+    tails, heads = np.concatenate((u, v)), np.concatenate((v, u))
+    order = np.lexsort((heads, tails))
+    pos = np.empty(2 * m, dtype=np.int32)
+    pos[order] = np.arange(2 * m, dtype=np.int32)
+    first = np.zeros(g.n_vertices + 1, dtype=np.int32)
+    np.add.at(first, tails[order] + 1, 1)
+    return tails[order], heads[order], pos[(order + m) % max(2 * m, 1)], np.cumsum(first)
 
 
 def brute_closed_trail_count(g, length: int) -> int:
@@ -306,14 +324,53 @@ def component_euler_stats(g, rot):
 
 def pipeline_family(n1: int, n2: int, p: float, seed: int, i: int = 1,
                     strategy: str = "greedy"):
-    """The matched trail family before blossom removal, plus its graph."""
+    """(g, family): a random graph and its matched trail family before
+    blossom removal, a DartFamily built the way the estimator builds it
+    (with the seed itself for both matchings)."""
     g = gen_random_bipartite(GenParams(n1, n2, p, seed=seed))
-    d = orient_randomly(g, seed)
-    h = build_trail_hypergraph(d, i)
-    h_rev = build_trail_hypergraph(d.reverse(), i)
-    m = find_matching(h, strategy, seed).matching
-    m2 = find_disjoint_mirror_matching(h_rev, m, strategy, seed).matching
-    return g, list(m) + list(m2)
+    h = build_trail_hypergraph(orient_randomly(g, seed), i)
+    m = find_matching(h, strategy, seed)
+    h.mirror()
+    mm = find_disjoint_mirror_matching(h, m, strategy, seed)
+    return g, DartFamily.of_matchings(g, m, mm)
+
+
+def dart_family(g, trails) -> DartFamily:
+    """The ClosedTrails `trails`, in order, as a DartFamily of g, with
+    the refusals of DartFamily.of_matchings: an arc that is no edge of
+    g, or that two trail positions use."""
+    ends = np.array([a for t in trails for a in t.arcs], dtype=np.int64).reshape(-1, 2)
+    return DartFamily._of_arcs(g, ends[:, 0], ends[:, 1],
+                               np.array([len(t) for t in trails], dtype=np.int64))
+
+
+def trail_rows(trails) -> TrailRows:
+    """ClosedTrails, all of one length, as TrailRows over a table of
+    their own arcs."""
+    w = len(trails[0]) if trails else 0
+    ends = np.array([a for t in trails for a in t.arcs], dtype=np.int64).reshape(-1, 2)
+    return TrailRows(np.arange(len(ends)).reshape(-1, w) if w else np.zeros((0, 0), np.int64),
+                     ends[:, 0], ends[:, 1])
+
+
+def hypergraph_trails(h) -> tuple[ClosedTrail, ...]:
+    """Every trail of the family h, in row order."""
+    return TrailRows(h.rows, h.tail, h.head).trails()
+
+
+def hypergraph_arcs(h) -> list[tuple[int, int]]:
+    """The arcs of h's arc table as tuples, in id order."""
+    return list(zip(h.tail.tolist(), h.head.tolist()))
+
+
+def reference_incidence(h) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The rows of h holding each arc, keyed by the arc, by a loop over
+    the rows read as lists."""
+    by_id: list[list[int]] = [[] for _ in range(h.n_arcs)]
+    for idx, row in enumerate(h.rows.tolist()):
+        for a in row:
+            by_id[a].append(idx)
+    return {a: tuple(ix) for a, ix in zip(hypergraph_arcs(h), by_id)}
 
 
 def reference_orientation(g, seed: int) -> list[tuple[int, int]]:
@@ -329,7 +386,7 @@ def reference_orientation(g, seed: int) -> list[tuple[int, int]]:
 def reference_index(h, trail) -> int | None:
     """Row of `trail` in the family h, or None, by bisecting the arc
     tuples for each arc id and then the rows read as lists."""
-    arcs = h.arcs
+    arcs = hypergraph_arcs(h)
     row = []
     for a in trail.arcs:
         k = bisect_left(arcs, a)
@@ -341,6 +398,40 @@ def reference_index(h, trail) -> int | None:
         return None
     j = bisect_left(range(len(rows)), row, key=lambda r: rows[r].tolist())
     return j if j < len(rows) and rows[j].tolist() == row else None
+
+
+@dataclass(frozen=True)
+class TipArc:
+    """One passage of a trail through a center: enters from in_tip,
+    leaves toward out_tip. passage_idx is the position of the incoming
+    arc inside the trail."""
+
+    in_tip: int
+    out_tip: int
+    trail_index: int
+    passage_idx: int
+
+
+@dataclass(frozen=True)
+class TipDigraph:
+    """The paper's auxiliary digraph at one center: its nodes are
+    neighbor labels, and each passage u -> center -> w is an arc u -> w."""
+
+    center: int
+    arcs: tuple[TipArc, ...]
+
+
+def tip_digraphs(family) -> dict[int, TipDigraph]:
+    """All nonempty per-center auxiliary digraphs of a sequence of
+    ClosedTrails, keyed by center in order of first passage; each lists
+    its passages in family order. The reference for blossom._cycles,
+    whose passage successor holds the same arcs as darts."""
+    at: dict[int, list[TipArc]] = {}
+    for k, t in enumerate(family):
+        arcs = t.arcs
+        for j, (u, v) in enumerate(arcs):
+            at.setdefault(v, []).append(TipArc(u, arcs[(j + 1) % len(arcs)][1], k, j))
+    return {v: TipDigraph(v, tuple(arcs)) for v, arcs in at.items()}
 
 
 def reference_passages(g, family) -> dict[int, dict[int, TipArc]]:

@@ -36,8 +36,8 @@ from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
                             theoretical_delta)
 
 from conftest import (arc_degree_model, brute_short_trail_total,
-                      component_euler_stats, pipeline_family, rand_bipartite,
-                      rand_graph, random_rotation)
+                      component_euler_stats, dart_family, pipeline_family,
+                      rand_bipartite, rand_graph, random_rotation)
 
 
 def _report(line, ok):
@@ -116,7 +116,7 @@ def test_03_trail_realization():
         rot = assemble_rotation(g, surviving)
         faces = trace_faces(g, rot).face_arcs()
         runs += 1
-        if any(t.arcs not in faces for t in surviving):
+        if any(t.arcs not in faces for t in surviving.trails):
             violations += 1
     line = f"check 3 trail realization: violations={violations}/{runs} runs"
     assert _report(line, violations == 0 and runs == 200), line
@@ -162,7 +162,7 @@ def test_05_matching_quality():
         covs.append(find_matching(h, "greedy", seed).coverage)
         rep = check_matching_conditions(h, band, delta_scale)
         fracs.append(rep.degree_fraction_in_band)
-        means.append(sum(h.degree.values()) / h.n_arcs)
+        means.append(h.degree_array().sum() / h.n_arcs)
     mean_cov = sum(covs) / len(covs)
     mean_frac = sum(fracs) / len(fracs)
     mean_deg = sum(means) / len(means)
@@ -250,13 +250,13 @@ def test_09_blossom_machinery():
     g = BipartiteGraph(3, 2, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
     c1 = ClosedTrail.from_arcs([(0, 4), (4, 1), (1, 3), (3, 0)])
     c2 = ClosedTrail.from_arcs([(0, 3), (3, 2), (2, 4), (4, 0)])
-    rep = find_blossoms(g, [c1, c2])
+    rep = find_blossoms(g, dart_family(g, [c1, c2]))
     simple_ok = (len(rep.blossoms) == 1 and rep.blossoms[0].simple
                  and rep.blossoms[0].length == 2)
 
     k22 = complete_bipartite_graph(2, 2)
     t = ClosedTrail.from_arcs([(0, 2), (2, 1), (1, 3), (3, 0)])
-    rep = find_blossoms(k22, [t, t.reverse()])
+    rep = find_blossoms(k22, dart_family(k22, [t, t.reverse()]))
     mirror_ok = (bool(rep.blossoms)
                  and all(b.length == 2 and not b.simple for b in rep.blossoms))
 

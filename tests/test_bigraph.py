@@ -177,7 +177,8 @@ def test_graph_matches_tuple_reference():
         adj = reference_adjacency(n, edges)
         assert g.u.dtype == g.v.dtype == g.first.dtype == g.nbrs.dtype == np.int32
         assert len(g.first) == n + 1 and g.n_edges == len(norm)
-        assert np.array_equal(g.edge_array(), np.array(norm, dtype=np.int32).reshape(-1, 2))
+        assert np.array_equal(np.column_stack((g.u, g.v)),
+                              np.array(norm, dtype=np.int32).reshape(-1, 2))
         assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
         assert not set(GRAPH_VIEWS) & set(vars(g))
         assert g.edge_list == norm and g.edge_set == frozenset(norm)

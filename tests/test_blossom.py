@@ -6,16 +6,15 @@ import pytest
 from bigenus import blossom
 from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, complete_bipartite_graph,
                              cycle_graph, gen_random_bipartite, orient_randomly)
-from bigenus.blossom import (DartFamily, assemble_rotation, find_blossoms,
-                             make_blossom_free, tip_digraphs)
-from bigenus.embedding import (RotationSystem, genus_from_faces, sorted_rotation,
-                               trace_faces)
+from bigenus.blossom import DartFamily, assemble_rotation, find_blossoms, make_blossom_free
+from bigenus.embedding import (RotationSystem, arc_index, genus_from_faces,
+                               sorted_rotation, trace_faces)
 from bigenus.errors import InternalConsistencyError, ValidationError
 from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
                             find_disjoint_mirror_matching, find_matching)
 
-from conftest import (pipeline_family, reference_assemble, reference_blossom_free,
-                      reference_blossoms)
+from conftest import (dart_family, pipeline_family, reference_assemble,
+                      reference_blossom_free, reference_blossoms, tip_digraphs)
 
 
 def _quad(*arcs):
@@ -25,7 +24,7 @@ def _quad(*arcs):
 def test_single_trail_no_blossom():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    rep = find_blossoms(g, [t])
+    rep = find_blossoms(g, dart_family(g, [t]))
     assert rep.is_blossom_free
     assert rep.blossoms == ()
 
@@ -33,7 +32,7 @@ def test_single_trail_no_blossom():
 def test_trail_and_reverse_non_simple():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    rep = find_blossoms(g, [t, t.reverse()])
+    rep = find_blossoms(g, dart_family(g, [t, t.reverse()]))
     assert not rep.is_blossom_free
     centers = {b.center for b in rep.blossoms}
     assert centers == {0, 1, 2, 3}
@@ -47,7 +46,7 @@ def test_hand_built_simple_length2():
     g = BipartiteGraph(3, 2, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
     c1 = _quad((0, 4), (4, 1), (1, 3), (3, 0))
     c2 = _quad((0, 3), (3, 2), (2, 4), (4, 0))
-    rep = find_blossoms(g, [c1, c2])
+    rep = find_blossoms(g, dart_family(g, [c1, c2]))
     assert len(rep.blossoms) == 1
     b = rep.blossoms[0]
     assert b.center == 0
@@ -64,25 +63,41 @@ def test_self_reversal_passage_is_length1():
     from bigenus.bigraph import Graph
 
     host = Graph(2, [(0, 1)])
-    rep = find_blossoms(host, [t])
+    rep = find_blossoms(host, dart_family(host, [t]))
     assert not rep.is_blossom_free
     assert all(b.length == 1 and not b.simple for b in rep.blossoms)
+
+
+def _held_for(g, trails):
+    """The trails as darts over arc_index(g), built without the checks
+    of a family's construction, and held for a fresh graph equal to g:
+    each function converts such a family for g, and checks it there."""
+    index = arc_index(g)
+    key = index.tail.astype(np.int64) * g.n_vertices + index.head
+    darts = np.searchsorted(key, [u * g.n_vertices + v for t in trails for (u, v) in t.arcs])
+    offsets = np.cumsum([0] + [len(t) for t in trails])
+    return DartFamily(BipartiteGraph(g.n1, g.n2, g.edge_list), index,
+                      darts.astype(np.int32), offsets)
 
 
 def test_family_must_be_arc_disjoint():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
+    with pytest.raises(ValidationError, match="used by two trails"):
+        dart_family(g, [t, t])
     for fn in (find_blossoms, make_blossom_free, assemble_rotation):
         with pytest.raises(ValidationError, match="used by two trails"):
-            fn(g, [t, t])
+            fn(g, _held_for(g, [t, t]))
 
 
 def test_family_arcs_must_be_edges():
     g = BipartiteGraph(2, 2, [(0, 2), (1, 2), (1, 3)])  # no edge 0-3
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
+    with pytest.raises(ValidationError, match="3->0 is not an edge"):
+        dart_family(g, [t])
     for fn in (find_blossoms, make_blossom_free, assemble_rotation):
         with pytest.raises(ValidationError, match="3->0 is not an edge"):
-            fn(g, [t])
+            fn(g, _held_for(complete_bipartite_graph(2, 2), [t]))
 
 
 def test_assemble_checks_every_passage(monkeypatch):
@@ -90,7 +105,7 @@ def test_assemble_checks_every_passage(monkeypatch):
     # [4, 3] and [5], and reversing them must be caught
     g = complete_bipartite_graph(3, 3)
     t = _quad((0, 3), (3, 1), (1, 4), (4, 0))
-    assert assemble_rotation(g, [t]).at(0) == (4, 3, 5)
+    assert assemble_rotation(g, dart_family(g, [t])).at(0) == (4, 3, 5)
     walk = blossom._walk
 
     def reversed_chains(succ, index):
@@ -99,24 +114,25 @@ def test_assemble_checks_every_passage(monkeypatch):
 
     monkeypatch.setattr(blossom, "_walk", reversed_chains)
     with pytest.raises(InternalConsistencyError, match="does not realize a passage"):
-        assemble_rotation(g, [t])
+        assemble_rotation(g, dart_family(g, [t]))
 
 
 def test_tip_digraph_counts():
-    g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    tips = tip_digraphs(g, [t, t.reverse()])
+    tips = tip_digraphs([t, t.reverse()])
     for v in (0, 1, 2, 3):
         assert len(tips[v].arcs) == 2  # one passage per trail
 
 
 def test_detection_matches_independent_acyclicity():
+    # blossom._cycles against the cycles of the paper's tip digraphs
     rng = random.Random(31)
     for _ in range(15):
         g, fam = pipeline_family(12, 12, 0.6, rng.randint(0, 9999))
         rep = find_blossoms(g, fam)
         acyclic = True
-        for td in tip_digraphs(g, fam).values():
+        on_cycles = 0
+        for td in tip_digraphs(fam.trails).values():
             succ = {a.in_tip: a.out_tip for a in td.arcs}
             for start in succ:
                 seen = set()
@@ -126,7 +142,9 @@ def test_detection_matches_independent_acyclicity():
                     v = succ[v]
                 if v == start and start in succ and v in seen:
                     acyclic = False
+                    on_cycles += 1
         assert rep.is_blossom_free == acyclic
+        assert on_cycles == sum(len(cyc) for cyc in blossom._cycles(fam))
 
 
 def test_mirror_families_have_no_nonsimple_length2():
@@ -142,15 +160,15 @@ def test_mirror_families_have_no_nonsimple_length2():
 def test_make_blossom_free_identity():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    surv, removed = make_blossom_free(g, [t])
-    assert surv == (t,)
-    assert removed == ()
+    surv, removed = make_blossom_free(g, dart_family(g, [t]))
+    assert surv.trails == (t,)
+    assert removed.trails == ()
 
 
 def test_make_blossom_free_reversal_pair():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    surv, removed = make_blossom_free(g, [t, t.reverse()])
+    surv, removed = make_blossom_free(g, dart_family(g, [t, t.reverse()]))
     assert len(surv) == 1 and len(removed) == 1
     assert find_blossoms(g, surv).is_blossom_free
 
@@ -161,7 +179,7 @@ def test_make_blossom_free_pipeline():
     assert (len(fam), len(removed)) == (1214, 110)
     assert find_blossoms(g, surv).is_blossom_free
     assert len(removed) / len(fam) < 0.12
-    assert [t for t in fam if t in set(surv)] == list(surv)  # order kept
+    assert [t for t in fam.trails if t in set(surv.trails)] == list(surv.trails)  # order kept
 
 
 def test_make_blossom_free_matches_reference():
@@ -175,7 +193,7 @@ def test_make_blossom_free_matches_reference():
                 g, fam = pipeline_family(n1, rng.randint(3, n1), rng.uniform(0.3, 1.0),
                                          rng.randint(0, 9999), i, strategy)
                 got = make_blossom_free(g, fam)
-                assert got == reference_blossom_free(g, fam)
+                assert tuple(part.trails for part in got) == reference_blossom_free(g, fam.trails)
                 with_removals += len(got[1]) > 0
     assert with_removals >= 60
 
@@ -183,7 +201,7 @@ def test_make_blossom_free_matches_reference():
 def test_assemble_single_trail_c4():
     g = cycle_graph(4)
     t = ClosedTrail.from_arcs([(0, 1), (1, 2), (2, 3), (3, 0)])
-    rot = assemble_rotation(g, [t])
+    rot = assemble_rotation(g, dart_family(g, [t]))
     fs = trace_faces(g, rot)
     assert t.arcs in fs.face_arcs()
     assert fs.n_faces == 2
@@ -191,7 +209,7 @@ def test_assemble_single_trail_c4():
 
 def test_assemble_empty_family():
     g = complete_bipartite_graph(3, 3)
-    rot = assemble_rotation(g, [])
+    rot = assemble_rotation(g, dart_family(g, []))
     for v in range(6):
         assert rot.at(v) == sorted_rotation(g).at(v)
 
@@ -200,7 +218,7 @@ def test_assemble_rejects_blossoms():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
     with pytest.raises(ValidationError):
-        assemble_rotation(g, [t, t.reverse()])
+        assemble_rotation(g, dart_family(g, [t, t.reverse()]))
 
 
 def test_assemble_realizes_k33_pipeline():
@@ -209,7 +227,7 @@ def test_assemble_realizes_k33_pipeline():
         surv, _removed = make_blossom_free(g, fam)
         rot = assemble_rotation(g, surv)
         faces = trace_faces(g, rot).face_arcs()
-        for t in surv:
+        for t in surv.trails:
             assert t.arcs in faces
 
 
@@ -244,16 +262,17 @@ def test_dart_path_matches_dict_reference():
     # against per-center passage dicts and chain walks: blossoms, the
     # trails kept and dropped, the rotation, its faces and its genus
     with_removals = 0
-    for g, fam in _reference_families(43):
-        darts = DartFamily.of_trails(g, fam)
-        assert find_blossoms(g, fam).blossoms == reference_blossoms(g, fam)
+    for g, darts in _reference_families(43):
+        fam = darts.trails
+        assert find_blossoms(g, darts).blossoms == reference_blossoms(g, fam)
         surv, dropped = make_blossom_free(g, darts)
         ref_surv, ref_dropped = reference_blossom_free(g, fam)
         assert (surv.trails, dropped.trails) == (ref_surv, ref_dropped)
-        assert make_blossom_free(g, fam) == (ref_surv, ref_dropped)
+        assert tuple(part.trails for part in make_blossom_free(g, dart_family(g, fam))
+                     ) == (ref_surv, ref_dropped)
         rot, ref_rot = assemble_rotation(g, surv), reference_assemble(g, ref_surv)
         assert rot.order == ref_rot.order
-        assert assemble_rotation(g, ref_surv).order == ref_rot.order
+        assert assemble_rotation(g, dart_family(g, ref_surv)).order == ref_rot.order
         fs, ref_fs = trace_faces(g, rot), trace_faces(g, ref_rot)
         assert (fs.faces, fs.lengths) == (ref_fs.faces, ref_fs.lengths)
         assert genus_from_faces(g, fs) == genus_from_faces(g, ref_fs)
@@ -271,7 +290,7 @@ def test_matched_rows_convert_like_their_trails():
         h.mirror()
         mm = find_disjoint_mirror_matching(h, m, "greedy", 4)
         rows = DartFamily.of_matchings(g, m, mm)
-        trails = DartFamily.of_trails(g, m.matching + mm.matching)
+        trails = dart_family(g, m.matching + mm.matching)
         assert np.array_equal(rows.darts, trails.darts)
         assert np.array_equal(rows.offsets, trails.offsets)
         assert rows.trails == m.matching + mm.matching
@@ -298,29 +317,36 @@ def test_find_blossoms_takes_a_dart_family():
         surviving, _ = make_blossom_free(g, family)
         assert find_blossoms(g, surviving).is_blossom_free
         report = find_blossoms(g, family)
-        assert report == find_blossoms(g, m.matching + mm.matching)
+        assert report == find_blossoms(g, dart_family(g, m.matching + mm.matching))
         blossoms_seen += len(report.blossoms)
     assert blossoms_seen > 0
 
 
 def test_dart_path_raises_like_reference():
     # a non-edge arc, an arc in two trails, and a blossom handed to
-    # assemble_rotation raise the same errors on both paths
+    # assemble_rotation raise the same errors on both paths: the first
+    # two when a family of g is built, and when a family numbered over
+    # `host` and held for another graph object is converted for g
     k22 = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
     no_edge = BipartiteGraph(2, 2, [(0, 2), (1, 2), (1, 3)])
+    all_fns = [find_blossoms, make_blossom_free, assemble_rotation]
     cases = [
-        (no_edge, [t], [find_blossoms, make_blossom_free, assemble_rotation]),
-        (k22, [t, t], [find_blossoms, make_blossom_free, assemble_rotation]),
-        (k22, [t, t.reverse()], [assemble_rotation]),
+        (no_edge, k22, [t], True, all_fns),
+        (k22, k22, [t, t], True, all_fns),
+        (k22, k22, [t, t.reverse()], False, [assemble_rotation]),
     ]
-    for g, fam, fns in cases:
+    for g, host, fam, refused_at_build, fns in cases:
         with pytest.raises(ValidationError) as ref:
             reference_assemble(g, fam)
+        if refused_at_build:
+            with pytest.raises(ValidationError) as got:
+                dart_family(g, fam)
+            assert str(got.value) == str(ref.value)
         for fn in fns:
             with pytest.raises(ValidationError) as got:
-                fn(g, fam)
+                fn(g, _held_for(host, fam))
             assert str(got.value) == str(ref.value)
-    # the refusal also holds for a family already held as darts
+    # the refusal also holds for a family built for g itself
     with pytest.raises(ValidationError, match=r"blossom at vertex 0 \(length 2\)"):
-        assemble_rotation(k22, DartFamily.of_trails(k22, [t, t.reverse()]))
+        assemble_rotation(k22, dart_family(k22, [t, t.reverse()]))

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from bigenus import blossom, embedding, oracle
-from bigenus.bigraph import (Graph, complete_bipartite_graph, complete_graph,
-                             cycle_graph, path_graph)
+from bigenus.bigraph import (GenParams, Graph, complete_bipartite_graph, complete_graph,
+                             cycle_graph, gen_random_bipartite, path_graph)
 from bigenus.blossom import assemble_rotation
-from bigenus.embedding import (FaceSet, RotationSystem, connected_components,
+from bigenus.embedding import (FaceSet, RotationSystem, arc_index, connected_components,
                                face_length_histogram, genus_from_faces, genus_of_embedding,
                                rotation_to_text, sorted_rotation, trace_faces)
 from bigenus.errors import ValidationError
 from bigenus.trails import ClosedTrail
 
-from conftest import (component_euler_stats, faces_from_text, faces_to_text, graph_cases,
-                      rand_graph, random_rotation, reference_adjacency, reference_components,
+from conftest import (component_euler_stats, dart_family, faces_from_text, faces_to_text,
+                      graph_cases, rand_graph, reference_arc_index, random_rotation, reference_adjacency, reference_components,
                       reference_genus, rotation_from_text)
 
 
@@ -147,7 +147,7 @@ def test_dart_rotation_on_another_graph_is_validated(monkeypatch):
     # for that object; on any other graph it goes through validate_for
     g = complete_bipartite_graph(3, 3)
     t = ClosedTrail.from_arcs([(0, 3), (3, 1), (1, 4), (4, 0)])
-    rot = assemble_rotation(g, [t])
+    rot = assemble_rotation(g, dart_family(g, [t]))
     validated = []
     check = RotationSystem.validate_for
 
@@ -187,7 +187,7 @@ def test_every_dart_numbering_is_one_int32_arc_index(monkeypatch):
     before = len(built)
     fs = trace_faces(g, sorted_rotation(g))
     t = ClosedTrail.from_arcs([(0, 3), (3, 1), (1, 4), (4, 0)])
-    rot = assemble_rotation(g, [t])
+    rot = assemble_rotation(g, dart_family(g, [t]))
     assert t.arcs in trace_faces(g, rot).face_arcs() and fs.n_faces == 3
     assert len(built) == before + 2
     index = built[-1]
@@ -195,6 +195,23 @@ def test_every_dart_numbering_is_one_int32_arc_index(monkeypatch):
     assert index.tail.tolist() == [v for v in range(6) for _ in range(3)]
     assert index.head[index.rev].tolist() == index.tail.tolist()
     assert index.first.tolist() == list(range(0, 19, 3))
+
+
+def test_arc_index_reads_the_csr():
+    # the darts read off the CSR adjacency against a lexsort of both
+    # directions of every edge, for the whole graph and for a union of
+    # its components listed in any order
+    rng = random.Random(53)
+    graphs = [Graph(n, edges) for n, edges in graph_cases(53)]
+    graphs.append(gen_random_bipartite(GenParams(120, 120, 0.5, seed=0)))
+    for g in graphs:
+        comps = reference_components(reference_adjacency(g.n, g.edge_list))
+        some = [v for c in rng.sample(comps, rng.randint(0, len(comps))) for v in c]
+        rng.shuffle(some)
+        for verts in (None, some, range(g.n)):
+            got, ref = arc_index(g, verts), reference_arc_index(g, verts)
+            assert all(a.dtype == np.int32 for a in got)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_traced_faces_build_arc_tuples_on_read():

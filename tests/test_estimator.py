@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from bigenus import trails
-from bigenus.bigraph import (BipartiteGraph, GenParams, Graph,
+from bigenus.bigraph import (BipartiteGraph, GenParams, Graph, degree_class_partition,
                              complete_bipartite_graph, complete_graph,
                              gen_random_bipartite, path_graph)
+from bigenus.cli import main
 from bigenus.errors import BudgetExceededError, GuardError, ValidationError
 from bigenus.oracle import SearchBudget, exact_genus
 from bigenus.estimator import (PipelineConfig, _core_components, _induced_bipartite,
@@ -165,7 +166,8 @@ def test_estimate_builds_no_tuple_view():
     plain = reduce_small_part(gen_random_bipartite(small_part)).simple_graph()
     n = plain.n
     triangle = [[n, n + 1], [n + 1, n + 2], [n, n + 2]]
-    graphs += [plain, Graph(n + 3, np.concatenate((plain.edge_array(), triangle)))]
+    edges = np.column_stack((plain.u, plain.v))
+    graphs += [plain, Graph(n + 3, np.concatenate((edges, triangle)))]
     for g in graphs:
         est = estimate_genus(g, 1, PipelineConfig(seed=0))
         assert est.lower <= est.upper
@@ -274,6 +276,27 @@ def test_one_pass_per_estimate(monkeypatch):
         est = estimate_genus(g, i)
         assert est.blossoms_removed > 0  # removal and assembly both had work
         assert calls == Counter(_cycles=1, trace_faces=1, refined_lower_bound=refined)
+
+
+def test_estimate_builds_no_closed_trail(monkeypatch, tmp_path, capsys):
+    """The estimate holds trails as rows and dart ids from enumeration
+    to face tracing: with ClosedTrail refusing construction, estimates
+    at i = 1 and 2 and an experiment cell run in-process all succeed."""
+
+    def refuse(self):
+        raise AssertionError("a ClosedTrail was built on the estimate path")
+
+    monkeypatch.setattr(trails.ClosedTrail, "__post_init__", refuse)
+    with pytest.raises(AssertionError, match="estimate path"):
+        trails.ClosedTrail.from_arcs([(0, 1), (1, 0)])
+    g = gen_random_bipartite(GenParams(30, 30, 0.3, seed=0))
+    for i in (1, 2):
+        assert estimate_genus(g, i).blossoms_removed > 0
+    cfg, out = tmp_path / "e.cfg", tmp_path / "e.csv"
+    cfg.write_text(f"n1 = 16\nn2 = 12\np = 0.5\ni = 2\nout = {out}\n")
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    (row,) = out.read_text().splitlines()[2:]
+    assert row.split(",")[-2] != "error", capsys.readouterr().err
 
 
 def test_estimate_memory_guard():
@@ -445,6 +468,34 @@ def test_reduce_small_part_rejects():
         small_part_exact_genus(glued, SearchBudget(max_systems=1, restarts=1))
     with pytest.raises(GuardError):
         reduce_small_part(BipartiteGraph(2, 21, []))
+
+
+def test_small_part_reads_the_csr():
+    """reduce_small_part and degree_class_partition read g.first and
+    g.nbrs, so neither builds the per-vertex tuple view, and both give
+    what a loop over g.neighbors(x) gives."""
+    rng = random.Random(61)
+    graphs = [gen_random_bipartite(GenParams(20_000, 5, 20_000 ** -0.4, seed=0)),
+              BipartiteGraph(3, 2, [])]
+    for _ in range(30):
+        n2 = rng.randint(1, 8)
+        graphs.append(gen_random_bipartite(GenParams(rng.randint(n2, 40), n2, rng.random(),
+                                                     seed=rng.randint(0, 99))))
+    for g in graphs:
+        r, classes = reduce_small_part(g), degree_class_partition(g)
+        assert "_adj" not in vars(g)
+        nbrs = [g.neighbors(x) for x in g.x_vertices()]
+        assert r.deleted_x == tuple(x for x, ns in enumerate(nbrs) if len(ns) <= 1)
+        assert r.collapsed_x == tuple(x for x, ns in enumerate(nbrs) if len(ns) == 2)
+        assert r.kept_x == tuple(x for x, ns in enumerate(nbrs) if len(ns) >= 3)
+        assert r.kept_neighbors == tuple(ns for ns in nbrs if len(ns) >= 3)
+        assert list(r.multiplicity.items()) == list(
+            Counter(ns for ns in nbrs if len(ns) == 2).items())
+        assert r.y_support == tuple(sorted({y for ns in nbrs if len(ns) >= 2 for y in ns}))
+        ref: dict[frozenset[int], list[int]] = {}
+        for x, ns in enumerate(nbrs):
+            ref.setdefault(frozenset(ns), []).append(x)
+        assert list(classes.items()) == list(ref.items())
 
 
 def test_small_part_kept_x_routes():

@@ -20,8 +20,10 @@ from bigenus.trails import (ClosedTrail, _canonical_sort, build_trail_hypergraph
                             find_disjoint_mirror_matching, find_matching,
                             theoretical_delta, trails_to_text)
 
-from conftest import (brute_short_trail_total, rand_bipartite, reference_greedy,
-                      reference_index, reference_trail_rows, rho, trails_from_text)
+from conftest import (brute_short_trail_total, hypergraph_arcs, hypergraph_trails,
+                      rand_bipartite, reference_greedy, reference_incidence,
+                      reference_index, reference_trail_rows, rho, trail_rows,
+                      trails_from_text)
 
 
 def test_closed_trail_validation():
@@ -44,12 +46,12 @@ def test_closed_trail_canonical():
 
 def test_enumerate_k33():
     d = orient_randomly(complete_bipartite_graph(3, 3), 0)
-    ts = build_trail_hypergraph(d, 1)
-    assert len(ts.trails) == 3
-    for t in ts.trails:
+    ts = hypergraph_trails(build_trail_hypergraph(d, 1))
+    assert len(ts) == 3
+    for t in ts:
         assert len(t.arcs) == 4
         assert all(a in d.arc_set for a in t.arcs)
-    assert [t.arcs for t in ts.trails] == sorted(t.arcs for t in ts.trails)
+    assert [t.arcs for t in ts] == sorted(t.arcs for t in ts)
 
 
 def test_enumerate_cap():
@@ -58,7 +60,7 @@ def test_enumerate_cap():
     with pytest.raises(TypeError):
         build_trail_hypergraph(d, 1, cap=2)
     exact = build_trail_hypergraph(d, 1)
-    assert len(exact.trails) == 3
+    assert len(hypergraph_trails(exact)) == 3
 
 
 def _identity_digraphs(seed: int):
@@ -106,7 +108,7 @@ def test_fast_path_matches_dfs():
             slow = [ClosedTrail.from_arcs([d.arc_list[a] for a in row])
                     for row in full.tolist()]
             h = build_trail_hypergraph(d, i)
-            assert h.trails == tuple(sorted(slow, key=lambda t: t.arcs))
+            assert hypergraph_trails(h) == tuple(sorted(slow, key=lambda t: t.arcs))
             assert len(set(slow)) == len(slow)
             assert np.array_equal(h.rows, full)
             rows_seen += len(full)
@@ -120,23 +122,24 @@ def test_mirror_equals_reversed_enumeration():
             h = build_trail_hypergraph(d, i)
             if i == 1 and not d.is_orientation():
                 anti_parallel_i1_trails += h.n_hyperedges
-            fwd_arcs, fwd_rows, fwd_trails = h.arcs, h.rows.copy(), h.trails
-            fwd_degree, fwd_incidence = h.degree, h.incidence
+            fwd_arcs, fwd_rows = hypergraph_arcs(h), h.rows.copy()
+            fwd_trails = hypergraph_trails(h)
+            fwd_degree, fwd_incidence = h.degree_array(), reference_incidence(h)
             assert h.mirror() is None
             direct = build_trail_hypergraph(d.reverse(), i)
-            assert h.arcs == direct.arcs
+            assert hypergraph_arcs(h) == hypergraph_arcs(direct)
             assert h.rows.dtype == direct.rows.dtype
             assert np.array_equal(h.rows, direct.rows)
-            # views read before mirroring are rebuilt, not stale
-            assert h.trails == tuple(sorted((t.reverse() for t in fwd_trails),
-                                            key=lambda t: t.arcs))
-            assert h.degree == direct.degree
-            assert h.incidence == direct.incidence
+            assert hypergraph_trails(h) == tuple(sorted((t.reverse() for t in fwd_trails),
+                                                        key=lambda t: t.arcs))
+            assert np.array_equal(h.degree_array(), direct.degree_array())
+            assert reference_incidence(h) == reference_incidence(direct)
             h.mirror()
-            assert h.arcs == fwd_arcs
+            assert hypergraph_arcs(h) == fwd_arcs
             assert np.array_equal(h.rows, fwd_rows)
-            assert h.trails == fwd_trails
-            assert (h.degree, h.incidence) == (fwd_degree, fwd_incidence)
+            assert hypergraph_trails(h) == fwd_trails
+            assert np.array_equal(h.degree_array(), fwd_degree)
+            assert reference_incidence(h) == fwd_incidence
     assert anti_parallel_i1_trails > 0
 
 
@@ -147,11 +150,11 @@ def test_array_greedy_matches_set_reference():
             h = build_trail_hypergraph(d, i)
             seed = rng.randint(0, 999)
             m = find_matching(h, "greedy", seed)
-            assert m.matching == reference_greedy(h.trails, seed)
+            assert m.matching == reference_greedy(hypergraph_trails(h), seed)
             h.mirror()
-            mm = find_disjoint_mirror_matching(h, m.matching, "greedy", seed + 1)
+            mm = find_disjoint_mirror_matching(h, m, "greedy", seed + 1)
             reverses = {t.reverse() for t in m.matching}
-            assert mm.matching == reference_greedy(h.trails, seed + 1, reverses)
+            assert mm.matching == reference_greedy(hypergraph_trails(h), seed + 1, reverses)
             assert mm.excluded == len(m.matching)
 
 
@@ -256,7 +259,7 @@ def test_row_dtype_follows_arc_count():
             assert (h.rows.dtype, small.rows.dtype) == (dtype, np.uint16)
             assert h.n_hyperedges > 0
             for _ in range(2):
-                assert h.trails == small.trails
+                assert hypergraph_trails(h) == hypergraph_trails(small)
                 assert (find_matching(h, "greedy", 5).matching
                         == find_matching(small, "greedy", 5).matching)
                 h.mirror()
@@ -270,9 +273,9 @@ def test_row_dtype_follows_arc_count():
 def test_enumerate_general_digraph():
     # anti-parallel arcs allow vertex-repeating closed 4-trails
     d = Digraph(4, [(0, 2), (2, 0), (0, 3), (3, 0)])
-    ts = build_trail_hypergraph(d, 1)
-    assert len(ts.trails) == 1
-    assert sorted(ts.trails[0].arcs) == [(0, 2), (0, 3), (2, 0), (3, 0)]
+    ts = hypergraph_trails(build_trail_hypergraph(d, 1))
+    assert len(ts) == 1
+    assert sorted(ts[0].arcs) == [(0, 2), (0, 3), (2, 0), (3, 0)]
 
 
 def test_rho_closure_identity():
@@ -280,12 +283,12 @@ def test_rho_closure_identity():
     # so summing rho(head, tail) over all arcs counts 2i+2 per trail
     for seed in (0, 1, 5):
         d = orient_randomly(complete_bipartite_graph(3, 3), seed)
-        n_trails = len(build_trail_hypergraph(d, 1).trails)
+        n_trails = len(hypergraph_trails(build_trail_hypergraph(d, 1)))
         total = sum(rho(d, v, u, 1) for (u, v) in d.arc_list)
         assert total == 4 * n_trails
     g = gen_random_bipartite(GenParams(7, 7, 0.6, seed=2))
     d = orient_randomly(g, 2)
-    n_trails = len(build_trail_hypergraph(d, 2).trails)
+    n_trails = len(hypergraph_trails(build_trail_hypergraph(d, 2)))
     assert sum(rho(d, v, u, 2) for (u, v) in d.arc_list) == 6 * n_trails
 
 
@@ -299,14 +302,15 @@ def test_hypergraph_degree_sum():
     d = orient_randomly(g, 4)
     h = build_trail_hypergraph(d, 1)
     assert h.d == 4
-    assert sum(h.degree.values()) == 4 * h.n_hyperedges
-    for k, t in enumerate(h.trails):
+    assert h.degree_array().sum() == 4 * h.n_hyperedges
+    trails, incidence = hypergraph_trails(h), reference_incidence(h)
+    for k, t in enumerate(trails):
         for a in t.arcs:
-            assert k in h.incidence[a]
+            assert k in incidence[a]
     # incidence really indexes the trails containing each arc
-    for a, idxs in h.incidence.items():
+    for a, idxs in incidence.items():
         for k in idxs:
-            assert a in h.trails[k].arcs
+            assert a in trails[k].arcs
 
 
 def test_condition_report_trivial_cases():
@@ -357,7 +361,7 @@ def test_matching_disjoint_property():
                 assert not used & set(t.arcs)
                 used.update(t.arcs)
             # maximal: no surviving hyperedge fits
-            for t in h.trails:
+            for t in hypergraph_trails(h):
                 if t not in m:
                     assert used & set(t.arcs)
 
@@ -369,11 +373,11 @@ def test_mirror_exclusion_property():
         d = orient_randomly(g, rng.randint(0, 999))
         h = build_trail_hypergraph(d, 1)
         h_rev = build_trail_hypergraph(d.reverse(), 1)
-        m = find_matching(h, "greedy", 3).matching
+        m = find_matching(h, "greedy", 3)
         m2 = find_disjoint_mirror_matching(h_rev, m, "greedy", 3)
-        reversed_m = {t.reverse() for t in m}
+        reversed_m = {t.reverse() for t in m.matching}
         assert not reversed_m & set(m2.matching)
-        assert m2.excluded == len(m)
+        assert m2.excluded == len(m.matching)
 
 
 def test_matching_large_instance():
@@ -445,7 +449,7 @@ def test_count_short_guard():
 
 def test_trails_text_round_trip():
     d = orient_randomly(complete_bipartite_graph(3, 3), 0)
-    trails = build_trail_hypergraph(d, 1).trails
+    trails = hypergraph_trails(build_trail_hypergraph(d, 1))
     buf = io.StringIO()
     trails_to_text(trails, buf)
     buf.seek(0)
@@ -489,7 +493,7 @@ def test_row_search_matches_bisect_reference():
     for d in _identity_digraphs(37):
         for i in (1, 2):
             h = build_trail_hypergraph(d, i)
-            other = build_trail_hypergraph(d, 3 - i).trails
+            other = hypergraph_trails(build_trail_hypergraph(d, 3 - i))
             m = find_matching(h, "greedy", 11)
             h.mirror()
             queries = [t.reverse() for t in m.matching] + list(m.matching) + list(other[:3])
@@ -497,13 +501,14 @@ def test_row_search_matches_bisect_reference():
             queries.append(ClosedTrail.from_arcs([(d.n + k, d.n + (k + 1) % w)
                                                   for k in range(w)]))
             expect = [reference_index(h, t) for t in queries]
-            assert [h.index(t) for t in queries] == expect
+            found = [h.find(trail_rows([t])).tolist() for t in queries]
+            assert [k[0] if k else None for k in found] == expect
             rows = [k for k in expect[:len(m.matching)] if k is not None]
             assert len(rows) == m.size
             assert h.find(m.chosen.reverse()).tolist() == sorted(rows)
             mm = find_disjoint_mirror_matching(h, m, "greedy", 12)
-            assert mm.matching == find_disjoint_mirror_matching(h, m.matching, "greedy",
-                                                                12).matching
+            assert mm.matching == find_matching(
+                h, "greedy", 12, exclude=trail_rows([t.reverse() for t in m.matching])).matching
             assert not set(rows) & set(h.find(mm.chosen).tolist())
             checked += len(rows)
     assert checked > 0
