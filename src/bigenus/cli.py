@@ -25,13 +25,13 @@ from .estimator import (CSV_COLUMNS, PipelineConfig, estimate_genus,
                         prediction_for, regime_classify)
 from .oracle import (SearchBudget, exact_genus, genus_formula_reference,
                      heuristic_genus_upper, minimum_genus_rotation, pincer_genus)
-from .trails import (STRATEGIES, TrailRows, build_trail_hypergraph,
-                     find_matching, matching_report_to_text, trails_to_text)
+from .trails import (TrailRows, build_trail_hypergraph, find_matching,
+                     matching_report_to_text, trails_to_text)
 
 SCHEMA_LINE = "# bigenus experiment csv schema v1"
 EXPERIMENT_COLUMNS = CSV_COLUMNS + ("timestamp",)
 # The keys an experiment config may set; any other is refused.
-EXPERIMENT_KEYS = ("n1", "n2", "p", "i", "trials", "seed", "strategy", "out", "workers")
+EXPERIMENT_KEYS = ("n1", "n2", "p", "i", "trials", "seed", "out", "workers")
 
 
 def parse_p(token: str, n1: int) -> float:
@@ -139,7 +139,7 @@ def cmd_trails(args) -> int:
 def cmd_match(args) -> int:
     d = _digraph_from_args(args)
     h = build_trail_hypergraph(d, args.i)
-    report = find_matching(h, args.strategy, args.seed)
+    report = find_matching(h, args.seed)
     matching_report_to_text(report, sys.stdout)
     if args.out:
         with _open_out(args.out) as fh:
@@ -149,7 +149,7 @@ def cmd_match(args) -> int:
 
 def cmd_estimate(args) -> int:
     g, p = _graph_from_args(args)
-    cfg = PipelineConfig(strategy=args.strategy, seed=args.seed, p=p)
+    cfg = PipelineConfig(seed=args.seed, p=p)
     est = estimate_genus(g, args.i, cfg)
     est.to_text(sys.stdout)
     with _open_out(args.out) as fh:
@@ -211,17 +211,17 @@ def cmd_predict(args) -> int:
 
 def _cell_key(cell) -> tuple[str, ...]:
     """(n1, n2, p, i, seed) as they are written to the CSV."""
-    params, i, _strategy = cell
+    params, i = cell
     return (str(params.n1), str(params.n2), f"{params.p:.10g}", str(i),
             str(params.seed))
 
 
 def _experiment_cell(cell) -> list[str]:
     """The CSV row of one cell; any exception becomes an `error` row."""
-    params, i, strategy = cell
+    params, i = cell
     try:
         g = gen_random_bipartite(params)
-        cfg = PipelineConfig(strategy=strategy, seed=params.seed, p=params.p)
+        cfg = PipelineConfig(seed=params.seed, p=params.p)
         est = estimate_genus(g, i, cfg)
         row = est.csv_row()
     except Exception as exc:
@@ -291,7 +291,6 @@ def cmd_experiment(args) -> int:
     i_vals = _config_ints(cfg, "i", "1")
     trials = _config_int(cfg, "trials", "1")
     base_seed = _config_int(cfg, "seed", "0")
-    strategy = cfg.get("strategy", "greedy")
     out = args.out or cfg["out"]
     workers = _config_int(cfg, "workers", "1")
     if trials < 1:
@@ -306,7 +305,6 @@ def cmd_experiment(args) -> int:
     # behind that a resumed run would count as done.
     if min(i_vals) < 1:
         raise ValidationError(f"i must be >= 1, got {min(i_vals)}")
-    PipelineConfig(strategy=strategy)
     cells = []
     for n1 in n1s:
         for n2 in n2s:
@@ -318,7 +316,7 @@ def cmd_experiment(args) -> int:
                         f"grid cell n1={n1} n2={n2} p={tok}: {exc}") from None
                 for i in i_vals:
                     for t in range(trials):
-                        cells.append((replace(params, seed=base_seed + t), i, strategy))
+                        cells.append((replace(params, seed=base_seed + t), i))
 
     done, header_needed = _resume(out)
     todo = [c for c in cells if _cell_key(c) not in done]
@@ -378,12 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("match", help="arc-disjoint trail matching")
     _add_model_flags(sub)
-    sub.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     sub.set_defaults(func=cmd_match)
 
     sub = subs.add_parser("estimate", help="full pipeline: genus bounds and prediction")
     _add_model_flags(sub)
-    sub.add_argument("--strategy", choices=STRATEGIES, default="greedy")
     sub.set_defaults(func=cmd_estimate)
 
     sub = subs.add_parser("oracle", help="exact or heuristic genus of a small graph")

@@ -24,8 +24,8 @@ from .bigraph import (MAX_SMALL_PART, STREAM_MATCH, STREAM_MIRROR,
 from .blossom import DartFamily, assemble_rotation, make_blossom_free
 from .embedding import face_length_histogram, genus_from_faces, trace_faces
 from .errors import GuardError, InternalConsistencyError, ValidationError
-from .trails import STRATEGIES, MatchingReport, build_trail_hypergraph, \
-    count_short_closed_trails, find_disjoint_mirror_matching, find_matching
+from .trails import MatchingReport, build_trail_hypergraph, count_short_closed_trails, \
+    find_disjoint_mirror_matching, find_matching
 
 if TYPE_CHECKING:
     from .oracle import SearchBudget
@@ -131,11 +131,11 @@ def psi(p: float, n2: int) -> float:
     return float(_psi_fraction(Fraction(p), n2))
 
 
-def predicted_genus(n1: int, n2: int, p: float, i: int, regime: str,
-                    orientable: bool = True) -> float:
-    """Theory value for the genus of G(n1, n2, p) in the given regime:
-    i/(2i+2) p n1 n2 (balanced-i), p n1 n2 / 4 (dense-4gon), or
-    n1 n2 p psi(p, n2) / 4 (small-part). Non-orientable doubles each."""
+def predicted_genus(n1: int, n2: int, p: float, i: int, regime: str) -> float:
+    """Theory value for the orientable genus of G(n1, n2, p) in the
+    given regime: i/(2i+2) p n1 n2 (balanced-i), p n1 n2 / 4
+    (dense-4gon), or n1 n2 p psi(p, n2) / 4 (small-part). The
+    non-orientable prediction is twice this."""
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p must lie in [0,1], got {p}")
     if n1 < 0 or n2 < 0:
@@ -143,14 +143,12 @@ def predicted_genus(n1: int, n2: int, p: float, i: int, regime: str,
     if regime == "balanced-i":
         if i < 1:
             raise ValidationError(f"i must be >= 1, got {i}")
-        base = i * p * n1 * n2 / (2 * i + 2)
-    elif regime == "dense-4gon":
-        base = p * n1 * n2 / 4.0
-    elif regime == "small-part":
-        base = n1 * n2 * p * psi(p, n2) / 4.0 if n2 >= 2 else 0.0
-    else:
-        raise ValidationError(f"unknown regime {regime!r}")
-    return 2.0 * base if not orientable else base
+        return i * p * n1 * n2 / (2 * i + 2)
+    if regime == "dense-4gon":
+        return p * n1 * n2 / 4.0
+    if regime == "small-part":
+        return n1 * n2 * p * psi(p, n2) / 4.0 if n2 >= 2 else 0.0
+    raise ValidationError(f"unknown regime {regime!r}")
 
 
 class AsymptoteCheck(NamedTuple):
@@ -268,14 +266,11 @@ class PipelineConfig:
     probability used for regime classification and the prediction
     column; otherwise the empirical density stands in."""
 
-    strategy: str = "greedy"
     seed: int = 0
     p: float | None = None
 
     def __post_init__(self) -> None:
         check_seed(self.seed)
-        if self.strategy not in STRATEGIES:
-            raise ValidationError(f"strategy must be one of {STRATEGIES}")
         if self.p is not None and not (0.0 <= self.p <= 1.0):
             raise ValidationError(f"p must lie in [0,1], got {self.p}")
 
@@ -355,12 +350,11 @@ def _trail_matchings(g, i: int, cfg: PipelineConfig
     rows index."""
     d = orient_randomly(g, cfg.seed)
     h = build_trail_hypergraph(d, i)
-    m = find_matching(h, cfg.strategy, derive_int_seed(cfg.seed, STREAM_MATCH))
+    m = find_matching(h, derive_int_seed(cfg.seed, STREAM_MATCH))
     # The reversed digraph's family is the reverse of this one; rewrite
     # the rows into it in place for the second matching.
     h.mirror()
-    mm = find_disjoint_mirror_matching(h, m, cfg.strategy,
-                                       derive_int_seed(cfg.seed, STREAM_MIRROR))
+    mm = find_disjoint_mirror_matching(h, m, derive_int_seed(cfg.seed, STREAM_MIRROR))
     return m, mm
 
 

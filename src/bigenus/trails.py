@@ -76,9 +76,6 @@ _PRUNE_ROUNDS = 8
 _ROTATE_CHUNK = 1 << 13
 # Candidates screened per numpy call in the matching sweep.
 _SWEEP_CHUNK = 1024
-# Nibble bite: a round draws each live hyperedge with probability
-# BITE_FRACTION / (mean degree), about BITE_FRACTION draws per arc.
-BITE_FRACTION = 0.25
 
 
 def _canonical_rotation(arcs: Sequence[Arc]) -> tuple[Arc, ...]:
@@ -481,7 +478,6 @@ class MatchingReport:
 
     chosen: TrailRows
     coverage: float
-    strategy: str
     seed: int
     n_arcs: int
     d: int
@@ -496,30 +492,24 @@ class MatchingReport:
         return len(self.chosen.rows)
 
 
-STRATEGIES = ("greedy", "nibble")
-
-
-def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
+def find_matching(h: TrailHypergraph, seed: int = 0,
                   exclude: TrailRows | None = None) -> MatchingReport:
-    """Arc-disjoint hyperedge set by one of two randomized strategies.
+    """Arc-disjoint hyperedge set by the random greedy process:
+    repeatedly take a uniformly random surviving hyperedge and discard
+    everything it conflicts with, implemented as a random priority order
+    scanned once. The result is maximal and deterministic given the
+    seed; it reports achieved coverage and claims no a priori size
+    guarantee.
 
-    greedy: repeatedly take a uniformly random surviving hyperedge and
-    discard everything it conflicts with (implemented as a random
-    priority order scanned once). nibble: rounds of small random bites;
-    within a bite, hyperedges that claimed an arc more than once are
-    dropped, the rest enter the matching; a final greedy sweep makes the
-    result maximal. Both are deterministic given the seed and report
-    achieved coverage; neither claims an a priori size guarantee.
-
-    The greedy order is the Rödl-nibble / Pippenger–Spencer random
-    greedy process the theory rests on. Candidates are row indices in
-    increasing order, minus the rows of the trails in exclude (found by
+    This is the Rödl-nibble / Pippenger–Spencer random greedy process
+    the theory rests on. Candidates are row indices in increasing order,
+    minus the rows of the trails in exclude (found by
     TrailHypergraph.find), shuffled by random.Random(seed); used arcs
-    are marked in a bytearray. excluded counts the rows of exclude.
+    are marked in a bytearray. Rows that are blocked when their chunk of
+    _SWEEP_CHUNK candidates starts stay blocked, so one numpy test per
+    chunk drops them without changing the result. excluded counts the
+    rows of exclude.
     """
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    rng = random.Random(seed)
     keep = np.ones(h.n_hyperedges, dtype=bool)
     n_excluded = 0
     if exclude is not None:
@@ -533,6 +523,8 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
         fill[pos:pos + len(idx)] = idx + s
         pos += len(idx)
     del keep, fill
+    random.Random(seed).shuffle(candidates)
+    order = np.frombuffer(candidates, dtype=np.int32)
     w = h.d
     rows = h.rows
     flat = memoryview(rows.ravel())
@@ -540,63 +532,32 @@ def find_matching(h: TrailHypergraph, strategy: str = "greedy", seed: int = 0,
     used_np = np.frombuffer(used, dtype=np.uint8)
     is_used = used.__getitem__
     chosen: list[int] = []
-
-    def sweep(order) -> None:
-        """Take, in order, each row whose arcs are all unused. Rows that
-        are blocked when their chunk starts stay blocked, so one numpy
-        test per chunk drops them without changing the result."""
-        order = np.asarray(order, dtype=np.int32)
-        for s in range(0, len(order), _SWEEP_CHUNK):
-            chunk = order[s:s + _SWEEP_CHUNK]
-            for idx in chunk[~used_np[rows[chunk]].any(axis=1)].tolist():
-                row = flat[idx * w:(idx + 1) * w]
-                if any(map(is_used, row)):
-                    continue
-                for a in row:
-                    used[a] = 1
-                chosen.append(idx)
-
-    if strategy == "greedy":
-        rng.shuffle(candidates)
-        sweep(candidates)
-    else:
-        alive = np.frombuffer(candidates, dtype=np.int32)
-        draw = rng.random
-        stagnant = 0
-        while len(alive) and stagnant < 3:
-            active_arcs = np.count_nonzero(np.bincount(rows[alive].ravel(),
-                                                       minlength=h.n_arcs))
-            mean_deg = w * len(alive) / max(1, active_arcs)
-            p_sel = min(1.0, BITE_FRACTION / max(1.0, mean_deg))
-            bite = [idx for idx in alive.tolist() if draw() < p_sel]
-            claims = np.bincount(rows[bite].ravel(), minlength=h.n_arcs)
-            before = len(chosen)
-            sole = (claims[rows[bite]] == 1).all(axis=1)
-            sweep(np.asarray(bite, dtype=np.int32)[sole])
-            stagnant = stagnant + 1 if len(chosen) == before else 0
-            alive = alive[~used_np[rows[alive]].any(axis=1)]
-        rest = alive.tolist()
-        rng.shuffle(rest)
-        sweep(rest)
+    for s in range(0, len(order), _SWEEP_CHUNK):
+        chunk = order[s:s + _SWEEP_CHUNK]
+        for idx in chunk[~used_np[rows[chunk]].any(axis=1)].tolist():
+            row = flat[idx * w:(idx + 1) * w]
+            if any(map(is_used, row)):
+                continue
+            for a in row:
+                used[a] = 1
+            chosen.append(idx)
 
     chosen.sort()
     coverage = h.d * len(chosen) / h.n_arcs if h.n_arcs else 0.0
     return MatchingReport(TrailRows(rows[np.array(chosen, dtype=np.int64)], h.tail, h.head),
-                          coverage, strategy, seed, h.n_arcs, h.d, excluded=n_excluded)
+                          coverage, seed, h.n_arcs, h.d, excluded=n_excluded)
 
 
 def find_disjoint_mirror_matching(h_rev: TrailHypergraph, m: MatchingReport,
-                                  strategy: str = "greedy", seed: int = 0
-                                  ) -> MatchingReport:
+                                  seed: int = 0) -> MatchingReport:
     """Matching in the reversed-digraph hypergraph avoiding the reverses
     of the given matching, so no prescribed face appears twice with
     opposite senses. h_rev is typically the hypergraph m was matched
     in, after its mirror(); m's rows are reversed as rows of arc ids."""
-    return find_matching(h_rev, strategy=strategy, seed=seed, exclude=m.chosen.reverse())
+    return find_matching(h_rev, seed=seed, exclude=m.chosen.reverse())
 
 
 def matching_report_to_text(report: MatchingReport, fh: TextIO) -> None:
-    fh.write(f"strategy={report.strategy}\n")
     fh.write(f"seed={report.seed}\n")
     fh.write(f"size={report.size}\n")
     fh.write(f"n_arcs={report.n_arcs}\n")

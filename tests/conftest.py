@@ -322,16 +322,15 @@ def component_euler_stats(g, rot):
             for ci, comp in enumerate(comps) if e_count[ci]]
 
 
-def pipeline_family(n1: int, n2: int, p: float, seed: int, i: int = 1,
-                    strategy: str = "greedy"):
+def pipeline_family(n1: int, n2: int, p: float, seed: int, i: int = 1):
     """(g, family): a random graph and its matched trail family before
     blossom removal, a DartFamily built the way the estimator builds it
     (with the seed itself for both matchings)."""
     g = gen_random_bipartite(GenParams(n1, n2, p, seed=seed))
     h = build_trail_hypergraph(orient_randomly(g, seed), i)
-    m = find_matching(h, strategy, seed)
+    m = find_matching(h, seed)
     h.mirror()
-    mm = find_disjoint_mirror_matching(h, m, strategy, seed)
+    mm = find_disjoint_mirror_matching(h, m, seed)
     return g, DartFamily.of_matchings(g, m, mm)
 
 

@@ -87,9 +87,8 @@ def test_orient_trails_match(tmp_path, capsys):
     assert main(["trails", "--in", str(d), "--out", str(t)]) == 0
     n_lines = len(t.read_text().splitlines())
     assert f"trails={n_lines}" in capsys.readouterr().err
-    assert main(["match", "--in", str(d), "--strategy", "nibble"]) == 0
+    assert main(["match", "--in", str(d)]) == 0
     out = capsys.readouterr().out
-    assert "strategy=nibble" in out
     assert "coverage=" in out
 
 
@@ -207,7 +206,7 @@ def test_experiment_refuses_invalid_grid_cell(tmp_path, capsys):
 def test_experiment_refuses_invalid_settings(tmp_path, capsys):
     cfg = tmp_path / "e.cfg"
     out = tmp_path / "e.csv"
-    for setting, key in (("strategy = bogus", "strategy"), ("i = 0,1", "i")):
+    for setting, key in (("trials = 0", "trials"), ("i = 0,1", "i")):
         cfg.write_text(f"n1 = 6\nn2 = 3\np = 0.5\n{setting}\nout = {out}\n")
         assert main(["experiment", "--config", str(cfg)]) == 2
         assert f"error: {key} must be" in capsys.readouterr().err
@@ -232,19 +231,23 @@ def test_negative_seed_exits_2(tmp_path, capsys):
 
 
 def test_trail_cap_is_refused(tmp_path, capsys):
-    # a trail family is never capped: `cap` is an unknown sweep key, like
-    # `eps`, and `--cap` an option no subcommand takes
+    # a trail family is never capped and the matching is always the
+    # random greedy: `cap` and `strategy` are unknown sweep keys, like
+    # `eps`, and `--cap` and `--strategy` options no subcommand takes
     cfg = tmp_path / "e.cfg"
     out = tmp_path / "e.csv"
-    _write_config(cfg, out, "cap = 5\n")
-    assert main(["experiment", "--config", str(cfg)]) == 2
-    assert "unknown config keys: ['cap']" in capsys.readouterr().err
-    assert not out.exists()
-    for command in ("trails", "match", "estimate"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--n1", "6", "--n2", "3", "--p", "0.5", "--cap", "5"])
-        assert exc.value.code == 2
-        assert "--cap" in capsys.readouterr().err
+    for key, value in (("cap", "5"), ("strategy", "greedy")):
+        _write_config(cfg, out, f"{key} = {value}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+    for option, value, commands in (("--cap", "5", ("trails", "match", "estimate")),
+                                    ("--strategy", "greedy", ("match", "estimate"))):
+        for command in commands:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--n1", "6", "--n2", "3", "--p", "0.5", option, value])
+            assert exc.value.code == 2
+            assert option in capsys.readouterr().err
 
 
 def test_readme_experiment_keys_are_the_accepted_keys():

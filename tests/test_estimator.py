@@ -81,6 +81,9 @@ def test_predicted_genus_values():
     assert predicted_genus(10 ** 5, 5, 0.3, 1, "small-part") == 4907.25
     with pytest.raises(ValidationError):
         predicted_genus(100, 100, 0.5, 1, "no-such-regime")
+    # the non-orientable prediction is 2x, computed by the caller
+    with pytest.raises(TypeError):
+        predicted_genus(100, 100, 0.5, 1, "dense-4gon", orientable=False)
 
 
 def test_prediction_for_small_part_b():
@@ -399,8 +402,6 @@ def test_estimate_bounds_ordered():
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(ValidationError):
-        PipelineConfig(strategy="anneal")
     with pytest.raises(ValidationError):
         PipelineConfig(p=1.5)
 

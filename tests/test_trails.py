@@ -149,10 +149,10 @@ def test_array_greedy_matches_set_reference():
         for i in (1, 2):
             h = build_trail_hypergraph(d, i)
             seed = rng.randint(0, 999)
-            m = find_matching(h, "greedy", seed)
+            m = find_matching(h, seed)
             assert m.matching == reference_greedy(hypergraph_trails(h), seed)
             h.mirror()
-            mm = find_disjoint_mirror_matching(h, m, "greedy", seed + 1)
+            mm = find_disjoint_mirror_matching(h, m, seed + 1)
             reverses = {t.reverse() for t in m.matching}
             assert mm.matching == reference_greedy(hypergraph_trails(h), seed + 1, reverses)
             assert mm.excluded == len(m.matching)
@@ -260,8 +260,7 @@ def test_row_dtype_follows_arc_count():
             assert h.n_hyperedges > 0
             for _ in range(2):
                 assert hypergraph_trails(h) == hypergraph_trails(small)
-                assert (find_matching(h, "greedy", 5).matching
-                        == find_matching(small, "greedy", 5).matching)
+                assert find_matching(h, 5).matching == find_matching(small, 5).matching
                 h.mirror()
                 small.mirror()
     # d is now the int32 digraph; estimate on its underlying graph
@@ -354,16 +353,15 @@ def test_matching_disjoint_property():
                                            0.6, seed=rng.randint(0, 999)))
         d = orient_randomly(g, rng.randint(0, 999))
         h = build_trail_hypergraph(d, 1)
-        for strategy in ("greedy", "nibble"):
-            m = find_matching(h, strategy, rng.randint(0, 999)).matching
-            used = set()
-            for t in m:
-                assert not used & set(t.arcs)
-                used.update(t.arcs)
-            # maximal: no surviving hyperedge fits
-            for t in hypergraph_trails(h):
-                if t not in m:
-                    assert used & set(t.arcs)
+        m = find_matching(h, rng.randint(0, 999)).matching
+        used = set()
+        for t in m:
+            assert not used & set(t.arcs)
+            used.update(t.arcs)
+        # maximal: no surviving hyperedge fits
+        for t in hypergraph_trails(h):
+            if t not in m:
+                assert used & set(t.arcs)
 
 
 def test_mirror_exclusion_property():
@@ -373,34 +371,25 @@ def test_mirror_exclusion_property():
         d = orient_randomly(g, rng.randint(0, 999))
         h = build_trail_hypergraph(d, 1)
         h_rev = build_trail_hypergraph(d.reverse(), 1)
-        m = find_matching(h, "greedy", 3)
-        m2 = find_disjoint_mirror_matching(h_rev, m, "greedy", 3)
+        m = find_matching(h, 3)
+        m2 = find_disjoint_mirror_matching(h_rev, m, 3)
         reversed_m = {t.reverse() for t in m.matching}
         assert not reversed_m & set(m2.matching)
         assert m2.excluded == len(m.matching)
 
 
 def test_matching_large_instance():
-    """Frozen behavior of both strategies on G(80,80,0.5), seed 0."""
+    """Frozen behavior of the matching on G(80,80,0.5), seed 0."""
     g = gen_random_bipartite(GenParams(80, 80, 0.5, seed=0))
     d = orient_randomly(g, 0)
     h = build_trail_hypergraph(d, 1)
     assert g.n_edges == 3157
     assert h.n_hyperedges == 74788
-    mg = find_matching(h, "greedy", 0)
+    mg = find_matching(h, 0)
     assert (mg.size, round(mg.coverage, 4)) == (607, 0.7691)
-    mn = find_matching(h, "nibble", 0)
-    assert (mn.size, round(mn.coverage, 4)) == (608, 0.7704)
     # empirical degree scale tracks the model value
     mean_deg = 4 * h.n_hyperedges / h.n_arcs
     assert abs(mean_deg / theoretical_delta(80, 80, 0.5, 1) - 1) < 0.15
-
-
-def test_matching_rejects_unknown_strategy():
-    d = orient_randomly(complete_bipartite_graph(3, 3), 0)
-    h = build_trail_hypergraph(d, 1)
-    with pytest.raises(ValidationError):
-        find_matching(h, "simulated-annealing", 0)
 
 
 def test_count_short_k33():
@@ -494,7 +483,7 @@ def test_row_search_matches_bisect_reference():
         for i in (1, 2):
             h = build_trail_hypergraph(d, i)
             other = hypergraph_trails(build_trail_hypergraph(d, 3 - i))
-            m = find_matching(h, "greedy", 11)
+            m = find_matching(h, 11)
             h.mirror()
             queries = [t.reverse() for t in m.matching] + list(m.matching) + list(other[:3])
             w = 2 * i + 2
@@ -506,9 +495,9 @@ def test_row_search_matches_bisect_reference():
             rows = [k for k in expect[:len(m.matching)] if k is not None]
             assert len(rows) == m.size
             assert h.find(m.chosen.reverse()).tolist() == sorted(rows)
-            mm = find_disjoint_mirror_matching(h, m, "greedy", 12)
+            mm = find_disjoint_mirror_matching(h, m, 12)
             assert mm.matching == find_matching(
-                h, "greedy", 12, exclude=trail_rows([t.reverse() for t in m.matching])).matching
+                h, 12, exclude=trail_rows([t.reverse() for t in m.matching])).matching
             assert not set(rows) & set(h.find(mm.chosen).tolist())
             checked += len(rows)
     assert checked > 0
