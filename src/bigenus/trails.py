@@ -14,7 +14,10 @@ uint16 when D has at most 65,536 arcs and int32 otherwise (see
 _row_dtype), so a row takes 2(2i+2) or 4(2i+2) bytes.
 Each row is in canonical rotation (it starts at its least arc id) and
 the rows are sorted lexicographically, which is the order of the arc
-tuples themselves because arc ids follow the sorted arcs.
+tuples themselves because arc ids follow the sorted arcs. The rows of
+a family of at least _MAP_BYTES live in their own anonymous memory
+mapping (_mapped_rows), not in the malloc heap, so their pages go back
+to the OS when the family is dropped.
 
 One enumerator serves every length and every digraph (orientations,
 anti-parallel arcs, the symmetric digraphs of the short-trail counts):
@@ -28,8 +31,11 @@ A matching keeps its trails as rows too: a MatchingReport holds the
 matched rows over the family's arc arrays (TrailRows), and the mirror
 matching excludes their reverses by mapping the reversed rows to arc
 ids of the mirrored family and searching its sorted rows
-(TrailHypergraph.find). The blossom module turns the rows into dart ids
-without building a ClosedTrail.
+(TrailHypergraph.find). find_matching works on the family's own rows,
+with no array sized by the family: it moves the excluded rows to the
+back, shuffles the others in place as whole rows, sweeps them in that
+order, and sorts the family back before it returns. The blossom module
+turns the matched rows into dart ids without building a ClosedTrail.
 
 Every stage takes rows; ClosedTrail, a tuple of arcs, is built only
 where trails leave the package: the text writers read it from
@@ -44,22 +50,23 @@ import functools
 import itertools
 import random
 import sys
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, Digraph
+from .bigraph import BipartiteGraph, Digraph, distinct
 from .errors import GuardError, ValidationError
 
 Arc = tuple[int, int]
 
 _COUNT_WORK_LIMIT = 20_000_000
 # Trail enumeration refuses to hold more trails than this. An estimate
-# peaks near 19 bytes per trail with 16-bit arc ids and 26.5 with 32-bit
-# ones (peak RSS over 6.5M trails on G(240, 240, 0.5)), so the limit
-# stands for about 0.6 GB, or 0.85 GB past 65,536 arcs.
+# peaks near 8.1 bytes per trail above the interpreter and its graph
+# with 16-bit arc ids, of which the rows are 8, and 16.1 with 32-bit
+# ones (VmHWM over 6.5M trails on G(240, 240, 0.5) seed 0: 52.6 and
+# 104.6 MB), so the limit stands for about 0.26 GB, or 0.52 GB past
+# 65,536 arcs.
 MAX_TRAILS = 32_000_000
 
 # Half trails per chunk of start vertices, and candidate rows per join,
@@ -76,6 +83,14 @@ _PRUNE_ROUNDS = 8
 _ROTATE_CHUNK = 1 << 13
 # Candidates screened per numpy call in the matching sweep.
 _SWEEP_CHUNK = 1024
+# Families of at least this many bytes get their own memory mapping.
+# It is glibc malloc's initial mmap threshold; malloc raises its own
+# threshold once it frees a mapped block, after which 3 MiB families
+# came from the heap, whose freed pages it keeps resident. Smaller
+# families mostly fit in free heap memory the process already holds:
+# mapping the sub-80 KB families of i = 2 sweeps on
+# G(200, 150..200, 0.05) raised their peak RSS by about 0.2 MB.
+_MAP_BYTES = 128 << 10
 
 
 def _canonical_rotation(arcs: Sequence[Arc]) -> tuple[Arc, ...]:
@@ -374,12 +389,28 @@ class TrailHypergraph:
         return np.bincount(self.rows.ravel(), minlength=self.n_arcs)
 
 
+def _mapped_rows(count: int, length: int, dtype: np.dtype) -> np.ndarray:
+    """An uninitialised (count, length) array for a family's rows. From
+    _MAP_BYTES on it is its own anonymous memory mapping, outside the
+    malloc heap, so its pages go back to the OS as soon as the array is
+    dropped; a smaller family comes from the heap."""
+    nbytes = count * length * dtype.itemsize
+    if nbytes < _MAP_BYTES:
+        return np.empty((count, length), dtype=dtype)
+    # Imported only when a family is mapped: imported with the package,
+    # it shifted later heap allocations enough to raise the peak RSS of
+    # runs on graphs of about 10 vertices by about 0.3 MB.
+    import mmap
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(count, length)
+
+
 def build_trail_hypergraph(d: Digraph, i: int) -> TrailHypergraph:
     """The canonical closed trails of length 2i+2 in D, all of them.
 
     One pass over the half-trail join (see _trail_blocks) counts the
     trails and refuses with GuardError as soon as the count passes
-    MAX_TRAILS, before the rows are allocated; a second pass fills them.
+    MAX_TRAILS, before the rows are allocated (by _mapped_rows); a
+    second pass fills them.
     """
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")
@@ -389,7 +420,7 @@ def build_trail_hypergraph(d: Digraph, i: int) -> TrailHypergraph:
         count += len(block)
         if count > MAX_TRAILS:
             raise GuardError(f"closed {length}-trails exceed the limit of {MAX_TRAILS}")
-    rows = np.empty((count, length), dtype=_row_dtype(d.n_arcs))
+    rows = _mapped_rows(count, length, _row_dtype(d.n_arcs))
     pos = 0
     for block in _trail_blocks(d, length):
         rows[pos:pos + len(block)] = block
@@ -502,49 +533,61 @@ def find_matching(h: TrailHypergraph, seed: int = 0,
     guarantee.
 
     This is the Rödl-nibble / Pippenger–Spencer random greedy process
-    the theory rests on. Candidates are row indices in increasing order,
-    minus the rows of the trails in exclude (found by
-    TrailHypergraph.find), shuffled by random.Random(seed); used arcs
-    are marked in a bytearray. Rows that are blocked when their chunk of
-    _SWEEP_CHUNK candidates starts stay blocked, so one numpy test per
-    chunk drops them without changing the result. excluded counts the
-    rows of exclude.
+    the theory rests on, run on the family's own rows with no array of
+    row indices. The rows of the trails in exclude (found by
+    TrailHypergraph.find) move behind the others, which keep their
+    order. random.Random(seed) shuffles the kept rows in place as whole
+    rows, with the draws it would make for as many indices, and the
+    sweep takes them in that order, marking used arcs in a bytearray.
+    Rows that are blocked when their chunk of _SWEEP_CHUNK rows starts
+    stay blocked, so one numpy test per chunk drops them without
+    changing the result. The accepted rows are copied out and sorted,
+    which is their order in the family; the family is sorted back
+    before returning, so h is unchanged. excluded counts the rows of
+    exclude.
     """
-    keep = np.ones(h.n_hyperedges, dtype=bool)
+    rows, w = h.rows, h.d
+    kept = len(rows)
     n_excluded = 0
     if exclude is not None:
-        keep[h.find(exclude)] = False
         n_excluded = len(exclude.rows)
-    candidates = array("i", [0]) * int(np.count_nonzero(keep))
-    fill = np.frombuffer(candidates, dtype=np.int32)
-    pos = 0
-    for s in range(0, len(keep), _ROTATE_CHUNK):
-        idx = np.flatnonzero(keep[s:s + _ROTATE_CHUNK])
-        fill[pos:pos + len(idx)] = idx + s
-        pos += len(idx)
-    del keep, fill
-    random.Random(seed).shuffle(candidates)
-    order = np.frombuffer(candidates, dtype=np.int32)
-    w = h.d
-    rows = h.rows
+        out = distinct(h.find(exclude))
+        gone = rows[out]
+        kept = 0
+        for s in range(0, len(rows), _ROTATE_CHUNK):
+            block = rows[s:s + _ROTATE_CHUNK]
+            keep = np.ones(len(block), dtype=bool)
+            keep[out[np.searchsorted(out, s):np.searchsorted(out, s + len(block))] - s] = False
+            block = block[keep]
+            rows[kept:kept + len(block)] = block
+            kept += len(block)
+        rows[kept:] = gone
+    if kept > 1:  # memoryview refuses an empty cast; one row takes no draws
+        # whole rows as items: one uint64 when a row is 8 bytes, which
+        # Python reads faster than numpy's void scalars
+        size = w * rows.itemsize
+        view = (memoryview(rows).cast("B").cast("Q") if size == 8
+                else rows.view(np.dtype((np.void, size))).ravel())
+        random.Random(seed).shuffle(view[:kept])
     flat = memoryview(rows.ravel())
     used = bytearray(h.n_arcs)
     used_np = np.frombuffer(used, dtype=np.uint8)
     is_used = used.__getitem__
     chosen: list[int] = []
-    for s in range(0, len(order), _SWEEP_CHUNK):
-        chunk = order[s:s + _SWEEP_CHUNK]
-        for idx in chunk[~used_np[rows[chunk]].any(axis=1)].tolist():
-            row = flat[idx * w:(idx + 1) * w]
+    for s in range(0, kept, _SWEEP_CHUNK):
+        free = ~used_np[rows[s:min(s + _SWEEP_CHUNK, kept)]].any(axis=1)
+        for k in (np.flatnonzero(free) + s).tolist():
+            row = flat[k * w:(k + 1) * w]
             if any(map(is_used, row)):
                 continue
             for a in row:
                 used[a] = 1
-            chosen.append(idx)
-
-    chosen.sort()
+            chosen.append(k)
+    matched = rows[np.array(chosen, dtype=np.int64)]
+    _canonical_sort(matched)
+    _canonical_sort(rows)
     coverage = h.d * len(chosen) / h.n_arcs if h.n_arcs else 0.0
-    return MatchingReport(TrailRows(rows[np.array(chosen, dtype=np.int64)], h.tail, h.head),
+    return MatchingReport(TrailRows(matched, h.tail, h.head),
                           coverage, seed, h.n_arcs, h.d, excluded=n_excluded)
 
 

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from bigenus import trails
 from bigenus.bigraph import (BipartiteGraph, GenParams, Graph, degree_class_partition,
                              complete_bipartite_graph, complete_graph,
                              gen_random_bipartite, path_graph)
+from bigenus.blossom import DartFamily
 from bigenus.cli import main
 from bigenus.errors import BudgetExceededError, GuardError, ValidationError
 from bigenus.oracle import SearchBudget, exact_genus
@@ -218,12 +220,13 @@ def test_estimate_empty_graph():
 def test_estimate_truncation(monkeypatch):
     # an estimate is never cut short: it has an upper bound, or, past
     # the trail limit, it raises before the trails module allocates
-    # anything (numpy's own generator allocates while orienting)
+    # anything (numpy's own generator allocates while orienting); the
+    # family's rows come from trails._mapped_rows
     k33 = complete_bipartite_graph(3, 3)
     with pytest.raises(TypeError):
         PipelineConfig(cap=1)
     allocations = []
-    np_empty = np.empty
+    np_empty, mapped_rows = np.empty, trails._mapped_rows
 
     def empty(*a, **k):
         if sys._getframe(1).f_globals["__name__"] == trails.__name__:
@@ -231,13 +234,15 @@ def test_estimate_truncation(monkeypatch):
         return np_empty(*a, **k)
 
     monkeypatch.setattr(np, "empty", empty)
+    monkeypatch.setattr(trails, "_mapped_rows",
+                        lambda *a: allocations.append(a) or mapped_rows(*a))
     monkeypatch.setattr(trails, "MAX_TRAILS", 2)   # K_{3,3} seed 0 has 3
     with pytest.raises(GuardError, match="closed 4-trails exceed the limit of 2"):
         estimate_genus(k33, 1)
     assert allocations == []
     monkeypatch.setattr(trails, "MAX_TRAILS", 3)
     assert estimate_genus(k33, 1).family_size == 2
-    assert allocations
+    assert allocations[0] == (3, 4, np.dtype(np.uint16))
 
 
 def test_estimate_large_instance():
@@ -316,13 +321,35 @@ def test_estimate_memory_guard():
     assert peak < 40 * 2 ** 20
 
 
-def test_estimate_frees_the_trail_family():
-    """Traced peak of one estimate on a pre-built G(120, 120, 0.5): the
-    uint16 trail family (3.0 MiB) is the largest object, and the
-    digraph, the rows and the mirrored arcs are freed before blossom
-    removal. With int32 rows, a separate sort key and all of them held
-    to the end, the peak was 11.7 MiB."""
+def test_estimate_frees_the_trail_family(monkeypatch):
+    """One estimate on a pre-built G(120, 120, 0.5). The uint16 trail
+    family (3.0 MiB) is the largest object, allocated once by
+    trails._mapped_rows in a memory mapping that tracemalloc does not
+    see: the object that owns its buffer, which every view of the rows
+    keeps alive, must be gone when DartFamily.of_matchings builds the
+    input of blossom removal. The traced peak is the rest of the
+    estimate, about 1.2 MiB; an int32 index per trail in the matching
+    added 1.9 MiB. With int32 rows, a separate sort key and all of them
+    held to the end, the traced peak was 11.7 MiB."""
     g = gen_random_bipartite(GenParams(120, 120, 0.5, seed=0))
+    owners, alive = [], []
+    mapped_rows = trails._mapped_rows
+
+    def spy(*args):
+        rows = base = mapped_rows(*args)
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        owners.append(weakref.ref(base if base.base is None else base.base))
+        return rows
+
+    of_matchings = DartFamily.of_matchings
+
+    def of_matchings_spy(cls, *args):
+        alive.append([ref() is not None for ref in owners])
+        return of_matchings(*args)
+
+    monkeypatch.setattr(trails, "_mapped_rows", spy)
+    monkeypatch.setattr(DartFamily, "of_matchings", classmethod(of_matchings_spy))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -331,7 +358,8 @@ def test_estimate_frees_the_trail_family():
     finally:
         tracemalloc.stop()
     assert (est.lower, est.upper) == (1677, 2151)
-    assert peak < 8 * 2 ** 20
+    assert alive == [[False]]
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_sparse_estimate_traced_memory_budget():

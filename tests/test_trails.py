@@ -1,5 +1,6 @@
 import io
 import itertools
+import mmap
 import random
 import tracemalloc
 from collections import Counter
@@ -14,8 +15,8 @@ from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams,
 from bigenus.cli import main
 from bigenus.errors import GuardError, ValidationError
 from bigenus.estimator import estimate_genus
-from bigenus.trails import (ClosedTrail, _canonical_sort, build_trail_hypergraph,
-                            check_matching_conditions,
+from bigenus.trails import (ClosedTrail, TrailHypergraph, TrailRows, _canonical_sort,
+                            build_trail_hypergraph, check_matching_conditions,
                             count_short_closed_trails,
                             find_disjoint_mirror_matching, find_matching,
                             theoretical_delta, trails_to_text)
@@ -158,6 +159,76 @@ def test_array_greedy_matches_set_reference():
             assert mm.excluded == len(m.matching)
 
 
+@pytest.mark.parametrize("i", [1, 2])
+def test_matching_leaves_the_family_unchanged(i):
+    # find_matching shuffles the family's own rows (8 bytes each at
+    # i = 1, 12 at i = 2) and sorts them back: with and without exclude,
+    # h.rows holds the same bytes in the same buffer afterwards
+    d = orient_randomly(gen_random_bipartite(GenParams(30, 30, 0.5, seed=i)), i)
+    h = build_trail_hypergraph(d, i)
+    assert h.rows.dtype == np.uint16 and h.d == 2 * i + 2
+    before, buffer = h.rows.tobytes(), h.rows.ctypes.data
+    m = find_matching(h, 5)
+    assert h.rows.tobytes() == before and h.rows.ctypes.data == buffer
+    ex = find_matching(h, 6, exclude=m.chosen)
+    assert h.rows.tobytes() == before and h.rows.ctypes.data == buffer
+    assert ex.excluded == m.size > 0 and ex.size > 0
+    assert not set(h.find(ex.chosen).tolist()) & set(h.find(m.chosen).tolist())
+    # a trail excluded twice is excluded once
+    twice = TrailRows(np.concatenate((m.chosen.rows, m.chosen.rows)), h.tail, h.head)
+    again = find_matching(h, 6, exclude=twice)
+    assert np.array_equal(again.chosen.rows, ex.chosen.rows)
+    assert again.excluded == 2 * m.size and h.rows.tobytes() == before
+    h.mirror()
+    mirrored = h.rows.tobytes()
+    mm = find_disjoint_mirror_matching(h, m, 7)
+    assert mm.excluded == m.size and h.rows.tobytes() == mirrored
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_int32_rows_match_alike(i):
+    # the same family with int32 ids has 16- or 24-byte rows, which the
+    # matching shuffles through a numpy void view rather than a uint64
+    # memoryview; both give the same matched rows
+    d = orient_randomly(gen_random_bipartite(GenParams(30, 30, 0.5, seed=i)), i)
+    h = build_trail_hypergraph(d, i)
+    wide = TrailHypergraph(h.tail, h.head, h.rows.astype(np.int32))
+    m, mw = find_matching(h, 3), find_matching(wide, 3)
+    assert mw.chosen.rows.dtype == np.int32 and m.size > 0
+    assert np.array_equal(mw.chosen.rows, m.chosen.rows) and mw.coverage == m.coverage
+    h.mirror()
+    wide.mirror()
+    assert np.array_equal(wide.rows, h.rows)
+    mm, mmw = find_disjoint_mirror_matching(h, m, 4), find_disjoint_mirror_matching(wide, mw, 4)
+    assert np.array_equal(mmw.chosen.rows, mm.chosen.rows) and mmw.excluded == mm.excluded
+    assert np.array_equal(wide.rows, h.rows)
+
+
+def test_matching_peak_memory():
+    # the matchings shuffle the family's own rows, so beyond chunk-sized
+    # temporaries they hold only the used-arc marks and the matched
+    # rows. An int32 index per candidate and a keep mask took about 5.3
+    # bytes per trail.
+    small = build_trail_hypergraph(orient_randomly(complete_bipartite_graph(3, 4), 0), 1)
+    find_disjoint_mirror_matching(small, find_matching(small, 0), 1)  # first-call imports
+    d = orient_randomly(gen_random_bipartite(GenParams(120, 120, 0.5, seed=0)), 0)
+    h = build_trail_hypergraph(d, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m = find_matching(h, 0)
+        match_peak = tracemalloc.get_traced_memory()[1] - base
+        h.mirror()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mm = find_disjoint_mirror_matching(h, m, 1)
+        mirror_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert h.n_hyperedges == 393_537 and mm.excluded == m.size > 0
+    assert max(match_peak, mirror_peak) < 2 * h.n_hyperedges
+
+
 def test_dfs_rows_are_canonically_sorted():
     # the reference DFS and build_trail_hypergraph both emit rows that
     # their own canonical sort leaves unchanged, without sorting them
@@ -219,7 +290,9 @@ def test_wide_rows_sort_in_place_in_lexsort_order(dtype, top):
 
 def test_trail_family_peak_memory():
     # enumeration and mirror hold the uint16 rows, which carry their own
-    # sort keys, plus chunk-sized temporaries and the mirrored arc list
+    # sort keys, plus chunk-sized temporaries and the mirrored arc list.
+    # The rows sit in their own memory mapping, which tracemalloc does
+    # not see, so the traced peak is the temporaries alone.
     d = orient_randomly(gen_random_bipartite(GenParams(120, 120, 0.5, seed=0)), 0)
     tracemalloc.start()
     try:
@@ -231,7 +304,29 @@ def test_trail_family_peak_memory():
         tracemalloc.stop()
     assert h.n_hyperedges == 393_537
     assert h.rows.dtype == np.uint16
-    assert peak < 1.5 * h.rows.nbytes
+    assert peak < 0.5 * h.rows.nbytes
+
+
+def test_large_families_are_mapped_outside_the_heap():
+    # from _MAP_BYTES on, a family's rows are a writable view of their
+    # own anonymous mapping, which every view of the rows keeps alive;
+    # smaller families, the empty one included, own heap memory
+    for count, length, dtype in ((0, 4, np.uint16), (1, 6, np.int32),
+                                 (trails._MAP_BYTES // 8 - 1, 4, np.uint16)):
+        rows = trails._mapped_rows(count, length, np.dtype(dtype))
+        assert rows.shape == (count, length) and rows.dtype == dtype
+        assert rows.flags.owndata and rows.flags.writeable
+    for count, length, dtype in ((trails._MAP_BYTES // 8, 4, np.uint16),
+                                 (trails._MAP_BYTES // 24 + 1, 6, np.int32)):
+        rows = trails._mapped_rows(count, length, np.dtype(dtype))
+        assert rows.shape == (count, length) and rows.dtype == dtype
+        assert not rows.flags.owndata and rows.flags.writeable
+        assert rows.flags.c_contiguous
+        base = rows
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        # numpy 2 holds the buffer through a memoryview
+        assert isinstance(getattr(base.base, "obj", base.base), mmap.mmap)
 
 
 def _star_plus_k34(n_arcs: int):
@@ -455,17 +550,19 @@ def test_trail_limit_refuses_before_allocating(monkeypatch, capsys, anti_paralle
         d = Digraph(d.n, d.arc_list + tuple((h, t) for (t, h) in d.arc_list[:10]))
     assert build_trail_hypergraph(d, i).n_hyperedges == n
     monkeypatch.setattr(trails, "MAX_TRAILS", n - 1)
+    # the rows are allocated by trails._mapped_rows, and only once the
+    # count is known to be within the limit
     allocations = []
-    np_empty = np.empty
-    monkeypatch.setattr(np, "empty",
-                        lambda *a, **k: allocations.append(a) or np_empty(*a, **k))
+    mapped_rows = trails._mapped_rows
+    monkeypatch.setattr(trails, "_mapped_rows",
+                        lambda *a: allocations.append(a[:2]) or mapped_rows(*a))
     with pytest.raises(GuardError, match=f"closed {2 * i + 2}-trails exceed the limit of {n - 1}"):
         build_trail_hypergraph(d, i)
     assert allocations == []
     # at the limit the family is served, and its rows are allocated
     monkeypatch.setattr(trails, "MAX_TRAILS", n)
     assert build_trail_hypergraph(d, i).n_hyperedges == n
-    assert allocations
+    assert allocations == [(n, 2 * i + 2)]
     monkeypatch.setattr(trails, "MAX_TRAILS", n - 1)
     if not anti_parallel:
         assert main(["estimate", "--n1", "40", "--n2", "3", "--p", "0.5",
