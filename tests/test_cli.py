@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,36 @@ def test_orient_trails_match(tmp_path, capsys):
     assert main(["match", "--in", str(d)]) == 0
     out = capsys.readouterr().out
     assert "coverage=" in out
+
+
+# sha256 of the files `bigenus trails` and `bigenus match --out` write
+# for fixed seeded graphs. G(50, 50, 0.5) seed 3 has 12,061 closed
+# 4-trails, more than one chunk of rows of the writer.
+WRITER_BYTES = {
+    ("trails", "50", "3", "1"):
+        "5c34a2f2406c7d25915eac58fe145a5078db123a6191497157064a73bc2ba87d",
+    ("trails", "16", "5", "2"):
+        "9b39c42648c618394bca39859e280e10ee1a53c603aca4ef1a4196e12003d68d",
+    ("match", "50", "3", "1"):
+        "a5506ddeeacd1bec01833b35221187674f0cdb0e5eb80915a106ac47edadf299",
+    ("match", "16", "5", "2"):
+        "3c095a8f929c6d92eb02f7dae4416d49680efcdb51aa75db15ea2e265ad1431f",
+}
+
+
+@pytest.mark.parametrize("command,n,seed,i", sorted(WRITER_BYTES))
+def test_writer_bytes_are_frozen(tmp_path, capsys, command, n, seed, i):
+    out = tmp_path / "out.txt"
+    assert main([command, "--n1", n, "--n2", n, "--p", "0.5", "--seed", seed,
+                 "--i", i, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    captured = capsys.readouterr()
+    lines = data.count(b"\n")
+    if command == "trails":
+        assert f"trails={lines}\n" in captured.err
+    else:
+        assert f"size={lines}\n" in captured.out
+    assert hashlib.sha256(data).hexdigest() == WRITER_BYTES[(command, n, seed, i)]
 
 
 def test_oracle_cli(capsys):
