@@ -29,7 +29,7 @@ from .oracle import (PincerResult, SearchBudget, exact_genus,
                      genus_formula_reference, heuristic_genus_upper,
                      minimum_genus_rotation, pincer_genus,
                      rotation_system_count)
-from .trails import (ClosedTrail, TrailHypergraph, build_trail_hypergraph,
+from .trails import (TrailHypergraph, build_trail_hypergraph,
                      check_matching_conditions, count_short_closed_trails,
                      find_disjoint_mirror_matching, find_matching,
                      theoretical_delta)
@@ -54,7 +54,7 @@ __all__ = [
     "PincerResult", "SearchBudget", "exact_genus", "genus_formula_reference",
     "heuristic_genus_upper", "minimum_genus_rotation", "pincer_genus",
     "rotation_system_count",
-    "ClosedTrail", "TrailHypergraph", "build_trail_hypergraph",
+    "TrailHypergraph", "build_trail_hypergraph",
     "check_matching_conditions", "count_short_closed_trails",
     "find_disjoint_mirror_matching", "find_matching", "theoretical_delta",
     "__version__",

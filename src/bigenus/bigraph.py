@@ -516,14 +516,6 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.n_arcs})"
 
 
-def iter_bits(mask: int):
-    """Yield the set bit positions of mask in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def gen_random_bipartite(params: GenParams) -> BipartiteGraph:
     """Each of the n1*n2 possible edges appears independently with
     probability p, driven by the (seed, edge-stream) Philox generator.
@@ -582,8 +574,7 @@ def standard_graph(n1: int, n2: int, p: float) -> BipartiteGraph:
         for _ in range(size):
             if x >= n1:
                 break
-            for j in iter_bits(mask):
-                edges.append((x, n1 + j))
+            edges.extend((x, n1 + j) for j in range(n2) if mask >> j & 1)
             x += 1
     return BipartiteGraph(n1, n2, edges)
 

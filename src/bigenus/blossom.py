@@ -16,8 +16,8 @@ passages of the whole family are one successor array over the darts
 (_passages). Its cycles are the blossoms, and its chains, concatenated
 at every vertex, write the rotation. Every function here takes a
 DartFamily, which DartFamily.of_matchings builds from matched rows of
-arc ids; ClosedTrails are built only when DartFamily.trails is read,
-as BlossomReport.family is.
+arc ids, and reads only its dart ids: a length-2 blossom is simple
+unless its two trails are mutual reverses, which compares their darts.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .embedding import ArcIndex, RotationSystem, arc_index, cyclic_successors
 from .errors import InternalConsistencyError, ValidationError
-from .trails import ClosedTrail, MatchingReport
+from .trails import MatchingReport
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,6 @@ class Blossom:
 
 @dataclass(frozen=True)
 class BlossomReport:
-    family: tuple[ClosedTrail, ...]
     blossoms: tuple[Blossom, ...]
 
     @property
@@ -111,13 +110,6 @@ class DartFamily:
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
-
-    @property
-    def trails(self) -> tuple[ClosedTrail, ...]:
-        tail, head = self.index.tail[self.darts].tolist(), self.index.head[self.darts].tolist()
-        arcs = list(zip(tail, head))
-        bounds = self.offsets.tolist()
-        return tuple(ClosedTrail.from_arcs(arcs[s:e]) for s, e in zip(bounds, bounds[1:]))
 
     def lengths(self) -> np.ndarray:
         return self.offsets[1:] - self.offsets[:-1]
@@ -213,6 +205,16 @@ def _cycles(fam: DartFamily) -> list[np.ndarray]:
     return cycles
 
 
+def _is_reverse(fam: DartFamily, j: int, k: int) -> bool:
+    """Whether trail k is the reverse of trail j: the reverses of j's
+    darts, in reverse order, are a rotation of k's darts."""
+    rev = fam.index.rev[fam.darts[fam.offsets[j]:fam.offsets[j + 1]][::-1]]
+    darts = fam.darts[fam.offsets[k]:fam.offsets[k + 1]]
+    start = np.flatnonzero(darts == rev[0])
+    return (len(rev) == len(darts) and len(start) == 1
+            and np.array_equal(np.roll(darts, -int(start[0])), rev))
+
+
 def find_blossoms(g, family: DartFamily) -> BlossomReport:
     """Every auxiliary cycle of every center, exhaustively.
 
@@ -221,7 +223,6 @@ def find_blossoms(g, family: DartFamily) -> BlossomReport:
     arc that is no edge of g or that two trail positions use.
     """
     fam = _as_family(g, family)
-    family = fam.trails
     index = fam.index
     blossoms: list[Blossom] = []
     for cyc in _cycles(fam):
@@ -229,12 +230,12 @@ def find_blossoms(g, family: DartFamily) -> BlossomReport:
         if len(cyc) >= 3:
             simple = True
         elif len(cyc) == 2:
-            simple = family[passages[0][0]] != family[passages[1][0]].reverse()
+            simple = not _is_reverse(fam, passages[0][0], passages[1][0])
         else:
             simple = False
         blossoms.append(Blossom(int(index.tail[cyc[0]]), passages,
                                 tuple(index.head[cyc].tolist()), simple))
-    return BlossomReport(family, tuple(blossoms))
+    return BlossomReport(tuple(blossoms))
 
 
 def make_blossom_free(g, family: DartFamily) -> tuple[DartFamily, DartFamily]:

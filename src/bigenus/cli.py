@@ -131,7 +131,7 @@ def cmd_trails(args) -> int:
     d = _digraph_from_args(args)
     h = build_trail_hypergraph(d, args.i)
     with _open_out(args.out) as fh:
-        trails_to_text(TrailRows(h.rows, h.tail, h.head).trails(), fh)
+        trails_to_text(TrailRows(h.rows, h.tail, h.head), fh)
     print(f"trails={h.n_hyperedges}", file=sys.stderr)
     return 0
 
@@ -143,7 +143,7 @@ def cmd_match(args) -> int:
     matching_report_to_text(report, sys.stdout)
     if args.out:
         with _open_out(args.out) as fh:
-            trails_to_text(report.matching, fh)
+            trails_to_text(report.chosen, fh)
     return 0
 
 

@@ -176,7 +176,8 @@ def small_p_asymptote_check(n1: int, n2: int, p: float) -> AsymptoteCheck:
 # core of each component: deleting a vertex of degree <= 1 never changes
 # the genus, and the raw face-count inequality is only sound once every
 # vertex has degree >= 2 (a bare edge has one face of length 2, not
-# min_face_len). Forests therefore come out as 0 with no special case.
+# the least face length). Forests therefore come out as 0 with no
+# special case.
 
 
 def _core_components(g) -> list[tuple[list[int], int]]:
@@ -212,13 +213,11 @@ def _core_components(g) -> list[tuple[list[int], int]]:
     return [(run.tolist(), e) for run, e in zip(np.split(verts[core], cut), e_c.tolist())]
 
 
-def euler_lower_bound(g, min_face_len: int) -> int:
+def euler_lower_bound(g) -> int:
     """Sum over core components of ceil(e(1/2 - 1/k) - (n-2)/2), each
-    clamped at 0; k = min_face_len. Use k = 4 for simple bipartite
-    graphs (girth at least 4), 3 otherwise."""
-    if min_face_len < 3:
-        raise ValidationError(f"min_face_len must be >= 3, got {min_face_len}")
-    coef = Fraction(1, 2) - Fraction(1, min_face_len)
+    clamped at 0, where k is the least face length: 4 when g is
+    bipartite (a simple bipartite graph has girth at least 4), else 3."""
+    coef = Fraction(1, 2) - Fraction(1, 4 if is_bipartite(g) else 3)
     total = 0
     for (verts, e_c) in _core_components(g):
         val = math.ceil(e_c * coef - Fraction(len(verts) - 2, 2))
@@ -241,7 +240,7 @@ def _induced_bipartite(g: BipartiteGraph, verts: list[int]) -> BipartiteGraph:
 def refined_lower_bound(g: BipartiteGraph, i: int) -> int:
     """Lower bound ceil(i/(2i+2) e - (i-1)/(2i+2) 2C - (n-2)/2) summed
     over core components, where C counts the component's closed trails
-    of length at most 2i. At i = 1 this is euler_lower_bound(g, 4)."""
+    of length at most 2i. At i = 1 this is euler_lower_bound(g)."""
     if not isinstance(g, BipartiteGraph):
         raise ValidationError("refined_lower_bound expects a bipartite graph")
     if i < 1:
@@ -380,8 +379,7 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
     res = regime_classify(n1, n2, p_eff)
     prediction = prediction_for(res, n1, n2, p_eff, i)
 
-    minlen = 4 if is_bipartite(g) else 3
-    lower = euler_lower_bound(g, minlen)
+    lower = euler_lower_bound(g)
     if bip and i >= 2:  # at i = 1 the refined bound is the Euler bound above
         lower = max(lower, refined_lower_bound(g, i))
 
@@ -435,7 +433,6 @@ class ReducedGraph:
     kept_neighbors: tuple[tuple[int, ...], ...]
     deleted_x: tuple[int, ...]
     collapsed_x: tuple[int, ...]
-    slack: int
 
     @property
     def is_complete_on_support(self) -> bool:
@@ -470,8 +467,7 @@ def reduce_small_part(g: BipartiteGraph) -> ReducedGraph:
     X-vertices of degree >= 3 are kept verbatim with their neighbours.
     Parallel subdivided paths have the genus of one edge, so g has the
     orientable and non-orientable genus of simple_graph(); that is what
-    small_part_exact_genus computes. slack = n2(n2-1)/2 is the number
-    of Y-pairs.
+    small_part_exact_genus computes.
     """
     if g.n2 > MAX_SMALL_PART:
         raise GuardError(f"reduce_small_part needs n2 <= {MAX_SMALL_PART}, got {g.n2}")
@@ -497,7 +493,6 @@ def reduce_small_part(g: BipartiteGraph) -> ReducedGraph:
         kept_neighbors=tuple(kept_nbrs),
         deleted_x=tuple(np.flatnonzero(degree <= 1).tolist()),
         collapsed_x=tuple(collapsed.tolist()),
-        slack=g.n2 * (g.n2 - 1) // 2,
     )
 
 

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bigraph import Graph, is_bipartite
+from .bigraph import Graph
 from .embedding import (RotationSystem, arc_index, connected_components, euler_genus,
                         face_starts)
 from .errors import BudgetExceededError, ValidationError
@@ -109,7 +109,7 @@ def _component_lower_bound(g, verts: list[int]) -> int:
     edges = [(vmap[v], vmap[w]) for (v, w) in
              ((a, b) for a in verts for b in g.neighbors(a) if b in vset and a < b)]
     sub = Graph(len(verts), edges)
-    return euler_lower_bound(sub, 4 if is_bipartite(sub) else 3)
+    return euler_lower_bound(sub)
 
 
 def _check_deadline(deadline: float | None) -> None:

@@ -1,4 +1,5 @@
-"""Closed trails, the trail hypergraph, and hypergraph matching.
+"""Closed trails as rows of arc ids, the trail hypergraph, and
+hypergraph matching.
 
 For an orientation D of a bipartite graph, the closed trails of length
 2i+2 are the hyperedges of a (2i+2)-uniform hypergraph H whose vertex
@@ -35,30 +36,27 @@ ids of the mirrored family and searching its sorted rows
 with no array sized by the family: it moves the excluded rows to the
 back, shuffles the others in place as whole rows, sweeps them in that
 order, and sorts the family back before it returns. The blossom module
-turns the matched rows into dart ids without building a ClosedTrail.
+turns the matched rows into dart ids.
 
-Every stage takes rows; ClosedTrail, a tuple of arcs, is built only
-where trails leave the package: the text writers read it from
-TrailRows.trails() and MatchingReport.matching. A trail and its reverse
+Rows are the only trail representation: trails leave the package as
+text that trails_to_text writes straight from the rows and the arc
+arrays, checking a chunk of rows at a time. A trail and its reverse
 are distinct; the reverses are the family of the reversed digraph,
 which TrailHypergraph.mirror writes over the rows in place.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from .bigraph import BipartiteGraph, Digraph, distinct
-from .errors import GuardError, ValidationError
-
-Arc = tuple[int, int]
+from .errors import GuardError, InternalConsistencyError, ValidationError
 
 _COUNT_WORK_LIMIT = 20_000_000
 # Trail enumeration refuses to hold more trails than this. An estimate
@@ -77,9 +75,9 @@ _TRAIL_CHUNK = 1 << 12
 # the fixed point in 1-3 rounds; the bound keeps a long dead chain, which
 # loses two arcs a round, from costing quadratic time.
 _PRUNE_ROUNDS = 8
-# Rows rotated, packed, unpacked, mirrored or screened per numpy call.
-# The int64 index temporaries of a chunk take 8·w bytes per row, 256 KiB
-# at w = 4.
+# Rows rotated, packed, unpacked, mirrored, screened or written per
+# numpy call. The int64 index temporaries of a chunk take 8·w bytes per
+# row, 256 KiB at w = 4.
 _ROTATE_CHUNK = 1 << 13
 # Candidates screened per numpy call in the matching sweep.
 _SWEEP_CHUNK = 1024
@@ -91,47 +89,6 @@ _SWEEP_CHUNK = 1024
 # mapping the sub-80 KB families of i = 2 sweeps on
 # G(200, 150..200, 0.05) raised their peak RSS by about 0.2 MB.
 _MAP_BYTES = 128 << 10
-
-
-def _canonical_rotation(arcs: Sequence[Arc]) -> tuple[Arc, ...]:
-    arcs = tuple(arcs)
-    k = min(range(len(arcs)), key=lambda j: arcs[j])
-    return arcs[k:] + arcs[:k]
-
-
-@dataclass(frozen=True)
-class ClosedTrail:
-    """A directed closed walk with no repeated arc, stored canonically."""
-
-    arcs: tuple[Arc, ...]
-
-    def __post_init__(self) -> None:
-        arcs = self.arcs
-        if len(arcs) < 2:
-            raise ValidationError("a closed trail needs at least 2 arcs")
-        if len(set(arcs)) != len(arcs):
-            raise ValidationError("trail repeats an arc")
-        for j, (t, h) in enumerate(arcs):
-            nt, _ = arcs[(j + 1) % len(arcs)]
-            if h != nt:
-                raise ValidationError("arcs do not chain head to tail")
-        if arcs[0] != min(arcs):
-            raise ValidationError("trail is not in canonical rotation")
-
-    @classmethod
-    def from_arcs(cls, arcs: Sequence[Arc]) -> "ClosedTrail":
-        return cls(_canonical_rotation(arcs))
-
-    def __len__(self) -> int:
-        return len(self.arcs)
-
-    def reverse(self) -> "ClosedTrail":
-        rev = tuple((h, t) for (t, h) in reversed(self.arcs))
-        return ClosedTrail.from_arcs(rev)
-
-    def __repr__(self) -> str:
-        inner = " ".join(f"{t}>{h}" for (t, h) in self.arcs)
-        return f"ClosedTrail({inner})"
 
 
 class TrailRows(NamedTuple):
@@ -146,11 +103,6 @@ class TrailRows(NamedTuple):
     def reverse(self) -> "TrailRows":
         """The reverse of every trail: its arcs flipped, in reverse order."""
         return TrailRows(self.rows[:, ::-1], self.head, self.tail)
-
-    def trails(self) -> tuple[ClosedTrail, ...]:
-        tail, head = self.tail.tolist(), self.head.tolist()
-        return tuple(ClosedTrail.from_arcs([(tail[a], head[a]) for a in row])
-                     for row in self.rows.tolist())
 
 
 def _row_dtype(n_arcs: int) -> np.dtype:
@@ -504,8 +456,7 @@ class MatchingReport:
     Coverage is d*|M|/N, the fraction of arcs used by the matching.
 
     `chosen` holds the matched rows of arc ids, in row order, over the
-    arc arrays of the family they were matched in; `matching` builds
-    their ClosedTrails only when read."""
+    arc arrays of the family they were matched in."""
 
     chosen: TrailRows
     coverage: float
@@ -513,10 +464,6 @@ class MatchingReport:
     n_arcs: int
     d: int
     excluded: int = 0
-
-    @functools.cached_property
-    def matching(self) -> tuple[ClosedTrail, ...]:
-        return self.chosen.trails()
 
     @property
     def size(self) -> int:
@@ -609,9 +556,31 @@ def matching_report_to_text(report: MatchingReport, fh: TextIO) -> None:
     fh.write(f"excluded={report.excluded}\n")
 
 
-def trails_to_text(trails: Iterable[ClosedTrail], fh: TextIO) -> None:
-    for t in trails:
-        fh.write(" ".join(f"{a}>{b}" for (a, b) in t.arcs) + "\n")
+def trails_to_text(trails: TrailRows, fh: TextIO) -> None:
+    """One line per trail, its arcs as `t>h` tokens in trail order,
+    written one _ROTATE_CHUNK of rows at a time. Each chunk is checked
+    first: a trail has at least 2 arcs, each arc's head is the next
+    arc's tail (cyclically), no arc repeats, and the trail starts at its
+    least arc; a trail that fails raises InternalConsistencyError."""
+    rows, w = trails.rows, trails.rows.shape[1]
+    if len(rows) and w < 2:
+        raise InternalConsistencyError("a closed trail needs at least 2 arcs")
+    line = " ".join(["%d>%d"] * w) + "\n"
+    for s in range(0, len(rows), _ROTATE_CHUNK):
+        block = rows[s:s + _ROTATE_CHUNK]
+        tail, head = trails.tail[block], trails.head[block]
+        bad = (head != np.roll(tail, -1, axis=1)).any(axis=1)
+        for j, k in itertools.combinations(range(w), 2):
+            bad |= (tail[:, j] == tail[:, k]) & (head[:, j] == head[:, k])
+        for k in range(1, w):
+            bad |= (tail[:, k] < tail[:, 0]) | ((tail[:, k] == tail[:, 0])
+                                                 & (head[:, k] < head[:, 0]))
+        if bad.any():
+            raise InternalConsistencyError(
+                f"trail {s + int(bad.argmax())} does not chain head to tail, repeats "
+                "an arc or does not start at its least arc")
+        arcs = np.stack((tail, head), axis=2).ravel().tolist()
+        fh.write((line * len(block)) % tuple(arcs))
 
 
 # ---------------------------------------------------------------------------

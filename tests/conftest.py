@@ -10,6 +10,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from bigenus.bigraph import (STREAM_ORIENT, BipartiteGraph, Digraph, GenParams, 
 from bigenus.blossom import Blossom, DartFamily
 from bigenus.embedding import FaceSet, RotationSystem, genus_of_embedding, trace_faces
 from bigenus.errors import ValidationError
-from bigenus.trails import (ClosedTrail, TrailRows, build_trail_hypergraph,
+from bigenus.trails import (TrailRows, build_trail_hypergraph,
                             find_disjoint_mirror_matching, find_matching)
 
 
@@ -334,6 +335,74 @@ def pipeline_family(n1: int, n2: int, p: float, seed: int, i: int = 1):
     return g, DartFamily.of_matchings(g, m, mm)
 
 
+Arc = tuple[int, int]
+
+
+def _canonical_rotation(arcs: Sequence[Arc]) -> tuple[Arc, ...]:
+    arcs = tuple(arcs)
+    k = min(range(len(arcs)), key=lambda j: arcs[j])
+    return arcs[k:] + arcs[:k]
+
+
+@dataclass(frozen=True)
+class ClosedTrail:
+    """A directed closed walk with no repeated arc, stored canonically.
+    The test reference for trails held as rows of arc ids: a
+    TrailHypergraph, a MatchingReport's rows, a DartFamily and the text
+    that bigenus.trails.trails_to_text writes."""
+
+    arcs: tuple[Arc, ...]
+
+    def __post_init__(self) -> None:
+        arcs = self.arcs
+        if len(arcs) < 2:
+            raise ValidationError("a closed trail needs at least 2 arcs")
+        if len(set(arcs)) != len(arcs):
+            raise ValidationError("trail repeats an arc")
+        for j, (t, h) in enumerate(arcs):
+            nt, _ = arcs[(j + 1) % len(arcs)]
+            if h != nt:
+                raise ValidationError("arcs do not chain head to tail")
+        if arcs[0] != min(arcs):
+            raise ValidationError("trail is not in canonical rotation")
+
+    @classmethod
+    def from_arcs(cls, arcs: Sequence[Arc]) -> "ClosedTrail":
+        return cls(_canonical_rotation(arcs))
+
+    def __len__(self) -> int:
+        return len(self.arcs)
+
+    def reverse(self) -> "ClosedTrail":
+        rev = tuple((h, t) for (t, h) in reversed(self.arcs))
+        return ClosedTrail.from_arcs(rev)
+
+    def __repr__(self) -> str:
+        inner = " ".join(f"{t}>{h}" for (t, h) in self.arcs)
+        return f"ClosedTrail({inner})"
+
+
+def row_trails(rows: TrailRows) -> tuple[ClosedTrail, ...]:
+    """Every trail of the rows, in row order."""
+    tail, head = rows.tail.tolist(), rows.head.tolist()
+    return tuple(ClosedTrail.from_arcs([(tail[a], head[a]) for a in row])
+                 for row in rows.rows.tolist())
+
+
+def matched(report) -> tuple[ClosedTrail, ...]:
+    """The matched trails of a MatchingReport, in row order."""
+    return row_trails(report.chosen)
+
+
+def family_trails(fam: DartFamily) -> tuple[ClosedTrail, ...]:
+    """The trails of a DartFamily, in family order."""
+    tail = fam.index.tail[fam.darts].tolist()
+    head = fam.index.head[fam.darts].tolist()
+    arcs = list(zip(tail, head))
+    bounds = fam.offsets.tolist()
+    return tuple(ClosedTrail.from_arcs(arcs[s:e]) for s, e in zip(bounds, bounds[1:]))
+
+
 def dart_family(g, trails) -> DartFamily:
     """The ClosedTrails `trails`, in order, as a DartFamily of g, with
     the refusals of DartFamily.of_matchings: an arc that is no edge of
@@ -354,7 +423,7 @@ def trail_rows(trails) -> TrailRows:
 
 def hypergraph_trails(h) -> tuple[ClosedTrail, ...]:
     """Every trail of the family h, in row order."""
-    return TrailRows(h.rows, h.tail, h.head).trails()
+    return row_trails(TrailRows(h.rows, h.tail, h.head))
 
 
 def hypergraph_arcs(h) -> list[tuple[int, int]]:

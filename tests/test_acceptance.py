@@ -30,13 +30,12 @@ from bigenus.estimator import (PipelineConfig, estimate_genus, psi,
                                reduce_small_part, small_p_asymptote_check,
                                small_part_exact_genus)
 from bigenus.oracle import exact_genus, genus_formula_reference
-from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
-                            check_matching_conditions,
+from bigenus.trails import (build_trail_hypergraph, check_matching_conditions,
                             count_short_closed_trails, find_matching,
                             theoretical_delta)
 
-from conftest import (arc_degree_model, brute_short_trail_total,
-                      component_euler_stats, dart_family, pipeline_family,
+from conftest import (ClosedTrail, arc_degree_model, brute_short_trail_total,
+                      component_euler_stats, dart_family, family_trails, pipeline_family,
                       rand_bipartite, rand_graph, random_rotation)
 
 
@@ -116,7 +115,7 @@ def test_03_trail_realization():
         rot = assemble_rotation(g, surviving)
         faces = trace_faces(g, rot).face_arcs()
         runs += 1
-        if any(t.arcs not in faces for t in surviving.trails):
+        if any(t.arcs not in faces for t in family_trails(surviving)):
             violations += 1
     line = f"check 3 trail realization: violations={violations}/{runs} runs"
     assert _report(line, violations == 0 and runs == 200), line

@@ -8,6 +8,7 @@ surface in a traced benchmark run; these checks catch it here.
 import importlib
 import importlib.util
 import os
+import pkgutil
 from collections import Counter
 
 import bigenus
@@ -18,6 +19,16 @@ TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "traci
 def test_all_names_resolve():
     missing = [name for name in bigenus.__all__ if not hasattr(bigenus, name)]
     assert missing == []
+
+
+def test_no_module_defines_closed_trail():
+    # trails exist in the package only as rows of arc ids and dart ids;
+    # they leave it as the text trails_to_text writes from the rows
+    modules = [info.name for info in pkgutil.iter_modules(bigenus.__path__)]
+    assert "trails" in modules and "blossom" in modules
+    for name in modules:
+        assert not hasattr(importlib.import_module(f"bigenus.{name}"), "ClosedTrail"), name
+    assert "ClosedTrail" not in bigenus.__all__
 
 
 def _load_tracing():

@@ -10,11 +10,12 @@ from bigenus.blossom import DartFamily, assemble_rotation, find_blossoms, make_b
 from bigenus.embedding import (RotationSystem, arc_index, genus_from_faces,
                                sorted_rotation, trace_faces)
 from bigenus.errors import InternalConsistencyError, ValidationError
-from bigenus.trails import (ClosedTrail, build_trail_hypergraph,
-                            find_disjoint_mirror_matching, find_matching)
+from bigenus.trails import (build_trail_hypergraph, find_disjoint_mirror_matching,
+                            find_matching)
 
-from conftest import (dart_family, pipeline_family, reference_assemble,
-                      reference_blossom_free, reference_blossoms, tip_digraphs)
+from conftest import (ClosedTrail, dart_family, family_trails, matched, pipeline_family,
+                      reference_assemble, reference_blossom_free, reference_blossoms,
+                      tip_digraphs)
 
 
 def _quad(*arcs):
@@ -53,6 +54,46 @@ def test_hand_built_simple_length2():
     assert b.length == 2
     assert b.simple
     assert set(b.tips) == {3, 4}
+
+
+def test_length2_simplicity_by_darts_matches_reference():
+    # the dart test for a trail and its reverse (the reversed darts, in
+    # reverse order, a rotation of the other trail's darts) against
+    # ClosedTrail.reverse: a matching and its mirror matching plus the
+    # reverses of some first-matching trails that fit, shuffled, each
+    # trail's darts starting at a random arc
+    rng = random.Random(47)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        n1 = rng.randint(3, 9)
+        g = gen_random_bipartite(GenParams(n1, rng.randint(2, n1), rng.uniform(0.5, 1.0),
+                                           seed=rng.randint(0, 9999)))
+        h = build_trail_hypergraph(orient_randomly(g, 1), rng.choice((1, 1, 2)))
+        m = find_matching(h, 2)
+        h.mirror()
+        fam = list(matched(m) + matched(find_disjoint_mirror_matching(h, m, 3)))
+        used = {a for t in fam for a in t.arcs}
+        for t in matched(m):
+            if rng.random() < 0.6 and used.isdisjoint(t.reverse().arcs):
+                fam.append(t.reverse())
+                used.update(t.reverse().arcs)
+        rng.shuffle(fam)
+        arcs = []
+        for t in fam:
+            k = rng.randrange(len(t))
+            arcs.extend(t.arcs[k:] + t.arcs[:k])
+        ends = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+        darts = DartFamily._of_arcs(g, ends[:, 0], ends[:, 1],
+                                    np.array([len(t) for t in fam], dtype=np.int64))
+        # a passage's position in its trail depends on where the trail's
+        # darts start; the rest of a blossom does not
+        key = lambda b: (b.center, tuple(k for (k, _j) in b.passages), b.tips, b.simple)
+        blossoms = find_blossoms(g, darts).blossoms
+        assert list(map(key, blossoms)) == list(map(key, reference_blossoms(g, fam)))
+        for b in blossoms:
+            if b.length == 2:
+                seen[b.simple] += 1
+    assert min(seen.values()) > 0
 
 
 def test_self_reversal_passage_is_length1():
@@ -132,7 +173,7 @@ def test_detection_matches_independent_acyclicity():
         rep = find_blossoms(g, fam)
         acyclic = True
         on_cycles = 0
-        for td in tip_digraphs(fam.trails).values():
+        for td in tip_digraphs(family_trails(fam)).values():
             succ = {a.in_tip: a.out_tip for a in td.arcs}
             for start in succ:
                 seen = set()
@@ -161,8 +202,8 @@ def test_make_blossom_free_identity():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
     surv, removed = make_blossom_free(g, dart_family(g, [t]))
-    assert surv.trails == (t,)
-    assert removed.trails == ()
+    assert family_trails(surv) == (t,)
+    assert family_trails(removed) == ()
 
 
 def test_make_blossom_free_reversal_pair():
@@ -179,7 +220,7 @@ def test_make_blossom_free_pipeline():
     assert (len(fam), len(removed)) == (1214, 110)
     assert find_blossoms(g, surv).is_blossom_free
     assert len(removed) / len(fam) < 0.12
-    assert [t for t in fam.trails if t in set(surv.trails)] == list(surv.trails)  # order kept
+    assert [t for t in family_trails(fam) if t in set(family_trails(surv))] == list(family_trails(surv))  # order kept
 
 
 def test_make_blossom_free_matches_reference():
@@ -192,7 +233,7 @@ def test_make_blossom_free_matches_reference():
             g, fam = pipeline_family(n1, rng.randint(3, n1), rng.uniform(0.3, 1.0),
                                      rng.randint(0, 9999), i)
             got = make_blossom_free(g, fam)
-            assert tuple(part.trails for part in got) == reference_blossom_free(g, fam.trails)
+            assert tuple(family_trails(part) for part in got) == reference_blossom_free(g, family_trails(fam))
             with_removals += len(got[1]) > 0
     assert with_removals >= 60
 
@@ -226,7 +267,7 @@ def test_assemble_realizes_k33_pipeline():
         surv, _removed = make_blossom_free(g, fam)
         rot = assemble_rotation(g, surv)
         faces = trace_faces(g, rot).face_arcs()
-        for t in surv.trails:
+        for t in family_trails(surv):
             assert t.arcs in faces
 
 
@@ -262,12 +303,12 @@ def test_dart_path_matches_dict_reference():
     # trails kept and dropped, the rotation, its faces and its genus
     with_removals = 0
     for g, darts in _reference_families(43):
-        fam = darts.trails
+        fam = family_trails(darts)
         assert find_blossoms(g, darts).blossoms == reference_blossoms(g, fam)
         surv, dropped = make_blossom_free(g, darts)
         ref_surv, ref_dropped = reference_blossom_free(g, fam)
-        assert (surv.trails, dropped.trails) == (ref_surv, ref_dropped)
-        assert tuple(part.trails for part in make_blossom_free(g, dart_family(g, fam))
+        assert (family_trails(surv), family_trails(dropped)) == (ref_surv, ref_dropped)
+        assert tuple(family_trails(part) for part in make_blossom_free(g, dart_family(g, fam))
                      ) == (ref_surv, ref_dropped)
         rot, ref_rot = assemble_rotation(g, surv), reference_assemble(g, ref_surv)
         assert rot.order == ref_rot.order
@@ -289,15 +330,15 @@ def test_matched_rows_convert_like_their_trails():
         h.mirror()
         mm = find_disjoint_mirror_matching(h, m, 4)
         rows = DartFamily.of_matchings(g, m, mm)
-        trails = dart_family(g, m.matching + mm.matching)
+        trails = dart_family(g, matched(m) + matched(mm))
         assert np.array_equal(rows.darts, trails.darts)
         assert np.array_equal(rows.offsets, trails.offsets)
-        assert rows.trails == m.matching + mm.matching
+        assert family_trails(rows) == matched(m) + matched(mm)
         # a family built for g is converted again for an equal graph
         twin = BipartiteGraph(g.n1, g.n2, g.edge_list)
         surv, dropped = make_blossom_free(twin, rows)
-        assert surv.graph is twin and (surv.trails, dropped.trails) == tuple(
-            part.trails for part in make_blossom_free(g, rows))
+        assert surv.graph is twin and (family_trails(surv), family_trails(dropped)) == tuple(
+            family_trails(part) for part in make_blossom_free(g, rows))
         assert assemble_rotation(twin, surv).order == assemble_rotation(g, surv).order
 
 
@@ -316,7 +357,7 @@ def test_find_blossoms_takes_a_dart_family():
         surviving, _ = make_blossom_free(g, family)
         assert find_blossoms(g, surviving).is_blossom_free
         report = find_blossoms(g, family)
-        assert report == find_blossoms(g, dart_family(g, m.matching + mm.matching))
+        assert report == find_blossoms(g, dart_family(g, matched(m) + matched(mm)))
         blossoms_seen += len(report.blossoms)
     assert blossoms_seen > 0
 

@@ -181,6 +181,15 @@ def test_experiment_and_resume(tmp_path, capsys):
     assert strip(out2.read_text().splitlines()) == strip(first)
 
 
+def test_experiment_runs_an_i2_cell(tmp_path, capsys):
+    # one in-process cell at i = 2, where the trails have 6 arcs
+    cfg, out = tmp_path / "e.cfg", tmp_path / "e.csv"
+    cfg.write_text(f"n1 = 16\nn2 = 12\np = 0.5\ni = 2\nout = {out}\n")
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    (row,) = out.read_text().splitlines()[2:]
+    assert row.split(",")[-2] != "error", capsys.readouterr().err
+
+
 def test_experiment_error_rows(tmp_path, capsys, monkeypatch):
     # G(40, 3, 0.5) seed 0 has 24 closed 4-trails, G(6, 3, 0.5) none
     monkeypatch.setattr(trails, "MAX_TRAILS", 10)

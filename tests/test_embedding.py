@@ -12,10 +12,10 @@ from bigenus.embedding import (FaceSet, RotationSystem, arc_index, connected_com
                                face_length_histogram, genus_from_faces, genus_of_embedding,
                                rotation_to_text, sorted_rotation, trace_faces)
 from bigenus.errors import ValidationError
-from bigenus.trails import ClosedTrail
 
-from conftest import (component_euler_stats, dart_family, faces_from_text, faces_to_text,
-                      graph_cases, rand_graph, reference_arc_index, random_rotation, reference_adjacency, reference_components,
+from conftest import (ClosedTrail, component_euler_stats, dart_family, faces_from_text,
+                      faces_to_text, graph_cases, rand_graph, random_rotation,
+                      reference_adjacency, reference_arc_index, reference_components,
                       reference_genus, rotation_from_text)
 
 

