@@ -106,6 +106,11 @@ WRITER_BYTES = {
     ("match", "16", "5", "2"):
         "3c095a8f929c6d92eb02f7dae4416d49680efcdb51aa75db15ea2e265ad1431f",
 }
+# The whole report `bigenus match` prints for the same graphs.
+MATCH_REPORTS = {
+    ("50", "3", "1"): "seed=3\nsize=212\nn_arcs=1254\nd=4\ncoverage=0.676236\nexcluded=0\n",
+    ("16", "5", "2"): "seed=5\nsize=9\nn_arcs=119\nd=6\ncoverage=0.453782\nexcluded=0\n",
+}
 
 
 @pytest.mark.parametrize("command,n,seed,i", sorted(WRITER_BYTES))
@@ -120,6 +125,7 @@ def test_writer_bytes_are_frozen(tmp_path, capsys, command, n, seed, i):
         assert f"trails={lines}\n" in captured.err
     else:
         assert f"size={lines}\n" in captured.out
+        assert captured.out == MATCH_REPORTS[(n, seed, i)]
     assert hashlib.sha256(data).hexdigest() == WRITER_BYTES[(command, n, seed, i)]
 
 
