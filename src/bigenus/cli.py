@@ -25,8 +25,8 @@ from .estimator import (CSV_COLUMNS, PipelineConfig, estimate_genus,
                         prediction_for, regime_classify)
 from .oracle import (SearchBudget, exact_genus, genus_formula_reference,
                      heuristic_genus_upper, minimum_genus_rotation, pincer_genus)
-from .trails import (TrailRows, build_trail_hypergraph, find_matching,
-                     matching_report_to_text, trails_to_text)
+from .trails import (build_trail_hypergraph, find_matching, matching_report_to_text,
+                     trails_to_text)
 
 SCHEMA_LINE = "# bigenus experiment csv schema v1"
 EXPERIMENT_COLUMNS = CSV_COLUMNS + ("timestamp",)
@@ -131,7 +131,7 @@ def cmd_trails(args) -> int:
     d = _digraph_from_args(args)
     h = build_trail_hypergraph(d, args.i)
     with _open_out(args.out) as fh:
-        trails_to_text(TrailRows(h.rows, h.tail, h.head), fh)
+        trails_to_text(h, fh)
     print(f"trails={h.n_hyperedges}", file=sys.stderr)
     return 0
 

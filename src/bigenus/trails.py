@@ -28,15 +28,15 @@ out canonical and in order. A family is always complete: the
 construction embeds from a matching of all the closed trails, so an
 enumeration past MAX_TRAILS is refused, never cut short.
 
-A matching keeps its trails as rows too: a MatchingReport holds the
-matched rows over the family's arc arrays (TrailRows), and the mirror
-matching excludes their reverses by mapping the reversed rows to arc
-ids of the mirrored family and searching its sorted rows
-(TrailHypergraph.find). find_matching works on the family's own rows,
-with no array sized by the family: it moves the excluded rows to the
-back, shuffles the others in place as whole rows, sweeps them in that
-order, and sorts the family back before it returns. The blossom module
-turns the matched rows into dart ids.
+One type holds every set of trails over an arc table: a
+TrailHypergraph is a whole family, the matched trails of a
+MatchingReport, or the trails a matching excludes. The mirror matching
+mirrors a copy of the first matching, which maps its reverses to the arc
+ids of the mirrored family. find_matching works on the family's own
+rows, with no array sized by the family: it moves the rows equal to an
+excluded trail to the back, shuffles the others in place as whole rows,
+sweeps them in that order, and sorts the family back before it returns.
+The blossom module turns the matched rows into dart ids.
 
 Rows are the only trail representation: trails leave the package as
 text that trails_to_text writes straight from the rows and the arc
@@ -51,11 +51,11 @@ import itertools
 import random
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, Digraph, distinct
+from .bigraph import BipartiteGraph, Digraph
 from .errors import GuardError, InternalConsistencyError, ValidationError
 
 _COUNT_WORK_LIMIT = 20_000_000
@@ -75,7 +75,7 @@ _TRAIL_CHUNK = 1 << 12
 # the fixed point in 1-3 rounds; the bound keeps a long dead chain, which
 # loses two arcs a round, from costing quadratic time.
 _PRUNE_ROUNDS = 8
-# Rows rotated, packed, unpacked, mirrored, screened or written per
+# Rows rotated, mirrored, screened against an exclusion or written per
 # numpy call. The int64 index temporaries of a chunk take 8·w bytes per
 # row, 256 KiB at w = 4.
 _ROTATE_CHUNK = 1 << 13
@@ -91,20 +91,6 @@ _SWEEP_CHUNK = 1024
 _MAP_BYTES = 128 << 10
 
 
-class TrailRows(NamedTuple):
-    """Closed trails of one length as rows of ids into an arc table:
-    trail k is the arcs (tail[a], head[a]) for a in rows[k], in trail
-    order."""
-
-    rows: np.ndarray
-    tail: np.ndarray
-    head: np.ndarray
-
-    def reverse(self) -> "TrailRows":
-        """The reverse of every trail: its arcs flipped, in reverse order."""
-        return TrailRows(self.rows[:, ::-1], self.head, self.tail)
-
-
 def _row_dtype(n_arcs: int) -> np.dtype:
     """The dtype of the rows of a family over n_arcs arcs: uint16 while
     every arc id fits 16 bits, int32 beyond."""
@@ -115,16 +101,11 @@ def _canonical_sort(rows: np.ndarray) -> None:
     """Rotate every row of the C-contiguous rows to start at its least
     arc id, then sort the rows lexicographically, both in place.
 
-    When every arc id fits in b bits and b times the row width is at
-    most 64, a row packs into one uint64 key whose order is the row
-    order. A row holds at least 8 bytes (w >= 4 ids of at least 2
-    bytes), so key j is kept in bytes [8j, 8j + 8) of the rows' own
-    buffer, which belong to rows 0..j only: keys are packed forward one
-    chunk at a time, each chunk read before its keys are written, sorted
-    in place, and unpacked backward, one copied chunk of keys at a time.
-    Wider rows are byte-swapped to big-endian ids, whose bytes compare
-    in numeric order, sorted in place as fixed-width byte strings and
-    swapped back. Neither path copies the family.
+    The ids are byte-swapped to big-endian, whose bytes compare in
+    numeric order, so a row sorts as a fixed-width byte string. An
+    8-byte row is sorted as one uint64 instead, which its bytes, swapped
+    once more, give in native order. Both are swapped back afterwards,
+    so the family is never copied.
     """
     m, w = rows.shape
     shift = np.arange(w)
@@ -137,32 +118,14 @@ def _canonical_sort(rows: np.ndarray) -> None:
             block[...] = np.take_along_axis(block, k, axis=1)
     if m < 2:
         return
-    b = int(rows.max()).bit_length()
-    if b * w > 64:
-        swap = sys.byteorder == "little"
-        if swap:
-            rows.byteswap(inplace=True)
-        rows.view(np.dtype((np.void, w * rows.itemsize))).ravel().sort()
-        if swap:
-            rows.byteswap(inplace=True)
-        return
-    bits, mask = np.uint64(b), np.uint64((1 << b) - 1)
-    ids = rows.view(f"u{rows.itemsize}")
-    key = np.frombuffer(rows, np.uint64, m)
-    for s in range(0, m, _ROTATE_CHUNK):
-        block = ids[s:s + _ROTATE_CHUNK]
-        seg = np.zeros(len(block), dtype=np.uint64)
-        for col in block.T:
-            seg <<= bits
-            seg |= col
-        key[s:s + len(block)] = seg
+    size = w * rows.itemsize
+    key = rows.view(np.uint64 if size == 8 else np.dtype((np.void, size))).ravel()
+    swaps = [] if sys.byteorder == "big" else [rows, key] if size == 8 else [rows]
+    for a in swaps:
+        a.byteswap(inplace=True)
     key.sort()
-    for s in range((m - 1) // _ROTATE_CHUNK * _ROTATE_CHUNK, -1, -_ROTATE_CHUNK):
-        seg = key[s:s + _ROTATE_CHUNK].copy()
-        block = rows[s:s + _ROTATE_CHUNK]
-        for j in range(w - 1, -1, -1):
-            block[:, j] = seg & mask
-            seg >>= bits
+    for a in swaps[::-1]:
+        a.byteswap(inplace=True)
 
 
 def _runs(sizes: np.ndarray, budget: int):
@@ -257,10 +220,14 @@ def theoretical_delta(n1: int, n2: int, p: float, i: int) -> float:
 
 class TrailHypergraph:
     """(2i+2)-uniform hypergraph on the arcs of D whose hyperedges are
-    the closed trails of length 2i+2: arc k is (tail[k], head[k]), in
-    sorted order, and hyperedge k is row k of the canonical sorted rows
-    of arc ids (see the module docstring). The rows are every such
-    trail, never a prefix.
+    closed trails of length 2i+2: arc k is (tail[k], head[k]), in sorted
+    order, and hyperedge k is row k of the canonical sorted rows of arc
+    ids (see the module docstring).
+
+    build_trail_hypergraph gives every such trail, never a prefix. The
+    same type holds the matched trails of a MatchingReport, and the
+    trails find_matching excludes (in any rotation and order), over the
+    arc arrays of their family.
     """
 
     def __init__(self, tail: np.ndarray, head: np.ndarray, rows: np.ndarray):
@@ -276,43 +243,6 @@ class TrailHypergraph:
     @property
     def n_hyperedges(self) -> int:
         return len(self.rows)
-
-    def find(self, trails: TrailRows) -> np.ndarray:
-        """The rows of this family that hold one of `trails`, in
-        increasing order, one entry per trail found.
-
-        Each trail's arcs are looked up among this family's arcs by a
-        packed (tail, head) key; a trail with an arc not among them, or
-        of another length, is absent. The ids found are rotated to start
-        at their least, and a binary search run in lockstep over all the
-        queries finds them among the lexicographically sorted rows."""
-        rows = self.rows
-        if len(trails.rows) == 0 or trails.rows.shape[1] != self.d or not self.n_arcs:
-            return np.zeros(0, dtype=np.int64)
-        n = 1 + int(max(self.tail.max(), self.head.max(),
-                        trails.tail.max(initial=0), trails.head.max(initial=0)))
-        key = self.tail.astype(np.int64) * n + self.head
-        # an arc with a negative end gets key -1, which no arc of h has
-        want = np.where((trails.tail >= 0) & (trails.head >= 0),
-                        trails.tail.astype(np.int64) * n + trails.head, -1)[trails.rows]
-        ids = np.minimum(np.searchsorted(key, want), len(key) - 1)
-        ids = ids[(key[ids] == want).all(axis=1)]
-        ids = np.take_along_axis(ids, (ids.argmin(axis=1)[:, None] + np.arange(self.d))
-                                 % self.d, axis=1)
-        lo = np.zeros(len(ids), dtype=np.int64)
-        hi = np.full(len(ids), len(rows), dtype=np.int64)
-        while (lo < hi).any():
-            mid = (lo + hi) // 2
-            at = rows[np.minimum(mid, len(rows) - 1)]
-            diff = at != ids
-            col = diff.argmax(axis=1)[:, None]
-            less = diff.any(axis=1) & (np.take_along_axis(at, col, axis=1)
-                                       < np.take_along_axis(ids, col, axis=1))[:, 0]
-            active = lo < hi
-            lo, hi = np.where(active & less, mid + 1, lo), np.where(active & ~less, mid, hi)
-        hit = lo < len(rows)
-        hit[hit] = (rows[lo[hit]] == ids[hit]).all(axis=1)
-        return np.sort(lo[hit])
 
     def mirror(self) -> None:
         """Turn this family into the family of the reversed digraph, in
@@ -455,10 +385,10 @@ class MatchingReport:
     """A pairwise arc-disjoint set of hyperedges plus bookkeeping.
     Coverage is d*|M|/N, the fraction of arcs used by the matching.
 
-    `chosen` holds the matched rows of arc ids, in row order, over the
+    `chosen` holds the matched trails, canonical and sorted, over the
     arc arrays of the family they were matched in."""
 
-    chosen: TrailRows
+    chosen: TrailHypergraph
     coverage: float
     seed: int
     n_arcs: int
@@ -467,11 +397,11 @@ class MatchingReport:
 
     @property
     def size(self) -> int:
-        return len(self.chosen.rows)
+        return self.chosen.n_hyperedges
 
 
 def find_matching(h: TrailHypergraph, seed: int = 0,
-                  exclude: TrailRows | None = None) -> MatchingReport:
+                  exclude: TrailHypergraph | None = None) -> MatchingReport:
     """Arc-disjoint hyperedge set by the random greedy process:
     repeatedly take a uniformly random surviving hyperedge and discard
     everything it conflicts with, implemented as a random priority order
@@ -481,34 +411,53 @@ def find_matching(h: TrailHypergraph, seed: int = 0,
 
     This is the Rödl-nibble / Pippenger–Spencer random greedy process
     the theory rests on, run on the family's own rows with no array of
-    row indices. The rows of the trails in exclude (found by
-    TrailHypergraph.find) move behind the others, which keep their
-    order. random.Random(seed) shuffles the kept rows in place as whole
-    rows, with the draws it would make for as many indices, and the
-    sweep takes them in that order, marking used arcs in a bytearray.
-    Rows that are blocked when their chunk of _SWEEP_CHUNK rows starts
-    stay blocked, so one numpy test per chunk drops them without
-    changing the result. The accepted rows are copied out and sorted,
-    which is their order in the family; the family is sorted back
-    before returning, so h is unchanged. excluded counts the rows of
-    exclude.
+    row indices. exclude holds trails of h's length over h's own arc
+    arrays, in any rotation and order, repeats allowed; anything else
+    raises ValidationError. Each chunk of the family's rows is looked up
+    in a canonical sorted copy of exclude's rows, by first id and then
+    whole row, and the rows found move behind the others, which keep
+    their order. random.Random(seed) shuffles the kept rows in place as
+    whole rows, with the draws it would make for as many indices, and
+    the sweep takes them in that order, marking used arcs in a
+    bytearray. Rows that are blocked when their chunk of _SWEEP_CHUNK
+    rows starts stay blocked, so one numpy test per chunk drops them
+    without changing the result. The accepted rows are copied out and
+    sorted, which is their order in the family; the family is sorted
+    back before returning, so h is unchanged. excluded counts the rows
+    of exclude.
     """
     rows, w = h.rows, h.d
     kept = len(rows)
     n_excluded = 0
     if exclude is not None:
-        n_excluded = len(exclude.rows)
-        out = distinct(h.find(exclude))
-        gone = rows[out]
+        ex = exclude.rows
+        if (exclude.d != w or not np.array_equal(exclude.tail, h.tail)
+                or not np.array_equal(exclude.head, h.head)
+                or (len(ex) and (ex.min() < 0 or ex.max() >= h.n_arcs))):
+            raise ValidationError(
+                "exclude must hold trails of h's length over h's own arc arrays")
+        n_excluded = len(ex)
+        ex = np.array(ex, dtype=rows.dtype, order="C")
+        _canonical_sort(ex)
+        # a row equal to one of ex is one of ex[lo:lo + run], where lo is
+        # the first row of ex with the row's first id and run is the most
+        # rows of ex that share a first id
+        run = int(np.bincount(ex[:, 0]).max(initial=0))
+        gone = [ex[:0]]
         kept = 0
         for s in range(0, len(rows), _ROTATE_CHUNK):
             block = rows[s:s + _ROTATE_CHUNK]
+            lo = np.searchsorted(ex[:, 0], block[:, 0])
             keep = np.ones(len(block), dtype=bool)
-            keep[out[np.searchsorted(out, s):np.searchsorted(out, s + len(block))] - s] = False
+            for _ in range(run):
+                np.minimum(lo, len(ex) - 1, out=lo)
+                keep &= (ex[lo] != block).any(axis=1)
+                lo += 1
+            gone.append(block[~keep])
             block = block[keep]
             rows[kept:kept + len(block)] = block
             kept += len(block)
-        rows[kept:] = gone
+        rows[kept:] = np.concatenate(gone)
     if kept > 1:  # memoryview refuses an empty cast; one row takes no draws
         # whole rows as items: one uint64 when a row is 8 bytes, which
         # Python reads faster than numpy's void scalars
@@ -534,7 +483,7 @@ def find_matching(h: TrailHypergraph, seed: int = 0,
     _canonical_sort(matched)
     _canonical_sort(rows)
     coverage = h.d * len(chosen) / h.n_arcs if h.n_arcs else 0.0
-    return MatchingReport(TrailRows(matched, h.tail, h.head),
+    return MatchingReport(TrailHypergraph(h.tail, h.head, matched),
                           coverage, seed, h.n_arcs, h.d, excluded=n_excluded)
 
 
@@ -542,9 +491,13 @@ def find_disjoint_mirror_matching(h_rev: TrailHypergraph, m: MatchingReport,
                                   seed: int = 0) -> MatchingReport:
     """Matching in the reversed-digraph hypergraph avoiding the reverses
     of the given matching, so no prescribed face appears twice with
-    opposite senses. h_rev is typically the hypergraph m was matched
-    in, after its mirror(); m's rows are reversed as rows of arc ids."""
-    return find_matching(h_rev, seed=seed, exclude=m.chosen.reverse())
+    opposite senses. h_rev is the family m was matched in after its
+    mirror(), or the family of the reversed digraph: a mirrored copy of
+    m.chosen holds the reverses in h_rev's arc ids. Any other h_rev
+    raises ValidationError, from find_matching."""
+    reverses = TrailHypergraph(m.chosen.tail, m.chosen.head, m.chosen.rows.copy())
+    reverses.mirror()
+    return find_matching(h_rev, seed=seed, exclude=reverses)
 
 
 def matching_report_to_text(report: MatchingReport, fh: TextIO) -> None:
@@ -556,7 +509,7 @@ def matching_report_to_text(report: MatchingReport, fh: TextIO) -> None:
     fh.write(f"excluded={report.excluded}\n")
 
 
-def trails_to_text(trails: TrailRows, fh: TextIO) -> None:
+def trails_to_text(trails: TrailHypergraph, fh: TextIO) -> None:
     """One line per trail, its arcs as `t>h` tokens in trail order,
     written one _ROTATE_CHUNK of rows at a time. Each chunk is checked
     first: a trail has at least 2 arcs, each arc's head is the next

@@ -19,8 +19,8 @@ from bigenus.bigraph import (STREAM_ORIENT, BipartiteGraph, Digraph, GenParams, 
 from bigenus.blossom import Blossom, DartFamily
 from bigenus.embedding import FaceSet, RotationSystem, genus_of_embedding, trace_faces
 from bigenus.errors import ValidationError
-from bigenus.trails import (TrailRows, build_trail_hypergraph,
-                            find_disjoint_mirror_matching, find_matching)
+from bigenus.trails import (build_trail_hypergraph, find_disjoint_mirror_matching,
+                            find_matching)
 
 
 # The lazily built tuple views of a Graph, as keys of its __dict__.
@@ -382,16 +382,16 @@ class ClosedTrail:
         return f"ClosedTrail({inner})"
 
 
-def row_trails(rows: TrailRows) -> tuple[ClosedTrail, ...]:
-    """Every trail of the rows, in row order."""
-    tail, head = rows.tail.tolist(), rows.head.tolist()
+def hypergraph_trails(h) -> tuple[ClosedTrail, ...]:
+    """Every trail of the TrailHypergraph h, in row order."""
+    tail, head = h.tail.tolist(), h.head.tolist()
     return tuple(ClosedTrail.from_arcs([(tail[a], head[a]) for a in row])
-                 for row in rows.rows.tolist())
+                 for row in h.rows.tolist())
 
 
 def matched(report) -> tuple[ClosedTrail, ...]:
     """The matched trails of a MatchingReport, in row order."""
-    return row_trails(report.chosen)
+    return hypergraph_trails(report.chosen)
 
 
 def family_trails(fam: DartFamily) -> tuple[ClosedTrail, ...]:
@@ -410,20 +410,6 @@ def dart_family(g, trails) -> DartFamily:
     ends = np.array([a for t in trails for a in t.arcs], dtype=np.int64).reshape(-1, 2)
     return DartFamily._of_arcs(g, ends[:, 0], ends[:, 1],
                                np.array([len(t) for t in trails], dtype=np.int64))
-
-
-def trail_rows(trails) -> TrailRows:
-    """ClosedTrails, all of one length, as TrailRows over a table of
-    their own arcs."""
-    w = len(trails[0]) if trails else 0
-    ends = np.array([a for t in trails for a in t.arcs], dtype=np.int64).reshape(-1, 2)
-    return TrailRows(np.arange(len(ends)).reshape(-1, w) if w else np.zeros((0, 0), np.int64),
-                     ends[:, 0], ends[:, 1])
-
-
-def hypergraph_trails(h) -> tuple[ClosedTrail, ...]:
-    """Every trail of the family h, in row order."""
-    return row_trails(TrailRows(h.rows, h.tail, h.head))
 
 
 def hypergraph_arcs(h) -> list[tuple[int, int]]:

@@ -15,7 +15,7 @@ from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams,
 from bigenus.cli import main
 from bigenus.errors import GuardError, InternalConsistencyError, ValidationError
 from bigenus.estimator import estimate_genus
-from bigenus.trails import (TrailHypergraph, TrailRows, _canonical_sort,
+from bigenus.trails import (TrailHypergraph, _canonical_sort,
                             build_trail_hypergraph, check_matching_conditions,
                             count_short_closed_trails,
                             find_disjoint_mirror_matching, find_matching,
@@ -24,7 +24,7 @@ from bigenus.trails import (TrailHypergraph, TrailRows, _canonical_sort,
 from conftest import (ClosedTrail, brute_short_trail_total, hypergraph_arcs,
                       hypergraph_trails, matched, rand_bipartite, reference_greedy,
                       reference_incidence, reference_index, reference_trail_rows, rho,
-                      row_trails, trail_rows, trails_from_text)
+                      trails_from_text)
 
 
 def test_closed_trail_validation():
@@ -173,9 +173,9 @@ def test_matching_leaves_the_family_unchanged(i):
     ex = find_matching(h, 6, exclude=m.chosen)
     assert h.rows.tobytes() == before and h.rows.ctypes.data == buffer
     assert ex.excluded == m.size > 0 and ex.size > 0
-    assert not set(h.find(ex.chosen).tolist()) & set(h.find(m.chosen).tolist())
+    assert not set(matched(ex)) & set(matched(m))
     # a trail excluded twice is excluded once
-    twice = TrailRows(np.concatenate((m.chosen.rows, m.chosen.rows)), h.tail, h.head)
+    twice = TrailHypergraph(h.tail, h.head, np.concatenate((m.chosen.rows, m.chosen.rows)))
     again = find_matching(h, 6, exclude=twice)
     assert np.array_equal(again.chosen.rows, ex.chosen.rows)
     assert again.excluded == 2 * m.size and h.rows.tobytes() == before
@@ -210,7 +210,9 @@ def test_matching_peak_memory():
     # rows. An int32 index per candidate and a keep mask took about 5.3
     # bytes per trail.
     small = build_trail_hypergraph(orient_randomly(complete_bipartite_graph(3, 4), 0), 1)
-    find_disjoint_mirror_matching(small, find_matching(small, 0), 1)  # first-call imports
+    m = find_matching(small, 0)
+    small.mirror()
+    find_disjoint_mirror_matching(small, m, 1)  # first-call imports
     d = orient_randomly(gen_random_bipartite(GenParams(120, 120, 0.5, seed=0)), 0)
     h = build_trail_hypergraph(d, 1)
     tracemalloc.start()
@@ -253,10 +255,10 @@ def test_dfs_rows_are_canonically_sorted():
     *(pytest.param(w, top, np.uint16, id=f"{w}-{top}-uint16") for w, top in
       [(4, 1 << 16), (6, 1 << 10), (6, 1 << 11)])])
 def test_canonical_sort_packed_and_gathered(monkeypatch, w, top, dtype):
-    # ids of at most 64 // w bits pack into one uint64 key per row, kept
-    # in the rows' own buffer (a 12-byte uint16 row at w = 6 holds its
-    # 8-byte key with overlap); wider ones sort as byte strings; a small
-    # chunk crosses chunk borders
+    # an 8-byte row (4 uint16 ids, or 2 int32 ones) sorts as one uint64
+    # key, any other as a byte string of big-endian ids; row 0 holds the
+    # largest ids, repeated rows are included, and a small chunk crosses
+    # chunk borders
     monkeypatch.setattr(trails, "_ROTATE_CHUNK", 7)
     rng = np.random.default_rng(w * top)
     rows = np.array([rng.choice(top, w, replace=False) for _ in range(300)],
@@ -535,18 +537,18 @@ def test_trails_text_round_trip():
     d = orient_randomly(complete_bipartite_graph(3, 3), 0)
     h = build_trail_hypergraph(d, 1)
     buf = io.StringIO()
-    trails_to_text(TrailRows(h.rows, h.tail, h.head), buf)
+    trails_to_text(h, buf)
     buf.seek(0)
     assert tuple(trails_from_text(buf)) == hypergraph_trails(h)
 
 
-def _reference_text(rows: TrailRows) -> str:
+def _reference_text(rows: TrailHypergraph) -> str:
     """trails_to_text by one ClosedTrail per row."""
     return "".join(" ".join(f"{t}>{h}" for (t, h) in trail.arcs) + "\n"
-                   for trail in row_trails(rows))
+                   for trail in hypergraph_trails(rows))
 
 
-def _text(rows: TrailRows) -> str:
+def _text(rows: TrailHypergraph) -> str:
     buf = io.StringIO()
     trails_to_text(rows, buf)
     return buf.getvalue()
@@ -563,17 +565,16 @@ def test_trails_text_matches_the_reference(monkeypatch):
         for i in (1, 2):
             h = build_trail_hypergraph(d, i)
             m = find_matching(h, 4)
-            for rows in (TrailRows(h.rows, h.tail, h.head), m.chosen):
+            for rows in (h, m.chosen):
                 text = _text(rows)
                 assert text == _reference_text(rows)
-                assert text.count("\n") == len(rows.rows)
-                written += len(rows.rows)
+                assert text.count("\n") == rows.n_hyperedges
+                written += rows.n_hyperedges
             h.mirror()
-            rows = TrailRows(h.rows, h.tail, h.head)
-            assert _text(rows) == _reference_text(rows)
+            assert _text(h) == _reference_text(h)
     assert written > 7 * 10
-    assert _text(TrailRows(np.zeros((0, 4), np.uint16), np.zeros(0, np.int32),
-                           np.zeros(0, np.int32))) == ""
+    assert _text(TrailHypergraph(np.zeros(0, np.int32), np.zeros(0, np.int32),
+                                 np.zeros((0, 4), np.uint16))) == ""
 
 
 @pytest.mark.parametrize("arcs, message", [
@@ -584,7 +585,7 @@ def test_trails_text_matches_the_reference(monkeypatch):
 def test_trails_text_refuses_what_is_no_canonical_trail(arcs, message):
     # the checks ClosedTrail made, on one row over a table of its own arcs
     ends = np.array(arcs)
-    bad = TrailRows(np.arange(len(arcs))[None, :], ends[:, 0], ends[:, 1])
+    bad = TrailHypergraph(ends[:, 0], ends[:, 1], np.arange(len(arcs))[None, :])
     with pytest.raises(InternalConsistencyError, match=message):
         trails_to_text(bad, io.StringIO())
 
@@ -599,7 +600,7 @@ def test_trails_text_names_the_bad_row(monkeypatch):
     rows = h.rows.copy()
     rows[5] = np.roll(rows[5], 1)
     with pytest.raises(InternalConsistencyError, match="trail 5 "):
-        trails_to_text(TrailRows(rows, h.tail, h.head), io.StringIO())
+        trails_to_text(TrailHypergraph(h.tail, h.head, rows), io.StringIO())
 
 
 @pytest.mark.parametrize("anti_parallel, i, n", [
@@ -632,31 +633,59 @@ def test_trail_limit_refuses_before_allocating(monkeypatch, capsys, anti_paralle
         assert "exceed the limit" in capsys.readouterr().err
 
 
-def test_row_search_matches_bisect_reference():
-    # the mirror exclusion's vectorised search against bisecting arc
-    # tuples and rows, at i = 1 and i = 2: the reverses of a matching,
-    # the trails themselves (absent once mirrored unless self-reverse),
-    # trails of the other length, and trails over arcs h does not hold
+def test_exclusion_matches_the_reference():
+    # the mirror matching against reference_greedy over ClosedTrails, at
+    # i = 1 and i = 2, on orientations and on digraphs with anti-parallel
+    # arcs: the reverses of a matching are rows of the mirrored family
+    # (reference_index finds each), none is matched again, and the same
+    # trails excluded twice, in reversed order or rotated exclude the same
     checked = 0
     for d in _identity_digraphs(37):
         for i in (1, 2):
             h = build_trail_hypergraph(d, i)
-            other = hypergraph_trails(build_trail_hypergraph(d, 3 - i))
             m = find_matching(h, 11)
             h.mirror()
-            queries = [t.reverse() for t in matched(m)] + list(matched(m)) + list(other[:3])
-            w = 2 * i + 2
-            queries.append(ClosedTrail.from_arcs([(d.n + k, d.n + (k + 1) % w)
-                                                  for k in range(w)]))
-            expect = [reference_index(h, t) for t in queries]
-            found = [h.find(trail_rows([t])).tolist() for t in queries]
-            assert [k[0] if k else None for k in found] == expect
-            rows = [k for k in expect[:len(matched(m))] if k is not None]
-            assert len(rows) == m.size
-            assert h.find(m.chosen.reverse()).tolist() == sorted(rows)
+            reverses = [t.reverse() for t in matched(m)]
+            rows = [reference_index(h, t) for t in reverses]
+            assert None not in rows and len(set(rows)) == m.size
             mm = find_disjoint_mirror_matching(h, m, 12)
-            assert matched(mm) == matched(find_matching(
-                h, 12, exclude=trail_rows([t.reverse() for t in matched(m)])))
-            assert not set(rows) & set(h.find(mm.chosen).tolist())
-            checked += len(rows)
+            assert matched(mm) == reference_greedy(hypergraph_trails(h), 12, reverses)
+            assert not set(rows) & {reference_index(h, t) for t in matched(mm)}
+            ids = {a: k for k, a in enumerate(hypergraph_arcs(h))}
+            ex = np.array([[ids[a] for a in t.arcs] for t in reverses],
+                          dtype=np.int64).reshape(-1, h.d)
+            for given in (np.concatenate((ex, ex)), ex[::-1], np.roll(ex, 1, axis=1)):
+                again = find_matching(h, 12, exclude=TrailHypergraph(h.tail, h.head, given))
+                assert matched(again) == matched(mm) and again.excluded == len(given)
+            checked += m.size
     assert checked > 0
+
+
+def test_exclusion_refuses_other_trails():
+    # exclude holds trails of h's length over h's own arc arrays: other
+    # lengths, other arc arrays and ids outside h's arcs are refused
+    d = orient_randomly(gen_random_bipartite(GenParams(8, 8, 0.7, seed=1)), 1)
+    h, h2 = build_trail_hypergraph(d, 1), build_trail_hypergraph(d, 2)
+    m = find_matching(h, 0)
+    assert m.size > 0 and h2.n_hyperedges > 0
+    rev = build_trail_hypergraph(d.reverse(), 1)
+    for rows, tail, head in ((h2.rows[:1], h.tail, h.head),
+                             (rev.rows[:1], rev.tail, rev.head),
+                             (np.array([[0, 1, 2, h.n_arcs]]), h.tail, h.head),
+                             (np.array([[-1, 0, 1, 2]]), h.tail, h.head)):
+        with pytest.raises(ValidationError, match="own arc arrays"):
+            find_matching(h, 0, exclude=TrailHypergraph(tail, head, rows))
+    assert matched(find_matching(h, 0, exclude=TrailHypergraph(
+        h.tail.copy(), h.head.copy(), np.zeros((0, 4), np.int64)))) == matched(m)
+
+
+def test_mirror_matching_refuses_an_unmirrored_family():
+    # the reverses of a matching are trails over the reversed arcs, so on
+    # the family the matching came from, not mirrored, there is nothing
+    # to exclude them from
+    h = build_trail_hypergraph(orient_randomly(complete_bipartite_graph(3, 4), 0), 1)
+    m = find_matching(h, 0)
+    with pytest.raises(ValidationError, match="own arc arrays"):
+        find_disjoint_mirror_matching(h, m, 1)
+    h.mirror()
+    assert find_disjoint_mirror_matching(h, m, 1).excluded == m.size > 0
