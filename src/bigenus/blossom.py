@@ -15,9 +15,10 @@ u -> v -> w says that the dart v -> w follows the dart v -> u, so the
 passages of the whole family are one successor array over the darts
 (_passages). Its cycles are the blossoms, and its chains, concatenated
 at every vertex, write the rotation. Every function here takes a
-DartFamily, which DartFamily.of_matchings builds from matched rows of
-arc ids, and reads only its dart ids: a length-2 blossom is simple
-unless its two trails are mutual reverses, which compares their darts.
+DartFamily, which DartFamily.of_matchings builds from the matched
+trails, rebuilt from their rows of arc ids, and reads only its dart
+ids: a length-2 blossom is simple unless its two trails are mutual
+reverses, which compares their darts.
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ class DartFamily:
     @classmethod
     def of_matchings(cls, g, *reports: MatchingReport) -> "DartFamily":
         """The trails of the reports, in order, as one family of g."""
-        chosen = [r.chosen for r in reports]
+        chosen = [(r.chosen, r.chosen.trails()) for r in reports]
         return cls._of_arcs(
-            g, np.concatenate([c.tail[c.rows].ravel() for c in chosen]),
-            np.concatenate([c.head[c.rows].ravel() for c in chosen]),
-            np.concatenate([np.full(len(c.rows), c.rows.shape[1]) for c in chosen]))
+            g, np.concatenate([c.tail[t].ravel() for c, t in chosen]),
+            np.concatenate([c.head[t].ravel() for c, t in chosen]),
+            np.concatenate([np.full(len(t), c.d) for c, t in chosen]))
 
     @classmethod
     def _of_arcs(cls, g, tails: np.ndarray, heads: np.ndarray,

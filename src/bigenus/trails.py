@@ -8,22 +8,28 @@ arc-disjoint trails that the blossom module turns into prescribed faces
 of an embedding.
 
 The pipeline uses H only through its incidence structure, so a family
-of trails is held as rows: one numpy array with a row per trail and
-2i+2 columns of arc ids, where arc id k stands for the arc
-(d.tail[k], d.head[k]) of D's sorted int32 arc arrays. The ids are
-uint16 when D has at most 65,536 arcs and int32 otherwise (see
-_row_dtype), so a row takes 2(2i+2) or 4(2i+2) bytes.
-Each row is in canonical rotation (it starts at its least arc id) and
-the rows are sorted lexicographically, which is the order of the arc
-tuples themselves because arc ids follow the sorted arcs. The rows of
-a family of at least _MAP_BYTES live in their own anonymous memory
+of trails is held as rows of arc ids, where arc id k stands for the arc
+(d.tail[k], d.head[k]) of D's sorted int32 arc arrays. D has no
+parallel arcs, so a closed trail a0 a1 ... a(2i+1) is fixed by its arcs
+at even positions: each odd arc a(2j+1) is the one arc from the head of
+a(2j) to the tail of a(2j+2). A family is one numpy array with a row
+per trail and those i+1 columns, and TrailHypergraph.trails rebuilds
+whole trails from it, a chunk of rows at a time. The ids are uint16
+when D has at most 65,536 arcs and int32 otherwise (see _row_dtype), so
+a row takes 2(i+1) or 4(i+1) bytes. Each trail is in canonical rotation
+(it starts at its least arc id) and the rows are sorted
+lexicographically. Arc ids follow the sorted arcs, so that is the order
+of the arc tuples themselves, and the order of the whole trails too:
+the first vertex where two trails part decides both comparisons, since
+an odd arc runs to the tail of the even arc after it. The rows of a
+family of at least _MAP_BYTES live in their own anonymous memory
 mapping (_mapped_rows), not in the malloc heap, so their pages go back
 to the OS when the family is dropped.
 
 One enumerator serves every length and every digraph (orientations,
 anti-parallel arcs, the symmetric digraphs of the short-trail counts):
 each trail is cut at its least arc into two halves of i+1 arcs, and the
-halves are joined on their end vertices (_trail_blocks). Its rows come
+halves are joined on their end vertices (_trail_blocks). Its trails come
 out canonical and in order. A family is always complete: the
 construction embeds from a matching of all the closed trails, so an
 enumeration past MAX_TRAILS is refused, never cut short.
@@ -36,13 +42,13 @@ ids of the mirrored family. find_matching works on the family's own
 rows, with no array sized by the family: it moves the rows equal to an
 excluded trail to the back, shuffles the others in place as whole rows,
 sweeps them in that order, and sorts the family back before it returns.
-The blossom module turns the matched rows into dart ids.
+The blossom module turns the matched trails into dart ids.
 
 Rows are the only trail representation: trails leave the package as
-text that trails_to_text writes straight from the rows and the arc
-arrays, checking a chunk of rows at a time. A trail and its reverse
-are distinct; the reverses are the family of the reversed digraph,
-which TrailHypergraph.mirror writes over the rows in place.
+text that trails_to_text writes from rebuilt chunks of rows and the arc
+arrays, checking each chunk. A trail and its reverse are distinct; the
+reverses are the family of the reversed digraph, which
+TrailHypergraph.mirror writes over the rows in place.
 """
 
 from __future__ import annotations
@@ -60,10 +66,10 @@ from .errors import GuardError, InternalConsistencyError, ValidationError
 
 _COUNT_WORK_LIMIT = 20_000_000
 # Trail enumeration refuses to hold more trails than this. An estimate
-# peaks near 8.1 bytes per trail above the interpreter and its graph
-# with 16-bit arc ids, of which the rows are 8, and 16.1 with 32-bit
-# ones (VmHWM over 6.5M trails on G(240, 240, 0.5) seed 0: 52.6 and
-# 104.6 MB), so the limit stands for about 0.26 GB, or 0.52 GB past
+# peaks near 4.1 bytes per trail above the interpreter and its graph
+# with 16-bit arc ids, of which the rows are 4, and 8.1 with 32-bit
+# ones (VmHWM over 6.5M trails on G(240, 240, 0.5) seed 0: 26.9 and
+# 52.9 MB), so the limit stands for about 0.13 GB, or 0.26 GB past
 # 65,536 arcs.
 MAX_TRAILS = 32_000_000
 
@@ -75,11 +81,11 @@ _TRAIL_CHUNK = 1 << 12
 # the fixed point in 1-3 rounds; the bound keeps a long dead chain, which
 # loses two arcs a round, from costing quadratic time.
 _PRUNE_ROUNDS = 8
-# Rows rotated, mirrored, screened against an exclusion or written per
-# numpy call. The int64 index temporaries of a chunk take 8·w bytes per
-# row, 256 KiB at w = 4.
-_ROTATE_CHUNK = 1 << 13
-# Candidates screened per numpy call in the matching sweep.
+# Rows rebuilt and mirrored, screened against an exclusion or written
+# per numpy call. Rebuilding a chunk takes int64 temporaries of 8 bytes
+# per odd arc, 64 KiB each at i = 1.
+_ROTATE_CHUNK = 1 << 12
+# Candidates rebuilt and screened per numpy call in the matching sweep.
 _SWEEP_CHUNK = 1024
 # Families of at least this many bytes get their own memory mapping.
 # It is glibc malloc's initial mmap threshold; malloc raises its own
@@ -97,33 +103,41 @@ def _row_dtype(n_arcs: int) -> np.dtype:
     return np.dtype(np.uint16 if n_arcs <= 1 << 16 else np.int32)
 
 
+def _least_first(full: np.ndarray) -> np.ndarray:
+    """The stored row of each whole trail of `full`: its arcs at even
+    positions once it is rotated to start at its least arc id."""
+    d = full.shape[1]
+    k = full.argmin(axis=1)[:, None] + np.arange(0, d, 2)
+    k %= d
+    return np.take_along_axis(full, k, axis=1)
+
+
 def _canonical_sort(rows: np.ndarray) -> None:
-    """Rotate every row of the C-contiguous rows to start at its least
-    arc id, then sort the rows lexicographically, both in place.
+    """Sort the C-contiguous rows lexicographically, in place.
 
     The ids are byte-swapped to big-endian, whose bytes compare in
-    numeric order, so a row sorts as a fixed-width byte string. An
-    8-byte row is sorted as one uint64 instead, which its bytes, swapped
-    once more, give in native order. Both are swapped back afterwards,
-    so the family is never copied.
+    numeric order, so a row sorts as a fixed-width byte string. A 4- or
+    8-byte row is sorted as one uint32 or uint64 key instead, which its
+    bytes, swapped once more, give in native order. The uint32 keys sort
+    as int32 with the sign bit flipped (adding 2^31 wraps to that), in
+    the same order: numpy's uint32 sort is code nothing else in an
+    estimate runs, and loading it raised the peak RSS of sparse
+    G(800, 800, 0.03) estimates by about 0.2 MB. Everything is undone
+    afterwards, so the family is never copied.
     """
-    m, w = rows.shape
-    shift = np.arange(w)
-    for s in range(0, m, _ROTATE_CHUNK):
-        block = rows[s:s + _ROTATE_CHUNK]
-        k = block.argmin(axis=1)
-        if k.any():
-            k = k[:, None] + shift
-            k %= w
-            block[...] = np.take_along_axis(block, k, axis=1)
-    if m < 2:
+    if len(rows) < 2:
         return
-    size = w * rows.itemsize
-    key = rows.view(np.uint64 if size == 8 else np.dtype((np.void, size))).ravel()
-    swaps = [] if sys.byteorder == "big" else [rows, key] if size == 8 else [rows]
+    size = rows.shape[1] * rows.itemsize
+    word = {4: np.int32, 8: np.uint64}.get(size)
+    key = rows.view(word or np.dtype((np.void, size))).ravel()
+    swaps = [] if sys.byteorder == "big" else [rows, key] if word else [rows]
     for a in swaps:
         a.byteswap(inplace=True)
+    if size == 4:
+        key += -1 << 31
     key.sort()
+    if size == 4:
+        key += -1 << 31
     for a in swaps[::-1]:
         a.byteswap(inplace=True)
 
@@ -220,9 +234,10 @@ def theoretical_delta(n1: int, n2: int, p: float, i: int) -> float:
 
 class TrailHypergraph:
     """(2i+2)-uniform hypergraph on the arcs of D whose hyperedges are
-    closed trails of length 2i+2: arc k is (tail[k], head[k]), in sorted
-    order, and hyperedge k is row k of the canonical sorted rows of arc
-    ids (see the module docstring).
+    closed trails of length d = 2i+2: arc k is (tail[k], head[k]), in
+    sorted order, and hyperedge k is row k of the canonical sorted rows,
+    which hold each trail's i+1 arcs at even positions (see the module
+    docstring); trails() rebuilds whole trails.
 
     build_trail_hypergraph gives every such trail, never a prefix. The
     same type holds the matched trails of a MatchingReport, and the
@@ -234,7 +249,7 @@ class TrailHypergraph:
         self.tail = tail
         self.head = head
         self.rows = rows
-        self.d = rows.shape[1]
+        self.d = 2 * rows.shape[1]
 
     @property
     def n_arcs(self) -> int:
@@ -244,13 +259,45 @@ class TrailHypergraph:
     def n_hyperedges(self) -> int:
         return len(self.rows)
 
+    def trails(self, start: int = 0, stop: int | None = None,
+               pick: np.ndarray | None = None) -> np.ndarray:
+        """Hyperedges start:stop, or those at the offsets `pick` into
+        that range, as whole trails, d arc ids per row in the dtype of
+        the rows: the stored arcs at even positions, and after each the
+        arc from its head to the tail of the next one (cyclically), found
+        by a binary search of the packed (tail, head) keys of the arc
+        table, _ROTATE_CHUNK rows at a time. A missing arc raises
+        InternalConsistencyError naming the row."""
+        even = self.rows[start:stop]
+        if pick is not None:
+            even = even[pick]
+        key = self.tail.astype(np.int64)
+        key <<= 32
+        key += self.head
+        full = np.empty((len(even), self.d), dtype=even.dtype)
+        full[:, 0::2] = even
+        for s in range(0, len(even), _ROTATE_CHUNK):
+            part = even[s:s + _ROTATE_CHUNK]
+            want = self.head[part].astype(np.int64)
+            want <<= 32
+            want += self.tail[np.roll(part, -1, axis=1)]
+            odd = np.searchsorted(key, want)
+            bad = (key.take(odd, mode="clip") != want).any(axis=1)
+            if bad.any():
+                k = s + int(bad.argmax())
+                raise InternalConsistencyError(
+                    f"trail {start + (k if pick is None else pick[k])} has no arc "
+                    "between two of its stored arcs")
+            full[s:s + _ROTATE_CHUNK, 1::2] = odd
+        return full
+
     def mirror(self) -> None:
         """Turn this family into the family of the reversed digraph, in
-        place and without enumerating it: each row reversed, its arc ids
-        mapped to the ranks of the reversed arcs, then re-canonicalised
-        and re-sorted. Reversal is a bijection between the closed trails
-        of D and of its reverse, so the family mirrors to exactly what
-        enumerating the reversed digraph gives.
+        place and without enumerating it: each trail rebuilt and
+        reversed, its arc ids mapped to the ranks of the reversed arcs,
+        then re-canonicalised and re-sorted. Reversal is a bijection
+        between the closed trails of D and of its reverse, so the family
+        mirrors to exactly what enumerating the reversed digraph gives.
 
         Returns None, like list.sort. The rows array is rewritten in
         place, so a caller holding it sees the mirrored rows. The arc
@@ -260,15 +307,15 @@ class TrailHypergraph:
         rows = self.rows
         rank = np.empty(len(order), dtype=rows.dtype)
         rank[order] = np.arange(len(order), dtype=rows.dtype)
-        self.tail, self.head = self.head[order], self.tail[order]
         for s in range(0, len(rows), _ROTATE_CHUNK):
-            block = rows[s:s + _ROTATE_CHUNK]
-            block[...] = rank[block[:, ::-1]]
+            full = self.trails(s, s + _ROTATE_CHUNK)
+            rows[s:s + _ROTATE_CHUNK] = _least_first(rank[full[:, ::-1]])
+        self.tail, self.head = self.head[order], self.tail[order]
         _canonical_sort(rows)
 
     def degree_array(self) -> np.ndarray:
         """Hyperedge count per arc id."""
-        return np.bincount(self.rows.ravel(), minlength=self.n_arcs)
+        return np.bincount(self.trails().ravel(), minlength=self.n_arcs)
 
 
 def _mapped_rows(count: int, length: int, dtype: np.dtype) -> np.ndarray:
@@ -292,7 +339,7 @@ def build_trail_hypergraph(d: Digraph, i: int) -> TrailHypergraph:
     One pass over the half-trail join (see _trail_blocks) counts the
     trails and refuses with GuardError as soon as the count passes
     MAX_TRAILS, before the rows are allocated (by _mapped_rows); a
-    second pass fills them.
+    second pass fills them with the even columns of its trails.
     """
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")
@@ -302,10 +349,10 @@ def build_trail_hypergraph(d: Digraph, i: int) -> TrailHypergraph:
         count += len(block)
         if count > MAX_TRAILS:
             raise GuardError(f"closed {length}-trails exceed the limit of {MAX_TRAILS}")
-    rows = _mapped_rows(count, length, _row_dtype(d.n_arcs))
+    rows = _mapped_rows(count, i + 1, _row_dtype(d.n_arcs))
     pos = 0
     for block in _trail_blocks(d, length):
-        rows[pos:pos + len(block)] = block
+        rows[pos:pos + len(block)] = block[:, ::2]
         pos += len(block)
     return TrailHypergraph(d.tail, d.head, rows)
 
@@ -340,7 +387,8 @@ def check_matching_conditions(h: TrailHypergraph, delta: float,
         raise ValidationError(f"delta must lie in (0,1), got {delta}")
     lo, hi = (1.0 - delta) * Delta, (1.0 + delta) * Delta
     n = h.n_arcs
-    degrees = h.degree_array()
+    rows = h.trails()
+    degrees = np.bincount(rows.ravel(), minlength=n)
     in_band = int(np.count_nonzero((lo <= degrees) & (degrees <= hi)))
     frac = in_band / n if n else 1.0
 
@@ -350,7 +398,8 @@ def check_matching_conditions(h: TrailHypergraph, delta: float,
     # once it is sorted the codegree is its longest run of equal keys:
     # some key occurs more than c times exactly when keys[i] == keys[i + c]
     # for some i.
-    rows = np.sort(h.rows, axis=1)
+    overfull = int(np.count_nonzero((degrees > hi)[rows].any(axis=1)))
+    rows.sort(axis=1)
     m = len(rows)
     keys = np.empty(m * h.d * (h.d - 1) // 2, dtype=np.int64)
     for s, (j, k) in enumerate(itertools.combinations(range(h.d), 2)):
@@ -362,8 +411,6 @@ def check_matching_conditions(h: TrailHypergraph, delta: float,
     max_codeg = 1 if len(keys) else 0
     while max_codeg < len(keys) and (keys[max_codeg:] == keys[:-max_codeg]).any():
         max_codeg += 1
-
-    overfull = int(np.count_nonzero((degrees > hi)[h.rows].any(axis=1)))
     return ConditionReport(
         delta=delta,
         Delta=Delta,
@@ -413,67 +460,66 @@ def find_matching(h: TrailHypergraph, seed: int = 0,
     the theory rests on, run on the family's own rows with no array of
     row indices. exclude holds trails of h's length over h's own arc
     arrays, in any rotation and order, repeats allowed; anything else
-    raises ValidationError. Each chunk of the family's rows is looked up
-    in a canonical sorted copy of exclude's rows, by first id and then
-    whole row, and the rows found move behind the others, which keep
-    their order. random.Random(seed) shuffles the kept rows in place as
-    whole rows, with the draws it would make for as many indices, and
-    the sweep takes them in that order, marking used arcs in a
-    bytearray. Rows that are blocked when their chunk of _SWEEP_CHUNK
-    rows starts stay blocked, so one numpy test per chunk drops them
-    without changing the result. The accepted rows are copied out and
-    sorted, which is their order in the family; the family is sorted
-    back before returning, so h is unchanged. excluded counts the rows
-    of exclude.
+    raises ValidationError. Its trails are rebuilt into a canonical
+    sorted copy of its rows, and each chunk of the family's rows is
+    looked up there by one binary search of whole-row byte keys; the
+    rows found move behind the others, which keep their order.
+    random.Random(seed) shuffles the kept rows in place as whole rows,
+    with the draws it would make for as many indices, and the sweep
+    takes them in that order, a chunk of _SWEEP_CHUNK rows at a time,
+    marking used arcs in a bytearray. Rows that are blocked when their
+    chunk starts stay blocked, so numpy tests drop them without changing
+    the result: first the rows with a used stored arc, then, once the
+    others are rebuilt, those with a used odd arc. The accepted rows are
+    copied out and sorted, which is their order in the family; the
+    family is sorted back before returning, so h is unchanged. excluded
+    counts the rows of exclude.
     """
-    rows, w = h.rows, h.d
+    rows = h.rows
     kept = len(rows)
     n_excluded = 0
     if exclude is not None:
         ex = exclude.rows
-        if (exclude.d != w or not np.array_equal(exclude.tail, h.tail)
+        if (exclude.d != h.d or not np.array_equal(exclude.tail, h.tail)
                 or not np.array_equal(exclude.head, h.head)
                 or (len(ex) and (ex.min() < 0 or ex.max() >= h.n_arcs))):
             raise ValidationError(
                 "exclude must hold trails of h's length over h's own arc arrays")
         n_excluded = len(ex)
-        ex = np.array(ex, dtype=rows.dtype, order="C")
-        _canonical_sort(ex)
-        # a row equal to one of ex is one of ex[lo:lo + run], where lo is
-        # the first row of ex with the row's first id and run is the most
-        # rows of ex that share a first id
-        run = int(np.bincount(ex[:, 0]).max(initial=0))
-        gone = [ex[:0]]
+    if n_excluded:
+        # big-endian ids, so that a row's bytes compare in its order
+        ex = _least_first(exclude.trails()).astype(rows.dtype.newbyteorder(">"))
+        void = np.dtype((np.void, ex.shape[1] * ex.itemsize))
+        keys = ex.view(void).ravel()
+        keys.sort()
+        gone = [rows[:0]]
         kept = 0
         for s in range(0, len(rows), _ROTATE_CHUNK):
             block = rows[s:s + _ROTATE_CHUNK]
-            lo = np.searchsorted(ex[:, 0], block[:, 0])
-            keep = np.ones(len(block), dtype=bool)
-            for _ in range(run):
-                np.minimum(lo, len(ex) - 1, out=lo)
-                keep &= (ex[lo] != block).any(axis=1)
-                lo += 1
+            lo = np.searchsorted(keys, block.astype(ex.dtype).view(void).ravel())
+            keep = (ex.take(lo, axis=0, mode="clip") != block).any(axis=1)
             gone.append(block[~keep])
             block = block[keep]
             rows[kept:kept + len(block)] = block
             kept += len(block)
         rows[kept:] = np.concatenate(gone)
     if kept > 1:  # memoryview refuses an empty cast; one row takes no draws
-        # whole rows as items: one uint64 when a row is 8 bytes, which
-        # Python reads faster than numpy's void scalars
-        size = w * rows.itemsize
-        view = (memoryview(rows).cast("B").cast("Q") if size == 8
-                else rows.view(np.dtype((np.void, size))).ravel())
+        # whole rows as items: one uint32 or uint64 when a row is 4 or 8
+        # bytes, which Python reads faster than numpy's void scalars
+        size = rows.shape[1] * rows.itemsize
+        view = (memoryview(rows).cast("B").cast("I" if size == 4 else "Q")
+                if size in (4, 8) else rows.view(np.dtype((np.void, size))).ravel())
         random.Random(seed).shuffle(view[:kept])
-    flat = memoryview(rows.ravel())
     used = bytearray(h.n_arcs)
     used_np = np.frombuffer(used, dtype=np.uint8)
     is_used = used.__getitem__
     chosen: list[int] = []
     for s in range(0, kept, _SWEEP_CHUNK):
-        free = ~used_np[rows[s:min(s + _SWEEP_CHUNK, kept)]].any(axis=1)
-        for k in (np.flatnonzero(free) + s).tolist():
-            row = flat[k * w:(k + 1) * w]
+        e = min(s + _SWEEP_CHUNK, kept)
+        free = np.flatnonzero(~used_np[rows[s:e]].any(axis=1))
+        full = h.trails(s, e, free)
+        free_full = ~used_np[full].any(axis=1)
+        for k, row in zip((free[free_full] + s).tolist(), full[free_full].tolist()):
             if any(map(is_used, row)):
                 continue
             for a in row:
@@ -511,28 +557,24 @@ def matching_report_to_text(report: MatchingReport, fh: TextIO) -> None:
 
 def trails_to_text(trails: TrailHypergraph, fh: TextIO) -> None:
     """One line per trail, its arcs as `t>h` tokens in trail order,
-    written one _ROTATE_CHUNK of rows at a time. Each chunk is checked
-    first: a trail has at least 2 arcs, each arc's head is the next
-    arc's tail (cyclically), no arc repeats, and the trail starts at its
-    least arc; a trail that fails raises InternalConsistencyError."""
-    rows, w = trails.rows, trails.rows.shape[1]
-    if len(rows) and w < 2:
+    rebuilt and written one _ROTATE_CHUNK of rows at a time. Each chunk
+    is checked first: a trail has at least 2 arcs, no arc repeats, and
+    the trail starts at its least arc; a trail that fails, or that
+    trails() cannot rebuild, raises InternalConsistencyError."""
+    w = trails.d
+    if trails.n_hyperedges and w < 2:
         raise InternalConsistencyError("a closed trail needs at least 2 arcs")
     line = " ".join(["%d>%d"] * w) + "\n"
-    for s in range(0, len(rows), _ROTATE_CHUNK):
-        block = rows[s:s + _ROTATE_CHUNK]
-        tail, head = trails.tail[block], trails.head[block]
-        bad = (head != np.roll(tail, -1, axis=1)).any(axis=1)
+    for s in range(0, trails.n_hyperedges, _ROTATE_CHUNK):
+        block = trails.trails(s, s + _ROTATE_CHUNK)
+        bad = (block[:, 1:] < block[:, :1]).any(axis=1)
         for j, k in itertools.combinations(range(w), 2):
-            bad |= (tail[:, j] == tail[:, k]) & (head[:, j] == head[:, k])
-        for k in range(1, w):
-            bad |= (tail[:, k] < tail[:, 0]) | ((tail[:, k] == tail[:, 0])
-                                                 & (head[:, k] < head[:, 0]))
+            bad |= block[:, j] == block[:, k]
         if bad.any():
             raise InternalConsistencyError(
-                f"trail {s + int(bad.argmax())} does not chain head to tail, repeats "
-                "an arc or does not start at its least arc")
-        arcs = np.stack((tail, head), axis=2).ravel().tolist()
+                f"trail {s + int(bad.argmax())} repeats an arc or does not start "
+                "at its least arc")
+        arcs = np.stack((trails.tail[block], trails.head[block]), axis=2).ravel().tolist()
         fh.write((line * len(block)) % tuple(arcs))
 
 
@@ -621,7 +663,7 @@ def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:
     # the CSR adjacency lists both arcs of every edge in (tail, head) order
     tail = np.repeat(np.arange(g.n_vertices, dtype=np.int32), np.diff(g.first))
     d = Digraph._from_sorted(g.n_vertices, tail, g.nbrs)
-    rows = build_trail_hypergraph(d, length // 2 - 1).rows
+    rows = build_trail_hypergraph(d, length // 2 - 1).trails()
     lo, hi = np.minimum(d.tail, d.head).astype(np.int64), np.maximum(d.tail, d.head)
     edges = np.sort((lo * g.n_vertices + hi)[rows], axis=1)
     return int(np.count_nonzero((edges[:, 1:] != edges[:, :-1]).all(axis=1))) // 2

@@ -386,7 +386,7 @@ def hypergraph_trails(h) -> tuple[ClosedTrail, ...]:
     """Every trail of the TrailHypergraph h, in row order."""
     tail, head = h.tail.tolist(), h.head.tolist()
     return tuple(ClosedTrail.from_arcs([(tail[a], head[a]) for a in row])
-                 for row in h.rows.tolist())
+                 for row in h.trails().tolist())
 
 
 def matched(report) -> tuple[ClosedTrail, ...]:
@@ -421,7 +421,7 @@ def reference_incidence(h) -> dict[tuple[int, int], tuple[int, ...]]:
     """The rows of h holding each arc, keyed by the arc, by a loop over
     the rows read as lists."""
     by_id: list[list[int]] = [[] for _ in range(h.n_arcs)]
-    for idx, row in enumerate(h.rows.tolist()):
+    for idx, row in enumerate(h.trails().tolist()):
         for a in row:
             by_id[a].append(idx)
     return {a: tuple(ix) for a, ix in zip(hypergraph_arcs(h), by_id)}
@@ -439,7 +439,7 @@ def reference_orientation(g, seed: int) -> list[tuple[int, int]]:
 
 def reference_index(h, trail) -> int | None:
     """Row of `trail` in the family h, or None, by bisecting the arc
-    tuples for each arc id and then the rows read as lists."""
+    tuples for each arc id and then the rebuilt trails read as lists."""
     arcs = hypergraph_arcs(h)
     row = []
     for a in trail.arcs:
@@ -447,7 +447,7 @@ def reference_index(h, trail) -> int | None:
         if k == len(arcs) or arcs[k] != a:
             return None
         row.append(k)
-    rows = h.rows
+    rows = h.trails()
     if len(row) != rows.shape[1]:
         return None
     j = bisect_left(range(len(rows)), row, key=lambda r: rows[r].tolist())

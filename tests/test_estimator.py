@@ -241,7 +241,8 @@ def test_estimate_truncation(monkeypatch):
     assert allocations == []
     monkeypatch.setattr(trails, "MAX_TRAILS", 3)
     assert estimate_genus(k33, 1).family_size == 2
-    assert allocations[0] == (3, 4, np.dtype(np.uint16))
+    # two stored arcs per closed 4-trail
+    assert allocations[0] == (3, 2, np.dtype(np.uint16))
 
 
 def test_estimate_large_instance():

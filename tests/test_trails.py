@@ -111,9 +111,56 @@ def test_fast_path_matches_dfs():
             h = build_trail_hypergraph(d, i)
             assert hypergraph_trails(h) == tuple(sorted(slow, key=lambda t: t.arcs))
             assert len(set(slow)) == len(slow)
-            assert np.array_equal(h.rows, full)
+            assert np.array_equal(h.trails(), full)
             rows_seen += len(full)
     assert rows_seen > 0
+
+
+def test_rows_store_the_even_arcs_of_each_trail():
+    # a row holds a trail's i + 1 arcs at even positions, and trails()
+    # rebuilds the whole trail; sorting the stored rows orders the trails
+    # as sorting the whole ones does, with and without anti-parallel arcs
+    # and with 32-bit ids past 65,536 arcs
+    star = _star_plus_k34((1 << 16) + 1)[0]
+    rows_seen = 0
+    for d in _identity_digraphs(41) + _symmetric_digraphs(41) + [star]:
+        for i in (1, 2, 3):
+            full = reference_trail_rows(d, 2 * i + 2)
+            h = build_trail_hypergraph(d, i)
+            assert h.rows.dtype == (np.int32 if d is star else np.uint16)
+            assert h.rows.nbytes == (i + 1) * h.rows.itemsize * h.n_hyperedges
+            assert h.d == 2 * i + 2 and h.rows.shape == (len(full), i + 1)
+            assert np.array_equal(h.trails(), full)
+            assert np.array_equal(h.rows, full[:, ::2])
+            chunks = [h.trails(s, s + 5) for s in range(0, h.n_hyperedges, 5)]
+            assert np.array_equal(np.concatenate(chunks or [full]), full)
+            shuffled = np.random.default_rng(i).permutation(len(full))
+            assert np.array_equal(np.lexsort(full[shuffled].T[::-1]),
+                                  np.lexsort(full[shuffled, ::2].T[::-1]))
+            rows_seen += len(full)
+    assert rows_seen > 0
+
+
+def test_rebuilding_a_row_without_its_odd_arc_refuses():
+    # in an orientation no arc runs from an arc's head back to its tail,
+    # so the stored row (a, a) has no odd arc; the refusal names the row
+    # by its position in the family, from any start
+    d = orient_randomly(gen_random_bipartite(GenParams(8, 8, 0.7, seed=1)), 1)
+    h = build_trail_hypergraph(d, 1)
+    assert h.n_hyperedges > 6
+    rows = h.rows.copy()
+    rows[5] = rows[5, 0]
+    bad = TrailHypergraph(h.tail, h.head, rows)
+    for start in (0, 3, 5):
+        with pytest.raises(InternalConsistencyError, match="trail 5 has no arc between"):
+            bad.trails(start, 8)
+    with pytest.raises(InternalConsistencyError, match="trail 5 has no arc between"):
+        bad.trails(0, 8, np.array([2, 5]))
+    assert np.array_equal(bad.trails(0, 5), h.trails(0, 5))
+    with pytest.raises(InternalConsistencyError, match="trail 5 "):
+        find_matching(h, 0, exclude=bad)
+    with pytest.raises(InternalConsistencyError, match="trail 5 "):
+        bad.mirror()
 
 
 def test_mirror_equals_reversed_enumeration():
@@ -161,8 +208,8 @@ def test_array_greedy_matches_set_reference():
 
 @pytest.mark.parametrize("i", [1, 2])
 def test_matching_leaves_the_family_unchanged(i):
-    # find_matching shuffles the family's own rows (8 bytes each at
-    # i = 1, 12 at i = 2) and sorts them back: with and without exclude,
+    # find_matching shuffles the family's own rows (4 bytes each at
+    # i = 1, 6 at i = 2) and sorts them back: with and without exclude,
     # h.rows holds the same bytes in the same buffer afterwards
     d = orient_randomly(gen_random_bipartite(GenParams(30, 30, 0.5, seed=i)), i)
     h = build_trail_hypergraph(d, i)
@@ -187,9 +234,10 @@ def test_matching_leaves_the_family_unchanged(i):
 
 @pytest.mark.parametrize("i", [1, 2])
 def test_int32_rows_match_alike(i):
-    # the same family with int32 ids has 16- or 24-byte rows, which the
-    # matching shuffles through a numpy void view rather than a uint64
-    # memoryview; both give the same matched rows
+    # the same family with int32 ids has 8- or 12-byte rows, which the
+    # matching shuffles through a uint64 memoryview or a numpy void view
+    # rather than a uint32 memoryview or a void view of 6-byte rows; both
+    # give the same matched rows
     d = orient_randomly(gen_random_bipartite(GenParams(30, 30, 0.5, seed=i)), i)
     h = build_trail_hypergraph(d, i)
     wide = TrailHypergraph(h.tail, h.head, h.rows.astype(np.int32))
@@ -253,13 +301,15 @@ def test_dfs_rows_are_canonically_sorted():
     *(pytest.param(w, top, np.int32, id=f"{w}-{top}") for w, top in
       [(4, 1 << 16), (4, 1 << 17), (6, 1 << 10), (6, 1 << 11), (2, (1 << 31) - 1)]),
     *(pytest.param(w, top, np.uint16, id=f"{w}-{top}-uint16") for w, top in
-      [(4, 1 << 16), (6, 1 << 10), (6, 1 << 11)])])
-def test_canonical_sort_packed_and_gathered(monkeypatch, w, top, dtype):
-    # an 8-byte row (4 uint16 ids, or 2 int32 ones) sorts as one uint64
-    # key, any other as a byte string of big-endian ids; row 0 holds the
-    # largest ids, repeated rows are included, and a small chunk crosses
-    # chunk borders
-    monkeypatch.setattr(trails, "_ROTATE_CHUNK", 7)
+      [(4, 1 << 16), (6, 1 << 10), (6, 1 << 11), (8, 1 << 16)])])
+def test_canonical_sort_packed_and_gathered(w, top, dtype):
+    # rows of w ids are rotated to their least id and cut to their even
+    # columns, then sorted: a 4-byte stored row (2 uint16 ids, or 1
+    # int32) sorts as one uint32 key (an int32 with its sign bit
+    # flipped), an 8-byte one (4 uint16 or 2 int32) as one uint64, any
+    # other as a byte string of big-endian ids; row 0 holds the largest
+    # ids, whose keys have the sign bit set, and repeated rows are
+    # included
     rng = np.random.default_rng(w * top)
     rows = np.array([rng.choice(top, w, replace=False) for _ in range(300)],
                     dtype=dtype)
@@ -268,11 +318,13 @@ def test_canonical_sort_packed_and_gathered(monkeypatch, w, top, dtype):
 
     def canonical(r):
         k = r.index(min(r))
-        return r[k:] + r[:k]
+        return (r[k:] + r[:k])[::2]
 
     expect = sorted(canonical(r) for r in rows.tolist())
-    _canonical_sort(rows)
-    assert rows.tolist() == expect
+    stored = trails._least_first(rows)
+    assert stored.dtype == dtype and stored.flags.c_contiguous
+    trails._canonical_sort(stored)
+    assert stored.tolist() == expect
 
 
 @pytest.mark.parametrize("dtype, top", [(np.uint16, 1 << 16), (np.int32, 1 << 20)])
@@ -282,7 +334,7 @@ def test_wide_rows_sort_in_place_in_lexsort_order(dtype, top):
     rng = np.random.default_rng(top)
     rows = rng.integers(1, top, size=(3000, 6)).astype(dtype)
     rows[:, 1:4] = rng.integers(1, 4, size=(3000, 3))
-    rows[:, 0] = 0  # least id first, so no row is rotated
+    rows[:, 0] = 0
     rows[1::5] = rows[::5][:len(rows[1::5])]
     expect = rows[np.lexsort(rows.T[::-1])]
     buffer = rows.ctypes.data
@@ -436,7 +488,7 @@ def test_codegree_is_exact_at_every_size():
     g = gen_random_bipartite(GenParams(80, 80, 0.5, seed=0))
     h = build_trail_hypergraph(orient_randomly(g, 0), 1)
     assert h.n_arcs > 2000
-    pairs = Counter(pair for row in h.rows.tolist()
+    pairs = Counter(pair for row in h.trails().tolist()
                     for pair in itertools.combinations(sorted(row), 2))
     rep = check_matching_conditions(h, 0.2, theoretical_delta(80, 80, 0.5, 1))
     assert rep.max_codegree == max(pairs.values()) == 15
@@ -574,18 +626,22 @@ def test_trails_text_matches_the_reference(monkeypatch):
             assert _text(h) == _reference_text(h)
     assert written > 7 * 10
     assert _text(TrailHypergraph(np.zeros(0, np.int32), np.zeros(0, np.int32),
-                                 np.zeros((0, 4), np.uint16))) == ""
+                                 np.zeros((0, 2), np.uint16))) == ""
 
 
-@pytest.mark.parametrize("arcs, message", [
-    pytest.param([(0, 1)], "at least 2 arcs", id="one-arc"),
-    pytest.param([(0, 1), (2, 0)], "trail 0 ", id="not-chained"),
-    pytest.param([(0, 1), (1, 0), (0, 1), (1, 0)], "trail 0 ", id="repeated-arc"),
-    pytest.param([(1, 2), (2, 0), (0, 1)], "trail 0 ", id="not-least-first")])
-def test_trails_text_refuses_what_is_no_canonical_trail(arcs, message):
-    # the checks ClosedTrail made, on one row over a table of its own arcs
+@pytest.mark.parametrize("arcs, row, message", [
+    pytest.param([(0, 1)], [], "at least 2 arcs", id="no-arc"),
+    pytest.param([(0, 1), (2, 3)], [0, 1], "trail 0 has no arc between",
+                 id="not-chained"),
+    pytest.param([(0, 1), (1, 0)], [0, 0], "trail 0 ", id="repeated-arc"),
+    pytest.param([(0, 2), (1, 3), (2, 1), (3, 0)], [1, 0], "trail 0 ",
+                 id="not-least-first")])
+def test_trails_text_refuses_what_is_no_canonical_trail(arcs, row, message):
+    # the checks ClosedTrail made, on one stored row over a sorted table
+    # of its own arcs: no arc, two stored arcs that no arc of the table
+    # joins, the trail 0>1 1>0 0>1 1>0, and the 4-cycle 1>3 3>0 0>2 2>1
     ends = np.array(arcs)
-    bad = TrailHypergraph(ends[:, 0], ends[:, 1], np.arange(len(arcs))[None, :])
+    bad = TrailHypergraph(ends[:, 0], ends[:, 1], np.array([row], dtype=np.int64))
     with pytest.raises(InternalConsistencyError, match=message):
         trails_to_text(bad, io.StringIO())
 
@@ -625,7 +681,7 @@ def test_trail_limit_refuses_before_allocating(monkeypatch, capsys, anti_paralle
     # at the limit the family is served, and its rows are allocated
     monkeypatch.setattr(trails, "MAX_TRAILS", n)
     assert build_trail_hypergraph(d, i).n_hyperedges == n
-    assert allocations == [(n, 2 * i + 2)]
+    assert allocations == [(n, i + 1)]
     monkeypatch.setattr(trails, "MAX_TRAILS", n - 1)
     if not anti_parallel:
         assert main(["estimate", "--n1", "40", "--n2", "3", "--p", "0.5",
@@ -655,7 +711,8 @@ def test_exclusion_matches_the_reference():
             ex = np.array([[ids[a] for a in t.arcs] for t in reverses],
                           dtype=np.int64).reshape(-1, h.d)
             for given in (np.concatenate((ex, ex)), ex[::-1], np.roll(ex, 1, axis=1)):
-                again = find_matching(h, 12, exclude=TrailHypergraph(h.tail, h.head, given))
+                again = find_matching(h, 12, exclude=TrailHypergraph(h.tail, h.head,
+                                                                     given[:, ::2]))
                 assert matched(again) == matched(mm) and again.excluded == len(given)
             checked += m.size
     assert checked > 0
@@ -671,12 +728,12 @@ def test_exclusion_refuses_other_trails():
     rev = build_trail_hypergraph(d.reverse(), 1)
     for rows, tail, head in ((h2.rows[:1], h.tail, h.head),
                              (rev.rows[:1], rev.tail, rev.head),
-                             (np.array([[0, 1, 2, h.n_arcs]]), h.tail, h.head),
-                             (np.array([[-1, 0, 1, 2]]), h.tail, h.head)):
+                             (np.array([[0, h.n_arcs]]), h.tail, h.head),
+                             (np.array([[-1, 0]]), h.tail, h.head)):
         with pytest.raises(ValidationError, match="own arc arrays"):
             find_matching(h, 0, exclude=TrailHypergraph(tail, head, rows))
     assert matched(find_matching(h, 0, exclude=TrailHypergraph(
-        h.tail.copy(), h.head.copy(), np.zeros((0, 4), np.int64)))) == matched(m)
+        h.tail.copy(), h.head.copy(), np.zeros((0, 2), np.int64)))) == matched(m)
 
 
 def test_mirror_matching_refuses_an_unmirrored_family():
