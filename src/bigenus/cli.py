@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -297,6 +298,10 @@ def cmd_experiment(args) -> int:
         raise ValidationError("trials must be >= 1")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
+    # the pool starts all its workers at the first task
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise ValidationError(f"workers must be at most {cpus}, the CPU count")
     if not (n1s and n2s and p_tokens and i_vals):
         raise ValidationError("empty experiment grid")
 

@@ -64,11 +64,11 @@ def regime_classify(n1: int, n2: int, p: float) -> RegimeResult:
     it the graph is a.a.s. planar and tagged small-part-c.
     """
     band = CRITICAL_BAND
-    big, small = max(n1, n2), min(n1, n2)
-    if small < 1 or p <= 0.0:
-        return RegimeResult("small-part-c", None)
-    if p > 1.0:
+    if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p must lie in [0,1], got {p}")
+    big, small = max(n1, n2), min(n1, n2)
+    if small < 1 or p == 0.0:
+        return RegimeResult("small-part-c", None)
 
     if small <= MAX_SMALL_PART and big >= 20 * small:
         t_a = big ** (-1.0 / 3.0)
@@ -350,9 +350,6 @@ def _trail_matchings(g, i: int, cfg: PipelineConfig
     d = orient_randomly(g, cfg.seed)
     h = build_trail_hypergraph(d, i)
     m = find_matching(h, derive_int_seed(cfg.seed, STREAM_MATCH))
-    # The reversed digraph's family is the reverse of this one; rewrite
-    # the rows into it in place for the second matching.
-    h.mirror()
     mm = find_disjoint_mirror_matching(h, m, derive_int_seed(cfg.seed, STREAM_MIRROR))
     return m, mm
 

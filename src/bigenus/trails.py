@@ -18,10 +18,11 @@ whole trails from it, a chunk of rows at a time. The ids are uint16
 when D has at most 65,536 arcs and int32 otherwise (see _row_dtype), so
 a row takes 2(i+1) or 4(i+1) bytes. Each trail is in canonical rotation
 (it starts at its least arc id) and the rows are sorted
-lexicographically. Arc ids follow the sorted arcs, so that is the order
-of the arc tuples themselves, and the order of the whole trails too:
-the first vertex where two trails part decides both comparisons, since
-an odd arc runs to the tail of the even arc after it. The rows of a
+lexicographically, except in what a matching leaves. Arc ids follow
+the sorted arcs, so that is the order of the arc tuples themselves, and
+the order of the whole trails too: the first vertex where two trails
+part decides both comparisons, since an odd arc runs to the tail of the
+even arc after it. The rows of a
 family of at least _MAP_BYTES live in their own anonymous memory
 mapping (_mapped_rows), not in the malloc heap, so their pages go back
 to the OS when the family is dropped.
@@ -35,14 +36,15 @@ construction embeds from a matching of all the closed trails, so an
 enumeration past MAX_TRAILS is refused, never cut short.
 
 One type holds every set of trails over an arc table: a
-TrailHypergraph is a whole family, the matched trails of a
-MatchingReport, or the trails a matching excludes. The mirror matching
-mirrors a copy of the first matching, which maps its reverses to the arc
-ids of the mirrored family. find_matching works on the family's own
-rows, with no array sized by the family: it moves the rows equal to an
-excluded trail to the back, shuffles the others in place as whole rows,
-sweeps them in that order, and sorts the family back before it returns.
-The blossom module turns the matched trails into dart ids.
+TrailHypergraph is a whole family, what a matching leaves of it, or the
+matched trails of a MatchingReport. find_matching works on the family's
+own rows, with no array sized by the family: it shuffles them in place
+as whole rows, sweeps them in that order, copies the matched rows out
+and moves the others up over them, so the family keeps the trails the
+matching did not take. Reversal is a bijection, so the mirror of those
+is the reversed digraph's family less the reverses of the matching,
+which is what the mirror matching matches. The blossom module turns the
+matched trails into dart ids.
 
 Rows are the only trail representation: trails leave the package as
 text that trails_to_text writes from rebuilt chunks of rows and the arc
@@ -56,7 +58,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TextIO
 
 import numpy as np
@@ -81,9 +83,9 @@ _TRAIL_CHUNK = 1 << 12
 # the fixed point in 1-3 rounds; the bound keeps a long dead chain, which
 # loses two arcs a round, from costing quadratic time.
 _PRUNE_ROUNDS = 8
-# Rows rebuilt and mirrored, screened against an exclusion or written
-# per numpy call. Rebuilding a chunk takes int64 temporaries of 8 bytes
-# per odd arc, 64 KiB each at i = 1.
+# Rows rebuilt, then mirrored or written, per numpy call. Rebuilding a
+# chunk takes int64 temporaries of 8 bytes per odd arc, 64 KiB each at
+# i = 1.
 _ROTATE_CHUNK = 1 << 12
 # Candidates rebuilt and screened per numpy call in the matching sweep.
 _SWEEP_CHUNK = 1024
@@ -239,10 +241,11 @@ class TrailHypergraph:
     which hold each trail's i+1 arcs at even positions (see the module
     docstring); trails() rebuilds whole trails.
 
-    build_trail_hypergraph gives every such trail, never a prefix. The
-    same type holds the matched trails of a MatchingReport, and the
-    trails find_matching excludes (in any rotation and order), over the
-    arc arrays of their family.
+    build_trail_hypergraph gives every such trail, never a prefix;
+    find_matching takes the trails it matches out and leaves the others
+    canonical but unsorted, until mirror() sorts them. The same type holds
+    the matched trails of a MatchingReport, over the arc arrays of their
+    family.
     """
 
     def __init__(self, tail: np.ndarray, head: np.ndarray, rows: np.ndarray):
@@ -433,7 +436,9 @@ class MatchingReport:
     Coverage is d*|M|/N, the fraction of arcs used by the matching.
 
     `chosen` holds the matched trails, canonical and sorted, over the
-    arc arrays of the family they were matched in."""
+    arc arrays of the family they were matched in. `excluded` counts the
+    trails of the first matching whose reverses a mirror matching left
+    out."""
 
     chosen: TrailHypergraph
     coverage: float
@@ -447,8 +452,7 @@ class MatchingReport:
         return self.chosen.n_hyperedges
 
 
-def find_matching(h: TrailHypergraph, seed: int = 0,
-                  exclude: TrailHypergraph | None = None) -> MatchingReport:
+def find_matching(h: TrailHypergraph, seed: int = 0) -> MatchingReport:
     """Arc-disjoint hyperedge set by the random greedy process:
     repeatedly take a uniformly random surviving hyperedge and discard
     everything it conflicts with, implemented as a random priority order
@@ -458,64 +462,33 @@ def find_matching(h: TrailHypergraph, seed: int = 0,
 
     This is the Rödl-nibble / Pippenger–Spencer random greedy process
     the theory rests on, run on the family's own rows with no array of
-    row indices. exclude holds trails of h's length over h's own arc
-    arrays, in any rotation and order, repeats allowed; anything else
-    raises ValidationError. Its trails are rebuilt into a canonical
-    sorted copy of its rows, and each chunk of the family's rows is
-    looked up there by one binary search of whole-row byte keys; the
-    rows found move behind the others, which keep their order.
-    random.Random(seed) shuffles the kept rows in place as whole rows,
-    with the draws it would make for as many indices, and the sweep
-    takes them in that order, a chunk of _SWEEP_CHUNK rows at a time,
-    marking used arcs in a bytearray. Rows that are blocked when their
-    chunk starts stay blocked, so numpy tests drop them without changing
-    the result: first the rows with a used stored arc, then, once the
-    others are rebuilt, those with a used odd arc. The accepted rows are
-    copied out and sorted, which is their order in the family; the
-    family is sorted back before returning, so h is unchanged. excluded
-    counts the rows of exclude.
+    row indices. random.Random(seed) shuffles the rows in place as
+    whole rows, with the draws it would make for as many indices, and
+    the sweep takes them in that order, a chunk of _SWEEP_CHUNK rows at
+    a time, marking used arcs in a bytearray. Rows that are blocked when
+    their chunk starts stay blocked, so numpy tests drop them without
+    changing the result: first the rows with a used stored arc, then,
+    once the others are rebuilt, those with a used odd arc. The accepted
+    rows are copied out and sorted, which is their order in the family.
+    The others move up over them in the same buffer, and h.rows becomes
+    that prefix: h keeps the trails the matching did not take, in no
+    particular order.
     """
     rows = h.rows
-    kept = len(rows)
-    n_excluded = 0
-    if exclude is not None:
-        ex = exclude.rows
-        if (exclude.d != h.d or not np.array_equal(exclude.tail, h.tail)
-                or not np.array_equal(exclude.head, h.head)
-                or (len(ex) and (ex.min() < 0 or ex.max() >= h.n_arcs))):
-            raise ValidationError(
-                "exclude must hold trails of h's length over h's own arc arrays")
-        n_excluded = len(ex)
-    if n_excluded:
-        # big-endian ids, so that a row's bytes compare in its order
-        ex = _least_first(exclude.trails()).astype(rows.dtype.newbyteorder(">"))
-        void = np.dtype((np.void, ex.shape[1] * ex.itemsize))
-        keys = ex.view(void).ravel()
-        keys.sort()
-        gone = [rows[:0]]
-        kept = 0
-        for s in range(0, len(rows), _ROTATE_CHUNK):
-            block = rows[s:s + _ROTATE_CHUNK]
-            lo = np.searchsorted(keys, block.astype(ex.dtype).view(void).ravel())
-            keep = (ex.take(lo, axis=0, mode="clip") != block).any(axis=1)
-            gone.append(block[~keep])
-            block = block[keep]
-            rows[kept:kept + len(block)] = block
-            kept += len(block)
-        rows[kept:] = np.concatenate(gone)
-    if kept > 1:  # memoryview refuses an empty cast; one row takes no draws
+    n = len(rows)
+    if n > 1:  # memoryview refuses an empty cast; one row takes no draws
         # whole rows as items: one uint32 or uint64 when a row is 4 or 8
         # bytes, which Python reads faster than numpy's void scalars
         size = rows.shape[1] * rows.itemsize
         view = (memoryview(rows).cast("B").cast("I" if size == 4 else "Q")
                 if size in (4, 8) else rows.view(np.dtype((np.void, size))).ravel())
-        random.Random(seed).shuffle(view[:kept])
+        random.Random(seed).shuffle(view)
     used = bytearray(h.n_arcs)
     used_np = np.frombuffer(used, dtype=np.uint8)
     is_used = used.__getitem__
     chosen: list[int] = []
-    for s in range(0, kept, _SWEEP_CHUNK):
-        e = min(s + _SWEEP_CHUNK, kept)
+    for s in range(0, n, _SWEEP_CHUNK):
+        e = min(s + _SWEEP_CHUNK, n)
         free = np.flatnonzero(~used_np[rows[s:e]].any(axis=1))
         full = h.trails(s, e, free)
         free_full = ~used_np[full].any(axis=1)
@@ -527,23 +500,33 @@ def find_matching(h: TrailHypergraph, seed: int = 0,
             chosen.append(k)
     matched = rows[np.array(chosen, dtype=np.int64)]
     _canonical_sort(matched)
-    _canonical_sort(rows)
+    # Each run of rows between two taken ones moves up through a 1-D
+    # view: numpy copies an overlapping 2-D source first.
+    flat, w = rows.reshape(-1), rows.shape[1]
+    kept = start = 0
+    for k in chosen + [n]:
+        flat[kept * w:(kept + k - start) * w] = flat[start * w:k * w]
+        kept += k - start
+        start = k + 1
+    h.rows = rows[:kept]
     coverage = h.d * len(chosen) / h.n_arcs if h.n_arcs else 0.0
     return MatchingReport(TrailHypergraph(h.tail, h.head, matched),
-                          coverage, seed, h.n_arcs, h.d, excluded=n_excluded)
+                          coverage, seed, h.n_arcs, h.d)
 
 
-def find_disjoint_mirror_matching(h_rev: TrailHypergraph, m: MatchingReport,
+def find_disjoint_mirror_matching(h: TrailHypergraph, m: MatchingReport,
                                   seed: int = 0) -> MatchingReport:
     """Matching in the reversed-digraph hypergraph avoiding the reverses
     of the given matching, so no prescribed face appears twice with
-    opposite senses. h_rev is the family m was matched in after its
-    mirror(), or the family of the reversed digraph: a mirrored copy of
-    m.chosen holds the reverses in h_rev's arc ids. Any other h_rev
-    raises ValidationError, from find_matching."""
-    reverses = TrailHypergraph(m.chosen.tail, m.chosen.head, m.chosen.rows.copy())
-    reverses.mirror()
-    return find_matching(h_rev, seed=seed, exclude=reverses)
+    opposite senses. h is the family m was matched in, which
+    find_matching left holding the trails m did not take. Reversal is a
+    bijection, so their mirror is the reversed digraph's family less the
+    reverses of m: h is mirrored in place and matched. Any other h, such
+    as one already mirrored, raises ValidationError."""
+    if m.chosen.tail is not h.tail:
+        raise ValidationError("h must be the family the matching was drawn from")
+    h.mirror()
+    return replace(find_matching(h, seed), excluded=m.size)
 
 
 def matching_report_to_text(report: MatchingReport, fh: TextIO) -> None:

@@ -330,7 +330,6 @@ def pipeline_family(n1: int, n2: int, p: float, seed: int, i: int = 1):
     g = gen_random_bipartite(GenParams(n1, n2, p, seed=seed))
     h = build_trail_hypergraph(orient_randomly(g, seed), i)
     m = find_matching(h, seed)
-    h.mirror()
     mm = find_disjoint_mirror_matching(h, m, seed)
     return g, DartFamily.of_matchings(g, m, mm)
 

@@ -158,10 +158,10 @@ def test_05_matching_quality():
         g = gen_random_bipartite(GenParams(n, n, p, seed=seed))
         d = orient_randomly(g, seed)
         h = build_trail_hypergraph(d, 1)
-        covs.append(find_matching(h, seed).coverage)
         rep = check_matching_conditions(h, band, delta_scale)
         fracs.append(rep.degree_fraction_in_band)
         means.append(h.degree_array().sum() / h.n_arcs)
+        covs.append(find_matching(h, seed).coverage)
     mean_cov = sum(covs) / len(covs)
     mean_frac = sum(fracs) / len(fracs)
     mean_deg = sum(means) / len(means)

@@ -70,7 +70,6 @@ def test_length2_simplicity_by_darts_matches_reference():
                                            seed=rng.randint(0, 9999)))
         h = build_trail_hypergraph(orient_randomly(g, 1), rng.choice((1, 1, 2)))
         m = find_matching(h, 2)
-        h.mirror()
         fam = list(matched(m) + matched(find_disjoint_mirror_matching(h, m, 3)))
         used = {a for t in fam for a in t.arcs}
         for t in matched(m):
@@ -327,7 +326,6 @@ def test_matched_rows_convert_like_their_trails():
     for i in (1, 2):
         h = build_trail_hypergraph(orient_randomly(g, 2), i)
         m = find_matching(h, 3)
-        h.mirror()
         mm = find_disjoint_mirror_matching(h, m, 4)
         rows = DartFamily.of_matchings(g, m, mm)
         trails = dart_family(g, matched(m) + matched(mm))
@@ -351,7 +349,6 @@ def test_find_blossoms_takes_a_dart_family():
     for i in (1, 2):
         h = build_trail_hypergraph(orient_randomly(g, 0), i)
         m = find_matching(h, 1)
-        h.mirror()
         mm = find_disjoint_mirror_matching(h, m, 2)
         family = DartFamily.of_matchings(g, m, mm)
         surviving, _ = make_blossom_free(g, family)

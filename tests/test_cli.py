@@ -1,4 +1,5 @@
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -364,7 +365,8 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     for setting, message in (("trials = x", "trials must be an integer, got 'x'"),
                              ("seed = 1.5", "seed must be an integer"),
                              ("i = 1,y", "i must be integers"),
-                             ("workers = 0", "workers must be >= 1")):
+                             ("workers = 0", "workers must be >= 1"),
+                             (f"workers = {os.cpu_count() + 1}", "workers must be at most")):
         cfg.write_text(f"n1 = 6\nn2 = 3\np = 0.5\nout = {csv}\n{setting}\n")
         assert main(["experiment", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err

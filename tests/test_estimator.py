@@ -72,8 +72,9 @@ def test_regime_balanced_and_windows():
 
     assert regime_classify(100, 100, 0.5).tag == "dense-4gon"
     assert regime_classify(100, 100, 0.0).label() == "small-part-c"
-    with pytest.raises(ValidationError):
-        regime_classify(100, 100, 1.5)
+    for p in (1.5, -0.5, float("nan")):
+        with pytest.raises(ValidationError):
+            regime_classify(100, 100, p)
 
 
 def test_predicted_genus_values():

@@ -158,8 +158,6 @@ def test_rebuilding_a_row_without_its_odd_arc_refuses():
         bad.trails(0, 8, np.array([2, 5]))
     assert np.array_equal(bad.trails(0, 5), h.trails(0, 5))
     with pytest.raises(InternalConsistencyError, match="trail 5 "):
-        find_matching(h, 0, exclude=bad)
-    with pytest.raises(InternalConsistencyError, match="trail 5 "):
         bad.mirror()
 
 
@@ -196,40 +194,42 @@ def test_array_greedy_matches_set_reference():
     for d in _identity_digraphs(19):
         for i in (1, 2):
             h = build_trail_hypergraph(d, i)
+            family = hypergraph_trails(h)
+            rev = hypergraph_trails(build_trail_hypergraph(d.reverse(), i))
             seed = rng.randint(0, 999)
             m = find_matching(h, seed)
-            assert matched(m) == reference_greedy(hypergraph_trails(h), seed)
-            h.mirror()
+            assert matched(m) == reference_greedy(family, seed)
             mm = find_disjoint_mirror_matching(h, m, seed + 1)
             reverses = {t.reverse() for t in matched(m)}
-            assert matched(mm) == reference_greedy(hypergraph_trails(h), seed + 1, reverses)
+            assert matched(mm) == reference_greedy(rev, seed + 1, reverses)
             assert mm.excluded == len(matched(m))
 
 
 @pytest.mark.parametrize("i", [1, 2])
-def test_matching_leaves_the_family_unchanged(i):
-    # find_matching shuffles the family's own rows (4 bytes each at
-    # i = 1, 6 at i = 2) and sorts them back: with and without exclude,
-    # h.rows holds the same bytes in the same buffer afterwards
+def test_matching_takes_its_trails_out_of_the_family(i):
+    # find_matching shuffles the family's own rows (4 or 8 bytes each at
+    # i = 1, 6 or 12 at i = 2) and moves the rows it did not take up over
+    # the others: h.rows is then a prefix of the same buffer holding
+    # exactly the family less the matched trails, each once. The mirror
+    # matching mirrors that rest and does the same to it.
     d = orient_randomly(gen_random_bipartite(GenParams(30, 30, 0.5, seed=i)), i)
-    h = build_trail_hypergraph(d, i)
-    assert h.rows.dtype == np.uint16 and h.d == 2 * i + 2
-    before, buffer = h.rows.tobytes(), h.rows.ctypes.data
-    m = find_matching(h, 5)
-    assert h.rows.tobytes() == before and h.rows.ctypes.data == buffer
-    ex = find_matching(h, 6, exclude=m.chosen)
-    assert h.rows.tobytes() == before and h.rows.ctypes.data == buffer
-    assert ex.excluded == m.size > 0 and ex.size > 0
-    assert not set(matched(ex)) & set(matched(m))
-    # a trail excluded twice is excluded once
-    twice = TrailHypergraph(h.tail, h.head, np.concatenate((m.chosen.rows, m.chosen.rows)))
-    again = find_matching(h, 6, exclude=twice)
-    assert np.array_equal(again.chosen.rows, ex.chosen.rows)
-    assert again.excluded == 2 * m.size and h.rows.tobytes() == before
-    h.mirror()
-    mirrored = h.rows.tobytes()
-    mm = find_disjoint_mirror_matching(h, m, 7)
-    assert mm.excluded == m.size and h.rows.tobytes() == mirrored
+    built = build_trail_hypergraph(d, i)
+    assert built.rows.dtype == np.uint16 and built.d == 2 * i + 2
+    family = set(hypergraph_trails(built))
+    rev = set(hypergraph_trails(build_trail_hypergraph(d.reverse(), i)))
+    for dtype in (np.uint16, np.int32):
+        h = TrailHypergraph(built.tail, built.head, built.rows.astype(dtype))
+        buffer = h.rows.ctypes.data
+        m = find_matching(h, 5)
+        rest = hypergraph_trails(h)
+        assert m.size > 0 and h.rows.dtype == dtype and h.rows.ctypes.data == buffer
+        assert len(rest) == len(family) - m.size
+        assert set(rest) == family - set(matched(m))
+        mm = find_disjoint_mirror_matching(h, m, 7)
+        rest = hypergraph_trails(h)
+        assert mm.excluded == m.size and mm.size > 0 and h.rows.ctypes.data == buffer
+        assert len(rest) == len(rev) - m.size - mm.size
+        assert set(rest) == rev - {t.reverse() for t in matched(m)} - set(matched(mm))
 
 
 @pytest.mark.parametrize("i", [1, 2])
@@ -244,8 +244,6 @@ def test_int32_rows_match_alike(i):
     m, mw = find_matching(h, 3), find_matching(wide, 3)
     assert mw.chosen.rows.dtype == np.int32 and m.size > 0
     assert np.array_equal(mw.chosen.rows, m.chosen.rows) and mw.coverage == m.coverage
-    h.mirror()
-    wide.mirror()
     assert np.array_equal(wide.rows, h.rows)
     mm, mmw = find_disjoint_mirror_matching(h, m, 4), find_disjoint_mirror_matching(wide, mw, 4)
     assert np.array_equal(mmw.chosen.rows, mm.chosen.rows) and mmw.excluded == mm.excluded
@@ -253,30 +251,30 @@ def test_int32_rows_match_alike(i):
 
 
 def test_matching_peak_memory():
-    # the matchings shuffle the family's own rows, so beyond chunk-sized
-    # temporaries they hold only the used-arc marks and the matched
-    # rows. An int32 index per candidate and a keep mask took about 5.3
-    # bytes per trail.
+    # the matchings shuffle the family's own rows and move the rows they
+    # do not take up in place, so beyond chunk-sized temporaries they
+    # hold only the used-arc marks and the matched rows, and the mirror
+    # matching the mirror's arc ranks. An int32 index per candidate and
+    # a keep mask took about 5.3 bytes per trail.
     small = build_trail_hypergraph(orient_randomly(complete_bipartite_graph(3, 4), 0), 1)
     m = find_matching(small, 0)
-    small.mirror()
     find_disjoint_mirror_matching(small, m, 1)  # first-call imports
     d = orient_randomly(gen_random_bipartite(GenParams(120, 120, 0.5, seed=0)), 0)
     h = build_trail_hypergraph(d, 1)
+    n = h.n_hyperedges
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         m = find_matching(h, 0)
         match_peak = tracemalloc.get_traced_memory()[1] - base
-        h.mirror()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         mm = find_disjoint_mirror_matching(h, m, 1)
         mirror_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert h.n_hyperedges == 393_537 and mm.excluded == m.size > 0
-    assert max(match_peak, mirror_peak) < 2 * h.n_hyperedges
+    assert n == 393_537 and mm.excluded == m.size > 0
+    assert max(match_peak, mirror_peak) < 2 * n
 
 
 def test_dfs_rows_are_canonically_sorted():
@@ -502,13 +500,14 @@ def test_matching_disjoint_property():
                                            0.6, seed=rng.randint(0, 999)))
         d = orient_randomly(g, rng.randint(0, 999))
         h = build_trail_hypergraph(d, 1)
+        family = hypergraph_trails(h)
         m = matched(find_matching(h, rng.randint(0, 999)))
         used = set()
         for t in m:
             assert not used & set(t.arcs)
             used.update(t.arcs)
         # maximal: no surviving hyperedge fits
-        for t in hypergraph_trails(h):
+        for t in family:
             if t not in m:
                 assert used & set(t.arcs)
 
@@ -519,12 +518,16 @@ def test_mirror_exclusion_property():
         g = gen_random_bipartite(GenParams(7, 7, 0.7, seed=rng.randint(0, 999)))
         d = orient_randomly(g, rng.randint(0, 999))
         h = build_trail_hypergraph(d, 1)
-        h_rev = build_trail_hypergraph(d.reverse(), 1)
+        rev = hypergraph_trails(build_trail_hypergraph(d.reverse(), 1))
         m = find_matching(h, 3)
-        m2 = find_disjoint_mirror_matching(h_rev, m, 3)
+        m2 = find_disjoint_mirror_matching(h, m, 3)
         reversed_m = {t.reverse() for t in matched(m)}
         assert not reversed_m & set(matched(m2))
         assert m2.excluded == len(matched(m))
+        # maximal among the reversed digraph's trails less the reverses
+        used = {a for t in matched(m2) for a in t.arcs}
+        for t in set(rev) - reversed_m - set(matched(m2)):
+            assert used & set(t.arcs)
 
 
 def test_matching_large_instance():
@@ -534,10 +537,10 @@ def test_matching_large_instance():
     h = build_trail_hypergraph(d, 1)
     assert g.n_edges == 3157
     assert h.n_hyperedges == 74788
-    mg = find_matching(h, 0)
-    assert (mg.size, round(mg.coverage, 4)) == (607, 0.7691)
     # empirical degree scale tracks the model value
     mean_deg = 4 * h.n_hyperedges / h.n_arcs
+    mg = find_matching(h, 0)
+    assert (mg.size, round(mg.coverage, 4)) == (607, 0.7691)
     assert abs(mean_deg / theoretical_delta(80, 80, 0.5, 1) - 1) < 0.15
 
 
@@ -616,14 +619,15 @@ def test_trails_text_matches_the_reference(monkeypatch):
     for d in _identity_digraphs(23) + [_star_plus_k34((1 << 16) + 1)[0]]:
         for i in (1, 2):
             h = build_trail_hypergraph(d, i)
+            whole = TrailHypergraph(h.tail, h.head, h.rows.copy())
             m = find_matching(h, 4)
-            for rows in (h, m.chosen):
+            for rows in (whole, m.chosen):
                 text = _text(rows)
                 assert text == _reference_text(rows)
                 assert text.count("\n") == rows.n_hyperedges
                 written += rows.n_hyperedges
-            h.mirror()
-            assert _text(h) == _reference_text(h)
+            whole.mirror()
+            assert _text(whole) == _reference_text(whole)
     assert written > 7 * 10
     assert _text(TrailHypergraph(np.zeros(0, np.int32), np.zeros(0, np.int32),
                                  np.zeros((0, 2), np.uint16))) == ""
@@ -692,57 +696,39 @@ def test_trail_limit_refuses_before_allocating(monkeypatch, capsys, anti_paralle
 def test_exclusion_matches_the_reference():
     # the mirror matching against reference_greedy over ClosedTrails, at
     # i = 1 and i = 2, on orientations and on digraphs with anti-parallel
-    # arcs: the reverses of a matching are rows of the mirrored family
-    # (reference_index finds each), none is matched again, and the same
-    # trails excluded twice, in reversed order or rotated exclude the same
+    # arcs: the reverses of a matching are rows of the reversed digraph's
+    # family, enumerated on its own (reference_index finds each), and
+    # none is matched again
     checked = 0
     for d in _identity_digraphs(37):
         for i in (1, 2):
             h = build_trail_hypergraph(d, i)
+            rev = build_trail_hypergraph(d.reverse(), i)
             m = find_matching(h, 11)
-            h.mirror()
             reverses = [t.reverse() for t in matched(m)]
-            rows = [reference_index(h, t) for t in reverses]
+            rows = [reference_index(rev, t) for t in reverses]
             assert None not in rows and len(set(rows)) == m.size
             mm = find_disjoint_mirror_matching(h, m, 12)
-            assert matched(mm) == reference_greedy(hypergraph_trails(h), 12, reverses)
-            assert not set(rows) & {reference_index(h, t) for t in matched(mm)}
-            ids = {a: k for k, a in enumerate(hypergraph_arcs(h))}
-            ex = np.array([[ids[a] for a in t.arcs] for t in reverses],
-                          dtype=np.int64).reshape(-1, h.d)
-            for given in (np.concatenate((ex, ex)), ex[::-1], np.roll(ex, 1, axis=1)):
-                again = find_matching(h, 12, exclude=TrailHypergraph(h.tail, h.head,
-                                                                     given[:, ::2]))
-                assert matched(again) == matched(mm) and again.excluded == len(given)
+            assert matched(mm) == reference_greedy(hypergraph_trails(rev), 12, reverses)
+            assert not set(rows) & {reference_index(rev, t) for t in matched(mm)}
             checked += m.size
     assert checked > 0
 
 
-def test_exclusion_refuses_other_trails():
-    # exclude holds trails of h's length over h's own arc arrays: other
-    # lengths, other arc arrays and ids outside h's arcs are refused
-    d = orient_randomly(gen_random_bipartite(GenParams(8, 8, 0.7, seed=1)), 1)
-    h, h2 = build_trail_hypergraph(d, 1), build_trail_hypergraph(d, 2)
+def test_mirror_matching_refuses_a_mirrored_family():
+    # the mirror matching mirrors the family the matching was drawn
+    # from; a family mirrored already, by the caller or by an earlier
+    # mirror matching, or the reversed digraph's own family is refused
+    d = orient_randomly(complete_bipartite_graph(3, 4), 0)
+    h = build_trail_hypergraph(d, 1)
     m = find_matching(h, 0)
-    assert m.size > 0 and h2.n_hyperedges > 0
-    rev = build_trail_hypergraph(d.reverse(), 1)
-    for rows, tail, head in ((h2.rows[:1], h.tail, h.head),
-                             (rev.rows[:1], rev.tail, rev.head),
-                             (np.array([[0, h.n_arcs]]), h.tail, h.head),
-                             (np.array([[-1, 0]]), h.tail, h.head)):
-        with pytest.raises(ValidationError, match="own arc arrays"):
-            find_matching(h, 0, exclude=TrailHypergraph(tail, head, rows))
-    assert matched(find_matching(h, 0, exclude=TrailHypergraph(
-        h.tail.copy(), h.head.copy(), np.zeros((0, 2), np.int64)))) == matched(m)
-
-
-def test_mirror_matching_refuses_an_unmirrored_family():
-    # the reverses of a matching are trails over the reversed arcs, so on
-    # the family the matching came from, not mirrored, there is nothing
-    # to exclude them from
-    h = build_trail_hypergraph(orient_randomly(complete_bipartite_graph(3, 4), 0), 1)
-    m = find_matching(h, 0)
-    with pytest.raises(ValidationError, match="own arc arrays"):
-        find_disjoint_mirror_matching(h, m, 1)
     h.mirror()
+    with pytest.raises(ValidationError, match="family the matching was drawn from"):
+        find_disjoint_mirror_matching(h, m, 1)
+    h = build_trail_hypergraph(d, 1)
+    m = find_matching(h, 0)
+    with pytest.raises(ValidationError, match="family the matching was drawn from"):
+        find_disjoint_mirror_matching(build_trail_hypergraph(d.reverse(), 1), m, 1)
     assert find_disjoint_mirror_matching(h, m, 1).excluded == m.size > 0
+    with pytest.raises(ValidationError, match="family the matching was drawn from"):
+        find_disjoint_mirror_matching(h, m, 1)
