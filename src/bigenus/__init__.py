@@ -26,9 +26,8 @@ from .estimator import (GenusEstimate, PipelineConfig, estimate_genus,
                         regime_classify, small_p_asymptote_check,
                         small_part_exact_genus)
 from .oracle import (PincerResult, SearchBudget, exact_genus,
-                     genus_formula_reference, heuristic_genus_upper,
-                     minimum_genus_rotation, pincer_genus,
-                     rotation_system_count)
+                     genus_formula_reference, minimum_genus_rotation,
+                     pincer_genus, rotation_system_count)
 from .trails import (TrailHypergraph, build_trail_hypergraph,
                      check_matching_conditions, count_short_closed_trails,
                      find_disjoint_mirror_matching, find_matching,
@@ -52,8 +51,7 @@ __all__ = [
     "nonorientable_bounds", "psi", "reduce_small_part", "refined_lower_bound",
     "regime_classify", "small_p_asymptote_check", "small_part_exact_genus",
     "PincerResult", "SearchBudget", "exact_genus", "genus_formula_reference",
-    "heuristic_genus_upper", "minimum_genus_rotation", "pincer_genus",
-    "rotation_system_count",
+    "minimum_genus_rotation", "pincer_genus", "rotation_system_count",
     "TrailHypergraph", "build_trail_hypergraph",
     "check_matching_conditions", "count_short_closed_trails",
     "find_disjoint_mirror_matching", "find_matching", "theoretical_delta",

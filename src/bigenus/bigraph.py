@@ -206,11 +206,6 @@ class PhiloxStream:
                 mul(p, 2.0 ** -53, out[start:start + b, j])
 
 
-def rng_stream(seed: int, stream: int) -> PhiloxStream:
-    """Philox stream for one (seed, stream) pair."""
-    return PhiloxStream(seed, stream)
-
-
 def derive_int_seed(seed: int, stream: int) -> int:
     """A 64-bit integer derived from (seed, stream), for random.Random:
     the first key word of its Philox stream."""
@@ -526,7 +521,7 @@ def gen_random_bipartite(params: GenParams) -> BipartiteGraph:
     changing the output: it depends only on params.
     """
     n1, n2, p = params.n1, params.n2, params.p
-    gen = rng_stream(params.seed, STREAM_EDGES)
+    gen = PhiloxStream(params.seed, STREAM_EDGES)
     total = n1 * n2
     cells = []
     for offset in range(0, total, _GEN_CHUNK):
@@ -586,7 +581,7 @@ def orient_randomly(g, seed: int) -> Digraph:
     indexed by the position of the edge in sorted order, and edge (u, v)
     with u < v becomes the arc u -> v when its coin is below 1/2.
     """
-    gen = rng_stream(seed, STREAM_ORIENT)
+    gen = PhiloxStream(seed, STREAM_ORIENT)
     flip = gen.random(g.n_edges) >= 0.5
     tail = np.where(flip, g.v, g.u)
     head = np.where(flip, g.u, g.v)

@@ -15,10 +15,11 @@ u -> v -> w says that the dart v -> w follows the dart v -> u, so the
 passages of the whole family are one successor array over the darts
 (_passages). Its cycles are the blossoms, and its chains, concatenated
 at every vertex, write the rotation. Every function here takes a
-DartFamily, which DartFamily.of_matchings builds from the matched
-trails, rebuilt from their rows of arc ids, and reads only its dart
-ids: a length-2 blossom is simple unless its two trails are mutual
-reverses, which compares their darts.
+DartFamily alone: DartFamily.of_matchings builds it for g from the
+matched trails, rebuilt from their rows of arc ids, and it carries g
+to the RotationSystem that assemble_rotation returns. The functions
+read only its dart ids: a length-2 blossom is simple unless its two
+trails are mutual reverses, which compares their darts.
 """
 
 from __future__ import annotations
@@ -145,16 +146,6 @@ class DartFamily:
         return k, j - self.offsets[k]
 
 
-def _as_family(g, family: DartFamily) -> DartFamily:
-    """family itself when it was built for g, else its arcs converted to
-    a family of g, checked against g's edges again."""
-    if family.graph is g:
-        return family
-    index = family.index
-    return DartFamily._of_arcs(g, index.tail[family.darts], index.head[family.darts],
-                               family.lengths())
-
-
 def _passages(fam: DartFamily) -> np.ndarray:
     """The passage successor of the family: for the dart x = (v, u), the
     dart (v, w) of the passage u -> v -> w that enters v along the
@@ -216,14 +207,9 @@ def _is_reverse(fam: DartFamily, j: int, k: int) -> bool:
             and np.array_equal(np.roll(darts, -int(start[0])), rev))
 
 
-def find_blossoms(g, family: DartFamily) -> BlossomReport:
-    """Every auxiliary cycle of every center, exhaustively.
-
-    The result is empty iff the family is blossom-free. A family built
-    for another graph object is converted for g first, which refuses an
-    arc that is no edge of g or that two trail positions use.
-    """
-    fam = _as_family(g, family)
+def find_blossoms(fam: DartFamily) -> BlossomReport:
+    """Every auxiliary cycle of every center, exhaustively. The result
+    is empty iff the family is blossom-free."""
     index = fam.index
     blossoms: list[Blossom] = []
     for cyc in _cycles(fam):
@@ -239,7 +225,7 @@ def find_blossoms(g, family: DartFamily) -> BlossomReport:
     return BlossomReport(tuple(blossoms))
 
 
-def make_blossom_free(g, family: DartFamily) -> tuple[DartFamily, DartFamily]:
+def make_blossom_free(fam: DartFamily) -> tuple[DartFamily, DartFamily]:
     """Remove trails until no auxiliary cycle survives.
 
     One detection, then a greedy hitting set: repeatedly drop the trail
@@ -253,7 +239,6 @@ def make_blossom_free(g, family: DartFamily) -> tuple[DartFamily, DartFamily]:
     stale entries skipped yields the next victim, so the loop costs
     O(c log c) in the total size c of the cycles.
     """
-    fam = _as_family(g, family)
     cycles = [frozenset(fam.entering(cyc)[0].tolist()) for cyc in _cycles(fam)]
     cycles_of: dict[int, list[int]] = {}
     for ci, cyc in enumerate(cycles):
@@ -281,9 +266,9 @@ def make_blossom_free(g, family: DartFamily) -> tuple[DartFamily, DartFamily]:
     return fam.subset(keep), fam.subset(~keep)
 
 
-def assemble_rotation(g, family: DartFamily) -> RotationSystem:
-    """Rotation system of g realizing every trail of the family as a
-    traced face.
+def assemble_rotation(fam: DartFamily) -> RotationSystem:
+    """Rotation system of fam.graph realizing every trail of the family
+    as a traced face.
 
     The family must be blossom-free; one that is not raises
     ValidationError. At each vertex the passages form disjoint successor
@@ -295,12 +280,11 @@ def assemble_rotation(g, family: DartFamily) -> RotationSystem:
     u in the order at v; that is checked for every passage before
     returning.
 
-    The order is written as dart successors over arc_index(g). The
-    chain cover is checked to list every vertex's out-darts exactly
-    once, so trace_faces can read the arrays for g without validating
-    them again.
+    The order is written as dart successors over the family's
+    arc_index(g), the one form of a RotationSystem. The chain cover is
+    checked to list every vertex's out-darts exactly once, so the
+    rotation takes the arrays through from_darts, unchecked.
     """
-    fam = _as_family(g, family)
     index = fam.index
     succ = _passages(fam)
     lead, rank, cyclic = _walk(succ, index)
@@ -326,4 +310,4 @@ def assemble_rotation(g, family: DartFamily) -> RotationSystem:
         raise InternalConsistencyError(
             f"assembled order at vertex {v} does not realize a passage"
         )
-    return RotationSystem.from_darts(g, (index, nxt, seq))
+    return RotationSystem.from_darts(fam.graph, (index, nxt, seq))

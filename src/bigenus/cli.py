@@ -18,14 +18,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 
-from .bigraph import (GenParams, check_seed, gen_random_bipartite,
+from .bigraph import (Digraph, GenParams, check_seed, gen_random_bipartite,
                       orient_randomly, read_bipartite, read_digraph,
                       standard_graph, write_bipartite, write_digraph)
 from .errors import GuardError, ValidationError
 from .estimator import (CSV_COLUMNS, PipelineConfig, estimate_genus,
                         prediction_for, regime_classify)
 from .oracle import (SearchBudget, exact_genus, genus_formula_reference,
-                     heuristic_genus_upper, minimum_genus_rotation, pincer_genus)
+                     minimum_genus_rotation, pincer_genus)
 from .trails import (build_trail_hypergraph, find_matching, matching_report_to_text,
                      trails_to_text)
 
@@ -77,22 +77,26 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _load_graph_file(path: str):
-    """Bipartite graph or digraph, decided by the header word."""
+_READERS = {"bipartite": read_bipartite, "digraph": read_digraph}
+
+
+def _load_graph_file(path: str, headers: tuple[str, ...]):
+    """The graph or digraph in the file, read by its header word, which
+    must be one of the `headers` that the caller takes."""
     with open(path) as fh:
         head = fh.readline().split()
         fh.seek(0)
-        if head and head[0] == "bipartite":
-            return read_bipartite(fh)
-        if head and head[0] == "digraph":
-            return read_digraph(fh)
-    raise ValidationError(f"{path}: unrecognized header, want 'bipartite' or 'digraph'")
+        if head and head[0] in headers:
+            return _READERS[head[0]](fh)
+    want = " or ".join(repr(h) for h in headers)
+    raise ValidationError(f"{path}: unrecognized header, want {want}")
 
 
-def _graph_from_args(args) -> tuple:
-    """(graph, p or None). Reads --in when given, else generates."""
+def _graph_from_args(args, headers: tuple[str, ...] = ("bipartite",)) -> tuple:
+    """(graph, p or None). Reads --in when given, a file with one of
+    the `headers`, else generates."""
     if getattr(args, "infile", None):
-        g = _load_graph_file(args.infile)
+        g = _load_graph_file(args.infile, headers)
         return g, None
     if args.n1 is None or args.n2 is None or args.p is None:
         raise ValidationError("need either --in FILE or all of --n1 --n2 --p")
@@ -103,9 +107,7 @@ def _graph_from_args(args) -> tuple:
 
 
 def _digraph_from_args(args):
-    g, _p = _graph_from_args(args)
-    from .bigraph import Digraph
-
+    g, _p = _graph_from_args(args, ("bipartite", "digraph"))
     if isinstance(g, Digraph):
         return g
     return orient_randomly(g, args.seed)
@@ -174,7 +176,7 @@ def cmd_oracle(args) -> int:
         g = complete_bipartite_graph(m, n)
         print(f"formula={genus_formula_reference('complete_bipartite', m, n)}")
     elif args.infile:
-        g = _load_graph_file(args.infile)
+        g = _load_graph_file(args.infile, ("bipartite",))
     else:
         raise ValidationError("need --in, --complete, or --complete-bipartite")
     budget = SearchBudget(max_systems=args.max_systems, restarts=args.restarts)
@@ -188,8 +190,6 @@ def cmd_oracle(args) -> int:
         else:
             genus = exact_genus(g, budget)
         print(f"genus={genus}")
-    elif args.method == "heuristic":
-        print(f"genus_upper={heuristic_genus_upper(g, budget, args.seed)}")
     else:
         res = pincer_genus(g, budget, args.seed)
         print(f"lower={res.lower}")
@@ -354,7 +354,8 @@ def _add_model_flags(sub, with_i=True):
         sub.add_argument("--i", type=int, default=1,
                          help="trail half-length parameter (faces have length 2i+2)")
     sub.add_argument("--in", dest="infile", default=None,
-                     help="read a graph/digraph file instead of generating")
+                     help="read a bipartite graph file instead of generating "
+                          "(trails and match also read a digraph file)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -387,13 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sub)
     sub.set_defaults(func=cmd_estimate)
 
-    sub = subs.add_parser("oracle", help="exact or heuristic genus of a small graph")
+    sub = subs.add_parser("oracle", help="exact genus or pincer bounds of a small graph")
     sub.add_argument("--in", dest="infile", default=None)
     sub.add_argument("--complete", type=int, default=None, metavar="N")
     sub.add_argument("--complete-bipartite", type=int, nargs=2, default=None,
                      metavar=("M", "N"))
-    sub.add_argument("--method", choices=("exact", "heuristic", "pincer"),
-                     default="exact")
+    sub.add_argument("--method", choices=("exact", "pincer"), default="exact")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-systems", type=int, default=10_000_000)
     sub.add_argument("--restarts", type=int, default=64)

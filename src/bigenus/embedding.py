@@ -6,6 +6,12 @@ an orientable surface. Faces are recovered by the orbit rule: the
 successor of the arc (u -> v) is (v -> w) where vw is the edge after vu
 in the cyclic order at v. Genus then falls out of Euler's formula,
 computed per connected component.
+
+A RotationSystem and a FaceSet each hold the graph they were built
+for, so trace_faces, genus_from_faces and genus_of_embedding take the
+object alone. A rotation has one form, dart successors over the
+arc_index of its graph; RotationSystem(g, order) checks and converts
+per-vertex neighbor orders into it once.
 """
 
 from __future__ import annotations
@@ -45,25 +51,44 @@ Darts = tuple[ArcIndex, np.ndarray, np.ndarray]
 
 
 class RotationSystem:
-    """Cyclic edge order per vertex, stored as the tuple of neighbor
-    endpoints in cyclic succession. Two systems are equal when every
-    vertex has the same cyclic tuple (the stored tuple is positional,
-    not normalized, so construction should be deterministic).
+    """Cyclic edge order at every vertex of `graph`, held as the dart
+    successors `darts` over arc_index(graph).
 
-    A dict whose values are all tuples is kept as it is, not copied;
-    the caller must not change it afterwards.
+    RotationSystem(g, order) takes the neighbors of every vertex in
+    cyclic order. It checks that order covers exactly the vertices of g
+    and that each cycle is a permutation of the vertex's neighbors (a
+    cycle equal to g.neighbors(v), as at every isolated vertex, passes
+    at once), then converts the cycles to darts. from_darts is the
+    trusted path that takes darts as they are.
 
-    A system made by from_darts is held as dart successors over the
-    arc_index numbering of the graph it was built for; its per-vertex
-    dict is built only when something reads `order`."""
+    Two systems are equal when every vertex has the same cyclic tuple
+    in `order` (positional, not normalized, so construction should be
+    deterministic)."""
 
-    def __init__(self, order: Mapping[int, Iterable[int]]):
-        if type(order) is dict and all(type(ns) is tuple for ns in order.values()):
-            self._order: dict[int, tuple[int, ...]] | None = order
-        else:
-            self._order = {v: tuple(ns) for v, ns in order.items()}
-        self._graph = None
-        self._darts: Darts | None = None
+    def __init__(self, g, order: Mapping[int, Iterable[int]]):
+        index = arc_index(g)
+        first = index.first.tolist()
+        vertices = range(g.n_vertices)
+        seq: list[int] = []
+        for v in vertices:
+            cyc = order.get(v)
+            if cyc is None:
+                raise ValidationError(f"no rotation given for vertex {v}")
+            cyc, nbrs = tuple(cyc), g.neighbors(v)
+            if cyc == nbrs:
+                seq.extend(range(first[v], first[v + 1]))
+                continue
+            if len(cyc) != len(set(cyc)):
+                raise ValidationError(f"rotation at {v} repeats an edge")
+            if set(cyc) != set(nbrs):
+                raise ValidationError(f"rotation at {v} does not match its neighbors")
+            seq.extend(first[v] + bisect_left(nbrs, u) for u in cyc)
+        if len(order) != len(vertices):
+            extra = sorted(v for v in order if v not in vertices)
+            raise ValidationError(f"rotation given for unknown vertices {extra}")
+        darts = np.array(seq, dtype=np.int32)
+        self.graph = g
+        self.darts: Darts = (index, cyclic_successors(index, darts), darts)
 
     @classmethod
     def from_darts(cls, g, darts: Darts) -> "RotationSystem":
@@ -72,60 +97,20 @@ class RotationSystem:
         the out-darts of every vertex cyclically and that seq lists them
         in that cyclic order."""
         rot = cls.__new__(cls)
-        rot._order = None
-        rot._graph = g
-        rot._darts = darts
+        rot.graph = g
+        rot.darts = darts
         return rot
 
-    @property
+    @functools.cached_property
     def order(self) -> dict[int, tuple[int, ...]]:
-        if self._order is None:
-            index, _nxt, seq = self._darts
-            heads = index.head[seq].tolist()
-            first = index.first.tolist()
-            self._order = {v: tuple(heads[first[v]:first[v + 1]])
-                           for v in range(self._graph.n_vertices)}
-        return self._order
-
-    def darts_for(self, g) -> Darts:
-        """(index, nxt, seq) of this rotation over index = arc_index(g).
-        A system built for g answers from its own arrays; any other is
-        first checked by validate_for."""
-        if self._graph is g:
-            return self._darts
-        self.validate_for(g)
-        index = arc_index(g)
+        """The neighbors of every vertex in cyclic order, read off seq."""
+        index, _nxt, seq = self.darts
+        heads = index.head[seq].tolist()
         first = index.first.tolist()
-        seq = np.array([first[v] + bisect_left(g.neighbors(v), u)
-                        for v in range(g.n_vertices) for u in self.at(v)], dtype=np.int32)
-        return index, cyclic_successors(index, seq), seq
-
-    def vertices(self) -> Iterable[int]:
-        return self.order.keys()
+        return {v: tuple(heads[first[v]:first[v + 1]]) for v in range(self.graph.n_vertices)}
 
     def at(self, v: int) -> tuple[int, ...]:
         return self.order[v]
-
-    def validate_for(self, g) -> None:
-        """Check the system covers exactly the vertices of g and each
-        pi_v is a permutation of the neighbors of v. A cycle equal to
-        g.neighbors(v), as at every isolated vertex, passes at once."""
-        order = self.order
-        vertices = range(g.n_vertices)
-        for v in vertices:
-            cyc = order.get(v)
-            if cyc is None:
-                raise ValidationError(f"no rotation given for vertex {v}")
-            nbrs = g.neighbors(v)
-            if cyc == nbrs:
-                continue
-            if len(cyc) != len(set(cyc)):
-                raise ValidationError(f"rotation at {v} repeats an edge")
-            if set(cyc) != set(nbrs):
-                raise ValidationError(f"rotation at {v} does not match its neighbors")
-        if len(order) != len(vertices):
-            extra = sorted(v for v in order if v not in vertices)
-            raise ValidationError(f"rotation given for unknown vertices {extra}")
 
     def successor(self, v: int, u: int) -> int:
         """The neighbor after u in the cyclic order at v."""
@@ -140,37 +125,22 @@ class RotationSystem:
         return hash(tuple(sorted(self.order.items())))
 
     def __repr__(self) -> str:
-        n = len(self._order) if self._order is not None else self._graph.n_vertices
-        return f"RotationSystem(vertices={n})"
+        return f"RotationSystem(vertices={self.graph.n_vertices})"
 
 
 class FaceSet:
-    """Traced faces of one embedding. Every face is a tuple of arcs in
-    orbit order, stored starting at its lexicographically least arc so
-    equal embeddings compare equal.
+    """Traced faces of one embedding of `graph`: the dart ids over index
+    in orbit order, face after face, in runs of `lengths`. Every face
+    starts at its least dart, which is its lexicographically least arc,
+    so equal embeddings compare equal. The arc tuples of `faces` are
+    built only when they are read."""
 
-    trace_faces keeps the faces as one int32 array of dart ids in orbit
-    order, face after face, and builds the arc tuples of `faces` only
-    when they are read."""
-
-    def __init__(self, faces: Iterable[tuple[Arc, ...]], n_edges: int):
-        self.faces = tuple(faces)
-        self.n_edges = n_edges
-        self.lengths = tuple(len(f) for f in self.faces)
-        self._tails = np.array([f[0][0] for f in self.faces], dtype=np.int64)
-
-    @classmethod
-    def _from_orbits(cls, index: ArcIndex, orbit: np.ndarray, lengths: list[int],
-                     n_edges: int) -> "FaceSet":
-        """The faces whose darts over index are orbit, split into runs
-        of the given lengths."""
-        fs = cls.__new__(cls)
-        fs.n_edges = n_edges
-        fs.lengths = tuple(lengths)
+    def __init__(self, g, index: ArcIndex, orbit: np.ndarray, lengths: list[int]):
+        self.graph = g
+        self.lengths = tuple(lengths)
         starts = np.cumsum([0] + lengths[:-1], dtype=np.int64)
-        fs._tails = index.tail[orbit[starts]] if lengths else np.empty(0, dtype=np.int32)
-        fs._orbits = (index, orbit)
-        return fs
+        self._tails = index.tail[orbit[starts]] if lengths else np.empty(0, dtype=np.int32)
+        self._orbits = (index, orbit)
 
     @functools.cached_property
     def faces(self) -> tuple[tuple[Arc, ...], ...]:
@@ -178,6 +148,10 @@ class FaceSet:
         arcs = list(zip(index.tail[orbit].tolist(), index.head[orbit].tolist()))
         ends = itertools.accumulate(self.lengths)
         return tuple(tuple(arcs[e - n:e]) for e, n in zip(ends, self.lengths))
+
+    @property
+    def n_edges(self) -> int:
+        return self.graph.n_edges
 
     @property
     def n_faces(self) -> int:
@@ -202,8 +176,11 @@ class FaceSet:
 
 
 def sorted_rotation(g) -> RotationSystem:
-    """The rotation that lists neighbors in ascending label order."""
-    return RotationSystem({v: g.neighbors(v) for v in range(g.n_vertices)})
+    """The rotation that lists neighbors in ascending label order: seq
+    is the identity over the CSR darts of g."""
+    index = arc_index(g)
+    seq = np.arange(len(index.tail), dtype=np.int32)
+    return RotationSystem.from_darts(g, (index, cyclic_successors(index, seq), seq))
 
 
 def arc_index(g, verts: Iterable[int] | None = None) -> ArcIndex:
@@ -268,9 +245,9 @@ def euler_genus(n_c: int, e_c: int, f_c: int) -> int:
     return val // 2
 
 
-def trace_faces(g, rot: RotationSystem) -> FaceSet:
+def trace_faces(rot: RotationSystem) -> FaceSet:
     """Orbit decomposition of the arc set under the face-successor map."""
-    index, nxt, _seq = rot.darts_for(g)
+    index, nxt, _seq = rot.darts
     rev, nxt = memoryview(index.rev), memoryview(nxt)
     orbit = array("i")
     lengths = []
@@ -285,46 +262,36 @@ def trace_faces(g, rot: RotationSystem) -> FaceSet:
         lengths.append(len(orbit) - start)
     if len(orbit) != len(rev):
         raise InternalConsistencyError("face lengths do not cover every arc once")
-    return FaceSet._from_orbits(index, np.frombuffer(orbit, dtype=np.int32), lengths,
-                                len(rev) // 2)
+    return FaceSet(rot.graph, index, np.frombuffer(orbit, dtype=np.int32), lengths)
 
 
-def connected_components(g, starts: Iterable[int] | None = None
-                         ) -> list[tuple[int, ...]]:
-    """The components of g that contain a vertex of `starts` (default:
-    every vertex), each sorted, in the order their first start comes.
-    Only the vertices with an edge are labelled (component_labels); an
-    isolated vertex is a component of its own."""
+def connected_components(g) -> list[tuple[int, ...]]:
+    """The components of g, each sorted, in the order of their least
+    vertex. Only the vertices with an edge are labelled
+    (component_labels); an isolated vertex is a component of its own."""
     n = g.n_vertices
     verts, a, b = g.local_edges()
     label = component_labels(len(verts), a, b)
     least = np.arange(n)
     least[verts] = verts[label]
-    if starts is not None:
-        starts = np.fromiter(starts, dtype=np.int64)
-        if len(starts) and not (0 <= starts.min() and starts.max() < n):
-            raise IndexError(f"start vertex out of range 0..{n - 1}")
-        least = least[starts]
-    # the first start of each component, by a stable sort on least
-    order = np.argsort(least, kind="stable")
-    roots = least[np.sort(order[np.diff(least[order], prepend=-1) != 0])]
+    roots = np.flatnonzero(least == np.arange(n))
     order = np.argsort(label, kind="stable")
     runs = np.split(verts[order], np.flatnonzero(np.diff(label[order])) + 1)
     members = {run[0]: run for run in (tuple(r.tolist()) for r in runs) if run}
     return [members.get(v, (v,)) for v in roots.tolist()]
 
 
-def genus_of_embedding(g, rot: RotationSystem) -> int:
+def genus_of_embedding(rot: RotationSystem) -> int:
     """Sum over components of (2 - n_c + e_c - f_c) / 2, each checked by
     euler_genus; isolated vertices contribute 0."""
-    return genus_from_faces(g, trace_faces(g, rot))
+    return genus_from_faces(trace_faces(rot))
 
 
-def genus_from_faces(g, fs: FaceSet) -> int:
-    """Euler's formula per component, with n_c, e_c and f_c counted
-    over the component labels of the vertices with an edge: an isolated
-    vertex contributes 0 and is never labelled."""
-    verts, a, b = g.local_edges()
+def genus_from_faces(fs: FaceSet) -> int:
+    """Euler's formula per component of fs.graph, with n_c, e_c and f_c
+    counted over the component labels of the vertices with an edge: an
+    isolated vertex contributes 0 and is never labelled."""
+    verts, a, b = fs.graph.local_edges()
     k = len(verts)
     label = component_labels(k, a, b)
     n_c = np.bincount(label, minlength=k)
@@ -353,7 +320,7 @@ def _edge_token(v: int, u: int) -> str:
 
 
 def rotation_to_text(rot: RotationSystem, fh: TextIO) -> None:
-    for v in sorted(rot.vertices()):
-        tokens = " ".join(_edge_token(v, u) for u in rot.at(v))
+    for v, cyc in rot.order.items():
+        tokens = " ".join(_edge_token(v, u) for u in cyc)
         fh.write(f"{v}: {tokens}\n".rstrip() + "\n")
 

@@ -382,10 +382,9 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
 
     m, mm = _trail_matchings(g, i, cfg)
     family = DartFamily.of_matchings(g, m, mm)
-    surviving, removed = make_blossom_free(g, family)
-    rot = assemble_rotation(g, surviving)
-    fs = trace_faces(g, rot)
-    upper = genus_from_faces(g, fs)
+    surviving, removed = make_blossom_free(family)
+    fs = trace_faces(assemble_rotation(surviving))
+    upper = genus_from_faces(fs)
     if upper < lower:
         raise InternalConsistencyError(
             f"embedding genus {upper} fell below the lower bound {lower}"

@@ -2,14 +2,15 @@
 hill-climbing upper bound for graphs beyond exhaustion.
 
 Genus is additive over connected components, so one private driver,
-_search, walks the components for exact_genus, heuristic_genus_upper
+_search, walks the components for exact_genus, minimum_genus_rotation
 and pincer_genus alike. Each component gets its own Euler lower bound,
 then a hill climb, an exhaustive scan, or the climb followed by the
 scan when the climb misses the bound. The scan enumerates rotation
 systems by a mixed-radix counter over per-vertex orderings with the
 first incident edge fixed (cyclic orders, not linear ones) and stops
 early once the bound is attained; a climb that attains it certifies
-exactness without enumerating anything.
+exactness without enumerating anything. Only minimum_genus_rotation
+turns the orders found into a RotationSystem of g, its witness.
 """
 
 from __future__ import annotations
@@ -195,20 +196,26 @@ def _scan(eng: _Engine, lb: int, deadline: float | None,
 
 
 def _search(g, budget: SearchBudget, seed: int, climb: bool, scan: bool
-            ) -> tuple[int, int, dict[int, tuple[int, ...]]]:
+            ) -> tuple[int, int, list[_Engine]]:
     """The per-component search behind every public one. Each component
     with an edge, on one Random(seed) stream, gets its Euler lower bound
     lb (with its own minimum face length), a hill climb when `climb` is
     set, and a scan when `scan` is set and the climb missed lb. Returns
-    the summed bounds, the summed genera found and the neighbour orders
-    realising them (sorted neighbours where nothing was searched)."""
+    the summed bounds, the summed genera found and the engines of the
+    components, each left at the rotation that realises its genus.
+
+    A scan refuses (never guesses) when prod_v (deg(v)-1)! exceeds the
+    system budget, before any search, or when the time budget runs
+    out."""
+    if scan and (need := rotation_system_count(g)) > budget.max_systems:
+        raise BudgetExceededError(
+            f"{need} rotation systems exceed the budget of {budget.max_systems}")
     deadline = None
     if budget.max_seconds is not None:
         deadline = time.monotonic() + budget.max_seconds
     rng = random.Random(seed)
     lower = total = 0
-    order: dict[int, tuple[int, ...]] = {v: tuple(sorted(g.neighbors(v)))
-                                         for v in range(g.n_vertices)}
+    engines = []
     for verts in connected_components(g):
         if g.degree(verts[0]) == 0:
             continue
@@ -223,42 +230,32 @@ def _search(g, budget: SearchBudget, seed: int, climb: bool, scan: bool
         eng.restore(snap)
         lower += lb
         total += best
-        order.update(eng.neighbor_orders())
-    return lower, total, order
+        engines.append(eng)
+    return lower, total, engines
 
 
 def minimum_genus_rotation(g, budget: SearchBudget | None = None,
                            shortcut: bool = True) -> tuple[int, RotationSystem]:
-    """Exact minimum genus together with a witness rotation system.
+    """Exact minimum genus together with a witness rotation system of g,
+    which lists sorted neighbours where nothing was searched.
 
     Refuses (never guesses) when prod_v (deg(v)-1)! exceeds the system
     budget or the time budget runs out. With shortcut enabled, a
     component whose hill-climb result meets its Euler lower bound skips
     enumeration; the result is exact either way.
     """
-    budget = budget or SearchBudget()
-    need = rotation_system_count(g)
-    if need > budget.max_systems:
-        raise BudgetExceededError(
-            f"{need} rotation systems exceed the budget of {budget.max_systems}"
-        )
-    _lower, genus, order = _search(g, budget, 0, climb=shortcut, scan=True)
-    return genus, RotationSystem(order)
+    _lower, genus, engines = _search(g, budget or SearchBudget(), 0, climb=shortcut,
+                                     scan=True)
+    order = {v: g.neighbors(v) for v in range(g.n_vertices)}
+    for eng in engines:
+        order.update(eng.neighbor_orders())
+    return genus, RotationSystem(g, order)
 
 
 def exact_genus(g, budget: SearchBudget | None = None, shortcut: bool = True) -> int:
-    """Exact minimum genus over all rotation systems; see
-    minimum_genus_rotation for the search and refusal rules."""
-    return minimum_genus_rotation(g, budget, shortcut)[0]
-
-
-def heuristic_genus_upper(g, budget: SearchBudget | None = None, seed: int = 0) -> int:
-    """Best genus found by seeded hill climbing (adjacent transpositions
-    in one vertex's cyclic order, restarts from shuffled starts): the
-    upper bound of pincer_genus. An upper bound on the exact genus, with
-    no optimality claim. A component stops restarting once it meets its
-    Euler lower bound."""
-    return pincer_genus(g, budget, seed).upper
+    """Exact minimum genus over all rotation systems, with no witness;
+    see minimum_genus_rotation for the search and refusal rules."""
+    return _search(g, budget or SearchBudget(), 0, climb=shortcut, scan=True)[1]
 
 
 class PincerResult(NamedTuple):
@@ -271,9 +268,14 @@ def pincer_genus(g, budget: SearchBudget | None = None, seed: int = 0) -> Pincer
     """Per-component Euler lower bounds and hill-climb upper bounds,
     each summed over components; exact iff the sums meet, which is iff
     every component's climb meets its own bound. The route to ground
-    truth when exhaustion is infeasible."""
-    lower, upper, _order = _search(g, budget or SearchBudget(), seed, climb=True,
-                                   scan=False)
+    truth when exhaustion is infeasible.
+
+    The upper bound is the best genus found by seeded hill climbing
+    (adjacent transpositions in one vertex's cyclic order, restarts
+    from shuffled starts), with no optimality claim; a component stops
+    restarting once it meets its Euler lower bound."""
+    lower, upper, _engines = _search(g, budget or SearchBudget(), seed, climb=True,
+                                     scan=False)
     return PincerResult(lower, upper, lower == upper)
 
 

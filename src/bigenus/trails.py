@@ -58,6 +58,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import weakref
 from dataclasses import dataclass, replace
 from typing import TextIO
 
@@ -436,20 +437,31 @@ class MatchingReport:
     Coverage is d*|M|/N, the fraction of arcs used by the matching.
 
     `chosen` holds the matched trails, canonical and sorted, over the
-    arc arrays of the family they were matched in. `excluded` counts the
-    trails of the first matching whose reverses a mirror matching left
-    out."""
+    arc arrays of the family they were matched in, and `family` is a
+    weak reference to that family object, which the report does not
+    keep alive. `excluded` counts the trails of the first matching whose
+    reverses a mirror matching left out."""
 
     chosen: TrailHypergraph
-    coverage: float
     seed: int
-    n_arcs: int
-    d: int
+    family: weakref.ref
     excluded: int = 0
 
     @property
     def size(self) -> int:
         return self.chosen.n_hyperedges
+
+    @property
+    def n_arcs(self) -> int:
+        return self.chosen.n_arcs
+
+    @property
+    def d(self) -> int:
+        return self.chosen.d
+
+    @property
+    def coverage(self) -> float:
+        return self.d * self.size / self.n_arcs if self.n_arcs else 0.0
 
 
 def find_matching(h: TrailHypergraph, seed: int = 0) -> MatchingReport:
@@ -509,9 +521,7 @@ def find_matching(h: TrailHypergraph, seed: int = 0) -> MatchingReport:
         kept += k - start
         start = k + 1
     h.rows = rows[:kept]
-    coverage = h.d * len(chosen) / h.n_arcs if h.n_arcs else 0.0
-    return MatchingReport(TrailHypergraph(h.tail, h.head, matched),
-                          coverage, seed, h.n_arcs, h.d)
+    return MatchingReport(TrailHypergraph(h.tail, h.head, matched), seed, weakref.ref(h))
 
 
 def find_disjoint_mirror_matching(h: TrailHypergraph, m: MatchingReport,
@@ -522,8 +532,9 @@ def find_disjoint_mirror_matching(h: TrailHypergraph, m: MatchingReport,
     find_matching left holding the trails m did not take. Reversal is a
     bijection, so their mirror is the reversed digraph's family less the
     reverses of m: h is mirrored in place and matched. Any other h, such
-    as one already mirrored, raises ValidationError."""
-    if m.chosen.tail is not h.tail:
+    as another enumeration of the same digraph or h once mirrored
+    already, raises ValidationError."""
+    if m.family() is not h or m.chosen.tail is not h.tail:
         raise ValidationError("h must be the family the matching was drawn from")
     h.mirror()
     return replace(find_matching(h, seed), excluded=m.size)

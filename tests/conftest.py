@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from bigenus.bigraph import (STREAM_ORIENT, BipartiteGraph, Digraph, GenParams, Graph,
-                             gen_random_bipartite, orient_randomly, rng_stream)
+                             PhiloxStream, gen_random_bipartite, orient_randomly)
 from bigenus.blossom import Blossom, DartFamily
 from bigenus.embedding import FaceSet, RotationSystem, genus_of_embedding, trace_faces
 from bigenus.errors import ValidationError
@@ -158,7 +158,7 @@ def random_rotation(g, rng: random.Random) -> RotationSystem:
         nbrs = list(g.neighbors(v))
         rng.shuffle(nbrs)
         order[v] = tuple(nbrs)
-    return RotationSystem(order)
+    return RotationSystem(g, order)
 
 
 def reference_arc_index(g, verts=None):
@@ -259,11 +259,11 @@ def all_rotation_systems(g):
             choices.append([(head,) + perm
                             for perm in itertools.permutations(rest)])
     for combo in itertools.product(*choices):
-        yield RotationSystem(dict(zip(verts, combo)))
+        yield RotationSystem(g, dict(zip(verts, combo)))
 
 
 def brute_min_genus(g) -> int:
-    return min(genus_of_embedding(g, rot) for rot in all_rotation_systems(g))
+    return min(genus_of_embedding(rot) for rot in all_rotation_systems(g))
 
 
 def reference_core_components(g) -> list[list[int]]:
@@ -310,7 +310,7 @@ def reference_core_components(g) -> list[list[int]]:
 
 def component_euler_stats(g, rot):
     """(vertices, edges, faces) per connected component with >= 1 edge."""
-    fs = trace_faces(g, rot)
+    fs = trace_faces(rot)
     comps = reference_components(reference_adjacency(g.n_vertices, g.edge_list))
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     f_count = [0] * len(comps)
@@ -430,7 +430,7 @@ def reference_orientation(g, seed: int) -> list[tuple[int, int]]:
     """The arcs of orient_randomly(g, seed), sorted, by a tuple loop:
     the k-th edge (a, b) of g.edge_list is kept as a -> b when the k-th
     coin of the orientation stream is below 1/2, else reversed."""
-    gen = rng_stream(seed, STREAM_ORIENT)
+    gen = PhiloxStream(seed, STREAM_ORIENT)
     edges = g.edge_list
     u = gen.random(len(edges)) if edges else np.empty(0)
     return sorted((a, b) if u[k] < 0.5 else (b, a) for k, (a, b) in enumerate(edges))
@@ -568,7 +568,7 @@ def reference_assemble(g, family) -> RotationSystem:
             raise ValidationError(
                 f"family has a blossom at vertex {v} (length {len(cycles[0])})")
         order[v] = tuple(u for chain in sorted(chains, key=min) for u in chain)
-    return RotationSystem(order)
+    return RotationSystem(g, order)
 
 
 def reference_blossom_free(g, family):
@@ -678,8 +678,8 @@ def rho(d: Digraph, b: int, a: int, i: int) -> int:
 # traced faces) for round-trip tests.
 
 
-def rotation_from_text(fh) -> RotationSystem:
-    """Inverse of bigenus.embedding.rotation_to_text."""
+def rotation_from_text(fh, g) -> RotationSystem:
+    """Inverse of bigenus.embedding.rotation_to_text, for the graph g."""
     order: dict[int, tuple[int, ...]] = {}
     for line in fh:
         line = line.strip()
@@ -698,7 +698,7 @@ def rotation_from_text(fh) -> RotationSystem:
             else:
                 raise ValidationError(f"edge {tok} is not incident with vertex {v}")
         order[v] = tuple(nbrs)
-    return RotationSystem(order)
+    return RotationSystem(g, order)
 
 
 def _arc_lines(fh, sep: str) -> list[list[tuple[int, int]]]:
@@ -718,8 +718,9 @@ def faces_to_text(fs: FaceSet, fh) -> None:
         fh.write(" ".join(f"{t}>{h}" for (t, h) in face) + "\n")
 
 
-def faces_from_text(fh, n_edges: int) -> FaceSet:
-    return FaceSet(tuple(tuple(arcs) for arcs in _arc_lines(fh, ">")), n_edges=n_edges)
+def faces_from_text(fh) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The faces that faces_to_text wrote, as FaceSet.faces holds them."""
+    return tuple(tuple(arcs) for arcs in _arc_lines(fh, ">"))
 
 
 def trails_from_text(fh) -> list[ClosedTrail]:

@@ -85,14 +85,14 @@ def test_02_face_tracing_invariants():
     for _ in range(1000):
         g = rand_graph(rng, max_edges=12)
         rot = random_rotation(g, rng)
-        fs = trace_faces(g, rot)
+        fs = trace_faces(rot)
         arcs = [a for face in fs.faces for a in face]
         expect = ({(u, v) for (u, v) in g.edge_list}
                   | {(v, u) for (u, v) in g.edge_list})
         if len(arcs) != 2 * g.n_edges or set(arcs) != expect:
             violations += 1
             continue
-        if genus_of_embedding(g, rot) < 0:
+        if genus_of_embedding(rot) < 0:
             violations += 1
             continue
         for (n, e, f) in component_euler_stats(g, rot):
@@ -111,9 +111,9 @@ def test_03_trail_realization():
     for k in range(200):
         n, p = combos[k % len(combos)]
         g, fam = pipeline_family(n, n, p, k)
-        surviving, _removed = make_blossom_free(g, fam)
-        rot = assemble_rotation(g, surviving)
-        faces = trace_faces(g, rot).face_arcs()
+        surviving, _removed = make_blossom_free(fam)
+        rot = assemble_rotation(surviving)
+        faces = trace_faces(rot).face_arcs()
         runs += 1
         if any(t.arcs not in faces for t in family_trails(surviving)):
             violations += 1
@@ -249,13 +249,13 @@ def test_09_blossom_machinery():
     g = BipartiteGraph(3, 2, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
     c1 = ClosedTrail.from_arcs([(0, 4), (4, 1), (1, 3), (3, 0)])
     c2 = ClosedTrail.from_arcs([(0, 3), (3, 2), (2, 4), (4, 0)])
-    rep = find_blossoms(g, dart_family(g, [c1, c2]))
+    rep = find_blossoms(dart_family(g, [c1, c2]))
     simple_ok = (len(rep.blossoms) == 1 and rep.blossoms[0].simple
                  and rep.blossoms[0].length == 2)
 
     k22 = complete_bipartite_graph(2, 2)
     t = ClosedTrail.from_arcs([(0, 2), (2, 1), (1, 3), (3, 0)])
-    rep = find_blossoms(k22, dart_family(k22, [t, t.reverse()]))
+    rep = find_blossoms(dart_family(k22, [t, t.reverse()]))
     mirror_ok = (bool(rep.blossoms)
                  and all(b.length == 2 and not b.simple for b in rep.blossoms))
 
@@ -265,8 +265,8 @@ def test_09_blossom_machinery():
         a, b = rng.randint(8, 16), rng.randint(8, 16)
         g, fam = pipeline_family(max(a, b), min(a, b),
                                  rng.choice((0.4, 0.6)), rng.randint(0, 10 ** 6))
-        surviving, _removed = make_blossom_free(g, fam)
-        if not find_blossoms(g, surviving).is_blossom_free:
+        surviving, _removed = make_blossom_free(fam)
+        if not find_blossoms(surviving).is_blossom_free:
             dirty += 1
     ok = simple_ok and mirror_ok and dirty == 0
     line = (f"check 9 blossom machinery: simple-2 {simple_ok}, "

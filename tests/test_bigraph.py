@@ -318,7 +318,7 @@ def test_streams_equal_numpy_philox(seed):
     from numpy.random import Generator, Philox, SeedSequence
     for stream in range(4):
         ref = Generator(Philox(SeedSequence([seed, stream])))
-        gen = bigraph.rng_stream(seed, stream)
+        gen = bigraph.PhiloxStream(seed, stream)
         # consecutive draws cross the 4-word block, the kernel pass and
         # the _GEN_CHUNK borders
         for n in (0, 1, 3, 4, 5, 65_536, 100_001):
@@ -328,15 +328,15 @@ def test_streams_equal_numpy_philox(seed):
 
 
 def test_stream_passes_do_not_change_it(monkeypatch):
-    whole = bigraph.rng_stream(9, 1).random(1_001)
+    whole = bigraph.PhiloxStream(9, 1).random(1_001)
     monkeypatch.setattr(bigraph, "_KERNEL_BLOCKS", 3)
-    gen = bigraph.rng_stream(9, 1)
+    gen = bigraph.PhiloxStream(9, 1)
     assert np.array_equal(np.concatenate([gen.random(n) for n in (2, 13, 500, 486)]), whole)
 
 
 def test_negative_seeds_are_refused():
-    for call in (lambda: bigraph.rng_stream(-1, 0), lambda: bigraph.rng_stream(0, -1),
-                 lambda: bigraph.derive_int_seed(-1, 2), lambda: bigraph.rng_stream(1.0, 0),
+    for call in (lambda: bigraph.PhiloxStream(-1, 0), lambda: bigraph.PhiloxStream(0, -1),
+                 lambda: bigraph.derive_int_seed(-1, 2), lambda: bigraph.PhiloxStream(1.0, 0),
                  lambda: GenParams(5, 5, 0.5, seed=-3), lambda: PipelineConfig(seed=-1)):
         with pytest.raises(ValidationError, match="must be a nonnegative integer"):
             call()

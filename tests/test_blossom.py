@@ -7,8 +7,7 @@ from bigenus import blossom
 from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, complete_bipartite_graph,
                              cycle_graph, gen_random_bipartite, orient_randomly)
 from bigenus.blossom import DartFamily, assemble_rotation, find_blossoms, make_blossom_free
-from bigenus.embedding import (RotationSystem, arc_index, genus_from_faces,
-                               sorted_rotation, trace_faces)
+from bigenus.embedding import RotationSystem, genus_from_faces, sorted_rotation, trace_faces
 from bigenus.errors import InternalConsistencyError, ValidationError
 from bigenus.trails import (build_trail_hypergraph, find_disjoint_mirror_matching,
                             find_matching)
@@ -25,7 +24,7 @@ def _quad(*arcs):
 def test_single_trail_no_blossom():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    rep = find_blossoms(g, dart_family(g, [t]))
+    rep = find_blossoms(dart_family(g, [t]))
     assert rep.is_blossom_free
     assert rep.blossoms == ()
 
@@ -33,7 +32,7 @@ def test_single_trail_no_blossom():
 def test_trail_and_reverse_non_simple():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    rep = find_blossoms(g, dart_family(g, [t, t.reverse()]))
+    rep = find_blossoms(dart_family(g, [t, t.reverse()]))
     assert not rep.is_blossom_free
     centers = {b.center for b in rep.blossoms}
     assert centers == {0, 1, 2, 3}
@@ -47,7 +46,7 @@ def test_hand_built_simple_length2():
     g = BipartiteGraph(3, 2, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
     c1 = _quad((0, 4), (4, 1), (1, 3), (3, 0))
     c2 = _quad((0, 3), (3, 2), (2, 4), (4, 0))
-    rep = find_blossoms(g, dart_family(g, [c1, c2]))
+    rep = find_blossoms(dart_family(g, [c1, c2]))
     assert len(rep.blossoms) == 1
     b = rep.blossoms[0]
     assert b.center == 0
@@ -87,7 +86,7 @@ def test_length2_simplicity_by_darts_matches_reference():
         # a passage's position in its trail depends on where the trail's
         # darts start; the rest of a blossom does not
         key = lambda b: (b.center, tuple(k for (k, _j) in b.passages), b.tips, b.simple)
-        blossoms = find_blossoms(g, darts).blossoms
+        blossoms = find_blossoms(darts).blossoms
         assert list(map(key, blossoms)) == list(map(key, reference_blossoms(g, fam)))
         for b in blossoms:
             if b.length == 2:
@@ -103,21 +102,9 @@ def test_self_reversal_passage_is_length1():
     from bigenus.bigraph import Graph
 
     host = Graph(2, [(0, 1)])
-    rep = find_blossoms(host, dart_family(host, [t]))
+    rep = find_blossoms(dart_family(host, [t]))
     assert not rep.is_blossom_free
     assert all(b.length == 1 and not b.simple for b in rep.blossoms)
-
-
-def _held_for(g, trails):
-    """The trails as darts over arc_index(g), built without the checks
-    of a family's construction, and held for a fresh graph equal to g:
-    each function converts such a family for g, and checks it there."""
-    index = arc_index(g)
-    key = index.tail.astype(np.int64) * g.n_vertices + index.head
-    darts = np.searchsorted(key, [u * g.n_vertices + v for t in trails for (u, v) in t.arcs])
-    offsets = np.cumsum([0] + [len(t) for t in trails])
-    return DartFamily(BipartiteGraph(g.n1, g.n2, g.edge_list), index,
-                      darts.astype(np.int32), offsets)
 
 
 def test_family_must_be_arc_disjoint():
@@ -125,9 +112,6 @@ def test_family_must_be_arc_disjoint():
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
     with pytest.raises(ValidationError, match="used by two trails"):
         dart_family(g, [t, t])
-    for fn in (find_blossoms, make_blossom_free, assemble_rotation):
-        with pytest.raises(ValidationError, match="used by two trails"):
-            fn(g, _held_for(g, [t, t]))
 
 
 def test_family_arcs_must_be_edges():
@@ -135,9 +119,6 @@ def test_family_arcs_must_be_edges():
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
     with pytest.raises(ValidationError, match="3->0 is not an edge"):
         dart_family(g, [t])
-    for fn in (find_blossoms, make_blossom_free, assemble_rotation):
-        with pytest.raises(ValidationError, match="3->0 is not an edge"):
-            fn(g, _held_for(complete_bipartite_graph(2, 2), [t]))
 
 
 def test_assemble_checks_every_passage(monkeypatch):
@@ -145,7 +126,7 @@ def test_assemble_checks_every_passage(monkeypatch):
     # [4, 3] and [5], and reversing them must be caught
     g = complete_bipartite_graph(3, 3)
     t = _quad((0, 3), (3, 1), (1, 4), (4, 0))
-    assert assemble_rotation(g, dart_family(g, [t])).at(0) == (4, 3, 5)
+    assert assemble_rotation(dart_family(g, [t])).at(0) == (4, 3, 5)
     walk = blossom._walk
 
     def reversed_chains(succ, index):
@@ -154,7 +135,7 @@ def test_assemble_checks_every_passage(monkeypatch):
 
     monkeypatch.setattr(blossom, "_walk", reversed_chains)
     with pytest.raises(InternalConsistencyError, match="does not realize a passage"):
-        assemble_rotation(g, dart_family(g, [t]))
+        assemble_rotation(dart_family(g, [t]))
 
 
 def test_tip_digraph_counts():
@@ -169,7 +150,7 @@ def test_detection_matches_independent_acyclicity():
     rng = random.Random(31)
     for _ in range(15):
         g, fam = pipeline_family(12, 12, 0.6, rng.randint(0, 9999))
-        rep = find_blossoms(g, fam)
+        rep = find_blossoms(fam)
         acyclic = True
         on_cycles = 0
         for td in tip_digraphs(family_trails(fam)).values():
@@ -191,7 +172,7 @@ def test_mirror_families_have_no_nonsimple_length2():
     rng = random.Random(32)
     for _ in range(15):
         g, fam = pipeline_family(14, 14, 0.6, rng.randint(0, 9999))
-        rep = find_blossoms(g, fam)
+        rep = find_blossoms(fam)
         for b in rep.blossoms:
             if b.length == 2:
                 assert b.simple
@@ -200,7 +181,7 @@ def test_mirror_families_have_no_nonsimple_length2():
 def test_make_blossom_free_identity():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    surv, removed = make_blossom_free(g, dart_family(g, [t]))
+    surv, removed = make_blossom_free(dart_family(g, [t]))
     assert family_trails(surv) == (t,)
     assert family_trails(removed) == ()
 
@@ -208,16 +189,16 @@ def test_make_blossom_free_identity():
 def test_make_blossom_free_reversal_pair():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    surv, removed = make_blossom_free(g, dart_family(g, [t, t.reverse()]))
+    surv, removed = make_blossom_free(dart_family(g, [t, t.reverse()]))
     assert len(surv) == 1 and len(removed) == 1
-    assert find_blossoms(g, surv).is_blossom_free
+    assert find_blossoms(surv).is_blossom_free
 
 
 def test_make_blossom_free_pipeline():
     g, fam = pipeline_family(80, 80, 0.5, 0)
-    surv, removed = make_blossom_free(g, fam)
+    surv, removed = make_blossom_free(fam)
     assert (len(fam), len(removed)) == (1214, 110)
-    assert find_blossoms(g, surv).is_blossom_free
+    assert find_blossoms(surv).is_blossom_free
     assert len(removed) / len(fam) < 0.12
     assert [t for t in family_trails(fam) if t in set(family_trails(surv))] == list(family_trails(surv))  # order kept
 
@@ -231,7 +212,7 @@ def test_make_blossom_free_matches_reference():
             n1 = rng.randint(5, 16)
             g, fam = pipeline_family(n1, rng.randint(3, n1), rng.uniform(0.3, 1.0),
                                      rng.randint(0, 9999), i)
-            got = make_blossom_free(g, fam)
+            got = make_blossom_free(fam)
             assert tuple(family_trails(part) for part in got) == reference_blossom_free(g, family_trails(fam))
             with_removals += len(got[1]) > 0
     assert with_removals >= 60
@@ -240,15 +221,15 @@ def test_make_blossom_free_matches_reference():
 def test_assemble_single_trail_c4():
     g = cycle_graph(4)
     t = ClosedTrail.from_arcs([(0, 1), (1, 2), (2, 3), (3, 0)])
-    rot = assemble_rotation(g, dart_family(g, [t]))
-    fs = trace_faces(g, rot)
+    rot = assemble_rotation(dart_family(g, [t]))
+    fs = trace_faces(rot)
     assert t.arcs in fs.face_arcs()
     assert fs.n_faces == 2
 
 
 def test_assemble_empty_family():
     g = complete_bipartite_graph(3, 3)
-    rot = assemble_rotation(g, dart_family(g, []))
+    rot = assemble_rotation(dart_family(g, []))
     for v in range(6):
         assert rot.at(v) == sorted_rotation(g).at(v)
 
@@ -257,32 +238,33 @@ def test_assemble_rejects_blossoms():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
     with pytest.raises(ValidationError):
-        assemble_rotation(g, dart_family(g, [t, t.reverse()]))
+        assemble_rotation(dart_family(g, [t, t.reverse()]))
 
 
 def test_assemble_realizes_k33_pipeline():
     for seed in range(6):
         g, fam = pipeline_family(3, 3, 1.0, seed)
-        surv, _removed = make_blossom_free(g, fam)
-        rot = assemble_rotation(g, surv)
-        faces = trace_faces(g, rot).face_arcs()
+        surv, _removed = make_blossom_free(fam)
+        rot = assemble_rotation(surv)
+        faces = trace_faces(rot).face_arcs()
         for t in family_trails(surv):
             assert t.arcs in faces
 
 
 def test_assembled_darts_match_their_dict():
-    # the dart-successor rotation against the same orders held as a
-    # plain dict, which trace_faces validates and converts
+    # the dart-successor rotation against the same orders passed as a
+    # plain dict to RotationSystem, which validates and converts them
     rng = random.Random(33)
     for _ in range(12):
         n1 = rng.randint(3, 14)
         g, fam = pipeline_family(n1, rng.randint(2, n1), rng.uniform(0.3, 1.0),
                                  rng.randint(0, 9999))
-        surv, _removed = make_blossom_free(g, fam)
-        rot = assemble_rotation(g, surv)
-        plain = RotationSystem(dict(rot.order))
+        surv, _removed = make_blossom_free(fam)
+        rot = assemble_rotation(surv)
+        plain = RotationSystem(g, dict(rot.order))
         assert rot.order == plain.order
-        assert trace_faces(g, rot) == trace_faces(g, plain)
+        assert all(np.array_equal(a, b) for a, b in zip(rot.darts[1:], plain.darts[1:]))
+        assert trace_faces(rot) == trace_faces(plain)
 
 
 def _reference_families(seed: int):
@@ -303,18 +285,18 @@ def test_dart_path_matches_dict_reference():
     with_removals = 0
     for g, darts in _reference_families(43):
         fam = family_trails(darts)
-        assert find_blossoms(g, darts).blossoms == reference_blossoms(g, fam)
-        surv, dropped = make_blossom_free(g, darts)
+        assert find_blossoms(darts).blossoms == reference_blossoms(g, fam)
+        surv, dropped = make_blossom_free(darts)
         ref_surv, ref_dropped = reference_blossom_free(g, fam)
         assert (family_trails(surv), family_trails(dropped)) == (ref_surv, ref_dropped)
-        assert tuple(family_trails(part) for part in make_blossom_free(g, dart_family(g, fam))
+        assert tuple(family_trails(part) for part in make_blossom_free(dart_family(g, fam))
                      ) == (ref_surv, ref_dropped)
-        rot, ref_rot = assemble_rotation(g, surv), reference_assemble(g, ref_surv)
+        rot, ref_rot = assemble_rotation(surv), reference_assemble(g, ref_surv)
         assert rot.order == ref_rot.order
-        assert assemble_rotation(g, dart_family(g, ref_surv)).order == ref_rot.order
-        fs, ref_fs = trace_faces(g, rot), trace_faces(g, ref_rot)
+        assert assemble_rotation(dart_family(g, ref_surv)).order == ref_rot.order
+        fs, ref_fs = trace_faces(rot), trace_faces(ref_rot)
         assert (fs.faces, fs.lengths) == (ref_fs.faces, ref_fs.lengths)
-        assert genus_from_faces(g, fs) == genus_from_faces(g, ref_fs)
+        assert genus_from_faces(fs) == genus_from_faces(ref_fs)
         with_removals += len(dropped) > 0
     assert with_removals >= 5
 
@@ -332,12 +314,7 @@ def test_matched_rows_convert_like_their_trails():
         assert np.array_equal(rows.darts, trails.darts)
         assert np.array_equal(rows.offsets, trails.offsets)
         assert family_trails(rows) == matched(m) + matched(mm)
-        # a family built for g is converted again for an equal graph
-        twin = BipartiteGraph(g.n1, g.n2, g.edge_list)
-        surv, dropped = make_blossom_free(twin, rows)
-        assert surv.graph is twin and (family_trails(surv), family_trails(dropped)) == tuple(
-            family_trails(part) for part in make_blossom_free(g, rows))
-        assert assemble_rotation(twin, surv).order == assemble_rotation(g, surv).order
+        assert rows.graph is g and assemble_rotation(make_blossom_free(rows)[0]).graph is g
 
 
 def test_find_blossoms_takes_a_dart_family():
@@ -351,39 +328,28 @@ def test_find_blossoms_takes_a_dart_family():
         m = find_matching(h, 1)
         mm = find_disjoint_mirror_matching(h, m, 2)
         family = DartFamily.of_matchings(g, m, mm)
-        surviving, _ = make_blossom_free(g, family)
-        assert find_blossoms(g, surviving).is_blossom_free
-        report = find_blossoms(g, family)
-        assert report == find_blossoms(g, dart_family(g, matched(m) + matched(mm)))
+        surviving, _ = make_blossom_free(family)
+        assert find_blossoms(surviving).is_blossom_free
+        report = find_blossoms(family)
+        assert report == find_blossoms(dart_family(g, matched(m) + matched(mm)))
         blossoms_seen += len(report.blossoms)
     assert blossoms_seen > 0
 
 
 def test_dart_path_raises_like_reference():
-    # a non-edge arc, an arc in two trails, and a blossom handed to
-    # assemble_rotation raise the same errors on both paths: the first
-    # two when a family of g is built, and when a family numbered over
-    # `host` and held for another graph object is converted for g
+    # a non-edge arc and an arc in two trails are refused when a family
+    # of g is built, and a blossom when assemble_rotation is handed the
+    # family, each with the message of the reference
     k22 = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
     no_edge = BipartiteGraph(2, 2, [(0, 2), (1, 2), (1, 3)])
-    all_fns = [find_blossoms, make_blossom_free, assemble_rotation]
-    cases = [
-        (no_edge, k22, [t], True, all_fns),
-        (k22, k22, [t, t], True, all_fns),
-        (k22, k22, [t, t.reverse()], False, [assemble_rotation]),
-    ]
-    for g, host, fam, refused_at_build, fns in cases:
+    assemble = lambda g, fam: assemble_rotation(dart_family(g, fam))
+    for g, fam, build in ((no_edge, [t], dart_family), (k22, [t, t], dart_family),
+                          (k22, [t, t.reverse()], assemble)):
         with pytest.raises(ValidationError) as ref:
             reference_assemble(g, fam)
-        if refused_at_build:
-            with pytest.raises(ValidationError) as got:
-                dart_family(g, fam)
-            assert str(got.value) == str(ref.value)
-        for fn in fns:
-            with pytest.raises(ValidationError) as got:
-                fn(g, _held_for(host, fam))
-            assert str(got.value) == str(ref.value)
-    # the refusal also holds for a family built for g itself
+        with pytest.raises(ValidationError) as got:
+            build(g, fam)
+        assert str(got.value) == str(ref.value)
     with pytest.raises(ValidationError, match=r"blossom at vertex 0 \(length 2\)"):
-        assemble_rotation(k22, dart_family(k22, [t, t.reverse()]))
+        assemble(k22, [t, t.reverse()])

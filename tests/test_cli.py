@@ -150,11 +150,13 @@ def test_oracle_witness(tmp_path, capsys):
     assert len(w.read_text().splitlines()) == 6
     # only the exact search finds a minimum-genus rotation to write
     w.unlink()
-    for method in ("heuristic", "pincer"):
-        assert main(["oracle", "--in", str(g), "--method", method,
-                     "--witness", str(w)]) == 2
-        assert "--witness needs --method exact" in capsys.readouterr().err
+    assert main(["oracle", "--in", str(g), "--method", "pincer", "--witness", str(w)]) == 2
+    assert "--witness needs --method exact" in capsys.readouterr().err
     assert not w.exists()
+    # --method takes exact or pincer only
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--in", str(g), "--method", "heuristic"])
+    assert exc.value.code == 2 and "invalid choice: 'heuristic'" in capsys.readouterr().err
 
 
 def _write_config(path, out, extra=""):
@@ -354,13 +356,22 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert main(["predict", "--n1", "10", "--n2", "5", "--p", "abc"]) == 2
     assert "'abc'" in capsys.readouterr().err
     g = tmp_path / "g.txt"
-    for text, where in (("bipartite 2 3\n0 2\n0 2 5\n", "line 3"),
-                        ("bipartite 2 x\n0 2\n", "line 1"),
-                        ("digraph 3\n# arcs\n0 1\n1 x\n", "line 4")):
+    for command, text, where in (("estimate", "bipartite 2 3\n0 2\n0 2 5\n", "line 3"),
+                                 ("estimate", "bipartite 2 x\n0 2\n", "line 1"),
+                                 ("trails", "digraph 3\n# arcs\n0 1\n1 x\n", "line 4")):
         g.write_text(text)
-        assert main(["estimate", "--in", str(g), "--out", str(csv)]) == 2
+        assert main([command, "--in", str(g), "--out", str(csv)]) == 2
         assert f"error: {where}: expected" in capsys.readouterr().err
         assert not csv.exists()
+    # only trails and match read a digraph; the others refuse its header
+    d = tmp_path / "d.txt"
+    assert main(["orient", "--n1", "4", "--n2", "3", "--p", "1", "--out", str(d)]) == 0
+    for args in (["estimate"], ["generate"], ["orient"], ["oracle"]):
+        assert main(args + ["--in", str(d)]) == 2
+        assert f"error: {d}: unrecognized header, want 'bipartite'\n" in capsys.readouterr().err
+    for args in (["trails"], ["match"]):
+        assert main(args + ["--in", str(d), "--out", str(csv)]) == 0
+        csv.unlink()
     cfg = tmp_path / "e.cfg"
     for setting, message in (("trials = x", "trials must be an integer, got 'x'"),
                              ("seed = 1.5", "seed must be an integer"),

@@ -8,7 +8,7 @@ from bigenus import blossom, embedding, oracle
 from bigenus.bigraph import (GenParams, Graph, complete_bipartite_graph, complete_graph,
                              cycle_graph, gen_random_bipartite, path_graph)
 from bigenus.blossom import assemble_rotation
-from bigenus.embedding import (FaceSet, RotationSystem, arc_index, connected_components,
+from bigenus.embedding import (RotationSystem, arc_index, connected_components,
                                face_length_histogram, genus_from_faces, genus_of_embedding,
                                rotation_to_text, sorted_rotation, trace_faces)
 from bigenus.errors import ValidationError
@@ -28,15 +28,15 @@ def test_sorted_rotation_face_counts():
         (complete_graph(5), 3, [5, 5, 10], 2),
     ]
     for g, n_faces, lengths, genus in cases:
-        fs = trace_faces(g, sorted_rotation(g))
+        fs = trace_faces(sorted_rotation(g))
         assert fs.n_faces == n_faces
         assert sorted(fs.lengths) == lengths
-        assert genus_of_embedding(g, sorted_rotation(g)) == genus
+        assert genus_of_embedding(sorted_rotation(g)) == genus
 
 
 def test_face_histogram():
     k33 = complete_bipartite_graph(3, 3)
-    fs = trace_faces(k33, sorted_rotation(k33))
+    fs = trace_faces(sorted_rotation(k33))
     assert face_length_histogram(fs) == {6: 3}
 
 
@@ -46,7 +46,7 @@ def test_arc_partition_property():
     for _ in range(300):
         g = rand_graph(rng, max_edges=12)
         rot = random_rotation(g, rng)
-        fs = trace_faces(g, rot)
+        fs = trace_faces(rot)
         arcs = [a for face in fs.faces for a in face]
         expect = {(u, v) for (u, v) in g.edge_list} | {(v, u) for (u, v) in g.edge_list}
         assert len(arcs) == 2 * g.n_edges
@@ -58,7 +58,7 @@ def test_component_euler_parity():
     for _ in range(300):
         g = rand_graph(rng, max_edges=12)
         rot = random_rotation(g, rng)
-        assert genus_of_embedding(g, rot) >= 0
+        assert genus_of_embedding(rot) >= 0
         for (n, e, f) in component_euler_stats(g, rot):
             chi = n - e + f
             assert chi % 2 == 0
@@ -71,34 +71,27 @@ def test_disconnected_genus_adds():
     edges += [(6, 7), (7, 8), (8, 9), (6, 9)]
     g = Graph(11, edges)
     assert len(connected_components(g)) == 3
-    assert genus_of_embedding(g, sorted_rotation(g)) == 1
+    assert genus_of_embedding(sorted_rotation(g)) == 1
 
 
 def test_components_and_genus_equal_bfs_reference():
-    # component labels against a search over tuple adjacency, with and
-    # without starts (repeated, unordered, an iterator)
+    # component labels against a search over tuple adjacency
     rng = random.Random(4)
     for n, edges in graph_cases(2):
         g = Graph(n, edges)
         adj = reference_adjacency(n, edges)
         assert connected_components(g) == reference_components(adj)
-        starts = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))] if n else []
-        assert connected_components(g, starts) == reference_components(adj, starts)
-        assert connected_components(g, iter(starts)) == reference_components(adj, starts)
         for rot in (sorted_rotation(g), random_rotation(g, rng)):
-            fs = trace_faces(g, rot)
-            assert genus_from_faces(g, fs) == reference_genus(g, fs)
-    with pytest.raises(IndexError):
-        connected_components(Graph(3, [(0, 1)]), [0, 3])
+            fs = trace_faces(rot)
+            assert genus_from_faces(fs) == reference_genus(g, fs)
 
 
 def test_rotation_validation():
     g = path_graph(3)
-    with pytest.raises(ValidationError):
-        rot = RotationSystem({0: (1,), 1: (0,), 2: (1,)})
-        rot.validate_for(g)  # vertex 1 is missing neighbor 2
+    with pytest.raises(ValidationError, match="rotation at 1 does not match"):
+        RotationSystem(g, {0: (1,), 1: (0,), 2: (1,)})  # vertex 1 is missing neighbor 2
     rot = sorted_rotation(g)
-    rot.validate_for(g)
+    assert rot == RotationSystem(g, {0: [1], 1: iter([0, 2]), 2: (1,)})
     assert rot.successor(1, 0) == 2
     assert rot.successor(1, 2) == 0
 
@@ -110,64 +103,55 @@ def test_rotation_text_round_trip():
     buf = io.StringIO()
     rotation_to_text(rot, buf)
     buf.seek(0)
-    rot2 = rotation_from_text(buf)
+    rot2 = rotation_from_text(buf, g)
     for v in range(g.n_vertices):
         assert rot2.at(v) == rot.at(v)
 
 
 def test_faces_text_round_trip():
     g = complete_bipartite_graph(3, 3)
-    fs = trace_faces(g, sorted_rotation(g))
+    fs = trace_faces(sorted_rotation(g))
     buf = io.StringIO()
     faces_to_text(fs, buf)
     buf.seek(0)
-    fs2 = faces_from_text(buf, fs.n_edges)
-    assert fs2.faces == fs.faces
-    assert fs2.n_faces == fs.n_faces
+    assert faces_from_text(buf) == fs.faces
 
 
 def test_rotation_validation_with_isolated_vertices():
     g = Graph(6, [(0, 1), (1, 2)])   # 3, 4 and 5 are isolated
     good = {v: g.neighbors(v) for v in range(6)}
-    RotationSystem(good).validate_for(g)
+    assert RotationSystem(g, good).order == good
     missing = dict(good)
     del missing[4]
     with pytest.raises(ValidationError, match="no rotation given for vertex 4"):
-        RotationSystem(missing).validate_for(g)
+        RotationSystem(g, missing)
     with pytest.raises(ValidationError, match=r"unknown vertices \[6, 9\]"):
-        RotationSystem({**good, 9: (), 6: ()}).validate_for(g)
+        RotationSystem(g, {**good, 9: (), 6: ()})
     with pytest.raises(ValidationError, match="rotation at 5 does not match"):
-        RotationSystem({**good, 5: (0,)}).validate_for(g)
+        RotationSystem(g, {**good, 5: (0,)})
     with pytest.raises(ValidationError, match="rotation at 1 repeats"):
-        RotationSystem({**good, 1: (0, 0)}).validate_for(g)
+        RotationSystem(g, {**good, 1: (0, 0)})
 
 
-def test_dart_rotation_on_another_graph_is_validated(monkeypatch):
-    # a rotation assembled for one graph object reads its own darts only
-    # for that object; on any other graph it goes through validate_for
+def test_dart_rotation_on_another_graph_is_validated():
+    # a rotation is bound to the graph object it was built for; its
+    # orders reach another graph only through RotationSystem(g, order),
+    # which checks them there
     g = complete_bipartite_graph(3, 3)
     t = ClosedTrail.from_arcs([(0, 3), (3, 1), (1, 4), (4, 0)])
-    rot = assemble_rotation(g, dart_family(g, [t]))
-    validated = []
-    check = RotationSystem.validate_for
-
-    def spy(self, host):
-        validated.append(host)
-        check(self, host)
-
-    monkeypatch.setattr(RotationSystem, "validate_for", spy)
-    faces = trace_faces(g, rot)
-    assert validated == []
+    rot = assemble_rotation(dart_family(g, [t]))
+    faces = trace_faces(rot)
+    assert rot.graph is g and faces.graph is g
     twin = complete_bipartite_graph(3, 3)
-    assert trace_faces(twin, rot) == faces
-    assert validated == [twin]
+    moved = RotationSystem(twin, rot.order)
+    assert moved.graph is twin and trace_faces(moved) == faces
     smaller = Graph(6, [e for e in g.edge_list if e != (2, 5)])
     with pytest.raises(ValidationError, match="rotation at 2 does not match"):
-        trace_faces(smaller, rot)
+        RotationSystem(smaller, rot.order)
 
 
 def test_every_dart_numbering_is_one_int32_arc_index(monkeypatch):
-    # the oracle's engine, RotationSystem.darts_for on a dict rotation
+    # the oracle's engine, RotationSystem(g, order) on a dict of orders
     # and the dart family of assemble_rotation all number darts through
     # embedding.arc_index and read its int32 arrays
     built = []
@@ -185,10 +169,10 @@ def test_every_dart_numbering_is_one_int32_arc_index(monkeypatch):
     assert [eng.out_arcs[v] for v in range(6)] == [range(3 * v, 3 * v + 3) for v in range(6)]
     assert oracle.exact_genus(g) == 1
     before = len(built)
-    fs = trace_faces(g, sorted_rotation(g))
+    fs = trace_faces(RotationSystem(g, {v: g.neighbors(v) for v in range(6)}))
     t = ClosedTrail.from_arcs([(0, 3), (3, 1), (1, 4), (4, 0)])
-    rot = assemble_rotation(g, dart_family(g, [t]))
-    assert t.arcs in trace_faces(g, rot).face_arcs() and fs.n_faces == 3
+    rot = assemble_rotation(dart_family(g, [t]))
+    assert t.arcs in trace_faces(rot).face_arcs() and fs.n_faces == 3
     assert len(built) == before + 2
     index = built[-1]
     assert all(a.dtype == np.int32 for index in built for a in index)
@@ -216,9 +200,9 @@ def test_arc_index_reads_the_csr():
 
 def test_traced_faces_build_arc_tuples_on_read():
     g = complete_bipartite_graph(3, 3)
-    fs = trace_faces(g, sorted_rotation(g))
+    fs = trace_faces(sorted_rotation(g))
     assert "faces" not in vars(fs)
     assert (fs.n_faces, fs.lengths, fs.face_tails()) == (3, (6, 6, 6), [0, 0, 0])
-    assert genus_of_embedding(g, sorted_rotation(g)) == 1
+    assert genus_of_embedding(sorted_rotation(g)) == 1
     assert fs.faces[0] == ((0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0))
-    assert fs == FaceSet(fs.faces, fs.n_edges) and "faces" in vars(fs)
+    assert fs == trace_faces(sorted_rotation(g)) and "faces" in vars(fs)

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from bigenus import oracle
 from bigenus.bigraph import (Graph, complete_bipartite_graph, complete_graph,
                              cycle_graph, path_graph)
-from bigenus.embedding import genus_of_embedding
+from bigenus.embedding import RotationSystem, genus_of_embedding
 from bigenus.errors import BudgetExceededError, ValidationError
 from bigenus.oracle import (SearchBudget, exact_genus, genus_formula_reference,
-                            heuristic_genus_upper, minimum_genus_rotation,
-                            pincer_genus, rotation_system_count)
+                            minimum_genus_rotation, pincer_genus, rotation_system_count)
 
 from conftest import brute_min_genus, rand_graph
 
@@ -73,8 +73,19 @@ def test_witness_realizes_genus():
     for g in (complete_bipartite_graph(3, 3), complete_graph(5),
               complete_bipartite_graph(3, 4)):
         genus, rot = minimum_genus_rotation(g)
-        rot.validate_for(g)
-        assert genus_of_embedding(g, rot) == genus
+        assert rot.graph is g and rot == RotationSystem(g, rot.order)
+        assert genus_of_embedding(rot) == genus
+
+
+def test_exact_genus_builds_no_witness(monkeypatch):
+    # only minimum_genus_rotation turns the orders found into a rotation
+    def refuse(g, order):
+        raise AssertionError("exact_genus built a witness rotation")
+
+    monkeypatch.setattr(oracle, "RotationSystem", refuse)
+    assert exact_genus(complete_bipartite_graph(3, 3)) == 1
+    with pytest.raises(AssertionError, match="built a witness"):
+        minimum_genus_rotation(complete_bipartite_graph(3, 3))
 
 
 def test_disconnected_genus():
@@ -85,14 +96,14 @@ def test_disconnected_genus():
 
 
 def test_heuristic_upper_bounds():
-    assert heuristic_genus_upper(complete_bipartite_graph(3, 3)) == 1
+    # the hill climb of pincer_genus bounds the exact genus from above
+    assert pincer_genus(complete_bipartite_graph(3, 3)).upper == 1
     rng = random.Random(62)
     for _ in range(8):
         g = rand_graph(rng, max_edges=9)
         if rotation_system_count(g) > 5000:
             continue
-        assert heuristic_genus_upper(g) >= exact_genus(g)
-        assert heuristic_genus_upper(g) == pincer_genus(g).upper
+        assert pincer_genus(g).upper >= exact_genus(g)
 
 
 def test_pincer():

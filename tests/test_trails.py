@@ -718,7 +718,9 @@ def test_exclusion_matches_the_reference():
 def test_mirror_matching_refuses_a_mirrored_family():
     # the mirror matching mirrors the family the matching was drawn
     # from; a family mirrored already, by the caller or by an earlier
-    # mirror matching, or the reversed digraph's own family is refused
+    # mirror matching, the reversed digraph's own family, or another
+    # enumeration of the same digraph (which shares its arc arrays and
+    # still holds the trails of m) is refused
     d = orient_randomly(complete_bipartite_graph(3, 4), 0)
     h = build_trail_hypergraph(d, 1)
     m = find_matching(h, 0)
@@ -729,6 +731,17 @@ def test_mirror_matching_refuses_a_mirrored_family():
     m = find_matching(h, 0)
     with pytest.raises(ValidationError, match="family the matching was drawn from"):
         find_disjoint_mirror_matching(build_trail_hypergraph(d.reverse(), 1), m, 1)
+    again = build_trail_hypergraph(d, 1)
+    assert again.tail is h.tail and again.n_hyperedges > h.n_hyperedges
+    with pytest.raises(ValidationError, match="family the matching was drawn from"):
+        find_disjoint_mirror_matching(again, m, 1)
+    # the report does not keep its family alive
+    g = gen_random_bipartite(GenParams(30, 30, 0.3, seed=0))
+    gone = find_matching(build_trail_hypergraph(orient_randomly(g, 0), 1), 0)
+    assert gone.family() is None and gone.size > 0
+    with pytest.raises(ValidationError, match="family the matching was drawn from"):
+        find_disjoint_mirror_matching(build_trail_hypergraph(orient_randomly(g, 0), 1),
+                                      gone, 1)
     assert find_disjoint_mirror_matching(h, m, 1).excluded == m.size > 0
     with pytest.raises(ValidationError, match="family the matching was drawn from"):
         find_disjoint_mirror_matching(h, m, 1)
