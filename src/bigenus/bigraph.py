@@ -440,6 +440,22 @@ class BipartiteGraph(Graph):
         return f"BipartiteGraph(n1={self.n1}, n2={self.n2}, edges={self.n_edges})"
 
 
+def induced_subgraph(g: Graph, verts) -> Graph:
+    """The subgraph of g induced by the ascending vertices verts, with
+    vertex verts[k] relabelled k, so every neighbour list keeps its
+    order. A BipartiteGraph stays bipartite, its X-vertices first."""
+    verts = np.asarray(verts, dtype=np.int64)
+    inside = np.zeros(g.n_vertices, dtype=bool)
+    inside[verts] = True
+    keep = inside[g.u] & inside[g.v]
+    edges = np.column_stack((np.searchsorted(verts, g.u[keep]),
+                             np.searchsorted(verts, g.v[keep])))
+    if isinstance(g, BipartiteGraph):
+        n1 = int(np.searchsorted(verts, g.n1))
+        return BipartiteGraph(n1, len(verts) - n1, edges)
+    return Graph(len(verts), edges)
+
+
 class Digraph:
     """Directed graph; when built by orient_randomly it is an orientation,
     meaning at most one of (u,v), (v,u) is present.
@@ -449,6 +465,8 @@ class Digraph:
     tuple views arc_list and arc_set are built only when read."""
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
+        if n < 0:
+            raise ValidationError("vertex count must be nonnegative")
         norm = [(t, h) for (t, h) in arcs]
         for (t, h) in norm:
             if t == h:

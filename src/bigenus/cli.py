@@ -203,7 +203,7 @@ def cmd_predict(args) -> int:
         raise ValidationError("predict needs --n1 --n2 --p")
     p = parse_p(args.p, args.n1)
     res = regime_classify(args.n1, args.n2, p)
-    pred = prediction_for(res, args.n1, args.n2, p, args.i)
+    pred = prediction_for(res, args.n1, args.n2, p)
     print(f"regime={res.label()}")
     print(f"prediction={pred:.6g}")
     print(f"prediction_nonorientable={2 * pred:.6g}")
@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n1", type=int, default=None)
     sub.add_argument("--n2", type=int, default=None)
     sub.add_argument("--p", type=str, default=None)
-    sub.add_argument("--i", type=int, default=1)
     sub.set_defaults(func=cmd_predict)
 
     sub = subs.add_parser("experiment", help="grid sweep to CSV, resumable")

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .bigraph import component_labels, csr_runs
+from .bigraph import component_labels
 from .errors import InternalConsistencyError, ValidationError
 
 Arc = tuple[int, int]
@@ -183,21 +183,11 @@ def sorted_rotation(g) -> RotationSystem:
     return RotationSystem.from_darts(g, (index, cyclic_successors(index, seq), seq))
 
 
-def arc_index(g, verts: Iterable[int] | None = None) -> ArcIndex:
-    """The ArcIndex of the arcs leaving `verts`, a union of components
-    of g (default: every vertex with an edge). Both directions of every
-    edge with an end in `verts` are darts.
-
-    g's CSR adjacency already lists its darts in (tail, head) order, so
-    the index reads them off it; rev finds each reverse by one binary
-    search over the packed tail * n + head keys."""
+def arc_index(g) -> ArcIndex:
+    """The ArcIndex of g. Its CSR adjacency already lists the darts in
+    (tail, head) order, so the index reads them off it; rev finds each
+    reverse by one binary search over the packed tail * n + head keys."""
     n, first, head = g.n_vertices, g.first, g.nbrs
-    if verts is not None:
-        inside = np.zeros(n, dtype=bool)
-        inside[np.fromiter(verts, dtype=np.int64)] = True
-        first = np.zeros(n + 1, dtype=np.int32)
-        first[1:] = np.cumsum(np.where(inside, np.diff(g.first), 0))
-        head = csr_runs(g.first, g.nbrs, np.flatnonzero(inside))
     tail = np.repeat(np.arange(n, dtype=np.int32), np.diff(first))
     key = tail.astype(np.int64) * n + head
     rev = np.searchsorted(key, head.astype(np.int64) * n + tail).astype(np.int32)
@@ -263,22 +253,6 @@ def trace_faces(rot: RotationSystem) -> FaceSet:
     if len(orbit) != len(rev):
         raise InternalConsistencyError("face lengths do not cover every arc once")
     return FaceSet(rot.graph, index, np.frombuffer(orbit, dtype=np.int32), lengths)
-
-
-def connected_components(g) -> list[tuple[int, ...]]:
-    """The components of g, each sorted, in the order of their least
-    vertex. Only the vertices with an edge are labelled
-    (component_labels); an isolated vertex is a component of its own."""
-    n = g.n_vertices
-    verts, a, b = g.local_edges()
-    label = component_labels(len(verts), a, b)
-    least = np.arange(n)
-    least[verts] = verts[label]
-    roots = np.flatnonzero(least == np.arange(n))
-    order = np.argsort(label, kind="stable")
-    runs = np.split(verts[order], np.flatnonzero(np.diff(label[order])) + 1)
-    members = {run[0]: run for run in (tuple(r.tolist()) for r in runs) if run}
-    return [members.get(v, (v,)) for v in roots.tolist()]
 
 
 def genus_of_embedding(rot: RotationSystem) -> int:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .bigraph import (MAX_SMALL_PART, STREAM_MATCH, STREAM_MIRROR,
                       BipartiteGraph, Graph, check_seed, component_labels, csr_runs,
-                      derive_int_seed, distinct, is_bipartite, orient_randomly)
+                      derive_int_seed, distinct, induced_subgraph, is_bipartite,
+                      orient_randomly)
 from .blossom import DartFamily, assemble_rotation, make_blossom_free
 from .embedding import face_length_histogram, genus_from_faces, trace_faces
 from .errors import GuardError, InternalConsistencyError, ValidationError
@@ -115,10 +116,14 @@ def regime_classify(n1: int, n2: int, p: float) -> RegimeResult:
 
 
 def _psi_fraction(p: Fraction, n2: int) -> Fraction:
-    total = Fraction(0)
-    for i in range(2, n2):
-        total += Fraction(i - 1, i + 1) * math.comb(n2 - 1, i) * (-p) ** i
-    return total
+    """psi(p, n2) in closed form. With m = n2 - 1, x = -p and
+    (i-1)/(i+1) = 1 - 2/(i+1), the sum over i = 0..m is
+    (1+x)^m - 2((1+x)^(m+1) - 1)/((m+1)x), and its terms i = 0 and 1
+    add up to -1. The sum from i = 2 is empty when n2 < 3."""
+    if n2 < 3 or p == 0:
+        return Fraction(0)
+    m, x = n2 - 1, -p
+    return (1 + x) ** m - 2 * ((1 + x) ** (m + 1) - 1) / ((m + 1) * x) + 1
 
 
 def psi(p: float, n2: int) -> float:
@@ -225,18 +230,6 @@ def euler_lower_bound(g) -> int:
     return total
 
 
-def _induced_bipartite(g: BipartiteGraph, verts: list[int]) -> BipartiteGraph:
-    """The subgraph of g induced by the sorted vertex list verts, with
-    vertex verts[k] relabelled k: X-vertices first, as in g."""
-    verts = np.asarray(verts, dtype=np.int64)
-    inside = np.zeros(g.n_vertices, dtype=bool)
-    inside[verts] = True
-    keep = inside[g.u] & inside[g.v]
-    u, v = np.searchsorted(verts, g.u[keep]), np.searchsorted(verts, g.v[keep])
-    n1 = int(np.searchsorted(verts, g.n1))
-    return BipartiteGraph(n1, len(verts) - n1, np.column_stack((u, v)))
-
-
 def refined_lower_bound(g: BipartiteGraph, i: int) -> int:
     """Lower bound ceil(i/(2i+2) e - (i-1)/(2i+2) 2C - (n-2)/2) summed
     over core components, where C counts the component's closed trails
@@ -247,7 +240,7 @@ def refined_lower_bound(g: BipartiteGraph, i: int) -> int:
         raise ValidationError(f"i must be >= 1, got {i}")
     total = 0
     for (verts, e_c) in _core_components(g):
-        c = count_short_closed_trails(_induced_bipartite(g, verts), i) if i >= 2 else 0
+        c = count_short_closed_trails(induced_subgraph(g, verts), i) if i >= 2 else 0
         val = math.ceil(Fraction(i, 2 * i + 2) * e_c
                         - Fraction(i - 1, 2 * i + 2) * 2 * c
                         - Fraction(len(verts) - 2, 2))
@@ -318,20 +311,24 @@ class GenusEstimate:
             fh.write(f"face_histogram={items}\n")
 
 
-def prediction_for(res: RegimeResult, n1: int, n2: int, p: float, i_req: int) -> float:
+def prediction_for(res: RegimeResult, n1: int, n2: int, p: float) -> float:
+    """The predicted genus of G(n1, n2, p) in regime res, with the parts
+    ordered as regime_classify orders them: n2 is the smaller one. Only
+    the balanced formula reads a trail parameter, the window index of res."""
+    n1, n2 = max(n1, n2), min(n1, n2)
     tag = res.tag
     if tag == "dense-4gon":
-        return predicted_genus(n1, n2, p, i_req, "dense-4gon")
+        return predicted_genus(n1, n2, p, 1, "dense-4gon")
     if tag == "balanced-i":
         return predicted_genus(n1, n2, p, res.i, "balanced-i")
     if tag == "critical-window":
         if res.i is not None:
             return predicted_genus(n1, n2, p, res.i, "balanced-i")
-        return predicted_genus(n1, n2, p, i_req, "small-part")
+        return predicted_genus(n1, n2, p, 1, "small-part")
     if tag == "small-part-a":
-        return predicted_genus(n1, n2, p, i_req, "small-part")
+        return predicted_genus(n1, n2, p, 1, "small-part")
     if tag == "small-part-b":
-        return float(_complete_genus(min(n1, n2)))
+        return float(_complete_genus(n2))
     return 0.0  # small-part-c
 
 
@@ -374,7 +371,7 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
     cells = n1 * n2
     p_eff = cfg.p if cfg.p is not None else (n_edges / cells if cells else 0.0)
     res = regime_classify(n1, n2, p_eff)
-    prediction = prediction_for(res, n1, n2, p_eff, i)
+    prediction = prediction_for(res, n1, n2, p_eff)
 
     lower = euler_lower_bound(g)
     if bip and i >= 2:  # at i = 1 the refined bound is the Euler bound above

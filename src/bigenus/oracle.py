@@ -3,14 +3,18 @@ hill-climbing upper bound for graphs beyond exhaustion.
 
 Genus is additive over connected components, so one private driver,
 _search, walks the components for exact_genus, minimum_genus_rotation
-and pincer_genus alike. Each component gets its own Euler lower bound,
-then a hill climb, an exhaustive scan, or the climb followed by the
-scan when the climb misses the bound. The scan enumerates rotation
-systems by a mixed-radix counter over per-vertex orderings with the
-first incident edge fixed (cyclic orders, not linear ones) and stops
-early once the bound is attained; a climb that attains it certifies
-exactness without enumerating anything. Only minimum_genus_rotation
-turns the orders found into a RotationSystem of g, its witness.
+and pincer_genus alike. It hands each component with an edge to the
+search as a graph of its own: its induced subgraph, vertices relabelled
+0..k-1 in vertex order, so every neighbour list keeps its order. Each
+component gets its own Euler lower bound, then a hill climb, an
+exhaustive scan, or the climb followed by the scan when the climb
+misses the bound. The scan enumerates rotation systems by a
+mixed-radix counter over per-vertex orderings with the first incident
+edge fixed (cyclic orders, not linear ones) and stops early once the
+bound is attained; a climb that attains it certifies exactness without
+enumerating anything. Only minimum_genus_rotation maps the orders found
+back to the vertices of g and makes them a RotationSystem of g, its
+witness.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bigraph import Graph
-from .embedding import (RotationSystem, arc_index, connected_components, euler_genus,
-                        face_starts)
+import numpy as np
+
+from .bigraph import component_labels, induced_subgraph
+from .embedding import RotationSystem, arc_index, euler_genus, face_starts
 from .errors import BudgetExceededError, ValidationError
 from .estimator import _complete_genus, euler_lower_bound
 
@@ -61,7 +66,7 @@ def rotation_system_count(g) -> int:
 
 
 class _Engine:
-    """Arc-indexed face counter for one connected component.
+    """Arc-indexed face counter for one connected graph.
 
     Arcs get the dense ids of embedding.arc_index, read into lists once;
     rev pairs the two directions of an edge. A rotation is a cyclic order of the out-arcs
@@ -69,17 +74,15 @@ class _Engine:
     successor of arc a is nxt[rev[a]], and faces are its orbits.
     """
 
-    def __init__(self, g, verts: list[int]):
-        self.verts = verts
-        index = arc_index(g, verts)
+    def __init__(self, g):
+        index = arc_index(g)
         self.heads, self.rev, first = index.head.tolist(), index.rev.tolist(), index.first
-        self.out_arcs = {v: range(first[v], first[v + 1]) for v in verts}
-        self.n_c = len(verts)
-        self.e_c = len(self.rev) // 2
+        self.n_c = g.n_vertices
+        self.e_c = g.n_edges
+        self.out_arcs = [range(first[v], first[v + 1]) for v in range(self.n_c)]
         self.nxt = [0] * len(self.rev)
-        self.seq: dict[int, tuple[int, ...]] = {}
-        for v in verts:
-            self.set_seq(v, tuple(self.out_arcs[v]))
+        self.seq: list[tuple[int, ...]] = [()] * self.n_c
+        self.restore([tuple(arcs) for arcs in self.out_arcs])
 
     def set_seq(self, v: int, seq: tuple[int, ...]) -> None:
         self.seq[v] = seq
@@ -93,24 +96,15 @@ class _Engine:
     def genus(self) -> int:
         return euler_genus(self.n_c, self.e_c, self.faces())
 
-    def snapshot(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.seq)
+    def snapshot(self) -> list[tuple[int, ...]]:
+        return list(self.seq)
 
-    def restore(self, snap: dict[int, tuple[int, ...]]) -> None:
-        for v, seq in snap.items():
+    def restore(self, snap: list[tuple[int, ...]]) -> None:
+        for v, seq in enumerate(snap):
             self.set_seq(v, seq)
 
-    def neighbor_orders(self) -> dict[int, tuple[int, ...]]:
-        return {v: tuple(self.heads[a] for a in seq) for v, seq in self.seq.items()}
-
-
-def _component_lower_bound(g, verts: list[int]) -> int:
-    vset = set(verts)
-    vmap = {v: k for k, v in enumerate(verts)}
-    edges = [(vmap[v], vmap[w]) for (v, w) in
-             ((a, b) for a in verts for b in g.neighbors(a) if b in vset and a < b)]
-    sub = Graph(len(verts), edges)
-    return euler_lower_bound(sub)
+    def neighbor_orders(self) -> list[tuple[int, ...]]:
+        return [tuple(self.heads[a] for a in seq) for seq in self.seq]
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -119,15 +113,15 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 def _hill_climb(eng: _Engine, restarts: int, rng: random.Random,
-                deadline: float | None, lb: int) -> tuple[int, dict[int, tuple[int, ...]]]:
+                deadline: float | None, lb: int) -> tuple[int, list[tuple[int, ...]]]:
     """Best genus over `restarts` climbs, stopping at the first restart
     that reaches the component's lower bound lb, which none can beat."""
     best_g = None
-    best_snap: dict[int, tuple[int, ...]] = {}
-    movable = [v for v in eng.verts if len(eng.out_arcs[v]) >= 3]
+    best_snap: list[tuple[int, ...]] = []
+    movable = [v for v, arcs in enumerate(eng.out_arcs) if len(arcs) >= 3]
     for r in range(restarts):
-        for v in eng.verts:
-            base = list(eng.out_arcs[v])
+        for v, arcs in enumerate(eng.out_arcs):
+            base = list(arcs)
             if r > 0:
                 rng.shuffle(base)
             eng.set_seq(v, tuple(base))
@@ -160,15 +154,14 @@ def _hill_climb(eng: _Engine, restarts: int, rng: random.Random,
 
 
 def _scan(eng: _Engine, lb: int, deadline: float | None,
-          best: int | None, best_snap: dict[int, tuple[int, ...]] | None
-          ) -> tuple[int, dict[int, tuple[int, ...]]]:
-    variable = [v for v in eng.verts if len(eng.out_arcs[v]) >= 3]
+          best: int | None, best_snap: list[tuple[int, ...]] | None
+          ) -> tuple[int, list[tuple[int, ...]]]:
+    variable = [v for v, arcs in enumerate(eng.out_arcs) if len(arcs) >= 3]
     seqs = []
     for v in variable:
         first, *rest = eng.out_arcs[v]
         seqs.append([(first,) + p for p in itertools.permutations(rest)])
-    for v in eng.verts:
-        eng.set_seq(v, tuple(eng.out_arcs[v]))
+    eng.restore([tuple(arcs) for arcs in eng.out_arcs])
     idx = [0] * len(variable)
     tick = 0
     while True:
@@ -196,13 +189,14 @@ def _scan(eng: _Engine, lb: int, deadline: float | None,
 
 
 def _search(g, budget: SearchBudget, seed: int, climb: bool, scan: bool
-            ) -> tuple[int, int, list[_Engine]]:
+            ) -> tuple[int, int, list[tuple[np.ndarray, _Engine]]]:
     """The per-component search behind every public one. Each component
-    with an edge, on one Random(seed) stream, gets its Euler lower bound
-    lb (with its own minimum face length), a hill climb when `climb` is
-    set, and a scan when `scan` is set and the climb missed lb. Returns
-    the summed bounds, the summed genera found and the engines of the
-    components, each left at the rotation that realises its genus.
+    with an edge, on one Random(seed) stream, becomes its induced
+    subgraph and gets that graph's Euler lower bound lb (with its own
+    minimum face length), a hill climb when `climb` is set, and a scan
+    when `scan` is set and the climb missed lb. Returns the summed
+    bounds, the summed genera found and, per component, its vertices
+    in g and its engine, left at the rotation that realises its genus.
 
     A scan refuses (never guesses) when prod_v (deg(v)-1)! exceeds the
     system budget, before any search, or when the time budget runs
@@ -214,13 +208,17 @@ def _search(g, budget: SearchBudget, seed: int, climb: bool, scan: bool
     if budget.max_seconds is not None:
         deadline = time.monotonic() + budget.max_seconds
     rng = random.Random(seed)
+    verts, a, b = g.local_edges()
+    label = component_labels(len(verts), a, b)
+    order = np.argsort(label, kind="stable")
+    # one run of vertices per label; splitting no vertices gives one empty run
+    runs = np.split(verts[order], np.flatnonzero(np.diff(label[order])) + 1)
     lower = total = 0
-    engines = []
-    for verts in connected_components(g):
-        if g.degree(verts[0]) == 0:
-            continue
-        eng = _Engine(g, verts)
-        lb = _component_lower_bound(g, verts)
+    components = []
+    for run in runs if len(verts) else ():
+        sub = induced_subgraph(g, run)
+        eng = _Engine(sub)
+        lb = euler_lower_bound(sub)
         best = None
         snap = None
         if climb:
@@ -230,8 +228,8 @@ def _search(g, budget: SearchBudget, seed: int, climb: bool, scan: bool
         eng.restore(snap)
         lower += lb
         total += best
-        engines.append(eng)
-    return lower, total, engines
+        components.append((run, eng))
+    return lower, total, components
 
 
 def minimum_genus_rotation(g, budget: SearchBudget | None = None,
@@ -244,11 +242,13 @@ def minimum_genus_rotation(g, budget: SearchBudget | None = None,
     component whose hill-climb result meets its Euler lower bound skips
     enumeration; the result is exact either way.
     """
-    _lower, genus, engines = _search(g, budget or SearchBudget(), 0, climb=shortcut,
-                                     scan=True)
+    _lower, genus, components = _search(g, budget or SearchBudget(), 0, climb=shortcut,
+                                        scan=True)
     order = {v: g.neighbors(v) for v in range(g.n_vertices)}
-    for eng in engines:
-        order.update(eng.neighbor_orders())
+    for run, eng in components:
+        label = run.tolist()
+        for v, nbrs in zip(label, eng.neighbor_orders()):
+            order[v] = tuple(label[u] for u in nbrs)
     return genus, RotationSystem(g, order)
 
 
@@ -274,8 +274,8 @@ def pincer_genus(g, budget: SearchBudget | None = None, seed: int = 0) -> Pincer
     (adjacent transpositions in one vertex's cyclic order, restarts
     from shuffled starts), with no optimality claim; a component stops
     restarting once it meets its Euler lower bound."""
-    lower, upper, _engines = _search(g, budget or SearchBudget(), seed, climb=True,
-                                     scan=False)
+    lower, upper, _components = _search(g, budget or SearchBudget(), seed, climb=True,
+                                        scan=False)
     return PincerResult(lower, upper, lower == upper)
 
 

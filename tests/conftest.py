@@ -10,6 +10,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -161,13 +162,10 @@ def random_rotation(g, rng: random.Random) -> RotationSystem:
     return RotationSystem(g, order)
 
 
-def reference_arc_index(g, verts=None):
-    """(tail, head, rev, first) of embedding.arc_index(g, verts), by a
-    lexsort of both directions of every edge with an end in verts."""
+def reference_arc_index(g):
+    """(tail, head, rev, first) of embedding.arc_index(g), by a lexsort
+    of both directions of every edge."""
     u, v = g.u, g.v
-    if verts is not None:
-        keep = np.isin(u, list(verts))
-        u, v = u[keep], v[keep]
     m = len(u)
     tails, heads = np.concatenate((u, v)), np.concatenate((v, u))
     order = np.lexsort((heads, tails))
@@ -176,6 +174,14 @@ def reference_arc_index(g, verts=None):
     first = np.zeros(g.n_vertices + 1, dtype=np.int32)
     np.add.at(first, tails[order] + 1, 1)
     return tails[order], heads[order], pos[(order + m) % max(2 * m, 1)], np.cumsum(first)
+
+
+def reference_psi(p: Fraction, n2: int) -> Fraction:
+    """sum_{i=2}^{n2-1} (i-1)/(i+1) C(n2-1, i) (-p)^i term by term."""
+    total = Fraction(0)
+    for i in range(2, n2):
+        total += Fraction(i - 1, i + 1) * math.comb(n2 - 1, i) * (-p) ** i
+    return total
 
 
 def brute_closed_trail_count(g, length: int) -> int:

@@ -13,7 +13,7 @@ from bigenus import bigraph
 from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
                              complete_bipartite_graph, complete_graph,
                              cycle_graph, degree_class_partition,
-                             gen_random_bipartite, is_bipartite,
+                             gen_random_bipartite, induced_subgraph, is_bipartite,
                              orient_randomly, path_graph, read_bipartite,
                              read_digraph, standard_class_sizes,
                              standard_graph, two_coloring, write_bipartite,
@@ -279,6 +279,9 @@ def test_array_storage_validation_and_views():
                           ([(1, 2), (0, 1), (1, 2)], r"duplicate arc \(1,2\)")):
         with pytest.raises(ValidationError, match=message):
             Digraph(3, arcs)
+    for make in (lambda: Digraph(-3, []), lambda: Graph(-1, [])):
+        with pytest.raises(ValidationError, match="vertex count must be nonnegative"):
+            make()
     for edges, message in (([(0, 1), (2, 1), (1, 0)], r"duplicate edge \(0,1\)"),
                            ([(1, 2), (2, 1), (0, 2), (2, 0)], r"duplicate edge \(0,2\)"),
                            ([(2, 2)], "loop at vertex 2"),
@@ -310,6 +313,30 @@ def test_array_storage_validation_and_views():
     write_digraph(d, buf)
     buf.seek(0)
     assert read_digraph(buf) == d
+
+
+def test_induced_subgraph_equals_loop_reference():
+    # relabelling keeps vertex order; a bipartite graph keeps its parts
+    rng = random.Random(6)
+    for _ in range(30):
+        n2 = rng.randint(1, 12)
+        g = gen_random_bipartite(GenParams(rng.randint(n2, 30), n2, rng.random(),
+                                           seed=rng.randint(0, 99)))
+        verts = sorted(rng.sample(range(g.n_vertices), rng.randint(0, g.n_vertices)))
+        xs = [v for v in verts if v < g.n1]
+        ys = [v for v in verts if v >= g.n1]
+        ymap = {v: len(xs) + k for k, v in enumerate(ys)}
+        edges = [(k, ymap[y]) for k, x in enumerate(xs) for y in g.neighbors(x) if y in ymap]
+        assert induced_subgraph(g, verts) == BipartiteGraph(len(xs), len(ys), edges)
+    for n, edges in graph_cases(6):
+        g = Graph(n, edges)
+        verts = sorted(rng.sample(range(n), rng.randint(0, n)))
+        vmap = {v: k for k, v in enumerate(verts)}
+        sub = induced_subgraph(g, np.array(verts, dtype=np.int32))
+        assert sub == Graph(len(verts), [(vmap[u], vmap[v]) for (u, v) in g.edge_list
+                                         if u in vmap and v in vmap])
+        assert [sub.neighbors(k) for k in range(len(verts))] == [
+            tuple(vmap[u] for u in g.neighbors(v) if u in vmap) for v in verts]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 3_000_007])
@@ -345,19 +372,19 @@ def test_negative_seeds_are_refused():
 def test_no_path_imports_numpy_random():
     # numpy.random pulls in secrets, hashlib and OpenSSL (about 5 MB per
     # process), and np.unique numpy.ma (about 1.3 MB); generation, the
-    # estimates on bipartite and plain graphs, the components and the
-    # oracle must not
+    # estimates on bipartite and plain graphs and the oracle on a
+    # connected and a disconnected graph must not
     code = """if True:
         import sys
         import bigenus as bg, bigenus.cli
-        from bigenus.embedding import connected_components
         g = bg.gen_random_bipartite(bg.GenParams(30, 30, 0.3, seed=1))
         bg.estimate_genus(g, 1)
         bg.estimate_genus(g, 2)
         bg.estimate_genus(bg.Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), 1)
-        assert len(connected_components(g)) >= 1
         k33 = bg.complete_bipartite_graph(3, 3)
         assert bg.exact_genus(k33) == 1 and bg.pincer_genus(k33).exact
+        two = bg.Graph(9, list(k33.edge_list) + [(6, 7)])
+        assert bg.minimum_genus_rotation(two)[0] == 1 and bg.pincer_genus(two).exact
         print(sorted(m for m in ("numpy.random", "secrets", "hashlib", "numpy.ma")
                      if m in sys.modules))
         """

@@ -58,6 +58,15 @@ def test_predict_sweep(capsys):
         assert main(["predict", "--n1", "100000", "--n2", "5",
                      "--p", token]) == 0
         assert f"regime={regime}" in capsys.readouterr().out
+    # the parts are taken as regime_classify takes them, the small one as n2
+    for n1, n2 in (("300", "5"), ("5", "300")):
+        assert main(["predict", "--n1", n1, "--n2", n2, "--p", "0.2"]) == 0
+        assert capsys.readouterr().out == ("regime=critical-window\nprediction=4.872\n"
+                                           "prediction_nonorientable=9.744\n")
+    # no formula reads a trail parameter, so predict takes none
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--n1", "300", "--n2", "5", "--p", "0.2", "--i", "1"])
+    assert exc.value.code == 2 and "unrecognized arguments: --i 1" in capsys.readouterr().err
 
 
 def test_estimate_from_file(tmp_path, capsys):
@@ -148,6 +157,15 @@ def test_oracle_witness(tmp_path, capsys):
     assert main(["oracle", "--in", str(g), "--witness", str(w)]) == 0
     assert "genus=1" in capsys.readouterr().out
     assert len(w.read_text().splitlines()) == 6
+    # K_{3,3}, an edge and an isolated vertex: one line per vertex,
+    # each component searched on its own
+    d = tmp_path / "disc.txt"
+    d.write_text("bipartite 5 4\n" + "".join(f"{x} {y}\n" for x in range(3) for y in (5, 6, 7))
+                 + "3 8\n")
+    assert main(["oracle", "--in", str(d), "--witness", str(w)]) == 0
+    assert "genus=1" in capsys.readouterr().out
+    assert w.read_text().splitlines()[3:5] == ["3: 3-8", "4:"]
+    assert len(w.read_text().splitlines()) == 9
     # only the exact search finds a minimum-genus rotation to write
     w.unlink()
     assert main(["oracle", "--in", str(g), "--method", "pincer", "--witness", str(w)]) == 2
@@ -363,6 +381,10 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         assert main([command, "--in", str(g), "--out", str(csv)]) == 2
         assert f"error: {where}: expected" in capsys.readouterr().err
         assert not csv.exists()
+    g.write_text("digraph -3\n")
+    assert main(["trails", "--in", str(g), "--out", str(csv)]) == 2
+    assert "error: vertex count must be nonnegative" in capsys.readouterr().err
+    assert not csv.exists()
     # only trails and match read a digraph; the others refuse its header
     d = tmp_path / "d.txt"
     assert main(["orient", "--n1", "4", "--n2", "3", "--p", "1", "--out", str(d)]) == 0

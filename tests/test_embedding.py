@@ -6,11 +6,12 @@ import pytest
 
 from bigenus import blossom, embedding, oracle
 from bigenus.bigraph import (GenParams, Graph, complete_bipartite_graph, complete_graph,
-                             cycle_graph, gen_random_bipartite, path_graph)
+                             component_labels, cycle_graph, gen_random_bipartite,
+                             path_graph)
 from bigenus.blossom import assemble_rotation
-from bigenus.embedding import (RotationSystem, arc_index, connected_components,
-                               face_length_histogram, genus_from_faces, genus_of_embedding,
-                               rotation_to_text, sorted_rotation, trace_faces)
+from bigenus.embedding import (RotationSystem, arc_index, face_length_histogram,
+                               genus_from_faces, genus_of_embedding, rotation_to_text,
+                               sorted_rotation, trace_faces)
 from bigenus.errors import ValidationError
 
 from conftest import (ClosedTrail, component_euler_stats, dart_family, faces_from_text,
@@ -70,17 +71,20 @@ def test_disconnected_genus_adds():
     edges = list(complete_bipartite_graph(3, 3).edge_list)
     edges += [(6, 7), (7, 8), (8, 9), (6, 9)]
     g = Graph(11, edges)
-    assert len(connected_components(g)) == 3
     assert genus_of_embedding(sorted_rotation(g)) == 1
 
 
 def test_components_and_genus_equal_bfs_reference():
-    # component labels against a search over tuple adjacency
+    # component labels against a search over tuple adjacency: every
+    # vertex with an edge is labelled with the least of its component
     rng = random.Random(4)
     for n, edges in graph_cases(2):
         g = Graph(n, edges)
-        adj = reference_adjacency(n, edges)
-        assert connected_components(g) == reference_components(adj)
+        comps = reference_components(reference_adjacency(n, edges))
+        verts, a, b = g.local_edges()
+        label = verts[component_labels(len(verts), a, b)]
+        least = {v: comp[0] for comp in comps for v in comp if len(comp) > 1}
+        assert dict(zip(verts.tolist(), label.tolist())) == least
         for rot in (sorted_rotation(g), random_rotation(g, rng)):
             fs = trace_faces(rot)
             assert genus_from_faces(fs) == reference_genus(g, fs)
@@ -157,16 +161,16 @@ def test_every_dart_numbering_is_one_int32_arc_index(monkeypatch):
     built = []
     real = embedding.arc_index
 
-    def spy(g, verts=None):
-        built.append(real(g, verts))
+    def spy(g):
+        built.append(real(g))
         return built[-1]
 
     for mod in (embedding, oracle, blossom):
         monkeypatch.setattr(mod, "arc_index", spy)
     g = complete_bipartite_graph(3, 3)
-    eng = oracle._Engine(g, list(range(6)))
+    eng = oracle._Engine(g)
     assert (eng.heads, eng.rev) == (built[-1].head.tolist(), built[-1].rev.tolist())
-    assert [eng.out_arcs[v] for v in range(6)] == [range(3 * v, 3 * v + 3) for v in range(6)]
+    assert eng.out_arcs == [range(3 * v, 3 * v + 3) for v in range(6)]
     assert oracle.exact_genus(g) == 1
     before = len(built)
     fs = trace_faces(RotationSystem(g, {v: g.neighbors(v) for v in range(6)}))
@@ -183,19 +187,13 @@ def test_every_dart_numbering_is_one_int32_arc_index(monkeypatch):
 
 def test_arc_index_reads_the_csr():
     # the darts read off the CSR adjacency against a lexsort of both
-    # directions of every edge, for the whole graph and for a union of
-    # its components listed in any order
-    rng = random.Random(53)
+    # directions of every edge
     graphs = [Graph(n, edges) for n, edges in graph_cases(53)]
     graphs.append(gen_random_bipartite(GenParams(120, 120, 0.5, seed=0)))
     for g in graphs:
-        comps = reference_components(reference_adjacency(g.n, g.edge_list))
-        some = [v for c in rng.sample(comps, rng.randint(0, len(comps))) for v in c]
-        rng.shuffle(some)
-        for verts in (None, some, range(g.n)):
-            got, ref = arc_index(g, verts), reference_arc_index(g, verts)
-            assert all(a.dtype == np.int32 for a in got)
-            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        got, ref = arc_index(g), reference_arc_index(g)
+        assert all(a.dtype == np.int32 for a in got)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_traced_faces_build_arc_tuples_on_read():

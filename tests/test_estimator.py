@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ import pytest
 from bigenus import trails
 from bigenus.bigraph import (BipartiteGraph, GenParams, Graph, degree_class_partition,
                              complete_bipartite_graph, complete_graph,
-                             gen_random_bipartite, path_graph)
+                             gen_random_bipartite, induced_subgraph, path_graph)
 from bigenus.blossom import DartFamily
 from bigenus.errors import BudgetExceededError, GuardError, ValidationError
 from bigenus.oracle import SearchBudget, exact_genus
-from bigenus.estimator import (PipelineConfig, _core_components, _induced_bipartite,
+from bigenus.estimator import (PipelineConfig, _core_components, _psi_fraction,
                                estimate_genus, euler_lower_bound, nonorientable_bounds,
                                predicted_genus, prediction_for, psi,
                                reduce_small_part, refined_lower_bound,
@@ -23,7 +24,7 @@ from bigenus.estimator import (PipelineConfig, _core_components, _induced_bipart
                                small_part_exact_genus)
 
 from conftest import (GRAPH_VIEWS, graph_cases, rand_bipartite, rand_graph,
-                      reference_core_components)
+                      reference_core_components, reference_psi)
 
 
 def test_psi_closed_forms():
@@ -36,6 +37,16 @@ def test_psi_closed_forms():
         psi(0.5, 1)
     with pytest.raises(ValidationError):
         psi(1.5, 3)
+
+
+def test_psi_closed_form_equals_the_sum():
+    # exact rationals, so the closed form and the sum term by term agree
+    # to the last bit, p = 0 and p = 1 included
+    rng = random.Random(7)
+    for _ in range(200):
+        p = Fraction(rng.choice((0.0, 1.0, rng.random(), rng.random() ** 4)))
+        n2 = rng.randint(2, 40)
+        assert _psi_fraction(p, n2) == reference_psi(p, n2)
 
 
 def test_small_p_asymptote():
@@ -92,9 +103,27 @@ def test_prediction_for_small_part_b():
     n1 = 10 ** 5
     res = regime_classify(n1, 5, n1 ** -0.4)
     # K5 genus from the closed form
-    assert prediction_for(res, n1, 5, n1 ** -0.4, 1) == 1.0
+    assert prediction_for(res, n1, 5, n1 ** -0.4) == 1.0
     res = regime_classify(n1, 5, n1 ** -0.6)
-    assert prediction_for(res, n1, 5, n1 ** -0.6, 1) == 0.0
+    assert prediction_for(res, n1, 5, n1 ** -0.6) == 0.0
+
+
+def test_prediction_does_not_depend_on_the_order_of_the_parts():
+    # regime_classify and prediction_for both take the smaller part as n2
+    cases = [(300, 5, 0.2), (10 ** 5, 5, 0.03), (10 ** 5, 5, 0.3), (800, 800, 0.03),
+             (120, 60, 0.5), (10 ** 4, 90, 0.01), (40, 7, 0.001)]
+    for n1, n2, p in cases:
+        res = regime_classify(n1, n2, p)
+        assert regime_classify(n2, n1, p) == res
+        assert prediction_for(res, n2, n1, p) == prediction_for(res, n1, n2, p)
+    assert prediction_for(regime_classify(5, 300, 0.2), 5, 300, 0.2) == pytest.approx(4.872)
+    # a small-part-a file graph with its small part first
+    pairs = [(x, y) for x in range(3) for y in range(60) if (x + y) % 5]
+    g = BipartiteGraph(3, 60, [(x, 3 + y) for x, y in pairs])
+    swapped = BipartiteGraph(60, 3, [(y, 60 + x) for x, y in pairs])
+    est = estimate_genus(g, 1)
+    assert est.regime == "small-part-a"
+    assert est.prediction == estimate_genus(swapped, 1).prediction
 
 
 def test_euler_lower_bound_values():
@@ -117,7 +146,7 @@ def _check_core_components(g):
         vset = set(verts)
         assert e_c == sum(1 for (u, v) in g.edge_list if u in vset and v in vset)
         if isinstance(g, BipartiteGraph):
-            assert _induced_bipartite(g, verts).n_edges == e_c
+            assert induced_subgraph(g, verts).n_edges == e_c
     return comps
 
 
@@ -147,20 +176,6 @@ def test_core_components_match_reference():
     union = Graph(13, edges)
     assert _check_core_components(union) == [([0, 1, 2, 3, 4, 5], 9),
                                              ([9, 10, 11, 12], 4)]
-
-
-def test_induced_bipartite_equals_loop_reference():
-    rng = random.Random(6)
-    for _ in range(30):
-        n2 = rng.randint(1, 12)
-        g = gen_random_bipartite(GenParams(rng.randint(n2, 30), n2, rng.random(),
-                                           seed=rng.randint(0, 99)))
-        verts = sorted(rng.sample(range(g.n_vertices), rng.randint(0, g.n_vertices)))
-        xs = [v for v in verts if v < g.n1]
-        ys = [v for v in verts if v >= g.n1]
-        ymap = {v: len(xs) + k for k, v in enumerate(ys)}
-        edges = [(k, ymap[y]) for k, x in enumerate(xs) for y in g.neighbors(x) if y in ymap]
-        assert _induced_bipartite(g, verts) == BipartiteGraph(len(xs), len(ys), edges)
 
 
 def test_estimate_builds_no_tuple_view():

@@ -1,11 +1,12 @@
+import io
 import random
 
 import pytest
 
 from bigenus import oracle
-from bigenus.bigraph import (Graph, complete_bipartite_graph, complete_graph,
-                             cycle_graph, path_graph)
-from bigenus.embedding import RotationSystem, genus_of_embedding
+from bigenus.bigraph import (GenParams, Graph, complete_bipartite_graph, complete_graph,
+                             cycle_graph, gen_random_bipartite, path_graph)
+from bigenus.embedding import RotationSystem, genus_of_embedding, rotation_to_text
 from bigenus.errors import BudgetExceededError, ValidationError
 from bigenus.oracle import (SearchBudget, exact_genus, genus_formula_reference,
                             minimum_genus_rotation, pincer_genus, rotation_system_count)
@@ -75,6 +76,42 @@ def test_witness_realizes_genus():
         genus, rot = minimum_genus_rotation(g)
         assert rot.graph is g and rot == RotationSystem(g, rot.order)
         assert genus_of_embedding(rot) == genus
+
+
+def _witness_text(g, shortcut=True):
+    genus, rot = minimum_genus_rotation(g, shortcut=shortcut)
+    assert genus_of_embedding(rot) == genus
+    buf = io.StringIO()
+    rotation_to_text(rot, buf)
+    return genus, buf.getvalue()
+
+
+def test_witness_of_disconnected_graphs_is_frozen():
+    # frozen witnesses on graphs with several components and an
+    # isolated vertex: the search order, the climb's shuffles and the
+    # scan's permutations all show in the cyclic orders
+    k33 = list(complete_bipartite_graph(3, 3).edge_list)
+    k44 = list(complete_bipartite_graph(4, 4).edge_list)
+    g = Graph(11, k33 + [(6, 7), (7, 8), (8, 9), (6, 9)])  # K33 + C4 + isolated vertex
+    assert _witness_text(g) == (1, "0: 0-3 0-4 0-5\n1: 1-3 1-4 1-5\n2: 2-3 2-4 2-5\n"
+                                   "3: 0-3 1-3 2-3\n4: 0-4 1-4 2-4\n5: 0-5 1-5 2-5\n"
+                                   "6: 6-7 6-9\n7: 6-7 7-8\n8: 7-8 8-9\n9: 6-9 8-9\n10:\n")
+    g = Graph(11, k44 + [(8, 9), (9, 10), (8, 10)])  # K44 + K3
+    assert _witness_text(g) == (1, "0: 0-4 0-6 0-7 0-5\n1: 1-7 1-6 1-5 1-4\n"
+                                   "2: 2-7 2-6 2-4 2-5\n3: 3-4 3-5 3-6 3-7\n"
+                                   "4: 0-4 3-4 1-4 2-4\n5: 3-5 0-5 2-5 1-5\n"
+                                   "6: 1-6 0-6 2-6 3-6\n7: 0-7 1-7 3-7 2-7\n"
+                                   "8: 8-9 8-10\n9: 8-9 9-10\n10: 8-10 9-10\n")
+    g = gen_random_bipartite(GenParams(6, 5, 0.55, seed=17))  # vertex 3 is isolated
+    assert g.degree(3) == 0
+    assert _witness_text(g) == (1, "0: 0-9 0-10 0-8 0-6\n1: 1-6 1-7\n2: 2-9 2-10 2-8\n"
+                                   "3:\n4: 4-8 4-10 4-9 4-7\n5: 5-10 5-9 5-8 5-6\n"
+                                   "6: 1-6 0-6 5-6\n7: 4-7 1-7\n8: 2-8 0-8 4-8 5-8\n"
+                                   "9: 2-9 5-9 0-9 4-9\n10: 5-10 2-10 4-10 0-10\n")
+    assert _witness_text(g, shortcut=False) == (
+        1, "0: 0-6 0-10 0-8 0-9\n1: 1-6 1-7\n2: 2-8 2-10 2-9\n3:\n"
+           "4: 4-7 4-10 4-8 4-9\n5: 5-6 5-9 5-8 5-10\n6: 0-6 5-6 1-6\n7: 1-7 4-7\n"
+           "8: 0-8 5-8 4-8 2-8\n9: 0-9 2-9 4-9 5-9\n10: 0-10 2-10 4-10 5-10\n")
 
 
 def test_exact_genus_builds_no_witness(monkeypatch):
