@@ -13,18 +13,21 @@ reproducible bit for bit. A stream is Philox4x64-10 (Salmon et al.,
   cut into 32-bit words, low word first) into a pool of 4 words;
 - counter: block k of the stream (0-based) is the 10-round bijection of
   the counter (k + 1, 0, 0, 0), four 64-bit words in order;
-- uniforms: word w becomes (w >> 11) * 2^-53, and successive draws
-  continue the stream.
-This equals numpy's Generator(Philox(SeedSequence([seed, stream]))).random
-bit for bit. It is computed here over numpy uint64 arrays because
-importing numpy.random also imports secrets, hashlib and OpenSSL, about
-5.4 MB of resident memory in every process, for entropy a seeded stream
-never asks for.
+- draw: a stream is drawn once, by draw_below, as the indices k < n whose
+  word w (the k-th of the stream) gives a uniform (w >> 11) * 2^-53
+  below p; that holds exactly when w < ceil(p * 2^53) * 2^11, so the
+  words are compared as integers and never become floats.
+The indices equal numpy's np.flatnonzero(Generator(Philox(SeedSequence(
+[seed, stream]))).random(n) < p) bit for bit. They are computed here over
+numpy uint64 arrays because importing numpy.random also imports secrets,
+hashlib and OpenSSL, about 5.4 MB of resident memory in every process,
+for entropy a seeded stream never asks for.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
@@ -42,10 +45,6 @@ STREAM_MIRROR = 3
 # Subset-indexed operations refuse beyond this part size (2^n2 blowup).
 MAX_SMALL_PART = 20
 
-# Uniforms drawn per call by gen_random_bipartite (512 KiB of doubles);
-# bounds its temporaries without changing its output.
-_GEN_CHUNK = 1 << 16
-
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 # SeedSequence's hash mix: pool constants (A), output constants (B).
@@ -58,7 +57,7 @@ _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 # Philox blocks computed per pass: 8 rows of this many uint64 words
-# (512 KiB) are all the kernel's temporaries.
+# (512 KiB) and a mask of 4 bools per block are a draw's temporaries.
 _KERNEL_BLOCKS = 8192
 
 
@@ -69,7 +68,7 @@ def _u64(value: int) -> np.ndarray:
     return np.array(value & _MASK64, dtype=np.uint64)
 
 
-_LOW32, _SHIFT32, _SHIFT11 = _u64(_MASK32), _u64(32), _u64(11)
+_LOW32, _SHIFT32 = _u64(_MASK32), _u64(32)
 _MUL = tuple((_u64(m), _u64(m & _MASK32), _u64(m >> 32)) for m in _PHILOX_MUL)
 
 
@@ -119,91 +118,79 @@ def _seed_state(seed: int, stream: int, n: int) -> list[int]:
     return [words[2 * k] | words[2 * k + 1] << 32 for k in range(n)]
 
 
-class PhiloxStream:
-    """The uniforms of one (seed, stream) pair: numpy's
-    Generator(Philox(SeedSequence([seed, stream]))).random, bit for bit
-    (see the module docstring)."""
+def draw_below(seed: int, stream: int, n: int, p: float) -> np.ndarray:
+    """The indices k < n, ascending, whose uniform in the (seed, stream)
+    stream is below p, bit for bit as numpy draws them (module docstring).
 
-    def __init__(self, seed: int, stream: int):
-        k0, k1 = _seed_state(seed, stream, 2)
-        self._keys = [(_u64(k0 + r * _PHILOX_BUMP[0]), _u64(k1 + r * _PHILOX_BUMP[1]))
-                      for r in range(_PHILOX_ROUNDS)]
-        self._next_block = 0
-        self._spare = np.empty(0)  # the unread tail of the last block
+    The kernel runs in passes of _KERNEL_BLOCKS blocks. A round maps
+    (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3
+    ^ k1, lo(M0 c0)). Each word is a uint64 row over the blocks of one
+    pass, each 128-bit product is assembled from four 32 x 32-bit ones,
+    and lo overwrites the factor's own row. The counter (k + 1, 0, 0, 0)
+    makes three words constant in round 0 and two in round 1, which
+    those rounds take as integers. Each pass compares its four rows with
+    the threshold ceil(p 2^53) 2^11 into a (blocks, 4) mask; its flat
+    indices, plus 4 per earlier block, are the stream's."""
+    k0, k1 = _seed_state(seed, stream, 2)
+    if n <= 0 or p <= 0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1:
+        return np.arange(n, dtype=np.int64)
+    below = _u64(math.ceil(p * 2 ** 53) << 11)
+    keys = [(_u64(k0 + r * _PHILOX_BUMP[0]), _u64(k1 + r * _PHILOX_BUMP[1]))
+            for r in range(_PHILOX_ROUNDS)]
+    mul, and_, shr, add, xor = (np.multiply, np.bitwise_and, np.right_shift,
+                                np.add, np.bitwise_xor)
+    blocks = -(-n // 4)
+    width = min(blocks, _KERNEL_BLOCKS)
+    rows = np.empty((8, width), dtype=np.uint64)
+    mask = np.empty((width, 4), dtype=bool)
+    # Round 1 multiplies M0 by round 0's constant c0 = k0.
+    hi_k0, lo_k0 = divmod(_PHILOX_MUL[0] * int(keys[0][0]), 1 << 64)
+    k1_hi_k0 = _u64(hi_k0 ^ int(keys[1][1]))
 
-    def random(self, n: int) -> np.ndarray:
-        """The next n uniforms in [0, 1) as float64."""
-        out = np.empty(n)
-        head = min(n, len(self._spare))
-        out[:head], self._spare = self._spare[:head], self._spare[head:]
-        whole = (n - head) // 4
-        if whole:
-            self._fill(out[head:head + 4 * whole].reshape(whole, 4))
-        tail = n - head - 4 * whole
-        if tail:
-            block = np.empty((1, 4))
-            self._fill(block)
-            out[n - tail:], self._spare = block[0, :tail], block[0, tail:]
-        return out
+    def mulhilo(x, j):
+        """Overwrite x with lo(M_j x); return hi(M_j x) in a scratch row."""
+        m, m_lo, m_hi = _MUL[j]
+        and_(x, _LOW32, xl)
+        shr(x, _SHIFT32, xh)
+        mul(x, m, x)
+        mul(xl, m_lo, w)
+        shr(w, _SHIFT32, w)
+        mul(xh, m_lo, t)
+        add(t, w, t)           # t = x_hi m_lo + (x_lo m_lo >> 32)
+        and_(t, _LOW32, w)
+        mul(xl, m_hi, xl)
+        add(w, xl, w)          # w = (t & mask32) + x_lo m_hi
+        shr(w, _SHIFT32, w)
+        shr(t, _SHIFT32, t)
+        mul(xh, m_hi, xh)
+        add(xh, t, xh)
+        return add(xh, w, xh)  # x_hi m_hi + (t >> 32) + (w >> 32)
 
-    def _fill(self, out: np.ndarray) -> None:
-        """Write the uniforms of the next len(out) blocks into the rows of out.
-
-        A round maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
-        hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)). Each word is a uint64 row over
-        the blocks of one pass, each 128-bit product is assembled from
-        four 32 x 32-bit ones, and lo overwrites the factor's own row.
-        The counter (k + 1, 0, 0, 0) makes three words constant in round
-        0 and two in round 1, which those rounds take as integers."""
-        mul, and_, shr, add, xor = (np.multiply, np.bitwise_and, np.right_shift,
-                                    np.add, np.bitwise_xor)
-        width = min(len(out), _KERNEL_BLOCKS)
-        rows = np.empty((8, width), dtype=np.uint64)
-        # Round 1 multiplies M0 by round 0's constant c0 = k0.
-        hi_k0, lo_k0 = divmod(_PHILOX_MUL[0] * int(self._keys[0][0]), 1 << 64)
-        k1_hi_k0 = _u64(hi_k0 ^ int(self._keys[1][1]))
-
-        def mulhilo(x, j):
-            """Overwrite x with lo(M_j x); return hi(M_j x) in a scratch row."""
-            m, m_lo, m_hi = _MUL[j]
-            and_(x, _LOW32, xl)
-            shr(x, _SHIFT32, xh)
-            mul(x, m, x)
-            mul(xl, m_lo, p)
-            shr(p, _SHIFT32, p)
-            mul(xh, m_lo, q)
-            add(q, p, q)           # t = x_hi m_lo + (x_lo m_lo >> 32)
-            and_(q, _LOW32, p)
-            mul(xl, m_hi, xl)
-            add(p, xl, p)          # w = (t & mask32) + x_lo m_hi
-            shr(p, _SHIFT32, p)
-            shr(q, _SHIFT32, q)
-            mul(xh, m_hi, xh)
-            add(xh, q, xh)
-            return add(xh, p, xh)  # x_hi m_hi + (t >> 32) + (w >> 32)
-
-        for start in range(0, len(out), width):
-            b = min(width, len(out) - start)
-            r0, r1, r2, r3, xl, xh, p, q = (row[:b] for row in rows)
-            first = self._next_block + 1
-            r0[:] = np.arange(first, first + b, dtype=np.uint64)
-            self._next_block += b
-            # Round 0 on (r0, 0, 0, 0) gives (k0, 0, r2, r0).
-            xor(mulhilo(r0, 0), self._keys[0][1], r2)
-            # Round 1 on (k0, 0, r2, r0) gives (r1, r2, r0, r3).
-            xor(mulhilo(r2, 1), self._keys[1][0], r1)
-            xor(r0, k1_hi_k0, r0)
-            r3[:] = lo_k0
-            c0, c1, c2, c3 = r1, r2, r0, r3
-            for key0, key1 in self._keys[2:]:
-                xor(c3, mulhilo(c0, 0), c3)
-                xor(c3, key1, c3)
-                xor(c1, mulhilo(c2, 1), c1)
-                xor(c1, key0, c1)
-                c0, c1, c2, c3 = c1, c2, c3, c0
-            for j, row in enumerate((c0, c1, c2, c3)):
-                shr(row, _SHIFT11, p)
-                mul(p, 2.0 ** -53, out[start:start + b, j])
+    found = []
+    for start in range(0, blocks, width):
+        b = min(width, blocks - start)
+        r0, r1, r2, r3, xl, xh, w, t = (row[:b] for row in rows)
+        r0[:] = np.arange(start + 1, start + 1 + b, dtype=np.uint64)
+        # Round 0 on (r0, 0, 0, 0) gives (k0, 0, r2, r0).
+        xor(mulhilo(r0, 0), keys[0][1], r2)
+        # Round 1 on (k0, 0, r2, r0) gives (r1, r2, r0, r3).
+        xor(mulhilo(r2, 1), keys[1][0], r1)
+        xor(r0, k1_hi_k0, r0)
+        r3[:] = lo_k0
+        c0, c1, c2, c3 = r1, r2, r0, r3
+        for key0, key1 in keys[2:]:
+            xor(c3, mulhilo(c0, 0), c3)
+            xor(c3, key1, c3)
+            xor(c1, mulhilo(c2, 1), c1)
+            xor(c1, key0, c1)
+            c0, c1, c2, c3 = c1, c2, c3, c0
+        for j, row in enumerate((c0, c1, c2, c3)):
+            np.less(row, below, out=mask[:b, j])
+        found.append(np.flatnonzero(mask[:b]) + 4 * start)
+    hits = np.concatenate(found)
+    return hits[:np.searchsorted(hits, n)]
 
 
 def derive_int_seed(seed: int, stream: int) -> int:
@@ -531,21 +518,11 @@ class Digraph:
 
 def gen_random_bipartite(params: GenParams) -> BipartiteGraph:
     """Each of the n1*n2 possible edges appears independently with
-    probability p, driven by the (seed, edge-stream) Philox generator.
-
-    Cell x*n2 + y' (edge x -- n1+y') takes the uniform at that position
-    of the stream. Philox hands out one double per uniform whatever the
-    draw size, so drawing in chunks of _GEN_CHUNK bounds memory without
-    changing the output: it depends only on params.
-    """
-    n1, n2, p = params.n1, params.n2, params.p
-    gen = PhiloxStream(params.seed, STREAM_EDGES)
-    total = n1 * n2
-    cells = []
-    for offset in range(0, total, _GEN_CHUNK):
-        u = gen.random(min(_GEN_CHUNK, total - offset))
-        cells.append(np.flatnonzero(u < p) + offset)
-    x, y = np.divmod(np.concatenate(cells), n2)
+    probability p, driven by the (seed, edge-stream) Philox generator:
+    cell x*n2 + y' (edge x -- n1+y') is present when the uniform at that
+    position of the stream is below p."""
+    n1, n2 = params.n1, params.n2
+    x, y = np.divmod(draw_below(params.seed, STREAM_EDGES, n1 * n2, params.p), n2)
     return BipartiteGraph(n1, n2, np.column_stack((x, y + n1)))
 
 
@@ -599,10 +576,10 @@ def orient_randomly(g, seed: int) -> Digraph:
     indexed by the position of the edge in sorted order, and edge (u, v)
     with u < v becomes the arc u -> v when its coin is below 1/2.
     """
-    gen = PhiloxStream(seed, STREAM_ORIENT)
-    flip = gen.random(g.n_edges) >= 0.5
-    tail = np.where(flip, g.v, g.u)
-    head = np.where(flip, g.u, g.v)
+    keep = np.zeros(g.n_edges, dtype=bool)
+    keep[draw_below(seed, STREAM_ORIENT, g.n_edges, 0.5)] = True
+    tail = np.where(keep, g.u, g.v)
+    head = np.where(keep, g.v, g.u)
     order = np.lexsort((head, tail))
     return Digraph._from_sorted(g.n_vertices, tail[order], head[order])
 
@@ -703,19 +680,18 @@ def is_bipartite(g) -> bool:
 
 def _sides(g: Graph) -> tuple[np.ndarray, np.ndarray] | None:
     """(verts, side): the vertices that have an edge, ascending, and the
-    side, 0 or 1, of each; None when g has an odd cycle. A frontier
-    search from the least vertex of every component at once puts each
-    vertex on the side of its distance's parity."""
+    side of each, False or True; None when g has an odd cycle. One
+    labelling of the bipartite double cover, where edge (a, b) joins a
+    to b + k and a + k to b, decides both: a vertex v and its copy v + k
+    are joined exactly when an odd cycle reaches v. Otherwise the least
+    vertex of a component and the vertices at even distance from it
+    carry the lesser of the two labels, so side(v) is
+    label[v] > label[v + k]."""
     verts, a, b = g.local_edges()
-    label = component_labels(len(verts), a, b)
-    _verts, first, nbrs = g.local_adjacency()
-    side = np.full(len(verts), -1, dtype=np.int8)
-    frontier, parity = np.flatnonzero(label == np.arange(len(verts))), 0
-    while len(frontier):
-        side[frontier] = parity
-        reached = csr_runs(first, nbrs, frontier)
-        frontier, parity = distinct(reached[side[reached] < 0]), 1 - parity
-    return None if (side[a] == side[b]).any() else (verts, side)
+    k = len(verts)
+    label = component_labels(2 * k, np.concatenate((a, a + k)), np.concatenate((b + k, b)))
+    own, copy = label[:k], label[k:]
+    return None if (own == copy).any() else (verts, own > copy)
 
 
 def two_coloring(g) -> tuple[Sequence[int], Sequence[int]] | None:

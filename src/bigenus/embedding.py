@@ -236,22 +236,26 @@ def euler_genus(n_c: int, e_c: int, f_c: int) -> int:
 
 
 def trace_faces(rot: RotationSystem) -> FaceSet:
-    """Orbit decomposition of the arc set under the face-successor map."""
+    """Orbit decomposition of the arc set under the face-successor map,
+    each orbit from its least arc id, in the order of face_starts; one
+    walk marks and records every arc."""
     index, nxt, _seq = rot.darts
     rev, nxt = memoryview(index.rev), memoryview(nxt)
+    seen = bytearray(len(rev))
     orbit = array("i")
     lengths = []
-    for a0 in face_starts(nxt, rev):
+    for a0, done in enumerate(seen):  # reads each flag after earlier walks set it
+        if done:
+            continue
         start = len(orbit)
         a = a0
-        while True:
+        while not seen[a]:
+            seen[a] = 1
             orbit.append(a)
             a = nxt[rev[a]]
-            if a == a0:
-                break
+        if a != a0:
+            raise InternalConsistencyError("face orbit did not close on its start arc")
         lengths.append(len(orbit) - start)
-    if len(orbit) != len(rev):
-        raise InternalConsistencyError("face lengths do not cover every arc once")
     return FaceSet(rot.graph, index, np.frombuffer(orbit, dtype=np.int32), lengths)
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from bigenus.bigraph import (STREAM_ORIENT, BipartiteGraph, Digraph, GenParams, Graph,
-                             PhiloxStream, gen_random_bipartite, orient_randomly)
+                             gen_random_bipartite, orient_randomly)
 from bigenus.blossom import Blossom, DartFamily
 from bigenus.embedding import FaceSet, RotationSystem, genus_of_embedding, trace_faces
 from bigenus.errors import ValidationError
@@ -435,10 +435,11 @@ def reference_incidence(h) -> dict[tuple[int, int], tuple[int, ...]]:
 def reference_orientation(g, seed: int) -> list[tuple[int, int]]:
     """The arcs of orient_randomly(g, seed), sorted, by a tuple loop:
     the k-th edge (a, b) of g.edge_list is kept as a -> b when the k-th
-    coin of the orientation stream is below 1/2, else reversed."""
-    gen = PhiloxStream(seed, STREAM_ORIENT)
+    coin of the orientation stream, numpy's own Philox generator, is
+    below 1/2, else reversed."""
+    from numpy.random import Generator, Philox, SeedSequence
     edges = g.edge_list
-    u = gen.random(len(edges)) if edges else np.empty(0)
+    u = Generator(Philox(SeedSequence([seed, STREAM_ORIENT]))).random(len(edges))
     return sorted((a, b) if u[k] < 0.5 else (b, a) for k, (a, b) in enumerate(edges))
 
 

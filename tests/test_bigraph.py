@@ -143,11 +143,23 @@ def test_bipartiteness_helpers():
     # the declared sides win for bipartite inputs
     left, right = two_coloring(complete_bipartite_graph(2, 2))
     assert set(left) == {0, 1} and set(right) == {2, 3}
-    # plain graphs: the frontier search against a tuple search
+    # plain graphs: the double-cover labelling against a tuple search
     for n, edges in graph_cases(2):
         ref = reference_two_coloring(reference_adjacency(n, edges))
         assert two_coloring(Graph(n, edges)) == ref
         assert is_bipartite(Graph(n, edges)) == (ref is not None)
+
+
+def test_two_coloring_of_long_paths():
+    # components thousands of edges deep, against a tuple search
+    n = 20_000
+    path = path_graph(n)
+    pendant = Graph(n, [(0, 1), (1, 2), (0, 2)] + [(v, v + 1) for v in range(2, n - 1)])
+    for g in (path, pendant, Graph(n + 3, path.edge_list)):
+        ref = reference_two_coloring(reference_adjacency(g.n_vertices, g.edge_list))
+        assert two_coloring(g) == ref
+        assert is_bipartite(g) == (ref is not None)
+    assert two_coloring(pendant) is None and two_coloring(path) is not None
 
 
 def test_graph_rejects_duplicates():
@@ -233,11 +245,14 @@ def test_bipartite_graph_is_a_graph():
 
 
 def test_generation_does_not_depend_on_chunk_size(monkeypatch):
+    # the kernel's pass is the only chunk a draw is cut into
     params = GenParams(300, 7, 0.1, seed=5)
     g = gen_random_bipartite(params)
-    for chunk in (1, 97, 1 << 20):
-        monkeypatch.setattr(bigraph, "_GEN_CHUNK", chunk)
+    d = orient_randomly(g, 5)
+    for blocks in (1, 3, 97):
+        monkeypatch.setattr(bigraph, "_KERNEL_BLOCKS", blocks)
         assert gen_random_bipartite(params).edge_list == g.edge_list
+        assert orient_randomly(g, 5) == d
 
 
 def test_neighbors_out_of_range_raises():
@@ -343,27 +358,43 @@ def test_induced_subgraph_equals_loop_reference():
 def test_streams_equal_numpy_philox(seed):
     # numpy.random is the reference here only; the package never imports it
     from numpy.random import Generator, Philox, SeedSequence
+    # the draws end inside a 4-word block, on its border, past one
+    # kernel pass (32,768 words) and past several
     for stream in range(4):
-        ref = Generator(Philox(SeedSequence([seed, stream])))
-        gen = bigraph.PhiloxStream(seed, stream)
-        # consecutive draws cross the 4-word block, the kernel pass and
-        # the _GEN_CHUNK borders
-        for n in (0, 1, 3, 4, 5, 65_536, 100_001):
-            assert np.array_equal(gen.random(n), ref.random(n)), (stream, n)
+        for p in (0.0, 2.0 ** -60, 0.03, 0.5, 1 - 2.0 ** -53, 1.0):
+            for n in (0, 1, 3, 4, 5, 32_768, 100_001):
+                ref = Generator(Philox(SeedSequence([seed, stream]))).random(n)
+                assert np.array_equal(bigraph.draw_below(seed, stream, n, p),
+                                      np.flatnonzero(ref < p)), (stream, p, n)
+        # p on and just beside uniforms of the stream itself, where a
+        # threshold one word off would move an index
+        ref = Generator(Philox(SeedSequence([seed, stream]))).random(64)
+        for u in ref[:16].tolist():
+            for p in (u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)):
+                assert np.array_equal(bigraph.draw_below(seed, stream, 64, float(p)),
+                                      np.flatnonzero(ref < p)), (stream, p)
         want = SeedSequence([seed, stream]).generate_state(1, np.uint64)[0]
         assert bigraph.derive_int_seed(seed, stream) == int(want)
 
 
 def test_stream_passes_do_not_change_it(monkeypatch):
-    whole = bigraph.PhiloxStream(9, 1).random(1_001)
-    monkeypatch.setattr(bigraph, "_KERNEL_BLOCKS", 3)
-    gen = bigraph.PhiloxStream(9, 1)
-    assert np.array_equal(np.concatenate([gen.random(n) for n in (2, 13, 500, 486)]), whole)
+    # 1,001 words are 251 blocks: 251, 84 and 3 passes
+    cases = [(n, p) for n in (0, 1, 5, 1_001) for p in (0.03, 0.5, 0.97)]
+    whole = [bigraph.draw_below(9, 1, n, p) for n, p in cases]
+    for blocks in (1, 3, 97):
+        monkeypatch.setattr(bigraph, "_KERNEL_BLOCKS", blocks)
+        for (n, p), want in zip(cases, whole):
+            assert np.array_equal(bigraph.draw_below(9, 1, n, p), want), (blocks, n, p)
 
 
 def test_negative_seeds_are_refused():
-    for call in (lambda: bigraph.PhiloxStream(-1, 0), lambda: bigraph.PhiloxStream(0, -1),
-                 lambda: bigraph.derive_int_seed(-1, 2), lambda: bigraph.PhiloxStream(1.0, 0),
+    # refused before the draw, also where the draw is empty or whole
+    for call in (lambda: bigraph.draw_below(-1, 0, 5, 0.5),
+                 lambda: bigraph.draw_below(0, -1, 5, 0.5),
+                 lambda: bigraph.draw_below(-1, 0, 0, 0.5),
+                 lambda: bigraph.draw_below(-1, 0, 5, 1.0),
+                 lambda: bigraph.derive_int_seed(-1, 2),
+                 lambda: bigraph.draw_below(1.0, 0, 5, 0.5),
                  lambda: GenParams(5, 5, 0.5, seed=-3), lambda: PipelineConfig(seed=-1)):
         with pytest.raises(ValidationError, match="must be a nonnegative integer"):
             call()

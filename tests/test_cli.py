@@ -123,6 +123,26 @@ MATCH_REPORTS = {
 }
 
 
+# sha256 of the files `bigenus generate` and `bigenus orient` write. The
+# graph draws 40,000 cells and the orientation 33,741 coins, both past
+# one pass of the Philox kernel (32,768 words).
+STREAM_BYTES = {
+    ("generate", "200", "0.05", "3"):
+        "e6515736aec3dd83184b59aef25b00a7c66d511ff8dcc22373e3fc2b9f0b6a30",
+    ("orient", "260", "0.5", "2"):
+        "33706b76487cecadf22da8c4aac9685b6b33931830151dae14842b13804f49e0",
+}
+
+
+@pytest.mark.parametrize("command,n,p,seed", sorted(STREAM_BYTES))
+def test_stream_bytes_are_frozen(tmp_path, capsys, command, n, p, seed):
+    out = tmp_path / "out.txt"
+    assert main([command, "--n1", n, "--n2", n, "--p", p, "--seed", seed,
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_BYTES[(command, n, p, seed)]
+
+
 @pytest.mark.parametrize("command,n,seed,i", sorted(WRITER_BYTES))
 def test_writer_bytes_are_frozen(tmp_path, capsys, command, n, seed, i):
     out = tmp_path / "out.txt"
