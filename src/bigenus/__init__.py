@@ -21,13 +21,13 @@ from .embedding import (FaceSet, RotationSystem, genus_of_embedding,
 from .errors import (BudgetExceededError, GuardError,
                      InternalConsistencyError, ValidationError)
 from .estimator import (GenusEstimate, PipelineConfig, estimate_genus,
-                        euler_lower_bound, nonorientable_bounds, psi,
-                        reduce_small_part, refined_lower_bound,
-                        regime_classify, small_p_asymptote_check,
-                        small_part_exact_genus)
+                        euler_lower_bound, psi, reduce_small_part,
+                        refined_lower_bound, regime_classify,
+                        small_p_asymptote_check)
 from .oracle import (PincerResult, SearchBudget, exact_genus,
                      genus_formula_reference, minimum_genus_rotation,
-                     pincer_genus, rotation_system_count)
+                     pincer_genus, rotation_system_count,
+                     small_part_exact_genus)
 from .trails import (TrailHypergraph, build_trail_hypergraph,
                      check_matching_conditions, count_short_closed_trails,
                      find_disjoint_mirror_matching, find_matching,
@@ -48,10 +48,11 @@ __all__ = [
     "BudgetExceededError", "GuardError", "InternalConsistencyError",
     "ValidationError",
     "GenusEstimate", "PipelineConfig", "estimate_genus", "euler_lower_bound",
-    "nonorientable_bounds", "psi", "reduce_small_part", "refined_lower_bound",
-    "regime_classify", "small_p_asymptote_check", "small_part_exact_genus",
+    "psi", "reduce_small_part", "refined_lower_bound", "regime_classify",
+    "small_p_asymptote_check",
     "PincerResult", "SearchBudget", "exact_genus", "genus_formula_reference",
     "minimum_genus_rotation", "pincer_genus", "rotation_system_count",
+    "small_part_exact_genus",
     "TrailHypergraph", "build_trail_hypergraph",
     "check_matching_conditions", "count_short_closed_trails",
     "find_disjoint_mirror_matching", "find_matching", "theoretical_delta",

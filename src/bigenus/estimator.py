@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from .embedding import face_length_histogram, genus_from_faces, trace_faces
 from .errors import GuardError, InternalConsistencyError, ValidationError
 from .trails import MatchingReport, build_trail_hypergraph, count_short_closed_trails, \
     find_disjoint_mirror_matching, find_matching
-
-if TYPE_CHECKING:
-    from .oracle import SearchBudget
 
 CSV_COLUMNS = ("n1", "n2", "p", "i", "seed", "edges", "lower", "upper",
                "prediction", "coverage", "blossoms_removed", "regime")
@@ -115,45 +112,30 @@ def regime_classify(n1: int, n2: int, p: float) -> RegimeResult:
     return RegimeResult("critical-window", _MAX_WINDOW_I)
 
 
-def _psi_fraction(p: Fraction, n2: int) -> Fraction:
-    """psi(p, n2) in closed form. With m = n2 - 1, x = -p and
-    (i-1)/(i+1) = 1 - 2/(i+1), the sum over i = 0..m is
-    (1+x)^m - 2((1+x)^(m+1) - 1)/((m+1)x), and its terms i = 0 and 1
-    add up to -1. The sum from i = 2 is empty when n2 < 3."""
+def _psi_ratio(p: float | Fraction, n2: int) -> tuple[int, int]:
+    """psi(p, n2) in closed form, as one integer ratio num/den. With
+    m = n2 - 1, x = -p and (i-1)/(i+1) = 1 - 2/(i+1), the sum over
+    i = 0..m is (1+x)^m - 2((1+x)^(m+1) - 1)/((m+1)x), and its terms
+    i = 0 and 1 add up to -1. With p = a/d and c = d - a, that is
+    num = (m+1) a c^m + 2(c^(m+1) - d^(m+1)) + den over
+    den = (m+1) a d^m. The sum from i = 2 is empty when n2 < 3."""
     if n2 < 3 or p == 0:
-        return Fraction(0)
-    m, x = n2 - 1, -p
-    return (1 + x) ** m - 2 * ((1 + x) ** (m + 1) - 1) / ((m + 1) * x) + 1
+        return 0, 1
+    a, d = p.as_integer_ratio()
+    m, c = n2 - 1, d - a
+    den = (m + 1) * a * d ** m
+    return (m + 1) * a * c ** m + 2 * (c ** (m + 1) - d ** (m + 1)) + den, den
 
 
 def psi(p: float, n2: int) -> float:
     """Alternating sum sum_{i=2}^{n2-1} (i-1)/(i+1) C(n2-1, i) (-p)^i,
-    evaluated in exact rational arithmetic. psi(p, 2) = 0."""
+    evaluated exactly and rounded once. psi(p, 2) = 0."""
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p must lie in [0,1], got {p}")
     if n2 < 2:
         raise ValidationError(f"n2 must be >= 2, got {n2}")
-    return float(_psi_fraction(Fraction(p), n2))
-
-
-def predicted_genus(n1: int, n2: int, p: float, i: int, regime: str) -> float:
-    """Theory value for the orientable genus of G(n1, n2, p) in the
-    given regime: i/(2i+2) p n1 n2 (balanced-i), p n1 n2 / 4
-    (dense-4gon), or n1 n2 p psi(p, n2) / 4 (small-part). The
-    non-orientable prediction is twice this."""
-    if not (0.0 <= p <= 1.0):
-        raise ValidationError(f"p must lie in [0,1], got {p}")
-    if n1 < 0 or n2 < 0:
-        raise ValidationError("part sizes must be nonnegative")
-    if regime == "balanced-i":
-        if i < 1:
-            raise ValidationError(f"i must be >= 1, got {i}")
-        return i * p * n1 * n2 / (2 * i + 2)
-    if regime == "dense-4gon":
-        return p * n1 * n2 / 4.0
-    if regime == "small-part":
-        return n1 * n2 * p * psi(p, n2) / 4.0 if n2 >= 2 else 0.0
-    raise ValidationError(f"unknown regime {regime!r}")
+    num, den = _psi_ratio(p, n2)
+    return num / den  # int true division rounds correctly
 
 
 class AsymptoteCheck(NamedTuple):
@@ -167,7 +149,7 @@ def small_p_asymptote_check(n1: int, n2: int, p: float) -> AsymptoteCheck:
     n1 p^3 C(n2,3)/4. At n2 = 3 the two agree exactly for every p.
     Both sides are evaluated as exact rationals before conversion."""
     pf = Fraction(p)
-    exact = Fraction(n1) * n2 * pf * _psi_fraction(pf, n2) / 4 if n2 >= 2 else Fraction(0)
+    exact = Fraction(n1) * n2 * pf * Fraction(*_psi_ratio(p, n2)) / 4 if n2 >= 2 else Fraction(0)
     asym = Fraction(n1) * pf ** 3 * math.comb(n2, 3) / 4
     if asym != 0:
         ratio = float(exact / asym)
@@ -312,21 +294,21 @@ class GenusEstimate:
 
 
 def prediction_for(res: RegimeResult, n1: int, n2: int, p: float) -> float:
-    """The predicted genus of G(n1, n2, p) in regime res, with the parts
-    ordered as regime_classify orders them: n2 is the smaller one. Only
-    the balanced formula reads a trail parameter, the window index of res."""
+    """The predicted orientable genus of G(n1, n2, p) in regime res, with
+    the parts ordered as regime_classify orders them: n2 is the smaller
+    one. A window index i (balanced-i, or a critical window that has
+    one) gives i/(2i+2) p n1 n2; dense-4gon gives p n1 n2 / 4; the
+    small-part-a regime and the critical windows around it give
+    n1 n2 p psi(p, n2) / 4; small-part-b gives the genus of K_n2 and
+    small-part-c gives 0. The non-orientable prediction is twice this."""
     n1, n2 = max(n1, n2), min(n1, n2)
-    tag = res.tag
+    tag, i = res
     if tag == "dense-4gon":
-        return predicted_genus(n1, n2, p, 1, "dense-4gon")
-    if tag == "balanced-i":
-        return predicted_genus(n1, n2, p, res.i, "balanced-i")
-    if tag == "critical-window":
-        if res.i is not None:
-            return predicted_genus(n1, n2, p, res.i, "balanced-i")
-        return predicted_genus(n1, n2, p, 1, "small-part")
-    if tag == "small-part-a":
-        return predicted_genus(n1, n2, p, 1, "small-part")
+        return p * n1 * n2 / 4.0
+    if tag == "balanced-i" or tag == "critical-window" and i is not None:
+        return i * p * n1 * n2 / (2 * i + 2)
+    if tag in ("critical-window", "small-part-a"):
+        return n1 * n2 * p * psi(p, n2) / 4.0 if n2 >= 2 else 0.0
     if tag == "small-part-b":
         return float(_complete_genus(n2))
     return 0.0  # small-part-c
@@ -392,30 +374,10 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
                          face_length_histogram(fs))
 
 
-def nonorientable_bounds(g, est: GenusEstimate) -> tuple[int, int]:
-    """(lower, upper) for the non-orientable genus: the Euler bound
-    ceil(e(1 - 2/k) - n + 2) clamped per core component, and twice the
-    orientable upper bound plus one."""
-    minlen = 4 if is_bipartite(g) else 3
-    total = 0
-    for (verts, e_c) in _core_components(g):
-        val = math.ceil(e_c * (Fraction(1) - Fraction(2, minlen)) - len(verts) + 2)
-        total += max(0, val)
-    return total, 2 * est.upper + 1
-
-
 # ---------------------------------------------------------------------------
 # Small-part reduction: when n2 is tiny, degree-<=1 X-vertices are
 # irrelevant and degree-2 X-vertices act as parallel subdivided edges
 # between their Y-pair, so the graph collapses to a multigraph on Y.
-
-# Default search budget of small_part_exact_genus. On G(1e5, 5, n1^-0.4)
-# a hill climb from Random(0) first meets the Euler bound after up to
-# ~142 shuffled restarts (about 0.65 ms each), so 1024 restarts leave a
-# wide margin at under a second per instance.
-SMALL_PART_RESTARTS = 1024
-SMALL_PART_SECONDS = 10.0
-
 
 @dataclass(frozen=True)
 class ReducedGraph:
@@ -460,7 +422,7 @@ def reduce_small_part(g: BipartiteGraph) -> ReducedGraph:
     X-vertices of degree >= 3 are kept verbatim with their neighbours.
     Parallel subdivided paths have the genus of one edge, so g has the
     orientable and non-orientable genus of simple_graph(); that is what
-    small_part_exact_genus computes.
+    oracle.small_part_exact_genus computes.
     """
     if g.n2 > MAX_SMALL_PART:
         raise GuardError(f"reduce_small_part needs n2 <= {MAX_SMALL_PART}, got {g.n2}")
@@ -487,44 +449,3 @@ def reduce_small_part(g: BipartiteGraph) -> ReducedGraph:
         deleted_x=tuple(np.flatnonzero(degree <= 1).tolist()),
         collapsed_x=tuple(collapsed.tolist()),
     )
-
-
-def small_part_exact_genus(r: ReducedGraph, budget: SearchBudget | None = None
-                           ) -> tuple[int, int | None]:
-    """Exact (orientable, non-orientable) genus of the graph r reduces.
-
-    Complete Y-graph on the support and no kept X-vertex: the closed
-    forms for K_m, with the m = 7 non-orientable exception of 3.
-    Otherwise the orientable genus of r.simple_graph() is certified by
-    pincer_genus (each component's Euler bound met by a hill climb) or,
-    failing that, found by exact_genus without the hill-climb shortcut.
-    Both run within `budget` (default: SMALL_PART_RESTARTS restarts,
-    SMALL_PART_SECONDS seconds per stage, the default system count);
-    when neither settles it, BudgetExceededError (a GuardError) is
-    raised and no value is guessed.
-
-    The non-orientable genus is returned only where it is certified
-    off the closed form: 0 when the reduced graph is planar, and 1 when
-    it is nonplanar on at most 6 vertices (a subgraph of K6, which
-    embeds in the projective plane). Otherwise it is None.
-    """
-    m = len(r.y_support)
-    if not r.kept_x and r.is_complete_on_support:
-        if m <= 2:
-            return 0, 0
-        nonorient = 3 if m == 7 else math.ceil(Fraction((m - 3) * (m - 4), 6))
-        return _complete_genus(m), int(nonorient)
-
-    # imported here because the oracle module imports this one
-    from .oracle import SearchBudget, exact_genus, pincer_genus
-
-    budget = budget or SearchBudget(restarts=SMALL_PART_RESTARTS,
-                                    max_seconds=SMALL_PART_SECONDS)
-    h = r.simple_graph()
-    pin = pincer_genus(h, budget)
-    orient = pin.upper if pin.exact else exact_genus(h, budget, shortcut=False)
-    if orient == 0:
-        return 0, 0
-    if h.n_vertices <= 6:
-        return orient, 1
-    return orient, None

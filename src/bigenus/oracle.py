@@ -14,7 +14,8 @@ edge fixed (cyclic orders, not linear ones) and stops early once the
 bound is attained; a climb that attains it certifies exactness without
 enumerating anything. Only minimum_genus_rotation maps the orders found
 back to the vertices of g and makes them a RotationSystem of g, its
-witness.
+witness. small_part_exact_genus runs the same searches on the simple
+graph of a small-part reduction (estimator.reduce_small_part).
 """
 
 from __future__ import annotations
@@ -31,10 +32,17 @@ import numpy as np
 from .bigraph import component_labels, induced_subgraph
 from .embedding import RotationSystem, arc_index, euler_genus, face_starts
 from .errors import BudgetExceededError, ValidationError
-from .estimator import _complete_genus, euler_lower_bound
+from .estimator import ReducedGraph, _complete_genus, euler_lower_bound
 
 _COUNT_SATURATE = 10 ** 18
 _TIMEOUT_STRIDE = 2048
+
+# Default search budget of small_part_exact_genus. On G(1e5, 5, n1^-0.4)
+# a hill climb from Random(0) first meets the Euler bound after up to
+# ~142 shuffled restarts (about 0.65 ms each), so 1024 restarts leave a
+# wide margin at under a second per instance.
+SMALL_PART_RESTARTS = 1024
+SMALL_PART_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -296,3 +304,40 @@ def genus_formula_reference(kind: str, *params: int) -> int:
             return 0
         return ((m - 2) * (n - 2) + 3) // 4
     raise ValidationError(f"unknown kind {kind!r}")
+
+
+def small_part_exact_genus(r: ReducedGraph, budget: SearchBudget | None = None
+                           ) -> tuple[int, int | None]:
+    """Exact (orientable, non-orientable) genus of the graph r reduces.
+
+    Complete Y-graph on the support and no kept X-vertex: the closed
+    forms for K_m, with the m = 7 non-orientable exception of 3.
+    Otherwise the orientable genus of r.simple_graph() is certified by
+    pincer_genus (each component's Euler bound met by a hill climb) or,
+    failing that, found by exact_genus without the hill-climb shortcut.
+    Both run within `budget` (default: SMALL_PART_RESTARTS restarts,
+    SMALL_PART_SECONDS seconds per stage, the default system count);
+    when neither settles it, BudgetExceededError (a GuardError) is
+    raised and no value is guessed.
+
+    The non-orientable genus is returned only where it is certified
+    off the closed form: 0 when the reduced graph is planar, and 1 when
+    it is nonplanar on at most 6 vertices (a subgraph of K6, which
+    embeds in the projective plane). Otherwise it is None.
+    """
+    m = len(r.y_support)
+    if not r.kept_x and r.is_complete_on_support:
+        if m <= 2:
+            return 0, 0
+        return _complete_genus(m), 3 if m == 7 else -(-(m - 3) * (m - 4) // 6)
+
+    budget = budget or SearchBudget(restarts=SMALL_PART_RESTARTS,
+                                    max_seconds=SMALL_PART_SECONDS)
+    h = r.simple_graph()
+    pin = pincer_genus(h, budget)
+    orient = pin.upper if pin.exact else exact_genus(h, budget, shortcut=False)
+    if orient == 0:
+        return 0, 0
+    if h.n_vertices <= 6:
+        return orient, 1
+    return orient, None

@@ -27,9 +27,8 @@ from bigenus.blossom import assemble_rotation, find_blossoms, make_blossom_free
 from bigenus.embedding import genus_of_embedding, trace_faces
 from bigenus.errors import GuardError
 from bigenus.estimator import (PipelineConfig, estimate_genus, psi,
-                               reduce_small_part, small_p_asymptote_check,
-                               small_part_exact_genus)
-from bigenus.oracle import exact_genus, genus_formula_reference
+                               reduce_small_part, small_p_asymptote_check)
+from bigenus.oracle import exact_genus, genus_formula_reference, small_part_exact_genus
 from bigenus.trails import (build_trail_hypergraph, check_matching_conditions,
                             count_short_closed_trails, find_matching,
                             theoretical_delta)

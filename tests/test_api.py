@@ -5,6 +5,7 @@ perfbench/tracing.py wraps a fixed list of package functions by
 surface in a traced benchmark run; these checks catch it here.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -14,6 +15,7 @@ from collections import Counter
 import bigenus
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+ESTIMATOR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "bigenus", "estimator.py")
 
 
 def test_all_names_resolve():
@@ -29,6 +31,22 @@ def test_no_module_defines_closed_trail():
     for name in modules:
         assert not hasattr(importlib.import_module(f"bigenus.{name}"), "ClosedTrail"), name
     assert "ClosedTrail" not in bigenus.__all__
+
+
+def test_estimator_does_not_import_the_oracle():
+    # the oracle imports the estimator; an import back, even inside a
+    # function, would make the two modules a cycle again
+    with open(ESTIMATOR, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[-1] == "oracle" for name in names), node.lineno
+    assert bigenus.small_part_exact_genus is bigenus.oracle.small_part_exact_genus
 
 
 def _load_tracing():

@@ -15,13 +15,11 @@ from bigenus.bigraph import (BipartiteGraph, GenParams, Graph, degree_class_part
                              gen_random_bipartite, induced_subgraph, path_graph)
 from bigenus.blossom import DartFamily
 from bigenus.errors import BudgetExceededError, GuardError, ValidationError
-from bigenus.oracle import SearchBudget, exact_genus
-from bigenus.estimator import (PipelineConfig, _core_components, _psi_fraction,
-                               estimate_genus, euler_lower_bound, nonorientable_bounds,
-                               predicted_genus, prediction_for, psi,
+from bigenus.oracle import SearchBudget, exact_genus, small_part_exact_genus
+from bigenus.estimator import (PipelineConfig, _core_components, _psi_ratio,
+                               estimate_genus, euler_lower_bound, prediction_for, psi,
                                reduce_small_part, refined_lower_bound,
-                               regime_classify, small_p_asymptote_check,
-                               small_part_exact_genus)
+                               regime_classify, small_p_asymptote_check)
 
 from conftest import (GRAPH_VIEWS, graph_cases, rand_bipartite, rand_graph,
                       reference_core_components, reference_psi)
@@ -46,7 +44,7 @@ def test_psi_closed_form_equals_the_sum():
     for _ in range(200):
         p = Fraction(rng.choice((0.0, 1.0, rng.random(), rng.random() ** 4)))
         n2 = rng.randint(2, 40)
-        assert _psi_fraction(p, n2) == reference_psi(p, n2)
+        assert Fraction(*_psi_ratio(p, n2)) == reference_psi(p, n2)
 
 
 def test_small_p_asymptote():
@@ -88,15 +86,20 @@ def test_regime_balanced_and_windows():
             regime_classify(100, 100, p)
 
 
-def test_predicted_genus_values():
-    assert predicted_genus(100, 100, 0.5, 1, "dense-4gon") == 1250.0
-    assert predicted_genus(100, 100, 0.5, 1, "balanced-i") == 1250.0
-    assert predicted_genus(10 ** 5, 5, 0.3, 1, "small-part") == 4907.25
-    with pytest.raises(ValidationError):
-        predicted_genus(100, 100, 0.5, 1, "no-such-regime")
-    # the non-orientable prediction is 2x, computed by the caller
-    with pytest.raises(TypeError):
-        predicted_genus(100, 100, 0.5, 1, "dense-4gon", orientable=False)
+def test_prediction_values():
+    # one point per tag regime_classify returns, with the exact value
+    n1 = 10 ** 5
+    cases = [((120, 120, 0.5), ("dense-4gon", None), 1800.0),
+             ((10 ** 6, 100, 0.02), ("balanced-i", 1), 500000.0),
+             ((2000, 2000, 0.0015), ("critical-window", 3), 2250.0000000000005),
+             ((5, 300, 0.2), ("critical-window", None), 4.872),
+             ((n1, 5, 0.3), ("small-part-a", None), 4907.25),
+             ((n1, 5, n1 ** -0.4), ("small-part-b", None), 1.0),
+             ((n1, 5, n1 ** -0.6), ("small-part-c", None), 0.0)]
+    for args, tag_and_i, value in cases:
+        res = regime_classify(*args)
+        assert res == tag_and_i
+        assert prediction_for(res, *args) == value
 
 
 def test_prediction_for_small_part_b():
@@ -427,17 +430,6 @@ def test_estimate_bounds_ordered():
 def test_pipeline_config_validation():
     with pytest.raises(ValidationError):
         PipelineConfig(p=1.5)
-
-
-def test_nonorientable_bounds():
-    k33 = complete_bipartite_graph(3, 3)
-    est = estimate_genus(k33, 1)
-    assert nonorientable_bounds(k33, est) == (1, 3)
-
-    star = BipartiteGraph(4, 1, [(0, 4), (1, 4), (2, 4), (3, 4)])
-    est = estimate_genus(star, 1)
-    assert (est.lower, est.upper) == (0, 0)
-    assert nonorientable_bounds(star, est) == (0, 1)
 
 
 def _pair_cover_graph(m):
