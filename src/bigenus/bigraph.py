@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -230,11 +229,32 @@ def csr_runs(first: np.ndarray, nbrs: np.ndarray, rows: np.ndarray) -> np.ndarra
     return nbrs[np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)]
 
 
+def run_ends(x: np.ndarray) -> np.ndarray:
+    """The index of the last entry of every run of equal values in x,
+    ascending."""
+    return np.flatnonzero(np.append(x[1:] != x[:-1], len(x) > 0))
+
+
 def distinct(x: np.ndarray) -> np.ndarray:
     """The distinct values of x, ascending. np.unique does the same but
     imports numpy.ma, about 1.3 MB of resident memory, on first use."""
     x = np.sort(x)
-    return x[np.append(True, x[1:] != x[:-1])] if len(x) else x
+    return x[run_ends(x)]
+
+
+def key_dtype(n: int) -> type:
+    """The dtype of the keys t n + h of pairs of labels below n: int32
+    while n^2 <= 2^31, so that every key fits, and int64 past that."""
+    return np.int32 if n * n <= 2 ** 31 else np.int64
+
+
+def pair_keys(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The keys a[k] n + b[k], in key_dtype(n), of pairs of labels below
+    n; they sort as the pairs do."""
+    key = a.astype(key_dtype(n))
+    key *= n
+    key += b
+    return key
 
 
 def component_labels(k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -264,56 +284,78 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1 (not necessarily bipartite).
 
     The edges are two int32 arrays u < v in lexicographic order: edge k
-    is (u[k], v[k]). Adjacency is CSR: the neighbours of vertex w are
-    nbrs[first[w]:first[w + 1]], ascending. The tuple views edge_list,
-    edge_set and neighbors(w) are built only when read, so a graph
-    holds 4(n + 1) bytes plus 16 per edge, and no Python object per
-    edge or vertex.
+    is (u[k], v[k]). Adjacency is CSR, two int32 arrays: the neighbours
+    of vertex w are nbrs[first[w]:first[w + 1]], ascending. The tuple
+    views edge_list, edge_set and neighbors(w) are built only when read,
+    so a graph holds 4(n + 1) bytes plus 16 per edge, and no Python
+    object per edge or vertex.
+
+    The edges may come in any order and either orientation, as pairs or
+    as an (m, 2) integer array. They are checked in their own dtype,
+    narrowed to int32 and sorted once as dart keys t n + h (int32 while
+    n^2 <= 2^31, else int64; see pair_keys), which give nbrs, first and
+    the edges at once. With int32 keys the build's temporaries peak at
+    about 14 bytes per edge, and no array but first has an entry per
+    vertex.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
         self.n = n
-        try:
-            ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                              dtype=np.int64)
-        except OverflowError:
-            raise ValidationError("edge label out of range") from None
+        ends = edges
+        if not isinstance(ends, np.ndarray) or ends.dtype.kind not in "iu":
+            try:
+                ends = np.asarray(ends if isinstance(ends, np.ndarray) else list(ends),
+                                  dtype=np.int64)
+            except OverflowError:
+                raise ValidationError("edge label out of range") from None
         if ends.size == 0:
             ends = ends.reshape(0, 2)
         if ends.ndim != 2 or ends.shape[1] != 2:
             raise ValidationError("edges must be pairs of vertices")
         # Each temporary is dropped as soon as it is used: together they
-        # would set the peak of generating a graph.
+        # would set the peak of generating a graph. The labels are
+        # checked in the input's dtype, so narrowing them to int32 is
+        # exact.
         u, v = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
         del ends
         self._check_edges(u, v)
-        # Edge (u, v), u < v, is the int64 key u n + v; sorted keys are
-        # the edges in lexicographic order.
-        key = np.sort(u * n + v)
+        u, v = u.astype(np.int32, copy=False), v.astype(np.int32, copy=False)
+        # Dart t -> h is the key t n + h, as pair_keys makes it, built
+        # in place; sorted keys list every vertex's neighbours as one
+        # ascending run, and each edge (u, v), u < v, is the dart u -> v,
+        # in lexicographic order.
+        m = len(u)
+        key = np.empty(2 * m, dtype=key_dtype(n))
+        key[:m], key[m:] = u, v
+        key *= n
+        key[:m] += v
+        key[m:] += u
+        del u, v
+        key.sort()
         dup = np.flatnonzero(key[1:] == key[:-1])
         if len(dup):
+            # the least duplicate dart is the up dart of the least such edge
             raise ValidationError("duplicate edge ({},{})".format(*divmod(int(key[dup[0]]), n)))
         # One int32 block holds u, v, nbrs and first. Four blocks made
         # between the temporaries split the heap's free memory, and a
         # later trail family then took fresh pages: dense-i1's peak RSS
         # read 41.5-42.8 MB instead of 39.0-39.5 on most seeds.
-        m = len(key)
         self.u, self.v, self.nbrs, self.first = np.split(
             np.empty(4 * m + n + 1, dtype=np.int32), [m, 2 * m, 4 * m])
-        u, v = np.divmod(key, n)
-        self.u[:], self.v[:] = u, v
-        # Both ends of every edge by (vertex, neighbour) key: each
-        # vertex's neighbours are one sorted run.
-        key = np.sort(np.concatenate((key, v * n + u)))
-        del u, v
-        ends, nbrs = np.divmod(key, n)
-        del key
-        self.nbrs[:] = nbrs
-        self.first[0] = 0
-        self.first[1:] = np.bincount(ends, minlength=n)
-        np.cumsum(self.first, out=self.first)
+        np.remainder(key, n, out=self.nbrs)
+        key //= n
+        up = key < self.nbrs
+        self.u[:] = key[up]
+        self.v[:] = self.nbrs[up]
+        del up
+        # first[t + 1] is one past the last dart of tail t, and the
+        # running maximum carries it over vertices with no dart
+        last = run_ends(key)
+        self.first[:] = 0
+        self.first[key[last] + 1] = last + 1
+        np.maximum.accumulate(self.first, out=self.first)
 
     @functools.cached_property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
@@ -492,8 +534,8 @@ class Digraph:
         return len(self.tail)
 
     def is_orientation(self) -> bool:
-        key = self.tail.astype(np.int64) * self.n + self.head
-        back = self.head.astype(np.int64) * self.n + self.tail
+        key = pair_keys(self.tail, self.head, self.n)
+        back = pair_keys(self.head, self.tail, self.n)
         pos = np.minimum(np.searchsorted(key, back), len(key) - 1)
         return not len(key) or not (key[pos] == back).any()
 
@@ -520,25 +562,28 @@ def gen_random_bipartite(params: GenParams) -> BipartiteGraph:
     """Each of the n1*n2 possible edges appears independently with
     probability p, driven by the (seed, edge-stream) Philox generator:
     cell x*n2 + y' (edge x -- n1+y') is present when the uniform at that
-    position of the stream is below p."""
+    position of the stream is below p. The cells are drawn ascending,
+    so the edges reach the graph as int32 pairs in lexicographic order."""
     n1, n2 = params.n1, params.n2
-    x, y = np.divmod(draw_below(params.seed, STREAM_EDGES, n1 * n2, params.p), n2)
-    return BipartiteGraph(n1, n2, np.column_stack((x, y + n1)))
+    cells = draw_below(params.seed, STREAM_EDGES, n1 * n2, params.p)
+    edges = np.empty((len(cells), 2), dtype=np.int32)
+    edges[:, 0] = cells // n2
+    np.remainder(cells, n2, out=cells)
+    cells += n1
+    edges[:, 1] = cells
+    del cells
+    return BipartiteGraph(n1, n2, edges)
 
 
 def standard_class_sizes(n1: int, n2: int, p: float) -> list[int]:
     """Class size floor(p^m (1-p)^(n2-m) n1) for each subset cardinality m.
 
-    Computed in exact rational arithmetic so the floor never suffers
+    With p = a/d exactly (p.as_integer_ratio()), that is
+    a^m (d-a)^(n2-m) n1 // d^n2, in integers, so the floor never suffers
     from float rounding at class-size boundaries.
     """
-    pf = Fraction(p)
-    qf = 1 - pf
-    sizes = []
-    for m in range(n2 + 1):
-        val = pf ** m * qf ** (n2 - m) * n1
-        sizes.append(int(val.numerator // val.denominator))
-    return sizes
+    a, d = p.as_integer_ratio()
+    return [a ** m * (d - a) ** (n2 - m) * n1 // d ** n2 for m in range(n2 + 1)]
 
 
 def standard_graph(n1: int, n2: int, p: float) -> BipartiteGraph:

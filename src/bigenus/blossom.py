@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bigraph import pair_keys, run_ends
 from .embedding import ArcIndex, RotationSystem, arc_index, cyclic_successors
 from .errors import InternalConsistencyError, ValidationError
 from .trails import MatchingReport
@@ -63,8 +64,9 @@ class BlossomReport:
 class DartFamily:
     """Arc-disjoint closed trails of g as dart ids over index =
     arc_index(g): trail k is darts[offsets[k]:offsets[k + 1]], in trail
-    order. of_matchings checks that every arc is an edge of g and that
-    no arc is used twice."""
+    order. darts is int32 and offsets int64; where and after, over
+    darts and family positions, are int32. of_matchings checks that
+    every arc is an edge of g and that no arc is used twice."""
 
     def __init__(self, g, index: ArcIndex, darts: np.ndarray, offsets: np.ndarray):
         self.graph = g
@@ -90,8 +92,9 @@ class DartFamily:
         used, is refused."""
         index = arc_index(g)
         n, total = g.n_vertices, len(tails)
-        key = index.tail.astype(np.int64) * n + index.head
-        want = tails.astype(np.int64) * n + heads
+        key = pair_keys(index.tail, index.head, n)
+        # an arc out of range may wrap its key; the range test refuses it
+        want = pair_keys(tails, heads, n)
         darts = np.minimum(np.searchsorted(key, want), max(len(key) - 1, 0))
         is_edge = ((0 <= tails) & (tails < n) & (0 <= heads) & (heads < n)
                    & (key[darts] == want if len(key) else False))
@@ -126,14 +129,14 @@ class DartFamily:
     def where(self) -> np.ndarray:
         """where[a] is the family position of dart a, or -1 where no
         trail uses it."""
-        where = np.full(len(self.index.tail), -1, dtype=np.int64)
-        where[self.darts] = np.arange(len(self.darts))
+        where = np.full(len(self.index.tail), -1, dtype=np.int32)
+        where[self.darts] = np.arange(len(self.darts), dtype=np.int32)
         return where
 
     def after(self) -> np.ndarray:
         """after[j] is the position after j in its trail, wrapping to
         the trail's start."""
-        after = np.arange(1, len(self.darts) + 1)
+        after = np.arange(1, len(self.darts) + 1, dtype=np.int32)
         after[self.offsets[1:] - 1] = self.offsets[:-1]
         return after
 
@@ -158,24 +161,28 @@ def _passages(fam: DartFamily) -> np.ndarray:
 def _walk(succ: np.ndarray, index: ArcIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chains and cycles of the passage successor, by pointer jumping.
 
-    Returns (lead, rank, cyclic). A dart no passage leads to starts a
-    chain; for a dart on a chain, lead is that start and rank its
-    distance from it. The successor is a partial injection within each
-    vertex's darts, so the darts on no chain are exactly those on its
-    cycles, marked by cyclic. Chains and cycles stay inside one vertex,
-    so log2 of the largest degree rounds of doubling reach every start.
+    Returns (lead, rank, cyclic): int32, int32 and bool arrays over the
+    darts. A dart no passage leads to starts a chain; for a dart on a
+    chain, lead is that start and rank its distance from it. The
+    successor is a partial injection within each vertex's darts, so the
+    darts on no chain are exactly those on its cycles, marked by cyclic.
+    Chains and cycles stay inside one vertex, so log2 of the largest
+    degree rounds of doubling reach every start.
     """
-    darts = np.arange(len(succ))
-    pred = np.full(len(succ), -1, dtype=np.int64)
+    # up[a] is a's predecessor, or a itself where it has none
+    up = np.arange(len(succ), dtype=np.int32)
+    rank = np.zeros(len(succ), dtype=np.int32)
     has = succ >= 0
-    pred[succ[has]] = darts[has]
-    up = np.where(pred >= 0, pred, darts)
-    rank = (pred >= 0).astype(np.int64)
-    degree = index.first[1:] - index.first[:-1]
-    for _ in range(int(degree.max(initial=0)).bit_length()):
+    up[succ[has]] = up[has]
+    rank[succ[has]] = 1
+    starts = rank == 0
+    del has
+    # the largest degree is the longest run of equal tails
+    longest = np.diff(run_ends(index.tail), prepend=-1).max(initial=0)
+    for _ in range(int(longest).bit_length()):
         rank += rank[up]
         up = up[up]
-    return up, rank, pred[up] >= 0
+    return up, rank, ~starts[up]
 
 
 def _cycles(fam: DartFamily) -> list[np.ndarray]:
@@ -295,10 +302,16 @@ def assemble_rotation(fam: DartFamily) -> RotationSystem:
             length, b = length + 1, int(succ[b])
         raise ValidationError(
             f"family has a blossom at vertex {int(index.tail[a])} (length {length})")
-    # each chain is keyed by its least dart, which lies in its vertex's block
-    least = np.full(len(succ), len(succ), dtype=np.int64)
-    np.minimum.at(least, lead, np.arange(len(succ)))
-    seq = np.lexsort((rank, least[lead])).astype(np.int32)
+    # Each temporary is dropped once used: assembly sets the traced peak
+    # of a sparse estimate. Each chain is keyed by its least dart, which
+    # lies in its vertex's block.
+    del cyclic
+    least = np.full(len(succ), len(succ), dtype=np.int32)
+    np.minimum.at(least, lead, np.arange(len(succ), dtype=np.int32))
+    lead = least[lead]
+    del least
+    seq = np.lexsort((rank, lead)).astype(np.int32)
+    del lead, rank
     if not np.array_equal(index.tail[seq], index.tail):
         v = int(index.tail[np.flatnonzero(index.tail[seq] != index.tail)[0]])
         raise InternalConsistencyError(

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .bigraph import component_labels
+from .bigraph import component_labels, pair_keys, run_ends
 from .errors import InternalConsistencyError, ValidationError
 
 Arc = tuple[int, int]
@@ -35,7 +35,9 @@ class ArcIndex(NamedTuple):
     (tail[k], head[k]), darts are in lexicographic (tail, head) order,
     rev[k] is the dart of the reverse arc, and v's out-darts are
     first[v], ..., first[v + 1] - 1, in neighbor order (first has one
-    entry per vertex of the graph plus one)."""
+    entry per vertex of the graph plus one, and is the graph's own).
+    Every array over darts built from an index, in blossom and here,
+    is int32 too; only keys t n + h past n^2 > 2^31 are int64."""
 
     tail: np.ndarray
     head: np.ndarray
@@ -186,12 +188,15 @@ def sorted_rotation(g) -> RotationSystem:
 def arc_index(g) -> ArcIndex:
     """The ArcIndex of g. Its CSR adjacency already lists the darts in
     (tail, head) order, so the index reads them off it; rev finds each
-    reverse by one binary search over the packed tail * n + head keys."""
+    reverse by one binary search over the packed tail * n + head keys
+    (bigraph.pair_keys: int32 while n^2 <= 2^31)."""
     n, first, head = g.n_vertices, g.first, g.nbrs
-    tail = np.repeat(np.arange(n, dtype=np.int32), np.diff(first))
-    key = tail.astype(np.int64) * n + head
-    rev = np.searchsorted(key, head.astype(np.int64) * n + tail).astype(np.int32)
-    return ArcIndex(tail, head, rev, first)
+    # repeated over the vertices with an edge only, so no temporary has
+    # one entry per vertex
+    verts = np.flatnonzero(first[1:] != first[:-1])
+    tail = np.repeat(verts.astype(np.int32), first[verts + 1] - first[verts])
+    rev = np.searchsorted(pair_keys(tail, head, n), pair_keys(head, tail, n))
+    return ArcIndex(tail, head, rev.astype(np.int32), first)
 
 
 def cyclic_successors(index: ArcIndex, seq: np.ndarray) -> np.ndarray:
@@ -200,8 +205,7 @@ def cyclic_successors(index: ArcIndex, seq: np.ndarray) -> np.ndarray:
     by its first: the rotation that seq lists vertex by vertex."""
     nxt = np.empty(len(seq), dtype=np.int32)
     nxt[seq[:-1]] = seq[1:]
-    tail = index.tail
-    last = np.flatnonzero(np.append(tail[1:] != tail[:-1], len(tail) > 0))
+    last = run_ends(index.tail)
     nxt[seq[last]] = seq[np.append(0, last + 1)[:-1]]
     return nxt
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -112,13 +111,13 @@ def regime_classify(n1: int, n2: int, p: float) -> RegimeResult:
     return RegimeResult("critical-window", _MAX_WINDOW_I)
 
 
-def _psi_ratio(p: float | Fraction, n2: int) -> tuple[int, int]:
+def _psi_ratio(p: float, n2: int) -> tuple[int, int]:
     """psi(p, n2) in closed form, as one integer ratio num/den. With
     m = n2 - 1, x = -p and (i-1)/(i+1) = 1 - 2/(i+1), the sum over
     i = 0..m is (1+x)^m - 2((1+x)^(m+1) - 1)/((m+1)x), and its terms
-    i = 0 and 1 add up to -1. With p = a/d and c = d - a, that is
-    num = (m+1) a c^m + 2(c^(m+1) - d^(m+1)) + den over
-    den = (m+1) a d^m. The sum from i = 2 is empty when n2 < 3."""
+    i = 0 and 1 add up to -1. With p = a/d (p.as_integer_ratio()) and
+    c = d - a, that is num = (m+1) a c^m + 2(c^(m+1) - d^(m+1)) + den
+    over den = (m+1) a d^m. The sum from i = 2 is empty when n2 < 3."""
     if n2 < 3 or p == 0:
         return 0, 1
     a, d = p.as_integer_ratio()
@@ -147,15 +146,17 @@ class AsymptoteCheck(NamedTuple):
 def small_p_asymptote_check(n1: int, n2: int, p: float) -> AsymptoteCheck:
     """Compare n1 n2 p psi(p, n2)/4 with its small-p form
     n1 p^3 C(n2,3)/4. At n2 = 3 the two agree exactly for every p.
-    Both sides are evaluated as exact rationals before conversion."""
-    pf = Fraction(p)
-    exact = Fraction(n1) * n2 * pf * Fraction(*_psi_ratio(p, n2)) / 4 if n2 >= 2 else Fraction(0)
-    asym = Fraction(n1) * pf ** 3 * math.comb(n2, 3) / 4
-    if asym != 0:
-        ratio = float(exact / asym)
+    With p = a/d and psi = num/den, both sides and their ratio are
+    integer ratios, each rounded once by int true division."""
+    a, d = p.as_integer_ratio()
+    num, den = _psi_ratio(p, n2) if n2 >= 2 else (0, 1)
+    exact = n1 * n2 * a * num, 4 * d * den
+    asym = n1 * a ** 3 * math.comb(n2, 3), 4 * d ** 3
+    if asym[0]:
+        ratio = exact[0] * asym[1] / (exact[1] * asym[0])
     else:
-        ratio = 1.0 if exact == 0 else math.inf
-    return AsymptoteCheck(float(exact), float(asym), ratio)
+        ratio = 1.0 if exact[0] == 0 else math.inf
+    return AsymptoteCheck(exact[0] / exact[1], asym[0] / asym[1], ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +168,33 @@ def small_p_asymptote_check(n1: int, n2: int, p: float) -> AsymptoteCheck:
 # special case.
 
 
+# A layer of fewer leaves than this is peeled in Python: a round of
+# numpy calls costs about as much as peeling that many leaves one by one.
+_THIN_LAYER = 32
+
+
 def _core_components(g) -> list[tuple[list[int], int]]:
     """(sorted vertices, edge count) of each component of the 2-core
     (all degree-<=1 vertices iteratively removed), in order of least
     vertex. Only vertices with an edge take part, so isolated vertices
     are never alive. Leaves are peeled in rounds over the CSR
     adjacency: a round reads only the neighbour runs of the vertices it
-    removes, so peeling costs O(edges) in all. Pruning a leaf never
-    disconnects what is left, so a component of g holds at most one
-    core component."""
+    removes, so peeling costs O(edges) in all. A leaf has at most one
+    live neighbour, so no layer of leaves outnumbers the one before it;
+    from the first thin layer on, _peel_chains takes the rest. Pruning
+    a leaf never disconnects what is left, so a component of g holds at
+    most one core component."""
     verts, first, nbrs = g.local_adjacency()
     deg = np.diff(first)
     alive = np.ones(len(verts), dtype=bool)
     leaves = np.flatnonzero(deg <= 1)
-    while len(leaves):
+    while len(leaves) >= _THIN_LAYER:
         alive[leaves] = False
         hit = csr_runs(first, nbrs, leaves)
         hit = hit[alive[hit]]
         np.subtract.at(deg, hit, 1)
         leaves = distinct(hit[deg[hit] <= 1])
+    _peel_chains(first, nbrs, deg, alive, leaves)
     core = np.flatnonzero(alive)
     if not len(core):
         return []
@@ -200,16 +209,45 @@ def _core_components(g) -> list[tuple[list[int], int]]:
     return [(run.tolist(), e) for run, e in zip(np.split(verts[core], cut), e_c.tolist())]
 
 
+def _peel_chains(first: np.ndarray, nbrs: np.ndarray, deg: np.ndarray,
+                 alive: np.ndarray, leaves: np.ndarray) -> None:
+    """Peel the live leaves, and every vertex that their removal leaves
+    with one live neighbour, one at a time in Python over memoryviews
+    of the arrays: a pendant chain costs a few item reads per vertex,
+    not a round of numpy calls. deg counts the live neighbours of every
+    live vertex, and stays so."""
+    first, nbrs, deg, alive = (memoryview(a) for a in (first, nbrs, deg, alive))
+    stack = leaves.tolist()
+    while stack:
+        w = stack.pop()
+        alive[w] = False
+        for x in nbrs[first[w]:first[w + 1]]:
+            if alive[x]:
+                deg[x] -= 1
+                if deg[x] == 1:
+                    stack.append(x)
+                break  # a leaf has at most one live neighbour
+
+
+def _euler_ceil(k: int, n: int, e: int) -> int:
+    """ceil(e(1/2 - 1/k) - (n-2)/2), over the denominator 2k and in
+    integers: -((k(n-2) - (k-2)e) // 2k)."""
+    return -((k * (n - 2) - (k - 2) * e) // (2 * k))
+
+
+def _refined_ceil(i: int, n: int, e: int, c: int) -> int:
+    """ceil(i/(2i+2) e - (i-1)/(2i+2) 2c - (n-2)/2), over the
+    denominator 2i+2 and in integers:
+    -(((i+1)(n-2) + 2(i-1)c - i e) // (2i+2))."""
+    return -(((i + 1) * (n - 2) + 2 * (i - 1) * c - i * e) // (2 * i + 2))
+
+
 def euler_lower_bound(g) -> int:
     """Sum over core components of ceil(e(1/2 - 1/k) - (n-2)/2), each
     clamped at 0, where k is the least face length: 4 when g is
     bipartite (a simple bipartite graph has girth at least 4), else 3."""
-    coef = Fraction(1, 2) - Fraction(1, 4 if is_bipartite(g) else 3)
-    total = 0
-    for (verts, e_c) in _core_components(g):
-        val = math.ceil(e_c * coef - Fraction(len(verts) - 2, 2))
-        total += max(0, val)
-    return total
+    k = 4 if is_bipartite(g) else 3
+    return sum(max(0, _euler_ceil(k, len(verts), e_c)) for verts, e_c in _core_components(g))
 
 
 def refined_lower_bound(g: BipartiteGraph, i: int) -> int:
@@ -223,10 +261,7 @@ def refined_lower_bound(g: BipartiteGraph, i: int) -> int:
     total = 0
     for (verts, e_c) in _core_components(g):
         c = count_short_closed_trails(induced_subgraph(g, verts), i) if i >= 2 else 0
-        val = math.ceil(Fraction(i, 2 * i + 2) * e_c
-                        - Fraction(i - 1, 2 * i + 2) * 2 * c
-                        - Fraction(len(verts) - 2, 2))
-        total += max(0, val)
+        total += max(0, _refined_ceil(i, len(verts), e_c, c))
     return total
 
 

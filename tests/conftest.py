@@ -184,6 +184,23 @@ def reference_psi(p: Fraction, n2: int) -> Fraction:
     return total
 
 
+def reference_euler_ceil(k: int, n: int, e: int) -> int:
+    """ceil(e(1/2 - 1/k) - (n-2)/2) over exact rationals."""
+    return math.ceil(e * (Fraction(1, 2) - Fraction(1, k)) - Fraction(n - 2, 2))
+
+
+def reference_refined_ceil(i: int, n: int, e: int, c: int) -> int:
+    """ceil(i/(2i+2) e - (i-1)/(2i+2) 2c - (n-2)/2) over exact rationals."""
+    return math.ceil(Fraction(i, 2 * i + 2) * e - Fraction(i - 1, 2 * i + 2) * 2 * c
+                     - Fraction(n - 2, 2))
+
+
+def reference_class_sizes(n1: int, n2: int, p: float) -> list[int]:
+    """floor(p^m (1-p)^(n2-m) n1) for m = 0..n2 over exact rationals."""
+    pf = Fraction(p)
+    return [math.floor(pf ** m * (1 - pf) ** (n2 - m) * n1) for m in range(n2 + 1)]
+
+
 def brute_closed_trail_count(g, length: int) -> int:
     """Closed trails of exactly `length` edges, distinct edges, counted
     up to rotation and reflection of the vertex sequence."""

@@ -22,7 +22,8 @@ from bigenus.errors import GuardError, ValidationError
 from bigenus.estimator import PipelineConfig
 
 from conftest import (GRAPH_VIEWS, graph_cases, rand_graph, reference_adjacency,
-                      reference_orientation, reference_two_coloring)
+                      reference_class_sizes, reference_orientation,
+                      reference_two_coloring)
 
 
 def test_params_validation():
@@ -67,6 +68,11 @@ def test_standard_graph_classes():
     assert sorted(len(v) for v in classes.values()) == [2, 2, 2, 2]
     # 2 isolated + 2+2 of degree 1 + 2 of degree 2
     assert g.n_edges == 8
+    # the integer floors equal exact rationals, at class-size boundaries too
+    rng = random.Random(62)
+    for p in (0.0, 1.0, 0.5, 0.25, 0.1, 1 / 3, 0.3) + tuple(rng.random() for _ in range(30)):
+        for n1, n2 in ((8, 2), (1000, 3), (10 ** 6, 7), (12345, 20)):
+            assert standard_class_sizes(n1, n2, p) == reference_class_sizes(n1, n2, p)
 
 
 def test_standard_graph_edges():
@@ -212,11 +218,9 @@ def test_edge_keys_do_not_overflow():
     assert big.edge_list == ((2 ** 17 - 1, 2 ** 17), (2 ** 17, 3 * 2 ** 16 - 1))
 
 
-def test_generated_graph_memory():
-    """G(800, 800, 0.03) seed 0 has 19,241 edges. With a tuple per edge
-    and per vertex it held 3.4 MiB and its generation peaked at 5.8 MiB;
-    as int32 arrays it holds 0.30 MiB and peaks at 2.5 MiB."""
-    params = GenParams(800, 800, 0.03, seed=0)
+def _traced_generation(params: GenParams):
+    """(graph, held, peak): the graph and the traced memory its
+    generation leaves held and peaks at, numpy's caches warmed first."""
     gen_random_bipartite(params)
     tracemalloc.start()
     try:
@@ -224,9 +228,54 @@ def test_generated_graph_memory():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return g, held, peak
+
+
+def test_generated_graph_memory():
+    """G(800, 800, 0.03) seed 0 has 19,241 edges. With a tuple per edge
+    and per vertex it held 3.4 MiB and its generation peaked at 5.8 MiB;
+    as int32 arrays it holds 0.30 MiB. Built through int64 edge and dart
+    keys its generation peaked at 1.9 MiB; through int32 dart keys, the
+    draw's 512 KiB of Philox rows set the peak, 0.83 MiB."""
+    g, held, peak = _traced_generation(GenParams(800, 800, 0.03, seed=0))
     assert g.n_edges == 19241
     assert held <= 0.5 * 2 ** 20
-    assert peak <= 3.5 * 2 ** 20
+    assert peak <= 2 ** 20
+
+
+def test_small_part_graph_memory():
+    """G(100000, 5, n1^-0.4) seed 0: 100,005 vertices, about 95% of them
+    isolated, and dart keys past 2^31, so int64. An int64 degree count
+    per vertex took the build's peak to 1.5 MiB; the graph holds
+    0.46 MiB, and its int32 first array is the only per-vertex array
+    its build makes, for a peak of 0.72 MiB."""
+    n1 = 100_000
+    g, held, peak = _traced_generation(GenParams(n1, 5, n1 ** -0.4, seed=0))
+    assert g.n * g.n > 2 ** 31
+    assert held <= 0.5 * 2 ** 20
+    assert peak <= 2 ** 20
+
+
+def test_sorted_and_unsorted_edges_build_one_graph():
+    # the generator hands over int32 pairs in lexicographic order; any
+    # order, either orientation of a pair and any integer dtype give
+    # the same arrays
+    g = gen_random_bipartite(GenParams(60, 40, 0.2, seed=9))
+    pairs = np.column_stack((g.u, g.v))
+    rng = random.Random(9)
+    order = list(range(len(pairs)))
+    rng.shuffle(order)
+    flipped = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs[order].tolist()]
+    for edges in (pairs, pairs[order], np.array(flipped, dtype=np.int64),
+                  np.array(flipped, dtype=np.uint32), flipped):
+        h = BipartiteGraph(60, 40, edges)
+        assert all(np.array_equal(getattr(h, a), getattr(g, a))
+                   for a in ("u", "v", "nbrs", "first"))
+    x, y = pairs[-1].tolist()
+    with pytest.raises(ValidationError, match=rf"duplicate edge \({x},{y}\)"):
+        BipartiteGraph(60, 40, np.concatenate((pairs, [[y, x]])).astype(np.int32))
+    with pytest.raises(ValidationError, match="does not join X to Y"):
+        BipartiteGraph(60, 40, np.array([[0, 2 ** 32 + 60]], dtype=np.int64))
 
 
 def test_bipartite_graph_is_a_graph():
@@ -402,7 +451,8 @@ def test_negative_seeds_are_refused():
 
 def test_no_path_imports_numpy_random():
     # numpy.random pulls in secrets, hashlib and OpenSSL (about 5 MB per
-    # process), and np.unique numpy.ma (about 1.3 MB); generation, the
+    # process), np.unique numpy.ma (about 1.3 MB), and fractions decimal
+    # (about 0.35 MB together); generation, the
     # estimates on bipartite and plain graphs and the oracle on a
     # connected and a disconnected graph must not
     code = """if True:
@@ -416,7 +466,8 @@ def test_no_path_imports_numpy_random():
         assert bg.exact_genus(k33) == 1 and bg.pincer_genus(k33).exact
         two = bg.Graph(9, list(k33.edge_list) + [(6, 7)])
         assert bg.minimum_genus_rotation(two)[0] == 1 and bg.pincer_genus(two).exact
-        print(sorted(m for m in ("numpy.random", "secrets", "hashlib", "numpy.ma")
+        print(sorted(m for m in ("numpy.random", "secrets", "hashlib", "numpy.ma",
+                                 "fractions", "decimal")
                      if m in sys.modules))
         """
     src = os.path.dirname(os.path.dirname(bigraph.__file__))

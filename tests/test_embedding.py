@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from bigenus import blossom, embedding, oracle
-from bigenus.bigraph import (GenParams, Graph, complete_bipartite_graph, complete_graph,
-                             component_labels, cycle_graph, gen_random_bipartite,
-                             path_graph)
+from bigenus.bigraph import (BipartiteGraph, GenParams, Graph, complete_bipartite_graph,
+                             complete_graph, component_labels, cycle_graph,
+                             gen_random_bipartite, key_dtype, path_graph)
 from bigenus.blossom import assemble_rotation
 from bigenus.embedding import (RotationSystem, arc_index, face_length_histogram,
                                genus_from_faces, genus_of_embedding, rotation_to_text,
                                sorted_rotation, trace_faces)
 from bigenus.errors import ValidationError
+from bigenus.estimator import PipelineConfig, estimate_genus
 
 from conftest import (ClosedTrail, component_euler_stats, dart_family, faces_from_text,
                       faces_to_text, graph_cases, rand_graph, random_rotation,
@@ -194,6 +195,30 @@ def test_arc_index_reads_the_csr():
         got, ref = arc_index(g), reference_arc_index(g)
         assert all(a.dtype == np.int32 for a in got)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_dart_keys_past_int32():
+    # n1 = 50,000 puts tail * n + head past 2^31 at the top labels, where
+    # int32 keys would wrap, and half of the X-vertices stay at the
+    # bottom, so wrapped keys would not sort as the darts do: the keys
+    # are int64, every reverse is found, and the estimate equals that of
+    # the same graph at low labels
+    small = gen_random_bipartite(GenParams(40, 6, 0.5, seed=3))
+    n1 = 50_000
+    shift = n1 - small.n1
+    g = BipartiteGraph(n1, 6, [(x + shift * (x >= 20), y + shift)
+                               for x, y in small.edge_list])
+    assert (n1 - 1) * g.n + n1 > 2 ** 31 and key_dtype(g.n) == np.int64
+    index = arc_index(g)
+    darts = np.arange(len(index.tail))
+    assert np.array_equal(index.rev[index.rev], darts)
+    assert np.array_equal(index.tail[index.rev], index.head)
+    assert np.array_equal(index.head[index.rev], index.tail)
+    for i, bounds in ((1, (10, 26)), (2, (10, 30))):
+        est = estimate_genus(g, i, PipelineConfig(seed=3))
+        assert (est.lower, est.upper) == bounds
+        est = estimate_genus(small, i, PipelineConfig(seed=3))
+        assert (est.lower, est.upper) == bounds
 
 
 def test_traced_faces_build_arc_tuples_on_read():

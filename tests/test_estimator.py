@@ -16,13 +16,17 @@ from bigenus.bigraph import (BipartiteGraph, GenParams, Graph, degree_class_part
 from bigenus.blossom import DartFamily
 from bigenus.errors import BudgetExceededError, GuardError, ValidationError
 from bigenus.oracle import SearchBudget, exact_genus, small_part_exact_genus
-from bigenus.estimator import (PipelineConfig, _core_components, _psi_ratio,
-                               estimate_genus, euler_lower_bound, prediction_for, psi,
-                               reduce_small_part, refined_lower_bound,
+from bigenus import estimator
+from bigenus.estimator import (PipelineConfig, _core_components, _euler_ceil, _psi_ratio,
+                               _refined_ceil, estimate_genus, euler_lower_bound,
+                               prediction_for, psi, reduce_small_part, refined_lower_bound,
                                regime_classify, small_p_asymptote_check)
+from bigenus.trails import count_short_closed_trails
 
 from conftest import (GRAPH_VIEWS, graph_cases, rand_bipartite, rand_graph,
-                      reference_core_components, reference_psi)
+                      random_simple_graph, reference_adjacency, reference_core_components,
+                      reference_euler_ceil, reference_psi, reference_refined_ceil,
+                      reference_two_coloring)
 
 
 def test_psi_closed_forms():
@@ -54,6 +58,15 @@ def test_small_p_asymptote():
     assert abs(chk.ratio - 1) < 0.05
     zero = small_p_asymptote_check(100, 6, 0.0)
     assert zero.ratio == 1.0
+    # each float is the exact rational rounded once
+    rng = random.Random(50)
+    for p in (0.0, 1.0, 0.01, 0.5) + tuple(rng.random() ** 3 for _ in range(20)):
+        for n1, n2 in ((10 ** 6, 6), (37, 2), (5, 3), (1000, 19)):
+            pf = Fraction(p)
+            exact = n1 * n2 * pf * reference_psi(pf, n2) / 4
+            asym = n1 * pf ** 3 * math.comb(n2, 3) / 4
+            ratio = float(exact / asym) if asym else (1.0 if exact == 0 else math.inf)
+            assert small_p_asymptote_check(n1, n2, p) == (float(exact), float(asym), ratio)
 
 
 def test_regime_small_part_sweep():
@@ -142,6 +155,48 @@ def test_euler_lower_bound_values():
     assert euler_lower_bound(two) == 2
 
 
+def test_lower_bound_ceilings_equal_exact_rationals():
+    # the integer floor-division forms of both ceilings against Fraction
+    # arithmetic, over numerators of either sign: a forest-like core has
+    # more vertices than edges, a dense one the reverse
+    for n in range(0, 40):
+        for e in range(0, 3 * n + 5):
+            for k in (3, 4):
+                assert _euler_ceil(k, n, e) == reference_euler_ceil(k, n, e), (k, n, e)
+            for i in (1, 2, 3, 5):
+                for c in (0, 1, 2, 7, e, 3 * e):
+                    assert _refined_ceil(i, n, e, c) == reference_refined_ceil(i, n, e, c)
+    rng = random.Random(51)
+    for _ in range(2000):
+        n, e, c = (rng.randint(0, 10 ** 9) for _ in range(3))
+        k, i = rng.choice((3, 4)), rng.randint(1, 50)
+        assert _euler_ceil(k, n, e) == reference_euler_ceil(k, n, e)
+        assert _refined_ceil(i, n, e, c) == reference_refined_ceil(i, n, e, c)
+
+
+def test_lower_bounds_equal_exact_rational_sums():
+    # per core component of the reference pruning, clamped at 0 and summed
+    rng = random.Random(52)
+    graphs = [rand_bipartite(rng, max_edges=24) for _ in range(40)]
+    graphs += [rand_graph(rng, max_edges=16) for _ in range(40)]
+    graphs += [complete_bipartite_graph(5, 6), complete_graph(7)]
+    for g in graphs:
+        edges = g.edge_list
+        comps = [(len(c), sum(1 for u, v in edges if {u, v} <= set(c)))
+                 for c in reference_core_components(g)]
+        k = 3 if reference_two_coloring(reference_adjacency(g.n_vertices, edges)) is None else 4
+        assert euler_lower_bound(g) == sum(max(0, reference_euler_ceil(k, n, e))
+                                           for n, e in comps)
+        if isinstance(g, BipartiteGraph):
+            for i in (1, 2, 3):
+                total = 0
+                for verts in reference_core_components(g):
+                    sub = induced_subgraph(g, verts)
+                    c = count_short_closed_trails(sub, i) if i >= 2 else 0
+                    total += max(0, reference_refined_ceil(i, len(verts), sub.n_edges, c))
+                assert refined_lower_bound(g, i) == total
+
+
 def _check_core_components(g):
     comps = _core_components(g)
     assert [verts for verts, _e_c in comps] == reference_core_components(g)
@@ -179,6 +234,34 @@ def test_core_components_match_reference():
     union = Graph(13, edges)
     assert _check_core_components(union) == [([0, 1, 2, 3, 4, 5], 9),
                                              ([9, 10, 11, 12], 4)]
+
+
+def test_thin_layers_are_peeled_in_python(monkeypatch):
+    # a triangle with a 2,000-vertex pendant path has one leaf per layer:
+    # the Python peel takes the whole path, with no round of numpy calls
+    path = [(k, k + 1) for k in range(3, 2003)]
+    g = Graph(2004, [(0, 1), (1, 2), (0, 2), (2, 3)] + path)
+    rounds = []
+    csr_runs = estimator.csr_runs
+    monkeypatch.setattr(estimator, "csr_runs", lambda *a: rounds.append(1) or csr_runs(*a))
+    assert _core_components(g) == [([0, 1, 2], 3)] and euler_lower_bound(g) == 0
+    assert rounds == []
+    # numpy rounds to the end (a threshold of 1), the Python peel from
+    # the start, and the default split give the same cores and bounds
+    # on random graphs and on random ones with long pendant paths and
+    # wide first layers
+    rng = random.Random(46)
+    graphs = [Graph(n, edges) for n, edges in graph_cases(47)]
+    graphs += [Graph(*random_simple_graph(rng, 300, 330, pendant=400)) for _ in range(4)]
+    graphs += [gen_random_bipartite(GenParams(400, 400, 0.004, seed=s)) for s in range(3)]
+    graphs.append(Graph(2004, [(0, 1), (1, 2), (0, 2), (2, 3)] + path))
+    for g in graphs:
+        want = [_core_components(g), euler_lower_bound(g)]
+        for thin in (1, 10 ** 9):
+            monkeypatch.setattr(estimator, "_THIN_LAYER", thin)
+            assert [_core_components(g), euler_lower_bound(g)] == want
+        monkeypatch.undo()
+        assert [verts for verts, _e in want[0]] == reference_core_components(g)
 
 
 def test_estimate_builds_no_tuple_view():
@@ -366,7 +449,9 @@ def test_sparse_estimate_traced_memory_budget():
     the time. Holding every arc as a Python (u, v) tuple in the
     digraph, the trail arcs, the matched trails, the passage dicts and
     the faces, the peak was 9.8 MiB, at assemble_rotation; with integer
-    arcs from the orientation to the traced genus it is 2.9 MiB."""
+    arcs from the orientation to the traced genus it was 2.8 MiB, and
+    with int32 dart arrays in blossom removal and assembly it is
+    1.9 MiB, still at assemble_rotation."""
     g = gen_random_bipartite(GenParams(800, 800, 0.03, seed=0))
     tracemalloc.start()
     try:
@@ -376,7 +461,7 @@ def test_sparse_estimate_traced_memory_budget():
     finally:
         tracemalloc.stop()
     assert (est.lower, est.upper, est.blossoms_removed) == (4012, 6851, 338)
-    assert peak <= 5 * 2 ** 20
+    assert peak <= 2.25 * 2 ** 20
 
 
 def test_small_part_estimate_memory():
