@@ -95,23 +95,25 @@ class DartFamily:
         key = pair_keys(index.tail, index.head, n)
         # an arc out of range may wrap its key; the range test refuses it
         want = pair_keys(tails, heads, n)
-        darts = np.minimum(np.searchsorted(key, want), max(len(key) - 1, 0))
+        darts = np.minimum(np.searchsorted(key, want), max(len(key) - 1, 0)).astype(np.int32)
         is_edge = ((0 <= tails) & (tails < n) & (0 <= heads) & (heads < n)
                    & (key[darts] == want if len(key) else False))
-        # an arc that is no edge gets a dart id of its own, past the real ones
-        darts = np.where(is_edge, darts, len(key) + np.arange(total))
-        order = np.argsort(darts, kind="stable")
-        reused = np.zeros(total, dtype=bool)
-        reused[order[1:][darts[order[1:]] == darts[order[:-1]]]] = True
-        bad = ~is_edge | reused
-        if bad.any():
-            j = int(bad.argmax())
-            u, v = int(tails[j]), int(heads[j])
-            if not is_edge[j]:
-                raise ValidationError(f"trail arc {u}->{v} is not an edge of the graph")
-            raise ValidationError(f"arc {u}->{v} used by two trails")
+        # one mark per dart; the positions are walked only when an arc is
+        # no edge or repeats a dart
+        mark = np.zeros(len(key), dtype=bool)
+        if is_edge.all():
+            mark[darts] = True
+        if np.count_nonzero(mark) < total:
+            mark[:] = False
+            for j, a in enumerate(darts.tolist()):
+                u, v = int(tails[j]), int(heads[j])
+                if not is_edge[j]:
+                    raise ValidationError(f"trail arc {u}->{v} is not an edge of the graph")
+                if mark[a]:
+                    raise ValidationError(f"arc {u}->{v} used by two trails")
+                mark[a] = True
         offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-        return cls(g, index, darts.astype(np.int32), offsets)
+        return cls(g, index, darts, offsets)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1

@@ -64,7 +64,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, Digraph
+from .bigraph import BipartiteGraph, Digraph, pair_keys
 from .errors import GuardError, InternalConsistencyError, ValidationError
 
 _COUNT_WORK_LIMIT = 20_000_000
@@ -179,9 +179,11 @@ def _trail_blocks(d: Digraph, length: int):
     within the arcs out of vertices from the chunk's first one on, since
     a0 is the least arc. The join of a chunk runs about _TRAIL_CHUNK
     candidates at a time. No array is sized by the vertex count, only by
-    the arc count.
+    the arc count. Once the trails produced pass MAX_TRAILS, GuardError
+    is raised instead of the block that passes it.
     """
     half = length // 2
+    produced = 0
     m = d.n_arcs
     ends = np.sort(np.concatenate((d.tail, d.head)))
     verts = ends[np.concatenate(([True], ends[1:] != ends[:-1]))] if m else ends
@@ -227,6 +229,9 @@ def _trail_blocks(d: Digraph, length: int):
             ok = (g > f[:, :1]).all(axis=1)
             for j in range(1, half):
                 ok &= (g != f[:, j:j + 1]).all(axis=1)
+            produced += int(np.count_nonzero(ok))
+            if produced > MAX_TRAILS:
+                raise GuardError(f"closed {length}-trails exceed the limit of {MAX_TRAILS}")
             yield np.hstack((f, g))[ok]
 
 
@@ -341,18 +346,14 @@ def build_trail_hypergraph(d: Digraph, i: int) -> TrailHypergraph:
     """The canonical closed trails of length 2i+2 in D, all of them.
 
     One pass over the half-trail join (see _trail_blocks) counts the
-    trails and refuses with GuardError as soon as the count passes
-    MAX_TRAILS, before the rows are allocated (by _mapped_rows); a
-    second pass fills them with the even columns of its trails.
+    trails, so a family past MAX_TRAILS is refused there, before the
+    rows are allocated (by _mapped_rows); a second pass fills them with
+    the even columns of its trails.
     """
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")
     length = 2 * i + 2
-    count = 0
-    for block in _trail_blocks(d, length):
-        count += len(block)
-        if count > MAX_TRAILS:
-            raise GuardError(f"closed {length}-trails exceed the limit of {MAX_TRAILS}")
+    count = sum(len(block) for block in _trail_blocks(d, length))
     rows = _mapped_rows(count, i + 1, _row_dtype(d.n_arcs))
     pos = 0
     for block in _trail_blocks(d, length):
@@ -583,23 +584,17 @@ def count_short_closed_trails(g: BipartiteGraph, i: int) -> int:
 
     In a simple bipartite graph every closed trail of length 4 or 6 is a
     cycle, so those lengths reduce to closed-form cycle counts over
-    common neighborhoods. Longer lengths (j >= 4) are counted by the
-    half-trail join of build_trail_hypergraph, guarded by a work
-    estimate.
+    common neighborhoods (one set of Y-bitmasks serves both). Longer
+    lengths (j >= 4) are counted by streaming the half-trail join
+    (_trail_blocks), guarded by a work estimate and MAX_TRAILS.
     """
     if not isinstance(g, BipartiteGraph):
         raise ValidationError("count_short_closed_trails expects a bipartite graph")
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")
-    total = 0
-    for j in range(2, i + 1):
-        if j == 2:
-            total += _count_quad_cycles(g)
-        elif j == 3:
-            total += _count_hex_cycles(g)
-        else:
-            total += _count_trails_exhaustive(g, 2 * j)
-    return total
+    masks = _y_masks(g) if i >= 2 else []
+    total = _count_quad_cycles(masks) + (_count_hex_cycles(masks) if i >= 3 else 0)
+    return total + sum(_count_trails_exhaustive(g, 2 * j) for j in range(4, i + 1))
 
 
 def _y_masks(g: BipartiteGraph) -> list[int]:
@@ -610,8 +605,7 @@ def _y_masks(g: BipartiteGraph) -> list[int]:
     return masks
 
 
-def _count_quad_cycles(g: BipartiteGraph) -> int:
-    masks = _y_masks(g)
+def _count_quad_cycles(masks: list[int]) -> int:
     total = 0
     for a in range(len(masks)):
         for b in range(a + 1, len(masks)):
@@ -620,8 +614,7 @@ def _count_quad_cycles(g: BipartiteGraph) -> int:
     return total
 
 
-def _count_hex_cycles(g: BipartiteGraph) -> int:
-    masks = _y_masks(g)
+def _count_hex_cycles(masks: list[int]) -> int:
     n = len(masks)
     total = 0
     for a in range(n):
@@ -644,9 +637,11 @@ def _count_hex_cycles(g: BipartiteGraph) -> int:
 
 def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:
     """Closed trails of `length` edges, from the directed closed trails
-    of the symmetric digraph of g (both arcs of every edge): a row that
-    uses no edge twice is one direction of an undirected closed trail,
-    and each such trail has exactly two."""
+    of the symmetric digraph of g (both arcs of every edge): a trail
+    that uses no edge twice is one direction of an undirected closed
+    trail, and each such trail has exactly two. The trails are tested
+    and added up block by block as the join yields them, so no family
+    is built."""
     avg = 2 * g.n_edges / max(1, g.n_vertices)
     work = g.n_vertices * max(1.0, avg) ** (length - 1)
     if work > _COUNT_WORK_LIMIT:
@@ -657,7 +652,9 @@ def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:
     # the CSR adjacency lists both arcs of every edge in (tail, head) order
     tail = np.repeat(np.arange(g.n_vertices, dtype=np.int32), np.diff(g.first))
     d = Digraph._from_sorted(g.n_vertices, tail, g.nbrs)
-    rows = build_trail_hypergraph(d, length // 2 - 1).trails()
-    lo, hi = np.minimum(d.tail, d.head).astype(np.int64), np.maximum(d.tail, d.head)
-    edges = np.sort((lo * g.n_vertices + hi)[rows], axis=1)
-    return int(np.count_nonzero((edges[:, 1:] != edges[:, :-1]).all(axis=1))) // 2
+    edge = pair_keys(np.minimum(d.tail, d.head), np.maximum(d.tail, d.head), g.n_vertices)
+    total = 0
+    for block in _trail_blocks(d, length):
+        edges = np.sort(edge[block], axis=1)
+        total += int(np.count_nonzero((edges[:, 1:] != edges[:, :-1]).all(axis=1)))
+    return total // 2

@@ -570,6 +570,39 @@ def test_count_short_long_trails_match_brute():
     assert nonzero > 0
 
 
+@pytest.mark.parametrize("n1, n2, p, i, count", [
+    (12, 12, 0.4, 4, 7_995), (40, 40, 0.1, 5, 46_032), (400, 400, 0.005, 5, 113),
+    (200, 150, 0.05, 3, 43_825), (1000, 1000, 0.003, 4, 736)])
+def test_short_trail_counts_are_frozen(n1, n2, p, i, count):
+    g = gen_random_bipartite(GenParams(n1, n2, p, seed=1))
+    assert count_short_closed_trails(g, i) == count
+
+
+def test_count_streams_the_join_and_builds_no_family(monkeypatch):
+    # a count adds up the join's blocks as they come: it builds no
+    # TrailHypergraph and maps no rows, and holds one chunk at a time.
+    # Counting through a whole family peaked at 177 MiB traced here.
+    calls = []
+    for name in ("build_trail_hypergraph", "_mapped_rows"):
+        f = getattr(trails, name)
+        monkeypatch.setattr(trails, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    count_short_closed_trails(complete_bipartite_graph(3, 3), 5)  # first-call imports
+    g = gen_random_bipartite(GenParams(40, 40, 0.1, seed=1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        count = count_short_closed_trails(g, 5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert count == 46_032 and calls == []
+    assert peak <= 2 << 20
+    # the enumerator refuses past MAX_TRAILS for counts as for families
+    monkeypatch.setattr(trails, "MAX_TRAILS", 100)
+    with pytest.raises(GuardError, match="closed 8-trails exceed the limit of 100"):
+        count_short_closed_trails(gen_random_bipartite(GenParams(12, 12, 0.4, seed=1)), 4)
+
+
 def test_dfs_cap_is_a_prefix():
     # the whole family, for every i, on orientations and on digraphs
     # with anti-parallel arcs; a family is never cut to a prefix
