@@ -290,9 +290,13 @@ def assemble_rotation(fam: DartFamily) -> RotationSystem:
     returning.
 
     The order is written as dart successors over the family's
-    arc_index(g), the one form of a RotationSystem. The chain cover is
-    checked to list every vertex's out-darts exactly once, so the
-    rotation takes the arrays through from_darts, unchecked.
+    arc_index(g), the one form of a RotationSystem. The chains are laid
+    out in int32: each chain's length goes to its least dart, a cumsum
+    turns the lengths into offsets, and the darts are sorted stably by
+    offset plus rank in the chain. The chain cover is checked to list
+    every vertex's out-darts exactly once, so the rotation takes the
+    arrays through from_darts, unchecked. The rotation keeps the arc
+    index, the successors and that order (seq), nothing of the family.
     """
     index = fam.index
     succ = _passages(fam)
@@ -308,12 +312,21 @@ def assemble_rotation(fam: DartFamily) -> RotationSystem:
     # of a sparse estimate. Each chain is keyed by its least dart, which
     # lies in its vertex's block.
     del cyclic
-    least = np.full(len(succ), len(succ), dtype=np.int32)
-    np.minimum.at(least, lead, np.arange(len(succ), dtype=np.int32))
+    n = len(succ)
+    least = np.full(n, n, dtype=np.int32)
+    np.minimum.at(least, lead, np.arange(n, dtype=np.int32))
     lead = least[lead]
     del least
-    seq = np.lexsort((rank, lead)).astype(np.int32)
-    del lead, rank
+    # a chain's length, its end's rank plus one, goes one past its least dart
+    offset = np.zeros(n + 1, dtype=np.int32)
+    end = succ < 0
+    offset[1:][lead[end]] = rank[end] + 1
+    del end
+    np.cumsum(offset, dtype=np.int32, out=offset)
+    rank += offset[lead]
+    del lead, offset
+    seq = np.argsort(rank, kind="stable").astype(np.int32)
+    del rank
     if not np.array_equal(index.tail[seq], index.tail):
         v = int(index.tail[np.flatnonzero(index.tail[seq] != index.tail)[0]])
         raise InternalConsistencyError(

@@ -24,7 +24,7 @@ from .bigraph import (MAX_SMALL_PART, STREAM_MATCH, STREAM_MIRROR,
 from .blossom import DartFamily, assemble_rotation, make_blossom_free
 from .embedding import face_length_histogram, genus_from_faces, trace_faces
 from .errors import GuardError, InternalConsistencyError, ValidationError
-from .trails import MatchingReport, build_trail_hypergraph, count_short_closed_trails, \
+from .trails import build_trail_hypergraph, count_short_closed_trails, \
     find_disjoint_mirror_matching, find_matching
 
 CSV_COLUMNS = ("n1", "n2", "p", "i", "seed", "edges", "lower", "upper",
@@ -354,18 +354,19 @@ def _complete_genus(m: int) -> int:
     return ((m - 3) * (m - 4) + 11) // 12 if m > 3 else 0
 
 
-def _trail_matchings(g, i: int, cfg: PipelineConfig
-                     ) -> tuple[MatchingReport, MatchingReport]:
-    """Orient g, enumerate its closed (2i+2)-trails, and draw the
-    matching and the disjoint mirror matching. The trail family, the
-    largest object of an estimate, is unreachable once this returns;
-    the reports keep only their matched rows and the arc arrays those
-    rows index."""
-    d = orient_randomly(g, cfg.seed)
-    h = build_trail_hypergraph(d, i)
+def _trail_matchings(g, i: int, cfg: PipelineConfig) -> tuple[DartFamily, float, float]:
+    """Orient g, enumerate its closed (2i+2)-trails, draw the matching
+    and the disjoint mirror matching, and return their trails as one
+    DartFamily of g with the two coverages. The trail family, the
+    largest object of an estimate, is dropped before the DartFamily is
+    built, and the two reports, which hold the matched rows and the arc
+    arrays those rows index, once it is built: only the DartFamily and
+    two floats outlive the call."""
+    h = build_trail_hypergraph(orient_randomly(g, cfg.seed), i)
     m = find_matching(h, derive_int_seed(cfg.seed, STREAM_MATCH))
     mm = find_disjoint_mirror_matching(h, m, derive_int_seed(cfg.seed, STREAM_MIRROR))
-    return m, mm
+    del h
+    return DartFamily.of_matchings(g, m, mm), m.coverage, mm.coverage
 
 
 def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEstimate:
@@ -375,38 +376,59 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
     bound, raised by the refined short-trail bound when i >= 2 (at
     i = 1 the two coincide). Guards from trail counting propagate, so
     a family past trails.MAX_TRAILS raises GuardError.
+
+    A bipartite g is classified by regime_classify and predicted by
+    prediction_for. Any other graph is tagged "plain" and predicted
+    p n^2 / 12 (Archdeacon & Grable's genus of G(n, p)), with
+    p = config.p or, when that is None, m / C(n, 2).
+
+    Each stage's input is dropped before the next stage allocates: the
+    matching reports once the DartFamily is built, the family before
+    blossom removal (with its cached where) and the dropped trails once
+    make_blossom_free returns, the survivors once assemble_rotation
+    returns and the rotation once its faces are traced. Only the
+    coverages, the family size and the number of dropped trails are
+    kept for the result.
     """
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")
     cfg = config or PipelineConfig()
     bip = isinstance(g, BipartiteGraph)
+    n_edges = g.n_edges
     if bip:
         n1, n2 = g.n1, g.n2
+        cells = n1 * n2
     else:
-        n1, n2 = g.n_vertices, g.n_vertices
-    n_edges = g.n_edges
-    cells = n1 * n2
+        n1 = n2 = g.n_vertices
+        cells = math.comb(n1, 2)
     p_eff = cfg.p if cfg.p is not None else (n_edges / cells if cells else 0.0)
-    res = regime_classify(n1, n2, p_eff)
-    prediction = prediction_for(res, n1, n2, p_eff)
+    if bip:
+        res = regime_classify(n1, n2, p_eff)
+        regime, prediction = res.label(), prediction_for(res, n1, n2, p_eff)
+    else:
+        regime, prediction = "plain", p_eff * n1 * n1 / 12.0
 
     lower = euler_lower_bound(g)
     if bip and i >= 2:  # at i = 1 the refined bound is the Euler bound above
         lower = max(lower, refined_lower_bound(g, i))
 
-    m, mm = _trail_matchings(g, i, cfg)
-    family = DartFamily.of_matchings(g, m, mm)
-    surviving, removed = make_blossom_free(family)
-    fs = trace_faces(assemble_rotation(surviving))
+    family, coverage, mirror_coverage = _trail_matchings(g, i, cfg)
+    family_size = len(family)
+    family, dropped = make_blossom_free(family)
+    blossoms_removed = len(dropped)
+    del dropped
+    rot = assemble_rotation(family)
+    del family
+    fs = trace_faces(rot)
+    del rot
     upper = genus_from_faces(fs)
     if upper < lower:
         raise InternalConsistencyError(
             f"embedding genus {upper} fell below the lower bound {lower}"
         )
     return GenusEstimate(n1, n2, p_eff, i, cfg.seed, n_edges, lower, upper,
-                         prediction, res.label(), m.coverage, mm.coverage,
-                         len(removed), len(family),
-                         face_length_histogram(fs))
+                         prediction, regime, coverage, mirror_coverage,
+                         blossoms_removed, family_size, face_length_histogram(fs))
 
 
 # ---------------------------------------------------------------------------

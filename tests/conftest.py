@@ -17,6 +17,7 @@ import numpy as np
 
 from bigenus.bigraph import (STREAM_ORIENT, BipartiteGraph, Digraph, GenParams, Graph,
                              gen_random_bipartite, orient_randomly)
+from bigenus import blossom
 from bigenus.blossom import Blossom, DartFamily
 from bigenus.embedding import FaceSet, RotationSystem, genus_of_embedding, trace_faces
 from bigenus.errors import ValidationError
@@ -593,6 +594,18 @@ def reference_assemble(g, family) -> RotationSystem:
                 f"family has a blossom at vertex {v} (length {len(cycles[0])})")
         order[v] = tuple(u for chain in sorted(chains, key=min) for u in chain)
     return RotationSystem(g, order)
+
+
+def reference_chain_order(fam: DartFamily) -> np.ndarray:
+    """The darts of a blossom-free family in rotation order, as
+    assemble_rotation once listed them: the passage chains keyed by
+    their least dart and the darts sorted by (least dart of their
+    chain, rank in the chain) with np.lexsort."""
+    succ = blossom._passages(fam)
+    lead, rank, _cyclic = blossom._walk(succ, fam.index)
+    least = np.full(len(succ), len(succ), dtype=np.int32)
+    np.minimum.at(least, lead, np.arange(len(succ), dtype=np.int32))
+    return np.lexsort((rank, least[lead])).astype(np.int32)
 
 
 def reference_blossom_free(g, family):

@@ -15,7 +15,7 @@ from bigenus.trails import (build_trail_hypergraph, find_disjoint_mirror_matchin
 
 from conftest import (ClosedTrail, dart_family, family_trails, matched, pipeline_family,
                       reference_assemble, reference_blossom_free, reference_blossoms,
-                      tip_digraphs)
+                      reference_chain_order, tip_digraphs)
 
 
 def _quad(*arcs):
@@ -159,6 +159,20 @@ def test_assemble_checks_every_passage(monkeypatch):
     monkeypatch.setattr(blossom, "_walk", reversed_chains)
     with pytest.raises(InternalConsistencyError, match="does not realize a passage"):
         assemble_rotation(dart_family(g, [t]))
+
+
+def test_chain_offsets_order_like_lexsort():
+    # the int32 chain offsets put every dart where the lexsort of
+    # (least dart of its chain, rank) put it, on dense, sparse and
+    # small-part pipeline families
+    cases = ([(12, 12, 0.6, seed) for seed in range(20)]
+             + [(800, 800, 0.03, 1), (3000, 5, 3000 ** -0.4, 1)])
+    for n1, n2, p, seed in cases:
+        _g, fam = pipeline_family(n1, n2, p, seed)
+        surv, _removed = make_blossom_free(fam)
+        seq = assemble_rotation(surv).darts[2]
+        assert seq.dtype == np.int32
+        assert np.array_equal(seq, reference_chain_order(surv)), (n1, n2, p, seed)
 
 
 def test_tip_digraph_counts():
