@@ -14,7 +14,7 @@ from .bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
                       gen_random_bipartite, orient_randomly, path_graph,
                       read_bipartite, read_digraph, standard_graph,
                       write_bipartite, write_digraph)
-from .blossom import (Blossom, BlossomReport, assemble_rotation, find_blossoms,
+from .blossom import (Blossom, assemble_rotation, find_blossoms,
                       make_blossom_free)
 from .embedding import (FaceSet, RotationSystem, genus_of_embedding,
                         sorted_rotation, trace_faces)
@@ -41,7 +41,7 @@ __all__ = [
     "gen_random_bipartite", "orient_randomly", "path_graph",
     "read_bipartite", "read_digraph", "standard_graph",
     "write_bipartite", "write_digraph",
-    "Blossom", "BlossomReport", "assemble_rotation", "find_blossoms",
+    "Blossom", "assemble_rotation", "find_blossoms",
     "make_blossom_free",
     "FaceSet", "RotationSystem", "genus_of_embedding", "sorted_rotation",
     "trace_faces",

@@ -285,10 +285,9 @@ class Graph:
 
     The edges are two int32 arrays u < v in lexicographic order: edge k
     is (u[k], v[k]). Adjacency is CSR, two int32 arrays: the neighbours
-    of vertex w are nbrs[first[w]:first[w + 1]], ascending. The tuple
-    views edge_list, edge_set and neighbors(w) are built only when read,
-    so a graph holds 4(n + 1) bytes plus 16 per edge, and no Python
-    object per edge or vertex.
+    of vertex w are nbrs[first[w]:first[w + 1]], ascending. A graph holds
+    4(n + 1) bytes plus 16 per edge and no Python object per edge or
+    vertex; neighbors(w) builds its tuples when first read.
 
     The edges may come in any order and either orientation, as pairs or
     as an (m, 2) integer array. They are checked in their own dtype,
@@ -356,14 +355,6 @@ class Graph:
         self.first[:] = 0
         self.first[key[last] + 1] = last + 1
         np.maximum.accumulate(self.first, out=self.first)
-
-    @functools.cached_property
-    def edge_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.u.tolist(), self.v.tolist()))
-
-    @functools.cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edge_list)
 
     @functools.cached_property
     def _adj(self) -> list[tuple[int, ...]]:
@@ -456,12 +447,6 @@ class BipartiteGraph(Graph):
         if x is not None:
             raise ValidationError(f"edge ({x},{y}) does not join X to Y")
 
-    def x_vertices(self) -> range:
-        return range(self.n1)
-
-    def y_vertices(self) -> range:
-        return range(self.n1, self.n)
-
     def _key(self) -> tuple:
         return self.n1, self.n2
 
@@ -490,8 +475,8 @@ class Digraph:
     meaning at most one of (u,v), (v,u) is present.
 
     The arcs are held as two int32 arrays, tail and head, in
-    lexicographic (tail, head) order: arc k is (tail[k], head[k]). The
-    tuple views arc_list and arc_set are built only when read."""
+    lexicographic (tail, head) order: arc k is (tail[k], head[k]), and
+    no Python object is held per arc."""
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -516,14 +501,6 @@ class Digraph:
         d = cls.__new__(cls)
         d.n, d.tail, d.head = n, tail, head
         return d
-
-    @functools.cached_property
-    def arc_list(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.tail.tolist(), self.head.tolist()))
-
-    @functools.cached_property
-    def arc_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.arc_list)
 
     @property
     def n_vertices(self) -> int:
@@ -638,7 +615,7 @@ def degree_class_partition(g: BipartiteGraph) -> dict[frozenset[int], list[int]]
         raise GuardError(f"degree_class_partition needs n2 <= {MAX_SMALL_PART}, got {g.n2}")
     classes: dict[frozenset[int], list[int]] = {}
     first, nbrs = g.first[:g.n1 + 1].tolist(), g.nbrs[:g.first[g.n1]].tolist()
-    for x in g.x_vertices():
+    for x in range(g.n1):
         classes.setdefault(frozenset(nbrs[first[x]:first[x + 1]]), []).append(x)
     return classes
 
@@ -745,7 +722,7 @@ def two_coloring(g) -> tuple[Sequence[int], Sequence[int]] | None:
     least vertex of every component, isolated ones included, is on
     side 0."""
     if isinstance(g, BipartiteGraph):
-        return g.x_vertices(), g.y_vertices()
+        return range(g.n1), range(g.n1, g.n)
     sides = _sides(g)
     if sides is None:
         return None

@@ -47,19 +47,6 @@ class Blossom:
     tips: tuple[int, ...]
     simple: bool
 
-    @property
-    def length(self) -> int:
-        return len(self.passages)
-
-
-@dataclass(frozen=True)
-class BlossomReport:
-    blossoms: tuple[Blossom, ...]
-
-    @property
-    def is_blossom_free(self) -> bool:
-        return not self.blossoms
-
 
 class DartFamily:
     """Arc-disjoint closed trails of g as dart ids over index =
@@ -216,7 +203,7 @@ def _is_reverse(fam: DartFamily, j: int, k: int) -> bool:
             and np.array_equal(np.roll(darts, -int(start[0])), rev))
 
 
-def find_blossoms(fam: DartFamily) -> BlossomReport:
+def find_blossoms(fam: DartFamily) -> tuple[Blossom, ...]:
     """Every auxiliary cycle of every center, exhaustively. The result
     is empty iff the family is blossom-free."""
     index = fam.index
@@ -231,7 +218,7 @@ def find_blossoms(fam: DartFamily) -> BlossomReport:
             simple = False
         blossoms.append(Blossom(int(index.tail[cyc[0]]), passages,
                                 tuple(index.head[cyc].tolist()), simple))
-    return BlossomReport(tuple(blossoms))
+    return tuple(blossoms)
 
 
 def make_blossom_free(fam: DartFamily) -> tuple[DartFamily, DartFamily]:

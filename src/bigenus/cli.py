@@ -226,13 +226,42 @@ def _experiment_cell(cell) -> list[str]:
         est = estimate_genus(g, i, cfg)
         row = est.csv_row()
     except Exception as exc:
-        print(f"cell ({','.join(_cell_key(cell))}) failed: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        if not isinstance(exc, (GuardError, ValidationError)):
-            traceback.print_exc()
-        row = list(_cell_key(cell)) + ["", "", "", "", "", "", "error"]
+        return _error_row(cell, exc)
     row.append(datetime.now(timezone.utc).isoformat(timespec="seconds"))
     return row
+
+
+def _error_row(cell, exc: Exception) -> list[str]:
+    """The `error` row of a cell that failed with exc, which is reported."""
+    print(f"cell ({','.join(_cell_key(cell))}) failed: {type(exc).__name__}: {exc}",
+          file=sys.stderr)
+    if not isinstance(exc, (GuardError, ValidationError)):
+        traceback.print_exception(exc)
+    return list(_cell_key(cell)) + ["", "", "", "", "", "", "error",
+                                    datetime.now(timezone.utc).isoformat(timespec="seconds")]
+
+
+def _pool_rows(todo: list, workers: int):
+    """The rows of the cells in todo from a pool of `workers` processes,
+    in cell order until a worker dies and breaks the pool. The rows of
+    the cells that finished are still yielded, and each other cell runs
+    again in a pool of one, where a dying worker gives it an `error` row."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_experiment_cell, cell) for cell in todo]
+        for k, future in enumerate(futures):
+            if future.exception() is not None:
+                break
+            yield future.result()
+        else:
+            return
+    # the pool is shut down, so every future left holds a row or the break
+    for cell, future in zip(todo[k:], futures[k:]):
+        if future.exception() is None:
+            yield future.result()
+        elif workers > 1:
+            yield from _pool_rows([cell], 1)
+        else:
+            yield _error_row(cell, future.exception())
 
 
 def _resume(path: str) -> tuple[set[tuple[str, ...]], bool]:
@@ -331,15 +360,10 @@ def cmd_experiment(args) -> int:
         if header_needed:
             fh.write(SCHEMA_LINE + "\n")
             fh.write(",".join(EXPERIMENT_COLUMNS) + "\n")
-        with contextlib.ExitStack() as stack:
-            if workers > 1:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-                rows = pool.map(_experiment_cell, todo)
-            else:
-                rows = map(_experiment_cell, todo)
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-                fh.flush()
+        rows = _pool_rows(todo, workers) if workers > 1 else map(_experiment_cell, todo)
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+            fh.flush()
     print(f"wrote {len(todo)} rows to {out}", file=sys.stderr)
     return 0
 

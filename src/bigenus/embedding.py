@@ -111,15 +111,6 @@ class RotationSystem:
         first = index.first.tolist()
         return {v: tuple(heads[first[v]:first[v + 1]]) for v in range(self.graph.n_vertices)}
 
-    def at(self, v: int) -> tuple[int, ...]:
-        return self.order[v]
-
-    def successor(self, v: int, u: int) -> int:
-        """The neighbor after u in the cyclic order at v."""
-        cyc = self.order[v]
-        k = cyc.index(u)
-        return cyc[(k + 1) % len(cyc)]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RotationSystem) and self.order == other.order
 
@@ -158,13 +149,6 @@ class FaceSet:
     @property
     def n_faces(self) -> int:
         return len(self.lengths)
-
-    def face_tails(self) -> list[int]:
-        """The tail of the first arc of every face, in face order."""
-        return self._tails.tolist()
-
-    def face_arcs(self) -> frozenset[tuple[Arc, ...]]:
-        return frozenset(self.faces)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FaceSet) and self.n_edges == other.n_edges

@@ -64,7 +64,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, Digraph, pair_keys
+from .bigraph import BipartiteGraph, Digraph, distinct, run_ends
+from .embedding import arc_index
 from .errors import GuardError, InternalConsistencyError, ValidationError
 
 _COUNT_WORK_LIMIT = 20_000_000
@@ -185,8 +186,7 @@ def _trail_blocks(d: Digraph, length: int):
     half = length // 2
     produced = 0
     m = d.n_arcs
-    ends = np.sort(np.concatenate((d.tail, d.head)))
-    verts = ends[np.concatenate(([True], ends[1:] != ends[:-1]))] if m else ends
+    verts = distinct(np.concatenate((d.tail, d.head)))
     nv = len(verts)
     ids = np.arange(m, dtype=_row_dtype(m))
     tail, head = np.searchsorted(verts, d.tail), np.searchsorted(verts, d.head)
@@ -400,9 +400,7 @@ def check_matching_conditions(h: TrailHypergraph, delta: float,
     # One key per (trail, arc pair) from the rows sorted within; a trail
     # holds an arc at most once, so a key's multiplicity is the pair's
     # codegree. The keys fill one array, column pair by column pair, and
-    # once it is sorted the codegree is its longest run of equal keys:
-    # some key occurs more than c times exactly when keys[i] == keys[i + c]
-    # for some i.
+    # once it is sorted the codegree is its longest run of equal keys.
     overfull = int(np.count_nonzero((degrees > hi)[rows].any(axis=1)))
     rows.sort(axis=1)
     m = len(rows)
@@ -413,9 +411,7 @@ def check_matching_conditions(h: TrailHypergraph, delta: float,
         seg += rows[:, k]
     del rows
     keys.sort()
-    max_codeg = 1 if len(keys) else 0
-    while max_codeg < len(keys) and (keys[max_codeg:] == keys[:-max_codeg]).any():
-        max_codeg += 1
+    max_codeg = int(np.diff(run_ends(keys), prepend=-1).max(initial=0))
     return ConditionReport(
         delta=delta,
         Delta=Delta,
@@ -649,10 +645,11 @@ def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:
             f"closed-trail count of length {length} too expensive here "
             f"(estimated {work:.2e} steps)"
         )
-    # the CSR adjacency lists both arcs of every edge in (tail, head) order
-    tail = np.repeat(np.arange(g.n_vertices, dtype=np.int32), np.diff(g.first))
-    d = Digraph._from_sorted(g.n_vertices, tail, g.nbrs)
-    edge = pair_keys(np.minimum(d.tail, d.head), np.maximum(d.tail, d.head), g.n_vertices)
+    # the darts of g are both arcs of every edge in (tail, head) order,
+    # and an edge is named by the lesser of its two darts
+    index = arc_index(g)
+    d = Digraph._from_sorted(g.n_vertices, index.tail, index.head)
+    edge = np.minimum(np.arange(len(index.rev), dtype=np.int32), index.rev)
     total = 0
     for block in _trail_blocks(d, length):
         edges = np.sort(edge[block], axis=1)

@@ -26,7 +26,19 @@ from bigenus.trails import (build_trail_hypergraph, find_disjoint_mirror_matchin
 
 
 # The lazily built tuple views of a Graph, as keys of its __dict__.
-GRAPH_VIEWS = ("edge_list", "edge_set", "_adj")
+GRAPH_VIEWS = ("_adj",)
+
+
+def edge_tuples(g) -> tuple[tuple[int, int], ...]:
+    """The edges (u, v), u < v, of g in lexicographic order, as tuples
+    built from its arrays u and v."""
+    return tuple(zip(g.u.tolist(), g.v.tolist()))
+
+
+def arc_tuples(d: Digraph) -> tuple[tuple[int, int], ...]:
+    """The arcs (tail, head) of d in lexicographic order, as tuples
+    built from its arrays tail and head."""
+    return tuple(zip(d.tail.tolist(), d.head.tolist()))
 
 
 def rand_graph(rng: random.Random, max_edges: int = 12) -> Graph:
@@ -142,11 +154,11 @@ def reference_two_coloring(adj):
 def reference_genus(g, fs: FaceSet) -> int:
     """genus_from_faces by component dicts over the tuple adjacency:
     (2 - n + e - f) / 2 summed over the components with an edge."""
-    comps = reference_components(reference_adjacency(g.n_vertices, g.edge_list),
-                                 [u for (u, _v) in g.edge_list])
+    comps = reference_components(reference_adjacency(g.n_vertices, edge_tuples(g)),
+                                 [u for (u, _v) in edge_tuples(g)])
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     e_c = [0] * len(comps)
-    for (u, _v) in g.edge_list:
+    for (u, _v) in edge_tuples(g):
         e_c[comp_of[u]] += 1
     f_c = [0] * len(comps)
     for face in fs.faces:
@@ -239,11 +251,11 @@ def brute_closed_trail_count(g, length: int) -> int:
 
 
 def reference_trail_rows(d: Digraph, length: int) -> np.ndarray:
-    """Rows of arc ids (into d.arc_list) of the closed trails of `length`
+    """Rows of arc ids (into arc_tuples(d)) of the closed trails of `length`
     arcs in d, by depth-first search. Each trail is found once, from its
     least arc: only arcs above that anchor may follow it, so the rows
     come out canonical and in lexicographic order."""
-    arcs = d.arc_list
+    arcs = arc_tuples(d)
     out_ids: dict[int, list[int]] = {}
     for k, (t, _h) in enumerate(arcs):
         out_ids.setdefault(t, []).append(k)
@@ -296,9 +308,9 @@ def reference_core_components(g) -> list[list[int]]:
     least vertex, by pruning and then a search that never leaves the
     core. Degrees are counted over edge endpoints, so isolated vertices
     are never alive."""
-    adj = reference_adjacency(g.n_vertices, g.edge_list)
+    adj = reference_adjacency(g.n_vertices, edge_tuples(g))
     deg: dict[int, int] = {}
-    for (u, v) in g.edge_list:
+    for (u, v) in edge_tuples(g):
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
     alive = set(deg)
@@ -335,13 +347,13 @@ def reference_core_components(g) -> list[list[int]]:
 def component_euler_stats(g, rot):
     """(vertices, edges, faces) per connected component with >= 1 edge."""
     fs = trace_faces(rot)
-    comps = reference_components(reference_adjacency(g.n_vertices, g.edge_list))
+    comps = reference_components(reference_adjacency(g.n_vertices, edge_tuples(g)))
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     f_count = [0] * len(comps)
     e_count = [0] * len(comps)
     for face in fs.faces:
         f_count[comp_of[face[0][0]]] += 1
-    for (u, _v) in g.edge_list:
+    for (u, _v) in edge_tuples(g):
         e_count[comp_of[u]] += 1
     return [(len(comp), e_count[ci], f_count[ci])
             for ci, comp in enumerate(comps) if e_count[ci]]
@@ -452,11 +464,11 @@ def reference_incidence(h) -> dict[tuple[int, int], tuple[int, ...]]:
 
 def reference_orientation(g, seed: int) -> list[tuple[int, int]]:
     """The arcs of orient_randomly(g, seed), sorted, by a tuple loop:
-    the k-th edge (a, b) of g.edge_list is kept as a -> b when the k-th
+    the k-th edge (a, b) of edge_tuples(g) is kept as a -> b when the k-th
     coin of the orientation stream, numpy's own Philox generator, is
     below 1/2, else reversed."""
     from numpy.random import Generator, Philox, SeedSequence
-    edges = g.edge_list
+    edges = edge_tuples(g)
     u = Generator(Philox(SeedSequence([seed, STREAM_ORIENT]))).random(len(edges))
     return sorted((a, b) if u[k] < 0.5 else (b, a) for k, (a, b) in enumerate(edges))
 
@@ -517,7 +529,7 @@ def reference_passages(g, family) -> dict[int, dict[int, TipArc]]:
     in_tip, in dicts. Every arc must be an edge of g and appear at most
     once in the family: the passage entering v from u is the only user
     of the arc u -> v, so each map is a partial injection."""
-    edges = g.edge_set
+    edges = frozenset(edge_tuples(g))
     by_center: dict[int, dict[int, TipArc]] = {}
     for ti, t in enumerate(family):
         arcs = t.arcs
@@ -685,10 +697,10 @@ def arc_degree_model(n1: int, n2: int, p: float, lo: float, hi: float):
 
 def rho(d: Digraph, b: int, a: int, i: int) -> int:
     """Number of directed paths (all vertices distinct) of length 2i+1
-    from b to a, with out-neighbours read off d.arc_list."""
+    from b to a, with out-neighbours read off arc_tuples(d)."""
     length = 2 * i + 1
     out: dict[int, list[int]] = {}
-    for (t, h) in d.arc_list:
+    for (t, h) in arc_tuples(d):
         out.setdefault(t, []).append(h)
 
     def rec(v: int, depth: int, visited: set[int]) -> int:

@@ -34,8 +34,8 @@ from bigenus.trails import (build_trail_hypergraph, check_matching_conditions,
                             theoretical_delta)
 
 from conftest import (ClosedTrail, arc_degree_model, brute_short_trail_total,
-                      component_euler_stats, dart_family, family_trails, pipeline_family,
-                      rand_bipartite, rand_graph, random_rotation)
+                      component_euler_stats, dart_family, edge_tuples, family_trails,
+                      pipeline_family, rand_bipartite, rand_graph, random_rotation)
 
 
 def _report(line, ok):
@@ -86,8 +86,8 @@ def test_02_face_tracing_invariants():
         rot = random_rotation(g, rng)
         fs = trace_faces(rot)
         arcs = [a for face in fs.faces for a in face]
-        expect = ({(u, v) for (u, v) in g.edge_list}
-                  | {(v, u) for (u, v) in g.edge_list})
+        expect = ({(u, v) for (u, v) in edge_tuples(g)}
+                  | {(v, u) for (u, v) in edge_tuples(g)})
         if len(arcs) != 2 * g.n_edges or set(arcs) != expect:
             violations += 1
             continue
@@ -112,7 +112,7 @@ def test_03_trail_realization():
         g, fam = pipeline_family(n, n, p, k)
         surviving, _removed = make_blossom_free(fam)
         rot = assemble_rotation(surviving)
-        faces = trace_faces(rot).face_arcs()
+        faces = frozenset(trace_faces(rot).faces)
         runs += 1
         if any(t.arcs not in faces for t in family_trails(surviving)):
             violations += 1
@@ -248,15 +248,15 @@ def test_09_blossom_machinery():
     g = BipartiteGraph(3, 2, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
     c1 = ClosedTrail.from_arcs([(0, 4), (4, 1), (1, 3), (3, 0)])
     c2 = ClosedTrail.from_arcs([(0, 3), (3, 2), (2, 4), (4, 0)])
-    rep = find_blossoms(dart_family(g, [c1, c2]))
-    simple_ok = (len(rep.blossoms) == 1 and rep.blossoms[0].simple
-                 and rep.blossoms[0].length == 2)
+    found = find_blossoms(dart_family(g, [c1, c2]))
+    simple_ok = (len(found) == 1 and found[0].simple
+                 and len(found[0].passages) == 2)
 
     k22 = complete_bipartite_graph(2, 2)
     t = ClosedTrail.from_arcs([(0, 2), (2, 1), (1, 3), (3, 0)])
-    rep = find_blossoms(dart_family(k22, [t, t.reverse()]))
-    mirror_ok = (bool(rep.blossoms)
-                 and all(b.length == 2 and not b.simple for b in rep.blossoms))
+    found = find_blossoms(dart_family(k22, [t, t.reverse()]))
+    mirror_ok = (bool(found)
+                 and all(len(b.passages) == 2 and not b.simple for b in found))
 
     rng = random.Random(79)
     dirty = 0
@@ -265,7 +265,7 @@ def test_09_blossom_machinery():
         g, fam = pipeline_family(max(a, b), min(a, b),
                                  rng.choice((0.4, 0.6)), rng.randint(0, 10 ** 6))
         surviving, _removed = make_blossom_free(fam)
-        if not find_blossoms(surviving).is_blossom_free:
+        if find_blossoms(surviving):
             dirty += 1
     ok = simple_ok and mirror_ok and dirty == 0
     line = (f"check 9 blossom machinery: simple-2 {simple_ok}, "

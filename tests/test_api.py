@@ -12,6 +12,8 @@ import os
 import pkgutil
 from collections import Counter
 
+import numpy as np
+
 import bigenus
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
@@ -31,6 +33,33 @@ def test_no_module_defines_closed_trail():
     for name in modules:
         assert not hasattr(importlib.import_module(f"bigenus.{name}"), "ClosedTrail"), name
     assert "ClosedTrail" not in bigenus.__all__
+
+
+def test_arrays_are_the_interface():
+    # edges, arcs, rotations and faces are read off their arrays and
+    # attributes; no tuple view or one-line restatement of them is left
+    from bigenus.blossom import Blossom, DartFamily, find_blossoms
+
+    removed = {bigenus.Graph: ("edge_list", "edge_set"),
+               bigenus.BipartiteGraph: ("edge_list", "edge_set", "x_vertices", "y_vertices"),
+               bigenus.Digraph: ("arc_list", "arc_set"),
+               bigenus.RotationSystem: ("at", "successor"),
+               bigenus.FaceSet: ("face_tails", "face_arcs"),
+               Blossom: ("length",)}
+    for cls, names in removed.items():
+        assert [name for name in names if hasattr(cls, name)] == [], cls.__name__
+    assert not hasattr(bigenus, "BlossomReport")
+    assert not hasattr(bigenus.blossom, "BlossomReport")
+    assert "BlossomReport" not in bigenus.__all__
+    # a 4-cycle of K_{2,2} and its reverse: a non-simple blossom at each
+    # vertex, and none once the reverse is left out
+    trail = np.array([[0, 2], [2, 1], [1, 3], [3, 0]])
+    both = np.concatenate((trail, trail[::-1, ::-1]))
+    g = bigenus.complete_bipartite_graph(2, 2)
+    found = find_blossoms(DartFamily._of_arcs(g, both[:, 0], both[:, 1], np.array([4, 4])))
+    assert type(found) is tuple and len(found) == 4
+    assert all(type(b) is Blossom and not b.simple for b in found)
+    assert find_blossoms(DartFamily._of_arcs(g, trail[:, 0], trail[:, 1], np.array([4]))) == ()
 
 
 def test_estimator_does_not_import_the_oracle():

@@ -25,20 +25,19 @@ def _quad(*arcs):
 def test_single_trail_no_blossom():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    rep = find_blossoms(dart_family(g, [t]))
-    assert rep.is_blossom_free
-    assert rep.blossoms == ()
+    found = find_blossoms(dart_family(g, [t]))
+    assert found == ()
 
 
 def test_trail_and_reverse_non_simple():
     g = complete_bipartite_graph(2, 2)
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
-    rep = find_blossoms(dart_family(g, [t, t.reverse()]))
-    assert not rep.is_blossom_free
-    centers = {b.center for b in rep.blossoms}
+    found = find_blossoms(dart_family(g, [t, t.reverse()]))
+    assert found
+    centers = {b.center for b in found}
     assert centers == {0, 1, 2, 3}
-    for b in rep.blossoms:
-        assert b.length == 2
+    for b in found:
+        assert len(b.passages) == 2
         assert not b.simple
 
 
@@ -47,11 +46,11 @@ def test_hand_built_simple_length2():
     g = BipartiteGraph(3, 2, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)])
     c1 = _quad((0, 4), (4, 1), (1, 3), (3, 0))
     c2 = _quad((0, 3), (3, 2), (2, 4), (4, 0))
-    rep = find_blossoms(dart_family(g, [c1, c2]))
-    assert len(rep.blossoms) == 1
-    b = rep.blossoms[0]
+    found = find_blossoms(dart_family(g, [c1, c2]))
+    assert len(found) == 1
+    b = found[0]
     assert b.center == 0
-    assert b.length == 2
+    assert len(b.passages) == 2
     assert b.simple
     assert set(b.tips) == {3, 4}
 
@@ -87,10 +86,10 @@ def test_length2_simplicity_by_darts_matches_reference():
         # a passage's position in its trail depends on where the trail's
         # darts start; the rest of a blossom does not
         key = lambda b: (b.center, tuple(k for (k, _j) in b.passages), b.tips, b.simple)
-        blossoms = find_blossoms(darts).blossoms
+        blossoms = find_blossoms(darts)
         assert list(map(key, blossoms)) == list(map(key, reference_blossoms(g, fam)))
         for b in blossoms:
-            if b.length == 2:
+            if len(b.passages) == 2:
                 seen[b.simple] += 1
     assert min(seen.values()) > 0
 
@@ -125,9 +124,9 @@ def test_self_reversal_passage_is_length1():
     from bigenus.bigraph import Graph
 
     host = Graph(2, [(0, 1)])
-    rep = find_blossoms(dart_family(host, [t]))
-    assert not rep.is_blossom_free
-    assert all(b.length == 1 and not b.simple for b in rep.blossoms)
+    found = find_blossoms(dart_family(host, [t]))
+    assert found
+    assert all(len(b.passages) == 1 and not b.simple for b in found)
 
 
 def test_family_must_be_arc_disjoint():
@@ -149,7 +148,7 @@ def test_assemble_checks_every_passage(monkeypatch):
     # [4, 3] and [5], and reversing them must be caught
     g = complete_bipartite_graph(3, 3)
     t = _quad((0, 3), (3, 1), (1, 4), (4, 0))
-    assert assemble_rotation(dart_family(g, [t])).at(0) == (4, 3, 5)
+    assert assemble_rotation(dart_family(g, [t])).order[0] == (4, 3, 5)
     walk = blossom._walk
 
     def reversed_chains(succ, index):
@@ -187,7 +186,7 @@ def test_detection_matches_independent_acyclicity():
     rng = random.Random(31)
     for _ in range(15):
         g, fam = pipeline_family(12, 12, 0.6, rng.randint(0, 9999))
-        rep = find_blossoms(fam)
+        found = find_blossoms(fam)
         acyclic = True
         on_cycles = 0
         for td in tip_digraphs(family_trails(fam)).values():
@@ -201,7 +200,7 @@ def test_detection_matches_independent_acyclicity():
                 if v == start and start in succ and v in seen:
                     acyclic = False
                     on_cycles += 1
-        assert rep.is_blossom_free == acyclic
+        assert (found == ()) == acyclic
         assert on_cycles == sum(len(cyc) for cyc in blossom._cycles(fam))
 
 
@@ -209,9 +208,9 @@ def test_mirror_families_have_no_nonsimple_length2():
     rng = random.Random(32)
     for _ in range(15):
         g, fam = pipeline_family(14, 14, 0.6, rng.randint(0, 9999))
-        rep = find_blossoms(fam)
-        for b in rep.blossoms:
-            if b.length == 2:
+        found = find_blossoms(fam)
+        for b in found:
+            if len(b.passages) == 2:
                 assert b.simple
 
 
@@ -228,14 +227,14 @@ def test_make_blossom_free_reversal_pair():
     t = _quad((0, 2), (2, 1), (1, 3), (3, 0))
     surv, removed = make_blossom_free(dart_family(g, [t, t.reverse()]))
     assert len(surv) == 1 and len(removed) == 1
-    assert find_blossoms(surv).is_blossom_free
+    assert find_blossoms(surv) == ()
 
 
 def test_make_blossom_free_pipeline():
     g, fam = pipeline_family(80, 80, 0.5, 0)
     surv, removed = make_blossom_free(fam)
     assert (len(fam), len(removed)) == (1214, 110)
-    assert find_blossoms(surv).is_blossom_free
+    assert find_blossoms(surv) == ()
     assert len(removed) / len(fam) < 0.12
     assert [t for t in family_trails(fam) if t in set(family_trails(surv))] == list(family_trails(surv))  # order kept
 
@@ -260,7 +259,7 @@ def test_assemble_single_trail_c4():
     t = ClosedTrail.from_arcs([(0, 1), (1, 2), (2, 3), (3, 0)])
     rot = assemble_rotation(dart_family(g, [t]))
     fs = trace_faces(rot)
-    assert t.arcs in fs.face_arcs()
+    assert t.arcs in fs.faces
     assert fs.n_faces == 2
 
 
@@ -268,7 +267,7 @@ def test_assemble_empty_family():
     g = complete_bipartite_graph(3, 3)
     rot = assemble_rotation(dart_family(g, []))
     for v in range(6):
-        assert rot.at(v) == sorted_rotation(g).at(v)
+        assert rot.order[v] == sorted_rotation(g).order[v]
 
 
 def test_assemble_rejects_blossoms():
@@ -283,7 +282,7 @@ def test_assemble_realizes_k33_pipeline():
         g, fam = pipeline_family(3, 3, 1.0, seed)
         surv, _removed = make_blossom_free(fam)
         rot = assemble_rotation(surv)
-        faces = trace_faces(rot).face_arcs()
+        faces = frozenset(trace_faces(rot).faces)
         for t in family_trails(surv):
             assert t.arcs in faces
 
@@ -322,7 +321,7 @@ def test_dart_path_matches_dict_reference():
     with_removals = 0
     for g, darts in _reference_families(43):
         fam = family_trails(darts)
-        assert find_blossoms(darts).blossoms == reference_blossoms(g, fam)
+        assert find_blossoms(darts) == reference_blossoms(g, fam)
         surv, dropped = make_blossom_free(darts)
         ref_surv, ref_dropped = reference_blossom_free(g, fam)
         assert (family_trails(surv), family_trails(dropped)) == (ref_surv, ref_dropped)
@@ -366,10 +365,10 @@ def test_find_blossoms_takes_a_dart_family():
         mm = find_disjoint_mirror_matching(h, m, 2)
         family = DartFamily.of_matchings(g, m, mm)
         surviving, _ = make_blossom_free(family)
-        assert find_blossoms(surviving).is_blossom_free
-        report = find_blossoms(family)
-        assert report == find_blossoms(dart_family(g, matched(m) + matched(mm)))
-        blossoms_seen += len(report.blossoms)
+        assert find_blossoms(surviving) == ()
+        found = find_blossoms(family)
+        assert found == find_blossoms(dart_family(g, matched(m) + matched(mm)))
+        blossoms_seen += len(found)
     assert blossoms_seen > 0
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -277,6 +278,32 @@ def test_experiment_survives_a_failing_cell(tmp_path, capsys, monkeypatch):
     failed = ("12", "4", "0.5", "1", "3")
     assert rows[failed][11] == "error"
     assert all(r[11] != "error" for k, r in rows.items() if k != failed)
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="the workers inherit the patched generator only when forked")
+def test_experiment_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
+    # the seed-1 cell's worker dies, which breaks the pool: the finished
+    # rows are kept, the other cells run again, and seed 1, whose worker
+    # dies again when it runs alone, gets an error row
+    generate = cli.gen_random_bipartite
+
+    def dying(params):
+        if params.seed == 1:
+            os._exit(9)
+        return generate(params)
+
+    monkeypatch.setattr(cli, "gen_random_bipartite", dying)
+    cfg, out = tmp_path / "e.cfg", tmp_path / "e.csv"
+    cfg.write_text(f"n1 = 20\nn2 = 20\np = 0.2\ntrials = 4\nworkers = 2\nout = {out}\n")
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert "cell (20,20,0.2,1,1) failed: BrokenProcessPool" in capsys.readouterr().err
+    rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
+    assert sorted(r[4] for r in rows) == ["0", "1", "2", "3"]
+    assert all(len(r) == 13 and (r[11] == "error") == (r[4] == "1") for r in rows)
+    # an error row counts as done when the sweep is resumed
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert "todo=0" in capsys.readouterr().err
 
 
 def test_experiment_refuses_invalid_grid_cell(tmp_path, capsys):

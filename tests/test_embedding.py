@@ -15,10 +15,10 @@ from bigenus.embedding import (RotationSystem, arc_index, face_length_histogram,
 from bigenus.errors import ValidationError
 from bigenus.estimator import PipelineConfig, estimate_genus
 
-from conftest import (ClosedTrail, component_euler_stats, dart_family, faces_from_text,
-                      faces_to_text, graph_cases, rand_graph, random_rotation,
-                      reference_adjacency, reference_arc_index, reference_components,
-                      reference_genus, rotation_from_text)
+from conftest import (ClosedTrail, component_euler_stats, dart_family, edge_tuples,
+                      faces_from_text, faces_to_text, graph_cases, rand_graph,
+                      random_rotation, reference_adjacency, reference_arc_index,
+                      reference_components, reference_genus, rotation_from_text)
 
 
 def test_sorted_rotation_face_counts():
@@ -50,7 +50,7 @@ def test_arc_partition_property():
         rot = random_rotation(g, rng)
         fs = trace_faces(rot)
         arcs = [a for face in fs.faces for a in face]
-        expect = {(u, v) for (u, v) in g.edge_list} | {(v, u) for (u, v) in g.edge_list}
+        expect = {(u, v) for (u, v) in edge_tuples(g)} | {(v, u) for (u, v) in edge_tuples(g)}
         assert len(arcs) == 2 * g.n_edges
         assert set(arcs) == expect
 
@@ -69,7 +69,7 @@ def test_component_euler_parity():
 
 def test_disconnected_genus_adds():
     # K33 + C4 + isolated vertex: 1 + 0 + 0
-    edges = list(complete_bipartite_graph(3, 3).edge_list)
+    edges = list(edge_tuples(complete_bipartite_graph(3, 3)))
     edges += [(6, 7), (7, 8), (8, 9), (6, 9)]
     g = Graph(11, edges)
     assert genus_of_embedding(sorted_rotation(g)) == 1
@@ -97,8 +97,7 @@ def test_rotation_validation():
         RotationSystem(g, {0: (1,), 1: (0,), 2: (1,)})  # vertex 1 is missing neighbor 2
     rot = sorted_rotation(g)
     assert rot == RotationSystem(g, {0: [1], 1: iter([0, 2]), 2: (1,)})
-    assert rot.successor(1, 0) == 2
-    assert rot.successor(1, 2) == 0
+    assert rot.order[1] == (0, 2)
 
 
 def test_rotation_text_round_trip():
@@ -110,7 +109,7 @@ def test_rotation_text_round_trip():
     buf.seek(0)
     rot2 = rotation_from_text(buf, g)
     for v in range(g.n_vertices):
-        assert rot2.at(v) == rot.at(v)
+        assert rot2.order[v] == rot.order[v]
 
 
 def test_faces_text_round_trip():
@@ -150,7 +149,7 @@ def test_dart_rotation_on_another_graph_is_validated():
     twin = complete_bipartite_graph(3, 3)
     moved = RotationSystem(twin, rot.order)
     assert moved.graph is twin and trace_faces(moved) == faces
-    smaller = Graph(6, [e for e in g.edge_list if e != (2, 5)])
+    smaller = Graph(6, [e for e in edge_tuples(g) if e != (2, 5)])
     with pytest.raises(ValidationError, match="rotation at 2 does not match"):
         RotationSystem(smaller, rot.order)
 
@@ -177,7 +176,7 @@ def test_every_dart_numbering_is_one_int32_arc_index(monkeypatch):
     fs = trace_faces(RotationSystem(g, {v: g.neighbors(v) for v in range(6)}))
     t = ClosedTrail.from_arcs([(0, 3), (3, 1), (1, 4), (4, 0)])
     rot = assemble_rotation(dart_family(g, [t]))
-    assert t.arcs in trace_faces(rot).face_arcs() and fs.n_faces == 3
+    assert t.arcs in trace_faces(rot).faces and fs.n_faces == 3
     assert len(built) == before + 2
     index = built[-1]
     assert all(a.dtype == np.int32 for index in built for a in index)
@@ -207,7 +206,7 @@ def test_dart_keys_past_int32():
     n1 = 50_000
     shift = n1 - small.n1
     g = BipartiteGraph(n1, 6, [(x + shift * (x >= 20), y + shift)
-                               for x, y in small.edge_list])
+                               for x, y in edge_tuples(small)])
     assert (n1 - 1) * g.n + n1 > 2 ** 31 and key_dtype(g.n) == np.int64
     index = arc_index(g)
     darts = np.arange(len(index.tail))
@@ -225,7 +224,8 @@ def test_traced_faces_build_arc_tuples_on_read():
     g = complete_bipartite_graph(3, 3)
     fs = trace_faces(sorted_rotation(g))
     assert "faces" not in vars(fs)
-    assert (fs.n_faces, fs.lengths, fs.face_tails()) == (3, (6, 6, 6), [0, 0, 0])
+    assert (fs.n_faces, fs.lengths) == (3, (6, 6, 6))
     assert genus_of_embedding(sorted_rotation(g)) == 1
     assert fs.faces[0] == ((0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0))
+    assert [face[0][0] for face in fs.faces] == [0, 0, 0]
     assert fs == trace_faces(sorted_rotation(g)) and "faces" in vars(fs)

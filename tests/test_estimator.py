@@ -24,7 +24,7 @@ from bigenus.estimator import (PipelineConfig, _core_components, _euler_ceil, _p
                                regime_classify, small_p_asymptote_check)
 from bigenus.trails import count_short_closed_trails
 
-from conftest import (GRAPH_VIEWS, graph_cases, rand_bipartite, rand_graph,
+from conftest import (GRAPH_VIEWS, edge_tuples, graph_cases, rand_bipartite, rand_graph,
                       random_simple_graph, reference_adjacency, reference_core_components,
                       reference_euler_ceil, reference_psi, reference_refined_ceil,
                       reference_two_coloring)
@@ -171,8 +171,8 @@ def test_euler_lower_bound_values():
     assert euler_lower_bound(Graph(2, [(0, 1)])) == 0
     # two disjoint K_{3,3} held as a plain Graph: still bipartite, so
     # faces have length at least 4
-    two = Graph(12, list(complete_bipartite_graph(3, 3).edge_list)
-                + [(u + 6, v + 6) for (u, v) in complete_bipartite_graph(3, 3).edge_list])
+    two = Graph(12, list(edge_tuples(complete_bipartite_graph(3, 3)))
+                + [(u + 6, v + 6) for (u, v) in edge_tuples(complete_bipartite_graph(3, 3))])
     assert euler_lower_bound(two) == 2
 
 
@@ -202,7 +202,7 @@ def test_lower_bounds_equal_exact_rational_sums():
     graphs += [rand_graph(rng, max_edges=16) for _ in range(40)]
     graphs += [complete_bipartite_graph(5, 6), complete_graph(7)]
     for g in graphs:
-        edges = g.edge_list
+        edges = edge_tuples(g)
         comps = [(len(c), sum(1 for u, v in edges if {u, v} <= set(c)))
                  for c in reference_core_components(g)]
         k = 3 if reference_two_coloring(reference_adjacency(g.n_vertices, edges)) is None else 4
@@ -223,7 +223,7 @@ def _check_core_components(g):
     assert [verts for verts, _e_c in comps] == reference_core_components(g)
     for verts, e_c in comps:
         vset = set(verts)
-        assert e_c == sum(1 for (u, v) in g.edge_list if u in vset and v in vset)
+        assert e_c == sum(1 for (u, v) in edge_tuples(g) if u in vset and v in vset)
         if isinstance(g, BipartiteGraph):
             assert induced_subgraph(g, verts).n_edges == e_c
     return comps
@@ -250,7 +250,7 @@ def test_core_components_match_reference():
     dumbbell = Graph(9, tri + [(2, 3), (3, 4), (4, 5), (7, 8)])
     assert _check_core_components(dumbbell) == [(list(range(8)), 9)]
     # a disjoint union: K_{3,3}, a pendant tree, an isolated vertex, a C4
-    edges = list(complete_bipartite_graph(3, 3).edge_list) + [(0, 6), (6, 7)]
+    edges = list(edge_tuples(complete_bipartite_graph(3, 3))) + [(0, 6), (6, 7)]
     edges += [(9, 10), (10, 11), (11, 12), (9, 12)]
     union = Graph(13, edges)
     assert _check_core_components(union) == [([0, 1, 2, 3, 4, 5], 9),
@@ -637,7 +637,7 @@ def test_small_part_reads_the_csr():
     for g in graphs:
         r, classes = reduce_small_part(g), degree_class_partition(g)
         assert "_adj" not in vars(g)
-        nbrs = [g.neighbors(x) for x in g.x_vertices()]
+        nbrs = [g.neighbors(x) for x in range(g.n1)]
         assert r.deleted_x == tuple(x for x, ns in enumerate(nbrs) if len(ns) <= 1)
         assert r.collapsed_x == tuple(x for x, ns in enumerate(nbrs) if len(ns) == 2)
         assert r.kept_x == tuple(x for x, ns in enumerate(nbrs) if len(ns) >= 3)

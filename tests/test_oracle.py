@@ -11,7 +11,7 @@ from bigenus.errors import BudgetExceededError, ValidationError
 from bigenus.oracle import (SearchBudget, exact_genus, genus_formula_reference,
                             minimum_genus_rotation, pincer_genus, rotation_system_count)
 
-from conftest import brute_min_genus, rand_graph
+from conftest import brute_min_genus, edge_tuples, rand_graph
 
 
 def test_trees_and_cycles_planar():
@@ -90,8 +90,8 @@ def test_witness_of_disconnected_graphs_is_frozen():
     # frozen witnesses on graphs with several components and an
     # isolated vertex: the search order, the climb's shuffles and the
     # scan's permutations all show in the cyclic orders
-    k33 = list(complete_bipartite_graph(3, 3).edge_list)
-    k44 = list(complete_bipartite_graph(4, 4).edge_list)
+    k33 = list(edge_tuples(complete_bipartite_graph(3, 3)))
+    k44 = list(edge_tuples(complete_bipartite_graph(4, 4)))
     g = Graph(11, k33 + [(6, 7), (7, 8), (8, 9), (6, 9)])  # K33 + C4 + isolated vertex
     assert _witness_text(g) == (1, "0: 0-3 0-4 0-5\n1: 1-3 1-4 1-5\n2: 2-3 2-4 2-5\n"
                                    "3: 0-3 1-3 2-3\n4: 0-4 1-4 2-4\n5: 0-5 1-5 2-5\n"
@@ -126,7 +126,7 @@ def test_exact_genus_builds_no_witness(monkeypatch):
 
 
 def test_disconnected_genus():
-    edges = list(complete_bipartite_graph(3, 3).edge_list)
+    edges = list(edge_tuples(complete_bipartite_graph(3, 3)))
     edges += [(6, 7), (7, 8), (8, 9), (6, 9)]
     g = Graph(11, edges)  # K33 + C4 + isolated vertex
     assert exact_genus(g) == 1
@@ -153,7 +153,7 @@ def test_pincer():
     # K_{4,4} + K_3: each component meets its own Euler bound, which a
     # whole-graph face length of 3 would put below the genus
     k44 = complete_bipartite_graph(4, 4)
-    g = Graph(11, list(k44.edge_list) + [(8, 9), (9, 10), (8, 10)])
+    g = Graph(11, list(edge_tuples(k44)) + [(8, 9), (9, 10), (8, 10)])
     res = pincer_genus(g)
     assert (res.lower, res.upper, res.exact) == (1, 1, True)
     assert res.upper == exact_genus(g)

@@ -21,10 +21,10 @@ from bigenus.trails import (TrailHypergraph, _canonical_sort,
                             find_disjoint_mirror_matching, find_matching,
                             theoretical_delta, trails_to_text)
 
-from conftest import (ClosedTrail, brute_short_trail_total, hypergraph_arcs,
-                      hypergraph_trails, matched, rand_bipartite, reference_greedy,
-                      reference_incidence, reference_index, reference_trail_rows, rho,
-                      trails_from_text)
+from conftest import (ClosedTrail, arc_tuples, brute_short_trail_total, edge_tuples,
+                      hypergraph_arcs, hypergraph_trails, matched, rand_bipartite,
+                      reference_greedy, reference_incidence, reference_index,
+                      reference_trail_rows, rho, trails_from_text)
 
 
 def test_closed_trail_validation():
@@ -49,9 +49,10 @@ def test_enumerate_k33():
     d = orient_randomly(complete_bipartite_graph(3, 3), 0)
     ts = hypergraph_trails(build_trail_hypergraph(d, 1))
     assert len(ts) == 3
+    arcs = set(arc_tuples(d))
     for t in ts:
         assert len(t.arcs) == 4
-        assert all(a in d.arc_set for a in t.arcs)
+        assert all(a in arcs for a in t.arcs)
     assert [t.arcs for t in ts] == sorted(t.arcs for t in ts)
 
 
@@ -91,7 +92,8 @@ def _symmetric_digraphs(seed: int):
     out = []
     for _ in range(6):
         g = rand_bipartite(rng, max_edges=12)
-        out.append(Digraph(g.n_vertices, g.edge_list + tuple((v, u) for (u, v) in g.edge_list)))
+        edges = edge_tuples(g)
+        out.append(Digraph(g.n_vertices, edges + tuple((v, u) for (u, v) in edges)))
     return out
 
 
@@ -105,8 +107,8 @@ def test_fast_path_matches_dfs():
     rows_seen = 0
     for d in _identity_digraphs(8) + _symmetric_digraphs(8) + [chain]:
         for i in (1, 2, 3):
-            full = reference_trail_rows(d, 2 * i + 2)
-            slow = [ClosedTrail.from_arcs([d.arc_list[a] for a in row])
+            full, arcs = reference_trail_rows(d, 2 * i + 2), arc_tuples(d)
+            slow = [ClosedTrail.from_arcs([arcs[a] for a in row])
                     for row in full.tolist()]
             h = build_trail_hypergraph(d, i)
             assert hypergraph_trails(h) == tuple(sorted(slow, key=lambda t: t.arcs))
@@ -389,7 +391,7 @@ def _star_plus_k34(n_arcs: int):
     # K_{3,4} numbers y0..y3 as 3..6; this orientation has six closed
     # 4-trails and four closed 6-trails
     k34 = [tuple(v if v < 3 else v - 3 + n1 for v in arc)
-           for arc in orient_randomly(complete_bipartite_graph(3, 4), 0).arc_list]
+           for arc in arc_tuples(orient_randomly(complete_bipartite_graph(3, 4), 0))]
     star = [(x, n1) for x in range(3, n1)]
     return Digraph(n1 + 4, k34 + star), Digraph(n1 + 4, k34)
 
@@ -400,7 +402,7 @@ def test_row_dtype_follows_arc_count():
     # trails either way
     for n_arcs, dtype in ((1 << 16, np.uint16), ((1 << 16) + 1, np.int32)):
         d, k34 = _star_plus_k34(n_arcs)
-        assert len(d.arc_list) == n_arcs
+        assert len(arc_tuples(d)) == n_arcs
         for i in (1, 2):
             h, small = build_trail_hypergraph(d, i), build_trail_hypergraph(k34, i)
             assert (h.rows.dtype, small.rows.dtype) == (dtype, np.uint16)
@@ -411,7 +413,7 @@ def test_row_dtype_follows_arc_count():
                 h.mirror()
                 small.mirror()
     # d is now the int32 digraph; estimate on its underlying graph
-    g = BipartiteGraph(d.n - 4, 4, [(min(a), max(a)) for a in d.arc_list])
+    g = BipartiteGraph(d.n - 4, 4, [(min(a), max(a)) for a in arc_tuples(d)])
     est = estimate_genus(g, 1)
     assert est.lower <= est.upper
 
@@ -430,12 +432,12 @@ def test_rho_closure_identity():
     for seed in (0, 1, 5):
         d = orient_randomly(complete_bipartite_graph(3, 3), seed)
         n_trails = len(hypergraph_trails(build_trail_hypergraph(d, 1)))
-        total = sum(rho(d, v, u, 1) for (u, v) in d.arc_list)
+        total = sum(rho(d, v, u, 1) for (u, v) in arc_tuples(d))
         assert total == 4 * n_trails
     g = gen_random_bipartite(GenParams(7, 7, 0.6, seed=2))
     d = orient_randomly(g, 2)
     n_trails = len(hypergraph_trails(build_trail_hypergraph(d, 2)))
-    assert sum(rho(d, v, u, 2) for (u, v) in d.arc_list) == 6 * n_trails
+    assert sum(rho(d, v, u, 2) for (u, v) in arc_tuples(d)) == 6 * n_trails
 
 
 def test_theoretical_delta():
@@ -610,7 +612,8 @@ def test_dfs_cap_is_a_prefix():
     d = orient_randomly(g, 3)
     full = build_trail_hypergraph(d, 2)
     assert full.n_hyperedges == 372
-    anti = Digraph(d.n, d.arc_list + tuple((h, t) for (t, h) in d.arc_list[:10]))
+    arcs = arc_tuples(d)
+    anti = Digraph(d.n, arcs + tuple((h, t) for (t, h) in arcs[:10]))
     for digraph, n in ((d, 57), (anti, 87)):
         full = build_trail_hypergraph(digraph, 1)
         assert full.n_hyperedges == n
@@ -703,7 +706,8 @@ def test_trails_text_names_the_bad_row(monkeypatch):
 def test_trail_limit_refuses_before_allocating(monkeypatch, capsys, anti_parallel, i, n):
     d = orient_randomly(gen_random_bipartite(GenParams(40, 3, 0.5, seed=0)), 0)
     if anti_parallel:
-        d = Digraph(d.n, d.arc_list + tuple((h, t) for (t, h) in d.arc_list[:10]))
+        arcs = arc_tuples(d)
+        d = Digraph(d.n, arcs + tuple((h, t) for (t, h) in arcs[:10]))
     assert build_trail_hypergraph(d, i).n_hyperedges == n
     monkeypatch.setattr(trails, "MAX_TRAILS", n - 1)
     # the rows are allocated by trails._mapped_rows, and only once the
