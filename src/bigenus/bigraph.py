@@ -215,10 +215,45 @@ class GenParams:
             raise ValidationError(f"p must lie in [0,1], got {self.p}")
 
 
-def _least(u: np.ndarray, v: np.ndarray, bad: np.ndarray) -> tuple[int | None, int | None]:
-    """The lexicographically least pair (u[k], v[k]) with bad[k], or (None, None)."""
-    pairs = sorted(zip(u[bad].tolist(), v[bad].tolist()))
-    return pairs[0] if pairs else (None, None)
+def _refuse_least(u: np.ndarray, v: np.ndarray, bad: np.ndarray, out: str, loop="") -> None:
+    """Refuse the lexicographically least pair (u[k], v[k]) with bad[k],
+    if any: by the message `loop` for a loop if given, else by `out`."""
+    x, y = min(zip(u[bad].tolist(), v[bad].tolist()), default=(None, None))
+    if x is not None:
+        raise ValidationError((loop if loop and x == y else out).format(x, y))
+
+
+def _pair_array(pairs, what: str) -> np.ndarray:
+    """The pairs of `what`s as an (m, 2) integer array: an integer ndarray
+    as it is, else what numpy infers from the Python values. Any other
+    dtype is refused, as out of range when int64 overflows on it."""
+    if not isinstance(pairs, np.ndarray) or pairs.dtype.kind not in "iu":
+        items = pairs.tolist() if isinstance(pairs, np.ndarray) else list(pairs)
+        try:
+            pairs = np.asarray(items, dtype=None if items else np.int64)
+        except ValueError:
+            raise ValidationError(f"{what}s must be pairs of vertices") from None
+        if pairs.dtype.kind not in "iu" and pairs.size:
+            try:
+                np.asarray(items, dtype=np.int64)
+            except OverflowError:
+                raise ValidationError(f"{what} label out of range") from None
+            except (TypeError, ValueError):
+                pass
+            raise ValidationError(f"{what} labels must be integers")
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError(f"{what}s must be pairs of vertices")
+    return pairs
+
+
+def _sort_unique(key: np.ndarray, n: int, what: str) -> None:
+    """Sort the pair_keys `key` in place; refuse its least duplicate."""
+    key.sort()
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    if len(dup):
+        raise ValidationError("duplicate {} ({},{})".format(what, *divmod(int(key[dup[0]]), n)))
 
 
 def csr_runs(first: np.ndarray, nbrs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -302,21 +337,10 @@ class Graph:
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
         self.n = n
-        ends = edges
-        if not isinstance(ends, np.ndarray) or ends.dtype.kind not in "iu":
-            try:
-                ends = np.asarray(ends if isinstance(ends, np.ndarray) else list(ends),
-                                  dtype=np.int64)
-            except OverflowError:
-                raise ValidationError("edge label out of range") from None
-        if ends.size == 0:
-            ends = ends.reshape(0, 2)
-        if ends.ndim != 2 or ends.shape[1] != 2:
-            raise ValidationError("edges must be pairs of vertices")
+        ends = _pair_array(edges, "edge")
         # Each temporary is dropped as soon as it is used: together they
-        # would set the peak of generating a graph. The labels are
-        # checked in the input's dtype, so narrowing them to int32 is
-        # exact.
+        # would set the peak of generating a graph. The labels are checked
+        # in the input's dtype, so narrowing them to int32 is exact.
         u, v = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
         del ends
         self._check_edges(u, v)
@@ -332,11 +356,8 @@ class Graph:
         key[:m] += v
         key[m:] += u
         del u, v
-        key.sort()
-        dup = np.flatnonzero(key[1:] == key[:-1])
-        if len(dup):
-            # the least duplicate dart is the up dart of the least such edge
-            raise ValidationError("duplicate edge ({},{})".format(*divmod(int(key[dup[0]]), n)))
+        # the least duplicate dart is the up dart of the least such edge
+        _sort_unique(key, n, "edge")
         # One int32 block holds u, v, nbrs and first. Four blocks made
         # between the temporaries split the heap's free memory, and a
         # later trail family then took fresh pages: dense-i1's peak RSS
@@ -393,10 +414,8 @@ class Graph:
     def _check_edges(self, u: np.ndarray, v: np.ndarray) -> None:
         """Reject loops and labels outside 0..n-1 among the edges
         (u[k], v[k]), u <= v, naming the least bad one."""
-        x, y = _least(u, v, (u == v) | (u < 0) | (v >= self.n))
-        if x is not None:
-            raise ValidationError(f"loop at vertex {x}" if x == y
-                                  else f"edge ({x},{y}) out of range")
+        _refuse_least(u, v, (u == v) | (u < 0) | (v >= self.n),
+                      "edge ({},{}) out of range", "loop at vertex {}")
 
     @property
     def n_vertices(self) -> int:
@@ -438,14 +457,12 @@ class BipartiteGraph(Graph):
     def __init__(self, n1: int, n2: int, edges: Iterable[tuple[int, int]]):
         if n1 < 0 or n2 < 0:
             raise ValidationError("part sizes must be nonnegative")
-        self.n1 = n1
-        self.n2 = n2
+        self.n1, self.n2 = n1, n2
         super().__init__(n1 + n2, edges)
 
     def _check_edges(self, u: np.ndarray, v: np.ndarray) -> None:
-        x, y = _least(u, v, (u < 0) | (u >= self.n1) | (v < self.n1) | (v >= self.n))
-        if x is not None:
-            raise ValidationError(f"edge ({x},{y}) does not join X to Y")
+        _refuse_least(u, v, (u < 0) | (u >= self.n1) | (v < self.n1) | (v >= self.n),
+                      "edge ({},{}) does not join X to Y")
 
     def _key(self) -> tuple:
         return self.n1, self.n2
@@ -474,32 +491,30 @@ class Digraph:
     """Directed graph; when built by orient_randomly it is an orientation,
     meaning at most one of (u,v), (v,u) is present.
 
-    The arcs are held as two int32 arrays, tail and head, in
+    The arcs are held as the two rows of an int32 block, tail and head, in
     lexicographic (tail, head) order: arc k is (tail[k], head[k]), and
-    no Python object is held per arc."""
+    no Python object is held per arc. They may come in any order and
+    are checked as Graph checks its edges."""
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] | np.ndarray):
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
-        norm = [(t, h) for (t, h) in arcs]
-        for (t, h) in norm:
-            if t == h:
-                raise ValidationError(f"loop arc at {t}")
-            if not (0 <= t < n and 0 <= h < n):
-                raise ValidationError(f"arc ({t},{h}) out of range")
-        norm.sort()
-        for k in range(1, len(norm)):
-            if norm[k] == norm[k - 1]:
-                raise ValidationError(f"duplicate arc ({norm[k][0]},{norm[k][1]})")
-        ends = np.array(norm, dtype=np.int32).reshape(-1, 2)
-        self.n, self.tail, self.head = n, ends[:, 0].copy(), ends[:, 1].copy()
+        t, h = _pair_array(arcs, "arc").T
+        _refuse_least(t, h, (t == h) | (t < 0) | (h < 0) | (t >= n) | (h >= n),
+                      "arc ({},{}) out of range", "loop arc at {}")
+        # in range, so exact in int32, which pair_keys adds in place
+        d = Digraph._of_keys(n, pair_keys(t, h.astype(np.int32, copy=False), n))
+        self.n, self.tail, self.head = n, d.tail, d.head
 
     @classmethod
-    def _from_sorted(cls, n: int, tail: np.ndarray, head: np.ndarray) -> "Digraph":
-        """The digraph on arcs (tail[k], head[k]), which the caller
-        guarantees are distinct, loop-free, in range and sorted."""
+    def _of_keys(cls, n: int, key: np.ndarray) -> "Digraph":
+        """The digraph on the loop-free arcs in range whose pair_keys are
+        key, in any order: key is sorted in place, a duplicate refused.
+        tail and head are the rows of one block, as Graph keeps its own."""
+        _sort_unique(key, n, "arc")
         d = cls.__new__(cls)
-        d.n, d.tail, d.head = n, tail, head
+        d.n, (d.tail, d.head) = n, np.empty((2, len(key)), np.int32)
+        np.divmod(key, n, out=(d.tail, d.head))
         return d
 
     @property
@@ -517,16 +532,11 @@ class Digraph:
         return not len(key) or not (key[pos] == back).any()
 
     def reverse(self) -> "Digraph":
-        order = np.lexsort((self.tail, self.head))
-        return Digraph._from_sorted(self.n, self.head[order], self.tail[order])
+        return Digraph._of_keys(self.n, pair_keys(self.head, self.tail, self.n))
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and np.array_equal(self.tail, other.tail)
-            and np.array_equal(self.head, other.head)
-        )
+        return (isinstance(other, Digraph) and self.n == other.n and np.array_equal(
+            self.tail, other.tail) and np.array_equal(self.head, other.head))
 
     def __hash__(self) -> int:
         return hash((self.n, self.tail.tobytes(), self.head.tobytes()))
@@ -578,16 +588,12 @@ def standard_graph(n1: int, n2: int, p: float) -> BipartiteGraph:
         raise ValidationError(f"p must lie in [0,1], got {p}")
     if n1 < 1 or n2 < 1:
         raise ValidationError("need n1 >= 1 and n2 >= 1")
-    size_by_m = standard_class_sizes(n1, n2, p)
-    edges = []
-    x = 0
+    # the class sizes sum to at most n1, as p^m (1-p)^(n2-m) sum to 1
+    sizes, edges, x = standard_class_sizes(n1, n2, p), [], 0
     for mask in range(1 << n2):
-        size = size_by_m[mask.bit_count()]
-        for _ in range(size):
-            if x >= n1:
-                break
-            edges.extend((x, n1 + j) for j in range(n2) if mask >> j & 1)
-            x += 1
+        ys = [n1 + j for j in range(n2) if mask >> j & 1]
+        edges.extend((w, y) for w in range(x, x + sizes[len(ys)]) for y in ys)
+        x += sizes[len(ys)]
     return BipartiteGraph(n1, n2, edges)
 
 
@@ -600,10 +606,8 @@ def orient_randomly(g, seed: int) -> Digraph:
     """
     keep = np.zeros(g.n_edges, dtype=bool)
     keep[draw_below(seed, STREAM_ORIENT, g.n_edges, 0.5)] = True
-    tail = np.where(keep, g.u, g.v)
-    head = np.where(keep, g.v, g.u)
-    order = np.lexsort((head, tail))
-    return Digraph._from_sorted(g.n_vertices, tail[order], head[order])
+    n = g.n_vertices
+    return Digraph._of_keys(n, pair_keys(np.where(keep, g.u, g.v), np.where(keep, g.v, g.u), n))
 
 
 def degree_class_partition(g: BipartiteGraph) -> dict[frozenset[int], list[int]]:
@@ -627,8 +631,7 @@ def degree_class_partition(g: BipartiteGraph) -> dict[frozenset[int], list[int]]
 
 def write_bipartite(g: BipartiteGraph, fh: TextIO) -> None:
     fh.write(f"bipartite {g.n1} {g.n2}\n")
-    for x, y in zip(g.u.tolist(), g.v.tolist()):
-        fh.write(f"{x} {y}\n")
+    fh.writelines(f"{x} {y}\n" for x, y in zip(g.u.tolist(), g.v.tolist()))
 
 
 def _read_pairs(fh: TextIO, header: str) -> tuple[list[int], list[tuple[int, int]]]:
@@ -650,12 +653,9 @@ def _read_pairs(fh: TextIO, header: str) -> tuple[list[int], list[tuple[int, int
     if tokens[:1] != [word]:
         raise ValidationError(f"line 1: expected header {header!r}, got {first.strip()!r}")
     params = ints(tokens[1:], len(names), 1, first, f"header {header!r}")
-    pairs = []
-    for lineno, line in enumerate(fh, 2):
-        tokens = line.split()
-        if tokens and not tokens[0].startswith("#"):
-            pairs.append(tuple(ints(tokens, 2, lineno, line, "two integers")))
-    return params, pairs
+    return params, [tuple(ints(tokens, 2, lineno, line, "two integers"))
+                    for lineno, line in enumerate(fh, 2) for tokens in [line.split()]
+                    if tokens and not tokens[0].startswith("#")]
 
 
 def read_bipartite(fh: TextIO) -> BipartiteGraph:
@@ -665,8 +665,7 @@ def read_bipartite(fh: TextIO) -> BipartiteGraph:
 
 def write_digraph(d: Digraph, fh: TextIO) -> None:
     fh.write(f"digraph {d.n}\n")
-    for t, h in zip(d.tail.tolist(), d.head.tolist()):
-        fh.write(f"{t} {h}\n")
+    fh.writelines(f"{t} {h}\n" for t, h in zip(d.tail.tolist(), d.head.tolist()))
 
 
 def read_digraph(fh: TextIO) -> Digraph:

@@ -289,12 +289,9 @@ def assemble_rotation(fam: DartFamily) -> RotationSystem:
     succ = _passages(fam)
     lead, rank, cyclic = _walk(succ, index)
     if cyclic.any():
-        a = int(cyclic.argmax())
-        length, b = 1, int(succ[a])
-        while b != a:
-            length, b = length + 1, int(succ[b])
+        cyc = _cycles(fam)[0]
         raise ValidationError(
-            f"family has a blossom at vertex {int(index.tail[a])} (length {length})")
+            f"family has a blossom at vertex {int(index.tail[cyc[0]])} (length {len(cyc)})")
     # Each temporary is dropped once used: assembly sets the traced peak
     # of a sparse estimate. Each chain is keyed by its least dart, which
     # lies in its vertex's block.

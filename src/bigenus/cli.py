@@ -241,11 +241,11 @@ def _error_row(cell, exc: Exception) -> list[str]:
                                     datetime.now(timezone.utc).isoformat(timespec="seconds")]
 
 
-def _pool_rows(todo: list, workers: int):
-    """The rows of the cells in todo from a pool of `workers` processes,
-    in cell order until a worker dies and breaks the pool. The rows of
-    the cells that finished are still yielded, and each other cell runs
-    again in a pool of one, where a dying worker gives it an `error` row."""
+def _pool_rows(todo: list, workers: int, tries: int = 2):
+    """The rows of the cells in todo, in cell order, from a pool of
+    `workers` processes. When a dying worker breaks the pool, the cells
+    left without a row run again together in one fresh pool; those a
+    second break leaves run alone, where a dying worker gives an `error` row."""
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_experiment_cell, cell) for cell in todo]
         for k, future in enumerate(futures):
@@ -255,13 +255,15 @@ def _pool_rows(todo: list, workers: int):
         else:
             return
     # the pool is shut down, so every future left holds a row or the break
-    for cell, future in zip(todo[k:], futures[k:]):
-        if future.exception() is None:
-            yield future.result()
-        elif workers > 1:
-            yield from _pool_rows([cell], 1)
-        else:
-            yield _error_row(cell, future.exception())
+    lost = [(cell, f.exception()) for cell, f in zip(todo[k:], futures[k:]) if f.exception()]
+    if tries > 1:
+        again = _pool_rows([cell for cell, _ in lost], workers, tries - 1)
+    elif workers > 1:
+        again = (row for cell, _ in lost for row in _pool_rows([cell], 1, 1))
+    else:
+        again = (_error_row(cell, exc) for cell, exc in lost)
+    for future in futures[k:]:
+        yield next(again) if future.exception() else future.result()
 
 
 def _resume(path: str) -> tuple[set[tuple[str, ...]], bool]:

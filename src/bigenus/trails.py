@@ -64,7 +64,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, Digraph, distinct, run_ends
+from .bigraph import BipartiteGraph, Digraph, distinct, pair_keys, run_ends
 from .embedding import arc_index
 from .errors import GuardError, InternalConsistencyError, ValidationError
 
@@ -648,7 +648,7 @@ def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:
     # the darts of g are both arcs of every edge in (tail, head) order,
     # and an edge is named by the lesser of its two darts
     index = arc_index(g)
-    d = Digraph._from_sorted(g.n_vertices, index.tail, index.head)
+    d = Digraph._of_keys(g.n_vertices, pair_keys(index.tail, index.head, g.n_vertices))
     edge = np.minimum(np.arange(len(index.rev), dtype=np.int32), index.rev)
     total = 0
     for block in _trail_blocks(d, length):

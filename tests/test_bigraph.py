@@ -338,12 +338,33 @@ def test_orientation_matches_tuple_reference():
 
 def test_array_storage_validation_and_views():
     # arcs and edges kept in arrays keep the messages of the tuple checks
+    # and name the least bad arc, whatever the input order
     for arcs, message in (([(0, 1), (1, 1)], "loop arc at 1"),
+                          ([(2, 2), (1, 1)], "loop arc at 1"),
                           ([(0, 1), (0, 3)], r"arc \(0,3\) out of range"),
+                          ([(2, 5), (0, 1), (1, 3)], r"arc \(1,3\) out of range"),
                           ([(-1, 0)], r"arc \(-1,0\) out of range"),
-                          ([(1, 2), (0, 1), (1, 2)], r"duplicate arc \(1,2\)")):
+                          ([(1, 2), (0, 1), (1, 2)], r"duplicate arc \(1,2\)"),
+                          ([(2, 1), (2, 1), (1, 0), (1, 0)], r"duplicate arc \(1,0\)")):
         with pytest.raises(ValidationError, match=message):
             Digraph(3, arcs)
+    # labels that are not integers are refused, never truncated
+    for bad in ([(0.5, 1.7)], [(1.9, 2.2)], [(0, 1.0)], np.array([[0.0, 2.0]]),
+                [("0", "2")], np.array([["0", "2"]]), [(object(), 2)],
+                np.array([[0, object()]], dtype=object)):
+        for make in (lambda: Graph(3, bad), lambda: BipartiteGraph(2, 2, bad),
+                     lambda: Digraph(3, bad)):
+            with pytest.raises(ValidationError, match="labels must be integers"):
+                make()
+    for make, what in ((lambda p: Graph(3, p), "edge"), (lambda p: Digraph(3, p), "arc")):
+        for pairs in ([(2 ** 70, 1)], [(2 ** 63, 1)], [(-2 ** 63 - 1, 0)]):
+            with pytest.raises(ValidationError, match=f"^{what} label out of range"):
+                make(pairs)
+        for pairs in ([(0, 1), (2,)], [(0, 1, 2)], np.zeros((2, 3), dtype=np.int32)):
+            with pytest.raises(ValidationError, match=f"^{what}s must be pairs of vertices"):
+                make(pairs)
+    # Python ints held in an object array are integers
+    assert Graph(3, np.array([[2, 0]], dtype=object)) == Graph(3, [(0, 2)])
     for make in (lambda: Digraph(-3, []), lambda: Graph(-1, [])):
         with pytest.raises(ValidationError, match="vertex count must be nonnegative"):
             make()
@@ -372,10 +393,21 @@ def test_array_storage_validation_and_views():
     same = Digraph(d.n, reversed(arc_tuples(d)))
     assert same == d and hash(same) == hash(d) and {d: 1}[same] == 1
     assert Digraph(d.n + 1, arc_tuples(d)) != d
-    buf = io.StringIO()
-    write_digraph(d, buf)
-    buf.seek(0)
-    assert read_digraph(buf) == d
+    big = orient_randomly(gen_random_bipartite(GenParams(2000, 2000, 0.005, seed=0)), 0)
+    for orientation in (d, big):
+        buf = io.StringIO()
+        write_digraph(orientation, buf)
+        buf.seek(0)
+        back = read_digraph(buf)
+        assert back == orientation and back.tail.dtype == back.head.dtype == np.int32
+    assert big.n_arcs > 19000
+    # an (m, 2) array of any integer dtype, in any order, gives the
+    # digraph of the same arcs as tuples
+    rng = random.Random(4)
+    for dtype in (np.int32, np.int64, np.uint16):
+        shuffled = rng.sample(arcs, len(arcs))
+        assert Digraph(d.n, np.array(shuffled, dtype=dtype)) == Digraph(d.n, shuffled) == d
+    assert Digraph(d.n, np.empty((0, 2), dtype=np.int32)) == Digraph(d.n, []) != d
 
 
 def test_induced_subgraph_equals_loop_reference():

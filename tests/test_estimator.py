@@ -16,7 +16,8 @@ from bigenus.bigraph import (BipartiteGraph, GenParams, Graph, degree_class_part
                              gen_random_bipartite, induced_subgraph, path_graph)
 from bigenus.blossom import DartFamily
 from bigenus.errors import BudgetExceededError, GuardError, ValidationError
-from bigenus.oracle import SearchBudget, exact_genus, small_part_exact_genus
+from bigenus.oracle import (SearchBudget, exact_genus, genus_formula_reference,
+                           small_part_exact_genus)
 from bigenus import estimator
 from bigenus.estimator import (PipelineConfig, _core_components, _euler_ceil, _psi_ratio,
                                _refined_ceil, estimate_genus, euler_lower_bound,
@@ -174,6 +175,33 @@ def test_euler_lower_bound_values():
     two = Graph(12, list(edge_tuples(complete_bipartite_graph(3, 3)))
                 + [(u + 6, v + 6) for (u, v) in edge_tuples(complete_bipartite_graph(3, 3))])
     assert euler_lower_bound(two) == 2
+
+
+def test_euler_lower_bound_meets_known_genera():
+    # Ringel 1965 for K_{m,n}; Ringel 1955 and Beineke & Harary 1965 for
+    # the hypercube Q_d; C_a x C_b with a, b >= 4 even quadrangulates the
+    # torus. Each attains the Euler bound of a bipartite graph, so that
+    # bound is its genus, and no estimate may report an upper bound below.
+    def cube(d):
+        return Graph(2 ** d, [(v, v | 1 << k) for v in range(2 ** d) for k in range(d)
+                              if not v >> k & 1])
+
+    def torus(a, b):
+        return Graph(a * b, [(i * b + j, w) for i in range(a) for j in range(b)
+                             for w in ((i + 1) % a * b + j, i * b + (j + 1) % b)])
+
+    for m in range(1, 13):
+        for n in range(1, 13):
+            assert (euler_lower_bound(complete_bipartite_graph(m, n))
+                    == genus_formula_reference("complete_bipartite", m, n))
+    known = [(cube(d), max(0, 1 + (d - 4) * 2 ** d // 8)) for d in range(2, 9)]
+    assert [genus for _, genus in known] == [0, 0, 1, 5, 17, 49, 129]
+    known += [(torus(a, b), 1) for a, b in ((4, 4), (4, 6), (8, 8))]
+    for k, (g, genus) in enumerate(known):
+        assert euler_lower_bound(g) == genus
+        if k >= 2:
+            for seed in range(3):
+                assert estimate_genus(g, 1, PipelineConfig(seed=seed)).upper >= genus
 
 
 def test_lower_bound_ceilings_equal_exact_rationals():
