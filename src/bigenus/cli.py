@@ -217,8 +217,9 @@ def _cell_key(cell) -> tuple[str, ...]:
             str(params.seed))
 
 
-def _experiment_cell(cell) -> list[str]:
-    """The CSV row of one cell; any exception becomes an `error` row."""
+def _experiment_cell(cell) -> tuple[list[str], str]:
+    """The CSV row of one cell and its report, empty when the cell
+    succeeded; any exception becomes an `error` row."""
     params, i = cell
     try:
         g = gen_random_bipartite(params)
@@ -228,24 +229,27 @@ def _experiment_cell(cell) -> list[str]:
     except Exception as exc:
         return _error_row(cell, exc)
     row.append(datetime.now(timezone.utc).isoformat(timespec="seconds"))
-    return row
+    return row, ""
 
 
-def _error_row(cell, exc: Exception) -> list[str]:
-    """The `error` row of a cell that failed with exc, which is reported."""
-    print(f"cell ({','.join(_cell_key(cell))}) failed: {type(exc).__name__}: {exc}",
-          file=sys.stderr)
+def _error_row(cell, exc: Exception) -> tuple[list[str], str]:
+    """The `error` row of a cell that failed with exc, and its report:
+    one line naming the exception, then its traceback unless it is a
+    refusal."""
+    key = _cell_key(cell)
+    report = f"cell ({','.join(key)}) failed: {type(exc).__name__}: {exc}"
     if not isinstance(exc, (GuardError, ValidationError)):
-        traceback.print_exception(exc)
-    return list(_cell_key(cell)) + ["", "", "", "", "", "", "error",
-                                    datetime.now(timezone.utc).isoformat(timespec="seconds")]
+        report += "\n" + "".join(traceback.format_exception(exc)).rstrip("\n")
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return list(key) + ["", "", "", "", "", "", "error", stamp], report
 
 
 def _pool_rows(todo: list, workers: int, tries: int = 2):
-    """The rows of the cells in todo, in cell order, from a pool of
-    `workers` processes. When a dying worker breaks the pool, the cells
+    """The (row, report) of each cell in todo, in cell order, from a pool
+    of `workers` processes. When a dying worker breaks the pool, the cells
     left without a row run again together in one fresh pool; those a
-    second break leaves run alone, where a dying worker gives an `error` row."""
+    second break leaves run alone, each in a pool of one, where a dying
+    worker gives its cell an `error` row."""
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_experiment_cell, cell) for cell in todo]
         for k, future in enumerate(futures):
@@ -258,8 +262,8 @@ def _pool_rows(todo: list, workers: int, tries: int = 2):
     lost = [(cell, f.exception()) for cell, f in zip(todo[k:], futures[k:]) if f.exception()]
     if tries > 1:
         again = _pool_rows([cell for cell, _ in lost], workers, tries - 1)
-    elif workers > 1:
-        again = (row for cell, _ in lost for row in _pool_rows([cell], 1, 1))
+    elif tries == 1:
+        again = (row for cell, _ in lost for row in _pool_rows([cell], 1, 0))
     else:
         again = (_error_row(cell, exc) for cell, exc in lost)
     for future in futures[k:]:
@@ -362,8 +366,9 @@ def cmd_experiment(args) -> int:
         if header_needed:
             fh.write(SCHEMA_LINE + "\n")
             fh.write(",".join(EXPERIMENT_COLUMNS) + "\n")
-        rows = _pool_rows(todo, workers) if workers > 1 else map(_experiment_cell, todo)
-        for row in rows:
+        for row, report in _pool_rows(todo, workers):
+            if report:
+                print(report, file=sys.stderr)
             fh.write(",".join(row) + "\n")
             fh.flush()
     print(f"wrote {len(todo)} rows to {out}", file=sys.stderr)

@@ -438,26 +438,15 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
 
 @dataclass(frozen=True)
 class ReducedGraph:
-    n2: int
     y_support: tuple[int, ...]
     multiplicity: dict[tuple[int, int], int]
     kept_x: tuple[int, ...]
     kept_neighbors: tuple[tuple[int, ...], ...]
-    deleted_x: tuple[int, ...]
-    collapsed_x: tuple[int, ...]
 
     @property
     def is_complete_on_support(self) -> bool:
         m = len(self.y_support)
         return len(self.multiplicity) == m * (m - 1) // 2
-
-    @property
-    def max_x_degree(self) -> int:
-        if self.kept_neighbors:
-            return max(len(nbrs) for nbrs in self.kept_neighbors)
-        if self.multiplicity:
-            return 2
-        return 1 if self.deleted_x else 0
 
     def simple_graph(self) -> Graph:
         """The genus-equivalent simple graph: the support Y-vertices
@@ -497,12 +486,4 @@ def reduce_small_part(g: BipartiteGraph) -> ReducedGraph:
         support.add(y2)
     for nbrs in kept_nbrs:
         support.update(nbrs)
-    return ReducedGraph(
-        n2=g.n2,
-        y_support=tuple(sorted(support)),
-        multiplicity=mult,
-        kept_x=tuple(kept),
-        kept_neighbors=tuple(kept_nbrs),
-        deleted_x=tuple(np.flatnonzero(degree <= 1).tolist()),
-        collapsed_x=tuple(collapsed.tolist()),
-    )
+    return ReducedGraph(tuple(sorted(support)), mult, tuple(kept), tuple(kept_nbrs))

@@ -206,25 +206,26 @@ def _search(g, budget: SearchBudget, seed: int, climb: bool, scan: bool
     bounds, the summed genera found and, per component, its vertices
     in g and its engine, left at the rotation that realises its genus.
 
-    A scan refuses (never guesses) when prod_v (deg(v)-1)! exceeds the
-    system budget, before any search, or when the time budget runs
-    out."""
-    if scan and (need := rotation_system_count(g)) > budget.max_systems:
+    A scan refuses (never guesses) when some component's own
+    prod_v (deg(v)-1)! exceeds the system budget, before any search,
+    or when the time budget runs out."""
+    verts, a, b = g.local_edges()
+    label = component_labels(len(verts), a, b)
+    order = np.argsort(label, kind="stable")
+    # one run of vertices per label; splitting no vertices gives one empty run
+    runs = np.split(verts[order], np.flatnonzero(np.diff(label[order])) + 1)
+    subs = [(run, induced_subgraph(g, run)) for run in (runs if len(verts) else ())]
+    if scan and (need := max((rotation_system_count(sub) for _run, sub in subs),
+                             default=1)) > budget.max_systems:
         raise BudgetExceededError(
             f"{need} rotation systems exceed the budget of {budget.max_systems}")
     deadline = None
     if budget.max_seconds is not None:
         deadline = time.monotonic() + budget.max_seconds
     rng = random.Random(seed)
-    verts, a, b = g.local_edges()
-    label = component_labels(len(verts), a, b)
-    order = np.argsort(label, kind="stable")
-    # one run of vertices per label; splitting no vertices gives one empty run
-    runs = np.split(verts[order], np.flatnonzero(np.diff(label[order])) + 1)
     lower = total = 0
     components = []
-    for run in runs if len(verts) else ():
-        sub = induced_subgraph(g, run)
+    for run, sub in subs:
         eng = _Engine(sub)
         lb = euler_lower_bound(sub)
         best = None
@@ -245,10 +246,11 @@ def minimum_genus_rotation(g, budget: SearchBudget | None = None,
     """Exact minimum genus together with a witness rotation system of g,
     which lists sorted neighbours where nothing was searched.
 
-    Refuses (never guesses) when prod_v (deg(v)-1)! exceeds the system
-    budget or the time budget runs out. With shortcut enabled, a
-    component whose hill-climb result meets its Euler lower bound skips
-    enumeration; the result is exact either way.
+    Refuses (never guesses) when some connected component's own
+    prod_v (deg(v)-1)! exceeds the system budget, or when the time
+    budget runs out. With shortcut enabled, a component whose
+    hill-climb result meets its Euler lower bound skips enumeration;
+    the result is exact either way.
     """
     _lower, genus, components = _search(g, budget or SearchBudget(), 0, climb=shortcut,
                                         scan=True)
@@ -262,7 +264,8 @@ def minimum_genus_rotation(g, budget: SearchBudget | None = None,
 
 def exact_genus(g, budget: SearchBudget | None = None, shortcut: bool = True) -> int:
     """Exact minimum genus over all rotation systems, with no witness;
-    see minimum_genus_rotation for the search and refusal rules."""
+    see minimum_genus_rotation for the search and the per-component
+    refusal rules."""
     return _search(g, budget or SearchBudget(), 0, climb=shortcut, scan=True)[1]
 
 

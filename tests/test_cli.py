@@ -1,11 +1,13 @@
 import hashlib
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from bigenus import cli, trails
+from bigenus import cli
 from bigenus.cli import EXPERIMENT_KEYS, main, parse_config, parse_p
 from bigenus.errors import ValidationError
 
@@ -230,7 +232,7 @@ def test_experiment_and_resume(tmp_path, capsys):
 
 
 def test_experiment_runs_an_i2_cell(tmp_path, capsys):
-    # one in-process cell at i = 2, where the trails have 6 arcs
+    # one cell at i = 2, where the trails have 6 arcs
     cfg, out = tmp_path / "e.cfg", tmp_path / "e.csv"
     cfg.write_text(f"n1 = 16\nn2 = 12\np = 0.5\ni = 2\nout = {out}\n")
     assert main(["experiment", "--config", str(cfg)]) == 0
@@ -238,23 +240,25 @@ def test_experiment_runs_an_i2_cell(tmp_path, capsys):
     assert row.split(",")[-2] != "error", capsys.readouterr().err
 
 
-def test_experiment_error_rows(tmp_path, capsys, monkeypatch):
-    # G(40, 3, 0.5) seed 0 has 24 closed 4-trails, G(6, 3, 0.5) none
-    monkeypatch.setattr(trails, "MAX_TRAILS", 10)
+def test_experiment_error_rows(tmp_path, capsys):
+    # G(20, 20, 0.5) at i = 4 is refused by the count guard on its
+    # closed 8-trails, and G(20, 3, 0.5) estimates
     cfg = tmp_path / "e.cfg"
     out = tmp_path / "e.csv"
-    cfg.write_text(f"n1 = 6,40\nn2 = 3\np = 0.5\nout = {out}\n")
+    cfg.write_text(f"n1 = 20\nn2 = 3,20\np = 0.5\ni = 4\nout = {out}\n")
     assert main(["experiment", "--config", str(cfg)]) == 0
     err = capsys.readouterr().err
     # a refusal is one line; only a fault prints its traceback
-    assert "cell (40,3,0.5,1,0) failed: GuardError: closed 4-trails exceed" in err
+    assert ("cell (20,20,0.5,4,0) failed: GuardError: "
+            "closed-trail count of length 8 too expensive here") in err
     assert "Traceback" not in err
     rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
-    by_n1 = {r[0]: r for r in rows}
-    assert by_n1["40"][-2] == "error"
-    assert by_n1["6"][-2] != "error"
+    assert [r[1] for r in rows] == ["3", "20"]
+    assert rows[0][-2] != "error" and rows[1][-2] == "error"
 
 
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="the workers inherit the patched estimator only when forked")
 def test_experiment_survives_a_failing_cell(tmp_path, capsys, monkeypatch):
     # a fault in one cell, not only a refusal, becomes an error row
     # naming the exception class; the other cells are still written
@@ -312,6 +316,32 @@ def test_experiment_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
     # an error row counts as done when the sweep is resumed
     assert main(["experiment", "--config", str(cfg)]) == 0
     assert "todo=0" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="the workers inherit the patched generator only when forked")
+def test_experiment_survives_a_dead_worker_at_one_worker(tmp_path):
+    # In a pool of one, the cells queued behind a dying worker run again
+    # and get their rows; only the dying cell gets an error row. The
+    # sweep runs in a subprocess, so a dying worker that ended the sweep
+    # would fail this test, not end the test run.
+    cfg, out = tmp_path / "e.cfg", tmp_path / "e.csv"
+    cfg.write_text(f"n1 = 20\nn2 = 20\np = 0.2\ntrials = 4\nworkers = 1\nout = {out}\n")
+    code = ("import os, sys\n"
+            "from bigenus import cli\n"
+            "generate = cli.gen_random_bipartite\n"
+            "cli.gen_random_bipartite = (\n"
+            "    lambda params: os._exit(9) if params.seed == 1 else generate(params))\n"
+            "sys.exit(cli.main(['experiment', '--config', sys.argv[1]]))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "cell (20,20,0.2,1,1) failed: BrokenProcessPool" in proc.stderr
+    rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
+    assert [r[4] for r in rows] == ["0", "1", "2", "3"]
+    assert all(len(r) == 13 and (r[11] == "error") == (r[4] == "1") for r in rows)
 
 
 def test_experiment_refuses_invalid_grid_cell(tmp_path, capsys):

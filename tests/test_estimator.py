@@ -612,7 +612,6 @@ def test_reduce_small_part_complete_patterns():
     r = reduce_small_part(_pair_cover_graph(5))
     assert r.kept_x == ()
     assert r.is_complete_on_support
-    assert r.max_x_degree == 2
     assert small_part_exact_genus(r) == (1, 1)
 
     assert small_part_exact_genus(reduce_small_part(_pair_cover_graph(4))) == (0, 0)
@@ -630,7 +629,7 @@ def test_reduce_small_part_rejects():
     edges += [(10, 11 + y) for y in range(3)]  # one degree-3 X-vertex
     spiked = BipartiteGraph(11, 5, edges)
     r = reduce_small_part(spiked)
-    assert r.kept_x == (10,) and r.max_x_degree == 3
+    assert r.kept_x == (10,)
     assert small_part_exact_genus(r) == (1, 1)
 
     incomplete = BipartiteGraph(2, 3, [(0, 2), (0, 3), (1, 2), (1, 4)])
@@ -666,8 +665,6 @@ def test_small_part_reads_the_csr():
         r, classes = reduce_small_part(g), degree_class_partition(g)
         assert "_adj" not in vars(g)
         nbrs = [g.neighbors(x) for x in range(g.n1)]
-        assert r.deleted_x == tuple(x for x, ns in enumerate(nbrs) if len(ns) <= 1)
-        assert r.collapsed_x == tuple(x for x, ns in enumerate(nbrs) if len(ns) == 2)
         assert r.kept_x == tuple(x for x, ns in enumerate(nbrs) if len(ns) >= 3)
         assert r.kept_neighbors == tuple(ns for ns in nbrs if len(ns) >= 3)
         assert list(r.multiplicity.items()) == list(
@@ -688,7 +685,7 @@ def test_small_part_kept_x_routes():
     # K5 plus a vertex on four of its vertices: a subgraph of K6
     r = reduce_small_part(BipartiteGraph(
         13, 5, cover + [(10, 13 + y) for y in (0, 1, 2, 3)]))
-    assert r.kept_x == (10,) and r.max_x_degree == 4
+    assert r.kept_x == (10,)
     h = r.simple_graph()
     assert (h.n_vertices, h.n_edges) == (6, 14)
     assert h.neighbors(5) == (0, 1, 2, 3)
@@ -698,6 +695,6 @@ def test_small_part_kept_x_routes():
     edges = cover + [(10 + k, 13 + y) for k, nbrs in
                      enumerate(((1, 2, 4), (1, 2, 3), (0, 2, 3))) for y in nbrs]
     r = reduce_small_part(BipartiteGraph(13, 5, edges))
-    assert r.kept_x == (10, 11, 12) and r.max_x_degree == 3
+    assert r.kept_x == (10, 11, 12)
     assert small_part_exact_genus(r) == (1, None)
 

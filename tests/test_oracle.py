@@ -64,6 +64,28 @@ def test_budget_refusal():
     assert g == 1
 
 
+def test_system_budget_is_per_component(monkeypatch):
+    # four disjoint K_{3,3} have 64 systems each and 64^4 = 16,777,216
+    # together, past the default budget, which holds each component
+    k33 = list(edge_tuples(complete_bipartite_graph(3, 3)))
+    g = Graph(24, [(a + 6 * c, b + 6 * c) for c in range(4) for a, b in k33])
+    assert rotation_system_count(g) > SearchBudget().max_systems
+    assert exact_genus(g) == 4
+    genus, rot = minimum_genus_rotation(g)
+    assert genus == genus_of_embedding(rot) == 4
+
+    # a component past the budget is refused before any component is searched
+    def searched(sub):
+        raise AssertionError("searched a graph past the system budget")
+
+    monkeypatch.setattr(oracle, "_Engine", searched)
+    k6 = [(a + 6, b + 6) for a, b in edge_tuples(complete_graph(6))]
+    for h in (complete_graph(6), Graph(12, k33 + k6)):
+        for search in (exact_genus, minimum_genus_rotation):
+            with pytest.raises(BudgetExceededError, match="^191102976 rotation systems"):
+                search(h)
+
+
 def test_timeout_refusal():
     budget = SearchBudget(max_systems=2 * 10 ** 6, max_seconds=0.05)
     with pytest.raises(BudgetExceededError):
