@@ -244,30 +244,32 @@ def _error_row(cell, exc: Exception) -> tuple[list[str], str]:
     return list(key) + ["", "", "", "", "", "", "error", stamp], report
 
 
-def _pool_rows(todo: list, workers: int, tries: int = 2):
+def _pool_rows(todo: list, workers: int):
     """The (row, report) of each cell in todo, in cell order, from a pool
-    of `workers` processes. When a dying worker breaks the pool, the cells
-    left without a row run again together in one fresh pool; those a
-    second break leaves run alone, each in a pool of one, where a dying
-    worker gives its cell an `error` row."""
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_experiment_cell, cell) for cell in todo]
-        for k, future in enumerate(futures):
-            if future.exception() is not None:
-                break
-            yield future.result()
-        else:
-            return
-    # the pool is shut down, so every future left holds a row or the break
-    lost = [(cell, f.exception()) for cell, f in zip(todo[k:], futures[k:]) if f.exception()]
-    if tries > 1:
-        again = _pool_rows([cell for cell, _ in lost], workers, tries - 1)
-    elif tries == 1:
-        again = (row for cell, _ in lost for row in _pool_rows([cell], 1, 0))
-    else:
-        again = (_error_row(cell, exc) for cell, exc in lost)
-    for future in futures[k:]:
-        yield next(again) if future.exception() else future.result()
+    of `workers` processes. A dying worker breaks the pool: the finished
+    rows are kept, the first cell without a row runs alone in a pool of
+    one, where a dying worker gives it an `error` row, and a fresh pool
+    takes the rest. Closing the generator cancels the unstarted cells."""
+    done, k = {}, 0  # done: the rows that finished in a broken pool
+    while k < len(todo):
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            futures = {j: pool.submit(_experiment_cell, todo[j])
+                       for j in range(k, len(todo)) if j not in done}
+            for k in range(k, len(todo)):
+                if k in futures and futures[k].exception():
+                    break
+                yield done.pop(k) if k in done else futures.pop(k).result()
+            else:
+                return
+        finally:
+            pool.shutdown(cancel_futures=True)  # settles or cancels every future
+        done.update((j, f.result()) for j, f in futures.items()  # the cells after k
+                    if not f.cancelled() and not f.exception())
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(_experiment_cell, todo[k])
+        yield _error_row(todo[k], exc) if (exc := future.exception()) else future.result()
+        k += 1
 
 
 def _resume(path: str) -> tuple[set[tuple[str, ...]], bool]:
@@ -426,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar=("M", "N"))
     sub.add_argument("--method", choices=("exact", "pincer"), default="exact")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-systems", type=int, default=10_000_000)
-    sub.add_argument("--restarts", type=int, default=64)
+    sub.add_argument("--max-systems", type=int, default=SearchBudget.max_systems)
+    sub.add_argument("--restarts", type=int, default=SearchBudget.restarts)
     sub.add_argument("--witness", default=None,
                      help="write a minimum-genus rotation system here "
                           "(--method exact only)")

@@ -3,11 +3,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from bigenus import cli
+from bigenus.bigraph import GenParams
 from bigenus.cli import EXPERIMENT_KEYS, main, parse_config, parse_p
 from bigenus.errors import ValidationError
 
@@ -284,19 +286,16 @@ def test_experiment_survives_a_failing_cell(tmp_path, capsys, monkeypatch):
     assert all(r[11] != "error" for k, r in rows.items() if k != failed)
 
 
-@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
-                    reason="the workers inherit the patched generator only when forked")
-def test_experiment_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
-    # the seed-1 cell's worker dies, which breaks the pool: the finished
-    # rows are kept, the cells left without a row run again together in
-    # a fresh pool of both workers, and seed 1, whose worker dies there
-    # too and again when it runs alone, gets an error row
+def _kill_seed_1(monkeypatch, die=lambda: os._exit(9)) -> list[int]:
+    """Make the worker of every seed-1 cell call die, by default exiting,
+    and return the list that records the size of each process pool the
+    sweep opens."""
     generate, pool = cli.gen_random_bipartite, cli.ProcessPoolExecutor
     sizes = []
 
     def dying(params):
         if params.seed == 1:
-            os._exit(9)
+            die()
         return generate(params)
 
     def recording(max_workers):
@@ -305,6 +304,19 @@ def test_experiment_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "gen_random_bipartite", dying)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", recording)
+    return sizes
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="the workers inherit the patched generator only when forked")
+def test_experiment_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
+    # the seed-1 cell's worker dies, which breaks the pool: the finished
+    # rows are kept, the first cell left without a row runs alone in a
+    # pool of one, and a fresh pool of both workers takes the cells after
+    # it. Seed 1 gets an error row when its worker dies alone. The pools
+    # are [2, 1, 2] when seed 0 finished before the break, else seed 0
+    # runs alone first and they are [2, 1, 2, 1, 2].
+    sizes = _kill_seed_1(monkeypatch)
     cfg, out = tmp_path / "e.cfg", tmp_path / "e.csv"
     cfg.write_text(f"n1 = 20\nn2 = 20\np = 0.2\ntrials = 4\nworkers = 2\nout = {out}\n")
     assert main(["experiment", "--config", str(cfg)]) == 0
@@ -312,10 +324,54 @@ def test_experiment_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
     rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
     assert [r[4] for r in rows] == ["0", "1", "2", "3"]
     assert all(len(r) == 13 and (r[11] == "error") == (r[4] == "1") for r in rows)
-    assert sizes[:2] == [2, 2] and sizes[-1] == 1
+    assert sizes[:2] == [2, 1] and len(sizes) <= 5 and sizes.count(1) <= 2, sizes
     # an error row counts as done when the sweep is resumed
     assert main(["experiment", "--config", str(cfg)]) == 0
     assert "todo=0" in capsys.readouterr().err
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="the workers inherit the patched generator only when forked")
+@pytest.mark.parametrize("die, failure", [(lambda: os._exit(9), "BrokenProcessPool"),
+                                          (_interrupt, "KeyboardInterrupt")],
+                         ids=["exit", "interrupt"])
+def test_dead_worker_leaves_one_pool_for_the_rest(tmp_path, capsys, monkeypatch, die, failure):
+    # at one worker the failing seed-1 cell runs alone once, and the four
+    # cells after it share one fresh pool instead of a pool each. An
+    # interrupt in the worker alone leaves the pool whole, so shutting it
+    # down cancels the queued cells, which the fresh pool runs.
+    sizes = _kill_seed_1(monkeypatch, die)
+    cfg, out = tmp_path / "e.cfg", tmp_path / "e.csv"
+    cfg.write_text(f"n1 = 20\nn2 = 20\np = 0.2\ntrials = 6\nworkers = 1\nout = {out}\n")
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert f"cell (20,20,0.2,1,1) failed: {failure}" in capsys.readouterr().err
+    rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
+    assert [r[4] for r in rows] == ["0", "1", "2", "3", "4", "5"]
+    assert all(len(r) == 13 and (r[11] == "error") == (r[4] == "1") for r in rows)
+    assert sizes == [1, 1, 1]
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="the workers inherit the patched generator only when forked")
+def test_closed_sweep_starts_no_queued_cell(tmp_path, monkeypatch):
+    # a sweep that stops taking rows, as an interrupted one does, cancels
+    # the cells that have not started instead of computing them all
+    generate = cli.gen_random_bipartite
+
+    def marking(params):
+        (tmp_path / f"started-{params.seed}").touch()
+        time.sleep(0.2)
+        return generate(params)
+
+    monkeypatch.setattr(cli, "gen_random_bipartite", marking)
+    rows = cli._pool_rows([(GenParams(20, 20, 0.2, seed=s), 1) for s in range(8)], 1)
+    assert next(rows)[0][4] == "0"
+    rows.close()
+    assert len(list(tmp_path.glob("started-*"))) < 8
 
 
 @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
