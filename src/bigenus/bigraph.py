@@ -26,10 +26,9 @@ for entropy a seeded stream never asks for.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -322,7 +321,7 @@ class Graph:
     is (u[k], v[k]). Adjacency is CSR, two int32 arrays: the neighbours
     of vertex w are nbrs[first[w]:first[w + 1]], ascending. A graph holds
     4(n + 1) bytes plus 16 per edge and no Python object per edge or
-    vertex; neighbors(w) builds its tuples when first read.
+    vertex; neighbors(w) builds its tuple from the CSR on each call.
 
     The edges may come in any order and either orientation, as pairs or
     as an (m, 2) integer array. They are checked in their own dtype,
@@ -377,15 +376,6 @@ class Graph:
         self.first[key[last] + 1] = last + 1
         np.maximum.accumulate(self.first, out=self.first)
 
-    @functools.cached_property
-    def _adj(self) -> list[tuple[int, ...]]:
-        """neighbors(w) for every w; isolated vertices share one empty tuple."""
-        adj: list[tuple[int, ...]] = [()] * self.n
-        nbrs, first = self.nbrs.tolist(), self.first.tolist()
-        for w in self._linked().tolist():
-            adj[w] = tuple(nbrs[first[w]:first[w + 1]])
-        return adj
-
     def local_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(verts, a, b): the vertices that have an edge, ascending, and
         every edge as (a[k], b[k]) with vertex verts[j] relabelled j.
@@ -431,7 +421,7 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return self._adj[v]
+        return tuple(self.nbrs[self.first[v]:self.first[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -524,12 +514,6 @@ class Digraph:
     @property
     def n_arcs(self) -> int:
         return len(self.tail)
-
-    def is_orientation(self) -> bool:
-        key = pair_keys(self.tail, self.head, self.n)
-        back = pair_keys(self.head, self.tail, self.n)
-        pos = np.minimum(np.searchsorted(key, back), len(key) - 1)
-        return not len(key) or not (key[pos] == back).any()
 
     def reverse(self) -> "Digraph":
         return Digraph._of_keys(self.n, pair_keys(self.head, self.tail, self.n))
@@ -696,35 +680,13 @@ def path_graph(n: int) -> Graph:
 
 
 def is_bipartite(g) -> bool:
-    return isinstance(g, BipartiteGraph) or _sides(g) is not None
-
-
-def _sides(g: Graph) -> tuple[np.ndarray, np.ndarray] | None:
-    """(verts, side): the vertices that have an edge, ascending, and the
-    side of each, False or True; None when g has an odd cycle. One
-    labelling of the bipartite double cover, where edge (a, b) joins a
-    to b + k and a + k to b, decides both: a vertex v and its copy v + k
-    are joined exactly when an odd cycle reaches v. Otherwise the least
-    vertex of a component and the vertices at even distance from it
-    carry the lesser of the two labels, so side(v) is
-    label[v] > label[v + k]."""
+    """Whether g has no odd cycle: a BipartiteGraph by its parts, any
+    other graph by one labelling of its bipartite double cover, where
+    edge (a, b) joins a to b + k and a + k to b. A vertex v and its copy
+    v + k get one label exactly when an odd cycle reaches v."""
+    if isinstance(g, BipartiteGraph):
+        return True
     verts, a, b = g.local_edges()
     k = len(verts)
     label = component_labels(2 * k, np.concatenate((a, a + k)), np.concatenate((b + k, b)))
-    own, copy = label[:k], label[k:]
-    return None if (own == copy).any() else (verts, own > copy)
-
-
-def two_coloring(g) -> tuple[Sequence[int], Sequence[int]] | None:
-    """A proper 2-coloring (side0, side1) of the vertex set, or None.
-    A BipartiteGraph answers with its X and Y ranges; otherwise the
-    least vertex of every component, isolated ones included, is on
-    side 0."""
-    if isinstance(g, BipartiteGraph):
-        return range(g.n1), range(g.n1, g.n)
-    sides = _sides(g)
-    if sides is None:
-        return None
-    color = np.zeros(g.n_vertices, dtype=np.int8)
-    color[sides[0]] = sides[1]
-    return tuple(np.flatnonzero(color == 0).tolist()), tuple(np.flatnonzero(color).tolist())
+    return not (label[:k] == label[k:]).any()

@@ -276,14 +276,14 @@ def assemble_rotation(fam: DartFamily) -> RotationSystem:
     u in the order at v; that is checked for every passage before
     returning.
 
-    The order is written as dart successors over the family's
+    The order is written as one dart order seq over the family's
     arc_index(g), the one form of a RotationSystem. The chains are laid
     out in int32: each chain's length goes to its least dart, a cumsum
     turns the lengths into offsets, and the darts are sorted stably by
     offset plus rank in the chain. The chain cover is checked to list
-    every vertex's out-darts exactly once, so the rotation takes the
-    arrays through from_darts, unchecked. The rotation keeps the arc
-    index, the successors and that order (seq), nothing of the family.
+    every vertex's out-darts exactly once, so the rotation takes seq
+    through from_seq, unchecked. The rotation keeps the arc index and
+    seq, nothing of the family.
     """
     index = fam.index
     succ = _passages(fam)
@@ -322,4 +322,4 @@ def assemble_rotation(fam: DartFamily) -> RotationSystem:
         raise InternalConsistencyError(
             f"assembled order at vertex {v} does not realize a passage"
         )
-    return RotationSystem.from_darts(fam.graph, (index, nxt, seq))
+    return RotationSystem.from_seq(fam.graph, index, seq)

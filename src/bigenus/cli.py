@@ -14,7 +14,7 @@ import contextlib
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -22,8 +22,8 @@ from .bigraph import (Digraph, GenParams, check_seed, gen_random_bipartite,
                       orient_randomly, read_bipartite, read_digraph,
                       standard_graph, write_bipartite, write_digraph)
 from .errors import GuardError, ValidationError
-from .estimator import (CSV_COLUMNS, PipelineConfig, estimate_genus,
-                        prediction_for, regime_classify)
+from .estimator import (CELL_COLUMNS, CSV_COLUMNS, PipelineConfig, csv_key,
+                        estimate_genus, prediction_for, regime_classify)
 from .oracle import (SearchBudget, exact_genus, genus_formula_reference,
                      minimum_genus_rotation, pincer_genus)
 from .trails import (build_trail_hypergraph, find_matching, matching_report_to_text,
@@ -213,8 +213,7 @@ def cmd_predict(args) -> int:
 def _cell_key(cell) -> tuple[str, ...]:
     """(n1, n2, p, i, seed) as they are written to the CSV."""
     params, i = cell
-    return (str(params.n1), str(params.n2), f"{params.p:.10g}", str(i),
-            str(params.seed))
+    return tuple(csv_key(params.n1, params.n2, params.p, i, params.seed))
 
 
 def _experiment_cell(cell) -> tuple[list[str], str]:
@@ -241,7 +240,7 @@ def _error_row(cell, exc: Exception) -> tuple[list[str], str]:
     if not isinstance(exc, (GuardError, ValidationError)):
         report += "\n" + "".join(traceback.format_exception(exc)).rstrip("\n")
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return list(key) + ["", "", "", "", "", "", "error", stamp], report
+    return [*key] + [""] * (len(CSV_COLUMNS) - len(key) - 1) + ["error", stamp], report
 
 
 def _pool_rows(todo: list, workers: int):
@@ -254,18 +253,20 @@ def _pool_rows(todo: list, workers: int):
     while k < len(todo):
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = {j: pool.submit(_experiment_cell, todo[j])
-                       for j in range(k, len(todo)) if j not in done}
+            futures = {}
+            with contextlib.suppress(BrokenExecutor):  # a worker died as cells were queued
+                futures.update((j, pool.submit(_experiment_cell, todo[j]))
+                               for j in range(k, len(todo)) if j not in done)
             for k in range(k, len(todo)):
-                if k in futures and futures[k].exception():
+                if k not in done and (k not in futures or futures[k].exception()):
                     break
                 yield done.pop(k) if k in done else futures.pop(k).result()
             else:
                 return
         finally:
-            pool.shutdown(cancel_futures=True)  # settles or cancels every future
+            pool.shutdown(cancel_futures=True)  # a cell queued as it broke can stay pending
         done.update((j, f.result()) for j, f in futures.items()  # the cells after k
-                    if not f.cancelled() and not f.exception())
+                    if f.done() and not f.cancelled() and not f.exception())
         with ProcessPoolExecutor(max_workers=1) as pool:
             future = pool.submit(_experiment_cell, todo[k])
         yield _error_row(todo[k], exc) if (exc := future.exception()) else future.result()
@@ -273,7 +274,7 @@ def _pool_rows(todo: list, workers: int):
 
 
 def _resume(path: str) -> tuple[set[tuple[str, ...]], bool]:
-    """Keys (n1, n2, p, i, seed) of the complete rows already in the CSV
+    """Keys, the CELL_COLUMNS fields, of the complete rows already in the CSV
     at `path`, and whether it still needs its header lines.
 
     A last line without its newline is a row torn by an interrupted
@@ -293,7 +294,7 @@ def _resume(path: str) -> tuple[set[tuple[str, ...]], bool]:
     for line in data.decode().splitlines():
         parts = line.split(",")
         if len(parts) == len(EXPERIMENT_COLUMNS) and not line.startswith(("#", "n1,")):
-            keys.add(tuple(parts[:5]))
+            keys.add(tuple(parts[:len(CELL_COLUMNS)]))
     return keys, not data
 
 
@@ -347,7 +348,8 @@ def cmd_experiment(args) -> int:
     # behind that a resumed run would count as done.
     if min(i_vals) < 1:
         raise ValidationError(f"i must be >= 1, got {min(i_vals)}")
-    cells = []
+    # cells that write one key, as a repeated grid value does, are one cell
+    cells = {}
     for n1 in n1s:
         for n2 in n2s:
             for tok in p_tokens:
@@ -358,10 +360,11 @@ def cmd_experiment(args) -> int:
                         f"grid cell n1={n1} n2={n2} p={tok}: {exc}") from None
                 for i in i_vals:
                     for t in range(trials):
-                        cells.append((replace(params, seed=base_seed + t), i))
+                        cell = (replace(params, seed=base_seed + t), i)
+                        cells.setdefault(_cell_key(cell), cell)
 
     done, header_needed = _resume(out)
-    todo = [c for c in cells if _cell_key(c) not in done]
+    todo = [c for key, c in cells.items() if key not in done]
     print(f"cells={len(cells)} todo={len(todo)}", file=sys.stderr)
 
     with open(out, "a") as fh:

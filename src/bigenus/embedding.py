@@ -9,9 +9,10 @@ computed per connected component.
 
 A RotationSystem and a FaceSet each hold the graph they were built
 for, so trace_faces, genus_from_faces and genus_of_embedding take the
-object alone. A rotation has one form, dart successors over the
-arc_index of its graph; RotationSystem(g, order) checks and converts
-per-vertex neighbor orders into it once.
+object alone. A rotation has one form, a dart order seq over the
+arc_index of its graph, and a face set is its dart orbit and face
+lengths; RotationSystem(g, order) checks and converts per-vertex
+neighbor orders into seq once.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import functools
 import itertools
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -45,23 +47,18 @@ class ArcIndex(NamedTuple):
     first: np.ndarray
 
 
-# A rotation as dart successors (index, nxt, seq) over an ArcIndex:
-# nxt[a] is the dart after a in the rotation at its tail, and seq holds
-# each vertex's darts in rotation order from the one its cyclic tuple
-# starts at, vertex after vertex (seq[first[v]:first[v + 1]] for v).
-Darts = tuple[ArcIndex, np.ndarray, np.ndarray]
-
-
 class RotationSystem:
-    """Cyclic edge order at every vertex of `graph`, held as the dart
-    successors `darts` over arc_index(graph).
+    """Cyclic edge order at every vertex of `graph`, held as one dart
+    order `seq` over index = arc_index(graph): seq[first[v]:first[v + 1]]
+    lists the out-darts of v in rotation order, from the one its cyclic
+    tuple starts at.
 
     RotationSystem(g, order) takes the neighbors of every vertex in
     cyclic order. It checks that order covers exactly the vertices of g
     and that each cycle is a permutation of the vertex's neighbors (a
     cycle equal to g.neighbors(v), as at every isolated vertex, passes
-    at once), then converts the cycles to darts. from_darts is the
-    trusted path that takes darts as they are.
+    at once), then converts the cycles to darts. from_seq is the
+    trusted path that takes a dart order as it is.
 
     Two systems are equal when every vertex has the same cyclic tuple
     in `order` (positional, not normalized, so construction should be
@@ -69,14 +66,14 @@ class RotationSystem:
 
     def __init__(self, g, order: Mapping[int, Iterable[int]]):
         index = arc_index(g)
-        first = index.first.tolist()
+        first, heads = index.first.tolist(), index.head.tolist()
         vertices = range(g.n_vertices)
         seq: list[int] = []
         for v in vertices:
             cyc = order.get(v)
             if cyc is None:
                 raise ValidationError(f"no rotation given for vertex {v}")
-            cyc, nbrs = tuple(cyc), g.neighbors(v)
+            cyc, nbrs = tuple(cyc), tuple(heads[first[v]:first[v + 1]])
             if cyc == nbrs:
                 seq.extend(range(first[v], first[v + 1]))
                 continue
@@ -88,27 +85,22 @@ class RotationSystem:
         if len(order) != len(vertices):
             extra = sorted(v for v in order if v not in vertices)
             raise ValidationError(f"rotation given for unknown vertices {extra}")
-        darts = np.array(seq, dtype=np.int32)
-        self.graph = g
-        self.darts: Darts = (index, cyclic_successors(index, darts), darts)
+        self.graph, self.index, self.seq = g, index, np.array(seq, dtype=np.int32)
 
     @classmethod
-    def from_darts(cls, g, darts: Darts) -> "RotationSystem":
-        """The rotation of g given by darts = (index, nxt, seq) over
-        index = arc_index(g). The caller guarantees that nxt permutes
-        the out-darts of every vertex cyclically and that seq lists them
-        in that cyclic order."""
+    def from_seq(cls, g, index: ArcIndex, seq: np.ndarray) -> "RotationSystem":
+        """The rotation of g whose dart order is the int32 array seq over
+        index = arc_index(g). The caller guarantees that
+        seq[first[v]:first[v + 1]] lists the out-darts of every v."""
         rot = cls.__new__(cls)
-        rot.graph = g
-        rot.darts = darts
+        rot.graph, rot.index, rot.seq = g, index, seq
         return rot
 
     @functools.cached_property
     def order(self) -> dict[int, tuple[int, ...]]:
         """The neighbors of every vertex in cyclic order, read off seq."""
-        index, _nxt, seq = self.darts
-        heads = index.head[seq].tolist()
-        first = index.first.tolist()
+        heads = self.index.head[self.seq].tolist()
+        first = self.index.first.tolist()
         return {v: tuple(heads[first[v]:first[v + 1]]) for v in range(self.graph.n_vertices)}
 
     def __eq__(self, other: object) -> bool:
@@ -122,23 +114,20 @@ class RotationSystem:
 
 
 class FaceSet:
-    """Traced faces of one embedding of `graph`: the dart ids over index
-    in orbit order, face after face, in runs of `lengths`. Every face
-    starts at its least dart, which is its lexicographically least arc,
-    so equal embeddings compare equal. The arc tuples of `faces` are
-    built only when they are read."""
+    """Traced faces of one embedding of `graph`: the int32 dart ids
+    `orbit` over index in orbit order, face after face, in runs of
+    `lengths`. Every face starts at its least dart, which is its
+    lexicographically least arc, so equal embeddings compare equal. The
+    arc tuples of `faces` are built only when they are read."""
 
     def __init__(self, g, index: ArcIndex, orbit: np.ndarray, lengths: list[int]):
-        self.graph = g
+        self.graph, self.index, self.orbit = g, index, orbit
         self.lengths = tuple(lengths)
-        starts = np.cumsum([0] + lengths[:-1], dtype=np.int64)
-        self._tails = index.tail[orbit[starts]] if lengths else np.empty(0, dtype=np.int32)
-        self._orbits = (index, orbit)
 
     @functools.cached_property
     def faces(self) -> tuple[tuple[Arc, ...], ...]:
-        index, orbit = self._orbits
-        arcs = list(zip(index.tail[orbit].tolist(), index.head[orbit].tolist()))
+        tail, head = self.index.tail[self.orbit], self.index.head[self.orbit]
+        arcs = list(zip(tail.tolist(), head.tolist()))
         ends = itertools.accumulate(self.lengths)
         return tuple(tuple(arcs[e - n:e]) for e, n in zip(ends, self.lengths))
 
@@ -165,8 +154,7 @@ def sorted_rotation(g) -> RotationSystem:
     """The rotation that lists neighbors in ascending label order: seq
     is the identity over the CSR darts of g."""
     index = arc_index(g)
-    seq = np.arange(len(index.tail), dtype=np.int32)
-    return RotationSystem.from_darts(g, (index, cyclic_successors(index, seq), seq))
+    return RotationSystem.from_seq(g, index, np.arange(len(index.tail), dtype=np.int32))
 
 
 def arc_index(g) -> ArcIndex:
@@ -226,9 +214,9 @@ def euler_genus(n_c: int, e_c: int, f_c: int) -> int:
 def trace_faces(rot: RotationSystem) -> FaceSet:
     """Orbit decomposition of the arc set under the face-successor map,
     each orbit from its least arc id, in the order of face_starts; one
-    walk marks and records every arc."""
-    index, nxt, _seq = rot.darts
-    rev, nxt = memoryview(index.rev), memoryview(nxt)
+    walk over the successors of rot.seq marks and records every arc."""
+    index = rot.index
+    rev, nxt = memoryview(index.rev), memoryview(cyclic_successors(index, rot.seq))
     seen = bytearray(len(rev))
     orbit = array("i")
     lengths = []
@@ -256,23 +244,23 @@ def genus_of_embedding(rot: RotationSystem) -> int:
 def genus_from_faces(fs: FaceSet) -> int:
     """Euler's formula per component of fs.graph, with n_c, e_c and f_c
     counted over the component labels of the vertices with an edge: an
-    isolated vertex contributes 0 and is never labelled."""
+    isolated vertex contributes 0 and is never labelled. A face is
+    counted at the tail of its start dart."""
     verts, a, b = fs.graph.local_edges()
     k = len(verts)
     label = component_labels(k, a, b)
     n_c = np.bincount(label, minlength=k)
     e_c = np.bincount(label[a], minlength=k)
-    f_c = np.bincount(label[np.searchsorted(verts, fs._tails)], minlength=k)
+    lengths = np.array(fs.lengths, dtype=np.int64)  # int64 even with no face
+    tails = fs.index.tail[fs.orbit[np.cumsum(lengths) - lengths]]
+    f_c = np.bincount(label[np.searchsorted(verts, tails)], minlength=k)
     roots = np.flatnonzero(n_c)
     return sum(euler_genus(*c) for c in zip(n_c[roots].tolist(), e_c[roots].tolist(),
                                             f_c[roots].tolist()))
 
 
 def face_length_histogram(fs: FaceSet) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for L in fs.lengths:
-        hist[L] = hist.get(L, 0) + 1
-    return dict(sorted(hist.items()))
+    return dict(sorted(Counter(fs.lengths).items()))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ from .errors import GuardError, InternalConsistencyError, ValidationError
 from .trails import build_trail_hypergraph, count_short_closed_trails, \
     find_disjoint_mirror_matching, find_matching
 
-CSV_COLUMNS = ("n1", "n2", "p", "i", "seed", "edges", "lower", "upper",
-               "prediction", "coverage", "blossoms_removed", "regime")
+CELL_COLUMNS = ("n1", "n2", "p", "i", "seed")  # a cell's key, as csv_key writes it
+CSV_COLUMNS = CELL_COLUMNS + ("edges", "lower", "upper", "prediction", "coverage",
+                              "blossoms_removed", "regime")
 
 # Multiplicative closeness to a regime boundary that earns the
 # critical-window tag. The theory separates regimes only asymptotically.
@@ -284,6 +285,11 @@ class PipelineConfig:
             raise ValidationError(f"p must lie in [0,1], got {self.p}")
 
 
+def csv_key(n1: int, n2: int, p: float, i: int, seed: int) -> list[str]:
+    """The CELL_COLUMNS fields that lead a cell's CSV row: its identity."""
+    return [str(n1), str(n2), f"{p:.10g}", str(i), str(seed)]
+
+
 @dataclass(frozen=True)
 class GenusEstimate:
     n1: int
@@ -303,12 +309,10 @@ class GenusEstimate:
     face_histogram: dict[int, int]
 
     def csv_row(self) -> list[str]:
-        return [
-            str(self.n1), str(self.n2), f"{self.p:.10g}", str(self.i),
-            str(self.seed), str(self.n_edges), str(self.lower),
-            str(self.upper), f"{self.prediction:.6g}",
-            f"{self.coverage:.4f}", str(self.blossoms_removed),
-            self.regime,
+        return csv_key(self.n1, self.n2, self.p, self.i, self.seed) + [
+            str(self.n_edges), str(self.lower), str(self.upper),
+            f"{self.prediction:.6g}", f"{self.coverage:.4f}",
+            str(self.blossoms_removed), self.regime,
         ]
 
     def to_text(self, fh: TextIO) -> None:

@@ -64,8 +64,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, Digraph, distinct, pair_keys, run_ends
-from .embedding import arc_index
+from .bigraph import BipartiteGraph, Digraph, distinct, run_ends
+from .embedding import ArcIndex, arc_index
 from .errors import GuardError, InternalConsistencyError, ValidationError
 
 _COUNT_WORK_LIMIT = 20_000_000
@@ -166,9 +166,10 @@ def _extend(walks: np.ndarray, v: np.ndarray, off: np.ndarray, order=None):
     return walks[rep], arcs if order is None else order[arcs]
 
 
-def _trail_blocks(d: Digraph, length: int):
+def _trail_blocks(d: Digraph | ArcIndex, length: int):
     """Blocks of rows of arc ids of the closed trails of `length` arcs in
-    D; the blocks, in order, are the canonical rows in lexicographic order.
+    D, a Digraph or the ArcIndex of a graph; the blocks, in order, are
+    the canonical rows in lexicographic order.
 
     A trail is cut at its least arc a0 into a first half of length/2 arcs
     that starts with a0 and a second half whose arcs all exceed a0, and
@@ -185,7 +186,7 @@ def _trail_blocks(d: Digraph, length: int):
     """
     half = length // 2
     produced = 0
-    m = d.n_arcs
+    m = len(d.tail)
     verts = distinct(np.concatenate((d.tail, d.head)))
     nv = len(verts)
     ids = np.arange(m, dtype=_row_dtype(m))
@@ -648,10 +649,9 @@ def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:
     # the darts of g are both arcs of every edge in (tail, head) order,
     # and an edge is named by the lesser of its two darts
     index = arc_index(g)
-    d = Digraph._of_keys(g.n_vertices, pair_keys(index.tail, index.head, g.n_vertices))
     edge = np.minimum(np.arange(len(index.rev), dtype=np.int32), index.rev)
     total = 0
-    for block in _trail_blocks(d, length):
+    for block in _trail_blocks(index, length):
         edges = np.sort(edge[block], axis=1)
         total += int(np.count_nonzero((edges[:, 1:] != edges[:, :-1]).all(axis=1)))
     return total // 2

@@ -25,10 +25,6 @@ from bigenus.trails import (build_trail_hypergraph, find_disjoint_mirror_matchin
                             find_matching)
 
 
-# The lazily built tuple views of a Graph, as keys of its __dict__.
-GRAPH_VIEWS = ("_adj",)
-
-
 def edge_tuples(g) -> tuple[tuple[int, int], ...]:
     """The edges (u, v), u < v, of g in lexicographic order, as tuples
     built from its arrays u and v."""
@@ -39,6 +35,13 @@ def arc_tuples(d: Digraph) -> tuple[tuple[int, int], ...]:
     """The arcs (tail, head) of d in lexicographic order, as tuples
     built from its arrays tail and head."""
     return tuple(zip(d.tail.tolist(), d.head.tolist()))
+
+
+def has_anti_parallel(d: Digraph) -> bool:
+    """Whether d holds both (u, v) and (v, u) for some pair, read off
+    its arc tuples."""
+    arcs = set(arc_tuples(d))
+    return any((h, t) in arcs for t, h in arcs)
 
 
 def rand_graph(rng: random.Random, max_edges: int = 12) -> Graph:

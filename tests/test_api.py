@@ -40,14 +40,26 @@ def test_arrays_are_the_interface():
     # attributes; no tuple view or one-line restatement of them is left
     from bigenus.blossom import Blossom, DartFamily, find_blossoms
 
-    removed = {bigenus.Graph: ("edge_list", "edge_set"),
-               bigenus.BipartiteGraph: ("edge_list", "edge_set", "x_vertices", "y_vertices"),
-               bigenus.Digraph: ("arc_list", "arc_set"),
-               bigenus.RotationSystem: ("at", "successor"),
-               bigenus.FaceSet: ("face_tails", "face_arcs"),
-               Blossom: ("length",)}
-    for cls, names in removed.items():
-        assert [name for name in names if hasattr(cls, name)] == [], cls.__name__
+    # a graph, rotation and face set keep their defining arrays alone:
+    # no neighbour-tuple cache, stored successors or face-start tails
+    g = bigenus.complete_bipartite_graph(2, 2)
+    rot = bigenus.sorted_rotation(g)
+    faces = bigenus.trace_faces(rot)
+    removed = [(bigenus.Graph, ("edge_list", "edge_set", "_adj")), (g, ("_adj",)),
+               (bigenus.BipartiteGraph, ("edge_list", "edge_set", "x_vertices", "y_vertices")),
+               (bigenus.Digraph, ("arc_list", "arc_set", "is_orientation")),
+               (bigenus.RotationSystem, ("at", "successor", "darts", "from_darts")),
+               (rot, ("darts", "nxt")),
+               (bigenus.FaceSet, ("face_tails", "face_arcs", "_tails", "_orbits")),
+               (faces, ("_tails", "_orbits")),
+               (bigenus.bigraph, ("two_coloring", "_sides")),
+               (bigenus.embedding, ("Darts",)),
+               (Blossom, ("length",))]
+    for obj, names in removed:
+        assert [name for name in names if hasattr(obj, name)] == [], obj
+    assert sorted(vars(g)) == ["first", "n", "n1", "n2", "nbrs", "u", "v"]
+    assert sorted(vars(rot)) == ["graph", "index", "seq"]
+    assert sorted(vars(faces)) == ["graph", "index", "lengths", "orbit"]
     assert not hasattr(bigenus, "BlossomReport")
     assert not hasattr(bigenus.blossom, "BlossomReport")
     assert "BlossomReport" not in bigenus.__all__

@@ -16,12 +16,11 @@ from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, Graph,
                              gen_random_bipartite, induced_subgraph, is_bipartite,
                              orient_randomly, path_graph, read_bipartite,
                              read_digraph, standard_class_sizes,
-                             standard_graph, two_coloring, write_bipartite,
-                             write_digraph)
+                             standard_graph, write_bipartite, write_digraph)
 from bigenus.errors import GuardError, ValidationError
 from bigenus.estimator import PipelineConfig
 
-from conftest import (GRAPH_VIEWS, arc_tuples, edge_tuples, graph_cases, rand_graph,
+from conftest import (arc_tuples, edge_tuples, graph_cases, has_anti_parallel, rand_graph,
                       reference_adjacency, reference_class_sizes, reference_orientation,
                       reference_two_coloring)
 
@@ -99,7 +98,7 @@ def test_orientation_covers_each_edge_once():
     g = gen_random_bipartite(GenParams(12, 12, 0.4, seed=5))
     d = orient_randomly(g, 5)
     assert d.n_arcs == g.n_edges
-    assert d.is_orientation()
+    assert not has_anti_parallel(d)
     arcs = set(arc_tuples(d))
     for (u, v) in edge_tuples(g):
         assert ((u, v) in arcs) != ((v, u) in arcs)
@@ -143,30 +142,22 @@ def test_bipartiteness_helpers():
     assert is_bipartite(cycle_graph(6))
     assert not is_bipartite(cycle_graph(5))
     assert not is_bipartite(complete_graph(4))
-    assert two_coloring(cycle_graph(5)) is None
-    left, right = two_coloring(path_graph(4))
-    assert set(left) | set(right) == set(range(4))
-    assert not set(left) & set(right)
-    # the declared sides win for bipartite inputs
-    left, right = two_coloring(complete_bipartite_graph(2, 2))
-    assert set(left) == {0, 1} and set(right) == {2, 3}
+    assert is_bipartite(path_graph(4)) and is_bipartite(BipartiteGraph(3, 2, []))
     # plain graphs: the double-cover labelling against a tuple search
     for n, edges in graph_cases(2):
         ref = reference_two_coloring(reference_adjacency(n, edges))
-        assert two_coloring(Graph(n, edges)) == ref
         assert is_bipartite(Graph(n, edges)) == (ref is not None)
 
 
-def test_two_coloring_of_long_paths():
+def test_bipartiteness_of_long_paths():
     # components thousands of edges deep, against a tuple search
     n = 20_000
     path = path_graph(n)
     pendant = Graph(n, [(0, 1), (1, 2), (0, 2)] + [(v, v + 1) for v in range(2, n - 1)])
     for g in (path, pendant, Graph(n + 3, edge_tuples(path))):
         ref = reference_two_coloring(reference_adjacency(g.n_vertices, edge_tuples(g)))
-        assert two_coloring(g) == ref
         assert is_bipartite(g) == (ref is not None)
-    assert two_coloring(pendant) is None and two_coloring(path) is not None
+    assert not is_bipartite(pendant) and is_bipartite(path)
 
 
 def test_graph_rejects_duplicates():
@@ -199,9 +190,10 @@ def test_graph_matches_tuple_reference():
         assert np.array_equal(np.column_stack((g.u, g.v)),
                               np.array(norm, dtype=np.int32).reshape(-1, 2))
         assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
-        assert not set(GRAPH_VIEWS) & set(vars(g))
+        attrs = set(vars(g))
         assert edge_tuples(g) == norm
         assert [g.neighbors(v) for v in range(n)] == adj
+        assert set(vars(g)) == attrs
         assert g == Graph(n, norm) and hash(g) == hash(Graph(n, norm))
 
 
@@ -315,9 +307,12 @@ def test_neighbors_out_of_range_raises():
             g.degree(v)
 
 
-def test_bipartite_coloring_is_the_part_ranges():
+def test_neighbors_leave_the_graph_as_it_was():
+    # neighbors(v) reads the CSR on each call and caches nothing
     g = BipartiteGraph(100_000, 3, [(0, 100_000)])
-    assert two_coloring(g) == (range(100_000), range(100_000, 100_003))
+    attrs = set(vars(g))
+    assert g.neighbors(0) == (100_000,) and g.neighbors(1) == ()
+    assert set(vars(g)) == attrs
 
 
 def test_orientation_matches_tuple_reference():
@@ -386,7 +381,7 @@ def test_array_storage_validation_and_views():
     d = orient_randomly(g, 4)
     arcs = arc_tuples(d)
     assert arcs == tuple(sorted(set(arcs))) and len(arcs) == d.n_arcs
-    assert d.is_orientation() and not Digraph(3, [(0, 1), (1, 0)]).is_orientation()
+    assert not has_anti_parallel(d) and has_anti_parallel(Digraph(3, [(0, 1), (1, 0)]))
     r = d.reverse()
     assert arc_tuples(r) == tuple(sorted((h, t) for (t, h) in arc_tuples(d)))
     assert r.reverse() == d and r != d

@@ -8,7 +8,8 @@ from bigenus import blossom
 from bigenus.bigraph import (BipartiteGraph, Digraph, GenParams, complete_bipartite_graph,
                              cycle_graph, gen_random_bipartite, orient_randomly)
 from bigenus.blossom import DartFamily, assemble_rotation, find_blossoms, make_blossom_free
-from bigenus.embedding import RotationSystem, genus_from_faces, sorted_rotation, trace_faces
+from bigenus.embedding import (RotationSystem, cyclic_successors, genus_from_faces,
+                               sorted_rotation, trace_faces)
 from bigenus.errors import InternalConsistencyError, ValidationError
 from bigenus.trails import (build_trail_hypergraph, find_disjoint_mirror_matching,
                             find_matching)
@@ -169,7 +170,7 @@ def test_chain_offsets_order_like_lexsort():
     for n1, n2, p, seed in cases:
         _g, fam = pipeline_family(n1, n2, p, seed)
         surv, _removed = make_blossom_free(fam)
-        seq = assemble_rotation(surv).darts[2]
+        seq = assemble_rotation(surv).seq
         assert seq.dtype == np.int32
         assert np.array_equal(seq, reference_chain_order(surv)), (n1, n2, p, seed)
 
@@ -288,8 +289,9 @@ def test_assemble_realizes_k33_pipeline():
 
 
 def test_assembled_darts_match_their_dict():
-    # the dart-successor rotation against the same orders passed as a
-    # plain dict to RotationSystem, which validates and converts them
+    # the assembled dart order against the same orders passed as a
+    # plain dict to RotationSystem, which validates and converts them,
+    # and the rotation successors derived from each
     rng = random.Random(33)
     for _ in range(12):
         n1 = rng.randint(3, 14)
@@ -299,7 +301,9 @@ def test_assembled_darts_match_their_dict():
         rot = assemble_rotation(surv)
         plain = RotationSystem(g, dict(rot.order))
         assert rot.order == plain.order
-        assert all(np.array_equal(a, b) for a, b in zip(rot.darts[1:], plain.darts[1:]))
+        assert rot.index is surv.index and np.array_equal(rot.seq, plain.seq)
+        assert np.array_equal(cyclic_successors(rot.index, rot.seq),
+                              cyclic_successors(plain.index, plain.seq))
         assert trace_faces(rot) == trace_faces(plain)
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -242,6 +244,20 @@ def test_experiment_runs_an_i2_cell(tmp_path, capsys):
     assert row.split(",")[-2] != "error", capsys.readouterr().err
 
 
+def test_experiment_runs_a_repeated_cell_once(tmp_path, capsys):
+    # two n1 tokens and two p tokens that all write the key (8,8,0.5,1,0):
+    # one cell, one row, and nothing left to do on a second run
+    cfg, out = tmp_path / "e.cfg", tmp_path / "e.csv"
+    cfg.write_text(f"n1 = 8,8\nn2 = 8\np = 0.5,nexp:-0.3333333333\nout = {out}\n")
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert "cells=1 todo=1" in capsys.readouterr().err.splitlines()
+    (row,) = out.read_text().splitlines()[2:]
+    assert row.split(",")[:5] == ["8", "8", "0.5", "1", "0"] and row.split(",")[-2] != "error"
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert "cells=1 todo=0" in capsys.readouterr().err.splitlines()
+    assert out.read_text().splitlines()[2:] == [row]
+
+
 def test_experiment_error_rows(tmp_path, capsys):
     # G(20, 20, 0.5) at i = 4 is refused by the count guard on its
     # closed 8-trails, and G(20, 3, 0.5) estimates
@@ -353,6 +369,47 @@ def test_dead_worker_leaves_one_pool_for_the_rest(tmp_path, capsys, monkeypatch,
     assert [r[4] for r in rows] == ["0", "1", "2", "3", "4", "5"]
     assert all(len(r) == 13 and (r[11] == "error") == (r[4] == "1") for r in rows)
     assert sizes == [1, 1, 1]
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="the workers inherit the patched generator only when forked")
+@pytest.mark.parametrize("lost", [False, True], ids=["refused", "lost"])
+def test_pool_broken_while_cells_are_queued(monkeypatch, lost):
+    # the seed-1 cell's worker dies before the cells after it are handed
+    # to the pool. Handing one over then raises BrokenProcessPool or, when
+    # it races the pool's own handling of the dead worker, returns a
+    # future that never settles (lost). Either way the later cells run in
+    # the next pools instead of ending or stalling the sweep.
+    pools = []
+
+    class Breaking(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            pools.append(self)
+
+        def submit(self, fn, cell):
+            if lost and self is pools[0] and cell[0].seed > 1:
+                return Future()
+            future = super().submit(fn, cell)
+            if cell[0].seed == 1:
+                future.exception()  # the pool is broken once this returns
+            return future
+
+    def stalled(signum, frame):
+        raise TimeoutError("the sweep waits on a future its broken pool never settles")
+
+    _kill_seed_1(monkeypatch)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Breaking)
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(60)
+    try:
+        rows = [row for row, _ in cli._pool_rows([(GenParams(20, 20, 0.2, seed=s), 1)
+                                                  for s in range(4)], 2)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [r[4] for r in rows] == ["0", "1", "2", "3"]
+    assert [r[11] == "error" for r in rows] == [False, True, False, False]
 
 
 @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",

@@ -25,7 +25,7 @@ from bigenus.estimator import (PipelineConfig, _core_components, _euler_ceil, _p
                                regime_classify, small_p_asymptote_check)
 from bigenus.trails import count_short_closed_trails
 
-from conftest import (GRAPH_VIEWS, edge_tuples, graph_cases, rand_bipartite, rand_graph,
+from conftest import (edge_tuples, graph_cases, rand_bipartite, rand_graph,
                       random_simple_graph, reference_adjacency, reference_core_components,
                       reference_euler_ceil, reference_psi, reference_refined_ceil,
                       reference_two_coloring)
@@ -323,13 +323,11 @@ def test_estimate_builds_no_tuple_view():
     triangle = [[n, n + 1], [n + 1, n + 2], [n, n + 2]]
     edges = np.column_stack((plain.u, plain.v))
     graphs += [plain, Graph(n + 3, np.concatenate((edges, triangle)))]
-    for g in graphs:
-        est = estimate_genus(g, 1, PipelineConfig(seed=0))
+    for g, i in [(g, 1) for g in graphs] + [(complete_bipartite_graph(4, 4), 2)]:
+        attrs = set(vars(g))
+        est = estimate_genus(g, i, PipelineConfig(seed=0))
         assert est.lower <= est.upper
-        assert not set(GRAPH_VIEWS) & set(vars(g)), g
-    k44 = complete_bipartite_graph(4, 4)
-    estimate_genus(k44, 2)
-    assert not set(GRAPH_VIEWS) & set(vars(k44))
+        assert set(vars(g)) == attrs, g
 
 
 def test_refined_lower_bound():
@@ -662,8 +660,9 @@ def test_small_part_reads_the_csr():
         graphs.append(gen_random_bipartite(GenParams(rng.randint(n2, 40), n2, rng.random(),
                                                      seed=rng.randint(0, 99))))
     for g in graphs:
+        attrs = set(vars(g))
         r, classes = reduce_small_part(g), degree_class_partition(g)
-        assert "_adj" not in vars(g)
+        assert set(vars(g)) == attrs
         nbrs = [g.neighbors(x) for x in range(g.n1)]
         assert r.kept_x == tuple(x for x, ns in enumerate(nbrs) if len(ns) >= 3)
         assert r.kept_neighbors == tuple(ns for ns in nbrs if len(ns) >= 3)

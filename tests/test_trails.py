@@ -22,7 +22,7 @@ from bigenus.trails import (TrailHypergraph, _canonical_sort,
                             theoretical_delta, trails_to_text)
 
 from conftest import (ClosedTrail, arc_tuples, brute_short_trail_total, edge_tuples,
-                      hypergraph_arcs, hypergraph_trails, matched, rand_bipartite,
+                      has_anti_parallel, hypergraph_arcs, hypergraph_trails, matched, rand_bipartite,
                       reference_greedy, reference_incidence, reference_index,
                       reference_trail_rows, rho, trails_from_text)
 
@@ -168,7 +168,7 @@ def test_mirror_equals_reversed_enumeration():
     for d in _identity_digraphs(31):
         for i in (1, 2):
             h = build_trail_hypergraph(d, i)
-            if i == 1 and not d.is_orientation():
+            if i == 1 and has_anti_parallel(d):
                 anti_parallel_i1_trails += h.n_hyperedges
             fwd_arcs, fwd_rows = hypergraph_arcs(h), h.rows.copy()
             fwd_trails = hypergraph_trails(h)
