@@ -18,9 +18,11 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 
-from .bigraph import (Digraph, GenParams, check_seed, gen_random_bipartite,
-                      orient_randomly, read_bipartite, read_digraph,
-                      standard_graph, write_bipartite, write_digraph)
+from .bigraph import (Digraph, GenParams, check_seed, complete_bipartite_graph,
+                      complete_graph, gen_random_bipartite, orient_randomly,
+                      read_bipartite, read_digraph, standard_graph, write_bipartite,
+                      write_digraph)
+from .embedding import rotation_to_text
 from .errors import GuardError, ValidationError
 from .estimator import (CELL_COLUMNS, CSV_COLUMNS, PipelineConfig, csv_key,
                         estimate_genus, prediction_for, regime_classify)
@@ -94,8 +96,11 @@ def _load_graph_file(path: str, headers: tuple[str, ...]):
 
 def _graph_from_args(args, headers: tuple[str, ...] = ("bipartite",)) -> tuple:
     """(graph, p or None). Reads --in when given, a file with one of
-    the `headers`, else generates."""
+    the `headers`, and then refuses the model flags; else generates."""
     if getattr(args, "infile", None):
+        given = [f"--{k}" for k in ("n1", "n2", "p", "standard") if vars(args).get(k) is not None]
+        if given:
+            raise ValidationError(f"--in takes no model flags, got {' '.join(given)}")
         g = _load_graph_file(args.infile, headers)
         return g, None
     if args.n1 is None or args.n2 is None or args.p is None:
@@ -164,14 +169,14 @@ def cmd_estimate(args) -> int:
 def cmd_oracle(args) -> int:
     if args.witness and args.method != "exact":
         raise ValidationError("--witness needs --method exact")
+    if args.seed is not None and args.method != "pincer":
+        raise ValidationError("--seed needs --method pincer")
+    if args.max_systems is not None and args.method != "exact":
+        raise ValidationError("--max-systems needs --method exact")
     if args.complete is not None:
-        from .bigraph import complete_graph
-
         g = complete_graph(args.complete)
         print(f"formula={genus_formula_reference('complete', args.complete)}")
     elif args.complete_bipartite is not None:
-        from .bigraph import complete_bipartite_graph
-
         m, n = args.complete_bipartite
         g = complete_bipartite_graph(m, n)
         print(f"formula={genus_formula_reference('complete_bipartite', m, n)}")
@@ -179,19 +184,19 @@ def cmd_oracle(args) -> int:
         g = _load_graph_file(args.infile, ("bipartite",))
     else:
         raise ValidationError("need --in, --complete, or --complete-bipartite")
-    budget = SearchBudget(max_systems=args.max_systems, restarts=args.restarts)
+    budget = SearchBudget(restarts=args.restarts)
+    if args.max_systems is not None:
+        budget = replace(budget, max_systems=args.max_systems)
     if args.method == "exact":
         if args.witness:
             genus, rot = minimum_genus_rotation(g, budget)
-            from .embedding import rotation_to_text
-
             with open(args.witness, "w") as fh:
                 rotation_to_text(rot, fh)
         else:
             genus = exact_genus(g, budget)
         print(f"genus={genus}")
     else:
-        res = pincer_genus(g, budget, args.seed)
+        res = pincer_genus(g, budget, 0 if args.seed is None else args.seed)
         print(f"lower={res.lower}")
         print(f"upper={res.upper}")
         print(f"exact={int(res.exact)}")
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("generate", help="write a random or standard bipartite graph")
     _add_model_flags(sub, with_i=False)
-    sub.add_argument("--standard", action="store_true",
+    sub.add_argument("--standard", action="store_true", default=None,
                      help="deterministic expected-class-size graph instead of random")
     sub.set_defaults(func=cmd_generate)
 
@@ -430,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--complete-bipartite", type=int, nargs=2, default=None,
                      metavar=("M", "N"))
     sub.add_argument("--method", choices=("exact", "pincer"), default="exact")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-systems", type=int, default=SearchBudget.max_systems)
+    sub.add_argument("--seed", type=int, default=None, help="--method pincer only")
+    sub.add_argument("--max-systems", type=int, default=None, help="--method exact only")
     sub.add_argument("--restarts", type=int, default=SearchBudget.restarts)
     sub.add_argument("--witness", default=None,
                      help="write a minimum-genus rotation system here "
@@ -455,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        check_seed(getattr(args, "seed", 0))
+        if getattr(args, "seed", None) is not None:
+            check_seed(args.seed)
         return args.func(args)
     except (GuardError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,17 +50,16 @@ _MAX_WINDOW_I = 64
 
 
 def regime_classify(n1: int, n2: int, p: float) -> RegimeResult:
-    """Density regime of G(n1, n2, p).
-
-    Heavily unbalanced graphs with a small part (n2 <= 20 and
-    n1 >= 20 n2) are split by p against n1^(-1/3) and n1^(-1/2) into
-    small-part-a/b/c. Otherwise p >= band * n2^(-2/3) is dense-4gon,
-    and below that the exponent q = -ln p / ln(n1 n2) selects the
-    balanced window (i-1)/(2i-1) < q < i/(2i+1). Within a factor
-    band = CRITICAL_BAND of any boundary the tag is critical-window;
-    near the window accumulation point q = 1/2 likewise; clearly beyond
-    it the graph is a.a.s. planar and tagged small-part-c.
-    """
+    """Density regime of G(n1, n2, p): the tag of p's interval, or
+    critical-window within a factor band = CRITICAL_BAND of any of its
+    boundaries. Heavily unbalanced graphs with a small part (n2 <= 20
+    and n1 >= 20 n2) are small-part-a, -b or -c above n1^(-1/3), down to
+    n1^(-1/2) or below. Otherwise p >= band * n2^(-2/3) is dense-4gon,
+    and below that q = -ln p / ln(n1 n2) selects the balanced window
+    (i-1)/(2i-1) < q <= i/(2i+1), where the factor band in p is
+    ln(band) / ln(n1 n2) in q. Past the last window, up to the windows'
+    limit q = 1/2, the tag is critical-window; clearly beyond 1/2 the
+    graph is a.a.s. planar and tagged small-part-c."""
     band = CRITICAL_BAND
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p must lie in [0,1], got {p}")
@@ -69,47 +68,28 @@ def regime_classify(n1: int, n2: int, p: float) -> RegimeResult:
         return RegimeResult("small-part-c", None)
 
     if small <= MAX_SMALL_PART and big >= 20 * small:
-        t_a = big ** (-1.0 / 3.0)
-        t_c = big ** (-1.0 / 2.0)
-        if p > t_a:
-            return RegimeResult("critical-window" if p / t_a <= band else "small-part-a",
-                                None)
-        if p > t_c:
-            near_a = p / t_a >= 1.0 / band
-            near_c = p / t_c <= band
-            if near_a or near_c:
-                return RegimeResult("critical-window", None)
-            return RegimeResult("small-part-b", None)
-        return RegimeResult("critical-window" if p / t_c >= 1.0 / band else "small-part-c",
-                            None)
+        t_a, t_c = big ** (-1.0 / 3.0), big ** (-1.0 / 2.0)
+        if any(1.0 / band <= p / t <= band for t in (t_a, t_c)):
+            return RegimeResult("critical-window", None)
+        tag = "small-part-a" if p > t_a else "small-part-b" if p > t_c else "small-part-c"
+        return RegimeResult(tag, None)
 
     if p >= band * small ** (-2.0 / 3.0):
         return RegimeResult("dense-4gon", None)
-    n_prod = big * small
-    if n_prod <= 1:
+    if big * small <= 1:
         return RegimeResult("small-part-c", None)
-    log_n = math.log(n_prod)
+    log_n = math.log(big * small)
     q = -math.log(p) / log_n
     slack = math.log(band)
-
-    def near(boundary_q: float) -> bool:
-        return abs(q - boundary_q) * log_n <= slack
-
     for i in range(1, _MAX_WINDOW_I + 1):
-        lo = (i - 1) / (2 * i - 1)
         hi = i / (2 * i + 1)
-        if q < lo:
-            break
         if q <= hi:
-            if near(lo) or near(hi):
-                return RegimeResult("critical-window", i)
-            return RegimeResult("balanced-i", i)
-    if q >= 0.5:
-        if near(0.5):
-            return RegimeResult("critical-window", None)
-        return RegimeResult("small-part-c", None)
-    # Between the last examined window and 1/2: the accumulation region.
-    return RegimeResult("critical-window", _MAX_WINDOW_I)
+            edge = min(q - (i - 1) / (2 * i - 1), hi - q)
+            return RegimeResult("critical-window" if edge * log_n <= slack else "balanced-i", i)
+    if q < 0.5:
+        return RegimeResult("critical-window", _MAX_WINDOW_I)
+    return RegimeResult("critical-window" if (q - 0.5) * log_n <= slack else "small-part-c",
+                        None)
 
 
 def _psi_ratio(p: float, n2: int) -> tuple[int, int]:
@@ -150,7 +130,7 @@ def small_p_asymptote_check(n1: int, n2: int, p: float) -> AsymptoteCheck:
     With p = a/d and psi = num/den, both sides and their ratio are
     integer ratios, each rounded once by int true division."""
     a, d = p.as_integer_ratio()
-    num, den = _psi_ratio(p, n2) if n2 >= 2 else (0, 1)
+    num, den = _psi_ratio(p, n2)
     exact = n1 * n2 * a * num, 4 * d * den
     asym = n1 * a ** 3 * math.comb(n2, 3), 4 * d ** 3
     if asym[0]:
@@ -230,17 +210,13 @@ def _peel_chains(first: np.ndarray, nbrs: np.ndarray, deg: np.ndarray,
                 break  # a leaf has at most one live neighbour
 
 
-def _euler_ceil(k: int, n: int, e: int) -> int:
-    """ceil(e(1/2 - 1/k) - (n-2)/2), over the denominator 2k and in
-    integers: -((k(n-2) - (k-2)e) // 2k)."""
-    return -((k * (n - 2) - (k - 2) * e) // (2 * k))
-
-
-def _refined_ceil(i: int, n: int, e: int, c: int) -> int:
-    """ceil(i/(2i+2) e - (i-1)/(2i+2) 2c - (n-2)/2), over the
-    denominator 2i+2 and in integers:
-    -(((i+1)(n-2) + 2(i-1)c - i e) // (2i+2))."""
-    return -(((i + 1) * (n - 2) + 2 * (i - 1) * c - i * e) // (2 * i + 2))
+def _face_ceil(k: int, n: int, e: int, c: int = 0) -> int:
+    """The least genus Euler's formula allows a connected graph of n
+    vertices and e edges whose faces are at least k long, except at most
+    2c faces, two per short closed trail, none of them shorter than 4:
+    ceil(((k-2)e - k(n-2) - 2(k-4)c) / 2k), in integers as
+    -((k(n-2) + 2(k-4)c - (k-2)e) // 2k)."""
+    return -((k * (n - 2) + 2 * (k - 4) * c - (k - 2) * e) // (2 * k))
 
 
 def euler_lower_bound(g) -> int:
@@ -248,7 +224,7 @@ def euler_lower_bound(g) -> int:
     clamped at 0, where k is the least face length: 4 when g is
     bipartite (a simple bipartite graph has girth at least 4), else 3."""
     k = 4 if is_bipartite(g) else 3
-    return sum(max(0, _euler_ceil(k, len(verts), e_c)) for verts, e_c in _core_components(g))
+    return sum(max(0, _face_ceil(k, len(verts), e_c)) for verts, e_c in _core_components(g))
 
 
 def refined_lower_bound(g: BipartiteGraph, i: int) -> int:
@@ -262,7 +238,7 @@ def refined_lower_bound(g: BipartiteGraph, i: int) -> int:
     total = 0
     for (verts, e_c) in _core_components(g):
         c = count_short_closed_trails(induced_subgraph(g, verts), i) if i >= 2 else 0
-        total += max(0, _refined_ceil(i, len(verts), e_c, c))
+        total += max(0, _face_ceil(2 * i + 2, len(verts), e_c, c))
     return total
 
 

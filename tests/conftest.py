@@ -15,12 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from bigenus.bigraph import (STREAM_ORIENT, BipartiteGraph, Digraph, GenParams, Graph,
+from bigenus.bigraph import (MAX_SMALL_PART, STREAM_ORIENT, BipartiteGraph, Digraph, GenParams, Graph,
                              gen_random_bipartite, orient_randomly)
 from bigenus import blossom
 from bigenus.blossom import Blossom, DartFamily
 from bigenus.embedding import FaceSet, RotationSystem, genus_of_embedding, trace_faces
 from bigenus.errors import ValidationError
+from bigenus.estimator import _MAX_WINDOW_I, CRITICAL_BAND, RegimeResult
 from bigenus.trails import (build_trail_hypergraph, find_disjoint_mirror_matching,
                             find_matching)
 
@@ -209,6 +210,61 @@ def reference_refined_ceil(i: int, n: int, e: int, c: int) -> int:
     """ceil(i/(2i+2) e - (i-1)/(2i+2) 2c - (n-2)/2) over exact rationals."""
     return math.ceil(Fraction(i, 2 * i + 2) * e - Fraction(i - 1, 2 * i + 2) * 2 * c
                      - Fraction(n - 2, 2))
+
+
+def reference_regime_classify(n1: int, n2: int, p: float) -> RegimeResult:
+    """estimator.regime_classify as it was written case by case: each
+    boundary of each interval tested on its own, and every balanced
+    window's both boundaries through one nearness closure."""
+    band = CRITICAL_BAND
+    if not (0.0 <= p <= 1.0):
+        raise ValidationError(f"p must lie in [0,1], got {p}")
+    big, small = max(n1, n2), min(n1, n2)
+    if small < 1 or p == 0.0:
+        return RegimeResult("small-part-c", None)
+
+    if small <= MAX_SMALL_PART and big >= 20 * small:
+        t_a = big ** (-1.0 / 3.0)
+        t_c = big ** (-1.0 / 2.0)
+        if p > t_a:
+            return RegimeResult("critical-window" if p / t_a <= band else "small-part-a",
+                                None)
+        if p > t_c:
+            near_a = p / t_a >= 1.0 / band
+            near_c = p / t_c <= band
+            if near_a or near_c:
+                return RegimeResult("critical-window", None)
+            return RegimeResult("small-part-b", None)
+        return RegimeResult("critical-window" if p / t_c >= 1.0 / band else "small-part-c",
+                            None)
+
+    if p >= band * small ** (-2.0 / 3.0):
+        return RegimeResult("dense-4gon", None)
+    n_prod = big * small
+    if n_prod <= 1:
+        return RegimeResult("small-part-c", None)
+    log_n = math.log(n_prod)
+    q = -math.log(p) / log_n
+    slack = math.log(band)
+
+    def near(boundary_q: float) -> bool:
+        return abs(q - boundary_q) * log_n <= slack
+
+    for i in range(1, _MAX_WINDOW_I + 1):
+        lo = (i - 1) / (2 * i - 1)
+        hi = i / (2 * i + 1)
+        if q < lo:
+            break
+        if q <= hi:
+            if near(lo) or near(hi):
+                return RegimeResult("critical-window", i)
+            return RegimeResult("balanced-i", i)
+    if q >= 0.5:
+        if near(0.5):
+            return RegimeResult("critical-window", None)
+        return RegimeResult("small-part-c", None)
+    # Between the last examined window and 1/2: the accumulation region.
+    return RegimeResult("critical-window", _MAX_WINDOW_I)
 
 
 def reference_class_sizes(n1: int, n2: int, p: float) -> list[int]:

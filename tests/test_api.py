@@ -8,13 +8,17 @@ surface in a traced benchmark run; these checks catch it here.
 import ast
 import importlib
 import importlib.util
+import io
 import os
 import pkgutil
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import bigenus
+from bigenus import cli
+from bigenus.errors import GuardError, ValidationError
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 ESTIMATOR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "bigenus", "estimator.py")
@@ -54,6 +58,7 @@ def test_arrays_are_the_interface():
                (faces, ("_tails", "_orbits")),
                (bigenus.bigraph, ("two_coloring", "_sides")),
                (bigenus.embedding, ("Darts",)),
+               (bigenus.estimator, ("_euler_ceil", "_refined_ceil")),
                (Blossom, ("length",))]
     for obj, names in removed:
         assert [name for name in names if hasattr(obj, name)] == [], obj
@@ -95,6 +100,63 @@ def _load_tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def _cli(*argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def _empty_grid(tmp_path):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text(f"n1 = ,\nn2 = 4\np = 0.5\nout = {tmp_path / 'e.csv'}\n")
+    return _cli("experiment", "--config", str(cfg))
+
+
+_K22 = bigenus.complete_bipartite_graph(2, 2)
+_C4 = bigenus.cycle_graph(4)
+REFUSALS = {
+    "budget-systems": (lambda t: bigenus.SearchBudget(max_systems=0), "max_systems must be"),
+    "budget-seconds": (lambda t: bigenus.SearchBudget(max_seconds=0), "max_seconds must be"),
+    "budget-restarts": (lambda t: bigenus.SearchBudget(restarts=0), "restarts must be"),
+    "standard-p": (lambda t: bigenus.standard_graph(4, 2, 1.5), "p must lie in [0,1]"),
+    "standard-n1": (lambda t: bigenus.standard_graph(0, 2, 0.5), "need n1 >= 1"),
+    "class-partition": (lambda t: bigenus.bigraph.degree_class_partition(
+        bigenus.BipartiteGraph(1, 21, [])), "needs n2 <= 20, got 21"),
+    "cycle": (lambda t: bigenus.cycle_graph(2), "at least 3 vertices"),
+    "part-size": (lambda t: bigenus.BipartiteGraph(-1, 2, []), "part sizes must be"),
+    "header": (lambda t: bigenus.read_bipartite(io.StringIO("digraph 3\n")),
+               "line 1: expected header 'bipartite n1 n2', got 'digraph 3'"),
+    "formula-complete": (lambda t: bigenus.genus_formula_reference("complete", -1),
+                         "vertex count must be"),
+    "formula-bipartite": (lambda t: bigenus.genus_formula_reference(
+        "complete_bipartite", 2, -1), "part sizes must be"),
+    "refined-plain": (lambda t: bigenus.refined_lower_bound(_C4, 2), "expects a bipartite"),
+    "refined-i0": (lambda t: bigenus.refined_lower_bound(_K22, 0), "i must be >= 1, got 0"),
+    "count-plain": (lambda t: bigenus.count_short_closed_trails(_C4, 2),
+                    "expects a bipartite"),
+    "count-i0": (lambda t: bigenus.count_short_closed_trails(_K22, 0), "i must be >= 1"),
+    "hypergraph-i0": (lambda t: bigenus.build_trail_hypergraph(
+        bigenus.orient_randomly(_K22, 0), 0), "i must be >= 1, got 0"),
+    "estimate-i0": (lambda t: bigenus.estimate_genus(_K22, 0), "i must be >= 1, got 0"),
+    "nexp-n1": (lambda t: cli.parse_p("nexp:-1", 0), "nexp: probability needs n1 >= 1"),
+    "predict": (lambda t: _cli("predict", "--n1", "5"), "predict needs --n1 --n2 --p"),
+    "generate": (lambda t: _cli("generate"), "need either --in FILE or all of"),
+    "oracle": (lambda t: _cli("oracle"), "need --in, --complete, or --complete-bipartite"),
+    "empty-grid": (_empty_grid, "empty experiment grid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals(case, tmp_path):
+    # each refusal names what it refuses, as a GuardError past a size
+    # guard and a ValidationError otherwise
+    call, message = REFUSALS[case]
+    error = GuardError if case == "class-partition" else ValidationError
+    with pytest.raises(error) as exc:
+        call(tmp_path)
+    assert message in str(exc.value)
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_traced_functions_exist():

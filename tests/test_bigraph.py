@@ -429,7 +429,8 @@ def test_induced_subgraph_equals_loop_reference():
             tuple(vmap[u] for u in g.neighbors(v) if u in vmap) for v in verts]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 3_000_007])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 3_000_007,
+                                  2**96, 2**128 + 5])
 def test_streams_equal_numpy_philox(seed):
     # numpy.random is the reference here only; the package never imports it
     from numpy.random import Generator, Philox, SeedSequence

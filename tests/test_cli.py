@@ -204,6 +204,51 @@ def test_oracle_witness(tmp_path, capsys):
     assert exc.value.code == 2 and "invalid choice: 'heuristic'" in capsys.readouterr().err
 
 
+def test_in_refuses_the_model_flags(tmp_path, capsys):
+    # a graph file fixes n1, n2 and p: a model flag next to --in was read
+    # by nothing, and estimate printed the file's density as p
+    g = tmp_path / "g.txt"
+    assert main(["generate", "--n1", "5", "--n2", "5", "--p", "0.3", "--out", str(g)]) == 0
+    capsys.readouterr()
+    flags = (["--n1", "5"], ["--n2", "5"], ["--p", "0.9"], ["--n1", "0"])
+    for command in ("generate", "orient", "trails", "match", "estimate"):
+        for flag in flags + ((["--standard"],) if command == "generate" else ()):
+            assert main([command, "--in", str(g), *flag]) == 2, (command, flag)
+            err = capsys.readouterr().err
+            assert f"error: --in takes no model flags, got {flag[0]}\n" in err
+    assert main(["estimate", "--in", str(g), "--p", "0.9", "--n1", "5"]) == 2
+    assert "got --n1 --p\n" in capsys.readouterr().err
+    # --in with --seed and --i alone reads the file as before
+    assert main(["estimate", "--in", str(g), "--seed", "1", "--i", "1"]) == 0
+    assert "p=0.56 " in capsys.readouterr().out  # 14 edges of 25
+
+
+def test_oracle_refuses_options_its_method_does_not_read(tmp_path, capsys):
+    # exact search climbs from seed 0 and pincer never scans: --seed is
+    # read by pincer alone and --max-systems by exact alone
+    for argv, message in ((["--seed", "1"], "--seed needs --method pincer"),
+                          (["--seed", "0", "--witness", str(tmp_path / "w.txt")],
+                           "--seed needs --method pincer"),
+                          (["--method", "pincer", "--max-systems", "5"],
+                           "--max-systems needs --method exact"),
+                          (["--method", "pincer", "--max-systems", "0"],
+                           "--max-systems needs --method exact"),
+                          (["--max-systems", "0"], "max_systems must be positive"),
+                          (["--max-systems", "63"], "64 rotation systems exceed the budget of 63"),
+                          (["--method", "pincer", "--seed", "-1"],
+                           "seed must be a nonnegative integer, got -1"),
+                          (["--seed", "-1"], "seed must be a nonnegative integer, got -1")):
+        assert main(["oracle", "--complete-bipartite", "3", "3", *argv]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+    assert not (tmp_path / "w.txt").exists()
+    # K_{3,3} has 64 rotation systems
+    assert main(["oracle", "--complete-bipartite", "3", "3", "--max-systems", "64"]) == 0
+    assert "genus=1" in capsys.readouterr().out
+    assert main(["oracle", "--complete-bipartite", "3", "3", "--method", "pincer",
+                 "--seed", "3"]) == 0
+    assert "exact=1" in capsys.readouterr().out
+
+
 def _write_config(path, out, extra=""):
     path.write_text(
         "n1 = 8,12\nn2 = 4\np = 0.5\ntrials = 2\nseed = 3\n"

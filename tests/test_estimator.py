@@ -19,8 +19,8 @@ from bigenus.errors import BudgetExceededError, GuardError, ValidationError
 from bigenus.oracle import (SearchBudget, exact_genus, genus_formula_reference,
                            small_part_exact_genus)
 from bigenus import estimator
-from bigenus.estimator import (PipelineConfig, _core_components, _euler_ceil, _psi_ratio,
-                               _refined_ceil, estimate_genus, euler_lower_bound,
+from bigenus.estimator import (PipelineConfig, _core_components, _face_ceil, _psi_ratio,
+                               estimate_genus, euler_lower_bound,
                                prediction_for, psi, reduce_small_part, refined_lower_bound,
                                regime_classify, small_p_asymptote_check)
 from bigenus.trails import count_short_closed_trails
@@ -28,7 +28,7 @@ from bigenus.trails import count_short_closed_trails
 from conftest import (edge_tuples, graph_cases, rand_bipartite, rand_graph,
                       random_simple_graph, reference_adjacency, reference_core_components,
                       reference_euler_ceil, reference_psi, reference_refined_ceil,
-                      reference_two_coloring)
+                      reference_regime_classify, reference_two_coloring)
 
 
 def test_psi_closed_forms():
@@ -99,6 +99,29 @@ def test_regime_balanced_and_windows():
     for p in (1.5, -0.5, float("nan")):
         with pytest.raises(ValidationError):
             regime_classify(100, 100, p)
+
+
+def test_regime_classify_equals_the_case_by_case_reference():
+    # every boundary of the phase diagram, the small part's n1^(-1/3) and
+    # n1^(-1/2), the dense 2 n2^(-2/3), each window edge
+    # (n1 n2)^(-i/(2i+1)) and their limit (n1 n2)^(-1/2), at the critical
+    # band's edges and one part in 10^12 to either side of each point
+    sizes = (1, 2, 3, 19, 20, 21, 64, 400, 2000, 100_000)
+    points = set()
+    for n1 in sizes:
+        for n2 in sizes:
+            n = n1 * n2
+            bounds = [n1 ** (-1 / 3), n1 ** (-1 / 2), 2 * n2 ** (-2 / 3), n ** -0.5]
+            bounds += [n ** (-i / (2 * i + 1)) for i in range(66)]
+            points.update((n1, n2, t * f * (1 + d)) for t in bounds for f in (0.5, 1, 2)
+                          for d in (-1e-12, 0, 1e-12) if t * f * (1 + d) <= 1)
+    assert len(points) > 60_000
+    tags = Counter()
+    for point in points:
+        res = regime_classify(*point)
+        assert res == reference_regime_classify(*point), point
+        tags[res.tag] += 1
+    assert len(tags) == 6
 
 
 def test_prediction_values():
@@ -205,22 +228,24 @@ def test_euler_lower_bound_meets_known_genera():
 
 
 def test_lower_bound_ceilings_equal_exact_rationals():
-    # the integer floor-division forms of both ceilings against Fraction
-    # arithmetic, over numerators of either sign: a forest-like core has
+    # the one integer floor-division ceiling, at k = 4 or 3 for the Euler
+    # bound and at k = 2i+2 for the refined one, against Fraction
+    # arithmetic over numerators of either sign: a forest-like core has
     # more vertices than edges, a dense one the reverse
     for n in range(0, 40):
         for e in range(0, 3 * n + 5):
             for k in (3, 4):
-                assert _euler_ceil(k, n, e) == reference_euler_ceil(k, n, e), (k, n, e)
+                assert _face_ceil(k, n, e) == reference_euler_ceil(k, n, e), (k, n, e)
             for i in (1, 2, 3, 5):
                 for c in (0, 1, 2, 7, e, 3 * e):
-                    assert _refined_ceil(i, n, e, c) == reference_refined_ceil(i, n, e, c)
+                    assert (_face_ceil(2 * i + 2, n, e, c)
+                            == reference_refined_ceil(i, n, e, c)), (i, n, e, c)
     rng = random.Random(51)
     for _ in range(2000):
         n, e, c = (rng.randint(0, 10 ** 9) for _ in range(3))
         k, i = rng.choice((3, 4)), rng.randint(1, 50)
-        assert _euler_ceil(k, n, e) == reference_euler_ceil(k, n, e)
-        assert _refined_ceil(i, n, e, c) == reference_refined_ceil(i, n, e, c)
+        assert _face_ceil(k, n, e) == reference_euler_ceil(k, n, e)
+        assert _face_ceil(2 * i + 2, n, e, c) == reference_refined_ceil(i, n, e, c)
 
 
 def test_lower_bounds_equal_exact_rational_sums():

@@ -54,6 +54,9 @@ def test_rotation_system_counts():
     assert rotation_system_count(complete_graph(5)) == 7776
     assert rotation_system_count(complete_graph(6)) == 191102976
     assert rotation_system_count(path_graph(4)) == 1
+    # the product stops at 10^18: 120^7 is below it, 720^8 far past
+    assert rotation_system_count(complete_graph(7)) == 120 ** 7
+    assert rotation_system_count(complete_graph(8)) == 10 ** 18
 
 
 def test_budget_refusal():
