@@ -108,17 +108,21 @@ def _graph_from_args(args, headers: tuple[str, ...] = ("bipartite",)) -> tuple:
     p = parse_p(args.p, args.n1)
     if getattr(args, "standard", False):
         return standard_graph(args.n1, args.n2, p), p
-    return gen_random_bipartite(GenParams(args.n1, args.n2, p, seed=args.seed)), p
+    return gen_random_bipartite(GenParams(args.n1, args.n2, p, seed=args.seed or 0)), p
 
 
-def _digraph_from_args(args):
+def _digraph_from_args(args, matches: bool):
     g, _p = _graph_from_args(args, ("bipartite", "digraph"))
-    if isinstance(g, Digraph):
-        return g
-    return orient_randomly(g, args.seed)
+    if not isinstance(g, Digraph):
+        return orient_randomly(g, args.seed or 0)
+    if args.seed is not None and not matches:  # only a matching reads it here
+        raise ValidationError("--seed is read by nothing with a digraph file")
+    return g
 
 
 def cmd_generate(args) -> int:
+    if args.seed is not None and (args.infile or args.standard):
+        raise ValidationError("--seed is read by nothing with --in or --standard")
     g, _p = _graph_from_args(args)
     with _open_out(args.out) as fh:
         write_bipartite(g, fh)
@@ -128,7 +132,7 @@ def cmd_generate(args) -> int:
 
 def cmd_orient(args) -> int:
     g, _p = _graph_from_args(args)
-    d = orient_randomly(g, args.seed)
+    d = orient_randomly(g, args.seed or 0)
     with _open_out(args.out) as fh:
         write_digraph(d, fh)
     print(f"arcs={d.n_arcs}", file=sys.stderr)
@@ -136,7 +140,7 @@ def cmd_orient(args) -> int:
 
 
 def cmd_trails(args) -> int:
-    d = _digraph_from_args(args)
+    d = _digraph_from_args(args, matches=False)
     h = build_trail_hypergraph(d, args.i)
     with _open_out(args.out) as fh:
         trails_to_text(h, fh)
@@ -145,9 +149,9 @@ def cmd_trails(args) -> int:
 
 
 def cmd_match(args) -> int:
-    d = _digraph_from_args(args)
+    d = _digraph_from_args(args, matches=True)
     h = build_trail_hypergraph(d, args.i)
-    report = find_matching(h, args.seed)
+    report = find_matching(h, args.seed or 0)
     matching_report_to_text(report, sys.stdout)
     if args.out:
         with _open_out(args.out) as fh:
@@ -157,7 +161,7 @@ def cmd_match(args) -> int:
 
 def cmd_estimate(args) -> int:
     g, p = _graph_from_args(args)
-    cfg = PipelineConfig(seed=args.seed, p=p)
+    cfg = PipelineConfig(seed=args.seed or 0, p=p)
     est = estimate_genus(g, args.i, cfg)
     est.to_text(sys.stdout)
     with _open_out(args.out) as fh:
@@ -196,7 +200,7 @@ def cmd_oracle(args) -> int:
             genus = exact_genus(g, budget)
         print(f"genus={genus}")
     else:
-        res = pincer_genus(g, budget, 0 if args.seed is None else args.seed)
+        res = pincer_genus(g, budget, args.seed or 0)
         print(f"lower={res.lower}")
         print(f"upper={res.upper}")
         print(f"exact={int(res.exact)}")
@@ -390,7 +394,7 @@ def _add_model_flags(sub, with_i=True):
     sub.add_argument("--n2", type=int, default=None)
     sub.add_argument("--p", type=str, default=None,
                      help="edge probability, literal or nexp:E for n1**E")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=None, help="default 0")
     if with_i:
         sub.add_argument("--i", type=int, default=1,
                          help="trail half-length parameter (faces have length 2i+2)")

@@ -25,7 +25,7 @@ from .blossom import DartFamily, assemble_rotation, make_blossom_free
 from .embedding import face_length_histogram, genus_from_faces, trace_faces
 from .errors import GuardError, InternalConsistencyError, ValidationError
 from .trails import build_trail_hypergraph, count_short_closed_trails, \
-    find_disjoint_mirror_matching, find_matching
+    find_disjoint_mirror_matching
 
 CELL_COLUMNS = ("n1", "n2", "p", "i", "seed")  # a cell's key, as csv_key writes it
 CSV_COLUMNS = CELL_COLUMNS + ("edges", "lower", "upper", "prediction", "coverage",
@@ -343,8 +343,8 @@ def _trail_matchings(g, i: int, cfg: PipelineConfig) -> tuple[DartFamily, float,
     arrays those rows index, once it is built: only the DartFamily and
     two floats outlive the call."""
     h = build_trail_hypergraph(orient_randomly(g, cfg.seed), i)
-    m = find_matching(h, derive_int_seed(cfg.seed, STREAM_MATCH))
-    mm = find_disjoint_mirror_matching(h, m, derive_int_seed(cfg.seed, STREAM_MIRROR))
+    m, mm = find_disjoint_mirror_matching(h, derive_int_seed(cfg.seed, STREAM_MATCH),
+                                          derive_int_seed(cfg.seed, STREAM_MIRROR))
     del h
     return DartFamily.of_matchings(g, m, mm), m.coverage, mm.coverage
 

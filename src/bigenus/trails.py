@@ -42,9 +42,9 @@ own rows, with no array sized by the family: it shuffles them in place
 as whole rows, sweeps them in that order, copies the matched rows out
 and moves the others up over them, so the family keeps the trails the
 matching did not take. Reversal is a bijection, so the mirror of those
-is the reversed digraph's family less the reverses of the matching,
-which is what the mirror matching matches. The blossom module turns the
-matched trails into dart ids.
+is the reversed digraph's family less the reverses of the matching, and
+find_disjoint_mirror_matching draws the matching and then matches that
+mirror. The blossom module turns the matched trails into dart ids.
 
 Rows are the only trail representation: trails leave the package as
 text that trails_to_text writes from rebuilt chunks of rows and the arc
@@ -58,7 +58,6 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-import weakref
 from dataclasses import dataclass, replace
 from typing import TextIO
 
@@ -435,14 +434,12 @@ class MatchingReport:
     Coverage is d*|M|/N, the fraction of arcs used by the matching.
 
     `chosen` holds the matched trails, canonical and sorted, over the
-    arc arrays of the family they were matched in, and `family` is a
-    weak reference to that family object, which the report does not
-    keep alive. `excluded` counts the trails of the first matching whose
-    reverses a mirror matching left out."""
+    arc arrays of the family they were matched in. `excluded` counts the
+    trails of the first matching whose reverses a mirror matching left
+    out."""
 
     chosen: TrailHypergraph
     seed: int
-    family: weakref.ref
     excluded: int = 0
 
     @property
@@ -519,23 +516,21 @@ def find_matching(h: TrailHypergraph, seed: int = 0) -> MatchingReport:
         kept += k - start
         start = k + 1
     h.rows = rows[:kept]
-    return MatchingReport(TrailHypergraph(h.tail, h.head, matched), seed, weakref.ref(h))
+    return MatchingReport(TrailHypergraph(h.tail, h.head, matched), seed)
 
 
-def find_disjoint_mirror_matching(h: TrailHypergraph, m: MatchingReport,
-                                  seed: int = 0) -> MatchingReport:
-    """Matching in the reversed-digraph hypergraph avoiding the reverses
-    of the given matching, so no prescribed face appears twice with
-    opposite senses. h is the family m was matched in, which
-    find_matching left holding the trails m did not take. Reversal is a
-    bijection, so their mirror is the reversed digraph's family less the
-    reverses of m: h is mirrored in place and matched. Any other h, such
-    as another enumeration of the same digraph or h once mirrored
-    already, raises ValidationError."""
-    if m.family() is not h or m.chosen.tail is not h.tail:
-        raise ValidationError("h must be the family the matching was drawn from")
+def find_disjoint_mirror_matching(h: TrailHypergraph, seed: int = 0,
+                                  mirror_seed: int = 0) -> tuple[MatchingReport, MatchingReport]:
+    """The matching of h and a matching in the reversed-digraph
+    hypergraph that avoids the reverses of its trails, so no prescribed
+    face appears twice with opposite senses: (m, mm). m is
+    find_matching(h, seed), which leaves h holding the trails m did not
+    take. Reversal is a bijection, so their mirror is the reversed
+    digraph's family less the reverses of m: h is mirrored in place and
+    matched with mirror_seed, and mm.excluded is m.size."""
+    m = find_matching(h, seed)
     h.mirror()
-    return replace(find_matching(h, seed), excluded=m.size)
+    return m, replace(find_matching(h, mirror_seed), excluded=m.size)
 
 
 def matching_report_to_text(report: MatchingReport, fh: TextIO) -> None:

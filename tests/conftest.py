@@ -22,8 +22,7 @@ from bigenus.blossom import Blossom, DartFamily
 from bigenus.embedding import FaceSet, RotationSystem, genus_of_embedding, trace_faces
 from bigenus.errors import ValidationError
 from bigenus.estimator import _MAX_WINDOW_I, CRITICAL_BAND, RegimeResult
-from bigenus.trails import (build_trail_hypergraph, find_disjoint_mirror_matching,
-                            find_matching)
+from bigenus.trails import build_trail_hypergraph, find_disjoint_mirror_matching
 
 
 def edge_tuples(g) -> tuple[tuple[int, int], ...]:
@@ -210,6 +209,27 @@ def reference_refined_ceil(i: int, n: int, e: int, c: int) -> int:
     """ceil(i/(2i+2) e - (i-1)/(2i+2) 2c - (n-2)/2) over exact rationals."""
     return math.ceil(Fraction(i, 2 * i + 2) * e - Fraction(i - 1, 2 * i + 2) * 2 * c
                      - Fraction(n - 2, 2))
+
+
+def lcf_graph(shifts: Sequence[int], repeat: int) -> BipartiteGraph:
+    """The cubic graph of LCF notation [shifts]^repeat: the cycle
+    0, 1, ..., n-1 and a chord from each v to v + shifts[v % len(shifts)]
+    (mod n). The shifts are odd and n is even, so the graph is bipartite:
+    even vertex v is X-vertex v/2, odd v is Y-vertex n/2 + (v-1)/2."""
+    s = list(shifts) * repeat
+    n = len(s)
+    side = [v // 2 + (v % 2) * (n // 2) for v in range(n)]
+    edges = {tuple(sorted((side[v], side[(v + d) % n]))) for v in range(n) for d in (1, s[v])}
+    return BipartiteGraph(n // 2, n // 2, sorted(edges))
+
+
+# Girth-6 cubic graphs of genus 1 whose Euler bound is 0: the lower-side
+# anchors of a genus bracket. (LCF shifts, repeats, vertices, edges)
+GENUS_ONE_LCF = {
+    "heawood": ([5, -5], 7, 14, 21),
+    "moebius-kantor": ([5, -5], 8, 16, 24),
+    "pappus": ([5, 7, -7, 7, -7, -5], 3, 18, 27),
+}
 
 
 def reference_regime_classify(n1: int, n2: int, p: float) -> RegimeResult:
@@ -424,8 +444,7 @@ def pipeline_family(n1: int, n2: int, p: float, seed: int, i: int = 1):
     (with the seed itself for both matchings)."""
     g = gen_random_bipartite(GenParams(n1, n2, p, seed=seed))
     h = build_trail_hypergraph(orient_randomly(g, seed), i)
-    m = find_matching(h, seed)
-    mm = find_disjoint_mirror_matching(h, m, seed)
+    m, mm = find_disjoint_mirror_matching(h, seed, seed)
     return g, DartFamily.of_matchings(g, m, mm)
 
 

@@ -172,13 +172,14 @@ def test_estimate_calls_every_traced_layer_once():
     # spans, so a stage that an estimate skipped, or reached through an
     # unwrapped internal path, would read 0 without failing anything.
     # The tracer wraps every bigenus module attribute bound to a traced
-    # function; the estimate must call each stage once itself. The one
-    # nested call is find_matching inside find_disjoint_mirror_matching,
-    # so trails.match_yield counts both matchings.
+    # function; the estimate must call each stage once itself. The
+    # nested calls are both find_matching calls inside
+    # find_disjoint_mirror_matching, so trails.match_yield counts both
+    # matchings.
     tracing = _load_tracing()
     g = bigenus.gen_random_bipartite(bigenus.GenParams(30, 30, 0.3, seed=0))
     stages = ("bigraph.orient_randomly", "trails.build_trail_hypergraph",
-              "trails.find_matching", "trails.find_disjoint_mirror_matching",
+              "trails.find_disjoint_mirror_matching",
               "blossom.make_blossom_free", "blossom.assemble_rotation",
               "embedding.trace_faces", "embedding.genus_from_faces")
     tracer = tracing.Tracer()
@@ -188,8 +189,9 @@ def test_estimate_calls_every_traced_layer_once():
     (root,) = [s for s in tracer.spans if s["name"] == "estimator.estimate_genus"]
     direct = Counter(s["name"] for s in tracer.spans if s["parent"] == root["id"])
     assert {name: direct[name] for name in stages} == dict.fromkeys(stages, 1)
+    assert direct["trails.find_matching"] == 0
     (mirror,) = [s for s in tracer.spans
                  if s["name"] == "trails.find_disjoint_mirror_matching"]
     nested = [s["name"] for s in tracer.spans if s["parent"] == mirror["id"]]
-    assert nested == ["trails.find_matching"]
+    assert nested == ["trails.find_matching"] * 2
     assert Counter(s["name"] for s in tracer.spans)["trails.find_matching"] == 2

@@ -11,8 +11,7 @@ from bigenus.blossom import DartFamily, assemble_rotation, find_blossoms, make_b
 from bigenus.embedding import (RotationSystem, cyclic_successors, genus_from_faces,
                                sorted_rotation, trace_faces)
 from bigenus.errors import InternalConsistencyError, ValidationError
-from bigenus.trails import (build_trail_hypergraph, find_disjoint_mirror_matching,
-                            find_matching)
+from bigenus.trails import build_trail_hypergraph, find_disjoint_mirror_matching
 
 from conftest import (ClosedTrail, dart_family, family_trails, matched, pipeline_family,
                       reference_assemble, reference_blossom_free, reference_blossoms,
@@ -69,8 +68,8 @@ def test_length2_simplicity_by_darts_matches_reference():
         g = gen_random_bipartite(GenParams(n1, rng.randint(2, n1), rng.uniform(0.5, 1.0),
                                            seed=rng.randint(0, 9999)))
         h = build_trail_hypergraph(orient_randomly(g, 1), rng.choice((1, 1, 2)))
-        m = find_matching(h, 2)
-        fam = list(matched(m) + matched(find_disjoint_mirror_matching(h, m, 3)))
+        m, mm = find_disjoint_mirror_matching(h, 2, 3)
+        fam = list(matched(m) + matched(mm))
         used = {a for t in fam for a in t.arcs}
         for t in matched(m):
             if rng.random() < 0.6 and used.isdisjoint(t.reverse().arcs):
@@ -100,8 +99,7 @@ def test_dart_family_peak_memory():
     # int64 dart ids peaked at 1.27 MiB traced here
     def reports(g):
         h = build_trail_hypergraph(orient_randomly(g, 0), 1)
-        m = find_matching(h, 0)
-        return m, find_disjoint_mirror_matching(h, m, 1)
+        return find_disjoint_mirror_matching(h, 0, 1)
     k34 = complete_bipartite_graph(3, 4)
     DartFamily.of_matchings(k34, *reports(k34))  # first-call imports
     g = gen_random_bipartite(GenParams(800, 800, 0.03, seed=0))
@@ -347,8 +345,7 @@ def test_matched_rows_convert_like_their_trails():
     g = gen_random_bipartite(GenParams(30, 30, 0.3, seed=2))
     for i in (1, 2):
         h = build_trail_hypergraph(orient_randomly(g, 2), i)
-        m = find_matching(h, 3)
-        mm = find_disjoint_mirror_matching(h, m, 4)
+        m, mm = find_disjoint_mirror_matching(h, 3, 4)
         rows = DartFamily.of_matchings(g, m, mm)
         trails = dart_family(g, matched(m) + matched(mm))
         assert np.array_equal(rows.darts, trails.darts)
@@ -365,8 +362,7 @@ def test_find_blossoms_takes_a_dart_family():
     blossoms_seen = 0
     for i in (1, 2):
         h = build_trail_hypergraph(orient_randomly(g, 0), i)
-        m = find_matching(h, 1)
-        mm = find_disjoint_mirror_matching(h, m, 2)
+        m, mm = find_disjoint_mirror_matching(h, 1, 2)
         family = DartFamily.of_matchings(g, m, mm)
         surviving, _ = make_blossom_free(family)
         assert find_blossoms(surviving) == ()

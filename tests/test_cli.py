@@ -223,6 +223,24 @@ def test_in_refuses_the_model_flags(tmp_path, capsys):
     assert "p=0.56 " in capsys.readouterr().out  # 14 edges of 25
 
 
+@pytest.mark.parametrize("case", ["generate-in", "generate-standard", "trails-digraph"])
+def test_seed_is_refused_where_nothing_reads_it(tmp_path, capsys, case):
+    # a graph file and the standard graph take no draw, and a digraph
+    # file needs no orientation: each wrote the same bytes at any --seed
+    g, d, out = tmp_path / "g.txt", tmp_path / "d.txt", tmp_path / "out.txt"
+    assert main(["generate", "--n1", "6", "--n2", "6", "--p", "0.7", "--out", str(g)]) == 0
+    assert main(["orient", "--in", str(g), "--out", str(d)]) == 0
+    argv = {"generate-in": ["generate", "--in", str(g)],
+            "generate-standard": ["generate", "--standard", "--n1", "6", "--n2", "6",
+                                  "--p", "0.5"],
+            "trails-digraph": ["trails", "--in", str(d)]}[case]
+    capsys.readouterr()
+    assert main([*argv, "--seed", "4", "--out", str(out)]) == 2
+    assert "error: --seed is read by nothing with " in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--out", str(out)]) == 0 and out.exists()
+
+
 def test_oracle_refuses_options_its_method_does_not_read(tmp_path, capsys):
     # exact search climbs from seed 0 and pincer never scans: --seed is
     # read by pincer alone and --max-systems by exact alone

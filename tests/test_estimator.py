@@ -25,10 +25,11 @@ from bigenus.estimator import (PipelineConfig, _core_components, _face_ceil, _ps
                                regime_classify, small_p_asymptote_check)
 from bigenus.trails import count_short_closed_trails
 
-from conftest import (edge_tuples, graph_cases, rand_bipartite, rand_graph,
-                      random_simple_graph, reference_adjacency, reference_core_components,
-                      reference_euler_ceil, reference_psi, reference_refined_ceil,
-                      reference_regime_classify, reference_two_coloring)
+from conftest import (GENUS_ONE_LCF, edge_tuples, graph_cases, lcf_graph, rand_bipartite,
+                      rand_graph, random_simple_graph, reference_adjacency,
+                      reference_core_components, reference_euler_ceil, reference_psi,
+                      reference_refined_ceil, reference_regime_classify,
+                      reference_two_coloring)
 
 
 def test_psi_closed_forms():
@@ -225,6 +226,21 @@ def test_euler_lower_bound_meets_known_genera():
         if k >= 2:
             for seed in range(3):
                 assert estimate_genus(g, 1, PipelineConfig(seed=seed)).upper >= genus
+
+
+@pytest.mark.parametrize("name", sorted(GENUS_ONE_LCF))
+def test_lower_side_anchors_are_bracketed(name):
+    # Heawood, Moebius-Kantor GP(8, 3) and Pappus have girth 6 and genus
+    # 1, while the Euler bound of a cubic graph of girth 6 is 0: the gap
+    # to the true genus is all in the lower bound
+    shifts, repeat, n, e = GENUS_ONE_LCF[name]
+    g = lcf_graph(shifts, repeat)
+    assert (g.n_vertices, g.n_edges) == (n, e)
+    assert all(len(g.neighbors(v)) == 3 for v in range(n))
+    assert euler_lower_bound(g) == 0
+    assert exact_genus(g) == 1
+    est = estimate_genus(g, 1)
+    assert est.lower <= 1 <= est.upper
 
 
 def test_lower_bound_ceilings_equal_exact_rationals():

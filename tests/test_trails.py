@@ -4,6 +4,7 @@ import mmap
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -199,9 +200,8 @@ def test_array_greedy_matches_set_reference():
             family = hypergraph_trails(h)
             rev = hypergraph_trails(build_trail_hypergraph(d.reverse(), i))
             seed = rng.randint(0, 999)
-            m = find_matching(h, seed)
+            m, mm = find_disjoint_mirror_matching(h, seed, seed + 1)
             assert matched(m) == reference_greedy(family, seed)
-            mm = find_disjoint_mirror_matching(h, m, seed + 1)
             reverses = {t.reverse() for t in matched(m)}
             assert matched(mm) == reference_greedy(rev, seed + 1, reverses)
             assert mm.excluded == len(matched(m))
@@ -227,7 +227,9 @@ def test_matching_takes_its_trails_out_of_the_family(i):
         assert m.size > 0 and h.rows.dtype == dtype and h.rows.ctypes.data == buffer
         assert len(rest) == len(family) - m.size
         assert set(rest) == family - set(matched(m))
-        mm = find_disjoint_mirror_matching(h, m, 7)
+        h = TrailHypergraph(built.tail, built.head, built.rows.astype(dtype))
+        buffer = h.rows.ctypes.data
+        m, mm = find_disjoint_mirror_matching(h, 5, 7)
         rest = hypergraph_trails(h)
         assert mm.excluded == m.size and mm.size > 0 and h.rows.ctypes.data == buffer
         assert len(rest) == len(rev) - m.size - mm.size
@@ -247,7 +249,11 @@ def test_int32_rows_match_alike(i):
     assert mw.chosen.rows.dtype == np.int32 and m.size > 0
     assert np.array_equal(mw.chosen.rows, m.chosen.rows) and mw.coverage == m.coverage
     assert np.array_equal(wide.rows, h.rows)
-    mm, mmw = find_disjoint_mirror_matching(h, m, 4), find_disjoint_mirror_matching(wide, mw, 4)
+    h = build_trail_hypergraph(d, i)
+    wide = TrailHypergraph(h.tail, h.head, h.rows.astype(np.int32))
+    (m, mm), (mw, mmw) = (find_disjoint_mirror_matching(h, 3, 4),
+                          find_disjoint_mirror_matching(wide, 3, 4))
+    assert np.array_equal(mw.chosen.rows, m.chosen.rows)
     assert np.array_equal(mmw.chosen.rows, mm.chosen.rows) and mmw.excluded == mm.excluded
     assert np.array_equal(wide.rows, h.rows)
 
@@ -256,27 +262,22 @@ def test_matching_peak_memory():
     # the matchings shuffle the family's own rows and move the rows they
     # do not take up in place, so beyond chunk-sized temporaries they
     # hold only the used-arc marks and the matched rows, and the mirror
-    # matching the mirror's arc ranks. An int32 index per candidate and
-    # a keep mask took about 5.3 bytes per trail.
+    # the mirror's arc ranks. An int32 index per candidate and a keep
+    # mask took about 5.3 bytes per trail.
     small = build_trail_hypergraph(orient_randomly(complete_bipartite_graph(3, 4), 0), 1)
-    m = find_matching(small, 0)
-    find_disjoint_mirror_matching(small, m, 1)  # first-call imports
+    find_disjoint_mirror_matching(small, 0, 1)  # first-call imports
     d = orient_randomly(gen_random_bipartite(GenParams(120, 120, 0.5, seed=0)), 0)
     h = build_trail_hypergraph(d, 1)
     n = h.n_hyperedges
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        m = find_matching(h, 0)
-        match_peak = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        mm = find_disjoint_mirror_matching(h, m, 1)
-        mirror_peak = tracemalloc.get_traced_memory()[1] - base
+        m, mm = find_disjoint_mirror_matching(h, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert n == 393_537 and mm.excluded == m.size > 0
-    assert max(match_peak, mirror_peak) < 2 * n
+    assert peak < 2 * n
 
 
 def test_dfs_rows_are_canonically_sorted():
@@ -521,8 +522,7 @@ def test_mirror_exclusion_property():
         d = orient_randomly(g, rng.randint(0, 999))
         h = build_trail_hypergraph(d, 1)
         rev = hypergraph_trails(build_trail_hypergraph(d.reverse(), 1))
-        m = find_matching(h, 3)
-        m2 = find_disjoint_mirror_matching(h, m, 3)
+        m, m2 = find_disjoint_mirror_matching(h, 3, 3)
         reversed_m = {t.reverse() for t in matched(m)}
         assert not reversed_m & set(matched(m2))
         assert m2.excluded == len(matched(m))
@@ -741,44 +741,33 @@ def test_exclusion_matches_the_reference():
         for i in (1, 2):
             h = build_trail_hypergraph(d, i)
             rev = build_trail_hypergraph(d.reverse(), i)
-            m = find_matching(h, 11)
+            m, mm = find_disjoint_mirror_matching(h, 11, 12)
             reverses = [t.reverse() for t in matched(m)]
             rows = [reference_index(rev, t) for t in reverses]
             assert None not in rows and len(set(rows)) == m.size
-            mm = find_disjoint_mirror_matching(h, m, 12)
             assert matched(mm) == reference_greedy(hypergraph_trails(rev), 12, reverses)
             assert not set(rows) & {reference_index(rev, t) for t in matched(mm)}
             checked += m.size
     assert checked > 0
 
 
-def test_mirror_matching_refuses_a_mirrored_family():
-    # the mirror matching mirrors the family the matching was drawn
-    # from; a family mirrored already, by the caller or by an earlier
-    # mirror matching, the reversed digraph's own family, or another
-    # enumeration of the same digraph (which shares its arc arrays and
-    # still holds the trails of m) is refused
-    d = orient_randomly(complete_bipartite_graph(3, 4), 0)
-    h = build_trail_hypergraph(d, 1)
-    m = find_matching(h, 0)
-    h.mirror()
-    with pytest.raises(ValidationError, match="family the matching was drawn from"):
-        find_disjoint_mirror_matching(h, m, 1)
-    h = build_trail_hypergraph(d, 1)
-    m = find_matching(h, 0)
-    with pytest.raises(ValidationError, match="family the matching was drawn from"):
-        find_disjoint_mirror_matching(build_trail_hypergraph(d.reverse(), 1), m, 1)
-    again = build_trail_hypergraph(d, 1)
-    assert again.tail is h.tail and again.n_hyperedges > h.n_hyperedges
-    with pytest.raises(ValidationError, match="family the matching was drawn from"):
-        find_disjoint_mirror_matching(again, m, 1)
-    # the report does not keep its family alive
-    g = gen_random_bipartite(GenParams(30, 30, 0.3, seed=0))
-    gone = find_matching(build_trail_hypergraph(orient_randomly(g, 0), 1), 0)
-    assert gone.family() is None and gone.size > 0
-    with pytest.raises(ValidationError, match="family the matching was drawn from"):
-        find_disjoint_mirror_matching(build_trail_hypergraph(orient_randomly(g, 0), 1),
-                                      gone, 1)
-    assert find_disjoint_mirror_matching(h, m, 1).excluded == m.size > 0
-    with pytest.raises(ValidationError, match="family the matching was drawn from"):
-        find_disjoint_mirror_matching(h, m, 1)
+def test_mirror_matching_is_the_matching_then_the_mirror_matched():
+    # one call draws the matching, mirrors what it left and matches that,
+    # as find_matching, TrailHypergraph.mirror and find_matching again do
+    g30 = gen_random_bipartite(GenParams(30, 30, 0.3, seed=0))
+    for g, i in ((complete_bipartite_graph(3, 4), 1), (g30, 1), (g30, 2)):
+        d = orient_randomly(g, 0)
+        h, ref = build_trail_hypergraph(d, i), build_trail_hypergraph(d, i)
+        m, mm = find_disjoint_mirror_matching(h, 5, 6)
+        want = find_matching(ref, 5)
+        ref.mirror()
+        want_mm = find_matching(ref, 6)
+        for got, exp in ((m, want), (mm, want_mm)):
+            assert np.array_equal(got.chosen.rows, exp.chosen.rows)
+            assert np.array_equal(got.chosen.tail, exp.chosen.tail)
+            assert got.seed == exp.seed
+        assert np.array_equal(h.rows, ref.rows)
+        assert m.excluded == want.excluded == 0
+        assert mm.excluded == want.size == m.size > 0
+    # the report holds no reference to the family it was drawn from
+    assert [f.name for f in fields(m)] == ["chosen", "seed", "excluded"]
