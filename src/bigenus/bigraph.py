@@ -42,6 +42,8 @@ STREAM_MIRROR = 3
 
 # Subset-indexed operations refuse beyond this part size (2^n2 blowup).
 MAX_SMALL_PART = 20
+# Vertex labels are held as int32, so a graph has at most 2^31 vertices.
+MAX_VERTICES = 2 ** 31
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -212,6 +214,15 @@ class GenParams:
             raise ValidationError(f"need n1 >= n2 >= 1, got n1={self.n1} n2={self.n2}")
         if not (0.0 <= self.p <= 1.0):
             raise ValidationError(f"p must lie in [0,1], got {self.p}")
+        _check_order(self.n1 + self.n2)
+
+
+def _check_order(n: int) -> None:
+    """Refuse a vertex count below 0 or above MAX_VERTICES."""
+    if n < 0:
+        raise ValidationError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise ValidationError(f"{n} vertices exceed the limit of 2^31 int32 labels")
 
 
 def _refuse_least(u: np.ndarray, v: np.ndarray, bad: np.ndarray, out: str, loop="") -> None:
@@ -333,8 +344,7 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
-        if n < 0:
-            raise ValidationError("vertex count must be nonnegative")
+        _check_order(n)
         self.n = n
         ends = _pair_array(edges, "edge")
         # Each temporary is dropped as soon as it is used: together they
@@ -487,8 +497,7 @@ class Digraph:
     are checked as Graph checks its edges."""
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] | np.ndarray):
-        if n < 0:
-            raise ValidationError("vertex count must be nonnegative")
+        _check_order(n)
         t, h = _pair_array(arcs, "arc").T
         _refuse_least(t, h, (t == h) | (t < 0) | (h < 0) | (t >= n) | (h >= n),
                       "arc ({},{}) out of range", "loop arc at {}")
@@ -506,10 +515,6 @@ class Digraph:
         d.n, (d.tail, d.head) = n, np.empty((2, len(key)), np.int32)
         np.divmod(key, n, out=(d.tail, d.head))
         return d
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n
 
     @property
     def n_arcs(self) -> int:

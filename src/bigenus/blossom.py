@@ -24,7 +24,6 @@ trails are mutual reverses, which compares their darts.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass
 
@@ -51,8 +50,7 @@ class Blossom:
 class DartFamily:
     """Arc-disjoint closed trails of g as dart ids over index =
     arc_index(g): trail k is darts[offsets[k]:offsets[k + 1]], in trail
-    order. darts is int32 and offsets int64; where and after, over
-    darts and family positions, are int32. of_matchings checks that
+    order. darts is int32 and offsets int64. of_matchings checks that
     every arc is an edge of g and that no arc is used twice."""
 
     def __init__(self, g, index: ArcIndex, darts: np.ndarray, offsets: np.ndarray):
@@ -105,45 +103,22 @@ class DartFamily:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def lengths(self) -> np.ndarray:
-        return self.offsets[1:] - self.offsets[:-1]
-
     def subset(self, keep: np.ndarray) -> "DartFamily":
         """The trails k with keep[k], in family order."""
-        lengths = self.lengths()
+        lengths = np.diff(self.offsets)
         return DartFamily(self.graph, self.index, self.darts[np.repeat(keep, lengths)],
                           np.concatenate(([0], np.cumsum(lengths[keep]))))
-
-    @functools.cached_property
-    def where(self) -> np.ndarray:
-        """where[a] is the family position of dart a, or -1 where no
-        trail uses it."""
-        where = np.full(len(self.index.tail), -1, dtype=np.int32)
-        where[self.darts] = np.arange(len(self.darts), dtype=np.int32)
-        return where
-
-    def after(self) -> np.ndarray:
-        """after[j] is the position after j in its trail, wrapping to
-        the trail's start."""
-        after = np.arange(1, len(self.darts) + 1, dtype=np.int32)
-        after[self.offsets[1:] - 1] = self.offsets[:-1]
-        return after
-
-    def entering(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(trail_index, passage_idx) of the passages keyed at the darts
-        x: the trail that enters along the reverse of each, and the
-        position of that arc inside the trail."""
-        j = self.where[self.index.rev[x]]
-        k = np.searchsorted(self.offsets, j, "right") - 1
-        return k, j - self.offsets[k]
 
 
 def _passages(fam: DartFamily) -> np.ndarray:
     """The passage successor of the family: for the dart x = (v, u), the
     dart (v, w) of the passage u -> v -> w that enters v along the
     reverse of x, or -1 where no trail enters v from u."""
+    # after[j] is the position after j in its trail, wrapping to its start
+    after = np.arange(1, len(fam.darts) + 1, dtype=np.int32)
+    after[fam.offsets[1:] - 1] = fam.offsets[:-1]
     succ = np.full(len(fam.index.tail), -1, dtype=np.int32)
-    succ[fam.index.rev[fam.darts]] = fam.darts[fam.after()]
+    succ[fam.index.rev[fam.darts]] = fam.darts[after]
     return succ
 
 
@@ -175,11 +150,15 @@ def _walk(succ: np.ndarray, index: ArcIndex) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _cycles(fam: DartFamily) -> list[np.ndarray]:
-    """Every cycle of the family's passage successor as its darts in
-    successor order, from its least dart, in increasing order of that
-    dart: the blossoms, by center and then by least in_tip."""
+    """Every cycle of the family's passage successor as the family
+    positions of its passages' in-arcs, in successor order, from its
+    least dart, in increasing order of that dart: the blossoms, by
+    center and then by least in_tip."""
     succ = _passages(fam)
     cyclic = _walk(succ, fam.index)[2]
+    # into[x] is the family position of the arc entering along x's reverse
+    into = np.zeros(len(succ), dtype=np.int32)
+    into[fam.index.rev[fam.darts]] = np.arange(len(fam.darts), dtype=np.int32)
     seen: set[int] = set()
     cycles = []
     for a in np.flatnonzero(cyclic).tolist():
@@ -189,7 +168,7 @@ def _cycles(fam: DartFamily) -> list[np.ndarray]:
         while (b := int(succ[cyc[-1]])) != a:
             cyc.append(b)
         seen.update(cyc)
-        cycles.append(np.array(cyc, dtype=np.int64))
+        cycles.append(into[cyc])
     return cycles
 
 
@@ -206,18 +185,19 @@ def _is_reverse(fam: DartFamily, j: int, k: int) -> bool:
 def find_blossoms(fam: DartFamily) -> tuple[Blossom, ...]:
     """Every auxiliary cycle of every center, exhaustively. The result
     is empty iff the family is blossom-free."""
-    index = fam.index
     blossoms: list[Blossom] = []
     for cyc in _cycles(fam):
-        passages = tuple(zip(*(a.tolist() for a in fam.entering(cyc))))
+        k = np.searchsorted(fam.offsets, cyc, "right") - 1
+        passages = tuple(zip(k.tolist(), (cyc - fam.offsets[k]).tolist()))
+        in_arcs = fam.darts[cyc]
         if len(cyc) >= 3:
             simple = True
         elif len(cyc) == 2:
             simple = not _is_reverse(fam, passages[0][0], passages[1][0])
         else:
             simple = False
-        blossoms.append(Blossom(int(index.tail[cyc[0]]), passages,
-                                tuple(index.head[cyc].tolist()), simple))
+        blossoms.append(Blossom(int(fam.index.head[in_arcs[0]]), passages,
+                                tuple(fam.index.tail[in_arcs].tolist()), simple))
     return tuple(blossoms)
 
 
@@ -235,7 +215,8 @@ def make_blossom_free(fam: DartFamily) -> tuple[DartFamily, DartFamily]:
     stale entries skipped yields the next victim, so the loop costs
     O(c log c) in the total size c of the cycles.
     """
-    cycles = [frozenset(fam.entering(cyc)[0].tolist()) for cyc in _cycles(fam)]
+    cycles = [frozenset((np.searchsorted(fam.offsets, cyc, "right") - 1).tolist())
+              for cyc in _cycles(fam)]
     cycles_of: dict[int, list[int]] = {}
     for ci, cyc in enumerate(cycles):
         for idx in cyc:
@@ -290,8 +271,8 @@ def assemble_rotation(fam: DartFamily) -> RotationSystem:
     lead, rank, cyclic = _walk(succ, index)
     if cyclic.any():
         cyc = _cycles(fam)[0]
-        raise ValidationError(
-            f"family has a blossom at vertex {int(index.tail[cyc[0]])} (length {len(cyc)})")
+        raise ValidationError(f"family has a blossom at vertex "
+                              f"{int(index.head[fam.darts[cyc[0]]])} (length {len(cyc)})")
     # Each temporary is dropped once used: assembly sets the traced peak
     # of a sparse estimate. Each chain is keyed by its least dart, which
     # lies in its vertex's block.

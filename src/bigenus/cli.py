@@ -289,13 +289,17 @@ def _resume(path: str) -> tuple[set[tuple[str, ...]], bool]:
     A last line without its newline is a row torn by an interrupted
     write: it is cut from the file, so its cell is computed again and
     the next row starts on a line of its own. A row counts as done
-    only when it has every one of the EXPERIMENT_COLUMNS fields.
+    only when it has every one of the EXPERIMENT_COLUMNS fields. A file
+    whose complete lines neither are empty nor start with SCHEMA_LINE
+    is no experiment CSV, and is refused untouched.
     """
     try:
         with open(path, "rb+") as fh:
-            data = fh.read()
-            if not data.endswith(b"\n"):
-                data = data[:data.rfind(b"\n") + 1]
+            raw = fh.read()
+            data = raw[:raw.rfind(b"\n") + 1]
+            if data and not data.startswith(SCHEMA_LINE.encode() + b"\n"):
+                raise ValidationError(f"{path} is not a bigenus experiment CSV")
+            if data != raw:
                 fh.truncate(len(data))
     except FileNotFoundError:
         return set(), True

@@ -11,8 +11,9 @@ A RotationSystem and a FaceSet each hold the graph they were built
 for, so trace_faces, genus_from_faces and genus_of_embedding take the
 object alone. A rotation has one form, a dart order seq over the
 arc_index of its graph, and a face set is its dart orbit and face
-lengths; RotationSystem(g, order) checks and converts per-vertex
-neighbor orders into seq once.
+lengths. Every rotation the package builds is a dart order given to
+RotationSystem.from_seq; RotationSystem(g, order) checks and converts
+per-vertex neighbor orders handed in from outside into seq once.
 """
 
 from __future__ import annotations

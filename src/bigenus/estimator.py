@@ -364,11 +364,10 @@ def estimate_genus(g, i: int, config: PipelineConfig | None = None) -> GenusEsti
 
     Each stage's input is dropped before the next stage allocates: the
     matching reports once the DartFamily is built, the family before
-    blossom removal (with its cached where) and the dropped trails once
-    make_blossom_free returns, the survivors once assemble_rotation
-    returns and the rotation once its faces are traced. Only the
-    coverages, the family size and the number of dropped trails are
-    kept for the result.
+    blossom removal and the dropped trails once make_blossom_free
+    returns, the survivors once assemble_rotation returns and the
+    rotation once its faces are traced. Only the coverages, the family
+    size and the number of dropped trails are kept for the result.
     """
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")

@@ -12,10 +12,10 @@ misses the bound. The scan enumerates rotation systems by a
 mixed-radix counter over per-vertex orderings with the first incident
 edge fixed (cyclic orders, not linear ones) and stops early once the
 bound is attained; a climb that attains it certifies exactness without
-enumerating anything. Only minimum_genus_rotation maps the orders found
-back to the vertices of g and makes them a RotationSystem of g, its
-witness. small_part_exact_genus runs the same searches on the simple
-graph of a small-part reduction (estimator.reduce_small_part).
+enumerating anything. Only minimum_genus_rotation writes the orders
+found into one dart order over arc_index(g), the RotationSystem of g
+that is its witness. small_part_exact_genus runs the same searches on
+the simple graph of a small-part reduction (estimator.reduce_small_part).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class _Engine:
 
     def __init__(self, g):
         index = arc_index(g)
-        self.heads, self.rev, first = index.head.tolist(), index.rev.tolist(), index.first
+        self.rev, first = index.rev.tolist(), index.first
         self.n_c = g.n_vertices
         self.e_c = g.n_edges
         self.out_arcs = [range(first[v], first[v + 1]) for v in range(self.n_c)]
@@ -110,9 +110,6 @@ class _Engine:
     def restore(self, snap: list[tuple[int, ...]]) -> None:
         for v, seq in enumerate(snap):
             self.set_seq(v, seq)
-
-    def neighbor_orders(self) -> list[tuple[int, ...]]:
-        return [tuple(self.heads[a] for a in seq) for seq in self.seq]
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -254,12 +251,16 @@ def minimum_genus_rotation(g, budget: SearchBudget | None = None,
     """
     _lower, genus, components = _search(g, budget or SearchBudget(), 0, climb=shortcut,
                                         scan=True)
-    order = {v: g.neighbors(v) for v in range(g.n_vertices)}
+    # A component holds every neighbour of its vertices, so the darts of
+    # its vertex k are those of g's vertex run[k], in the same order,
+    # shifted by one offset per vertex.
+    index = arc_index(g)
+    seq = np.arange(len(index.tail), dtype=np.int32)
     for run, eng in components:
-        label = run.tolist()
-        for v, nbrs in zip(label, eng.neighbor_orders()):
-            order[v] = tuple(label[u] for u in nbrs)
-    return genus, RotationSystem(g, order)
+        shift = np.repeat(index.first[run] - [arcs.start for arcs in eng.out_arcs],
+                          [len(arcs) for arcs in eng.out_arcs])
+        seq[np.arange(len(shift)) + shift] = np.concatenate(eng.seq) + shift
+    return genus, RotationSystem.from_seq(g, index, seq)
 
 
 def exact_genus(g, budget: SearchBudget | None = None, shortcut: bool = True) -> int:

@@ -42,7 +42,8 @@ def test_no_module_defines_closed_trail():
 def test_arrays_are_the_interface():
     # edges, arcs, rotations and faces are read off their arrays and
     # attributes; no tuple view or one-line restatement of them is left
-    from bigenus.blossom import Blossom, DartFamily, find_blossoms
+    from bigenus.blossom import (Blossom, DartFamily, assemble_rotation, find_blossoms,
+                                 make_blossom_free)
 
     # a graph, rotation and face set keep their defining arrays alone:
     # no neighbour-tuple cache, stored successors or face-start tails
@@ -59,7 +60,9 @@ def test_arrays_are_the_interface():
                (bigenus.bigraph, ("two_coloring", "_sides")),
                (bigenus.embedding, ("Darts",)),
                (bigenus.estimator, ("_euler_ceil", "_refined_ceil")),
-               (Blossom, ("length",))]
+               (Blossom, ("length",)),
+               (DartFamily, ("where", "entering", "after", "lengths")),
+               (bigenus.oracle._Engine(g), ("heads", "neighbor_orders"))]
     for obj, names in removed:
         assert [name for name in names if hasattr(obj, name)] == [], obj
     assert sorted(vars(g)) == ["first", "n", "n1", "n2", "nbrs", "u", "v"]
@@ -77,6 +80,13 @@ def test_arrays_are_the_interface():
     assert type(found) is tuple and len(found) == 4
     assert all(type(b) is Blossom and not b.simple for b in found)
     assert find_blossoms(DartFamily._of_arcs(g, trail[:, 0], trail[:, 1], np.array([4]))) == ()
+    # a family is its darts and offsets, before and after every stage
+    fam = DartFamily._of_arcs(g, both[:, 0], both[:, 1], np.array([4, 4]))
+    kept, dropped = make_blossom_free(fam)
+    find_blossoms(fam)
+    assemble_rotation(kept)
+    for f in (fam, kept, dropped):
+        assert sorted(vars(f)) == ["darts", "graph", "index", "offsets"]
 
 
 def test_estimator_does_not_import_the_oracle():

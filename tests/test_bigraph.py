@@ -405,6 +405,31 @@ def test_array_storage_validation_and_views():
     assert Digraph(d.n, np.empty((0, 2), dtype=np.int32)) == Digraph(d.n, []) != d
 
 
+def test_digraph_refuses_labels_past_int32():
+    # labels are held as int32: past 2^31 vertices they would wrap, so
+    # the vertex count is refused instead
+    for n, arcs in ((2 ** 31 + 1, [(0, 2 ** 31)]), (2 ** 32 + 5, [(1, 2 ** 32 + 2)])):
+        with pytest.raises(ValidationError, match="exceed the limit of 2\\^31"):
+            Digraph(n, arcs)
+    # 2^31 vertices is the limit itself: the largest label fits int32
+    assert arc_tuples(Digraph(2 ** 31, [(2 ** 31 - 1, 0)])) == ((2 ** 31 - 1, 0),)
+
+
+def test_gen_params_refuse_more_than_2_31_vertices():
+    for n1, n2 in ((2 ** 31, 1), (2 ** 30 + 1, 2 ** 30)):
+        with pytest.raises(ValidationError, match="exceed the limit of 2\\^31"):
+            GenParams(n1, n2, 0.5)
+    assert GenParams(2 ** 31 - 1, 1, 0.5).n1 == 2 ** 31 - 1
+
+
+def test_graphs_refuse_more_than_2_31_vertices():
+    # refused before the per-vertex first array (4 bytes a vertex) exists
+    for make in (lambda: Graph(2 ** 31 + 1, []), lambda: BipartiteGraph(2 ** 31, 1, []),
+                 lambda: BipartiteGraph(1, 2 ** 31, [(0, 1)])):
+        with pytest.raises(ValidationError, match="exceed the limit of 2\\^31"):
+            make()
+
+
 def test_induced_subgraph_equals_loop_reference():
     # relabelling keeps vertex order; a bipartite graph keeps its parts
     rng = random.Random(6)

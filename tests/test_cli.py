@@ -630,6 +630,44 @@ def test_experiment_recomputes_torn_tail(tmp_path, capsys):
     assert strip(lines) == strip(full.splitlines())
 
 
+def test_experiment_refuses_a_file_that_is_not_its_csv(tmp_path, capsys):
+    # a file whose complete lines do not open with the schema line is
+    # left byte for byte as it was, torn last line included
+    cfg, notes = tmp_path / "e.cfg", tmp_path / "notes.txt"
+    _write_config(cfg, notes)
+    for text in (b"my notes\nkeep this line", b"my notes\n", b"n1,n2\n8,4\n",
+                 cli.SCHEMA_LINE.encode() + b"n1\n"):
+        notes.write_bytes(text)
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert "is not a bigenus experiment CSV" in capsys.readouterr().err
+        assert notes.read_bytes() == text
+    # a first header torn before its newline leaves no complete line:
+    # the file counts as empty and is written afresh
+    notes.write_bytes(cli.SCHEMA_LINE[:12].encode())
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    lines = notes.read_text().splitlines()
+    assert lines[0] == cli.SCHEMA_LINE and len(lines) == 2 + 4
+
+
+def test_labels_past_int32_exit_2(tmp_path, capsys):
+    # a digraph file past 2^31 vertices is refused, not wrapped to the
+    # 4-cycle's small labels; the model commands refuse such parts
+    # before drawing a cell
+    big = 2 ** 32
+    d, out = tmp_path / "d.txt", tmp_path / "out.txt"
+    d.write_text(f"digraph {big + 4}\n0 {big + 1}\n{big + 1} 2\n2 {big + 3}\n{big + 3} 0\n")
+    for args in (["trails", "--in", str(d)],
+                 ["generate", "--n1", str(2 ** 31), "--n2", "1", "--p", "0.5"]):
+        assert main(args + ["--out", str(out)]) == 2
+        assert "exceed the limit of 2^31" in capsys.readouterr().err
+        assert not out.exists()
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text(f"n1 = {2 ** 31}\nn2 = 1\np = 0.5\nout = {out}\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert "exceed the limit of 2^31" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     csv = tmp_path / "row.csv"
     assert main(["predict", "--n1", "10", "--n2", "5", "--p", "abc"]) == 2

@@ -4,15 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from bigenus import blossom, embedding, oracle
+from bigenus import blossom, embedding, estimator, oracle
 from bigenus.bigraph import (BipartiteGraph, GenParams, Graph, complete_bipartite_graph,
                              complete_graph, component_labels, cycle_graph,
                              gen_random_bipartite, key_dtype, path_graph)
 from bigenus.blossom import assemble_rotation
-from bigenus.embedding import (RotationSystem, arc_index, face_length_histogram,
-                               genus_from_faces, genus_of_embedding, rotation_to_text,
-                               sorted_rotation, trace_faces)
-from bigenus.errors import ValidationError
+from bigenus.embedding import (RotationSystem, arc_index, euler_genus, face_length_histogram,
+                               face_starts, genus_from_faces, genus_of_embedding,
+                               rotation_to_text, sorted_rotation, trace_faces)
+from bigenus.errors import InternalConsistencyError, ValidationError
 from bigenus.estimator import PipelineConfig, estimate_genus
 
 from conftest import (ClosedTrail, component_euler_stats, dart_family, edge_tuples,
@@ -169,7 +169,7 @@ def test_every_dart_numbering_is_one_int32_arc_index(monkeypatch):
         monkeypatch.setattr(mod, "arc_index", spy)
     g = complete_bipartite_graph(3, 3)
     eng = oracle._Engine(g)
-    assert (eng.heads, eng.rev) == (built[-1].head.tolist(), built[-1].rev.tolist())
+    assert eng.rev == built[-1].rev.tolist()
     assert eng.out_arcs == [range(3 * v, 3 * v + 3) for v in range(6)]
     assert oracle.exact_genus(g) == 1
     before = len(built)
@@ -229,3 +229,34 @@ def test_traced_faces_build_arc_tuples_on_read():
     assert fs.faces[0] == ((0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0))
     assert [face[0][0] for face in fs.faces] == [0, 0, 0]
     assert fs == trace_faces(sorted_rotation(g)) and "faces" in vars(fs)
+
+
+def test_broken_traces_are_refused(monkeypatch):
+    # a face successor that is no permutation leaves an orbit unclosed:
+    # 0 -> 1 -> 1 never returns to 0
+    with pytest.raises(InternalConsistencyError, match="did not close"):
+        face_starts([1, 1], [0, 1])
+    assert face_starts([1, 0], [0, 1]) == [0]
+    # every dart's face successor is dart 0, so the walk from dart 1 ends on 0
+    rot = sorted_rotation(complete_bipartite_graph(2, 2))
+    assert trace_faces(rot).n_faces == 2
+    monkeypatch.setattr(embedding, "cyclic_successors",
+                        lambda index, seq: np.zeros(len(seq), dtype=np.int32))
+    with pytest.raises(InternalConsistencyError, match="did not close"):
+        trace_faces(rot)
+
+
+def test_euler_genus_refuses_odd_and_negative_values():
+    assert euler_genus(4, 4, 2) == 0 and euler_genus(6, 9, 3) == 1
+    for n_c, e_c, f_c, val in ((3, 3, 1, 1), (4, 2, 5, -5), (4, 2, 2, -2)):
+        with pytest.raises(InternalConsistencyError, match=f"= {val} is not an even"):
+            euler_genus(n_c, e_c, f_c)
+
+
+def test_estimate_refuses_an_upper_bound_below_the_lower(monkeypatch):
+    g = complete_bipartite_graph(4, 4)
+    est = estimate_genus(g, 1)
+    assert est.lower == 1 <= est.upper
+    monkeypatch.setattr(estimator, "genus_from_faces", lambda fs: est.lower - 1)
+    with pytest.raises(InternalConsistencyError, match="genus 0 fell below the lower bound 1"):
+        estimate_genus(g, 1)

@@ -139,12 +139,33 @@ def test_witness_of_disconnected_graphs_is_frozen():
            "8: 0-8 5-8 4-8 2-8\n9: 0-9 2-9 4-9 5-9\n10: 0-10 2-10 4-10 5-10\n")
 
 
+def test_witness_is_written_as_darts(monkeypatch):
+    # the witness is one dart order over g's arc index: no neighbour
+    # tuple of g is read, and the text is what the neighbour orders
+    # wrote, also where the components' vertices interleave in g
+    def refuse(self, v):
+        raise AssertionError("minimum_genus_rotation read Graph.neighbors")
+
+    monkeypatch.setattr(Graph, "neighbors", refuse)
+    assert _witness_text(complete_bipartite_graph(3, 3)) == (
+        1, "0: 0-3 0-4 0-5\n1: 1-3 1-4 1-5\n2: 2-3 2-4 2-5\n"
+           "3: 0-3 1-3 2-3\n4: 0-4 1-4 2-4\n5: 0-5 1-5 2-5\n")
+    odd = (1, 3, 5, 7, 9)
+    k5 = [(a, b) for a in odd for b in odd if a < b]
+    g = Graph(12, k5 + [(a, b) for a in (0, 2, 4) for b in (6, 8, 10)])  # K5 + K33 + isolated
+    assert _witness_text(g) == (
+        2, "0: 0-6 0-8 0-10\n1: 1-9 1-5 1-7 1-3\n2: 2-6 2-8 2-10\n"
+           "3: 3-7 1-3 3-9 3-5\n4: 4-6 4-8 4-10\n5: 5-9 3-5 5-7 1-5\n"
+           "6: 0-6 2-6 4-6\n7: 3-7 1-7 5-7 7-9\n8: 0-8 2-8 4-8\n"
+           "9: 1-9 7-9 3-9 5-9\n10: 0-10 2-10 4-10\n11:\n")
+
+
 def test_exact_genus_builds_no_witness(monkeypatch):
     # only minimum_genus_rotation turns the orders found into a rotation
-    def refuse(g, order):
+    def refuse(g, index, seq):
         raise AssertionError("exact_genus built a witness rotation")
 
-    monkeypatch.setattr(oracle, "RotationSystem", refuse)
+    monkeypatch.setattr(oracle.RotationSystem, "from_seq", refuse)
     assert exact_genus(complete_bipartite_graph(3, 3)) == 1
     with pytest.raises(AssertionError, match="built a witness"):
         minimum_genus_rotation(complete_bipartite_graph(3, 3))
