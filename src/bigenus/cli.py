@@ -282,33 +282,32 @@ def _pool_rows(todo: list, workers: int):
         k += 1
 
 
-def _resume(path: str) -> tuple[set[tuple[str, ...]], bool]:
+def _resume(path: str) -> tuple[set[tuple[str, ...]], str]:
     """Keys, the CELL_COLUMNS fields, of the complete rows already in the CSV
-    at `path`, and whether it still needs its header lines.
+    at `path`, and the header lines (SCHEMA_LINE, then the
+    EXPERIMENT_COLUMNS line) that it still lacks.
 
-    A last line without its newline is a row torn by an interrupted
-    write: it is cut from the file, so its cell is computed again and
-    the next row starts on a line of its own. A row counts as done
-    only when it has every one of the EXPERIMENT_COLUMNS fields. A file
-    whose complete lines neither are empty nor start with SCHEMA_LINE
-    is no experiment CSV, and is refused untouched.
+    A last line without its newline was torn by an interrupted write: it
+    is cut from the file, so its row or header line is written again. A
+    row counts as done only when it has every one of the
+    EXPERIMENT_COLUMNS fields. A file whose complete lines are not the
+    header lines, a first part of them, or the header lines and more is
+    no experiment CSV, and is refused untouched.
     """
+    header = f"{SCHEMA_LINE}\n{','.join(EXPERIMENT_COLUMNS)}\n"
     try:
         with open(path, "rb+") as fh:
             raw = fh.read()
             data = raw[:raw.rfind(b"\n") + 1]
-            if data and not data.startswith(SCHEMA_LINE.encode() + b"\n"):
+            if not (header.encode().startswith(data) or data.startswith(header.encode())):
                 raise ValidationError(f"{path} is not a bigenus experiment CSV")
             if data != raw:
                 fh.truncate(len(data))
     except FileNotFoundError:
-        return set(), True
-    keys = set()
-    for line in data.decode().splitlines():
-        parts = line.split(",")
-        if len(parts) == len(EXPERIMENT_COLUMNS) and not line.startswith(("#", "n1,")):
-            keys.add(tuple(parts[:len(CELL_COLUMNS)]))
-    return keys, not data
+        return set(), header
+    rows = (line.split(",") for line in data[len(header):].decode().splitlines())
+    keys = {tuple(r[:len(CELL_COLUMNS)]) for r in rows if len(r) == len(EXPERIMENT_COLUMNS)}
+    return keys, header[len(data):]
 
 
 def _config_ints(cfg: dict[str, str], key: str, default: str) -> list[int]:
@@ -376,14 +375,12 @@ def cmd_experiment(args) -> int:
                         cell = (replace(params, seed=base_seed + t), i)
                         cells.setdefault(_cell_key(cell), cell)
 
-    done, header_needed = _resume(out)
+    done, missing = _resume(out)
     todo = [c for key, c in cells.items() if key not in done]
     print(f"cells={len(cells)} todo={len(todo)}", file=sys.stderr)
 
     with open(out, "a") as fh:
-        if header_needed:
-            fh.write(SCHEMA_LINE + "\n")
-            fh.write(",".join(EXPERIMENT_COLUMNS) + "\n")
+        fh.write(missing)
         for row, report in _pool_rows(todo, workers):
             if report:
                 print(report, file=sys.stderr)

@@ -575,56 +575,58 @@ def count_short_closed_trails(g: BipartiteGraph, i: int) -> int:
     rotation and direction).
 
     In a simple bipartite graph every closed trail of length 4 or 6 is a
-    cycle, so those lengths reduce to closed-form cycle counts over
-    common neighborhoods (one set of Y-bitmasks serves both). Longer
-    lengths (j >= 4) are counted by streaming the half-trail join
-    (_trail_blocks), guarded by a work estimate and MAX_TRAILS.
+    cycle, and both lengths are counted in one pass over the Y-pairs
+    that share an X-neighbour; longer ones by streaming the half-trail
+    join, guarded by a work estimate and MAX_TRAILS.
     """
     if not isinstance(g, BipartiteGraph):
         raise ValidationError("count_short_closed_trails expects a bipartite graph")
     if i < 1:
         raise ValidationError(f"i must be >= 1, got {i}")
-    masks = _y_masks(g) if i >= 2 else []
-    total = _count_quad_cycles(masks) + (_count_hex_cycles(masks) if i >= 3 else 0)
-    return total + sum(_count_trails_exhaustive(g, 2 * j) for j in range(4, i + 1))
+    return (_count_short_cycles(g, i) if i >= 2 else 0) + sum(
+        _count_trails_exhaustive(g, 2 * j) for j in range(4, i + 1))
 
 
-def _y_masks(g: BipartiteGraph) -> list[int]:
-    """The X-neighbourhood of every Y-vertex as a bitmask."""
-    masks = [0] * g.n2
+def _count_short_cycles(g: BipartiteGraph, i: int) -> int:
+    """The 4-cycles of g, and its 6-cycles too when i >= 3, from the
+    pairs of Y-vertices a < b that share c_ab > 0 X-neighbours: each
+    pair lies on C(c_ab, 2) 4-cycles, and each triple a < b < c whose
+    pairs all share some on c_ab c_bc c_ac - t (c_ab + c_bc + c_ac) + 2t
+    6-cycles, t being the common neighbours of all three (inclusion-
+    exclusion). The pairs come from ORs of the X-vertices' Y-bitmasks,
+    and c_ab from ANDs of the Y-vertices' X-bitmasks, so a sparse graph
+    costs about its wedges, not C(|Y|, 2) or C(|Y|, 3) mask operations;
+    for the 6-cycles, every pair's c_ab is kept."""
+    n1, first, nbrs = g.n1, g.first.tolist(), g.nbrs.tolist()
+    masks = [0] * g.n
     for x, y in zip(g.u.tolist(), g.v.tolist()):
-        masks[y - g.n1] |= 1 << x
-    return masks
-
-
-def _count_quad_cycles(masks: list[int]) -> int:
-    total = 0
-    for a in range(len(masks)):
-        for b in range(a + 1, len(masks)):
-            c = (masks[a] & masks[b]).bit_count()
-            total += c * (c - 1) // 2
+        masks[y] |= 1 << x
+    # seen[x]: the Y-neighbours y > a of X-vertex x, as bits y - n1;
+    # later[b]: the Y-vertices c > b sharing a neighbour with b, and c_bc
+    seen, later, total = [0] * n1, {}, 0
+    for a in reversed(range(n1, g.n)):
+        la = 0
+        for x in nbrs[first[a]:first[a + 1]]:
+            la |= seen[x]
+            seen[x] |= 1 << (a - n1)
+        size = {b: (masks[a] & masks[b]).bit_count() for b in _bits(la, n1)}
+        total += sum(c * (c - 1) for c in size.values()) // 2
+        if i >= 3:
+            later[a] = la, size
+            for b, cab in size.items():
+                ab, (lb, sb) = masks[a] & masks[b], later[b]
+                for c in _bits(la & lb, n1):
+                    cac, cbc, t = size[c], sb[c], (ab & masks[c]).bit_count()
+                    total += cab * cbc * cac - t * (cab + cbc + cac) + 2 * t
     return total
 
 
-def _count_hex_cycles(masks: list[int]) -> int:
-    n = len(masks)
-    total = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            mab = masks[a] & masks[b]
-            if not mab:
-                continue
-            cab = mab.bit_count()
-            for c in range(b + 1, n):
-                cac = (masks[a] & masks[c]).bit_count()
-                if not cac:
-                    continue
-                cbc = (masks[b] & masks[c]).bit_count()
-                if not cbc:
-                    continue
-                t = (mab & masks[c]).bit_count()
-                total += cab * cbc * cac - t * (cab + cbc + cac) + 2 * t
-    return total
+def _bits(m: int, base: int):
+    """base + k for each set bit k of m, ascending."""
+    while m:
+        low = m & -m
+        yield base + low.bit_length() - 1
+        m ^= low
 
 
 def _count_trails_exhaustive(g: BipartiteGraph, length: int) -> int:

@@ -636,7 +636,8 @@ def test_experiment_refuses_a_file_that_is_not_its_csv(tmp_path, capsys):
     cfg, notes = tmp_path / "e.cfg", tmp_path / "notes.txt"
     _write_config(cfg, notes)
     for text in (b"my notes\nkeep this line", b"my notes\n", b"n1,n2\n8,4\n",
-                 cli.SCHEMA_LINE.encode() + b"n1\n"):
+                 cli.SCHEMA_LINE.encode() + b"n1\n",
+                 cli.SCHEMA_LINE.encode() + b"\nmy notes\n"):
         notes.write_bytes(text)
         assert main(["experiment", "--config", str(cfg)]) == 2
         assert "is not a bigenus experiment CSV" in capsys.readouterr().err
@@ -647,6 +648,25 @@ def test_experiment_refuses_a_file_that_is_not_its_csv(tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg)]) == 0
     lines = notes.read_text().splitlines()
     assert lines[0] == cli.SCHEMA_LINE and len(lines) == 2 + 4
+
+
+@pytest.mark.parametrize("torn", ["n1,n2,p", ""])
+def test_experiment_writes_the_header_lines_a_torn_file_lacks(tmp_path, capsys, torn):
+    # the schema line, then a column line torn before its newline or
+    # none at all: the resumed file gets the column line once, before
+    # any row, and a second run finds nothing to do
+    cfg, out = tmp_path / "e.cfg", tmp_path / "e.csv"
+    _write_config(cfg, out)
+    out.write_text(f"{cli.SCHEMA_LINE}\n{torn}")
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[:2] == [cli.SCHEMA_LINE, ",".join(cli.EXPERIMENT_COLUMNS)]
+    assert len(lines) == 2 + 4 and all(len(line.split(",")) == 13 for line in lines[2:])
+    text = out.read_bytes()
+    capsys.readouterr()
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert "cells=4 todo=0" in capsys.readouterr().err
+    assert out.read_bytes() == text
 
 
 def test_labels_past_int32_exit_2(tmp_path, capsys):

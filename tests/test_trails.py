@@ -574,7 +574,10 @@ def test_count_short_long_trails_match_brute():
 
 @pytest.mark.parametrize("n1, n2, p, i, count", [
     (12, 12, 0.4, 4, 7_995), (40, 40, 0.1, 5, 46_032), (400, 400, 0.005, 5, 113),
-    (200, 150, 0.05, 3, 43_825), (1000, 1000, 0.003, 4, 736)])
+    (200, 150, 0.05, 3, 43_825), (1000, 1000, 0.003, 4, 736),
+    # sparse graphs at the scale of the i >= 2 sweeps, p = (n1 n2)^-0.36
+    (2000, 2000, (2000 * 2000) ** -0.36, 2, 1_202),
+    (2000, 2000, (2000 * 2000) ** -0.36, 3, 55_959)])
 def test_short_trail_counts_are_frozen(n1, n2, p, i, count):
     g = gen_random_bipartite(GenParams(n1, n2, p, seed=1))
     assert count_short_closed_trails(g, i) == count
